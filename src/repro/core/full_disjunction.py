@@ -1,13 +1,33 @@
 """Computing the whole full disjunction ``FD(R)`` (Corollary 4.9).
 
 ``FD(R)`` is the union of ``FD_i(R)`` over every relation ``R_i``, so the
-driver runs ``IncrementalFD`` once per relation.  Because a tuple set
-containing ``j`` tuples belongs to ``j`` of the ``FD_i``, the driver
-suppresses duplicates: with the default initialization a result of pass ``i``
-is emitted only when it contains no tuple of ``R_1, …, R_{i-1}`` (exactly the
-check the paper describes after Theorem 4.8); with the reuse strategies of
-Section 7 a result is emitted only when it is not contained in a previously
-emitted result.
+driver runs ``IncrementalFD`` once per relation.  A tuple set holding ``j``
+tuples belongs to ``j`` of the ``FD_i``; the driver emits it from the pass
+of its *first* relation only.
+
+With the default initialization every exact driver runs pass ``i`` through
+one generator, :func:`restricted_pass`.  Following Section 7, the pass scans
+``R_i, …, R_n`` only (written ``R_≥i``; ``R_<i`` is ``R_1, …, R_{i-1}``), and
+it drops a result that can absorb one live tuple of ``R_<i``.  This is exact:
+
+* an answer whose first relation is ``R_i`` lies in ``R_≥i`` and is maximal
+  there, so pass ``i`` produces it, and it absorbs no tuple at all;
+* a set that is maximal in ``R_≥i`` but is not an answer has a join
+  consistent and connected proper superset, so it can absorb a single tuple
+  adjacent to it, and that tuple must belong to ``R_<i``.
+
+Each dropped set is the ``R_≥i`` part of an answer an earlier pass emitted,
+so the drops never exceed ``(n-1)`` times the answers emitted so far and the
+driver keeps its incremental polynomial time.  With the reuse strategies of
+Section 7 the passes share ``Complete`` and a result is emitted only when it
+is not contained in a previously emitted result.
+
+Statistics of a full run (see :class:`~repro.core.incremental.FDStatistics`):
+``results`` counts the sets the passes produced, dropped ones included;
+``results_emitted`` counts the answers yielded; ``tuple_reads``,
+``block_reads``, ``candidates_*`` and ``sets_scanned`` cover ``R_≥i`` only
+in pass ``i``.  Every driver merges them on every exit, so an abandoned
+stream (:func:`first_k`) reports the work it did.
 
 The module exposes both a generator (:func:`full_disjunction_sets`) for
 streaming consumption — the reason the algorithm exists — and a convenience
@@ -27,16 +47,92 @@ from repro.relational.schema import Schema
 from repro.core.incremental import (
     FDStatistics,
     get_next_result,
+    incremental_fd,
 )
 from repro.core.initialization import (
     STRATEGIES,
-    RestrictedScanner,
     earlier_relations,
     initial_sets,
 )
 from repro.core.scanner import make_scanner
 from repro.core.store import CompleteStore, ListIncompletePool, record_store_statistics
 from repro.core.tupleset import TupleSet
+
+
+def absorbs_earlier_tuple(
+    result: TupleSet, database: Database, anchor_name: str
+) -> bool:
+    """Whether ``JCC(result ∪ {t})`` holds for a live tuple ``t`` of ``R_<i``.
+
+    ``R_i`` is the relation named ``anchor_name`` and ``result`` holds no
+    tuple of ``R_<i``.  On an interned set the test is one mask: the tuples
+    of the earlier relations adjacent to the set, live, and join consistent
+    with every member.  An uninterned set asks ``can_absorb`` of each live
+    earlier tuple.
+    """
+    catalog = result.catalog
+    if catalog is None:
+        earlier = database.relations[: database.index_of(anchor_name)]
+        return any(result.can_absorb(t) for relation in earlier for t in relation)
+    earlier_relations_mask = (1 << catalog.relation_id(anchor_name)) - 1
+    adjacent = earlier_relations_mask & result.adjacent_relations
+    if not adjacent:
+        return False
+    mask = catalog.tuples_in_relations(adjacent) & catalog.live_mask
+    members = result.id_mask
+    while members and mask:
+        low = members & -members
+        mask &= catalog.consistent_mask(low.bit_length() - 1)
+        members ^= low
+    return bool(mask)
+
+
+def restricted_pass(
+    database: Database,
+    anchor_name: str,
+    use_index: bool = False,
+    block_size: Optional[int] = None,
+    statistics: Optional[FDStatistics] = None,
+    backend=None,
+    anchor_tuples=None,
+) -> Iterator[TupleSet]:
+    """Pass ``i`` of the exact driver: the answers whose first relation is ``R_i``.
+
+    Runs ``IncrementalFD`` for ``R_i`` (``anchor_name``) with a scanner that
+    skips ``R_<i`` and yields a result only when it cannot absorb one live
+    tuple of ``R_<i`` (see the module docstring for why this is exact).
+    ``anchor_tuples`` restricts the pass to an anchor bucket range, as in
+    :func:`~repro.core.incremental.incremental_fd`.  The pass's counters are
+    merged into ``statistics`` on every exit, an abandoned pass included.
+    """
+    earlier = earlier_relations(database, anchor_name)
+    scanner = make_scanner(database, block_size, earlier)
+    pass_statistics = FDStatistics() if statistics is not None else None
+    emitted = 0
+    results = incremental_fd(
+        database,
+        anchor_name,
+        use_index=use_index,
+        scanner=scanner,
+        statistics=pass_statistics,
+        backend=backend,
+        anchor_tuples=anchor_tuples,
+    )
+    try:
+        for result in results:
+            if earlier and absorbs_earlier_tuple(result, database, anchor_name):
+                continue
+            emitted += 1
+            yield result
+    finally:
+        # Close the pass first: its store counters land in pass_statistics.
+        results.close()
+        if pass_statistics is not None:
+            pass_statistics.results_emitted = emitted
+            pass_statistics.tuple_reads = scanner.tuple_reads
+            pass_statistics.scan_passes = scanner.passes
+            pass_statistics.block_reads = getattr(scanner, "block_reads", 0)
+            statistics.merge(pass_statistics)
 
 
 def full_disjunction_sets(
@@ -113,7 +209,7 @@ def _run_reusing_passes(
         for index, relation in enumerate(database.relations):
             anchor_name = relation.name
             skip = earlier_relations(database, anchor_name)
-            scanner = RestrictedScanner(make_scanner(database, block_size), skip)
+            scanner = make_scanner(database, block_size, skip)
             pass_statistics = FDStatistics() if statistics is not None else None
 
             incomplete = ListIncompletePool(anchor_name, use_index=use_index)
@@ -145,6 +241,8 @@ def _run_reusing_passes(
                         # earlier relation) was.
                         continue
                     produced.append(result)
+                    if pass_statistics is not None:
+                        pass_statistics.results_emitted += 1
                     yield result
             finally:
                 # Record pass counters on every exit, including abandonment.

@@ -66,7 +66,12 @@ class FDStatistics:
 
     ``results`` counts the results *produced* (added to ``Complete``);
     ``results_emitted`` counts the results actually delivered to the caller.
-    The two differ where production and delivery diverge: the ranked
+    The two differ where production and delivery diverge: the exact
+    full-disjunction driver (a set pass ``i`` produces over ``R_i, …, R_n``
+    is dropped when it can absorb a tuple of an earlier relation — see
+    :func:`repro.core.full_disjunction.restricted_pass` — and the scan
+    counters ``tuple_reads``/``block_reads`` and the ``candidates_*``
+    counters then cover ``R_i, …, R_n`` only), the ranked
     threshold path (a result produced at a rank tie straddling the threshold
     boundary is recorded in ``Complete`` — it was derived, and must suppress
     re-derivations — but never emitted) and *unranked* streaming delta

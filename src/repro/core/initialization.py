@@ -1,10 +1,11 @@
 """Initialization strategies for ``Incomplete`` (Section 7, "Minimizing repeated work").
 
 Computing the whole full disjunction runs ``IncrementalFD`` once per relation.
-With the default initialization every result containing ``j`` tuples is
-recomputed ``j`` times.  Section 7 proposes alternative initializations of
-``Incomplete`` that reuse the results of previous passes; all of them must
-respect the conditions of Remarks 4.3 and 4.5:
+Run over the whole database, pass ``i`` would re-derive every answer that
+holds a tuple of ``R_i`` and of an earlier relation; Section 7 notes that pass
+``i`` only needs ``R_i, …, R_n``, and proposes alternative initializations of
+``Incomplete`` that reuse the results of previous passes.  All
+initializations must respect the conditions of Remarks 4.3 and 4.5:
 
 (i)   every initial tuple set is join consistent and connected;
 (ii)  every tuple of ``R_i`` appears in some initial tuple set;
@@ -13,9 +14,11 @@ respect the conditions of Remarks 4.3 and 4.5:
 Three strategies are provided (the names follow the paper's enumeration):
 
 ``singletons``
-    The default of Fig. 1: ``{t}`` for every ``t ∈ R_i``; every pass is
-    independent and duplicates are suppressed by the "contains an earlier
-    relation's tuple" test.
+    The default of Fig. 1: ``{t}`` for every ``t ∈ R_i``.  Every pass is
+    independent and, like the reuse strategies, scans only ``R_i, …, R_n``;
+    a result is dropped when it can absorb a live tuple of an earlier
+    relation, because it is then part of an answer an earlier pass emitted
+    (see :func:`repro.core.full_disjunction.restricted_pass`).
 
 ``previous-results``
     The paper's second option: seed pass ``i`` with the previously returned
@@ -38,46 +41,14 @@ result, as prescribed by the paper.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Set
+from typing import Iterable, List, Sequence, Set
 
 from repro.relational.database import Database
 from repro.relational.tuples import Tuple
-from repro.core.scanner import TupleScanner
 from repro.core.tupleset import TupleSet
 
 #: Names of the supported strategies, in the order the paper presents them.
 STRATEGIES = ("singletons", "previous-results", "reduced-previous")
-
-
-class RestrictedScanner:
-    """A scanner view that skips a fixed set of relations.
-
-    Used by the reuse strategies, whose scan loops only consider the relations
-    ``R_i, …, R_n`` (the candidate and extension tuples of earlier relations
-    can only lead to results already printed in earlier passes).
-    """
-
-    def __init__(self, inner: TupleScanner, skip_relations: Set[str]):
-        self._inner = inner
-        self._skip = set(skip_relations)
-
-    def scan(self) -> Iterator[Tuple]:
-        return self._inner.scan(skip_relations=self._skip)
-
-    @property
-    def tuple_reads(self) -> int:
-        return self._inner.tuple_reads
-
-    @property
-    def passes(self) -> int:
-        return self._inner.passes
-
-    @property
-    def database(self) -> Database:
-        return self._inner.database
-
-    def cost_summary(self) -> dict:
-        return self._inner.cost_summary()
 
 
 def singleton_sets(database: Database, anchor_name: str, catalog=None) -> List[TupleSet]:

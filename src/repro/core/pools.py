@@ -8,8 +8,10 @@ relation-set groups, over the interned bitset
 :class:`~repro.core.tupleset.TupleSet` representation).
 
 This module keeps the original, straightforward implementations — the same
-public interface, backed by plain lists and single-level hash buckets.  They
-are retained deliberately:
+public interface, backed by lists and single-level hash buckets (the
+``Incomplete`` list keeps its members in slots so a replace is O(1); the
+literal searched list survives as the oracle in ``tests/core/test_pools.py``).
+They are retained deliberately:
 
 * as the executable reference the randomized equivalence tests
   (``tests/core/test_tupleset_equivalence.py``) run side by side with the
@@ -35,7 +37,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Callable, Dict, Iterable, Iterator, List, Optional
+from collections import deque
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional
 
 from repro.relational.tuples import Tuple
 from repro.core.tupleset import TupleSet
@@ -166,6 +169,12 @@ class ListIncompletePool:
     ``replace`` keeps the replaced set's position, and newly inserted sets go
     where the ``extraction`` policy dictates.
 
+    Each member sits in a one-element *slot* (a list) and a dict maps every
+    member to its slot, so the Line 15 ``replace`` rewrites the slot in place
+    in O(1) instead of searching the list.  When the union is already a
+    member, the slot is emptied instead; ``pop`` skips empty slots, and
+    empty slots never change the order of the live members.
+
     Parameters
     ----------
     anchor_relation:
@@ -197,23 +206,26 @@ class ListIncompletePool:
         self._anchor_relation = anchor_relation
         self._use_index = use_index
         self._extraction = extraction
-        self._items: List[TupleSet] = []
-        self._members = set()
+        # Slots in list order; a slot holds its member, or None once emptied.
+        self._items: Deque[list] = deque()
+        self._slots: Dict[TupleSet, list] = {}
+        # Slot position where "paper" extraction inserts the next candidate.
         self._insert_cursor = 0
-        self._buckets: Dict[Tuple, List[TupleSet]] = {}
+        # Anchor tuple -> its members, in insertion order (dict as ordered set).
+        self._buckets: Dict[Tuple, Dict[TupleSet, None]] = {}
         self.statistics = PoolStatistics()
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._slots)
 
     def __bool__(self) -> bool:
-        return bool(self._items)
+        return bool(self._slots)
 
     def __iter__(self) -> Iterator[TupleSet]:
-        return iter(list(self._items))
+        return iter(self.as_list())
 
     def __contains__(self, tuple_set: TupleSet) -> bool:
-        return tuple_set in self._members
+        return tuple_set in self._slots
 
     def _anchor_of(self, tuple_set: TupleSet) -> Optional[Tuple]:
         return tuple_set.tuple_from(self._anchor_relation)
@@ -222,39 +234,40 @@ class ListIncompletePool:
         if self._use_index:
             anchor = self._anchor_of(tuple_set)
             if anchor is not None:
-                self._buckets.setdefault(anchor, []).append(tuple_set)
+                self._buckets.setdefault(anchor, {})[tuple_set] = None
 
     def _index_discard(self, tuple_set: TupleSet) -> None:
         if self._use_index:
             anchor = self._anchor_of(tuple_set)
             if anchor is not None:
                 bucket = self._buckets.get(anchor)
-                if bucket is not None and tuple_set in bucket:
-                    bucket.remove(tuple_set)
+                if bucket is not None:
+                    bucket.pop(tuple_set, None)
 
     def add(self, tuple_set: TupleSet) -> None:
         """Insert a tuple set (Line 18 of ``GetNextResult`` / initialization)."""
-        if tuple_set in self._members:
+        if tuple_set in self._slots:
             return
+        slot = [tuple_set]
         if self._extraction == "paper":
-            self._items.insert(self._insert_cursor, tuple_set)
+            self._items.insert(self._insert_cursor, slot)
             self._insert_cursor += 1
         else:
-            self._items.append(tuple_set)
-        self._members.add(tuple_set)
+            self._items.append(slot)
+        self._slots[tuple_set] = slot
         self.statistics.additions += 1
-        self.statistics.peak_size = max(self.statistics.peak_size, len(self._items))
+        self.statistics.peak_size = max(self.statistics.peak_size, len(self._slots))
         self._index_add(tuple_set)
 
     def pop(self) -> TupleSet:
         """Remove and return the next tuple set to extend (Line 1)."""
-        if not self._items:
+        if not self._slots:
             raise IndexError("pop from an empty Incomplete pool")
-        if self._extraction == "lifo":
-            tuple_set = self._items.pop()
-        else:
-            tuple_set = self._items.pop(0)
-        self._members.discard(tuple_set)
+        take = self._items.pop if self._extraction == "lifo" else self._items.popleft
+        tuple_set = take()[0]
+        while tuple_set is None:
+            tuple_set = take()[0]
+        del self._slots[tuple_set]
         self._index_discard(tuple_set)
         self._insert_cursor = 0
         self.statistics.removals += 1
@@ -273,26 +286,23 @@ class ListIncompletePool:
                 bucket = list(self._buckets.get(anchor, ()))
                 self.statistics.sets_scanned += len(bucket)
                 return bucket
-        live = list(self._items)
+        live = self.as_list()
         self.statistics.sets_scanned += len(live)
         return live
 
     def replace(self, old: TupleSet, new: TupleSet) -> None:
         """Replace ``old`` by ``new`` (Line 15), in place."""
-        if old not in self._members:
+        slot = self._slots.pop(old, None)
+        if slot is None:
             raise KeyError(f"{old!r} is not in the Incomplete pool")
-        position = self._items.index(old)
-        self._members.discard(old)
         self._index_discard(old)
         self.statistics.replacements += 1
-        if new in self._members:
+        if new in self._slots:
             # The union already exists elsewhere in the list; just drop ``old``.
-            del self._items[position]
-            if position < self._insert_cursor:
-                self._insert_cursor -= 1
+            slot[0] = None
             return
-        self._items[position] = new
-        self._members.add(new)
+        slot[0] = new
+        self._slots[new] = slot
         self._index_add(new)
 
     def discard_containing(self, dead_tuples) -> int:
@@ -300,34 +310,31 @@ class ListIncompletePool:
 
         A queued set containing a deleted tuple can never extend into a
         result of the post-deletion database; it is dropped from the list,
-        the membership set and the index in one sweep, without touching the
+        the membership map and the index in one sweep, without touching the
         surviving members.  Returns the number of sets evicted.
         """
         dead = set(dead_tuples)
-        if not dead or not self._items:
+        if not dead or not self._slots:
             return 0
         from repro.core.kernels import active_kernel
 
-        flags = active_kernel().batch_contains_dead(self._items, dead)
-        kept: List[TupleSet] = []
+        members = self.as_list()
+        flags = active_kernel().batch_contains_dead(members, dead)
         evicted = 0
-        for tuple_set, hit in zip(self._items, flags):
+        for tuple_set, hit in zip(members, flags):
             if hit:
                 evicted += 1
-                self._members.discard(tuple_set)
+                self._slots.pop(tuple_set)[0] = None
                 self._index_discard(tuple_set)
                 self.statistics.removals += 1
-            else:
-                kept.append(tuple_set)
         if evicted:
-            self._items = kept
+            self._items = deque(slot for slot in self._items if slot[0] is not None)
             self._insert_cursor = 0
         return evicted
 
     def as_list(self) -> List[TupleSet]:
         """The live member sets in list order (used by the trace harness)."""
-        return list(self._items)
-
+        return [slot[0] for slot in self._items if slot[0] is not None]
 
 
 class PriorityIncompletePool:
@@ -350,7 +357,8 @@ class PriorityIncompletePool:
         self._heap: List = []
         self._members = set()
         self._counter = itertools.count()
-        self._buckets: Dict[Tuple, List[TupleSet]] = {}
+        # Anchor tuple -> its members, in insertion order (dict as ordered set).
+        self._buckets: Dict[Tuple, Dict[TupleSet, None]] = {}
         self.statistics = PoolStatistics()
 
     def __len__(self) -> int:
@@ -380,7 +388,7 @@ class PriorityIncompletePool:
         if self._use_index:
             anchor = self._anchor_of(tuple_set)
             if anchor is not None:
-                self._buckets.setdefault(anchor, []).append(tuple_set)
+                self._buckets.setdefault(anchor, {})[tuple_set] = None
 
     def _prune(self) -> None:
         while self._heap and self._heap[0][2] not in self._members:
@@ -416,15 +424,15 @@ class PriorityIncompletePool:
             anchor = self._anchor_of(tuple_set)
             if anchor is not None:
                 bucket = self._buckets.get(anchor)
-                if bucket is not None and tuple_set in bucket:
-                    bucket.remove(tuple_set)
+                if bucket is not None:
+                    bucket.pop(tuple_set, None)
 
     def candidates(self, probe: TupleSet) -> List[TupleSet]:
         """Member sets that might merge with ``probe`` (see :class:`ListIncompletePool`)."""
         if self._use_index:
             anchor = self._anchor_of(probe)
             if anchor is not None:
-                bucket = [s for s in self._buckets.get(anchor, ()) if s in self._members]
+                bucket = list(self._buckets.get(anchor, ()))
                 self.statistics.sets_scanned += len(bucket)
                 return bucket
         live = list(self._members)
@@ -444,7 +452,7 @@ class PriorityIncompletePool:
             if self._use_index:
                 anchor = self._anchor_of(new)
                 if anchor is not None:
-                    self._buckets.setdefault(anchor, []).append(new)
+                    self._buckets.setdefault(anchor, {})[new] = None
 
     def discard_containing(self, dead_tuples) -> int:
         """Evict every queued set holding a dead tuple (streaming deletion).

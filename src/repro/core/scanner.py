@@ -9,21 +9,29 @@ scanner abstraction centralises that iteration so that
   :class:`BlockScanner` fetches tuples a block at a time and counts block
   fetches, modelling the I/O behaviour of an implementation inside a database
   system, while producing exactly the same tuple stream.
+
+A scanner may carry a fixed *skip set* of relations it never reads.  The
+full-disjunction driver restricts pass ``i`` to ``R_i, …, R_n`` this way, so
+every counter a pass reports covers exactly the tuples it read.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional
 
 from repro.relational.database import Database
 from repro.relational.tuples import Tuple
 
 
 class TupleScanner:
-    """Tuple-at-a-time scanner over ``Tuples(R)`` (the paper's default execution)."""
+    """Tuple-at-a-time scanner over ``Tuples(R)`` (the paper's default execution).
 
-    def __init__(self, database: Database):
+    ``skip_relations`` names relations that no scan of this scanner reads.
+    """
+
+    def __init__(self, database: Database, skip_relations: Iterable[str] = ()):
         self._database = database
+        self.skip_relations = frozenset(skip_relations)
         self.tuple_reads = 0
         self.passes = 0
 
@@ -31,16 +39,12 @@ class TupleScanner:
     def database(self) -> Database:
         return self._database
 
-    def scan(self, skip_relations: Optional[set] = None) -> Iterator[Tuple]:
-        """Yield every tuple of the database, counting the pass and each read.
-
-        ``skip_relations`` optionally omits whole relations; the
-        initialization strategies of Section 7 restrict some passes to the
-        relations ``R_{i+1}, ..., R_n``.
-        """
+    def scan(self) -> Iterator[Tuple]:
+        """Yield every tuple outside the skip set, counting the pass and each read."""
+        skip = self.skip_relations
         self.passes += 1
         for relation in self._database:
-            if skip_relations and relation.name in skip_relations:
+            if skip and relation.name in skip:
                 continue
             for t in relation:
                 self.tuple_reads += 1
@@ -60,18 +64,21 @@ class BlockScanner(TupleScanner):
     block-based benchmarks report.
     """
 
-    def __init__(self, database: Database, block_size: int):
-        super().__init__(database)
+    def __init__(
+        self, database: Database, block_size: int, skip_relations: Iterable[str] = ()
+    ):
+        super().__init__(database, skip_relations)
         if block_size < 1:
             raise ValueError(f"block_size must be positive, got {block_size}")
         self.block_size = block_size
         self.block_reads = 0
 
-    def scan_blocks(self, skip_relations: Optional[set] = None) -> Iterator[List[Tuple]]:
+    def scan_blocks(self) -> Iterator[List[Tuple]]:
         """Yield the database as a sequence of blocks, counting block fetches."""
+        skip = self.skip_relations
         self.passes += 1
         for relation in self._database:
-            if skip_relations and relation.name in skip_relations:
+            if skip and relation.name in skip:
                 continue
             block: List[Tuple] = []
             for t in relation:
@@ -86,12 +93,12 @@ class BlockScanner(TupleScanner):
                 self.tuple_reads += len(block)
                 yield block
 
-    def scan(self, skip_relations: Optional[set] = None) -> Iterator[Tuple]:
+    def scan(self) -> Iterator[Tuple]:
         """Yield every tuple, fetched block by block.
 
         ``scan_blocks`` counts the pass and the block fetches.
         """
-        for block in self.scan_blocks(skip_relations):
+        for block in self.scan_blocks():
             yield from block
 
     def cost_summary(self) -> dict:
@@ -101,8 +108,13 @@ class BlockScanner(TupleScanner):
         return summary
 
 
-def make_scanner(database: Database, block_size: Optional[int]) -> TupleScanner:
-    """The scanner for one pass: tuple-at-a-time, or block-based (Section 7)."""
+def make_scanner(
+    database: Database, block_size: Optional[int], skip_relations: Iterable[str] = ()
+) -> TupleScanner:
+    """The scanner for one pass: tuple-at-a-time, or block-based (Section 7).
+
+    ``skip_relations`` is the pass's fixed skip set (see the module docstring).
+    """
     if block_size is None:
-        return TupleScanner(database)
-    return BlockScanner(database, block_size)
+        return TupleScanner(database, skip_relations)
+    return BlockScanner(database, block_size, skip_relations)

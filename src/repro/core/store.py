@@ -284,7 +284,7 @@ class ListIncompletePool(_ReferenceListIncompletePool):
                 self.statistics.sets_scanned += len(bucket)
                 return bucket
         self.statistics.full_scans += 1
-        live = list(self._items)
+        live = self.as_list()
         self.statistics.sets_scanned += len(live)
         return live
 
@@ -303,7 +303,7 @@ class PriorityIncompletePool(_ReferencePriorityIncompletePool):
             anchor = self._anchor_of(probe)
             if anchor is not None:
                 self.statistics.bucket_probes += 1
-                bucket = [s for s in self._buckets.get(anchor, ()) if s in self._members]
+                bucket = list(self._buckets.get(anchor, ()))
                 self.statistics.sets_scanned += len(bucket)
                 return bucket
         self.statistics.full_scans += 1

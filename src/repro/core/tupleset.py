@@ -180,6 +180,11 @@ class TupleSet:
         """The member-relation bitmask (``None`` when the set is not interned)."""
         return self._relation_mask
 
+    @property
+    def adjacent_relations(self) -> Optional[int]:
+        """Bitmask of the relations adjacent to a member relation (``None`` when not interned)."""
+        return self._adjacent_relations
+
     def contains_tombstoned(self, catalog) -> bool:
         """Whether some member tuple is tombstoned in ``catalog``.
 

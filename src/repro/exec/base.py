@@ -18,8 +18,8 @@ hard-coding their loops, so the same algorithm runs under any of:
 * :class:`~repro.exec.batched.BatchedBackend` — ``GetNextResult`` groups the
   outside tuples of Lines 7–18 by anchor bucket and probes the dual-indexed
   ``Complete`` store once per bucket instead of once per tuple;
-* :class:`~repro.exec.sharded.ShardedBackend` — the per-relation
-  ``IncrementalFD`` passes of the ``singletons`` strategy run on a
+* :class:`~repro.exec.sharded.ShardedBackend` — the restricted passes of
+  the ``singletons`` strategy, split into anchor-bucket ranges, run on a
   ``ProcessPoolExecutor``, with deterministic result and statistics merging.
 
 All backends are *observationally equivalent*: they produce the same result
@@ -93,10 +93,15 @@ class ExecutionBackend:
     ) -> Iterator[TupleSet]:
         """Compute ``FD(R)`` with the default singleton initialization.
 
-        Yields every member of the full disjunction exactly once (duplicate
-        suppression across passes included).  Implementations must merge
+        Pass ``i`` is :func:`repro.core.full_disjunction.restricted_pass`
+        for ``R_i``: it scans ``R_i, …, R_n`` only and drops every result
+        that can absorb a live tuple of an earlier relation, so each member
+        of the full disjunction is yielded exactly once, by the pass of its
+        first relation.  Implementations may split or reorder the passes but
+        must run each of them through that function.  They must merge
         per-pass statistics into ``statistics`` deterministically, in
-        database relation order.
+        database relation order, on every exit — an abandoned stream
+        included — with ``results_emitted`` counting the answers yielded.
         """
         raise NotImplementedError
 

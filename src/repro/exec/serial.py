@@ -3,10 +3,10 @@
 This backend *is* the pre-existing behaviour of the drivers — the per-step
 functions are exactly :func:`repro.core.incremental.get_next_result` and
 :func:`repro.core.approx.approx_get_next_result`, and
-:meth:`SerialBackend.run_singleton_passes` is the independent-passes loop
-that used to live inline in :mod:`repro.core.full_disjunction`.  It exists as
-a class so the batched and sharded backends can replace one operation at a
-time while inheriting the rest.
+:meth:`SerialBackend.run_singleton_passes` runs the passes of
+:func:`repro.core.full_disjunction.restricted_pass` one after another.  It
+exists as a class so the batched and sharded backends can replace one
+operation at a time while inheriting the rest.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.relational.database import Database
-from repro.core.incremental import FDStatistics, get_next_result, incremental_fd
-from repro.core.scanner import make_scanner
+from repro.core.full_disjunction import restricted_pass
+from repro.core.incremental import get_next_result
 from repro.core.tupleset import TupleSet
 from repro.exec.base import ExecutionBackend
 from repro.obs.tracing import trace_span
@@ -77,32 +77,20 @@ class SerialBackend(ExecutionBackend):
         block_size: Optional[int] = None,
         statistics=None,
     ) -> Iterator[TupleSet]:
-        """The paper's basic driver: a fresh ``IncrementalFD`` per relation."""
-        for index, relation in enumerate(database.relations):
-            earlier = {r.name for r in database.relations[:index]}
-            scanner = make_scanner(database, block_size)
-            pass_statistics = FDStatistics() if statistics is not None else None
+        """The paper's basic driver: one restricted pass per relation, in order."""
+        for relation in database.relations:
             # The span covers the pass's wall clock as the consumer sees it
             # (pauses between pulls included) — on a trace, that is where
             # the serving time actually went.
             with trace_span("engine.pass", "engine", anchor=relation.name):
-                for result in incremental_fd(
+                yield from restricted_pass(
                     database,
                     relation.name,
                     use_index=use_index,
-                    scanner=scanner,
-                    statistics=pass_statistics,
+                    block_size=block_size,
+                    statistics=statistics,
                     backend=self,
-                ):
-                    # Duplicate suppression: a result containing a tuple of
-                    # an earlier relation was already produced by an earlier
-                    # pass.
-                    if any(result.contains_tuple_from(name) for name in earlier):
-                        continue
-                    yield result
-            if statistics is not None and pass_statistics is not None:
-                pass_statistics.block_reads = getattr(scanner, "block_reads", 0)
-                statistics.merge(pass_statistics)
+                )
 
     def run_approx_passes(
         self,
@@ -128,4 +116,6 @@ class SerialBackend(ExecutionBackend):
             ):
                 if any(result.contains_tuple_from(name) for name in earlier):
                     continue
+                if statistics is not None:
+                    statistics.results_emitted += 1
                 yield result

@@ -1,14 +1,18 @@
 """The sharded backend: bucket-range work stealing across a process pool.
 
-Under the ``singletons`` initialization strategy the ``n`` ``IncrementalFD``
-passes of the full-disjunction driver are completely independent, and *within*
-a pass the anchor buckets are independent too: restricting Line 9 to a subset
-``B ⊆ R_i`` of anchor tuples is exactly the paper's algorithm over a database
-in which ``R_i`` has been split into sub-relations (two tuples of one relation
-are never join consistent, so every tuple set holds at most one ``R_i`` tuple
-and all pool merges are anchor-local — see
-:func:`repro.core.incremental.get_next_result`).  The restricted pass produces
-precisely the ``FD_i`` members anchored in ``B``, once each.
+Under the ``singletons`` initialization strategy the ``n`` passes of the
+full-disjunction driver are completely independent: pass ``i`` is
+:func:`repro.core.full_disjunction.restricted_pass`, which scans
+``R_i, …, R_n`` only and drops every result that can absorb a live tuple of
+an earlier relation.  *Within* a pass the anchor buckets are independent
+too: restricting Line 9 to a subset ``B ⊆ R_i`` of anchor tuples is exactly
+the paper's algorithm over a database in which ``R_i`` has been split into
+sub-relations (two tuples of one relation are never join consistent, so
+every tuple set holds at most one ``R_i`` tuple and all pool merges are
+anchor-local — see :func:`repro.core.incremental.get_next_result`).  The
+split now happens within ``R_i, …, R_n``, so a restricted range produces
+precisely the sets of pass ``i`` anchored in ``B``, once each, and the drop
+rule applies to each of them unchanged.
 
 This backend therefore distributes **bucket ranges**, not whole passes:
 
@@ -18,27 +22,27 @@ This backend therefore distributes **bucket ranges**, not whole passes:
   serializing the pass.  The plan depends only on the database, never on the
   worker count.
 * Every range becomes one task on the long-lived
-  ``concurrent.futures.ProcessPoolExecutor``.  The executor's shared task
-  queue *is* the work-stealing queue: idle workers pull the next pending
-  range the moment they finish one, so a straggler range never idles the
-  rest of the pool.
+  ``concurrent.futures.ProcessPoolExecutor``; the worker runs the restricted
+  pass for the range.  The executor's shared task queue *is* the
+  work-stealing queue: idle workers pull the next pending range the moment
+  they finish one, so a straggler range never idles the rest of the pool.
 * The database — including its cached, immutable
   :class:`~repro.relational.catalog.Catalog` snapshot with the precomputed
   bitmatrices — is pickled **once** in the parent and shipped as bytes with
   every task; workers cache the unpickled snapshot by token, so the catalog
   is rebuilt neither per task nor per worker.
 * The parent consumes futures in **plan order** (relation order, then range
-  order), re-interns results against its own catalog, applies the
-  earlier-relation duplicate suppression, and merges statistics range by
-  range in that same fixed order — so results *and* merged
-  ``FDStatistics`` (``sets_scanned`` included) are byte-identical across
-  worker counts and steal interleavings.
+  order), re-interns results against its own catalog, and merges statistics
+  range by range in that same fixed order, on every exit — so results *and*
+  merged ``FDStatistics`` (``sets_scanned`` included) are byte-identical
+  across worker counts and steal interleavings, and an abandoned stream
+  still reports the ranges it consumed.
 
-``granularity="pass"`` retains the previous whole-pass fan-out (one task per
+``granularity="pass"`` retains the whole-pass fan-out (one task per
 relation chunk, output order identical to serial); the approximate driver
 always uses it — without the exact Line 14 ``JCC`` test, a similarity merge
 could join candidates across anchor tuples, so bucket-splitting an approx
-pass is not sound.
+pass is not sound, and approx passes keep scanning the whole database.
 
 Worker pools are long-lived: one shared pool, sized to the most recent
 request — resizing discards the old pool instead of leaking it, and
@@ -63,9 +67,9 @@ import warnings
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple as TupleType
 
 from repro.relational.database import Database
-from repro.core.incremental import FDStatistics, incremental_fd
+from repro.core.full_disjunction import restricted_pass
+from repro.core.incremental import FDStatistics
 from repro.core.kernels import active_kernel, set_kernel
-from repro.core.scanner import make_scanner
 from repro.core.tupleset import TupleSet
 from repro.exec.batched import BatchedBackend
 
@@ -273,10 +277,11 @@ def _bucket_range_worker(
     kernel_name: Optional[str] = None,
     trace: bool = False,
 ) -> TupleType[List[ResultKeys], FDStatistics, Optional[dict]]:
-    """One bucket range of one ``IncrementalFD`` pass, inside a worker.
+    """One bucket range of one restricted pass, inside a worker.
 
-    Runs the batched pass restricted to the range's anchor tuples (the
-    ``anchor_tuples`` bucket restriction) and ships the results back as
+    Runs the batched :func:`~repro.core.full_disjunction.restricted_pass`
+    limited to the range's anchor tuples (the ``anchor_tuples`` bucket
+    restriction) and ships the results back as
     frozensets of ``(relation_name, label)`` keys — tiny, and unambiguous
     because labels are unique per relation.  The parent's kernel name rides
     along so workers run the same inner-loop implementation even when the
@@ -295,16 +300,15 @@ def _bucket_range_worker(
     bucket = frozenset(
         t for t in database.relation(anchor_name) if t.label in label_set
     )
-    scanner = make_scanner(database, block_size)
     statistics = FDStatistics()
     results: List[ResultKeys] = []
 
     def run() -> None:
-        for result in incremental_fd(
+        for result in restricted_pass(
             database,
             anchor_name,
             use_index=use_index,
-            scanner=scanner,
+            block_size=block_size,
             statistics=statistics,
             backend=BatchedBackend(),
             anchor_tuples=bucket,
@@ -326,7 +330,6 @@ def _bucket_range_worker(
         trace_payload = {"pid": os.getpid(), "events": tracer.events()}
     else:
         run()
-    statistics.block_reads = getattr(scanner, "block_reads", 0)
     return results, statistics, trace_payload
 
 
@@ -338,7 +341,7 @@ def _singleton_passes_worker(
     batched: bool,
     kernel_name: Optional[str] = None,
 ) -> List[TupleType[List[ResultKeys], FDStatistics]]:
-    """A chunk of whole ``IncrementalFD`` passes (``granularity="pass"``).
+    """A chunk of whole restricted passes (``granularity="pass"``).
 
     Module-level so it is picklable by ``ProcessPoolExecutor``.  Shipping a
     *chunk* of anchors per task means the database (with its O(s²)-bit
@@ -349,19 +352,18 @@ def _singleton_passes_worker(
     backend = BatchedBackend() if batched else None
     outputs: List[TupleType[List[ResultKeys], FDStatistics]] = []
     for anchor_name in anchor_names:
-        scanner = make_scanner(database, block_size)
         statistics = FDStatistics()
-        results: List[ResultKeys] = []
-        for result in incremental_fd(
-            database,
-            anchor_name,
-            use_index=use_index,
-            scanner=scanner,
-            statistics=statistics,
-            backend=backend,
-        ):
-            results.append(frozenset((t.relation_name, t.label) for t in result))
-        statistics.block_reads = getattr(scanner, "block_reads", 0)
+        results: List[ResultKeys] = [
+            frozenset((t.relation_name, t.label) for t in result)
+            for result in restricted_pass(
+                database,
+                anchor_name,
+                use_index=use_index,
+                block_size=block_size,
+                statistics=statistics,
+                backend=backend,
+            )
+        ]
         outputs.append((results, statistics))
     return outputs
 
@@ -379,18 +381,22 @@ def _approx_passes_worker(
     Mirrors :func:`_singleton_passes_worker`: the join function rides along in
     the pickle (the stock similarity/aggregation classes are plain picklable
     objects) and the results come back as ``(relation_name, label)`` key sets.
-    Approx passes stay whole: a similarity merge may join candidates across
-    anchor tuples, so the bucket restriction is not sound for them.
+    Approx passes stay whole and scan the whole database: a similarity merge
+    may join candidates across anchor tuples, so neither the bucket
+    restriction nor the exact drop rule is sound for them.  A result holding
+    a tuple of an earlier relation is dropped here, as in the serial driver.
     """
     from repro.core.approx import approx_incremental_fd
 
     if kernel_name is not None:
         set_kernel(kernel_name)
     backend = BatchedBackend()
+    order = {relation.name: index for index, relation in enumerate(database.relations)}
     outputs: List[TupleType[List[ResultKeys], FDStatistics]] = []
     for anchor_name in anchor_names:
         statistics = FDStatistics()
         results: List[ResultKeys] = []
+        position = order[anchor_name]
         for result in approx_incremental_fd(
             database,
             anchor_name,
@@ -400,9 +406,35 @@ def _approx_passes_worker(
             statistics=statistics,
             backend=backend,
         ):
+            if any(order[t.relation_name] < position for t in result):
+                continue
             results.append(frozenset((t.relation_name, t.label) for t in result))
         outputs.append((results, statistics))
     return outputs
+
+
+def _replay(
+    keys_list: List[ResultKeys],
+    task_statistics: FDStatistics,
+    statistics: Optional[FDStatistics],
+    label_map,
+    catalog,
+) -> Iterator[TupleSet]:
+    """Yield one task's results in the parent, then merge its statistics.
+
+    Results are re-interned against the parent's catalog.  The merge runs on
+    every exit, so a consumer that stops early still sees the work of the
+    task it stopped in; ``results_emitted`` then counts what was yielded.
+    """
+    yielded = 0
+    try:
+        for keys in keys_list:
+            yielded += 1
+            yield TupleSet((label_map[key] for key in keys), catalog=catalog)
+    finally:
+        if statistics is not None:
+            task_statistics.results_emitted = yielded
+            statistics.merge(task_statistics)
 
 
 def _contiguous_chunks(items: List[str], count: int) -> List[List[str]]:
@@ -569,37 +601,22 @@ class ShardedBackend(BatchedBackend):
                 yield from fallback()
                 return
 
-            earlier: set = set()
-            cursor = 0
-            for anchor_name, ranges in plan:
-                pass_statistics = (
-                    FDStatistics() if statistics is not None else None
+            for cursor in range(len(tasks)):
+                keys_list, range_statistics, range_trace = (
+                    first_output if cursor == 0 else futures[cursor].result()
                 )
-                for _ in ranges:
-                    keys_list, range_statistics, range_trace = (
-                        first_output if cursor == 0 else futures[cursor].result()
+                if parent_tracer is not None and range_trace is not None:
+                    # Worker spans join the parent's trace during the same
+                    # plan-order merge the results take, attributed by
+                    # range id and true worker pid.
+                    parent_tracer.absorb(
+                        range_trace["events"],
+                        pid=range_trace["pid"],
+                        range_id=cursor,
                     )
-                    if parent_tracer is not None and range_trace is not None:
-                        # Worker spans join the parent's trace during the same
-                        # plan-order merge the results take, attributed by
-                        # range id and true worker pid.
-                        parent_tracer.absorb(
-                            range_trace["events"],
-                            pid=range_trace["pid"],
-                            range_id=cursor,
-                        )
-                    cursor += 1
-                    for keys in keys_list:
-                        if any(name in earlier for name, _ in keys):
-                            continue
-                        yield TupleSet(
-                            (label_map[key] for key in keys), catalog=catalog
-                        )
-                    if pass_statistics is not None:
-                        pass_statistics.merge(range_statistics)
-                if statistics is not None and pass_statistics is not None:
-                    statistics.merge(pass_statistics)
-                earlier.add(anchor_name)
+                yield from _replay(
+                    keys_list, range_statistics, statistics, label_map, catalog
+                )
         finally:
             for future in futures:
                 future.cancel()
@@ -611,9 +628,9 @@ class ShardedBackend(BatchedBackend):
 
         Chunks the relations, submits each chunk through ``submit_chunk``,
         and merges deterministically: chunks (and passes within them) in
-        relation order, results in each pass's emission order, the
-        earlier-relation duplicate suppression applied in the parent, every
-        result re-interned against the parent's catalog.  Chunk ``i``
+        relation order, results in each pass's emission order, every result
+        re-interned against the parent's catalog.  The workers have already
+        dropped the duplicates of earlier passes.  Chunk ``i``
         streams out while chunks ``i+1..`` are still running.  Systemic
         failures (no process spawn, unpicklable arguments) surface on the
         first chunk and degrade to ``fallback()`` — the in-process schedule
@@ -654,21 +671,12 @@ class ShardedBackend(BatchedBackend):
                 yield from fallback()
                 return
 
-            earlier: set = set()
-            for index, chunk in enumerate(chunks):
+            for index in range(len(chunks)):
                 chunk_output = first_output if index == 0 else futures[index].result()
-                for anchor_name, (keys_list, pass_statistics) in zip(
-                    chunk, chunk_output
-                ):
-                    for keys in keys_list:
-                        if any(relation_name in earlier for relation_name, _ in keys):
-                            continue
-                        yield TupleSet(
-                            (label_map[key] for key in keys), catalog=catalog
-                        )
-                    if statistics is not None:
-                        statistics.merge(pass_statistics)
-                    earlier.add(anchor_name)
+                for keys_list, pass_statistics in chunk_output:
+                    yield from _replay(
+                        keys_list, pass_statistics, statistics, label_map, catalog
+                    )
         finally:
             # Abandoned generators (first-k retrieval) cancel chunks not yet
             # started; the shared pool itself stays warm for the next call.

@@ -117,6 +117,49 @@ class _MirrorRows:
         return row
 
 
+def _group_on(relation, attributes, tuple_ids) -> Dict[tuple, List[int]]:
+    """The ids of ``relation``'s tuples, grouped by their values on ``attributes``.
+
+    A tuple with a null, or with a value unequal to itself (NaN), on one of
+    the attributes joins nothing and is left out — exactly the pairs
+    ``Tuple.join_consistent_with`` rejects.
+    """
+    groups: Dict[tuple, List[int]] = {}
+    for t in relation:
+        key = tuple(t[attribute] for attribute in attributes)
+        if any(is_null(value) or value != value for value in key):
+            continue
+        groups.setdefault(key, []).append(tuple_ids[t])
+    return groups
+
+
+def _join_adjacent(first, second, tuple_ids, consistent: List[int]) -> None:
+    """Mark the join-consistent pairs of two adjacent relations (a hash join).
+
+    Two tuples are consistent exactly when they agree, with non-null values,
+    on every shared attribute — when they fall into the same group — so each
+    matching pair of groups ORs one side's id mask into every row of the
+    other.  The work is linear in the tuples plus the consistent pairs.
+    """
+    shared = sorted(first.schema.shared_attributes(second.schema))
+    first_groups = _group_on(first, shared, tuple_ids)
+    second_groups = _group_on(second, shared, tuple_ids)
+    for key, first_ids in first_groups.items():
+        second_ids = second_groups.get(key)
+        if second_ids is None:
+            continue
+        first_mask = 0
+        for gid in first_ids:
+            first_mask |= 1 << gid
+        second_mask = 0
+        for gid in second_ids:
+            second_mask |= 1 << gid
+        for gid in first_ids:
+            consistent[gid] |= second_mask
+        for gid in second_ids:
+            consistent[gid] |= first_mask
+
+
 class Catalog:
     """Dense ids and precomputed bitmatrices for one database snapshot."""
 
@@ -179,8 +222,9 @@ class Catalog:
 
         # Join-consistency bitmatrix.  Tuples of non-adjacent distinct
         # relations share no attribute and are vacuously join consistent;
-        # tuples of adjacent relations are tested pairwise; distinct tuples of
-        # one relation are never consistent (see the module docstring).
+        # tuples of adjacent relations are matched by grouping both sides on
+        # their shared-attribute values; distinct tuples of one relation are
+        # never consistent (see the module docstring).
         consistent = [0] * len(tuples)
         for i in range(count):
             vacuous = 0
@@ -195,15 +239,8 @@ class Catalog:
                     members ^= low
         for i in range(count):
             for j in range(i + 1, count):
-                if not (adjacency[i] >> j) & 1:
-                    continue
-                for first in relations[i]:
-                    first_id = tuple_ids[first]
-                    for second in relations[j]:
-                        if first.join_consistent_with(second):
-                            second_id = tuple_ids[second]
-                            consistent[first_id] |= 1 << second_id
-                            consistent[second_id] |= 1 << first_id
+                if (adjacency[i] >> j) & 1:
+                    _join_adjacent(relations[i], relations[j], tuple_ids, consistent)
         self._consistent = consistent
         self._dead_mask = 0
         self._connected_cache: Dict[int, bool] = {1: True} if count else {}

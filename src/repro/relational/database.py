@@ -23,7 +23,7 @@ class Database:
 
     The order of relations matters: ``IncrementalFD`` is parameterised by an
     index ``i`` and the full-disjunction driver iterates the relations in
-    order, suppressing duplicates by checking earlier relations.
+    order, running pass ``i`` over ``R_i, …, R_n`` only.
     """
 
     def __init__(self, relations: Iterable[Relation] = ()):

@@ -797,10 +797,10 @@ class QueryServer:
             while True:
                 try:
                     line = await reader.readline()
-                except asyncio.CancelledError:
-                    # Server shutdown with the connection still open: end the
-                    # handler normally so asyncio's stream teardown does not
-                    # log the cancellation as a task crash.
+                except (asyncio.CancelledError, ConnectionError):
+                    # Server shutdown with the connection still open, or a
+                    # peer that reset its socket: end the handler normally so
+                    # asyncio's stream teardown does not log a task crash.
                     break
                 if not line:
                     break
@@ -816,7 +816,10 @@ class QueryServer:
                     except Exception as error:  # serve errors, don't die
                         response = {"ok": False, "error": str(error)}
                 writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
+                try:
+                    await writer.drain()
+                except ConnectionError:
+                    break  # the peer went away mid-reply: a disconnect
         finally:
             for name in connection_sessions:
                 session = self._sessions.pop(name, None)

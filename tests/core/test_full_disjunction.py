@@ -4,12 +4,18 @@ import pytest
 
 from repro.core.full_disjunction import (
     FullDisjunction,
+    absorbs_earlier_tuple,
     first_k,
     full_disjunction,
     full_disjunction_sets,
 )
 from repro.core.incremental import FDStatistics
+from repro.core.initialization import STRATEGIES
+from repro.core.scanner import BlockScanner
+from repro.core.tupleset import TupleSet
+from repro.relational.database import Database
 from repro.relational.nulls import is_null
+from repro.relational.relation import Relation
 from repro.workloads.generators import chain_database, star_database
 from repro.workloads.tourist import TABLE2_TUPLE_SETS, table2_padded_rows
 from repro.baselines.naive import naive_full_disjunction
@@ -63,6 +69,112 @@ class TestFullDisjunctionDriver:
         assert labels_of(full_disjunction(tourist_db, block_size=2)) == set(
             TABLE2_TUPLE_SETS
         )
+
+
+class TestRestrictedPasses:
+    """Pass i scans R_i..R_n and drops what can absorb a live R_<i tuple."""
+
+    def test_a_removed_earlier_tuple_absorbs_nothing(self):
+        first = Relation("R1", ["A", "B"])
+        first.add(["a1", "b1"], label="r1")
+        first.add(["a2", "b9"], label="r2")
+        second = Relation("R2", ["B", "C"])
+        second.add(["b1", "c1"], label="s1")
+        database = Database([first, second])
+        database.catalog()
+        database.remove_tuple("R1", "r1")
+        # {s1} could absorb r1 before the removal; afterwards it is an answer.
+        expected = {frozenset({"r2"}), frozenset({"s1"})}
+        for backend in ("serial", "sharded:2", "sharded-pass:2"):
+            results = full_disjunction(database, use_index=True, backend=backend)
+            assert labels_of(results) == expected
+            assert len(results) == 2
+
+    @pytest.mark.parametrize("remove", [False, True])
+    def test_mask_test_matches_the_uninterned_test(self, remove):
+        database = chain_database(
+            relations=4, tuples_per_relation=5, domain_size=2, null_rate=0.2, seed=3
+        )
+        catalog = database.catalog()
+        if remove:
+            for name in ("R1", "R2"):
+                database.remove_tuple(name, next(iter(database.relation(name))).label)
+        for index, relation in enumerate(database.relations):
+            later = [t for r in database.relations[index:] for t in r]
+            for anchor in relation:
+                # Grow a JCC set over R_>=i from the anchor, in scan order.
+                grown = TupleSet.singleton(anchor)
+                for t in later:
+                    if t not in grown and grown.can_absorb(t):
+                        grown = grown.with_tuple(t)
+                for members in (grown.tuples, [anchor]):
+                    plain = TupleSet(members)
+                    interned = TupleSet(members, catalog=catalog)
+                    assert interned.is_interned and not plain.is_interned
+                    assert absorbs_earlier_tuple(
+                        interned, database, relation.name
+                    ) == absorbs_earlier_tuple(plain, database, relation.name)
+
+    def test_passes_produce_only_maximal_sets_of_their_suffix(self):
+        statistics = FDStatistics()
+        full_disjunction(
+            star_database(spokes=3, tuples_per_relation=2, hub_domain=1, seed=0),
+            statistics=statistics,
+        )
+        # A 3-spoke star with one hub value: 2^3 answers from pass 1, and the
+        # 2^2 + 2 maximal sets of passes 2 and 3 are all dropped.
+        assert statistics.results == 8 + 4 + 2
+        assert statistics.results_emitted == 8
+
+
+class TestDriverStatistics:
+    """Counters survive an abandoned stream and count what each pass did."""
+
+    BACKENDS = ("serial", "batched", "async", "sharded:2", "sharded-pass:2")
+
+    @pytest.mark.parametrize("initialization", STRATEGIES)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_first_k_and_drained_runs_report_their_work(self, backend, initialization):
+        database = chain_database(
+            relations=4, tuples_per_relation=8, domain_size=4, null_rate=0.1, seed=1
+        )
+        statistics = FDStatistics()
+        prefix = first_k(
+            database, 5, initialization=initialization, statistics=statistics,
+            backend=backend,
+        )
+        assert len(prefix) == 5
+        assert statistics.results_emitted == 5
+        assert statistics.results >= 5
+        assert statistics.candidates_generated > 0
+        drained = FDStatistics()
+        answers = full_disjunction(
+            database, initialization=initialization, statistics=drained,
+            backend=backend,
+        )
+        assert drained.results_emitted == len(answers)
+        assert drained.results >= len(answers)
+
+    @pytest.mark.parametrize("initialization", STRATEGIES)
+    def test_block_reads_count_every_fetched_block(self, initialization, monkeypatch):
+        fetched = []
+        scan_blocks = BlockScanner.scan_blocks
+
+        def counting(scanner):
+            for block in scan_blocks(scanner):
+                fetched.append(len(block))
+                yield block
+
+        monkeypatch.setattr(BlockScanner, "scan_blocks", counting)
+        database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=1)
+        statistics = FDStatistics()
+        full_disjunction(
+            database, initialization=initialization, block_size=2,
+            statistics=statistics,
+        )
+        assert statistics.block_reads > 0
+        assert statistics.block_reads == len(fetched)
+        assert statistics.tuple_reads == sum(fetched)
 
 
 class TestStreamingAndFirstK:

@@ -5,7 +5,6 @@ import pytest
 from repro.core.full_disjunction import full_disjunction
 from repro.core.initialization import (
     STRATEGIES,
-    RestrictedScanner,
     covered_tuples,
     earlier_relations,
     initial_sets,
@@ -13,7 +12,7 @@ from repro.core.initialization import (
     reduced_previous_sets,
     singleton_sets,
 )
-from repro.core.scanner import TupleScanner
+from repro.core.scanner import make_scanner
 from repro.core.tupleset import TupleSet
 from repro.workloads.generators import chain_database, cycle_database
 from repro.baselines.naive import naive_full_disjunction
@@ -110,14 +109,19 @@ class TestDispatchAndHelpers:
         assert earlier_relations(tourist_db, "Climates") == set()
         assert earlier_relations(tourist_db, "Sites") == {"Climates", "Accommodations"}
 
-    def test_restricted_scanner_skips_relations(self, tourist_db):
-        scanner = RestrictedScanner(TupleScanner(tourist_db), {"Climates"})
+    @pytest.mark.parametrize("block_size", [None, 2])
+    def test_scanner_skips_earlier_relations(self, tourist_db, block_size):
+        skip = earlier_relations(tourist_db, "Accommodations")
+        scanner = make_scanner(tourist_db, block_size, skip)
         labels = [t.label for t in scanner.scan()]
         assert "c1" not in labels and "a1" in labels
         assert scanner.passes == 1
         assert scanner.tuple_reads == 7
         assert scanner.database is tourist_db
         assert scanner.cost_summary()["passes"] == 1
+        if block_size is not None:
+            # Accommodations: 3 tuples -> 2 blocks; Sites: 4 -> 2.
+            assert scanner.block_reads == 4
 
 
 class TestStrategiesProduceTheSameFullDisjunction:

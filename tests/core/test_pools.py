@@ -1,11 +1,14 @@
 """Tests for the Complete store and the Incomplete pools."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import store
 from repro.core.pools import CompleteStore, ListIncompletePool, PriorityIncompletePool
 from repro.core.ranking import MaxRanking
 from repro.core.tupleset import TupleSet
-from repro.workloads.tourist import tourist_importance
+from repro.workloads.tourist import tourist_database, tourist_importance
 
 
 def by_label(db, *labels):
@@ -172,6 +175,103 @@ class TestListIncompletePool:
         assert stats["removals"] == 1
         assert stats["sets_scanned"] == 1
         assert stats["peak_size"] == 1
+
+
+class _LiteralList:
+    """The paper's linked list, literally: a Python list searched by value."""
+
+    def __init__(self, extraction):
+        self.extraction = extraction
+        self.items = []
+        self.cursor = 0
+        self.buckets = {}
+
+    def _anchor(self, tuple_set):
+        return tuple_set.tuple_from("Climates")
+
+    def add(self, tuple_set):
+        if tuple_set in self.items:
+            return
+        if self.extraction == "paper":
+            self.items.insert(self.cursor, tuple_set)
+            self.cursor += 1
+        else:
+            self.items.append(tuple_set)
+        self.buckets.setdefault(self._anchor(tuple_set), []).append(tuple_set)
+
+    def pop(self):
+        tuple_set = self.items.pop() if self.extraction == "lifo" else self.items.pop(0)
+        self.buckets[self._anchor(tuple_set)].remove(tuple_set)
+        self.cursor = 0
+        return tuple_set
+
+    def replace(self, old, new):
+        position = self.items.index(old)
+        self.buckets[self._anchor(old)].remove(old)
+        if new in self.items and new != old:
+            del self.items[position]
+            if position < self.cursor:
+                self.cursor -= 1
+            return
+        self.items[position] = new
+        self.buckets.setdefault(self._anchor(new), []).append(new)
+
+
+def _pool_universe():
+    """Sets holding one Climates tuple (the anchor) and at most one other."""
+    database = tourist_database()
+    # Few sets, so unions often collide with a queued member.
+    anchors = list(database.relation("Climates"))[:2]
+    others = [database.tuple_by_label(label) for label in ("a1", "a2", "s1")]
+    return [
+        TupleSet([anchor] + extra)
+        for anchor in anchors
+        for extra in [[]] + [[t] for t in others]
+    ]
+
+
+POOL_UNIVERSE = _pool_universe()
+POOL_OPERATIONS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "pop", "replace", "probe"]),
+        st.integers(0, len(POOL_UNIVERSE) - 1),
+        st.integers(0, len(POOL_UNIVERSE) - 1),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    operations=POOL_OPERATIONS,
+    extraction=st.sampled_from(ListIncompletePool.EXTRACTION_ORDERS),
+    use_index=st.booleans(),
+)
+def test_slot_pool_keeps_the_literal_list_order(operations, extraction, use_index):
+    """O(1) slots reproduce the searched list position for position."""
+    pool = store.ListIncompletePool("Climates", use_index=use_index, extraction=extraction)
+    model = _LiteralList(extraction)
+    for operation, first, second in operations:
+        if operation == "add":
+            pool.add(POOL_UNIVERSE[first])
+            model.add(POOL_UNIVERSE[first])
+        elif operation == "pop" and model.items:
+            assert pool.pop() == model.pop()
+        elif operation == "replace" and model.items:
+            old = model.items[first % len(model.items)]
+            # A merge keeps the anchor: the union holds old's Climates tuple.
+            new = old.union(TupleSet(t for t in POOL_UNIVERSE[second] if t.relation_name != "Climates"))
+            pool.replace(old, new)
+            model.replace(old, new)
+        elif operation == "probe":
+            probe = POOL_UNIVERSE[first]
+            expected = (
+                model.buckets.get(model._anchor(probe), []) if use_index else model.items
+            )
+            assert pool.candidates(probe) == expected
+        assert pool.as_list() == model.items
+        assert len(pool) == len(model.items)
+        assert bool(pool) == bool(model.items)
 
 
 class TestPriorityIncompletePool:

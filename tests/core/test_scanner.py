@@ -20,8 +20,8 @@ class TestTupleScanner:
         assert scanner.cost_summary() == {"tuple_reads": 20, "passes": 2}
 
     def test_skip_relations(self, tourist_db):
-        scanner = TupleScanner(tourist_db)
-        labels = [t.label for t in scanner.scan(skip_relations={"Climates"})]
+        scanner = TupleScanner(tourist_db, skip_relations={"Climates"})
+        labels = [t.label for t in scanner.scan()]
         assert labels == ["a1", "a2", "a3", "s1", "s2", "s3", "s4"]
 
 
@@ -59,6 +59,7 @@ class TestBlockScanner:
         assert summary["tuple_reads"] == 10
 
     def test_skip_relations(self, tourist_db):
-        scanner = BlockScanner(tourist_db, 2)
-        labels = [t.label for t in scanner.scan(skip_relations={"Sites", "Climates"})]
+        scanner = BlockScanner(tourist_db, 2, skip_relations={"Sites", "Climates"})
+        labels = [t.label for t in scanner.scan()]
         assert labels == ["a1", "a2", "a3"]
+        assert scanner.block_reads == 2

@@ -10,11 +10,15 @@ order-equivalent, and the sharded merge is deterministic in relation order).
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.baselines.naive import naive_full_disjunction
 from repro.core.approx import approx_full_disjunction
 from repro.core.approx_join import ExactMatchSimilarity, MinJoin
 from repro.core.full_disjunction import first_k, full_disjunction
 from repro.core.incremental import FDStatistics, incremental_fd
+from repro.core.kernels import numpy_available, use_kernel
 from repro.core.priority import priority_incremental_fd
 from repro.core.ranked_approx import ranked_approx_full_disjunction
 from repro.core.ranking import MaxRanking
@@ -27,7 +31,12 @@ from repro.exec import (
     ShardedBackend,
     resolve_backend,
 )
-from repro.workloads.generators import chain_database, random_database, star_database
+from repro.workloads.generators import (
+    chain_database,
+    random_database,
+    skewed_chain_database,
+    star_database,
+)
 from repro.workloads.tourist import tourist_database
 
 
@@ -188,6 +197,69 @@ def test_batched_ranked_approx_driver_is_order_identical(backend):
     assert [(ts.labels(), score) for ts, score in serial] == [
         (ts.labels(), score) for ts, score in batched
     ]
+
+
+@st.composite
+def shaped_databases(draw):
+    """Small star, chain and skewed-chain databases, some with tuples removed."""
+    shape = draw(st.sampled_from(["star", "chain", "skewed"]))
+    seed = draw(st.integers(0, 10_000))
+    if shape == "star":
+        database = star_database(
+            spokes=draw(st.integers(2, 4)),
+            tuples_per_relation=draw(st.integers(1, 3)),
+            hub_domain=draw(st.integers(1, 2)),
+            null_rate=0.1,
+            seed=seed,
+        )
+    elif shape == "chain":
+        database = chain_database(
+            relations=draw(st.integers(2, 4)),
+            tuples_per_relation=draw(st.integers(1, 4)),
+            domain_size=draw(st.integers(1, 3)),
+            null_rate=0.2,
+            seed=seed,
+        )
+    else:
+        database = skewed_chain_database(
+            relations=3,
+            tuples_per_relation=2,
+            hot_factor=draw(st.integers(1, 3)),
+            domain_size=2,
+            seed=seed,
+        )
+    # Removals after the catalog exists tombstone tuples in place, so the
+    # drop rule must ignore dead rows of the consistency matrix.
+    database.catalog()
+    victims = draw(
+        st.lists(st.sampled_from(list(database.tuples())), max_size=3, unique=True)
+    )
+    for t in victims:
+        database.remove_tuple(t.relation_name, t.label)
+    return database
+
+
+KERNELS = ("bigint", "packed") if numpy_available() else ("bigint",)
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(database=shaped_databases(), use_index=st.booleans())
+def test_singleton_driver_matches_the_oracle_on_every_backend(database, use_index):
+    """Restricted passes are exact under every schedule and kernel."""
+    expected = {ts.labels() for ts in naive_full_disjunction(database)}
+    for kernel in KERNELS:
+        with use_kernel(kernel):
+            sequences = {}
+            for backend in ("serial", "batched", "sharded:2", "sharded-pass:2"):
+                results = full_disjunction(database, use_index=use_index, backend=backend)
+                assert {ts.labels() for ts in results} == expected, (kernel, backend)
+                assert len(results) == len(expected), (kernel, backend)
+                sequences[backend] = _labelled(results)
+            assert sequences["serial"] == sequences["batched"] == sequences["sharded-pass:2"]
 
 
 def test_batched_probes_fewer_buckets_for_the_same_scans():

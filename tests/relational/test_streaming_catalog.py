@@ -17,6 +17,7 @@ import pytest
 from repro.core.full_disjunction import full_disjunction
 from repro.relational.catalog import Catalog
 from repro.relational.database import Database
+from repro.relational.nulls import NULL
 from repro.relational.relation import Relation
 from repro.workloads.generators import chain_database, random_database, star_database
 
@@ -110,6 +111,55 @@ def test_randomized_streaming_ingest_matches_rebuild(factory, seed):
         streamed = {ts.labels() for ts in full_disjunction(database, use_index=True)}
         rebuilt = {ts.labels() for ts in full_disjunction(_fresh_copy(database))}
         assert streamed == rebuilt
+
+
+#: Values whose equality is easy to get wrong: nulls, NaN (one shared object
+#: and fresh ones), ints equal to floats and bools, and look-alike strings.
+SHARED_NAN = float("nan")
+AWKWARD_VALUES = [None, NULL, SHARED_NAN, "nan", 1, 1.0, True, "1", 2, "a"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_hash_grouped_build_matches_pairwise_appends(seed):
+    """The build groups tuples on shared values; appends test every pair.
+
+    R1 and R2 share two attributes, R3 shares one with each, so the build
+    joins on one- and two-attribute keys over awkward values.
+    """
+    rng = random.Random(seed)
+    database = Database(
+        [
+            Relation("R1", ["A", "B", "X"]),
+            Relation("R2", ["A", "B", "Y"]),
+            Relation("R3", ["B", "C"]),
+        ]
+    )
+    appended = database.catalog()
+    # A fixed prefix pins the hazards down: the same NaN object on both
+    # sides of a two-attribute key, and 1 / 1.0 / True on one key.
+    arrivals = [
+        ("R1", [SHARED_NAN, 1, "x"]),
+        ("R2", [SHARED_NAN, 1.0, "y"]),
+        ("R2", ["a", True, "y"]),
+        ("R1", ["a", 1.0, "x"]),
+        ("R3", [1, "c"]),
+    ]
+    for row in range(14):
+        name = rng.choice(database.relation_names)
+        values = []
+        for attribute in database.relation(name).schema.attributes:
+            value = rng.choice(AWKWARD_VALUES)
+            if value is SHARED_NAN and rng.random() < 0.5:
+                value = float("nan")
+            values.append(f"x{row}" if attribute in ("X", "Y") else value)
+        arrivals.append((name, values))
+    for name, values in arrivals:
+        database.add_tuple(name, values)
+        assert database.catalog() is appended
+        assert_catalogs_equivalent(appended, Catalog(database), database)
+    streamed = {ts.labels() for ts in full_disjunction(database, use_index=True)}
+    rebuilt = {ts.labels() for ts in full_disjunction(_fresh_copy(database))}
+    assert streamed == rebuilt
 
 
 def test_interned_sets_survive_appends():

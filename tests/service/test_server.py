@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import struct
 
 import pytest
 
@@ -265,6 +267,33 @@ class TestServer:
             return len(state._sessions)
 
         assert _run(_with_server(database, scenario)) == 0
+
+    def test_peer_reset_is_a_disconnect(self):
+        """A client that resets its socket must not crash the handler."""
+        database = tourist_database()
+
+        async def scenario(state, port):
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _, context: errors.append(context))
+            reader, writer = await asyncio.open_connection("127.0.0.1", port)
+            await client_call(reader, writer, {"op": "open", "engine": "fd"})
+            assert len(state._sessions) == 1
+            # SO_LINGER 0 makes close() send a reset instead of a FIN.
+            writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            writer.transport.abort()
+            for _ in range(100):
+                if not state._sessions:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)  # let a crashing handler report
+            return len(state._sessions), errors
+
+        sessions, errors = _run(_with_server(database, scenario))
+        assert sessions == 0
+        assert errors == []
 
     def test_unknown_engine_is_refused(self):
         database = tourist_database()
