@@ -101,7 +101,7 @@ def _forced_vectorized(kernel):
     the vectorized path losing on ops without an amortizable matrix.
     """
     for attr in (
-        "MIN_GROUP", "MIN_WAITING", "MIN_TOMBSTONED", "MIN_DEAD", "MIN_EXTEND",
+        "MIN_GROUP", "MIN_WAITING", "MIN_TOMBSTONED", "MIN_DEAD",
     ):
         setattr(kernel, attr, 0)
     return kernel

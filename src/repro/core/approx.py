@@ -15,13 +15,19 @@ algorithms with three changes, marked ``*`` in the paper's figures:
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, Optional, Tuple as TupleType
 
 from repro.relational.database import Database
 from repro.relational.nulls import is_null
 from repro.relational.operators import combined_schema, pad_tuple_set
+from repro.relational.tuples import Tuple
 from repro.core.approx_join import ApproximateJoinFunction
-from repro.core.incremental import AnchorSpec, FDStatistics, resolve_anchor
+from repro.core.incremental import (
+    AnchorSpec,
+    FDStatistics,
+    anchored_candidates,
+    resolve_anchor,
+)
 from repro.core.store import CompleteStore, ListIncompletePool, record_store_statistics
 from repro.core.scanner import TupleScanner
 from repro.core.tupleset import TupleSet
@@ -58,6 +64,27 @@ def approx_maximally_extend(
     return current
 
 
+def approx_line9_candidates(
+    result: TupleSet,
+    anchor: str,
+    join_function: ApproximateJoinFunction,
+    threshold: float,
+    scanner: TupleScanner,
+    statistics: Optional[FDStatistics] = None,
+) -> Iterator[TupleType[TupleSet, Tuple]]:
+    """Lines 7–9 (starred): ``(T', anchor tuple)`` for the candidates that
+    pass Line 9, in scan order, counted by :func:`anchored_candidates`."""
+
+    def candidates():
+        for outside in scanner.scan():
+            if outside in result:
+                continue
+            # Line 8 (starred): all maximal qualifying subsets containing t_b.
+            yield from join_function.candidate_extensions(result, outside, threshold)
+
+    return anchored_candidates(candidates(), anchor, statistics)
+
+
 def approx_get_next_result(
     database: Database,
     anchor: str,
@@ -79,38 +106,28 @@ def approx_get_next_result(
     result = approx_maximally_extend(result, join_function, threshold, scanner, statistics)
 
     # Lines 7-18.
-    for outside in scanner.scan():
-        if outside in result:
+    for candidate, anchor_tuple in approx_line9_candidates(
+        result, anchor, join_function, threshold, scanner, statistics
+    ):
+        if complete.contains_superset(candidate, anchor=anchor_tuple):
+            if statistics is not None:
+                statistics.candidates_subsumed += 1
             continue
-        # Line 8 (starred): all maximal qualifying subsets containing t_b.
-        candidates = join_function.candidate_extensions(result, outside, threshold)
-        for candidate in candidates:
-            if statistics is not None:
-                statistics.candidates_generated += 1
-            anchor_tuple = candidate.tuple_from(anchor)
-            if anchor_tuple is None:
+        merged = False
+        for waiting in incomplete.candidates(candidate):
+            union = waiting.union(candidate)
+            # Line 14 (starred): merge when A(S ∪ T') ≥ τ.
+            if union.is_connected and join_function(union) >= threshold:
+                incomplete.replace(waiting, union)
+                merged = True
                 if statistics is not None:
-                    statistics.candidates_without_anchor += 1
-                continue
-            if complete.contains_superset(candidate, anchor=anchor_tuple):
-                if statistics is not None:
-                    statistics.candidates_subsumed += 1
-                continue
-            merged = False
-            for waiting in incomplete.candidates(candidate):
-                union = waiting.union(candidate)
-                # Line 14 (starred): merge when A(S ∪ T') ≥ τ.
-                if union.is_connected and join_function(union) >= threshold:
-                    incomplete.replace(waiting, union)
-                    merged = True
-                    if statistics is not None:
-                        statistics.candidates_merged += 1
-                    break
-            if merged:
-                continue
-            incomplete.add(candidate)
-            if statistics is not None:
-                statistics.candidates_inserted += 1
+                    statistics.candidates_merged += 1
+                break
+        if merged:
+            continue
+        incomplete.add(candidate)
+        if statistics is not None:
+            statistics.candidates_inserted += 1
 
     return result
 

@@ -29,6 +29,44 @@ The structure follows the paper's pseudocode line by line:
                     replace ``S`` by ``S ∪ T'``
     16–18.      else: insert ``T'`` into ``Incomplete``
     19. return ``T``
+
+**Lines 2–9 on masks.**  A pass over ``Tuples(R)`` does not visit tuples one
+by one.  The scanner's :meth:`~repro.core.scanner.TupleScanner.mask_pass`
+hands over the *plan*: the relations the pass reads, in scan order, each with
+its live tuples as a gid mask.  Within a relation, scan order is increasing
+gid order, so walking a relation's mask from its lowest bit meets the tuples
+in the order a scan does: the catalog build issues ids relation by relation
+in list order, an append takes the next id and lands at the end of its
+relation, a removal keeps the order of the rest, and an update is a removal
+plus an append.
+
+* Lines 2–6 (:func:`maximally_extend`) keep the AND of the members'
+  consistency rows.  Each pass visits every plan relation ``R_k`` adjacent
+  to the set and absorbs the lowest bit of ``R_k``'s mask within that AND,
+  then narrows the AND and widens the set's adjacency.  This is the tuple
+  loop exactly: within ``R_k``'s stretch of a pass the set is fixed until its
+  first absorption, and after that no other ``R_k`` tuple is consistent with
+  it, because the consistency matrix rejects pairs from one relation.
+* Lines 7–9 (:func:`line9_candidates`) compute, for each member ``m_j``, the
+  mask ``X_j`` of the outside tuples whose footnote-3 subset keeps ``m_j``:
+  those consistent with ``m_j`` whose relation is adjacent to ``m_j``'s, or
+  to the relation of a member ``m_l`` with the tuple in ``X_l``, to a
+  fixpoint.  The Line 9 survivors are ``X_anchor`` plus the outside tuples of
+  ``R_i`` (both restricted to the anchor bucket, when there is one).  Only a
+  survivor ``t`` becomes a tuple set, ``{t} ∪ {m_j : t ∈ X_j}``, and
+  survivors are visited in plan order — relation order, then gid order —
+  which is the order the tuple loop meets them in.
+
+Lines 10–18 then run unchanged, so the pool evolves, and the results come
+out, exactly as with the tuple loop.  Every counter keeps its meaning: each
+mask pass counts as one scan pass and one read per tuple of the relations
+read, ``extension_passes`` counts the same passes, and
+``candidates_generated``/``candidates_without_anchor`` are added in bulk —
+one candidate per outside tuple, all but the survivors without an anchor.
+
+The tuple loop remains the path whenever a mask pass is refused: the set is
+not interned, the database's catalog is stale or is not the set's, a member
+is tombstoned, or the scanner is a :class:`~repro.core.scanner.BlockScanner`.
 """
 
 from __future__ import annotations
@@ -40,11 +78,13 @@ from typing import (
     Iterable,
     Iterator,
     Optional,
+    Tuple as TupleType,
     Union,
 )
 
 from repro.relational.database import Database
 from repro.relational.errors import DatabaseError
+from repro.relational.tuples import Tuple
 from repro.core.store import (
     CompleteStore,
     ListIncompletePool,
@@ -155,17 +195,34 @@ def resolve_anchor(database: Database, anchor: AnchorSpec) -> str:
     return database.relation_at(anchor).name
 
 
-def maximally_extend(
-    tuple_set: TupleSet,
-    scanner: TupleScanner,
-    statistics: Optional[FDStatistics] = None,
-) -> TupleSet:
-    """Lines 2–6 of ``GetNextResult``: extend ``tuple_set`` with every tuple
-    that keeps it join consistent and connected, until a fixpoint.
+def _consistent_with_all(catalog, members: int) -> int:
+    """The AND of the members' consistency rows (all bits for no member)."""
+    consistent = -1
+    while members:
+        low = members & -members
+        consistent &= catalog.consistent_mask(low.bit_length() - 1)
+        members ^= low
+    return consistent
 
-    The paper scans the whole database repeatedly; since a result holds at
-    most one tuple per relation, at most ``n`` passes are needed.
-    """
+
+def _popcount(mask: int) -> int:
+    return bin(mask).count("1")
+
+
+def _gid_mask(tuples, catalog) -> int:
+    """The gid mask of the catalogued tuples among ``tuples``."""
+    mask = 0
+    for t in tuples:
+        gid = catalog.id_of(t)
+        if gid is not None:
+            mask |= 1 << gid
+    return mask
+
+
+def _extend_by_tuples(
+    tuple_set: TupleSet, scanner: TupleScanner, statistics: Optional[FDStatistics]
+) -> TupleSet:
+    """Lines 2–6 one scanned tuple at a time (when a mask pass is refused)."""
     current = tuple_set
     changed = True
     while changed:
@@ -179,6 +236,170 @@ def maximally_extend(
                 current = current.with_tuple(candidate)
                 changed = True
     return current
+
+
+def maximally_extend(
+    tuple_set: TupleSet,
+    scanner: TupleScanner,
+    statistics: Optional[FDStatistics] = None,
+) -> TupleSet:
+    """Lines 2–6 of ``GetNextResult``: extend ``tuple_set`` with every tuple
+    that keeps it join consistent and connected, until a fixpoint.
+
+    The paper scans the whole database repeatedly; since a result holds at
+    most one tuple per relation, at most ``n`` passes are needed.  Each pass
+    runs on masks (see the module docstring) unless the scanner refuses a
+    mask pass, in which case it reads tuple by tuple.  Either way the set
+    absorbs the same tuples in the same order and the counters agree.
+    """
+    plan = scanner.mask_pass(tuple_set)
+    if plan is None:
+        return _extend_by_tuples(tuple_set, scanner, statistics)
+    catalog = tuple_set.catalog
+    members = tuple_set.id_mask
+    consistent = _consistent_with_all(catalog, members)
+    # The empty set absorbs any tuple (``can_absorb``), so it is adjacent to all.
+    adjacent = tuple_set.adjacent_relations if members else -1
+    grown = members
+    while True:
+        if statistics is not None:
+            statistics.extension_passes += 1
+        changed = False
+        for rid, live in plan:
+            if not (adjacent >> rid) & 1:
+                continue
+            hits = live & consistent
+            if hits:
+                low = hits & -hits
+                consistent &= catalog.consistent_mask(low.bit_length() - 1)
+                adjacency = catalog.adjacency_mask(rid)
+                adjacent = adjacent | adjacency if grown else adjacency
+                grown |= low
+                changed = True
+        if not changed:
+            break
+        plan = scanner.mask_pass(tuple_set)
+    if grown == members:
+        return tuple_set
+    absorbed = catalog.tuples_of_mask(grown & ~members)
+    return TupleSet(list(tuple_set.tuples) + absorbed, catalog=catalog)
+
+
+def anchored_candidates(
+    candidates: Iterable[TupleSet],
+    anchor: str,
+    statistics: Optional[FDStatistics] = None,
+    anchor_tuples: Optional[AbstractSet] = None,
+) -> Iterator[TupleType[TupleSet, Tuple]]:
+    """Line 9 for candidates built one at a time.
+
+    Counts every candidate and yields ``(T', anchor tuple)`` for those that
+    hold a tuple of the anchor relation — one of ``anchor_tuples``, when
+    given.
+    """
+    for candidate in candidates:
+        if statistics is not None:
+            statistics.candidates_generated += 1
+        anchor_tuple = candidate.tuple_from(anchor)
+        if anchor_tuple is None or (
+            anchor_tuples is not None and anchor_tuple not in anchor_tuples
+        ):
+            if statistics is not None:
+                statistics.candidates_without_anchor += 1
+            continue
+        yield candidate, anchor_tuple
+
+
+def line9_candidates(
+    result: TupleSet,
+    anchor: str,
+    scanner: TupleScanner,
+    statistics: Optional[FDStatistics] = None,
+    anchor_tuples: Optional[AbstractSet] = None,
+) -> Iterator[TupleType[TupleSet, Tuple]]:
+    """Lines 7–9: the footnote-3 candidates that pass Line 9, in scan order.
+
+    Yields ``(T', anchor tuple)``.  On masks (see the module docstring) only
+    the survivors of Line 9 become tuple sets and the candidate counters are
+    added in bulk; when the scanner refuses a mask pass, one candidate is
+    built per scanned tuple outside ``result``.
+    """
+    plan = scanner.mask_pass(result)
+    if plan is None:
+        yield from anchored_candidates(
+            (
+                result.maximal_jcc_subset_with(t)
+                for t in scanner.scan()
+                if t not in result
+            ),
+            anchor,
+            statistics,
+            anchor_tuples,
+        )
+        return
+    catalog = result.catalog
+    members = result.id_mask
+    outside = 0
+    for _, live in plan:
+        outside |= live
+    outside &= ~members
+
+    # X_j for each member m_j: the outside tuples whose footnote-3 subset
+    # keeps m_j — consistent with m_j and connected to it through members
+    # consistent with the tuple.
+    gids = []
+    remaining = members
+    while remaining:
+        low = remaining & -remaining
+        gids.append(low.bit_length() - 1)
+        remaining ^= low
+    rids = [catalog.relation_of_tuple(gid) for gid in gids]
+    rows = [catalog.consistent_mask(gid) for gid in gids]
+    adjacency = [catalog.adjacency_mask(rid) for rid in rids]
+    neighbours = [
+        [l for l, other in enumerate(rids) if (adjacency[j] >> other) & 1]
+        for j in range(len(gids))
+    ]
+    reach = [
+        row & outside & catalog.tuples_in_relations(adjacent)
+        for row, adjacent in zip(rows, adjacency)
+    ]
+    changed = True
+    while changed:
+        changed = False
+        for j, row in enumerate(rows):
+            grown = reach[j]
+            for l in neighbours[j]:
+                grown |= row & reach[l]
+            if grown != reach[j]:
+                reach[j] = grown
+                changed = True
+
+    # Line 9: a candidate's anchor tuple is t itself for t in R_i, else the
+    # member of R_i when the candidate keeps it.
+    anchor_rid = catalog.relation_id(anchor)
+    survivors = outside & catalog.relation_tuples_mask(anchor_rid)
+    bucket = -1
+    if anchor_tuples is not None:
+        bucket = _gid_mask(anchor_tuples, catalog)
+        survivors &= bucket
+    for gid, rid, reached in zip(gids, rids, reach):
+        if rid == anchor_rid and (bucket >> gid) & 1:
+            survivors |= reached
+    if statistics is not None:
+        generated = _popcount(outside)
+        statistics.candidates_generated += generated
+        statistics.candidates_without_anchor += generated - _popcount(survivors)
+
+    for _, live in plan:
+        chosen = survivors & live
+        while chosen:
+            low = chosen & -chosen
+            kept = [catalog.tuple_at(gid) for gid, reached in zip(gids, reach) if reached & low]
+            kept.append(catalog.tuple_at(low.bit_length() - 1))
+            candidate = TupleSet(kept, catalog=catalog)
+            yield candidate, candidate.tuple_from(anchor)
+            chosen ^= low
 
 
 def get_next_result(
@@ -214,22 +435,12 @@ def get_next_result(
     # Lines 2-6: extend it maximally.
     result = maximally_extend(result, scanner, statistics)
 
-    # Lines 7-18: derive candidate tuple sets from the tuples left out.
-    for outside in scanner.scan():
-        if outside in result:
-            continue
-        candidate = result.maximal_jcc_subset_with(outside)
-        if statistics is not None:
-            statistics.candidates_generated += 1
-        # Line 9: only candidates containing a tuple of the anchor relation
-        # (and, under a bucket-range restriction, of the anchor bucket) matter.
-        anchor_tuple = candidate.tuple_from(anchor)
-        if anchor_tuple is None or (
-            anchor_tuples is not None and anchor_tuple not in anchor_tuples
-        ):
-            if statistics is not None:
-                statistics.candidates_without_anchor += 1
-            continue
+    # Lines 7-18: derive candidate tuple sets from the tuples left out; only
+    # those holding a tuple of the anchor relation (and, under a bucket-range
+    # restriction, of the anchor bucket) pass Line 9.
+    for candidate, anchor_tuple in line9_candidates(
+        result, anchor, scanner, statistics, anchor_tuples
+    ):
         # Lines 10-11: already covered by a printed result?
         if complete.contains_superset(candidate, anchor=anchor_tuple):
             if statistics is not None:

@@ -3,10 +3,9 @@
 The engine's hot path is a small set of *batch* operations over interned
 :class:`~repro.core.tupleset.TupleSet` bitmasks: subsumption probes over a
 whole anchor-bucket group (Line 11 of ``GetNextResult``), the first mergeable
-partner in an ``Incomplete`` bucket (Line 14), the absorb test of the
-maximal-extension loop (Lines 2-6), and the liveness sweeps of the streaming
-retraction path.  A :class:`Kernel` packages one implementation of those
-operations; two are provided:
+partner in an ``Incomplete`` bucket (Line 14), a batched absorb test, and the
+liveness sweeps of the streaming retraction path.  A :class:`Kernel` packages
+one implementation of those operations; two are provided:
 
 * :class:`~repro.core.kernels.bigint.BigintKernel` — the executable
   reference, looping over Python big-int masks exactly the way the serial
@@ -25,6 +24,10 @@ byte-identical-stream assertions in ``benchmarks/bench_e13_kernels.py`` hold
 it end to end.  A kernel that cannot handle an input (uninterned sets, sets
 interned in different catalogs, uncatalogued tuples) must *fall back* to the
 reference behaviour for that call, never guess.
+
+Maximal extension (Lines 2–6) is not a kernel operation: the step runs it
+on the catalog's masks one relation at a time (see
+:mod:`repro.core.incremental`), which leaves nothing to vectorize.
 
 To add a kernel: subclass :class:`Kernel`, implement the six operations,
 and register the name in :data:`repro.core.kernels.KERNELS` with a branch in
@@ -64,7 +67,7 @@ class Kernel:
         raise NotImplementedError
 
     def batch_can_absorb(self, catalog, id_mask: int, relation_mask: int, gids):
-        """Lines 2-6 absorb test for many candidate tuples against one set.
+        """The extension absorb test (``can_absorb``) for many tuples against one set.
 
         ``id_mask``/``relation_mask`` describe the (interned, non-empty) set;
         ``gids`` are catalogued candidate tuple ids.  Membership and the
@@ -79,10 +82,6 @@ class Kernel:
 
     def batch_contains_dead(self, sets, dead) -> List[bool]:
         """Per-set eviction sweep: does the set hold a tuple equal to one in ``dead``?"""
-        raise NotImplementedError
-
-    def maximally_extend(self, tuple_set, scanner, statistics=None):
-        """Lines 2-6 of ``GetNextResult``: extend to a fixpoint, in scan order."""
         raise NotImplementedError
 
     def popcount(self, mask: int) -> int:

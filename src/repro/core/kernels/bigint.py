@@ -59,10 +59,5 @@ class BigintKernel(Kernel):
         dead = dead if isinstance(dead, (set, frozenset)) else set(dead)
         return [any(t in dead for t in tuple_set) for tuple_set in sets]
 
-    def maximally_extend(self, tuple_set, scanner, statistics=None):
-        from repro.core.incremental import maximally_extend
-
-        return maximally_extend(tuple_set, scanner, statistics)
-
     def popcount(self, mask: int) -> int:
         return bin(mask).count("1")

@@ -70,12 +70,6 @@ def unpack_bits(mask: int, bits: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[:bits].astype(bool)
 
 
-def take_bits(words: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """The bits of a packed row at positions ``idx``, as booleans."""
-    shifts = (idx & 63).astype(U64)
-    return ((words[idx >> 6] >> shifts) & _ONE).astype(bool)
-
-
 def popcount_words(words: np.ndarray) -> int:
     """Word-wise population count of a packed array."""
     bitwise_count = getattr(np, "bitwise_count", None)
@@ -356,7 +350,6 @@ class PackedKernel(Kernel):
     MIN_WAITING_MAPPED = 1
     MIN_TOMBSTONED = float("inf")  #: batch_contains_tombstoned — sets per sweep
     MIN_DEAD = 64  #: batch_contains_dead — sets per equality sweep
-    MIN_EXTEND = 256  #: maximally_extend — catalogued tuples
 
     #: first_jcc_union evaluates this many waiting sets per array op; the
     #: serial loop stops at the first merge partner, so chunking bounds the
@@ -460,7 +453,7 @@ class PackedKernel(Kernel):
         return -1
 
     # -------------------------------------------------------------- #
-    # absorb test (Lines 2-6)
+    # absorb test
     # -------------------------------------------------------------- #
     def batch_can_absorb(self, catalog, id_mask: int, relation_mask: int, gids):
         mirror = catalog.packed_mirror()
@@ -474,81 +467,6 @@ class PackedKernel(Kernel):
         relation_row = pack_int(relation_mask, mirror.r_words)
         adjacent = np.any(mirror.adjacency[relation_ids] & relation_row[None, :], axis=1)
         return ~inconsistent & adjacent
-
-    def maximally_extend(self, tuple_set, scanner, statistics=None):
-        catalog = tuple_set.catalog
-        if (
-            catalog is None
-            or tuple_set._id_mask is None
-            or not tuple_set._tuples
-            or catalog.tuple_count < self.MIN_EXTEND
-        ):
-            return self._reference.maximally_extend(tuple_set, scanner, statistics)
-        mirror = catalog.packed_mirror()
-        width = mirror.width
-        current_words = pack_int(tuple_set._id_mask, width).copy()
-        adjacent_words = pack_int(tuple_set._adjacent_relations, mirror.r_words).copy()
-        absorbed = False
-        packed_ok = True
-        current = tuple_set  # maintained only after a fallback switch
-        changed = True
-        while changed:
-            changed = False
-            if statistics is not None:
-                statistics.extension_passes += 1
-            # One materialized pass per iteration keeps every scanner
-            # counter (passes, tuple/block reads) identical to the serial
-            # tuple-at-a-time loop.
-            order = list(scanner.scan())
-            if packed_ok:
-                resolved = [catalog.id_of(t) for t in order]
-                if any(gid is None for gid in resolved):
-                    packed_ok = False
-                    if absorbed:
-                        current = _materialize(catalog, current_words)
-            if not packed_ok:
-                for t in order:
-                    if t in current:
-                        continue
-                    if current.can_absorb(t):
-                        current = current.with_tuple(t)
-                        changed = True
-                continue
-            gids = np.asarray(resolved, dtype=np.int64)
-            consistent = ~np.any(
-                current_words[None, :] & ~mirror.consistent[gids, :width], axis=1
-            )
-            relation_ids = mirror.tuple_relation[gids]
-            # t is connectable iff bit rel(t) is set in the union of the
-            # members' adjacency masks (adjacency is symmetric).
-            connected = take_bits(adjacent_words, relation_ids)
-            member = take_bits(current_words, gids)
-            absorbable = consistent & connected & ~member
-            position = 0
-            while True:
-                ahead = np.flatnonzero(absorbable[position:])
-                if ahead.size == 0:
-                    break
-                index = position + int(ahead[0])
-                gid = int(gids[index])
-                current_words[gid >> 6] |= _ONE << np.uint64(gid & 63)
-                absorbed = True
-                changed = True
-                # The serial loop keeps walking the same pass with the grown
-                # set: tighten consistency, widen adjacency, and continue
-                # from the next scan position.
-                consistent &= take_bits(mirror.consistent_row(gid), gids)
-                relation_row = mirror.adjacency[int(relation_ids[index])]
-                adjacent_words |= relation_row
-                connected |= take_bits(relation_row, relation_ids)
-                member[index] = True
-                absorbable = consistent & connected & ~member
-                position = index + 1
-        if not packed_ok:
-            return current
-        if not absorbed:
-            return tuple_set
-        return _materialize(catalog, current_words)
 
     # -------------------------------------------------------------- #
     # retraction sweeps
@@ -620,10 +538,3 @@ class PackedKernel(Kernel):
 
     def popcount(self, mask: int) -> int:
         return popcount_words(pack_int(mask, words_for(max(mask.bit_length(), 1))))
-
-
-def _materialize(catalog, current_words: np.ndarray):
-    from repro.core.tupleset import TupleSet
-
-    members = catalog.tuples_of_mask(unpack_to_int(current_words))
-    return TupleSet(members, catalog=catalog)

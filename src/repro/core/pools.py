@@ -291,7 +291,19 @@ class ListIncompletePool:
         return live
 
     def replace(self, old: TupleSet, new: TupleSet) -> None:
-        """Replace ``old`` by ``new`` (Line 15), in place."""
+        """Replace ``old`` by ``new`` (Line 15), in place.
+
+        A merge that changes nothing (``new is old``) keeps the slot and
+        only moves ``old`` to the end of its anchor bucket, which is all the
+        general path's remove-and-reinsert would change.
+        """
+        if new is old:
+            if old not in self._slots:
+                raise KeyError(f"{old!r} is not in the Incomplete pool")
+            self.statistics.replacements += 1
+            self._index_discard(old)
+            self._index_add(old)
+            return
         slot = self._slots.pop(old, None)
         if slot is None:
             raise KeyError(f"{old!r} is not in the Incomplete pool")

@@ -13,11 +13,21 @@ scanner abstraction centralises that iteration so that
 A scanner may carry a fixed *skip set* of relations it never reads.  The
 full-disjunction driver restricts pass ``i`` to ``R_i, …, R_n`` this way, so
 every counter a pass reports covers exactly the tuples it read.
+
+**Mask passes.**  :meth:`TupleScanner.mask_pass` performs a pass on the
+catalog's bitmasks instead of yielding tuples: it returns the *plan* — the
+relations the pass reads, in scan order, each with its live tuples as a gid
+mask — and counts the pass exactly as :meth:`~TupleScanner.scan` would (one
+pass, one tuple read per tuple of every relation read), so the counters
+mean the same whichever way a pass ran.  :class:`BlockScanner` never takes a
+mask pass: block execution (Section 7) exists to count the block fetches a
+real scan makes, so its passes always read tuples.  How ``GetNextResult``
+uses the plan, and why that is exact, is in :mod:`repro.core.incremental`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple as TupleType
 
 from repro.relational.database import Database
 from repro.relational.tuples import Tuple
@@ -49,6 +59,35 @@ class TupleScanner:
             for t in relation:
                 self.tuple_reads += 1
                 yield t
+
+    def mask_pass(self, tuple_set) -> Optional[List[TupleType[int, int]]]:
+        """One pass on masks: the plan as ``(relation id, live gid mask)`` pairs.
+
+        Counts the pass like :meth:`scan`.  Returns ``None`` and counts
+        nothing when ``tuple_set`` cannot be read against the plan: it is not
+        interned, the database's catalog is stale or is not the set's, or a
+        member is tombstoned.  The caller then reads tuples instead.
+        """
+        catalog = tuple_set.catalog
+        if (
+            catalog is None
+            or catalog is not self._database.current_catalog()
+            or tuple_set.id_mask & catalog.dead_mask
+        ):
+            return None
+        skip = self.skip_relations
+        live = catalog.live_mask
+        plan = []
+        reads = 0
+        for relation in self._database:
+            if skip and relation.name in skip:
+                continue
+            rid = catalog.relation_id(relation.name)
+            plan.append((rid, catalog.relation_tuples_mask(rid) & live))
+            reads += len(relation)
+        self.passes += 1
+        self.tuple_reads += reads
+        return plan
 
     def cost_summary(self) -> dict:
         """The scanner's work counters, for benchmark reporting."""
@@ -100,6 +139,10 @@ class BlockScanner(TupleScanner):
         """
         for block in self.scan_blocks():
             yield from block
+
+    def mask_pass(self, tuple_set) -> None:
+        """Never a mask pass: ``block_reads`` counts the blocks a scan fetches."""
+        return None
 
     def cost_summary(self) -> dict:
         summary = super().cost_summary()

@@ -418,8 +418,16 @@ class TupleSet:
         in ``other``'s: after a catalog rebuild the two operands may carry
         different snapshots, and only the newer one can describe every
         member.  Only when *neither* catalog covers the union does the
-        result fall back to the uninterned representation.
+        result fall back to the uninterned representation.  When ``other``
+        is a subset in the same catalog, the union is ``self``.
         """
+        if (
+            self._id_mask is not None
+            and other._id_mask is not None
+            and self._catalog is other._catalog
+            and not other._id_mask & ~self._id_mask
+        ):
+            return self
         catalog = self._catalog if self._catalog is not None else other._catalog
         merged = TupleSet(self._tuples | other._tuples, catalog=catalog)
         if (

@@ -12,7 +12,9 @@ the driver only after the call returns).  Candidate generation (Footnote 3)
 depends only on the popped-and-extended result, so the step can be split into
 three exactly-equivalent phases:
 
-1. generate every candidate in scan order and group them by anchor tuple;
+1. take the candidates that pass Line 9, in scan order, from the serial
+   step's own generator (:func:`repro.core.incremental.line9_candidates`),
+   and group them by anchor tuple;
 2. answer all subsumption probes bucket by bucket, fetching each ``Complete``
    bucket once per *batch* instead of once per candidate
    (:meth:`repro.core.store.CompleteStore.contains_superset_batch`);
@@ -33,6 +35,7 @@ from typing import Dict, List, Optional, Tuple as TupleType
 
 from repro.relational.database import Database
 from repro.relational.tuples import Tuple
+from repro.core import incremental
 from repro.core.kernels import active_kernel
 from repro.core.scanner import TupleScanner
 from repro.core.tupleset import TupleSet
@@ -57,36 +60,27 @@ def _batch_subsumption(complete, buckets: Dict[Tuple, List[TupleSet]]):
 
 
 def _batched_candidate_phases(
-    anchor, incomplete, complete, statistics, candidates, merge_union,
+    incomplete, complete, statistics, candidates, merge_union,
     jcc_merge: bool = False,
-    anchor_tuples=None,
 ) -> None:
-    """The three phases of Lines 7–18, shared by the exact and starred steps.
+    """The three phases of Lines 10–18, shared by the exact and starred steps.
 
-    ``candidates`` yields every candidate tuple set in scan order (Phase 1:
-    grouped by anchor tuple); ``merge_union`` is the Line 12–15 predicate —
-    given a waiting set and a candidate it returns their union when the pair
-    may merge, ``None`` otherwise.  Phase 2 answers all subsumption probes
-    bucket by bucket; Phase 3 replays the survivors in the original order
-    against the live ``Incomplete`` pool.  When ``jcc_merge`` is true the
-    merge predicate is the exact Line 14 ``JCC(S ∪ T')`` test and Phase 3
-    finds the first partner through the active kernel's batched probe
-    (identical first-match semantics, one call per candidate instead of one
-    ``union_is_jcc`` per waiting set).
+    ``candidates`` yields ``(T', anchor tuple)`` for every candidate that
+    passed Line 9, in scan order (Phase 1: grouped by anchor tuple; the
+    generator counts the candidates itself); ``merge_union`` is the Line
+    12–15 predicate — given a waiting set and a candidate it returns their
+    union when the pair may merge, ``None`` otherwise.  Phase 2 answers all
+    subsumption probes bucket by bucket; Phase 3 replays the survivors in the
+    original order against the live ``Incomplete`` pool.  When ``jcc_merge``
+    is true the merge predicate is the exact Line 14 ``JCC(S ∪ T')`` test
+    and Phase 3 finds the first partner through the active kernel's batched
+    probe (identical first-match semantics, one call per candidate instead
+    of one ``union_is_jcc`` per waiting set).
     """
     kernel = active_kernel() if jcc_merge else None
     entries: List[TupleType[TupleSet, Tuple]] = []
     buckets: Dict[Tuple, List[TupleSet]] = {}
-    for candidate in candidates:
-        if statistics is not None:
-            statistics.candidates_generated += 1
-        anchor_tuple = candidate.tuple_from(anchor)
-        if anchor_tuple is None or (
-            anchor_tuples is not None and anchor_tuple not in anchor_tuples
-        ):
-            if statistics is not None:
-                statistics.candidates_without_anchor += 1
-            continue
+    for candidate, anchor_tuple in candidates:
         entries.append((candidate, anchor_tuple))
         buckets.setdefault(anchor_tuple, []).append(candidate)
 
@@ -144,23 +138,17 @@ def get_next_result_batched(
     :func:`repro.core.incremental.get_next_result` — same result, same pool
     mutations in the same order, same ``sets_scanned`` — with the subsumption
     probes of Lines 10–11 amortized to one store probe per anchor bucket.
-    ``anchor_tuples`` applies the bucket-range restriction of
-    :func:`repro.core.incremental.get_next_result` to the Line 9 test.
+    Lines 2–9 are the serial step's own
+    (:func:`~repro.core.incremental.maximally_extend` and
+    :func:`~repro.core.incremental.line9_candidates`), and ``anchor_tuples``
+    applies the same bucket-range restriction to the Line 9 test.
     """
     if scanner is None:
         scanner = TupleScanner(database)
 
-    # Line 1: remove a tuple set from Incomplete; Lines 2-6: extend it
-    # through the active kernel (the packed kernel evaluates each scan pass
-    # as one batched absorb test; the reference kernel is the serial loop).
+    # Line 1: remove a tuple set from Incomplete; Lines 2-6: extend it.
     result = incomplete.pop()
-    result = active_kernel().maximally_extend(result, scanner, statistics)
-
-    def candidates():
-        # Lines 7-8: one candidate per outside tuple (footnote 3).
-        for outside in scanner.scan():
-            if outside not in result:
-                yield result.maximal_jcc_subset_with(outside)
+    result = incremental.maximally_extend(result, scanner, statistics)
 
     def merge_union(waiting, candidate):
         # Line 14: JCC(S ∪ T').
@@ -168,10 +156,12 @@ def get_next_result_batched(
             return waiting.union(candidate)
         return None
 
+    # Lines 7-9: the candidates that hold an anchor tuple.
+    candidates = incremental.line9_candidates(
+        result, anchor, scanner, statistics, anchor_tuples
+    )
     _batched_candidate_phases(
-        anchor, incomplete, complete, statistics, candidates(), merge_union,
-        jcc_merge=True,
-        anchor_tuples=anchor_tuples,
+        incomplete, complete, statistics, candidates, merge_union, jcc_merge=True
     )
 
     # Line 19.
@@ -193,7 +183,7 @@ def approx_get_next_result_batched(
     The starred Line 8 may emit several candidates per outside tuple
     (Example 6.3); they are bucketed exactly like the exact algorithm's.
     """
-    from repro.core.approx import approx_maximally_extend
+    from repro.core.approx import approx_line9_candidates, approx_maximally_extend
 
     if scanner is None:
         scanner = TupleScanner(database)
@@ -203,15 +193,6 @@ def approx_get_next_result_batched(
         result, join_function, threshold, scanner, statistics
     )
 
-    def candidates():
-        # Line 8 (starred): all maximal qualifying subsets per outside tuple.
-        for outside in scanner.scan():
-            if outside in result:
-                continue
-            yield from join_function.candidate_extensions(
-                result, outside, threshold
-            )
-
     def merge_union(waiting, candidate):
         # Line 14 (starred): merge when A(S ∪ T') ≥ τ.
         union = waiting.union(candidate)
@@ -219,8 +200,11 @@ def approx_get_next_result_batched(
             return union
         return None
 
+    candidates = approx_line9_candidates(
+        result, anchor, join_function, threshold, scanner, statistics
+    )
     _batched_candidate_phases(
-        anchor, incomplete, complete, statistics, candidates(), merge_union
+        incomplete, complete, statistics, candidates, merge_union
     )
 
     return result

@@ -478,6 +478,14 @@ class Database:
             self.catalog_rebuilds += 1
         return self._catalog_cache
 
+    def current_catalog(self):
+        """The cached catalog when it describes the database as it is, else ``None``.
+
+        Unlike :meth:`catalog` this never builds one, so asking has no side
+        effect on ``catalog_rebuilds``.
+        """
+        return self._catalog_cache if self._catalog_is_current() else None
+
     # ------------------------------------------------------------------ #
     # connection graph
     # ------------------------------------------------------------------ #

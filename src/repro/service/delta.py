@@ -69,8 +69,9 @@ from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Sequence
 
 from repro.core.full_disjunction import full_disjunction_sets
+from repro.core import incremental
 from repro.core.incremental import FDStatistics
-from repro.core.kernels import active_kernel, tag_kernel
+from repro.core.kernels import tag_kernel
 from repro.core.priority import PriorityState
 from repro.core.ranking import canonical_rank_key
 from repro.core.scanner import TupleScanner
@@ -661,11 +662,10 @@ class StreamingFullDisjunction:
                 self._log.append(Retraction(result))
         stats = FDStatistics()
         scanner = TupleScanner(self.database)
-        kernel = active_kernel()
         new_items: list = []
         for result in retracted:
             for component in _surviving_components(result, dead, catalog):
-                extended = kernel.maximally_extend(component, scanner, stats)
+                extended = incremental.maximally_extend(component, scanner, stats)
                 anchor = min(extended)
                 if self._store.contains_superset(extended, anchor=anchor):
                     continue

@@ -100,6 +100,13 @@ from repro.storage.store import (
 from repro.storage.wal import DEFAULT_FSYNC_EVERY, WAL_NAME, recover_wal
 
 
+#: Longest request or reply line a connection reads, in bytes, in place of
+#: asyncio's 64 KiB default, which would cap an ingest batch.  A longer line
+#: is answered with :data:`LINE_TOO_LONG` and the connection is closed,
+#: because the rest of the line is still in flight.
+MAX_LINE_BYTES = 8 * 1024 * 1024
+LINE_TOO_LONG = {"ok": False, "error": f"request line exceeds {MAX_LINE_BYTES} bytes"}
+
 #: Options of an ``open`` request that shape the served computation — the
 #: wire-level counterpart of the prefix cache's key options.  ``format``
 #: stays out: it shapes the rendering, not the cached result log.  The
@@ -245,68 +252,96 @@ class QueryServer:
         self, request: dict, connection_sessions: Optional[set] = None
     ) -> dict:
         """Dispatch one wire request, timed: every op lands in the per-op
-        latency histogram and (as a complete span) on the active tracer."""
+        latency histogram and (as a complete span) on the active tracer.
+
+        The metric label and span name are the op when the server serves
+        it and ``"other"`` when not, so clients cannot grow the label sets.
+        """
         self.requests += 1
         op = str(request.get("op"))
+        handler = self._OPS.get(op)
+        label = op if handler is not None else "other"
         start = time.perf_counter()
-        span = trace_span(f"op.{op}", "server")
+        span = trace_span(f"op.{label}", "server")
         ok = False
         try:
-            response = await self._dispatch(op, request, connection_sessions)
+            if handler is None:
+                response = {"ok": False, "error": f"unknown op {op!r}"}
+            else:
+                response = await handler(self, request, connection_sessions)
             ok = bool(response.get("ok"))
             return response
         finally:
-            self._m_requests.labels(op=op).inc()
+            self._m_requests.labels(op=label).inc()
             if not ok:
-                self._m_errors.labels(op=op).inc()
-            self._m_latency.labels(op=op).observe(time.perf_counter() - start)
+                self._m_errors.labels(op=label).inc()
+            self._m_latency.labels(op=label).observe(time.perf_counter() - start)
             span.close()
 
-    async def _dispatch(
-        self, op: str, request: dict, connection_sessions: Optional[set]
-    ) -> dict:
-        if op == "ping":
-            return {"ok": True, "pong": True}
-        if op == "open":
-            engine = str(request.get("engine", "fd"))
-            started = time.perf_counter()
-            response = self._open(request)
-            self._m_engine_latency.labels(engine=engine, phase="open").observe(
-                time.perf_counter() - started
-            )
-            if connection_sessions is not None and response.get("ok"):
-                connection_sessions.add(response["session"])
-            return response
-        if op == "next":
-            engine = self._session_engines.get(
-                request.get("session"), "unknown"
-            )
-            started = time.perf_counter()
-            response = await self._next(request)
-            self._m_engine_latency.labels(engine=engine, phase="next").observe(
-                time.perf_counter() - started
-            )
-            return response
-        if op == "peek":
-            return self._peek(request)
-        if op == "close":
-            if connection_sessions is not None:
-                connection_sessions.discard(request.get("session"))
-            return self._close(request)
-        if op == "ingest":
-            return self._ingest(request)
-        if op == "retract":
-            return self._retract(request)
-        if op == "update":
-            return self._update(request)
-        if op == "snapshot":
-            return self._snapshot_op(request)
-        if op == "stats":
-            response = {"ok": True, **server_stats(self)}
-            if request.get("detail") == "metrics":
-                response["metrics"] = self.registry.snapshot()
-            return response
-        return {"ok": False, "error": f"unknown op {op!r}"}
+    async def _op_ping(self, request: dict, connection_sessions) -> dict:
+        return {"ok": True, "pong": True}
+
+    async def _op_open(self, request: dict, connection_sessions) -> dict:
+        engine = str(request.get("engine", "fd"))
+        if engine not in self._OPEN_ENGINE_KEYS:
+            engine = "other"  # a bounded label; the reply names the engine
+        started = time.perf_counter()
+        response = self._open(request)
+        self._m_engine_latency.labels(engine=engine, phase="open").observe(
+            time.perf_counter() - started
+        )
+        if connection_sessions is not None and response.get("ok"):
+            connection_sessions.add(response["session"])
+        return response
+
+    async def _op_next(self, request: dict, connection_sessions) -> dict:
+        engine = self._session_engines.get(request.get("session"), "unknown")
+        started = time.perf_counter()
+        response = await self._next(request)
+        self._m_engine_latency.labels(engine=engine, phase="next").observe(
+            time.perf_counter() - started
+        )
+        return response
+
+    async def _op_peek(self, request: dict, connection_sessions) -> dict:
+        return self._peek(request)
+
+    async def _op_close(self, request: dict, connection_sessions) -> dict:
+        if connection_sessions is not None:
+            connection_sessions.discard(request.get("session"))
+        return self._close(request)
+
+    async def _op_ingest(self, request: dict, connection_sessions) -> dict:
+        return self._ingest(request)
+
+    async def _op_retract(self, request: dict, connection_sessions) -> dict:
+        return self._retract(request)
+
+    async def _op_update(self, request: dict, connection_sessions) -> dict:
+        return self._update(request)
+
+    async def _op_snapshot(self, request: dict, connection_sessions) -> dict:
+        return self._snapshot_op(request)
+
+    async def _op_stats(self, request: dict, connection_sessions) -> dict:
+        response = {"ok": True, **server_stats(self)}
+        if request.get("detail") == "metrics":
+            response["metrics"] = self.registry.snapshot()
+        return response
+
+    #: The ops the server serves, each with its handler.
+    _OPS = {
+        "ping": _op_ping,
+        "open": _op_open,
+        "next": _op_next,
+        "peek": _op_peek,
+        "close": _op_close,
+        "ingest": _op_ingest,
+        "retract": _op_retract,
+        "update": _op_update,
+        "snapshot": _op_snapshot,
+        "stats": _op_stats,
+    }
 
     # ------------------------------------------------------------------ #
     # observability surfaces
@@ -802,6 +837,9 @@ class QueryServer:
                     # peer that reset its socket: end the handler normally so
                     # asyncio's stream teardown does not log a task crash.
                     break
+                except ValueError:
+                    await reply_line_too_long(writer)
+                    break
                 if not line:
                     break
                 try:
@@ -838,6 +876,15 @@ class QueryServer:
                 await writer.wait_closed()
             except (ConnectionError, OSError, asyncio.CancelledError):  # pragma: no cover
                 pass
+
+
+async def reply_line_too_long(writer: asyncio.StreamWriter) -> None:
+    """Answer a line longer than :data:`MAX_LINE_BYTES`; the caller then hangs up."""
+    writer.write(json.dumps(LINE_TOO_LONG).encode() + b"\n")
+    try:
+        await writer.drain()
+    except ConnectionError:
+        pass
 
 
 def server_stats(state: QueryServer) -> dict:
@@ -1022,7 +1069,9 @@ async def start_server(
     """
     if state is None:
         state = QueryServer(database, use_index=use_index)
-    server = await asyncio.start_server(state.handle_connection, host, port)
+    server = await asyncio.start_server(
+        state.handle_connection, host, port, limit=MAX_LINE_BYTES
+    )
     bound_port = server.sockets[0].getsockname()[1]
     return server, state, bound_port
 

@@ -61,8 +61,11 @@ from repro.relational.database import Database
 # persisted opens by it too); re-exported here for existing importers.
 from repro.service.server import (  # noqa: F401 - re-export
     _ROUTING_KEYS,
+    LINE_TOO_LONG,
+    MAX_LINE_BYTES,
     client_call,
     open_routing_key,
+    reply_line_too_long,
     start_server,
 )
 
@@ -169,14 +172,37 @@ class ShardHandle:
         is strictly request/response per connection); callers already
         incremented ``pending``, so the time spent waiting here *is* the
         queue depth the gauges report.
+
+        A request whose encoding exceeds :data:`MAX_LINE_BYTES` is answered
+        with :data:`LINE_TOO_LONG` and never sent: a line the router read
+        within the limit can outgrow it once re-encoded (non-ASCII text
+        becomes ``\\uXXXX`` escapes), and the shard would refuse it and hang
+        up.  When a round trip fails — the connection is lost, or a reply
+        exceeds the limit and its rest is still in the stream — the
+        connection is dropped, so that the next call reconnects instead of
+        reading a stale reply.  The shard closes the sessions it carried.
         """
+        line = json.dumps(request).encode()
+        if len(line) > MAX_LINE_BYTES:
+            return dict(LINE_TOO_LONG)
         async with self._lock:
             if self._writer is None:
                 self._reader, self._writer = await asyncio.open_connection(
-                    self.host, self.port
+                    self.host, self.port, limit=MAX_LINE_BYTES
                 )
             self.requests += 1
-            return await client_call(self._reader, self._writer, request)
+            try:
+                self._writer.write(line + b"\n")
+                await self._writer.drain()
+                reply = await self._reader.readline()
+                if not reply:
+                    raise ConnectionError("shard closed the connection")
+                return json.loads(reply)
+            except (OSError, ValueError) as error:
+                await self.close()
+                raise ConnectionError(
+                    f"shard {self.index} connection dropped: {error}"
+                ) from error
 
     async def close(self) -> None:
         if self._writer is not None:
@@ -271,6 +297,13 @@ class ShardedQueryServer:
         gauge.set(shard.pending)
         try:
             return await shard.call(request)
+        except ConnectionError:
+            # The shard closed every session of the dropped connection.
+            for name in shard.sessions:
+                self._session_map.pop(name, None)
+            shard.sessions.clear()
+            self._track_sessions(shard)
+            raise
         finally:
             shard.pending -= 1
             gauge.set(shard.pending)
@@ -457,6 +490,9 @@ class ShardedQueryServer:
                     line = await reader.readline()
                 except asyncio.CancelledError:
                     break
+                except ValueError:
+                    await reply_line_too_long(writer)
+                    break
                 if not line:
                     break
                 try:
@@ -568,7 +604,9 @@ async def start_sharded_server(
         max_queue_per_shard=max_queue_per_shard,
         retry_after_ms=retry_after_ms,
     )
-    server = await asyncio.start_server(router.handle_connection, host, port)
+    server = await asyncio.start_server(
+        router.handle_connection, host, port, limit=MAX_LINE_BYTES
+    )
     bound_port = server.sockets[0].getsockname()[1]
     return server, router, bound_port
 

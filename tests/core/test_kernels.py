@@ -28,7 +28,6 @@ from repro.core.kernels import (
 )
 from repro.core.kernels.bigint import BigintKernel
 from repro.core.incremental import FDStatistics, incremental_fd
-from repro.core.scanner import TupleScanner
 from repro.core.store import CompleteStore
 from repro.core.tupleset import TupleSet
 from repro.workloads.generators import chain_database, random_database, star_database
@@ -52,7 +51,7 @@ def _vectorized(kernel):
     vectorized paths so they are exercised on small workloads too.
     """
     for attr in (
-        "MIN_GROUP", "MIN_WAITING", "MIN_TOMBSTONED", "MIN_DEAD", "MIN_EXTEND",
+        "MIN_GROUP", "MIN_WAITING", "MIN_TOMBSTONED", "MIN_DEAD",
     ):
         if hasattr(kernel, attr):
             setattr(kernel, attr, 0)
@@ -406,25 +405,6 @@ def test_batch_can_absorb_parity(name, database):
             t = catalog.tuple_at(gid)
             if t not in ts:
                 assert ts.can_absorb(t) == bool(flag)
-
-
-@requires_numpy
-@pytest.mark.parametrize("name,database", WORKLOADS, ids=WORKLOAD_IDS)
-def test_maximally_extend_parity(name, database):
-    from repro.core.kernels.packed import PackedKernel
-
-    catalog = database.catalog()
-    all_tuples = list(database.tuples())
-    rng = random.Random(47)
-    reference, packed = BigintKernel(), _vectorized(PackedKernel())
-    for _ in range(15):
-        seed_set = _random_jcc_set(rng, all_tuples, catalog)
-        ref_stats, packed_stats = FDStatistics(), FDStatistics()
-        want = reference.maximally_extend(seed_set, TupleScanner(database), ref_stats)
-        got = packed.maximally_extend(seed_set, TupleScanner(database), packed_stats)
-        assert got.tuples == want.tuples
-        assert packed_stats.extension_passes == ref_stats.extension_passes
-        assert packed_stats.tuple_reads == ref_stats.tuple_reads
 
 
 @requires_numpy

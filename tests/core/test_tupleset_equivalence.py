@@ -202,7 +202,7 @@ def _vectorized(kernel):
     paths run even on these small workloads (below them the kernel
     delegates to the big-int reference)."""
     for attr in (
-        "MIN_GROUP", "MIN_WAITING", "MIN_TOMBSTONED", "MIN_DEAD", "MIN_EXTEND",
+        "MIN_GROUP", "MIN_WAITING", "MIN_TOMBSTONED", "MIN_DEAD",
     ):
         if hasattr(kernel, attr):
             setattr(kernel, attr, 0)

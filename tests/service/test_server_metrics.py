@@ -43,9 +43,10 @@ class TestServerMetrics:
         requests = registry.family("repro_requests_total")
         assert requests.labels(op="open").value == 1
         assert requests.labels(op="next").value == 1
-        assert requests.labels(op="warp").value == 1
+        # An unknown op is counted under the bounded label "other".
+        assert requests.labels(op="other").value == 1
         errors = registry.family("repro_request_errors_total")
-        assert errors.labels(op="warp").value == 1
+        assert errors.labels(op="other").value == 1
         assert errors.labels(op="open").value == 0
         latency = registry.family("repro_request_latency_seconds")
         assert latency.labels(op="open").count == 1
