@@ -4,7 +4,7 @@ Three questions about the query-serving layer (:mod:`repro.service`):
 
 1. **Concurrency** — how does the latency until *every* client holds its
    first ``k`` answers grow with the client count, when the clients share
-   one event loop through the ``async`` execution backend?
+   one event loop through the server's ``SessionDriver``?
 2. **Prefix caching** — how much of a cold run does the LRU prefix cache
    save a second wave of identical queries?  (The acceptance bar: warm
    first-k latency strictly below cold-run latency.)
@@ -23,9 +23,9 @@ import os
 import time
 
 from repro.core.full_disjunction import full_disjunction
-from repro.exec import AsyncBackend
 from repro.service.cache import PrefixCache
 from repro.service.delta import DeltaSummary, incremental_replay_stream
+from repro.service.server import SessionDriver
 from repro.workloads.generators import star_database
 from repro.workloads.streaming import StreamSummary, replay_stream, streaming_star_workload
 
@@ -34,7 +34,7 @@ K = 10
 
 def _first_k_latency(database, clients: int, cache: PrefixCache, k: int = K) -> float:
     """Seconds until every one of ``clients`` concurrent sessions holds ``k`` answers."""
-    backend = AsyncBackend()
+    driver = SessionDriver()
 
     async def one_wave():
         sessions = [
@@ -42,7 +42,7 @@ def _first_k_latency(database, clients: int, cache: PrefixCache, k: int = K) -> 
             for i in range(clients)
         ]
         try:
-            await asyncio.gather(*(backend.drive(s, k) for s in sessions))
+            await asyncio.gather(*(driver.drive(s, k) for s in sessions))
         finally:
             for session in sessions:
                 session.close()

@@ -24,9 +24,9 @@ import os
 import time
 
 from repro.core.ranking import MaxRanking
-from repro.exec import AsyncBackend
 from repro.service.cache import PrefixCache
 from repro.service.delta import DeltaSummary, incremental_replay_stream
+from repro.service.server import SessionDriver
 from repro.workloads.generators import star_database
 from repro.workloads.streaming import (
     ResultEvent,
@@ -144,7 +144,7 @@ def test_e11a_ranked_delta_vs_full_ranked_recompute(benchmark, report_table):
 
 def _ranked_first_k_latency(database, clients: int, cache: PrefixCache, k: int) -> float:
     """Seconds until every one of ``clients`` ranked sessions holds ``k`` answers."""
-    backend = AsyncBackend()
+    driver = SessionDriver()
     ranking = _ranking()
 
     async def one_wave():
@@ -156,7 +156,7 @@ def _ranked_first_k_latency(database, clients: int, cache: PrefixCache, k: int) 
             for i in range(clients)
         ]
         try:
-            await asyncio.gather(*(backend.drive(s, k) for s in sessions))
+            await asyncio.gather(*(driver.drive(s, k) for s in sessions))
         finally:
             for session in sessions:
                 session.close()

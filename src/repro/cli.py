@@ -21,12 +21,17 @@ Examples
     python -m repro serve sources/*.csv --port 7411
     python -m repro serve --workload star --smoke-clients 4
     python -m repro serve --workload star --port 7411 --metrics-port 9100
-    python -m repro trace star --out trace.json --backend batched
+    python -m repro trace star --out trace.json --backend sharded
+
+Library errors (a missing or malformed CSV, say) print ``repro: error:
+<message>`` and exit with status 2; a reader that closes the output early
+(``repro fd … | head -1``) ends the run quietly.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -40,6 +45,7 @@ from repro.core.trace import format_trace, trace_incremental_fd
 from repro.exec import BACKENDS, resolve_backend
 from repro.relational import csv_io
 from repro.relational.database import Database
+from repro.relational.errors import ReproError
 from repro.relational.nulls import is_null
 from repro.workloads.streaming import (
     IngestEvent,
@@ -73,8 +79,8 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=BACKENDS,
         default="serial",
-        help="execution backend: serial reference, anchor-bucket batched, or "
-        "process-sharded passes (identical results either way)",
+        help="execution backend: serial reference or process-sharded "
+        "passes (identical results either way)",
     )
     parser.add_argument(
         "--workers",
@@ -176,7 +182,7 @@ def _command_stream(arguments: argparse.Namespace) -> int:
         raise SystemExit(
             "error: --backend sharded is not supported with --mode delta "
             "(the per-arrival delta pass is a single in-process loop); "
-            "use serial, batched or async"
+            "use serial"
         )
     if arguments.mutations < 0:
         raise SystemExit("error: --mutations must be non-negative")
@@ -864,7 +870,19 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``python -m repro`` and the ``repro`` console script."""
     parser = build_parser()
     arguments = parser.parse_args(argv)
-    return arguments.handler(arguments)
+    try:
+        status = arguments.handler(arguments)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader went away (``| head``): send the rest of the output,
+        # the interpreter's final flush included, to devnull and stop.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    except (ReproError, OSError) as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

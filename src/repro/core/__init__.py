@@ -74,9 +74,9 @@ from repro.core.approx_join import (
 )
 from repro.core.approx import (
     ApproximateFullDisjunction,
+    ApproxSemantics,
     approx_full_disjunction,
     approx_full_disjunction_sets,
-    approx_get_next_result,
     approx_incremental_fd,
 )
 from repro.core.ranked_approx import (
@@ -152,7 +152,7 @@ __all__ = [
     "levenshtein",
     "string_similarity",
     "approx_incremental_fd",
-    "approx_get_next_result",
+    "ApproxSemantics",
     "approx_full_disjunction",
     "approx_full_disjunction_sets",
     "ApproximateFullDisjunction",

@@ -11,6 +11,10 @@ algorithms with three changes, marked ``*`` in the paper's figures:
 * every ``JCC(·)`` test becomes ``A(·) ≥ τ``;
 * Line 8 may yield *several* maximal candidate subsets per outside tuple
   (Example 6.3), supplied by ``A.candidate_extensions``.
+
+``ApproxGetNextResult`` is :func:`repro.core.incremental.get_next_result`
+under :class:`ApproxSemantics`: the starred steps differ, Lines 1 and 10–19
+are the exact algorithm's.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from repro.core.incremental import (
     AnchorSpec,
     FDStatistics,
     anchored_candidates,
+    get_next_result,
     resolve_anchor,
 )
 from repro.core.store import CompleteStore, ListIncompletePool, record_store_statistics
@@ -71,6 +76,7 @@ def approx_line9_candidates(
     threshold: float,
     scanner: TupleScanner,
     statistics: Optional[FDStatistics] = None,
+    anchor_tuples=None,
 ) -> Iterator[TupleType[TupleSet, Tuple]]:
     """Lines 7–9 (starred): ``(T', anchor tuple)`` for the candidates that
     pass Line 9, in scan order, counted by :func:`anchored_candidates`."""
@@ -82,54 +88,36 @@ def approx_line9_candidates(
             # Line 8 (starred): all maximal qualifying subsets containing t_b.
             yield from join_function.candidate_extensions(result, outside, threshold)
 
-    return anchored_candidates(candidates(), anchor, statistics)
+    return anchored_candidates(candidates(), anchor, statistics, anchor_tuples)
 
 
-def approx_get_next_result(
-    database: Database,
-    anchor: str,
-    join_function: ApproximateJoinFunction,
-    threshold: float,
-    incomplete: ListIncompletePool,
-    complete: CompleteStore,
-    scanner: Optional[TupleScanner] = None,
-    statistics: Optional[FDStatistics] = None,
-) -> TupleSet:
-    """One call of ``ApproxGetNextResult`` (Fig. 6)."""
-    if scanner is None:
-        scanner = TupleScanner(database)
+class ApproxSemantics:
+    """The ``(A, τ)`` semantics of ``ApproxGetNextResult`` (Fig. 6).
 
-    # Line 1.
-    result = incomplete.pop()
+    Passed as ``semantics`` to :func:`repro.core.incremental.get_next_result`,
+    it supplies the starred steps: Lines 2–6 extend while ``A(T ∪ {t_g}) ≥
+    τ``, Line 8 yields every maximal qualifying subset, and Line 14 merges
+    ``S`` and ``T'`` when ``S ∪ T'`` is connected and ``A(S ∪ T') ≥ τ``.
+    """
 
-    # Lines 2-6 (starred): extend while the approximate join stays above τ.
-    result = approx_maximally_extend(result, join_function, threshold, scanner, statistics)
+    def __init__(self, join_function: ApproximateJoinFunction, threshold: float):
+        self.join_function = join_function
+        self.threshold = threshold
 
-    # Lines 7-18.
-    for candidate, anchor_tuple in approx_line9_candidates(
-        result, anchor, join_function, threshold, scanner, statistics
-    ):
-        if complete.contains_superset(candidate, anchor=anchor_tuple):
-            if statistics is not None:
-                statistics.candidates_subsumed += 1
-            continue
-        merged = False
-        for waiting in incomplete.candidates(candidate):
-            union = waiting.union(candidate)
-            # Line 14 (starred): merge when A(S ∪ T') ≥ τ.
-            if union.is_connected and join_function(union) >= threshold:
-                incomplete.replace(waiting, union)
-                merged = True
-                if statistics is not None:
-                    statistics.candidates_merged += 1
-                break
-        if merged:
-            continue
-        incomplete.add(candidate)
-        if statistics is not None:
-            statistics.candidates_inserted += 1
+    def extend(self, tuple_set, scanner, statistics):
+        return approx_maximally_extend(
+            tuple_set, self.join_function, self.threshold, scanner, statistics
+        )
 
-    return result
+    def candidates(self, result, anchor, scanner, statistics, anchor_tuples):
+        return approx_line9_candidates(
+            result, anchor, self.join_function, self.threshold, scanner,
+            statistics, anchor_tuples,
+        )
+
+    def mergeable(self, waiting: TupleSet, candidate: TupleSet) -> bool:
+        union = waiting.union(candidate)
+        return union.is_connected and self.join_function(union) >= self.threshold
 
 
 def approx_incremental_fd(
@@ -144,8 +132,9 @@ def approx_incremental_fd(
 ) -> Iterator[TupleSet]:
     """``ApproxIncrementalFD(R, i, A, τ)`` (Fig. 5): generate ``AFD_i(R, A, τ)``.
 
-    ``backend`` schedules each ``ApproxGetNextResult`` step through the
-    execution layer (:mod:`repro.exec`); ``None`` is the serial reference.
+    Each step is :func:`~repro.core.incremental.get_next_result` under
+    :class:`ApproxSemantics`, scheduled by ``backend``'s ``next_result``
+    (:mod:`repro.exec`); ``None`` is the serial step.
     """
     if not (0.0 <= threshold <= 1.0):
         raise ValueError(f"threshold must be in [0, 1], got {threshold}")
@@ -154,11 +143,12 @@ def approx_incremental_fd(
         scanner = TupleScanner(database)
     catalog = database.catalog()
     if backend is None:
-        next_result = approx_get_next_result
+        next_result = get_next_result
     else:
         from repro.exec import resolve_backend
 
-        next_result = resolve_backend(backend).approx_next_result
+        next_result = resolve_backend(backend).next_result
+    semantics = ApproxSemantics(join_function, threshold)
 
     incomplete = ListIncompletePool(anchor_name, use_index=use_index)
     complete = CompleteStore(anchor_name, use_index=use_index)
@@ -174,12 +164,11 @@ def approx_incremental_fd(
             result = next_result(
                 database,
                 anchor_name,
-                join_function,
-                threshold,
                 incomplete,
                 complete,
                 scanner,
                 statistics,
+                semantics=semantics,
             )
             complete.add(result)
             if statistics is not None:

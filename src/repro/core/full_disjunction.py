@@ -160,7 +160,7 @@ def full_disjunction_sets(
         Optional counters accumulated across all passes.
     backend:
         The :class:`~repro.exec.base.ExecutionBackend` (or its name —
-        ``"serial"``, ``"batched"``, ``"sharded"``) that schedules the work.
+        ``"serial"``, ``"sharded"``) that schedules the work.
         All backends produce the same result set; ``None`` means serial.
     """
     from repro.exec import resolve_backend
@@ -172,7 +172,7 @@ def full_disjunction_sets(
     backend = resolve_backend(backend)
     if initialization == "singletons":
         # Independent per-relation passes: the backend owns the schedule
-        # (serial loop, batched probes, or a process-pool fan-out).
+        # (serial loop or a process-pool fan-out).
         yield from backend.run_singleton_passes(
             database, use_index=use_index, block_size=block_size, statistics=statistics
         )

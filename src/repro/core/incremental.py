@@ -402,6 +402,38 @@ def line9_candidates(
             chosen ^= low
 
 
+class ExactSemantics:
+    """The join semantics of Fig. 2: join consistent and connected (``JCC``).
+
+    :func:`get_next_result` takes the three steps in which ``GetNextResult``
+    (Fig. 2) and ``ApproxGetNextResult`` (Fig. 6) differ from its semantics:
+    Lines 2–6, Lines 7–9 and the Line 14 merge test.  This class is the
+    exact algorithm's; :class:`repro.core.approx.ApproxSemantics` supplies
+    the starred ``(A, τ)`` steps.
+    """
+
+    def extend(self, tuple_set, scanner, statistics):
+        """Lines 2–6: :func:`maximally_extend`."""
+        return maximally_extend(tuple_set, scanner, statistics)
+
+    def candidates(self, result, anchor, scanner, statistics, anchor_tuples):
+        """Lines 7–9: :func:`line9_candidates`."""
+        return line9_candidates(result, anchor, scanner, statistics, anchor_tuples)
+
+    @property
+    def mergeable(self) -> Callable[[TupleSet, TupleSet], bool]:
+        """Line 14's test on ``(S, T')``: ``JCC(S ∪ T')``.
+
+        This is ``TupleSet.union_is_jcc`` itself, looked up once per step,
+        so the merge loop makes no extra call per waiting set.
+        """
+        return TupleSet.union_is_jcc
+
+
+#: The default semantics of :func:`get_next_result`.
+EXACT = ExactSemantics()
+
+
 def get_next_result(
     database: Database,
     anchor: str,
@@ -410,6 +442,7 @@ def get_next_result(
     scanner: Optional[TupleScanner] = None,
     statistics: Optional[FDStatistics] = None,
     anchor_tuples: Optional[AbstractSet] = None,
+    semantics=EXACT,
 ) -> TupleSet:
     """One call of ``GetNextResult`` (Fig. 2): produce the next result of ``FD_i``.
 
@@ -425,6 +458,11 @@ def get_next_result(
     ``R_i`` tuple, every pool merge is anchor-local, and the split pass
     produces precisely the ``FD_i`` members anchored in the range, once
     each).  The sharded backend's bucket-grained fan-out is built on this.
+
+    ``semantics`` supplies Lines 2–6, Lines 7–9 and the Line 14 test:
+    :data:`EXACT` by default, or
+    :class:`~repro.core.approx.ApproxSemantics` for ``ApproxGetNextResult``
+    (Fig. 6).  Lines 1 and 10–19 are shared.
     """
     if scanner is None:
         scanner = TupleScanner(database)
@@ -433,12 +471,13 @@ def get_next_result(
     result = incomplete.pop()
 
     # Lines 2-6: extend it maximally.
-    result = maximally_extend(result, scanner, statistics)
+    result = semantics.extend(result, scanner, statistics)
 
     # Lines 7-18: derive candidate tuple sets from the tuples left out; only
     # those holding a tuple of the anchor relation (and, under a bucket-range
     # restriction, of the anchor bucket) pass Line 9.
-    for candidate, anchor_tuple in line9_candidates(
+    mergeable = semantics.mergeable
+    for candidate, anchor_tuple in semantics.candidates(
         result, anchor, scanner, statistics, anchor_tuples
     ):
         # Lines 10-11: already covered by a printed result?
@@ -449,7 +488,7 @@ def get_next_result(
         # Lines 12-15: can it be merged into a waiting tuple set?
         merged = False
         for waiting in incomplete.candidates(candidate):
-            if waiting.union_is_jcc(candidate):
+            if mergeable(waiting, candidate):
                 incomplete.replace(waiting, waiting.union(candidate))
                 merged = True
                 if statistics is not None:

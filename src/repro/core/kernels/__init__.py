@@ -1,11 +1,11 @@
 """Kernel selection: ``REPRO_KERNEL={bigint,packed}`` with NumPy gating.
 
-The store layer, the batched/sharded/async backends and the streaming
-retraction path route their inner loops through one process-wide
-:class:`~repro.core.kernels.base.Kernel`:
+The streaming retraction path's eviction sweep runs through one
+process-wide :class:`~repro.core.kernels.base.Kernel`, and every run tags
+its statistics with the active kernel's name (:func:`tag_kernel`):
 
-* ``bigint`` — the executable reference: per-candidate Python loops over
-  big-int bitmasks (:mod:`repro.core.kernels.bigint`);
+* ``bigint`` — the executable reference: per-set Python loops
+  (:mod:`repro.core.kernels.bigint`);
 * ``packed`` — vectorized batches over NumPy ``uint64`` packed-word arrays
   (:mod:`repro.core.kernels.packed`).
 

@@ -1,6 +1,6 @@
-"""The packed kernel: bitset inner loops on NumPy ``uint64`` word arrays.
+"""The packed kernel: bitset sweeps on NumPy ``uint64`` word arrays.
 
-The big-int representation answers one candidate per Python bytecode loop
+The big-int representation answers one set per Python bytecode loop
 iteration; this module answers a whole batch per NumPy array operation.  The
 data layout is a columnar mirror of the catalog's bitmatrices
 (:class:`PackedMirror`): every big-int bitmask becomes a row of ``uint64``
@@ -22,17 +22,20 @@ appending a tuple writes one packed row and ORs one bit-column
 Interned tuple sets cache their own packed row in a ``TupleSet`` slot, built
 on first use and padded when the id space grows.
 
-Every operation here obeys the parity contract of
-:mod:`repro.core.kernels.base`: inputs the packed representation cannot
-express (uninterned sets, mixed catalogs, uncatalogued tuples, ambiguous
-dead-tuple incarnations) are delegated to the big-int reference kernel for
-that call, so answers — and the serial-equivalent ``scanned`` counts — are
+Besides the kernel, the mirror backs mapped catalogs (``repro pack``,
+``load_database``), whose consistency rows are served from its file, and
+sharded workers attach to it instead of unpickling the database.
+
+The kernel obeys the parity contract of :mod:`repro.core.kernels.base`:
+inputs the packed representation cannot express (uninterned sets, mixed
+catalogs, uncatalogued tuples, ambiguous dead-tuple incarnations) are
+delegated to the big-int reference kernel for that call, so answers are
 identical by construction, not by luck.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple as TupleType
+from typing import List, Optional
 
 import numpy as np
 
@@ -70,14 +73,6 @@ def unpack_bits(mask: int, bits: int) -> np.ndarray:
     return np.unpackbits(raw, bitorder="little")[:bits].astype(bool)
 
 
-def popcount_words(words: np.ndarray) -> int:
-    """Word-wise population count of a packed array."""
-    bitwise_count = getattr(np, "bitwise_count", None)
-    if bitwise_count is not None:
-        return int(bitwise_count(words).sum())
-    return int(np.unpackbits(np.ascontiguousarray(words).view(np.uint8)).sum())
-
-
 def set_words(tuple_set, width: int) -> np.ndarray:
     """The packed row of an interned tuple set, cached on the set itself.
 
@@ -112,8 +107,8 @@ class PackedMirror:
         Appends additionally write the tuple's payload entry to the file and
         growth delegates to the file's ftruncate-and-remap doubling.
 
-    Answers and ``sets_scanned`` counts are identical across backings by
-    construction: :class:`PackedKernel` reads the same attributes either way.
+    Answers are identical across backings by construction: every reader
+    uses the same attributes either way.
     """
 
     __slots__ = (
@@ -296,205 +291,19 @@ class PackedMirror:
         return unpack_to_int(self.consistent_row(gid))
 
 
-class _GroupMatrix:
-    """The packed (negated) rows of one store group, grown append-only.
-
-    ``CompleteStore`` groups only ever *gain* sets between retractions (the
-    store clears its kernel cache on retract), so the matrix extends by the
-    suffix on each probe.  ``ensure`` returns ``None`` when a group member is
-    outside the packed representation — the caller then falls back whole.
-    """
-
-    __slots__ = ("catalog", "width", "negated", "built")
-
-    def __init__(self, catalog, width: int):
-        self.catalog = catalog
-        self.width = width
-        self.negated = np.zeros((0, width), dtype=U64)
-        self.built = 0
-
-    def ensure(self, group) -> Optional[np.ndarray]:
-        if self.built < len(group):
-            fresh = group[self.built:]
-            for stored in fresh:
-                if stored._id_mask is None or stored._catalog is not self.catalog:
-                    return None
-            rows = np.vstack([~set_words(stored, self.width) for stored in fresh])
-            self.negated = np.vstack([self.negated, rows]) if self.built else rows
-            self.built = len(group)
-        return self.negated
-
-
 class PackedKernel(Kernel):
     """Vectorized batch operations over the packed-word representation."""
 
     name = "packed"
 
-    #: Empirical regime cutoffs (measured by
-    #: ``benchmarks/bench_e13_kernels.py``): below each one the big-int
-    #: reference is faster — a CPython big-int ``AND`` is already one C
-    #: call, so vectorization only pays once a whole batch amortizes the
-    #: NumPy dispatch and row-gathering — and the call delegates.  Same
-    #: answers either way, per the parity contract.  ``inf`` marks ops
-    #: where the reference won at every measured size: the early-breaking
-    #: Line-14 merge probe and the one-AND-per-set tombstone sweep.  The
-    #: vectorized forms stay available (parity tests zero the cutoffs) for
-    #: workloads wide enough to tip the balance.
-    MIN_GROUP = 64  #: batch_contains_superset — stored sets in the bucket
-    MIN_WAITING = float("inf")  #: first_jcc_union — waiting sets per probe
-    #: first_jcc_union cutoff when the catalog serves rows from a mapped
-    #: mirror file (``Catalog.rows_mapped``): each big-int mask read then
-    #: unpacks packed words on demand, so the reference loop pays an
-    #: unpack per pair while the vectorized form reads ``mirror.consistent``
-    #: rows in place — the crossover collapses to "always vectorize".
-    MIN_WAITING_MAPPED = 1
-    MIN_TOMBSTONED = float("inf")  #: batch_contains_tombstoned — sets per sweep
-    MIN_DEAD = 64  #: batch_contains_dead — sets per equality sweep
-
-    #: first_jcc_union evaluates this many waiting sets per array op; the
-    #: serial loop stops at the first merge partner, so chunking bounds the
-    #: wasted vector work to one chunk past the match.
-    WAITING_CHUNK = 256
+    #: Below this many sets the big-int reference is faster — a CPython
+    #: loop over a few sets beats the NumPy dispatch and row-gathering — and
+    #: the call delegates (same answers either way, per the parity
+    #: contract).
+    MIN_DEAD = 64
 
     def __init__(self):
         self._reference = BigintKernel()
-
-    # -------------------------------------------------------------- #
-    # subsumption (Line 11)
-    # -------------------------------------------------------------- #
-    def batch_contains_superset(
-        self, group, probes, cache: Optional[dict] = None, cache_key=None
-    ) -> TupleType[List[bool], int]:
-        if not probes or not group:
-            return [False] * len(probes), 0
-        if len(group) < self.MIN_GROUP:
-            return self._reference.batch_contains_superset(group, probes)
-        first = probes[0]
-        catalog = first._catalog if first._id_mask is not None else None
-        if catalog is None or any(
-            p._id_mask is None or p._catalog is not catalog for p in probes
-        ):
-            return self._reference.batch_contains_superset(group, probes)
-        width = words_for(catalog.tuple_count)
-        entry = cache.get(cache_key) if cache is not None else None
-        if entry is None or entry.catalog is not catalog or entry.width != width:
-            entry = _GroupMatrix(catalog, width)
-            if cache is not None:
-                cache[cache_key] = entry
-        negated = entry.ensure(group)
-        if negated is None:
-            if cache is not None:
-                cache.pop(cache_key, None)
-            return self._reference.batch_contains_superset(group, probes)
-        probe_rows = np.vstack([set_words(p, width) for p in probes])
-        # subset[i, j]: no probe-i bit falls outside stored set j.
-        subset = ~np.any(probe_rows[:, None, :] & negated[None, :, :], axis=2)
-        size = len(group)
-        answers: List[bool] = []
-        scanned = 0
-        for hits in subset:
-            if hits.any():
-                answers.append(True)
-                # The serial loop breaks at the first superset: it scanned
-                # that stored set and everything before it.
-                scanned += int(np.argmax(hits)) + 1
-            else:
-                answers.append(False)
-                scanned += size
-        return answers, scanned
-
-    # -------------------------------------------------------------- #
-    # merge probe (Line 14)
-    # -------------------------------------------------------------- #
-    def first_jcc_union(self, waiting_list: Sequence, candidate) -> int:
-        if not waiting_list:
-            return -1
-        catalog = candidate._catalog if candidate._id_mask is not None else None
-        min_waiting = self.MIN_WAITING
-        if catalog is not None and catalog.rows_mapped:
-            min_waiting = self.MIN_WAITING_MAPPED
-        if len(waiting_list) < min_waiting:
-            return self._reference.first_jcc_union(waiting_list, candidate)
-        if catalog is None or not candidate._tuples:
-            return self._reference.first_jcc_union(waiting_list, candidate)
-        mirror = catalog.packed_mirror()
-        width = mirror.width
-        gids = np.flatnonzero(unpack_bits(candidate._id_mask, mirror.n))
-        negated = ~mirror.consistent[gids, :width]
-        shifts = (gids & 63).astype(U64)
-        words = gids >> 6
-        candidate_words = set_words(candidate, width)
-        relation_mask = candidate._relation_mask
-        chunk_size = max(1, self.WAITING_CHUNK)
-        for start in range(0, len(waiting_list), chunk_size):
-            chunk = waiting_list[start : start + chunk_size]
-            # Fill a preallocated chunk matrix (``vstack`` re-validates and
-            # copies every row through ``atleast_2d`` — measurable at this
-            # call rate) and validate each waiting set on the way: any set
-            # that is uncatalogued or foreign drops the whole probe to the
-            # reference, which recomputes from scratch (pure function).
-            rows = np.empty((len(chunk), width), dtype=U64)
-            for j, w in enumerate(chunk):
-                if w._id_mask is None or w._catalog is not catalog or not w._tuples:
-                    return self._reference.first_jcc_union(waiting_list, candidate)
-                rows[j] = set_words(w, width)
-            # pair_bad[j, c]: some member of waiting j is inconsistent with
-            # candidate member c (the consistency matrix also charges a
-            # second tuple of c's relation here).
-            pair_bad = np.any(rows[:, None, :] & negated[None, :, :], axis=2)
-            # A candidate member already inside the waiting set is not
-            # incoming.
-            member = ((rows[:, words] >> shifts) & _ONE).astype(bool)
-            consistent = ~np.any(pair_bad & ~member, axis=1)
-            shares = np.any(rows & candidate_words[None, :], axis=1)
-            for j in np.flatnonzero(consistent):
-                if shares[j] or (chunk[j]._adjacent_relations & relation_mask):
-                    return start + int(j)
-        return -1
-
-    # -------------------------------------------------------------- #
-    # absorb test
-    # -------------------------------------------------------------- #
-    def batch_can_absorb(self, catalog, id_mask: int, relation_mask: int, gids):
-        mirror = catalog.packed_mirror()
-        width = mirror.width
-        gids = np.asarray(gids, dtype=np.int64)
-        if gids.size == 0:
-            return np.zeros(0, dtype=bool)
-        row = pack_int(id_mask, width)
-        inconsistent = np.any(row[None, :] & ~mirror.consistent[gids, :width], axis=1)
-        relation_ids = mirror.tuple_relation[gids]
-        relation_row = pack_int(relation_mask, mirror.r_words)
-        adjacent = np.any(mirror.adjacency[relation_ids] & relation_row[None, :], axis=1)
-        return ~inconsistent & adjacent
-
-    # -------------------------------------------------------------- #
-    # retraction sweeps
-    # -------------------------------------------------------------- #
-    def batch_contains_tombstoned(self, sets, catalog) -> List[bool]:
-        if not sets:
-            return []
-        if not catalog.dead_mask:
-            return [False] * len(sets)
-        if len(sets) < self.MIN_TOMBSTONED:
-            return self._reference.batch_contains_tombstoned(sets, catalog)
-        width = words_for(catalog.tuple_count)
-        dead_row = pack_int(catalog.dead_mask, width)
-        flags: List[bool] = []
-        packed_indices: List[int] = []
-        packed_rows: List[np.ndarray] = []
-        for index, tuple_set in enumerate(sets):
-            if tuple_set._id_mask is not None and tuple_set._catalog is catalog:
-                flags.append(False)
-                packed_indices.append(index)
-                packed_rows.append(set_words(tuple_set, width))
-            else:
-                flags.append(tuple_set.contains_tombstoned(catalog))
-        if packed_rows:
-            hits = np.any(np.vstack(packed_rows) & dead_row[None, :], axis=1)
-            for index, hit in zip(packed_indices, hits):
-                flags[index] = bool(hit)
-        return flags
 
     def batch_contains_dead(self, sets, dead) -> List[bool]:
         dead = dead if isinstance(dead, (set, frozenset)) else set(dead)
@@ -535,6 +344,3 @@ class PackedKernel(Kernel):
                 if any(t in dead for t in sets[int(index)]):
                     flags[int(index)] = True
         return [bool(flag) for flag in flags]
-
-    def popcount(self, mask: int) -> int:
-        return popcount_words(pack_int(mask, words_for(max(mask.bit_length(), 1))))

@@ -6,7 +6,8 @@ function … by adapting it in the spirit of PriorityIncrementalFD".  This
 module is that adaptation: per-relation priority queues seeded with every
 connected tuple set of size at most ``c`` that qualifies under the approximate
 join function, a shared ``Complete`` store, and extraction by highest rank,
-with ``ApproxGetNextResult`` doing the per-step work.
+with ``ApproxGetNextResult`` (``get_next_result`` under
+:class:`~repro.core.approx.ApproxSemantics`) doing the per-step work.
 
 The correctness ingredients are the same as for the exact ranked algorithm:
 
@@ -24,9 +25,9 @@ from __future__ import annotations
 from typing import Iterator, List, Optional, Set, Tuple as TupleType
 
 from repro.relational.database import Database
-from repro.core.approx import approx_get_next_result
+from repro.core.approx import ApproxSemantics
 from repro.core.approx_join import ApproximateJoinFunction
-from repro.core.incremental import FDStatistics
+from repro.core.incremental import FDStatistics, get_next_result
 from repro.core.store import CompleteStore, PriorityIncompletePool, record_store_statistics
 from repro.core.ranking import RankingFunction
 from repro.core.scanner import TupleScanner
@@ -131,11 +132,11 @@ def ranked_approx_full_disjunction(
     if k == 0:
         return
     if backend is None:
-        next_result = approx_get_next_result
+        next_result = get_next_result
     else:
         from repro.exec import resolve_backend
 
-        next_result = resolve_backend(backend).approx_next_result
+        next_result = resolve_backend(backend).next_result
 
     catalog = database.catalog()
     pools: List[PriorityIncompletePool] = []
@@ -177,8 +178,9 @@ def _ranked_approx_loop(
     k,
     rank_threshold,
     statistics,
-    next_result=approx_get_next_result,
+    next_result=get_next_result,
 ):
+    semantics = ApproxSemantics(join_function, threshold)
     printed = 0
     while True:
         best_index = None
@@ -198,12 +200,11 @@ def _ranked_approx_loop(
         result = next_result(
             database,
             anchors[best_index],
-            join_function,
-            threshold,
             pools[best_index],
             complete,
             scanner,
             statistics,
+            semantics=semantics,
         )
         if result in complete:
             continue

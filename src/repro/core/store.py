@@ -78,11 +78,6 @@ class CompleteStore:
         self._members = set()
         # tuple -> relation set -> stored sets holding that tuple.
         self._buckets: Dict[Tuple, Dict[FrozenSet[str], List[TupleSet]]] = {}
-        # (anchor, relations) -> packed group matrix, owned by the kernel.
-        # Groups only grow between retractions, so entries extend in place
-        # and the whole cache is dropped whenever a retraction reshapes the
-        # buckets.
-        self._kernel_cache: Dict = {}
         self.statistics = PoolStatistics()
 
     def __len__(self) -> int:
@@ -138,54 +133,12 @@ class CompleteStore:
     def contains_superset_batch(
         self, probes: List[TupleSet], anchor: Optional[Tuple] = None
     ) -> List[bool]:
-        """Line 11 of ``GetNextResult`` for a whole anchor bucket at once.
+        """:meth:`contains_superset` for each probe, in order.
 
-        All ``probes`` share the same anchor tuple, so with the index enabled
-        the bucket (and each of its relation-set groups) is fetched **once**
-        for the entire batch instead of once per probe — the amortization the
-        batched execution backend is built on.  The per-probe answers are
-        identical to calling :meth:`contains_superset` on each probe
-        (``Complete`` never changes during one ``GetNextResult`` call, so
-        batching cannot observe a different store state), and ``sets_scanned``
-        counts the same subset tests; only ``bucket_probes`` drops.
+        Kept for ``perfbench/spans.py``, which patches it by name; the
+        benchmark-only change that edits ``spans.py`` deletes it.
         """
-        # Span at bucket granularity only: the per-probe serial path is the
-        # per-step hot loop and stays untraced.
-        with trace_span("store.batch_probe", "store", probes=len(probes)):
-            if self._use_index and anchor is not None:
-                answers = [False] * len(probes)
-                groups = self._buckets.get(anchor)
-                if not groups:
-                    return answers
-                kernel = active_kernel()
-                unanswered = len(probes)
-                for relations, group in groups.items():
-                    self.statistics.bucket_probes += 1
-                    # A stored set can only contain a probe whose relation set
-                    # its own contains; the kernel sees only the open probes.
-                    open_indices = [
-                        index
-                        for index, probe in enumerate(probes)
-                        if not answers[index] and probe.relations <= relations
-                    ]
-                    if open_indices:
-                        group_answers, scanned = kernel.batch_contains_superset(
-                            group,
-                            [probes[index] for index in open_indices],
-                            cache=self._kernel_cache,
-                            cache_key=(anchor, relations),
-                        )
-                        self.statistics.sets_scanned += scanned
-                        for index, hit in zip(open_indices, group_answers):
-                            if hit:
-                                answers[index] = True
-                                unanswered -= 1
-                    if not unanswered:
-                        break  # every probe found a superset; mirror the serial early return
-                return answers
-            return [
-                self.contains_superset(probe, anchor=anchor) for probe in probes
-            ]
+        return [self.contains_superset(probe, anchor=anchor) for probe in probes]
 
     def as_list(self) -> List[TupleSet]:
         """The stored sets in insertion (printing) order."""
@@ -218,9 +171,7 @@ class CompleteStore:
                     for group in groups.values():
                         victims.update(group)
         elif catalog is not None:
-            members = list(self._members)
-            flags = active_kernel().batch_contains_tombstoned(members, catalog)
-            victims = {s for s, hit in zip(members, flags) if hit}
+            victims = {s for s in self._members if s.contains_tombstoned(catalog)}
         else:
             members = list(self._members)
             flags = active_kernel().batch_contains_dead(members, dead)
@@ -228,9 +179,6 @@ class CompleteStore:
         if not victims:
             span.close()
             return []
-        # Retractions reshape the groups, so the packed group matrices are
-        # rebuilt from scratch on the next probe.
-        self._kernel_cache.clear()
         retracted: List[TupleSet] = []
         seen = set()
         for stored in self._sets:

@@ -1,12 +1,11 @@
 """The serial backend: the paper's reference execution, extracted.
 
-This backend *is* the pre-existing behaviour of the drivers — the per-step
-functions are exactly :func:`repro.core.incremental.get_next_result` and
-:func:`repro.core.approx.approx_get_next_result`, and
+This backend *is* the pre-existing behaviour of the drivers — the step is
+exactly :func:`repro.core.incremental.get_next_result`, and
 :meth:`SerialBackend.run_singleton_passes` runs the passes of
 :func:`repro.core.full_disjunction.restricted_pass` one after another.  It
-exists as a class so the batched and sharded backends can replace one
-operation at a time while inheriting the rest.
+exists as a class so the sharded backend can replace the pass schedule
+while inheriting the rest.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from typing import Iterator, Optional
 
 from repro.relational.database import Database
 from repro.core.full_disjunction import restricted_pass
-from repro.core.incremental import get_next_result
+from repro.core.incremental import EXACT, get_next_result
 from repro.core.tupleset import TupleSet
 from repro.exec.base import ExecutionBackend
 from repro.obs.tracing import trace_span
@@ -35,6 +34,7 @@ class SerialBackend(ExecutionBackend):
         scanner=None,
         statistics=None,
         anchor_tuples=None,
+        semantics=EXACT,
     ) -> TupleSet:
         return get_next_result(
             database,
@@ -44,30 +44,7 @@ class SerialBackend(ExecutionBackend):
             scanner,
             statistics,
             anchor_tuples=anchor_tuples,
-        )
-
-    def approx_next_result(
-        self,
-        database,
-        anchor,
-        join_function,
-        threshold,
-        incomplete,
-        complete,
-        scanner=None,
-        statistics=None,
-    ) -> TupleSet:
-        from repro.core.approx import approx_get_next_result
-
-        return approx_get_next_result(
-            database,
-            anchor,
-            join_function,
-            threshold,
-            incomplete,
-            complete,
-            scanner,
-            statistics,
+            semantics=semantics,
         )
 
     def run_singleton_passes(

@@ -38,11 +38,11 @@ This backend therefore distributes **bucket ranges**, not whole passes:
   across worker counts and steal interleavings, and an abandoned stream
   still reports the ranges it consumed.
 
-``granularity="pass"`` retains the whole-pass fan-out (one task per
-relation chunk, output order identical to serial); the approximate driver
-always uses it — without the exact Line 14 ``JCC`` test, a similarity merge
-could join candidates across anchor tuples, so bucket-splitting an approx
-pass is not sound, and approx passes keep scanning the whole database.
+The approximate driver fans out whole passes instead (one task per
+relation chunk, output order identical to serial): without the exact
+Line 14 ``JCC`` test, a similarity merge could join candidates across
+anchor tuples, so bucket-splitting an approx pass is not sound, and approx
+passes keep scanning the whole database.
 
 Worker pools are long-lived: one shared pool, sized to the most recent
 request — resizing discards the old pool instead of leaking it, and
@@ -50,11 +50,8 @@ request — resizing discards the old pool instead of leaking it, and
 interpreter exit remains the backstop).  When the host cannot spawn processes
 (restricted sandboxes, unpicklable ad-hoc databases) the backend degrades to
 the inherited in-process schedule with a warning rather than failing — the
-schedule is a performance choice, never a correctness one.
-
-Per-step scheduling (``next_result``) is inherited from
-:class:`~repro.exec.batched.BatchedBackend`: sharding composes with bucket
-batching instead of replacing it.
+schedule is a performance choice, never a correctness one.  Workers and the
+fallback run the serial step, :func:`repro.core.incremental.get_next_result`.
 """
 
 from __future__ import annotations
@@ -71,7 +68,7 @@ from repro.core.full_disjunction import restricted_pass
 from repro.core.incremental import FDStatistics
 from repro.core.kernels import active_kernel, set_kernel
 from repro.core.tupleset import TupleSet
-from repro.exec.batched import BatchedBackend
+from repro.exec.serial import SerialBackend
 
 #: A result shipped across the process boundary: its member tuples' keys.
 ResultKeys = FrozenSet[TupleType[str, str]]
@@ -279,11 +276,10 @@ def _bucket_range_worker(
 ) -> TupleType[List[ResultKeys], FDStatistics, Optional[dict]]:
     """One bucket range of one restricted pass, inside a worker.
 
-    Runs the batched :func:`~repro.core.full_disjunction.restricted_pass`
-    limited to the range's anchor tuples (the ``anchor_tuples`` bucket
-    restriction) and ships the results back as
-    frozensets of ``(relation_name, label)`` keys — tiny, and unambiguous
-    because labels are unique per relation.  The parent's kernel name rides
+    Runs :func:`~repro.core.full_disjunction.restricted_pass` limited to
+    the range's anchor tuples (the ``anchor_tuples`` bucket restriction)
+    and ships the results back as frozensets of ``(relation_name, label)``
+    keys — tiny, and unambiguous because labels are unique per relation.  The parent's kernel name rides
     along so workers run the same inner-loop implementation even when the
     parent selected it programmatically.
 
@@ -310,7 +306,6 @@ def _bucket_range_worker(
             use_index=use_index,
             block_size=block_size,
             statistics=statistics,
-            backend=BatchedBackend(),
             anchor_tuples=bucket,
         ):
             results.append(
@@ -333,41 +328,6 @@ def _bucket_range_worker(
     return results, statistics, trace_payload
 
 
-def _singleton_passes_worker(
-    database: Database,
-    anchor_names: List[str],
-    use_index: bool,
-    block_size: Optional[int],
-    batched: bool,
-    kernel_name: Optional[str] = None,
-) -> List[TupleType[List[ResultKeys], FDStatistics]]:
-    """A chunk of whole restricted passes (``granularity="pass"``).
-
-    Module-level so it is picklable by ``ProcessPoolExecutor``.  Shipping a
-    *chunk* of anchors per task means the database (with its O(s²)-bit
-    catalog matrices) is serialized once per chunk, not once per relation.
-    """
-    if kernel_name is not None:
-        set_kernel(kernel_name)
-    backend = BatchedBackend() if batched else None
-    outputs: List[TupleType[List[ResultKeys], FDStatistics]] = []
-    for anchor_name in anchor_names:
-        statistics = FDStatistics()
-        results: List[ResultKeys] = [
-            frozenset((t.relation_name, t.label) for t in result)
-            for result in restricted_pass(
-                database,
-                anchor_name,
-                use_index=use_index,
-                block_size=block_size,
-                statistics=statistics,
-                backend=backend,
-            )
-        ]
-        outputs.append((results, statistics))
-    return outputs
-
-
 def _approx_passes_worker(
     database: Database,
     anchor_names: List[str],
@@ -378,9 +338,11 @@ def _approx_passes_worker(
 ) -> List[TupleType[List[ResultKeys], FDStatistics]]:
     """A chunk of ``ApproxIncrementalFD`` passes, run inside one worker process.
 
-    Mirrors :func:`_singleton_passes_worker`: the join function rides along in
-    the pickle (the stock similarity/aggregation classes are plain picklable
-    objects) and the results come back as ``(relation_name, label)`` key sets.
+    Module-level so it is picklable by ``ProcessPoolExecutor``; shipping a
+    *chunk* of anchors per task serializes the database once per chunk, not
+    once per relation.  The join function rides along in the pickle (the
+    stock similarity/aggregation classes are plain picklable objects) and
+    the results come back as ``(relation_name, label)`` key sets.
     Approx passes stay whole and scan the whole database: a similarity merge
     may join candidates across anchor tuples, so neither the bucket
     restriction nor the exact drop rule is sound for them.  A result holding
@@ -390,7 +352,6 @@ def _approx_passes_worker(
 
     if kernel_name is not None:
         set_kernel(kernel_name)
-    backend = BatchedBackend()
     order = {relation.name: index for index, relation in enumerate(database.relations)}
     outputs: List[TupleType[List[ResultKeys], FDStatistics]] = []
     for anchor_name in anchor_names:
@@ -404,7 +365,6 @@ def _approx_passes_worker(
             threshold,
             use_index=use_index,
             statistics=statistics,
-            backend=backend,
         ):
             if any(order[t.relation_name] < position for t in result):
                 continue
@@ -450,20 +410,15 @@ def _contiguous_chunks(items: List[str], count: int) -> List[List[str]]:
     return chunks
 
 
-class ShardedBackend(BatchedBackend):
-    """Fan bucket ranges (or whole passes) out to worker processes."""
+class ShardedBackend(SerialBackend):
+    """Fan bucket ranges (or whole approximate passes) out to worker processes."""
 
     name = "sharded"
 
-    def __init__(self, max_workers: int = 2, granularity: str = "bucket"):
+    def __init__(self, max_workers: int = 2):
         if max_workers < 1:
             raise ValueError(f"max_workers must be positive, got {max_workers}")
-        if granularity not in ("bucket", "pass"):
-            raise ValueError(
-                f"granularity must be 'bucket' or 'pass', got {granularity!r}"
-            )
         self.max_workers = max_workers
-        self.granularity = granularity
         # One fallback warning per backend instance: a streaming run pushes
         # hundreds of passes through the same backend, and a host that could
         # not spawn processes for the first one will not spawn them for the
@@ -471,10 +426,7 @@ class ShardedBackend(BatchedBackend):
         self._warned_fallback = False
 
     def __repr__(self) -> str:
-        return (
-            f"ShardedBackend(max_workers={self.max_workers}, "
-            f"granularity={self.granularity!r})"
-        )
+        return f"ShardedBackend(max_workers={self.max_workers})"
 
     def run_singleton_passes(
         self,
@@ -483,24 +435,17 @@ class ShardedBackend(BatchedBackend):
         block_size: Optional[int] = None,
         statistics=None,
     ) -> Iterator[TupleSet]:
-        fallback = lambda: super(ShardedBackend, self).run_singleton_passes(  # noqa: E731
+        return self._run_bucket_ranges_on_pool(
             database,
-            use_index=use_index,
-            block_size=block_size,
-            statistics=statistics,
-        )
-        if self.granularity == "bucket":
-            return self._run_bucket_ranges_on_pool(
-                database, use_index, block_size, statistics, fallback
-            )
-        return self._run_passes_on_pool(
-            database,
+            use_index,
+            block_size,
             statistics,
-            submit_chunk=lambda executor, chunk: executor.submit(
-                _singleton_passes_worker, database, chunk, use_index, block_size,
-                True, active_kernel().name,
+            fallback=lambda: super(ShardedBackend, self).run_singleton_passes(
+                database,
+                use_index=use_index,
+                block_size=block_size,
+                statistics=statistics,
             ),
-            fallback=fallback,
         )
 
     def run_approx_passes(
@@ -515,10 +460,9 @@ class ShardedBackend(BatchedBackend):
 
         Always pass-grained — the starred Line 14 merge (``A(S ∪ T') ≥ τ``)
         can join candidates across anchor tuples, so the bucket restriction
-        that makes exact ranges independent is not sound here.  Same
-        scaffolding and deterministic merge as the pass-grained exact driver;
-        an unpicklable ad-hoc join function degrades to the in-process
-        schedule exactly like a host that cannot spawn processes.
+        that makes exact ranges independent is not sound here.  An
+        unpicklable ad-hoc join function degrades to the in-process schedule
+        exactly like a host that cannot spawn processes.
         """
         return self._run_passes_on_pool(
             database,
@@ -624,7 +568,7 @@ class ShardedBackend(BatchedBackend):
     def _run_passes_on_pool(
         self, database: Database, statistics, submit_chunk, fallback
     ) -> Iterator[TupleSet]:
-        """The pass-grained fan-out scaffolding (``granularity="pass"``/approx).
+        """The pass-grained fan-out of the approximate passes.
 
         Chunks the relations, submits each chunk through ``submit_chunk``,
         and merges deterministically: chunks (and passes within them) in

@@ -605,18 +605,6 @@ class Catalog:
     # sizes and liveness
     # ------------------------------------------------------------------ #
     @property
-    def rows_mapped(self) -> bool:
-        """True when the consistency matrix is served from a mapped mirror.
-
-        Big-int row reads then unpack packed words on demand (through
-        :class:`_MirrorRows`) instead of indexing a resident list, which
-        flips the kernels' vectorize-vs-delegate crossovers: per-pair
-        big-int probes stop being cheap, so batch operations should
-        prefer the packed forms even at small sizes.
-        """
-        return isinstance(self._consistent, _MirrorRows)
-
-    @property
     def relation_count(self) -> int:
         """Number of catalogued relations."""
         return len(self._relation_names)

@@ -24,7 +24,7 @@ finish wastes that shape.  This package turns the engines into a service:
     sessions observe new results without restarting.
 :mod:`repro.service.server`
     An asyncio JSON-lines TCP server (``repro serve``) driving sessions for
-    many concurrent clients through the ``async`` execution backend; a
+    many concurrent clients one step at a time (``SessionDriver``); a
     ranked ``open`` validates its wire importance map and ships scores with
     every answer.
 :mod:`repro.service.sharding`

@@ -170,9 +170,8 @@ class StreamingFullDisjunction:
     ``Complete`` store mirroring every distinct result emitted so far, and a
     live :class:`ResultLog` that open sessions read.
 
-    ``backend`` schedules the per-step work (serial / batched / async —
-    in-process backends; the per-arrival loop is a single pass, so there is
-    nothing to shard).
+    ``backend`` schedules the per-step work through its ``next_result``;
+    the per-arrival loop is a single pass, so there is nothing to shard.
 
     With a ``ranking`` the maintained stream is the *ranked* full
     disjunction: log entries are ``(tuple set, score)`` pairs, the base run

@@ -1,9 +1,9 @@
 """An asyncio JSON-lines server driving query sessions end to end.
 
 One process, one event loop, many clients: each connection speaks a
-line-oriented JSON protocol, sessions are multiplexed through the ``async``
-execution backend (one ``GetNextResult``-granular step per loop turn), and
-identical queries from different clients share prefixes through a
+line-oriented JSON protocol, sessions are multiplexed by a
+:class:`SessionDriver` (one ``GetNextResult``-granular step per loop turn),
+and identical queries from different clients share prefixes through a
 :class:`~repro.service.cache.PrefixCache`.
 
 Protocol (one JSON object per line, both directions)::
@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import os
 import time
 from collections import OrderedDict
@@ -69,7 +70,6 @@ from repro.core.approx_join import (
 )
 from repro.core.ranking import MaxRanking, validate_importance_spec
 from repro.core.tupleset import TupleSet
-from repro.exec import AsyncBackend
 from repro.relational.database import Database
 from repro.relational.errors import (
     DatabaseError,
@@ -98,6 +98,8 @@ from repro.storage.store import (
     RecoveryError,
 )
 from repro.storage.wal import DEFAULT_FSYNC_EVERY, WAL_NAME, recover_wal
+
+logger = logging.getLogger(__name__)
 
 
 #: Longest request or reply line a connection reads, in bytes, in place of
@@ -138,6 +140,11 @@ def open_routing_key(request: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def request_op(request) -> object:
+    """The ``op`` of a decoded request, or ``None`` when it has none."""
+    return request.get("op") if isinstance(request, dict) else None
+
+
 def render_result(item) -> List[str]:
     """A result (tuple set, or (tuple set, score) pair) as sorted labels."""
     tuple_set = item[0] if isinstance(item, tuple) else item
@@ -172,6 +179,45 @@ def render_padded_result(item, schema, ranked: bool = False) -> dict:
     return payload
 
 
+class SessionDriver:
+    """Pull results from many sessions on one event loop, one step at a time.
+
+    A ``GetNextResult`` step is pure CPU work, so concurrent ``next`` pulls
+    share the loop cooperatively: :meth:`drive` takes one result, then hands
+    control back (``await asyncio.sleep(0)``), and any number of concurrent
+    ``drive`` tasks interleave at step granularity instead of one of them
+    holding the loop for a whole prefix.  ``steps`` counts the results
+    pulled per session label, for the ``stats`` op and the fairness checks.
+    """
+
+    #: Retained per-session step counters; a long-running server churns
+    #: through sessions, so the oldest labels age out past this bound.
+    MAX_TRACKED_SESSIONS = 1024
+
+    def __init__(self):
+        #: Steps (results pulled) per session label.
+        self.steps: "OrderedDict[str, int]" = OrderedDict()
+
+    def _count(self, session) -> None:
+        label = getattr(session, "name", None) or f"session-{id(session):x}"
+        self.steps[label] = self.steps.get(label, 0) + 1
+        self.steps.move_to_end(label)
+        while len(self.steps) > self.MAX_TRACKED_SESSIONS:
+            self.steps.popitem(last=False)
+
+    async def drive(self, session, k: Optional[int] = None) -> list:
+        """Pull up to ``k`` results from ``session`` (``None`` drains it)."""
+        results: list = []
+        while k is None or len(results) < k:
+            batch = session.next(1)
+            if not batch:
+                break
+            results.extend(batch)
+            self._count(session)
+            await asyncio.sleep(0)
+        return results
+
+
 class QueryServer:
     """Session bookkeeping + request dispatch for one served database."""
 
@@ -200,7 +246,7 @@ class QueryServer:
         #: replication tailer applies the primary's WAL records directly
         #: through the maintainer instead.
         self.read_only = read_only
-        self.backend = AsyncBackend()
+        self.driver = SessionDriver()
         self.maintainer = StreamingFullDisjunction(database, use_index=use_index)
         #: Wire requests of cache-backed opens, keyed by routing key — the
         #: requests whose cached prefixes a snapshot can persist and a
@@ -577,7 +623,7 @@ class QueryServer:
             return error
         k = int(request.get("k", 1))
         render = self._renderer(request)
-        results = await self.backend.drive(session, k)
+        results = await self.driver.drive(session, k)
         return {
             "ok": True,
             "results": [render(item) for item in results],
@@ -852,6 +898,7 @@ class QueryServer:
                             request, connection_sessions
                         )
                     except Exception as error:  # serve errors, don't die
+                        logger.exception("server fault on op %r", request_op(request))
                         response = {"ok": False, "error": str(error)}
                 writer.write(json.dumps(response).encode() + b"\n")
                 try:
@@ -900,7 +947,7 @@ def server_stats(state: QueryServer) -> dict:
         "cache": state.cache.stats(),
         "sessions": len(state._sessions),
         "requests": state.requests,
-        "steps": dict(state.backend.steps),
+        "steps": dict(state.driver.steps),
         "kernel": active_kernel().name,
         "arrivals_applied": state.maintainer.arrivals_applied,
         "mutations_applied": state.maintainer.mutations_applied,

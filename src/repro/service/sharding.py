@@ -41,6 +41,7 @@ import asyncio
 import bisect
 import hashlib
 import json
+import logging
 import multiprocessing
 import os
 import pickle
@@ -66,8 +67,11 @@ from repro.service.server import (  # noqa: F401 - re-export
     client_call,
     open_routing_key,
     reply_line_too_long,
+    request_op,
     start_server,
 )
+
+logger = logging.getLogger(__name__)
 
 
 class ConsistentHashRing:
@@ -505,6 +509,7 @@ class ShardedQueryServer:
                             request, connection_sessions
                         )
                     except Exception as error:  # serve errors, don't die
+                        logger.exception("router fault on op %r", request_op(request))
                         response = {"ok": False, "error": str(error)}
                 writer.write(json.dumps(response).encode() + b"\n")
                 await writer.drain()

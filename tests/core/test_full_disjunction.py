@@ -85,7 +85,7 @@ class TestRestrictedPasses:
         database.remove_tuple("R1", "r1")
         # {s1} could absorb r1 before the removal; afterwards it is an answer.
         expected = {frozenset({"r2"}), frozenset({"s1"})}
-        for backend in ("serial", "sharded:2", "sharded-pass:2"):
+        for backend in ("serial", "sharded:2"):
             results = full_disjunction(database, use_index=True, backend=backend)
             assert labels_of(results) == expected
             assert len(results) == 2
@@ -130,7 +130,7 @@ class TestRestrictedPasses:
 class TestDriverStatistics:
     """Counters survive an abandoned stream and count what each pass did."""
 
-    BACKENDS = ("serial", "batched", "async", "sharded:2", "sharded-pass:2")
+    BACKENDS = ("serial", "sharded:2")
 
     @pytest.mark.parametrize("initialization", STRATEGIES)
     @pytest.mark.parametrize("backend", BACKENDS)

@@ -1,12 +1,12 @@
 """The kernel layer: selection, the packed mirror, and per-op parity.
 
-The packed kernel re-implements the big-int inner loops on NumPy
+The packed kernel re-implements the big-int eviction sweep on NumPy
 ``uint64`` packed-word arrays; its contract is *observational identity*
-with :class:`repro.core.kernels.bigint.BigintKernel` — same answers, same
-``sets_scanned`` accounting, same first-match semantics.  These tests
+with :class:`repro.core.kernels.bigint.BigintKernel` — same answers, in
+the same order.  These tests
 exercise the selection machinery (environment, override, NumPy gating),
-the catalog's columnar mirror under appends and tombstones, and every
-batch operation against the reference on randomized workloads.
+the catalog's columnar mirror under appends and tombstones, and the
+eviction sweep against the reference on randomized workloads.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro.core.kernels import (
 )
 from repro.core.kernels.bigint import BigintKernel
 from repro.core.incremental import FDStatistics, incremental_fd
-from repro.core.store import CompleteStore
 from repro.core.tupleset import TupleSet
 from repro.workloads.generators import chain_database, random_database, star_database
 from repro.workloads.tourist import tourist_database
@@ -44,17 +43,14 @@ AVAILABLE_KERNELS = [
 
 
 def _vectorized(kernel):
-    """Zero the packed kernel's small-batch cutoffs.
+    """Zero the packed kernel's small-batch cutoff.
 
-    The cutoffs delegate small inputs to the reference (the NumPy dispatch
+    The cutoff delegates small inputs to the reference (the NumPy dispatch
     overhead outweighs the vector win there); parity tests force the
-    vectorized paths so they are exercised on small workloads too.
+    vectorized path so it is exercised on small workloads too.
     """
-    for attr in (
-        "MIN_GROUP", "MIN_WAITING", "MIN_TOMBSTONED", "MIN_DEAD",
-    ):
-        if hasattr(kernel, attr):
-            setattr(kernel, attr, 0)
+    if hasattr(kernel, "MIN_DEAD"):
+        kernel.MIN_DEAD = 0
     return kernel
 
 def _workload_factories():
@@ -339,74 +335,8 @@ def test_file_backed_catalog_reattaches_across_processes(tmp_path):
 
 
 # ------------------------------------------------------------------ #
-# per-op parity: packed vs the big-int reference
+# the eviction sweep: packed vs the big-int reference
 # ------------------------------------------------------------------ #
-@requires_numpy
-@pytest.mark.parametrize("name,database", WORKLOADS, ids=WORKLOAD_IDS)
-def test_batch_contains_superset_parity(name, database):
-    from repro.core.kernels.packed import PackedKernel
-
-    catalog = database.catalog()
-    all_tuples = list(database.tuples())
-    rng = random.Random(5)
-    reference, packed = BigintKernel(), _vectorized(PackedKernel())
-    for _ in range(30):
-        group = [_random_jcc_set(rng, all_tuples, catalog) for _ in range(6)]
-        probes = [_random_jcc_set(rng, all_tuples, catalog) for _ in range(4)]
-        if rng.random() < 0.5 and group:
-            # Force genuine subset hits: probe a stored set's subset.
-            donor = rng.choice(group)
-            members = rng.sample(
-                sorted(donor.tuples, key=lambda t: (t.relation_name, t.label)),
-                rng.randint(1, len(donor)),
-            )
-            probes.append(TupleSet(members, catalog=catalog))
-        want = reference.batch_contains_superset(group, probes)
-        got = packed.batch_contains_superset(group, probes, cache={}, cache_key="k")
-        assert got[0] == want[0]
-        assert got[1] == want[1]  # the sets_scanned early-break emulation
-
-
-@requires_numpy
-@pytest.mark.parametrize("name,database", WORKLOADS, ids=WORKLOAD_IDS)
-def test_first_jcc_union_parity(name, database):
-    from repro.core.kernels.packed import PackedKernel
-
-    catalog = database.catalog()
-    all_tuples = list(database.tuples())
-    rng = random.Random(23)
-    reference, packed = BigintKernel(), _vectorized(PackedKernel())
-    for _ in range(40):
-        waiting = [_random_jcc_set(rng, all_tuples, catalog) for _ in range(5)]
-        candidate = _random_jcc_set(rng, all_tuples, catalog)
-        assert packed.first_jcc_union(waiting, candidate) == reference.first_jcc_union(
-            waiting, candidate
-        )
-
-
-@requires_numpy
-@pytest.mark.parametrize("name,database", WORKLOADS, ids=WORKLOAD_IDS)
-def test_batch_can_absorb_parity(name, database):
-    from repro.core.kernels.packed import PackedKernel
-
-    catalog = database.catalog()
-    all_tuples = list(database.tuples())
-    gids = list(range(catalog.tuple_count))
-    rng = random.Random(31)
-    reference, packed = BigintKernel(), _vectorized(PackedKernel())
-    for _ in range(30):
-        ts = _random_jcc_set(rng, all_tuples, catalog)
-        want = reference.batch_can_absorb(catalog, ts._id_mask, ts._relation_mask, gids)
-        got = packed.batch_can_absorb(catalog, ts._id_mask, ts._relation_mask, gids)
-        assert list(got) == list(want)
-        for gid, flag in zip(gids, want):
-            # The kernel answers for *outside* tuples; membership is the
-            # caller's short-circuit (can_absorb returns True on a member).
-            t = catalog.tuple_at(gid)
-            if t not in ts:
-                assert ts.can_absorb(t) == bool(flag)
-
-
 @requires_numpy
 def test_retraction_sweeps_parity_under_mutations():
     from repro.core.kernels.packed import PackedKernel
@@ -428,9 +358,6 @@ def test_retraction_sweeps_parity_under_mutations():
         else:
             database.remove_tuple(victim.relation_name, victim.label)
         dead = {t for t in all_tuples if catalog.is_tombstoned(t)}
-        assert packed.batch_contains_tombstoned(sets, catalog) == (
-            reference.batch_contains_tombstoned(sets, catalog)
-        )
         assert packed.batch_contains_dead(sets, dead) == (
             reference.batch_contains_dead(sets, dead)
         )
@@ -464,65 +391,17 @@ def test_batch_contains_dead_sees_equal_reincarnations():
     )
 
 
-@requires_numpy
-def test_popcount_parity():
-    from repro.core.kernels.packed import PackedKernel
-
-    rng = random.Random(3)
-    reference, packed = BigintKernel(), _vectorized(PackedKernel())
-    for _ in range(50):
-        mask = rng.getrandbits(rng.randint(1, 400))
-        assert packed.popcount(mask) == reference.popcount(mask)
-    assert packed.popcount(0) == 0
-
-
 # ------------------------------------------------------------------ #
-# the store's kernel cache
-# ------------------------------------------------------------------ #
-@requires_numpy
-def test_store_kernel_cache_is_invalidated_by_retraction():
-    database = chain_database(
-        relations=3, tuples_per_relation=5, domain_size=3, null_rate=0.2, seed=13
-    )
-    catalog = database.catalog()
-    all_tuples = list(database.tuples())
-    rng = random.Random(29)
-    with use_kernel("packed") as kernel:
-        _vectorized(kernel)
-        store = CompleteStore(anchor_relation=None, use_index=True)
-        sets = [_random_jcc_set(rng, all_tuples, catalog) for _ in range(8)]
-        for ts in sets:
-            store.add(ts)
-        anchors = [min(ts.tuples, key=lambda t: (t.relation_name, t.label)) for ts in sets]
-        for ts, anchor in zip(sets, anchors):
-            assert store.contains_superset_batch([ts], anchor=anchor) == [True]
-        assert store._kernel_cache  # the group matrices are warm
-        victim = anchors[0]
-        database.remove_tuple(victim.relation_name, victim.label)
-        removed = store.retract_containing({victim}, catalog=catalog)
-        assert all(victim in ts for ts in removed)
-        assert not store._kernel_cache  # invalidated, not stale
-        survivors = [ts for ts in sets if victim not in ts]
-        for ts in survivors:
-            anchor = min(ts.tuples, key=lambda t: (t.relation_name, t.label))
-            assert store.contains_superset_batch([ts], anchor=anchor) == [True]
-
-
-# ------------------------------------------------------------------ #
-# the whole driver on forced-vectorized paths
+# the whole driver under each kernel and backing
 # ------------------------------------------------------------------ #
 @requires_numpy
 @pytest.mark.parametrize("name", WORKLOAD_IDS)
-def test_driver_stream_is_identical_on_forced_vectorized_paths(name, tmp_path):
-    """End to end through every packed code path, cutoffs zeroed — four ways.
+def test_driver_stream_is_identical_across_kernels_and_backings(name, tmp_path):
+    """The ordered result stream and the scan counters, three ways.
 
-    These workloads are small enough that the production cutoffs would
-    delegate everything to the reference; forcing the vectorized paths
-    runs the real batched driver through the packed probe, merge, and
-    extend loops and asserts the ordered result stream — and the scan
-    counters — are byte-identical across the big-int run and the packed
-    kernel on *both* mirror backings (anonymous RAM arrays and the
-    mapped file).
+    The big-int run and the packed kernel on *both* mirror backings
+    (anonymous RAM arrays and the mapped file, whose consistency rows the
+    step then reads from the file) must agree byte for byte.
     """
     from repro.core.full_disjunction import full_disjunction
 
@@ -531,12 +410,9 @@ def test_driver_stream_is_identical_on_forced_vectorized_paths(name, tmp_path):
     modes = [("bigint", "ram"), ("packed", "ram"), ("packed", "mmap")]
     for kernel_name, backing in modes:
         database = _backed_database(name, backing, tmp_path)
-        with use_kernel(kernel_name) as kernel:
-            _vectorized(kernel)
+        with use_kernel(kernel_name):
             statistics = FDStatistics()
-            results = full_disjunction(
-                database, use_index=True, backend="batched", statistics=statistics
-            )
+            results = full_disjunction(database, use_index=True, statistics=statistics)
             streams[(kernel_name, backing)] = [
                 tuple(sorted((t.relation_name, t.label) for t in ts))
                 for ts in results

@@ -1,0 +1,174 @@
+"""The one ``GetNextResult`` under both join semantics.
+
+``get_next_result`` shares Lines 1 and 10–19 between the exact step (Fig. 2)
+and the starred step of Fig. 6; its ``semantics`` argument supplies Lines
+2–6, Lines 7–9 and the Line 14 test.  Two properties pin the shared loop
+down.  Under :class:`~repro.core.approx.ApproxSemantics` the approximate
+driver returns the brute-force ``AFD(R, A, τ)`` oracle's answer set.  And
+with :class:`~repro.core.approx_join.ExactJoin` (``A(T) = 1`` exactly when
+``JCC(T)``) at τ = 1, the starred step replays the exact one: the same
+results in the same order, the same ``Incomplete`` list after every step
+and the same step counters, under both kernels.
+"""
+
+from __future__ import annotations
+
+import zlib
+
+import pytest
+
+from repro.baselines.naive import naive_approx_full_disjunction
+from repro.core.approx import (
+    ApproxSemantics,
+    approx_full_disjunction,
+    approx_incremental_fd,
+)
+from repro.core.approx_join import ExactJoin, MinJoin, SimilarityFunction
+from repro.core.full_disjunction import full_disjunction
+from repro.core.incremental import FDStatistics, incremental_fd
+from repro.core.kernels import KERNELS, numpy_available, use_kernel
+from repro.exec import SerialBackend
+from repro.workloads.generators import chain_database, random_database, star_database
+from repro.workloads.tourist import tourist_database
+
+AVAILABLE_KERNELS = [name for name in KERNELS if name != "packed" or numpy_available()]
+
+
+class GradedSimilarity(SimilarityFunction):
+    """Join-consistent pairs score 1; any other pair a fixed grade below 1.
+
+    The grade is a hash of the pair's labels, so the thresholds below keep
+    some inconsistent pairs and drop others.
+    """
+
+    GRADES = (0.0, 0.45, 0.55, 0.7, 0.9)
+
+    def compute(self, first, second):
+        if first.join_consistent_with(second):
+            return 1.0
+        key = f"{first.relation_name}.{first.label}|{second.relation_name}.{second.label}"
+        return self.GRADES[zlib.crc32(key.encode()) % len(self.GRADES)]
+
+
+AMIN = MinJoin(GradedSimilarity())
+EXACT_JOIN = ApproxSemantics(ExactJoin(), 1.0)
+
+
+def _workloads():
+    yield "tourist", tourist_database()
+    yield "chain", chain_database(
+        relations=3, tuples_per_relation=4, domain_size=3, null_rate=0.2, seed=5
+    )
+    yield "star", star_database(spokes=3, tuples_per_relation=3, hub_domain=2, seed=11)
+    for seed in (0, 1):
+        yield f"random-{seed}", random_database(
+            relations=3,
+            attributes=5,
+            arity=3,
+            tuples_per_relation=4,
+            domain_size=2,
+            null_rate=0.25,
+            seed=seed,
+        )
+
+
+WORKLOADS = list(_workloads())
+WORKLOAD_IDS = [name for name, _ in WORKLOADS]
+
+with_workloads = pytest.mark.parametrize("name,database", WORKLOADS, ids=WORKLOAD_IDS)
+with_index = pytest.mark.parametrize(
+    "use_index", [False, True], ids=["plain", "indexed"]
+)
+
+
+class SemanticsBackend(SerialBackend):
+    """The serial step under one fixed semantics, whatever the driver passes."""
+
+    def __init__(self, semantics):
+        self.semantics = semantics
+
+    def next_result(self, *args, **kwargs):
+        kwargs["semantics"] = self.semantics
+        return super().next_result(*args, **kwargs)
+
+
+def _labelled(results):
+    return [ts.labels() for ts in results]
+
+
+def _step_counters(statistics):
+    """The counters the step and the pass keep.
+
+    ``results_emitted`` (results handed to the consumer) and the kernel tag
+    are kept by the exact driver only, so they are left out.
+    """
+    counters = statistics.as_dict()
+    counters.pop("results_emitted")
+    counters.pop("kernel", None)
+    return counters
+
+
+def _steps(database, anchor, use_index, backend):
+    """Results, the ``Incomplete`` list after every step, and the counters."""
+    statistics = FDStatistics()
+    pools = []
+
+    def after_step(iteration, result, incomplete, complete):
+        pools.append([s.labels() for s in incomplete.as_list()])
+
+    results = incremental_fd(
+        database,
+        anchor,
+        use_index=use_index,
+        statistics=statistics,
+        on_iteration=after_step,
+        backend=backend,
+    )
+    return _labelled(results), pools, _step_counters(statistics)
+
+
+@with_index
+@with_workloads
+def test_approx_semantics_matches_the_oracle(name, database, use_index):
+    for threshold in (0.5, 0.6, 0.8):
+        expected = {
+            ts.labels() for ts in naive_approx_full_disjunction(database, AMIN, threshold)
+        }
+        produced = approx_full_disjunction(database, AMIN, threshold, use_index=use_index)
+        assert {ts.labels() for ts in produced} == expected, threshold
+        assert len(produced) == len(expected), threshold
+
+
+@with_index
+@with_workloads
+def test_exact_join_replays_the_exact_step(name, database, use_index):
+    """Step by step: the starred Lines 2–9 and 14 make the exact decisions."""
+    starred = SemanticsBackend(EXACT_JOIN)
+    for kernel in AVAILABLE_KERNELS:
+        with use_kernel(kernel):
+            for anchor in database.relation_names:
+                assert _steps(database, anchor, use_index, starred) == _steps(
+                    database, anchor, use_index, None
+                ), (kernel, anchor)
+
+
+@with_index
+@with_workloads
+def test_exact_join_approx_driver_is_the_exact_driver(name, database, use_index):
+    """Every ``ApproxIncrementalFD`` pass, and the whole ``AFD``, in order."""
+    for anchor in database.relation_names:
+        exact, starred = FDStatistics(), FDStatistics()
+        expected = _labelled(
+            incremental_fd(database, anchor, use_index=use_index, statistics=exact)
+        )
+        produced = _labelled(
+            approx_incremental_fd(
+                database, anchor, ExactJoin(), 1.0, use_index=use_index,
+                statistics=starred,
+            )
+        )
+        assert produced == expected, anchor
+        assert _step_counters(starred) == _step_counters(exact), anchor
+    assert _labelled(
+        approx_full_disjunction(database, ExactJoin(), 1.0, use_index=use_index)
+    ) == _labelled(full_disjunction(database, use_index=use_index))

@@ -1,10 +1,9 @@
-"""Cross-backend equivalence: serial, batched and sharded schedules.
+"""Cross-backend equivalence: the serial and sharded schedules.
 
 In the style of ``tests/core/test_tupleset_equivalence.py``: the execution
-backends must be observationally identical to the serial reference on
-randomized workloads — identical result *sets* everywhere, and identical
-result *order* for the ordered drivers (the batched step is exactly
-order-equivalent, and the sharded merge is deterministic in relation order).
+backends must return the naive oracle's answer set on randomized workloads,
+under both kernels, and every driver must send each of its steps, exact or
+approximate, through the backend's ``next_result``.
 """
 
 from __future__ import annotations
@@ -14,18 +13,20 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive import naive_full_disjunction
-from repro.core.approx import approx_full_disjunction
+from repro.core.approx import (
+    ApproxSemantics,
+    approx_full_disjunction,
+    approx_incremental_fd,
+)
 from repro.core.approx_join import ExactMatchSimilarity, MinJoin
 from repro.core.full_disjunction import first_k, full_disjunction
-from repro.core.incremental import FDStatistics, incremental_fd
+from repro.core.incremental import EXACT, FDStatistics, incremental_fd
 from repro.core.kernels import numpy_available, use_kernel
 from repro.core.priority import priority_incremental_fd
 from repro.core.ranked_approx import ranked_approx_full_disjunction
 from repro.core.ranking import MaxRanking
 from repro.exec import (
     BACKENDS,
-    AsyncBackend,
-    BatchedBackend,
     ExecutionBackend,
     SerialBackend,
     ShardedBackend,
@@ -40,32 +41,6 @@ from repro.workloads.generators import (
 from repro.workloads.tourist import tourist_database
 
 
-def _workloads():
-    yield "tourist", tourist_database()
-    yield "chain", chain_database(
-        relations=3, tuples_per_relation=5, domain_size=3, null_rate=0.2, seed=7
-    )
-    yield "star", star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=11)
-    for seed in (0, 1, 2):
-        yield f"random-{seed}", random_database(
-            relations=3,
-            attributes=5,
-            arity=3,
-            tuples_per_relation=4,
-            domain_size=2,
-            null_rate=0.25,
-            seed=seed,
-        )
-
-
-WORKLOADS = list(_workloads())
-WORKLOAD_IDS = [name for name, _ in WORKLOADS]
-
-#: The in-process step-for-step backends: every single-run sequence must be
-#: identical to serial (the async backend inherits the batched step).
-STEP_BACKENDS = ("batched", "async")
-
-
 def _labelled(results):
     return [ts.labels() for ts in results]
 
@@ -75,12 +50,12 @@ class TestResolveBackend:
         assert isinstance(resolve_backend(None), SerialBackend)
 
     def test_names_resolve(self):
+        assert BACKENDS == ("serial", "sharded")
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("batched"), BatchedBackend)
         assert isinstance(resolve_backend("sharded"), ShardedBackend)
 
     def test_instances_pass_through(self):
-        backend = BatchedBackend()
+        backend = SerialBackend()
         assert resolve_backend(backend) is backend
 
     def test_sharded_worker_suffix(self):
@@ -96,13 +71,16 @@ class TestResolveBackend:
         with pytest.raises(ValueError, match="unknown execution backend"):
             resolve_backend("quantum")
 
-    def test_async_resolves(self):
-        assert isinstance(resolve_backend("async"), AsyncBackend)
-        assert isinstance(resolve_backend("asyncio"), AsyncBackend)
+    @pytest.mark.parametrize(
+        "name", ["batched", "async", "asyncio", "sharded-pass", "sharded-pass:2"]
+    )
+    def test_removed_names_are_refused_with_the_accepted_ones(self, name):
+        with pytest.raises(ValueError, match=r"expected one of \('serial', 'sharded'\)"):
+            resolve_backend(name)
 
     def test_worker_count_on_in_process_backends_is_rejected(self):
         with pytest.raises(ValueError, match="no worker count"):
-            resolve_backend("batched", workers=8)
+            resolve_backend("serial", workers=8)
         with pytest.raises(ValueError, match="no worker count"):
             resolve_backend("serial:4")
 
@@ -115,88 +93,113 @@ class TestResolveBackend:
             assert isinstance(resolve_backend(name), ExecutionBackend)
 
 
-@pytest.mark.parametrize("backend", STEP_BACKENDS)
-@pytest.mark.parametrize("name,database", WORKLOADS, ids=WORKLOAD_IDS)
-@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
-def test_batched_full_disjunction_is_order_identical(name, database, use_index, backend):
-    serial = full_disjunction(database, use_index=use_index, backend="serial")
-    batched = full_disjunction(database, use_index=use_index, backend=backend)
-    assert _labelled(serial) == _labelled(batched)
+class RecordingBackend(SerialBackend):
+    """The serial step, recording the semantics of every call."""
+
+    def __init__(self):
+        self.semantics = []
+
+    def next_result(self, *args, **kwargs):
+        self.semantics.append(type(kwargs.get("semantics", EXACT)))
+        return super().next_result(*args, **kwargs)
 
 
-@pytest.mark.parametrize("backend", STEP_BACKENDS)
-@pytest.mark.parametrize("name,database", WORKLOADS, ids=WORKLOAD_IDS)
-def test_batched_incremental_fd_pass_is_order_identical(name, database, backend):
-    anchor = database.relation_names[0]
-    serial = list(incremental_fd(database, anchor, use_index=True))
-    batched = list(
-        incremental_fd(database, anchor, use_index=True, backend=backend)
-    )
-    assert _labelled(serial) == _labelled(batched)
-
-
-@pytest.mark.parametrize("backend", STEP_BACKENDS)
-@pytest.mark.parametrize(
-    "initialization", ["previous-results", "reduced-previous"]
-)
-def test_batched_reuse_strategies_match_serial(initialization, backend):
-    database = chain_database(
-        relations=3, tuples_per_relation=5, domain_size=3, null_rate=0.2, seed=7
-    )
-    serial = full_disjunction(
-        database, use_index=True, initialization=initialization, backend="serial"
-    )
-    batched = full_disjunction(
-        database, use_index=True, initialization=initialization, backend=backend
-    )
-    assert _labelled(serial) == _labelled(batched)
-
-
-@pytest.mark.parametrize("backend", STEP_BACKENDS)
-@pytest.mark.parametrize("name,database", WORKLOADS, ids=WORKLOAD_IDS)
-def test_batched_priority_driver_is_order_identical(name, database, backend):
-    ranking = MaxRanking(lambda t: float(sum(ord(ch) for ch in t.label) % 13))
-    serial = list(priority_incremental_fd(database, ranking, use_index=True))
-    batched = list(
-        priority_incremental_fd(database, ranking, use_index=True, backend=backend)
-    )
-    assert [(ts.labels(), score) for ts, score in serial] == [
-        (ts.labels(), score) for ts, score in batched
-    ]
-
-
-@pytest.mark.parametrize("backend", STEP_BACKENDS)
-@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
-def test_batched_approx_driver_matches_serial(use_index, backend):
-    database = chain_database(
+def _workloads():
+    yield "tourist", tourist_database()
+    yield "chain", chain_database(
         relations=3, tuples_per_relation=4, domain_size=3, null_rate=0.2, seed=5
     )
-    amin = MinJoin(ExactMatchSimilarity())
-    serial = approx_full_disjunction(database, amin, 0.6, use_index=use_index)
-    batched = approx_full_disjunction(
-        database, amin, 0.6, use_index=use_index, backend=backend
-    )
-    assert _labelled(serial) == _labelled(batched)
-
-
-@pytest.mark.parametrize("backend", STEP_BACKENDS)
-def test_batched_ranked_approx_driver_is_order_identical(backend):
-    database = chain_database(
-        relations=3, tuples_per_relation=4, domain_size=3, null_rate=0.2, seed=5
-    )
-    amin = MinJoin(ExactMatchSimilarity())
-    ranking = MaxRanking(lambda t: float(sum(ord(ch) for ch in t.label) % 7))
-    serial = list(
-        ranked_approx_full_disjunction(database, amin, 0.6, ranking, use_index=True)
-    )
-    batched = list(
-        ranked_approx_full_disjunction(
-            database, amin, 0.6, ranking, use_index=True, backend=backend
+    yield "star", star_database(spokes=3, tuples_per_relation=3, hub_domain=2, seed=11)
+    for seed in (0, 1):
+        yield f"random-{seed}", random_database(
+            relations=3,
+            attributes=5,
+            arity=3,
+            tuples_per_relation=4,
+            domain_size=2,
+            null_rate=0.25,
+            seed=seed,
         )
-    )
-    assert [(ts.labels(), score) for ts, score in serial] == [
-        (ts.labels(), score) for ts, score in batched
-    ]
+
+
+WORKLOADS = list(_workloads())
+WORKLOAD_IDS = [name for name, _ in WORKLOADS]
+AMIN = MinJoin(ExactMatchSimilarity())
+RANKING = MaxRanking(lambda t: float(sum(ord(ch) for ch in t.label) % 7))
+
+#: Every driver that takes a backend, with the semantics its steps carry.
+DRIVERS = {
+    "fd": (
+        lambda db, backend: _labelled(full_disjunction(db, backend=backend)),
+        EXACT,
+    ),
+    "fd-reuse": (
+        lambda db, backend: _labelled(
+            full_disjunction(
+                db, use_index=True, initialization="previous-results",
+                backend=backend,
+            )
+        ),
+        EXACT,
+    ),
+    "first-k": (
+        lambda db, backend: _labelled(first_k(db, 3, backend=backend)),
+        EXACT,
+    ),
+    "pass": (
+        lambda db, backend: _labelled(
+            incremental_fd(
+                db, db.relation_names[-1], use_index=True, backend=backend
+            )
+        ),
+        EXACT,
+    ),
+    "priority": (
+        lambda db, backend: [
+            (ts.labels(), score)
+            for ts, score in priority_incremental_fd(
+                db, RANKING, use_index=True, backend=backend
+            )
+        ],
+        EXACT,
+    ),
+    "approx": (
+        lambda db, backend: _labelled(
+            approx_full_disjunction(db, AMIN, 0.6, backend=backend)
+        ),
+        ApproxSemantics(AMIN, 0.6),
+    ),
+    "approx-pass": (
+        lambda db, backend: _labelled(
+            approx_incremental_fd(
+                db, db.relation_names[-1], AMIN, 0.6, use_index=True,
+                backend=backend,
+            )
+        ),
+        ApproxSemantics(AMIN, 0.6),
+    ),
+    "ranked-approx": (
+        lambda db, backend: [
+            (ts.labels(), score)
+            for ts, score in ranked_approx_full_disjunction(
+                db, AMIN, 0.6, RANKING, use_index=True, backend=backend
+            )
+        ],
+        ApproxSemantics(AMIN, 0.6),
+    ),
+}
+
+
+@pytest.mark.parametrize("name,database", WORKLOADS, ids=WORKLOAD_IDS)
+@pytest.mark.parametrize("driver", sorted(DRIVERS))
+def test_every_step_goes_through_the_backend(driver, name, database):
+    """A backend sees each step of each driver, with that driver's semantics,
+    and returns the default run's answers in the default run's order."""
+    run, semantics = DRIVERS[driver]
+    backend = RecordingBackend()
+    assert run(database, backend) == run(database, None)
+    assert backend.semantics
+    assert set(backend.semantics) == {type(semantics)}
 
 
 @st.composite
@@ -253,34 +256,10 @@ def test_singleton_driver_matches_the_oracle_on_every_backend(database, use_inde
     expected = {ts.labels() for ts in naive_full_disjunction(database)}
     for kernel in KERNELS:
         with use_kernel(kernel):
-            sequences = {}
-            for backend in ("serial", "batched", "sharded:2", "sharded-pass:2"):
+            for backend in ("serial", "sharded:2"):
                 results = full_disjunction(database, use_index=use_index, backend=backend)
                 assert {ts.labels() for ts in results} == expected, (kernel, backend)
                 assert len(results) == len(expected), (kernel, backend)
-                sequences[backend] = _labelled(results)
-            assert sequences["serial"] == sequences["batched"] == sequences["sharded-pass:2"]
-
-
-def test_batched_probes_fewer_buckets_for_the_same_scans():
-    """The batched schedule's whole point: fewer probes, same subset tests."""
-    database = star_database(spokes=3, tuples_per_relation=5, hub_domain=2, seed=4)
-    serial_statistics, batched_statistics = FDStatistics(), FDStatistics()
-    serial = full_disjunction(
-        database, use_index=True, statistics=serial_statistics, backend="serial"
-    )
-    batched = full_disjunction(
-        database, use_index=True, statistics=batched_statistics, backend="batched"
-    )
-    assert _labelled(serial) == _labelled(batched)
-    assert (
-        batched_statistics.extras["complete_sets_scanned"]
-        == serial_statistics.extras["complete_sets_scanned"]
-    )
-    assert (
-        batched_statistics.extras["complete_bucket_probes"]
-        < serial_statistics.extras["complete_bucket_probes"]
-    )
 
 
 class TestShardedBackend:
@@ -296,16 +275,6 @@ class TestShardedBackend:
         assert set(_labelled(serial)) == set(_labelled(sharded))
         assert len(serial) == len(sharded)
 
-    def test_pass_granularity_is_order_identical_to_serial(self):
-        database = chain_database(
-            relations=3, tuples_per_relation=5, domain_size=3, null_rate=0.2, seed=7
-        )
-        serial = full_disjunction(database, use_index=True, backend="serial")
-        sharded = full_disjunction(
-            database, use_index=True, backend="sharded-pass:2"
-        )
-        assert _labelled(serial) == _labelled(sharded)
-
     def test_statistics_merge_deterministically(self):
         database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=1)
         first, second = FDStatistics(), FDStatistics()
@@ -317,15 +286,6 @@ class TestShardedBackend:
         # The produced-result count is schedule-independent: each bucket
         # range yields exactly its anchored FD_i members, once each.
         assert serial.results == first.results
-        # Pass granularity replays the serial schedule exactly, so all its
-        # algorithmic counters match serial.
-        pass_grained = FDStatistics()
-        full_disjunction(
-            database, use_index=True, statistics=pass_grained,
-            backend="sharded-pass:2",
-        )
-        assert serial.results == pass_grained.results
-        assert serial.candidates_generated == pass_grained.candidates_generated
 
     def test_approx_passes_match_serial(self):
         """ROADMAP item: approx pass scheduling goes through the backend too."""
@@ -342,10 +302,8 @@ class TestShardedBackend:
     def test_first_k_abandons_remaining_passes(self):
         database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=2)
         serial = full_disjunction(database, backend="serial")
-        prefix = first_k(database, 3, backend="sharded-pass:2")
-        assert _labelled(prefix) == _labelled(serial)[:3]
-        # Bucket granularity streams a (differently ordered) prefix of the
-        # same answer set.
+        # Bucket ranges stream a (differently ordered) prefix of the same
+        # answer set.
         bucket_prefix = first_k(database, 3, backend="sharded:2")
         assert len(bucket_prefix) == 3
         full = {frozenset(labels) for labels in _labelled(serial)}
@@ -371,4 +329,3 @@ class TestShardedBackend:
         from repro.relational.database import Database
 
         assert full_disjunction(Database(), backend="sharded") == []
-        assert full_disjunction(Database(), backend="batched") == []

@@ -117,8 +117,7 @@ class TestPayloadTransport:
 class TestShardedParity:
     def test_streams_identical_across_backings_and_worker_counts(self, tmp_path):
         ram, mapped = _twin_databases(tmp_path)
-        for backend in ("serial", "batched"):
-            assert _stream(mapped, backend) == _stream(ram, backend)
+        assert _stream(mapped, "serial") == _stream(ram, "serial")
         sharded = {}
         for workers in WORKER_COUNTS:
             spec = f"sharded:{workers}"

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -71,9 +75,10 @@ class TestFdCommand:
         with pytest.raises(SystemExit):
             main(["fd"])
 
-    def test_batched_backend_produces_the_same_answers(self, csv_paths, capsys):
-        assert main(["fd", *csv_paths, "--backend", "batched", "--use-index"]) == 0
-        assert "(6 answers)" in capsys.readouterr().out
+    @pytest.mark.parametrize("name", ["batched", "async", "sharded-pass"])
+    def test_removed_backend_names_are_rejected(self, csv_paths, name):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["fd", *csv_paths, "--backend", name])
 
     def test_sharded_backend_produces_the_same_answers(self, csv_paths, capsys):
         assert main(["fd", *csv_paths, "--backend", "sharded", "--workers", "2"]) == 0
@@ -127,7 +132,7 @@ class TestStreamCommand:
 
     def test_stream_accepts_a_backend(self, csv_paths, capsys):
         assert main(
-            ["stream", *csv_paths, "--backend", "batched", "--use-index"]
+            ["stream", *csv_paths, "--backend", "serial", "--use-index"]
         ) == 0
         assert "catalog build)" in capsys.readouterr().out
 
@@ -312,3 +317,44 @@ class TestPackCommand:
     def test_out_is_required(self, csv_paths):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["pack", *csv_paths])
+
+
+class TestErrorPaths:
+    def test_a_missing_csv_is_a_one_line_error(self, tmp_path, capsys):
+        assert main(["fd", str(tmp_path / "Absent.csv")]) == 2
+        error = capsys.readouterr().err
+        assert error.startswith("repro: error: ")
+        assert "Absent.csv" in error
+        assert "Traceback" not in error
+
+    def test_a_malformed_csv_is_a_one_line_error(self, tmp_path, capsys):
+        empty = tmp_path / "Empty.csv"
+        empty.write_text("")
+        assert main(["fd", str(empty)]) == 2
+        error = capsys.readouterr().err
+        assert error == f"repro: error: {empty}: empty file, expected a header row\n"
+
+    def test_a_reader_that_closes_early_ends_the_run_quietly(self, tmp_path):
+        # 400 answers of wide rows: far more output than a pipe buffers, so
+        # the writer is still writing when the reader goes away.
+        paths = []
+        for name, attribute in (("A", "X"), ("B", "Y")):
+            path = tmp_path / f"{name}.csv"
+            rows = [f"k,{name}{i}{'x' * 200}" for i in range(20)]
+            path.write_text("\n".join([f"K,{attribute}", *rows]) + "\n")
+            paths.append(str(path))
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+        child = subprocess.Popen(
+            [sys.executable, "-m", "repro", "fd", *paths, "--use-index"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert child.stdout.readline()
+        child.stdout.close()
+        error = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 1
+        assert error == b""

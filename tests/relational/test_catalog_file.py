@@ -89,7 +89,6 @@ class TestRoundTrip:
         database.save_mirror(path)
         clone = load_database(path)
         assert _stream(clone) == _stream(database)
-        assert _stream(clone, backend="batched") == _stream(database, backend="batched")
 
     def test_attached_catalog_serves_consistency_from_the_file(self, tmp_path):
         database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=11)

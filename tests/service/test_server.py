@@ -10,8 +10,8 @@ import struct
 import pytest
 
 from repro.core.full_disjunction import full_disjunction_sets
-from repro.exec import AsyncBackend
 from repro.service.server import (
+    SessionDriver,
     client_call,
     fetch_first_k,
     run_smoke,
@@ -521,11 +521,11 @@ class TestSmokeHarness:
             run_smoke(tourist_database(), clients=2, engine="mystery")
 
 
-class TestAsyncFairness:
-    def test_round_robin_keeps_sessions_within_one_step(self):
-        """Strict fairness: no session leads a live peer by more than one."""
+class TestSessionDriverFairness:
+    def test_concurrent_drives_keep_sessions_within_one_step(self):
+        """No session leads a live peer by more than one result."""
         database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=1)
-        backend = AsyncBackend()
+        driver = SessionDriver()
         sessions = [
             open_session(database, "fd", use_index=True, name=f"s{i}")
             for i in range(3)
@@ -543,8 +543,12 @@ class TestAsyncFairness:
 
         for index, session in enumerate(sessions):
             session.next = tracking(index)
+
+        async def scenario():
+            return await asyncio.gather(*(driver.drive(s, 6) for s in sessions))
+
         try:
-            results = backend.serve_first_k(sessions, 6)
+            results = _run(scenario())
         finally:
             for session in sessions:
                 session.close()
@@ -555,18 +559,18 @@ class TestAsyncFairness:
             assert max(counts) - min(counts) <= 1, (
                 f"unfair interleaving: {counts}"
             )
-        assert set(backend.steps) == {"s0", "s1", "s2"}
+        assert dict(driver.steps) == {"s0": 6, "s1": 6, "s2": 6}
 
     def test_drive_yields_between_steps(self):
         """Concurrent drive() tasks interleave instead of running to completion."""
         database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=1)
-        backend = AsyncBackend()
+        driver = SessionDriver()
         order = []
 
         async def tracked(session, label, k):
             results = []
             while len(results) < k:
-                batch = await backend.drive(session, 1)
+                batch = await driver.drive(session, 1)
                 if not batch:
                     break
                 results.extend(batch)

@@ -1,14 +1,16 @@
-"""Careless clients: oversized request lines and unbounded metric labels.
+"""Careless clients and server faults.
 
 A request line longer than ``MAX_LINE_BYTES`` gets a clear error and a
-closed connection instead of killing the handler, and junk ops or engine
-names cannot grow the metric label sets.
+closed connection instead of killing the handler, junk ops or engine names
+cannot grow the metric label sets, and an exception escaping a handler is
+logged with its traceback while the connection keeps serving.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import logging
 
 from repro.obs import MetricsRegistry
 from repro.service.server import (
@@ -232,6 +234,36 @@ class TestRouterUpstream:
         assert pulled["ok"] and len(pulled["results"]) == 2
         assert all(set(result) == {"labels", "row"} for result in pulled["results"])
         assert stats["sessions"] == 1
+
+
+class TestServerFaults:
+    def test_a_raising_handler_is_logged_and_the_connection_kept(
+        self, monkeypatch, caplog
+    ):
+        async def broken(state, request, connection_sessions):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setitem(QueryServer._OPS, "ping", broken)
+
+        async def scenario(state, port):
+            reader, writer = await _connect(port)
+            try:
+                faulted = await client_call(reader, writer, {"op": "ping"})
+                served = await client_call(reader, writer, {"op": "stats"})
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            return faulted, served
+
+        with caplog.at_level(logging.ERROR, logger="repro.service.server"):
+            faulted, served = _run(_with_server(scenario))
+        assert faulted == {"ok": False, "error": "injected fault"}
+        assert served["ok"] and served["requests"] == 2
+        records = [r for r in caplog.records if r.name == "repro.service.server"]
+        assert len(records) == 1
+        assert "'ping'" in records[0].getMessage()
+        assert records[0].exc_info[0] is RuntimeError
+        assert "injected fault" in caplog.text  # the traceback, not just the op
 
 
 def _label_values(snapshot):
