@@ -109,6 +109,10 @@ class ApproxSemantics:
             tuple_set, self.join_function, self.threshold, scanner, statistics
         )
 
+    def survivors(self, result, anchor, scanner, statistics, anchor_tuples):
+        """Never on masks: the starred Line 8 scores each outside tuple."""
+        return None
+
     def candidates(self, result, anchor, scanner, statistics, anchor_tuples):
         return approx_line9_candidates(
             result, anchor, self.join_function, self.threshold, scanner,

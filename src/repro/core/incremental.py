@@ -30,7 +30,7 @@ The structure follows the paper's pseudocode line by line:
     16–18.      else: insert ``T'`` into ``Incomplete``
     19. return ``T``
 
-**Lines 2–9 on masks.**  A pass over ``Tuples(R)`` does not visit tuples one
+**The step on masks.**  A pass over ``Tuples(R)`` does not visit tuples one
 by one.  The scanner's :meth:`~repro.core.scanner.TupleScanner.mask_pass`
 hands over the *plan*: the relations the pass reads, in scan order, each with
 its live tuples as a gid mask.  Within a relation, scan order is increasing
@@ -47,26 +47,41 @@ plus an append.
   loop exactly: within ``R_k``'s stretch of a pass the set is fixed until its
   first absorption, and after that no other ``R_k`` tuple is consistent with
   it, because the consistency matrix rejects pairs from one relation.
-* Lines 7–9 (:func:`line9_candidates`) compute, for each member ``m_j``, the
+* Lines 7–9 (:func:`line9_survivors`) compute, for each member ``m_j``, the
   mask ``X_j`` of the outside tuples whose footnote-3 subset keeps ``m_j``:
   those consistent with ``m_j`` whose relation is adjacent to ``m_j``'s, or
   to the relation of a member ``m_l`` with the tuple in ``X_l``, to a
   fixpoint.  The Line 9 survivors are ``X_anchor`` plus the outside tuples of
-  ``R_i`` (both restricted to the anchor bucket, when there is one).  Only a
-  survivor ``t`` becomes a tuple set, ``{t} ∪ {m_j : t ∈ X_j}``, and
-  survivors are visited in plan order — relation order, then gid order —
-  which is the order the tuple loop meets them in.
+  ``R_i`` (both restricted to the anchor bucket, when there is one).  A
+  survivor ``t`` stands for ``T' = {t} ∪ {m_j : t ∈ X_j}``, given as its gid
+  mask, relation mask and anchor tuple, and survivors are visited in plan
+  order — relation order, then gid order — which is the order the tuple
+  loop meets them in.
+* Lines 10–18 keep each survivor a mask.  The ``Complete`` probe
+  (:meth:`~repro.core.store.CompleteStore.contains_superset_mask`) visits the
+  anchor bucket's relation-set groups and decides a stored set by
+  ``T' & ~S``; the ``Incomplete`` probe runs ``union_is_jcc``'s bit test
+  against each waiting set of the anchor bucket
+  (:meth:`~repro.core.tupleset.TupleSet.union_is_jcc_mask`).  A survivor
+  already inside the waiting set ``S`` it merges with makes the union ``S``
+  itself, so only the pool's ``replace(S, S)`` effect is applied
+  (``requeue``).  A tuple set is built only for a Line 18 insert or a merge
+  that grows ``S``.
 
-Lines 10–18 then run unchanged, so the pool evolves, and the results come
-out, exactly as with the tuple loop.  Every counter keeps its meaning: each
-mask pass counts as one scan pass and one read per tuple of the relations
-read, ``extension_passes`` counts the same passes, and
+The pool therefore evolves, and the results come out, exactly as with the
+tuple loop, and every counter keeps its meaning: each mask pass counts as
+one scan pass and one read per tuple of the relations read,
+``extension_passes`` counts the same passes,
 ``candidates_generated``/``candidates_without_anchor`` are added in bulk —
-one candidate per outside tuple, all but the survivors without an anchor.
+one candidate per outside tuple, all but the survivors without an anchor —
+and the stores count the buckets, groups and sets the tuple-set probes
+would have.
 
-The tuple loop remains the path whenever a mask pass is refused: the set is
-not interned, the database's catalog is stale or is not the set's, a member
-is tombstoned, or the scanner is a :class:`~repro.core.scanner.BlockScanner`.
+The tuple loop of Lines 2–18 remains the path whenever a mask pass is
+refused: the set is not interned, the database's catalog is stale or is not
+the set's, a member is tombstoned, or the scanner is a
+:class:`~repro.core.scanner.BlockScanner`.  The approximate semantics
+(:class:`~repro.core.approx.ApproxSemantics`) always takes it.
 """
 
 from __future__ import annotations
@@ -310,33 +325,20 @@ def anchored_candidates(
         yield candidate, anchor_tuple
 
 
-def line9_candidates(
+def line9_survivors(
     result: TupleSet,
     anchor: str,
-    scanner: TupleScanner,
+    plan,
     statistics: Optional[FDStatistics] = None,
     anchor_tuples: Optional[AbstractSet] = None,
-) -> Iterator[TupleType[TupleSet, Tuple]]:
-    """Lines 7–9: the footnote-3 candidates that pass Line 9, in scan order.
+) -> Iterator[TupleType[int, int, int, Tuple]]:
+    """Lines 7–9 on masks: the footnote-3 candidates that pass Line 9, in scan order.
 
-    Yields ``(T', anchor tuple)``.  On masks (see the module docstring) only
-    the survivors of Line 9 become tuple sets and the candidate counters are
-    added in bulk; when the scanner refuses a mask pass, one candidate is
-    built per scanned tuple outside ``result``.
+    ``plan`` is the scanner's accepted :meth:`~TupleScanner.mask_pass` for
+    ``result``.  Yields each survivor ``T'`` as ``(gid mask, relation mask,
+    gid of t_b, anchor tuple)`` (see the module docstring); the candidate
+    counters are added in bulk.
     """
-    plan = scanner.mask_pass(result)
-    if plan is None:
-        yield from anchored_candidates(
-            (
-                result.maximal_jcc_subset_with(t)
-                for t in scanner.scan()
-                if t not in result
-            ),
-            anchor,
-            statistics,
-            anchor_tuples,
-        )
-        return
     catalog = result.catalog
     members = result.id_mask
     outside = 0
@@ -378,6 +380,7 @@ def line9_candidates(
     # Line 9: a candidate's anchor tuple is t itself for t in R_i, else the
     # member of R_i when the candidate keeps it.
     anchor_rid = catalog.relation_id(anchor)
+    anchor_member = result.tuple_from(anchor)
     survivors = outside & catalog.relation_tuples_mask(anchor_rid)
     bucket = -1
     if anchor_tuples is not None:
@@ -391,15 +394,77 @@ def line9_candidates(
         statistics.candidates_generated += generated
         statistics.candidates_without_anchor += generated - _popcount(survivors)
 
-    for _, live in plan:
+    kept = [(1 << gid, 1 << rid, reached) for gid, rid, reached in zip(gids, rids, reach)]
+    for rid, live in plan:
         chosen = survivors & live
         while chosen:
             low = chosen & -chosen
-            kept = [catalog.tuple_at(gid) for gid, reached in zip(gids, reach) if reached & low]
-            kept.append(catalog.tuple_at(low.bit_length() - 1))
-            candidate = TupleSet(kept, catalog=catalog)
-            yield candidate, candidate.tuple_from(anchor)
+            mask = low
+            relation_mask = 1 << rid
+            for bit, relation_bit, reached in kept:
+                if reached & low:
+                    mask |= bit
+                    relation_mask |= relation_bit
+            gid = low.bit_length() - 1
+            yield (
+                mask,
+                relation_mask,
+                gid,
+                catalog.tuple_at(gid) if rid == anchor_rid else anchor_member,
+            )
             chosen ^= low
+
+
+def _survivor_set(catalog, mask: int, gid: int) -> TupleSet:
+    """A survivor of :func:`line9_survivors` as a tuple set: the members of
+    ``mask`` in gid order, then ``t_b`` (the order Line 8 builds ``T'`` in)."""
+    members = catalog.tuples_of_mask(mask & ~(1 << gid))
+    members.append(catalog.tuple_at(gid))
+    return TupleSet(members, catalog=catalog)
+
+
+def _place_survivors(
+    catalog,
+    survivors: Iterable[TupleType[int, int, int, Tuple]],
+    incomplete: IncompletePool,
+    complete: CompleteStore,
+    statistics: Optional[FDStatistics] = None,
+) -> None:
+    """Lines 10–18 for the survivors of :func:`line9_survivors`, on masks.
+
+    Each test visits and counts what the tuple-set loop of
+    :func:`get_next_result` does, in the same order, so the pool evolves
+    exactly as there.  A tuple set is built only for a Line 18 insert or a
+    merge that grows the waiting set; the tests against a set of another
+    catalog (or none) build one for the tuple-level comparison.
+    """
+    subsumed = merged = inserted = 0
+    covered = complete.contains_superset_mask
+    waiting_sets = incomplete.waiting
+    for mask, relation_mask, gid, anchor_tuple in survivors:
+        # Lines 10-11: already covered by a printed result?
+        if covered(mask, relation_mask, anchor_tuple, catalog):
+            subsumed += 1
+            continue
+        # Lines 12-15: merge into the first waiting S with JCC(S ∪ T').  When
+        # T' ⊆ S the union is S itself, and replacing S by S only reorders.
+        for waiting in waiting_sets(anchor_tuple):
+            if not waiting.union_is_jcc_mask(mask, relation_mask, catalog):
+                continue
+            if waiting.catalog is catalog and not mask & ~waiting.id_mask:
+                incomplete.requeue(waiting, anchor_tuple)
+            else:
+                incomplete.replace(waiting, waiting.union(_survivor_set(catalog, mask, gid)))
+            merged += 1
+            break
+        else:
+            # Lines 16-18: otherwise it starts a new entry of Incomplete.
+            incomplete.add(_survivor_set(catalog, mask, gid))
+            inserted += 1
+    if statistics is not None:
+        statistics.candidates_subsumed += subsumed
+        statistics.candidates_merged += merged
+        statistics.candidates_inserted += inserted
 
 
 class ExactSemantics:
@@ -409,16 +474,32 @@ class ExactSemantics:
     (Fig. 2) and ``ApproxGetNextResult`` (Fig. 6) differ from its semantics:
     Lines 2–6, Lines 7–9 and the Line 14 merge test.  This class is the
     exact algorithm's; :class:`repro.core.approx.ApproxSemantics` supplies
-    the starred ``(A, τ)`` steps.
+    the starred ``(A, τ)`` steps.  Lines 7–9 come in two forms:
+    :meth:`survivors` on masks, when the scanner accepts a mask pass, and
+    :meth:`candidates` one tuple set per candidate otherwise.
     """
 
     def extend(self, tuple_set, scanner, statistics):
         """Lines 2–6: :func:`maximally_extend`."""
         return maximally_extend(tuple_set, scanner, statistics)
 
+    def survivors(self, result, anchor, scanner, statistics, anchor_tuples):
+        """Lines 7–9 on masks (:func:`line9_survivors`), or ``None``,
+        counting nothing, when the scanner refuses a mask pass."""
+        plan = scanner.mask_pass(result)
+        if plan is None:
+            return None
+        return line9_survivors(result, anchor, plan, statistics, anchor_tuples)
+
     def candidates(self, result, anchor, scanner, statistics, anchor_tuples):
-        """Lines 7–9: :func:`line9_candidates`."""
-        return line9_candidates(result, anchor, scanner, statistics, anchor_tuples)
+        """Lines 7–9 one scanned tuple at a time: a footnote-3 candidate per
+        tuple outside ``result``, through :func:`anchored_candidates`."""
+        return anchored_candidates(
+            (result.maximal_jcc_subset_with(t) for t in scanner.scan() if t not in result),
+            anchor,
+            statistics,
+            anchor_tuples,
+        )
 
     @property
     def mergeable(self) -> Callable[[TupleSet, TupleSet], bool]:
@@ -462,7 +543,9 @@ def get_next_result(
     ``semantics`` supplies Lines 2–6, Lines 7–9 and the Line 14 test:
     :data:`EXACT` by default, or
     :class:`~repro.core.approx.ApproxSemantics` for ``ApproxGetNextResult``
-    (Fig. 6).  Lines 1 and 10–19 are shared.
+    (Fig. 6).  Lines 1 and 10–19 are shared; when the semantics yields the
+    Line 9 survivors on masks, Lines 10–18 run on masks too
+    (:func:`_place_survivors`), with the same effect on both containers.
     """
     if scanner is None:
         scanner = TupleScanner(database)
@@ -475,7 +558,12 @@ def get_next_result(
 
     # Lines 7-18: derive candidate tuple sets from the tuples left out; only
     # those holding a tuple of the anchor relation (and, under a bucket-range
-    # restriction, of the anchor bucket) pass Line 9.
+    # restriction, of the anchor bucket) pass Line 9.  On masks when the
+    # scanner accepts a mask pass, else one tuple set per candidate.
+    survivors = semantics.survivors(result, anchor, scanner, statistics, anchor_tuples)
+    if survivors is not None:
+        _place_survivors(result.catalog, survivors, incomplete, complete, statistics)
+        return result
     mergeable = semantics.mergeable
     for candidate, anchor_tuple in semantics.candidates(
         result, anchor, scanner, statistics, anchor_tuples

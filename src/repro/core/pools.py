@@ -1,32 +1,32 @@
-"""Reference ``Complete``/``Incomplete`` containers (retained specification).
+"""``Complete``/``Incomplete`` containers: the engine's pools and the reference ``Complete``.
 
 The paper stores both containers as linked lists and, in Section 7,
 recommends replacing them with hash tables keyed by the member tuple of the
-anchor relation ``R_i``.  The engine now runs on the unified, dual-indexed
-store subsystem in :mod:`repro.core.store` (anchor-tuple buckets plus
+anchor relation ``R_i``.  The engine's ``Complete`` is the dual-indexed
+:class:`repro.core.store.CompleteStore` (anchor-tuple buckets plus
 relation-set groups, over the interned bitset
 :class:`~repro.core.tupleset.TupleSet` representation).
 
-This module keeps the original, straightforward implementations — the same
-public interface, backed by lists and single-level hash buckets (the
-``Incomplete`` list keeps its members in slots so a replace is O(1); the
-literal searched list survives as the oracle in ``tests/core/test_pools.py``).
-They are retained deliberately:
-
-* as the executable reference the randomized equivalence tests
-  (``tests/core/test_tupleset_equivalence.py``) run side by side with the
-  indexed store, and
-* for callers and experiments that want the paper's literal linked-list
-  behaviour.
-
-Three containers are provided:
+This module keeps the straightforward implementations — backed by lists and
+single-level hash buckets (the ``Incomplete`` list keeps its members in
+slots so a replace is O(1); the literal searched list survives as the
+oracle in ``tests/core/test_pools.py``):
 
 * :class:`CompleteStore` — already-printed results; answers "is ``T'``
-  contained in some stored set?".
+  contained in some stored set?".  It is retained as the executable
+  reference the randomized equivalence tests
+  (``tests/core/test_tupleset_equivalence.py``) run beside the indexed
+  store, and for callers that want the paper's literal list.
 * :class:`ListIncompletePool` — the ``Incomplete`` list of ``IncrementalFD``;
   positional list semantics matching the paper's linked list.
 * :class:`PriorityIncompletePool` — the ``Incomplete_i`` priority queues of
   ``PriorityIncrementalFD``; extraction by highest rank.
+
+The two pools are the engine's own (:mod:`repro.core.store` re-exports
+them).  Both answer the Line 14 probe for a tuple set (``candidates``) and
+for a bare anchor tuple (``waiting``, the form the mask step of
+:mod:`repro.core.incremental` uses), and apply ``replace(S, S)`` given its
+anchor (``requeue``).
 
 All containers count the tuple sets they scan in a :class:`PoolStatistics`
 (shared with :mod:`repro.core.store`), which the benchmarks use as a
@@ -157,6 +157,19 @@ class CompleteStore:
                 return True
         return False
 
+    def contains_superset_mask(
+        self, id_mask: int, relation_mask: int, anchor: Tuple, catalog
+    ) -> bool:
+        """:meth:`contains_superset` for a probe given as the tuple bitmask
+        ``id_mask`` of ``catalog``, with its relation bitmask and anchor tuple.
+        """
+        stored_sets = self._buckets.get(anchor, ()) if self._use_index else self._sets
+        for stored in stored_sets:
+            self.statistics.sets_scanned += 1
+            if stored.holds_mask(id_mask, catalog):
+                return True
+        return False
+
     def as_list(self) -> List[TupleSet]:
         """The stored sets in insertion (printing) order."""
         return list(self._sets)
@@ -280,15 +293,24 @@ class ListIncompletePool:
         returned; a set with a different ``R_i`` tuple can never merge with
         ``probe`` because their union would hold two tuples of ``R_i``.
         """
-        if self._use_index:
-            anchor = self._anchor_of(probe)
-            if anchor is not None:
-                bucket = list(self._buckets.get(anchor, ()))
-                self.statistics.sets_scanned += len(bucket)
-                return bucket
-        live = self.as_list()
-        self.statistics.sets_scanned += len(live)
-        return live
+        return list(self.waiting(self._anchor_of(probe)))
+
+    def waiting(self, anchor: Optional[Tuple]) -> Iterable[TupleSet]:
+        """The Line 14 probe for a candidate whose ``R_i`` tuple is ``anchor``.
+
+        Counts and returns what :meth:`candidates` returns, as a live view
+        instead of a copy: a caller that changes the pool must stop
+        iterating.
+        """
+        statistics = self.statistics
+        if self._use_index and anchor is not None:
+            bucket = self._buckets.get(anchor, ())
+            statistics.bucket_probes += 1
+            statistics.sets_scanned += len(bucket)
+            return bucket
+        statistics.full_scans += 1
+        statistics.sets_scanned += len(self._slots)
+        return (slot[0] for slot in self._items if slot[0] is not None)
 
     def replace(self, old: TupleSet, new: TupleSet) -> None:
         """Replace ``old`` by ``new`` (Line 15), in place.
@@ -300,9 +322,7 @@ class ListIncompletePool:
         if new is old:
             if old not in self._slots:
                 raise KeyError(f"{old!r} is not in the Incomplete pool")
-            self.statistics.replacements += 1
-            self._index_discard(old)
-            self._index_add(old)
+            self.requeue(old, self._anchor_of(old))
             return
         slot = self._slots.pop(old, None)
         if slot is None:
@@ -316,6 +336,16 @@ class ListIncompletePool:
         slot[0] = new
         self._slots[new] = slot
         self._index_add(new)
+
+    def requeue(self, member: TupleSet, anchor: Optional[Tuple]) -> None:
+        """``replace(member, member)`` for a member whose ``R_i`` tuple is
+        ``anchor``: the member keeps its slot and moves to the end of its
+        anchor bucket."""
+        self.statistics.replacements += 1
+        if self._use_index and anchor is not None:
+            bucket = self._buckets[anchor]
+            del bucket[member]
+            bucket[member] = None
 
     def discard_containing(self, dead_tuples) -> int:
         """Evict every queued set holding a dead tuple (streaming deletion).
@@ -367,7 +397,9 @@ class PriorityIncompletePool:
         self._ranking = ranking
         self._use_index = use_index
         self._heap: List = []
-        self._members = set()
+        # Members in insertion order (dict as ordered set): the unindexed
+        # probe and iteration visit them in an order no hash decides.
+        self._members: Dict[TupleSet, None] = {}
         self._counter = itertools.count()
         # Anchor tuple -> its members, in insertion order (dict as ordered set).
         self._buckets: Dict[Tuple, Dict[TupleSet, None]] = {}
@@ -394,7 +426,7 @@ class PriorityIncompletePool:
             return
         score = self._ranking(tuple_set)
         heapq.heappush(self._heap, (-score, next(self._counter), tuple_set))
-        self._members.add(tuple_set)
+        self._members[tuple_set] = None
         self.statistics.additions += 1
         self.statistics.peak_size = max(self.statistics.peak_size, len(self._members))
         if self._use_index:
@@ -431,7 +463,7 @@ class PriorityIncompletePool:
         return tuple_set
 
     def _discard(self, tuple_set: TupleSet) -> None:
-        self._members.discard(tuple_set)
+        self._members.pop(tuple_set, None)
         if self._use_index:
             anchor = self._anchor_of(tuple_set)
             if anchor is not None:
@@ -441,15 +473,19 @@ class PriorityIncompletePool:
 
     def candidates(self, probe: TupleSet) -> List[TupleSet]:
         """Member sets that might merge with ``probe`` (see :class:`ListIncompletePool`)."""
-        if self._use_index:
-            anchor = self._anchor_of(probe)
-            if anchor is not None:
-                bucket = list(self._buckets.get(anchor, ()))
-                self.statistics.sets_scanned += len(bucket)
-                return bucket
-        live = list(self._members)
-        self.statistics.sets_scanned += len(live)
-        return live
+        return list(self.waiting(self._anchor_of(probe)))
+
+    def waiting(self, anchor: Optional[Tuple]) -> Iterable[TupleSet]:
+        """The counted Line 14 probe as a live view (see :meth:`ListIncompletePool.waiting`)."""
+        statistics = self.statistics
+        if self._use_index and anchor is not None:
+            bucket = self._buckets.get(anchor, ())
+            statistics.bucket_probes += 1
+            statistics.sets_scanned += len(bucket)
+            return bucket
+        statistics.full_scans += 1
+        statistics.sets_scanned += len(self._members)
+        return self._members
 
     def replace(self, old: TupleSet, new: TupleSet) -> None:
         """Replace ``old`` by ``new``; the new set is re-ranked."""
@@ -460,11 +496,16 @@ class PriorityIncompletePool:
         if new not in self._members:
             score = self._ranking(new)
             heapq.heappush(self._heap, (-score, next(self._counter), new))
-            self._members.add(new)
+            self._members[new] = None
             if self._use_index:
                 anchor = self._anchor_of(new)
                 if anchor is not None:
                     self._buckets.setdefault(anchor, {})[new] = None
+
+    def requeue(self, member: TupleSet, anchor: Optional[Tuple]) -> None:
+        """``replace(member, member)``: the member is re-ranked and re-pushed
+        (``anchor`` is its ``R_i`` tuple, as for the list pool)."""
+        self.replace(member, member)
 
     def discard_containing(self, dead_tuples) -> int:
         """Evict every queued set holding a dead tuple (streaming deletion).

@@ -15,19 +15,28 @@ subsystem implementing that recommendation on top of the interned
   cannot contain a superset, and decides each remaining candidate with one
   bitmask comparison.
 * :class:`ListIncompletePool` / :class:`PriorityIncompletePool` — the
-  ``Incomplete`` containers, extending the reference implementations in
-  :mod:`repro.core.pools` (which own the paper's positional and heap
-  semantics) with the instrumented anchor-bucket merge probe.
+  ``Incomplete`` containers of :mod:`repro.core.pools` (which own the
+  paper's positional and heap semantics and the anchor-bucket merge probe),
+  re-exported so the engine imports every container from here.
 
 :class:`CompleteStore` is a from-scratch reimplementation — its probe
-strategy genuinely differs from the reference — while the two pools
-deliberately *subclass* the reference classes so the extraction semantics
-exist in exactly one place.  All containers fill in a
+strategy genuinely differs from the reference — while the pools exist in
+exactly one place.  All containers fill in a
 :class:`~repro.core.pools.PoolStatistics`, the machine-independent work
 measure the benchmarks (E1, E6) report: ``sets_scanned`` counts subset/merge
 tests actually performed, ``bucket_probes`` counts index buckets and
 relation-set groups inspected, and ``full_scans`` counts probes that had to
 fall back to a full traversal.
+
+**Masks.**  When ``GetNextResult`` runs Lines 7–9 on masks (see
+:mod:`repro.core.incremental`), each Line 9 survivor reaches Lines 10–18 as
+its gid mask, relation mask and anchor tuple, not as a tuple set.
+:meth:`CompleteStore.contains_superset_mask` probes the same bucket and
+relation-set groups as :meth:`CompleteStore.contains_superset` and decides a
+stored set with one ``AND NOT``; the pools' ``waiting`` returns the sets the
+Line 14 probe tests, counted as ``candidates`` counts them, without a copy;
+and ``requeue`` applies ``replace(S, S)`` for a survivor already inside
+``S``.  Every counter reads what the tuple-set probes would have counted.
 """
 
 from __future__ import annotations
@@ -37,9 +46,9 @@ from typing import Dict, FrozenSet, Iterator, List, Optional
 from repro.relational.tuples import Tuple
 from repro.core.kernels import active_kernel
 from repro.core.pools import (
-    ListIncompletePool as _ReferenceListIncompletePool,
+    ListIncompletePool,
     PoolStatistics,
-    PriorityIncompletePool as _ReferencePriorityIncompletePool,
+    PriorityIncompletePool,
 )
 from repro.core.tupleset import TupleSet
 from repro.obs.tracing import trace_span
@@ -130,6 +139,47 @@ class CompleteStore:
                 return True
         return False
 
+    def contains_superset_mask(
+        self, id_mask: int, relation_mask: int, anchor: Tuple, catalog
+    ) -> bool:
+        """:meth:`contains_superset` for a probe given as the tuple bitmask
+        ``id_mask`` of ``catalog``, with its relation bitmask and anchor tuple.
+
+        The step's Lines 10–11 on masks: the same buckets, groups and stored
+        sets are visited, and counted, in the same order.
+        """
+        statistics = self.statistics
+        if not self._use_index:
+            statistics.full_scans += 1
+            return self._holds_mask(self._sets, id_mask, catalog)
+        groups = self._buckets.get(anchor)
+        if not groups:
+            return False
+        relations = catalog.relation_names_of(relation_mask)
+        for group_relations, group in groups.items():
+            statistics.bucket_probes += 1
+            if relations <= group_relations and self._holds_mask(group, id_mask, catalog):
+                return True
+        return False
+
+    def _holds_mask(self, stored_sets: List[TupleSet], id_mask: int, catalog) -> bool:
+        """Scan ``stored_sets`` in order for one holding ``id_mask``, counting
+        the sets scanned.  A set of ``catalog`` is decided by one ``AND NOT``
+        on its slots, read directly: this loop runs once per stored set."""
+        scanned = 0
+        found = False
+        for stored in stored_sets:
+            scanned += 1
+            if stored._catalog is catalog:
+                if not id_mask & ~stored._id_mask:
+                    found = True
+                    break
+            elif stored.holds_mask(id_mask, catalog):
+                found = True
+                break
+        self.statistics.sets_scanned += scanned
+        return found
+
     def contains_superset_batch(
         self, probes: List[TupleSet], anchor: Optional[Tuple] = None
     ) -> List[bool]:
@@ -207,57 +257,6 @@ class CompleteStore:
         span.annotate(retracted=len(retracted))
         span.close()
         return retracted
-
-
-class ListIncompletePool(_ReferenceListIncompletePool):
-    """The reference ``Incomplete`` list with an instrumented merge probe.
-
-    Extraction, insertion and replacement semantics are inherited verbatim
-    from :class:`repro.core.pools.ListIncompletePool`; only the Line 14
-    probe is overridden to count bucket probes and full-scan fallbacks.
-    """
-
-    def candidates(self, probe: TupleSet) -> List[TupleSet]:
-        """Member sets that might merge with ``probe`` (Line 14 probe).
-
-        With the index enabled only the bucket of ``probe``'s anchor tuple is
-        returned; a set with a different ``R_i`` tuple can never merge with
-        ``probe`` because their union would hold two tuples of ``R_i``.
-        """
-        if self._use_index:
-            anchor = self._anchor_of(probe)
-            if anchor is not None:
-                self.statistics.bucket_probes += 1
-                bucket = list(self._buckets.get(anchor, ()))
-                self.statistics.sets_scanned += len(bucket)
-                return bucket
-        self.statistics.full_scans += 1
-        live = self.as_list()
-        self.statistics.sets_scanned += len(live)
-        return live
-
-
-class PriorityIncompletePool(_ReferencePriorityIncompletePool):
-    """The reference priority ``Incomplete_i`` queue with an instrumented probe.
-
-    Rank extraction and tie-breaking are inherited verbatim from
-    :class:`repro.core.pools.PriorityIncompletePool`; only the Line 14 probe
-    is overridden to count bucket probes and full-scan fallbacks.
-    """
-
-    def candidates(self, probe: TupleSet) -> List[TupleSet]:
-        """Member sets that might merge with ``probe`` (see :class:`ListIncompletePool`)."""
-        if self._use_index:
-            anchor = self._anchor_of(probe)
-            if anchor is not None:
-                self.statistics.bucket_probes += 1
-                bucket = list(self._buckets.get(anchor, ()))
-                self.statistics.sets_scanned += len(bucket)
-                return bucket
-        self.statistics.full_scans += 1
-        live = list(self._members)
-        self.statistics.sets_scanned += len(live)
-        return live
 
 
 def record_store_statistics(statistics, *containers) -> None:

@@ -258,6 +258,14 @@ class TupleSet:
         """Return ``True`` when this set contains every tuple of ``other``."""
         return other.issubset(self)
 
+    def holds_mask(self, id_mask: int, catalog) -> bool:
+        """Return ``True`` when this set contains every tuple of the tuple
+        bitmask ``id_mask`` of ``catalog`` (``issuperset`` without a set to
+        compare)."""
+        if self._catalog is catalog:
+            return not id_mask & ~self._id_mask
+        return self._tuples.issuperset(catalog.tuples_of_mask(id_mask))
+
     def __repr__(self) -> str:
         labels = ", ".join(sorted(t.label for t in self._tuples))
         return "{" + labels + "}"
@@ -519,17 +527,9 @@ class TupleSet:
             and other._id_mask is not None
             and self._catalog is other._catalog
         ):
-            catalog = self._catalog
-            mine = self._id_mask
-            incoming = other._id_mask & ~mine
-            while incoming:
-                low = incoming & -incoming
-                if mine & ~catalog.consistent_mask(low.bit_length() - 1):
-                    return False
-                incoming ^= low
-            if mine & other._id_mask:
-                return True
-            return bool(self._adjacent_relations & other._relation_mask)
+            return self.union_is_jcc_mask(
+                other._id_mask, other._relation_mask, self._catalog
+            )
 
         shares_member = False
         for relation_name, t in other._by_relation.items():
@@ -571,6 +571,29 @@ class TupleSet:
                     if is_null(left) or is_null(right) or left != right:
                         return False
         return cross_share
+
+    def union_is_jcc_mask(self, id_mask: int, relation_mask: int, catalog) -> bool:
+        """:meth:`union_is_jcc` for a JCC operand given as its tuple and
+        relation bitmasks in ``catalog``.
+
+        The bit test runs when this set is interned in ``catalog``; otherwise
+        the operand is built and the general test decides.
+        """
+        if self._catalog is not catalog:
+            return self.union_is_jcc(TupleSet(catalog.tuples_of_mask(id_mask), catalog=catalog))
+        mine = self._id_mask
+        if not mine:
+            return True
+        incoming = id_mask & ~mine
+        while incoming:
+            low = incoming & -incoming
+            # "mine ⊆ row", tested without negating the catalog-wide row.
+            if catalog.consistent_mask(low.bit_length() - 1) & mine != mine:
+                return False
+            incoming ^= low
+        if mine & id_mask:
+            return True
+        return bool(self._adjacent_relations & relation_mask)
 
     def maximal_jcc_subset_with(self, t_b: Tuple) -> "TupleSet":
         """Footnote 3: the unique maximal JCC subset of ``T ∪ {t_b}`` containing ``t_b``.

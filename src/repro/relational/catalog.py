@@ -55,7 +55,7 @@ from __future__ import annotations
 import os
 import tempfile
 import warnings
-from typing import Dict, Iterable, List, Optional, Tuple as TupleType
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple as TupleType
 
 from repro.relational.database import Database
 from repro.relational.nulls import is_null
@@ -176,6 +176,7 @@ class Catalog:
         "_all_tuples_mask",
         "_dead_mask",
         "_connected_cache",
+        "_relation_sets",
         "_packed_mirror",
         "_mirror_path",
     )
@@ -244,6 +245,7 @@ class Catalog:
         self._consistent = consistent
         self._dead_mask = 0
         self._connected_cache: Dict[int, bool] = {1: True} if count else {}
+        self._relation_sets: Dict[int, FrozenSet[str]] = {}
         # Columnar mirror of the bitmatrices for the packed kernel, built
         # lazily by packed_mirror() and maintained by the append/tombstone
         # hooks below.  When the mirror is file-backed, _mirror_path names
@@ -596,6 +598,7 @@ class Catalog:
         self._all_tuples_mask = (1 << n) - 1
         self._dead_mask = dead_mask
         self._connected_cache = {1: True} if count else {}
+        self._relation_sets = {}
         self._packed_mirror = PackedMirror.attached(mirror_file)
         self._consistent = _MirrorRows(self._packed_mirror)
         self._mirror_path = os.path.abspath(mirror_file.path)
@@ -724,6 +727,19 @@ class Catalog:
             relation_mask |= 1 << self._tuple_relation[low.bit_length() - 1]
             id_mask ^= low
         return relation_mask
+
+    def relation_names_of(self, relation_mask: int) -> FrozenSet[str]:
+        """The names of the relations in ``relation_mask`` (memoised, like
+        :meth:`relations_connected`)."""
+        names = self._relation_sets.get(relation_mask)
+        if names is None:
+            names = frozenset(
+                self._relation_names[rid]
+                for rid in range(relation_mask.bit_length())
+                if (relation_mask >> rid) & 1
+            )
+            self._relation_sets[relation_mask] = names
+        return names
 
     def tuples_of_mask(self, id_mask: int) -> List[Tuple]:
         """Materialise the tuples of a tuple bitmask, in global-id order."""

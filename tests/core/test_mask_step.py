@@ -1,14 +1,18 @@
 """The mask-first ``GetNextResult`` step against the per-tuple reference.
 
-Lines 2–9 run on the catalog's masks (``repro.core.incremental``).  The
+Lines 2–18 run on the catalog's masks (``repro.core.incremental``).  The
 reference step in ``tests/core/reference_step.py`` runs them one scanned
-tuple at a time.  On random star, chain and skewed databases mutated through
-``Database`` (removals, appends, updates), both steps must produce the same
-results in the same order, the same ``Incomplete`` list after every step and
-equal ``FDStatistics`` — with and without an anchor bucket, with the index on
-and off, restricted to ``R_i, …, R_n`` or not, and under both kernels.  The
-mask step's exactness rests on scan order being gid order within a relation;
-an invariant test pins that down through every mutation path.
+tuple at a time, with one tuple set per candidate.  On random star, chain
+and skewed databases mutated through ``Database`` (removals, appends,
+updates), both steps must produce the same results in the same order, the
+same ``Incomplete`` list after every step and equal ``FDStatistics`` — with
+and without an anchor bucket, with the index on and off, restricted to
+``R_i, …, R_n`` or not, and under both kernels; the ranked engine must
+produce the same stream and the same queues after every answer.  Unit tests
+pin the Lines 10–18 edge cases: a merge whose union is already waiting,
+sets of an older catalog snapshot, and the reference ``Complete`` store.
+The mask step's exactness rests on scan order being gid order within a
+relation; an invariant test pins that down through every mutation path.
 """
 
 from __future__ import annotations
@@ -25,8 +29,11 @@ from repro.core.incremental import (
     incremental_fd,
 )
 from repro.core.kernels import KERNELS, numpy_available, use_kernel
+from repro.core.pools import CompleteStore as ReferenceCompleteStore
+from repro.core.priority import PriorityState
+from repro.core.ranking import MaxRanking
 from repro.core.scanner import BlockScanner, TupleScanner
-from repro.core.store import CompleteStore, ListIncompletePool
+from repro.core.store import CompleteStore, ListIncompletePool, PriorityIncompletePool
 from repro.core.tupleset import TupleSet
 from repro.relational.database import Database
 from repro.relational.nulls import NULL
@@ -334,3 +341,176 @@ def test_replace_with_itself_moves_the_set_to_the_end_of_its_bucket(use_index):
     missing = TupleSet.singleton(database.tuple_by_label("c3"), catalog=catalog)
     with pytest.raises(KeyError):
         pool.replace(missing, missing)
+
+
+# --------------------------------------------------------------------- #
+# the ranked engine: priority pools through the same step
+# --------------------------------------------------------------------- #
+def _ranked(database, ranking, use_index, backend):
+    """The ranked stream, every queue's members in order after each answer,
+    and the statistics."""
+    statistics = FDStatistics()
+    state = PriorityState(
+        database, ranking, use_index=use_index, statistics=statistics, backend=backend
+    )
+    stream, queues = [], []
+    for result, rank in state.results():
+        stream.append((_labels(result), rank))
+        queues.append([[_labels(s) for s in pool] for pool in state.pools])
+    return stream, queues, statistics
+
+
+@PROPERTY
+@given(
+    database=mutated_databases(),
+    importance_seed=st.integers(0, 10_000),
+    use_index=st.booleans(),
+    kernel=st.sampled_from(AVAILABLE_KERNELS),
+)
+def test_ranked_mask_step_matches_the_reference_step(
+    database, importance_seed, use_index, kernel
+):
+    """Few importance values make many rank ties, so the order in which a
+    merge re-pushes a waiting set decides which of the tied sets pops first;
+    the queues' member order after each answer shows every re-push."""
+    rng = random.Random(importance_seed)
+    ranking = MaxRanking({t.label: rng.randrange(3) for t in database.tuples()})
+    with use_kernel(kernel):
+        shipped = _ranked(database, ranking, use_index, None)
+        reference = _ranked(database, ranking, use_index, ReferenceBackend())
+    assert shipped[0] == reference[0]
+    assert shipped[1] == reference[1]
+    assert shipped[2] == reference[2]
+
+
+# --------------------------------------------------------------------- #
+# Lines 10-18 edge cases, one step at a time against the reference
+# --------------------------------------------------------------------- #
+def _step_both(database, make_pool, waiting, complete_sets):
+    """One step of each implementation from the same pool and ``Complete``.
+
+    ``make_pool`` builds an empty pool; ``waiting`` lists its members, the
+    set to pop first leading.  Returns per implementation the result, the
+    pool afterwards, and every counter.
+    """
+    runs = []
+    for step in (get_next_result, reference_get_next_result):
+        pool = make_pool()
+        for tuple_set in waiting:
+            pool.add(tuple_set)
+        complete = CompleteStore("Climates", use_index=True)
+        for tuple_set in complete_sets:
+            complete.add(tuple_set)
+        statistics = FDStatistics()
+        result = step(database, "Climates", pool, complete, TupleScanner(database), statistics)
+        runs.append(
+            (
+                _labels(result),
+                [_labels(s) for s in pool.as_list()],
+                [_labels(s) for s in pool],
+                statistics,
+                pool.statistics.as_dict(),
+                complete.statistics.as_dict(),
+            )
+        )
+    assert runs[0] == runs[1]
+    return runs[0]
+
+
+def _pools(use_index):
+    importance = {"a1": 9.0}  # the popped set {c1, a1} outranks the rest
+    ranking = MaxRanking(importance, default=1.0)
+    return {
+        "list": lambda: ListIncompletePool("Climates", use_index=use_index, extraction="fifo"),
+        "priority": lambda: PriorityIncompletePool("Climates", ranking, use_index=use_index),
+    }
+
+
+@pytest.mark.parametrize("kind", ["list", "priority"])
+@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
+def test_growing_merge_into_a_union_that_is_already_waiting(kind, use_index):
+    """The step pops {c1, a1}; its survivor {c1, a2} merges with the first
+    waiting set {c1, s1}, and their union {c1, a2, s1} is already waiting:
+    the list pool empties {c1, s1}'s slot, the priority pool drops it."""
+    database = tourist_database()
+    catalog = database.catalog()
+
+    def ts(*labels):
+        return TupleSet([database.tuple_by_label(label) for label in labels], catalog=catalog)
+
+    popped, first, union = ts("c1", "a1"), ts("c1", "s1"), ts("c1", "a2", "s1")
+    assert TupleScanner(database).mask_pass(popped) is not None
+    result, listed, members, statistics, pool_counters, _ = _step_both(
+        database, _pools(use_index)[kind], [popped, first, union], []
+    )
+    assert result == ["a1", "c1"]
+    assert ["c1", "s1"] not in members and ["a2", "c1", "s1"] in members
+    # {c1, s1} ⊆ the union: requeued; {c1, s2} conflicts with s1: inserted.
+    assert ["c1", "s2"] in members
+    assert statistics.candidates_merged == 2
+    assert pool_counters["replacements"] == 2
+    if kind == "list":
+        assert listed == [["a2", "c1", "s1"], ["c2"], ["c3"], ["c1", "s2"]]
+
+
+@pytest.mark.parametrize("kind", ["list", "priority"])
+@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
+def test_sets_of_an_older_catalog_snapshot(kind, use_index):
+    """A waiting set and a stored ``Complete`` set interned in the snapshot
+    before a rebuild meet a step whose popped set is in the new one: the
+    bit tests do not apply to them, and the tuple-level tests decide."""
+    database = tourist_database()
+    old = database.catalog()
+
+    def ts(catalog, *labels):
+        return TupleSet([database.tuple_by_label(label) for label in labels], catalog=catalog)
+
+    waiting, stored = ts(old, "c1", "s1"), ts(old, "c1", "s2")
+    database.relation("Sites").add(["Canada", "Toronto", "CN Tower"])
+    new = database.catalog()
+    assert new is not old and database.current_catalog() is new
+    popped = ts(new, "c1", "a1")
+    assert TupleScanner(database).mask_pass(popped) is not None
+    assert waiting.catalog is old and stored.catalog is old
+    _, _, members, statistics, _, complete_counters = _step_both(
+        database, _pools(use_index)[kind], [popped, waiting], [stored]
+    )
+    # {c1, s2} ⊆ the stored set; {c1, a2} grows {c1, s1}.
+    assert statistics.candidates_subsumed >= 1
+    assert ["a2", "c1", "s1"] in members
+    assert complete_counters["sets_scanned"] > 0
+
+
+@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
+def test_reference_complete_store_as_complete(use_index):
+    """The step accepts the reference ``Complete`` of ``repro.core.pools``,
+    holding an uninterned set and an interned one, and counts its scans as
+    the reference step does."""
+    database = tourist_database()
+    catalog = database.catalog()
+    c1, c2, c3, a1, a2, s1 = (
+        database.tuple_by_label(label) for label in ("c1", "c2", "c3", "a1", "a2", "s1")
+    )
+    runs = []
+    for backend in (None, ReferenceBackend()):
+        complete = ReferenceCompleteStore("Climates", use_index=use_index)
+        complete.add(TupleSet.of(c1, a1))
+        complete.add(TupleSet.of(c1, a2, s1, catalog=catalog))
+        statistics = FDStatistics()
+        results = [
+            _labels(r)
+            for r in incremental_fd(
+                database,
+                "Climates",
+                use_index=use_index,
+                initial=[TupleSet.singleton(c2), TupleSet.singleton(c3)],
+                statistics=statistics,
+                complete=complete,
+                backend=backend,
+            )
+        ]
+        runs.append((results, statistics, complete.statistics.as_dict()))
+    assert runs[0] == runs[1]
+    assert ["a1", "c1"] not in runs[0][0] and ["a2", "c1", "s1"] not in runs[0][0]
+    assert runs[0][1].candidates_subsumed > 0
+    assert runs[0][2]["sets_scanned"] > 0

@@ -1,6 +1,13 @@
 """Tests for ``PriorityIncrementalFD`` (Fig. 3): ranked and threshold retrieval."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
+
+import repro
 
 from repro.core.full_disjunction import full_disjunction
 from repro.core.incremental import FDStatistics
@@ -270,3 +277,54 @@ class TestThreshold:
         assert emitted == []
         assert statistics.results_emitted == 0
         assert statistics.results > 0
+
+
+#: One unindexed ranked run, printed as JSON: the ``(answer, rank)`` stream
+#: and every ``FDStatistics`` field but the kernel tag.
+_RANKED_RUN = """
+import json, random
+from repro.core.incremental import FDStatistics
+from repro.core.priority import priority_incremental_fd
+from repro.core.ranking import MaxRanking
+from repro.workloads.generators import chain_database
+
+database = chain_database(4, 12, 4, 0.15, seed=1)
+rng = random.Random(1)
+importance = {t.label: rng.randrange(5) for t in database.tuples()}
+statistics = FDStatistics()
+stream = [
+    [sorted(t.label for t in result), rank]
+    for result, rank in priority_incremental_fd(
+        database, MaxRanking(importance), use_index=False, statistics=statistics
+    )
+]
+counters = statistics.as_dict()
+counters.pop("kernel")
+print(json.dumps([stream, counters]))
+"""
+
+
+def _ranked_run(hash_seed):
+    source = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED=hash_seed,
+        PYTHONPATH=source if not path else source + os.pathsep + path,
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", _RANKED_RUN],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    return json.loads(child.stdout)
+
+
+def test_unindexed_ranked_run_does_not_depend_on_the_hash_seed():
+    """The unindexed Line 14 probe, Fig. 3's Lines 5–8 merge and the
+    tombstone sweep walk a queue's members; they must meet them in an order
+    no string hash (nor ``Null``'s address-based hash) decides, so the
+    same query gives the same stream and counters in every process."""
+    first, second = _ranked_run("0"), _ranked_run("1")
+    assert first[0] == second[0]
+    assert first[1] == second[1]
+    assert first[1]["candidates_generated"] > 0
