@@ -9,6 +9,12 @@ integration needs.  This library reproduces Cohen & Sagiv (PODS 2005 / JCSS
 together with the relational substrate, the baselines the paper compares
 against and the workloads/benchmarks that validate the paper's claims.
 
+The variants share two loops: :func:`incremental_fd` (Fig. 1) and
+:func:`priority_incremental_fd` (Fig. 3).  Both take a ``semantics``
+argument; ``ApproxSemantics(A, τ)`` makes the first ``ApproxIncrementalFD``
+and the second ranked retrieval of the approximate full disjunction, e.g.
+``top_k(database, ranking, k, semantics=ApproxSemantics(A, 0.8))``.
+
 Quick start::
 
     from repro import Database, Relation, FullDisjunction
@@ -65,11 +71,9 @@ from repro.core import (
     TableSimilarity,
     SimilarityFunction,
     ApproximateJoinFunction,
-    approx_incremental_fd,
+    ApproxSemantics,
     approx_full_disjunction,
     ApproximateFullDisjunction,
-    ranked_approx_full_disjunction,
-    approx_top_k,
     block_based_full_disjunction,
     compare_block_sizes,
 )
@@ -126,11 +130,9 @@ __all__ = [
     "MinJoin",
     "ProductJoin",
     "ExactJoin",
-    "approx_incremental_fd",
+    "ApproxSemantics",
     "approx_full_disjunction",
     "ApproximateFullDisjunction",
-    "ranked_approx_full_disjunction",
-    "approx_top_k",
     # execution variants
     "block_based_full_disjunction",
     "compare_block_sizes",

@@ -8,8 +8,10 @@ algorithm for computing ranked full disjunctions*:
   (Corollary 4.9) with streaming access (Theorem 4.10);
 * :func:`priority_incremental_fd` / :func:`top_k` / :func:`above_threshold` —
   Fig. 3, Theorem 5.5 and Remark 5.6;
-* :func:`approx_incremental_fd` / :func:`approx_full_disjunction` — Figs. 5–6,
-  Theorem 6.6;
+* :class:`ApproxSemantics` / :func:`approx_full_disjunction` — Figs. 5–6,
+  Theorem 6.6: passed as ``semantics``, it turns :func:`incremental_fd` into
+  ``ApproxIncrementalFD`` and :func:`priority_incremental_fd` /
+  :func:`top_k` into ranked retrieval of the approximate full disjunction;
 * the supporting data model (:class:`TupleSet`, JCC), ranking functions,
   approximate-join functions, block-based execution and initialization
   strategies of Section 7.
@@ -77,12 +79,6 @@ from repro.core.approx import (
     ApproxSemantics,
     approx_full_disjunction,
     approx_full_disjunction_sets,
-    approx_incremental_fd,
-)
-from repro.core.ranked_approx import (
-    approx_top_k,
-    enumerate_qualifying_subsets,
-    ranked_approx_full_disjunction,
 )
 from repro.core.blocks import (
     BlockExecutionReport,
@@ -151,14 +147,10 @@ __all__ = [
     "ExactJoin",
     "levenshtein",
     "string_similarity",
-    "approx_incremental_fd",
     "ApproxSemantics",
     "approx_full_disjunction",
     "approx_full_disjunction_sets",
     "ApproximateFullDisjunction",
-    "ranked_approx_full_disjunction",
-    "approx_top_k",
-    "enumerate_qualifying_subsets",
     # block-based execution
     "BlockExecutionReport",
     "block_based_full_disjunction",

@@ -12,179 +12,143 @@ algorithms with three changes, marked ``*`` in the paper's figures:
 * Line 8 may yield *several* maximal candidate subsets per outside tuple
   (Example 6.3), supplied by ``A.candidate_extensions``.
 
-``ApproxGetNextResult`` is :func:`repro.core.incremental.get_next_result`
-under :class:`ApproxSemantics`: the starred steps differ, Lines 1 and 10–19
-are the exact algorithm's.
+:class:`ApproxSemantics` holds exactly these changes, and the exact loops
+take it as their ``semantics`` argument:
+
+* ``ApproxIncrementalFD(R, i, A, τ)`` is
+  :func:`~repro.core.incremental.incremental_fd` and
+  ``ApproxGetNextResult`` is :func:`~repro.core.incremental.get_next_result`
+  under it; :func:`approx_pass` is one pass of the Corollary 6.7 driver;
+* ranked retrieval of ``AFD`` — which the end of Section 6 obtains "in the
+  spirit of PriorityIncrementalFD" — is
+  :func:`~repro.core.priority.priority_incremental_fd` (or
+  :func:`~repro.core.priority.top_k`) under it: its queues are seeded with
+  the qualifying connected sets of size at most ``c`` and merged while the
+  union qualifies.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple as TupleType
+from typing import Dict, Iterator, List, Optional
 
 from repro.relational.database import Database
 from repro.relational.nulls import is_null
 from repro.relational.operators import combined_schema, pad_tuple_set
-from repro.relational.tuples import Tuple
 from repro.core.approx_join import ApproximateJoinFunction
 from repro.core.incremental import (
-    AnchorSpec,
     FDStatistics,
+    _extend_by_tuples,
     anchored_candidates,
-    get_next_result,
-    resolve_anchor,
+    incremental_fd,
 )
-from repro.core.store import CompleteStore, ListIncompletePool, record_store_statistics
-from repro.core.scanner import TupleScanner
+from repro.core.initialization import earlier_relations
 from repro.core.tupleset import TupleSet
 
 
-def approx_maximally_extend(
-    tuple_set: TupleSet,
-    join_function: ApproximateJoinFunction,
-    threshold: float,
-    scanner: TupleScanner,
-    statistics: Optional[FDStatistics] = None,
-) -> TupleSet:
-    """Lines 2–6 of ``ApproxGetNextResult``: extend while ``A(T ∪ {t_g}) ≥ τ``.
-
-    Because ``A`` is acceptable, any maximal set of ``AFD`` that contains the
-    current set can be reached by such single-tuple steps, so the fixpoint is
-    maximal (see the discussion after Definition 6.4).
-    """
-    current = tuple_set
-    changed = True
-    while changed:
-        changed = False
-        if statistics is not None:
-            statistics.extension_passes += 1
-        for candidate in scanner.scan():
-            if candidate in current:
-                continue
-            if candidate.relation_name in current.relations:
-                continue
-            grown = current.with_tuple(candidate)
-            if grown.is_connected and join_function(grown) >= threshold:
-                current = grown
-                changed = True
-    return current
-
-
-def approx_line9_candidates(
-    result: TupleSet,
-    anchor: str,
-    join_function: ApproximateJoinFunction,
-    threshold: float,
-    scanner: TupleScanner,
-    statistics: Optional[FDStatistics] = None,
-    anchor_tuples=None,
-) -> Iterator[TupleType[TupleSet, Tuple]]:
-    """Lines 7–9 (starred): ``(T', anchor tuple)`` for the candidates that
-    pass Line 9, in scan order, counted by :func:`anchored_candidates`."""
-
-    def candidates():
-        for outside in scanner.scan():
-            if outside in result:
-                continue
-            # Line 8 (starred): all maximal qualifying subsets containing t_b.
-            yield from join_function.candidate_extensions(result, outside, threshold)
-
-    return anchored_candidates(candidates(), anchor, statistics, anchor_tuples)
-
-
 class ApproxSemantics:
-    """The ``(A, τ)`` semantics of ``ApproxGetNextResult`` (Fig. 6).
+    """The ``(A, τ)`` semantics of ``ApproxIncrementalFD`` (Figs. 5 and 6).
 
-    Passed as ``semantics`` to :func:`repro.core.incremental.get_next_result`,
-    it supplies the starred steps: Lines 2–6 extend while ``A(T ∪ {t_g}) ≥
-    τ``, Line 8 yields every maximal qualifying subset, and Line 14 merges
-    ``S`` and ``T'`` when ``S ∪ T'`` is connected and ``A(S ∪ T') ≥ τ``.
+    Passed as ``semantics`` to the exact loops, it supplies the starred
+    steps: the Line 3 seed test and the rest of every growth and merge test
+    is ``A(T) ≥ τ`` on a connected ``T`` (:meth:`qualifies`), Lines 2–6
+    extend while ``T ∪ {t_g}`` qualifies, Line 8 yields every maximal
+    qualifying subset, and Line 14 merges ``S`` and ``T'`` when ``S ∪ T'``
+    qualifies.  ``τ`` is checked here, in the caller's process, before any
+    pass is scheduled.
     """
 
     def __init__(self, join_function: ApproximateJoinFunction, threshold: float):
+        if not (0.0 <= threshold <= 1.0):
+            raise ValueError(f"threshold must be in [0, 1], got {threshold}")
         self.join_function = join_function
         self.threshold = threshold
 
+    def can_absorb(self, tuple_set: TupleSet, t) -> bool:
+        """The growth test's first half: ``t``'s relation is not in ``T`` yet."""
+        return t.relation_name not in tuple_set.relations
+
+    def qualifies(self, tuple_set: TupleSet) -> bool:
+        """``A(T) ≥ τ`` for a connected ``T`` (the starred ``JCC`` test)."""
+        return tuple_set.is_connected and self.join_function(tuple_set) >= self.threshold
+
     def extend(self, tuple_set, scanner, statistics):
-        return approx_maximally_extend(
-            tuple_set, self.join_function, self.threshold, scanner, statistics
-        )
+        """Lines 2–6 (starred): extend while ``A(T ∪ {t_g}) ≥ τ``.
+
+        Because ``A`` is acceptable, any maximal set of ``AFD`` that contains
+        the current set can be reached by such single-tuple steps, so the
+        fixpoint is maximal (see the discussion after Definition 6.4).
+        """
+        return _extend_by_tuples(tuple_set, scanner, statistics, self)
 
     def survivors(self, result, anchor, scanner, statistics, anchor_tuples):
         """Never on masks: the starred Line 8 scores each outside tuple."""
         return None
 
     def candidates(self, result, anchor, scanner, statistics, anchor_tuples):
-        return approx_line9_candidates(
-            result, anchor, self.join_function, self.threshold, scanner,
-            statistics, anchor_tuples,
+        """Lines 7–9 (starred): ``(T', anchor tuple)`` for every maximal
+        qualifying subset that passes Line 9, in scan order."""
+        return anchored_candidates(
+            (
+                candidate
+                for outside in scanner.scan()
+                if outside not in result
+                for candidate in self.join_function.candidate_extensions(
+                    result, outside, self.threshold
+                )
+            ),
+            anchor,
+            statistics,
+            anchor_tuples,
         )
 
     def mergeable(self, waiting: TupleSet, candidate: TupleSet) -> bool:
-        union = waiting.union(candidate)
-        return union.is_connected and self.join_function(union) >= self.threshold
+        """Line 14 (starred): ``S ∪ T'`` qualifies."""
+        return self.qualifies(waiting.union(candidate))
 
 
-def approx_incremental_fd(
+def approx_pass(
     database: Database,
-    anchor: AnchorSpec,
-    join_function: ApproximateJoinFunction,
-    threshold: float,
+    anchor_name: str,
+    semantics: ApproxSemantics,
     use_index: bool = False,
-    scanner: Optional[TupleScanner] = None,
     statistics: Optional[FDStatistics] = None,
     backend=None,
 ) -> Iterator[TupleSet]:
-    """``ApproxIncrementalFD(R, i, A, τ)`` (Fig. 5): generate ``AFD_i(R, A, τ)``.
+    """Pass ``i`` of the approximate driver: the ``AFD`` members whose first
+    relation is ``R_i``.
 
-    Each step is :func:`~repro.core.incremental.get_next_result` under
-    :class:`ApproxSemantics`, scheduled by ``backend``'s ``next_result``
-    (:mod:`repro.exec`); ``None`` is the serial step.
+    The approximate twin of
+    :func:`~repro.core.full_disjunction.restricted_pass`: it runs
+    ``ApproxIncrementalFD`` for ``R_i`` (``anchor_name``) over the whole
+    database and drops each result that holds a tuple of an earlier
+    relation, which that relation's pass emits.  A similarity merge may join
+    candidates through earlier relations and across anchor tuples, so
+    neither the ``R_≥i`` scan nor the anchor-bucket split is sound here.
+    The pass's counters are merged into ``statistics`` on every exit, an
+    abandoned pass included.
     """
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
-    anchor_name = resolve_anchor(database, anchor)
-    if scanner is None:
-        scanner = TupleScanner(database)
-    catalog = database.catalog()
-    if backend is None:
-        next_result = get_next_result
-    else:
-        from repro.exec import resolve_backend
-
-        next_result = resolve_backend(backend).next_result
-    semantics = ApproxSemantics(join_function, threshold)
-
-    incomplete = ListIncompletePool(anchor_name, use_index=use_index)
-    complete = CompleteStore(anchor_name, use_index=use_index)
-
-    # Lines 1-4 (starred line 3): only singletons that themselves qualify.
-    for t in database.relation(anchor_name):
-        singleton = TupleSet.singleton(t, catalog=catalog)
-        if join_function(singleton) >= threshold:
-            incomplete.add(singleton)
-
+    earlier = earlier_relations(database, anchor_name)
+    pass_statistics = FDStatistics() if statistics is not None else None
+    emitted = 0
+    results = incremental_fd(
+        database,
+        anchor_name,
+        use_index=use_index,
+        statistics=pass_statistics,
+        backend=backend,
+        semantics=semantics,
+    )
     try:
-        while incomplete:
-            result = next_result(
-                database,
-                anchor_name,
-                incomplete,
-                complete,
-                scanner,
-                statistics,
-                semantics=semantics,
-            )
-            complete.add(result)
-            if statistics is not None:
-                statistics.results += 1
-                statistics.tuple_reads = scanner.tuple_reads
-                statistics.scan_passes = scanner.passes
+        for result in results:
+            if any(result.contains_tuple_from(name) for name in earlier):
+                continue
+            emitted += 1
             yield result
     finally:
-        # Record store counters on every exit, including abandonment.
-        record_store_statistics(
-            statistics, ("incomplete", incomplete), ("complete", complete)
-        )
+        results.close()
+        if pass_statistics is not None:
+            pass_statistics.results_emitted = emitted
+            statistics.merge(pass_statistics)
 
 
 def approx_full_disjunction_sets(
@@ -197,20 +161,17 @@ def approx_full_disjunction_sets(
 ) -> Iterator[TupleSet]:
     """Generate every member of ``AFD(R, A, τ)`` exactly once (Corollary 6.7).
 
-    The independent per-relation ``ApproxIncrementalFD`` passes are scheduled
+    The independent per-relation passes (:func:`approx_pass`) are scheduled
     by ``backend`` (``None`` means the serial reference), exactly like the
     exact driver's singleton passes — the sharded backend fans them out to
-    its process pool.
+    its process pool.  An out-of-range ``threshold`` raises ``ValueError``
+    before any pass is scheduled.
     """
     from repro.exec import resolve_backend
 
-    backend = resolve_backend(backend)
-    yield from backend.run_approx_passes(
-        database,
-        join_function,
-        threshold,
-        use_index=use_index,
-        statistics=statistics,
+    semantics = ApproxSemantics(join_function, threshold)
+    yield from resolve_backend(backend).run_approx_passes(
+        database, semantics, use_index=use_index, statistics=statistics
     )
 
 

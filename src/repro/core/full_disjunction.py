@@ -44,18 +44,14 @@ from repro.relational.nulls import NULL, is_null
 from repro.relational.operators import combined_schema, pad_tuple_set
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
-from repro.core.incremental import (
-    FDStatistics,
-    get_next_result,
-    incremental_fd,
-)
+from repro.core.incremental import FDStatistics, incremental_fd
 from repro.core.initialization import (
     STRATEGIES,
     earlier_relations,
     initial_sets,
 )
 from repro.core.scanner import make_scanner
-from repro.core.store import CompleteStore, ListIncompletePool, record_store_statistics
+from repro.core.store import CompleteStore, record_store_statistics
 from repro.core.tupleset import TupleSet
 
 
@@ -195,67 +191,49 @@ def _run_reusing_passes(
     statistics: Optional[FDStatistics],
     backend=None,
 ) -> Iterator[TupleSet]:
-    """The Section 7 reuse strategies: shared ``Complete``, restricted scans.
+    """The Section 7 reuse strategies: pass ``i`` is ``IncrementalFD`` over
+    ``R_≥i``, seeded from the answers of the earlier passes.
 
-    The passes are *not* independent here (each seeds from the previous
-    results and shares ``Complete``), so the pass loop stays sequential and
+    All passes share one ``Complete`` store, so :func:`incremental_fd` yields
+    only the results no earlier answer covers (its shared-``Complete``
+    rule).  The passes depend on each other, so they run one after another;
     only the per-step work is dispatched through the backend.
     """
-    next_result = get_next_result if backend is None else backend.next_result
     produced: List[TupleSet] = []
     catalog = database.catalog()
     shared_complete = CompleteStore(anchor_relation=None, use_index=use_index)
     try:
-        for index, relation in enumerate(database.relations):
+        for relation in database.relations:
             anchor_name = relation.name
-            skip = earlier_relations(database, anchor_name)
-            scanner = make_scanner(database, block_size, skip)
+            scanner = make_scanner(
+                database, block_size, earlier_relations(database, anchor_name)
+            )
             pass_statistics = FDStatistics() if statistics is not None else None
-
-            incomplete = ListIncompletePool(anchor_name, use_index=use_index)
-            for seed in initial_sets(
-                initialization, database, anchor_name, produced, catalog=catalog
-            ):
-                incomplete.add(seed)
-
+            results = incremental_fd(
+                database,
+                anchor_name,
+                use_index=use_index,
+                scanner=scanner,
+                initial=initial_sets(
+                    initialization, database, anchor_name, produced, catalog=catalog
+                ),
+                statistics=pass_statistics,
+                complete=shared_complete,
+                backend=backend,
+            )
             try:
-                while incomplete:
-                    result = next_result(
-                        database,
-                        anchor_name,
-                        incomplete,
-                        shared_complete,
-                        scanner,
-                        pass_statistics,
-                    )
-                    anchor_tuple = result.tuple_from(anchor_name)
-                    already_covered = shared_complete.contains_superset(
-                        result, anchor=anchor_tuple
-                    )
-                    shared_complete.add(result)
-                    if pass_statistics is not None:
-                        pass_statistics.results += 1
-                    if already_covered:
-                        # Either the result was produced by an earlier pass
-                        # verbatim, or its maximal extension (through an
-                        # earlier relation) was.
-                        continue
+                for result in results:
                     produced.append(result)
-                    if pass_statistics is not None:
-                        pass_statistics.results_emitted += 1
                     yield result
             finally:
-                # Record pass counters on every exit, including abandonment.
-                if statistics is not None and pass_statistics is not None:
-                    pass_statistics.tuple_reads = scanner.tuple_reads
-                    pass_statistics.scan_passes = scanner.passes
+                # Close the pass first: its store counters land in pass_statistics.
+                results.close()
+                if pass_statistics is not None:
                     pass_statistics.block_reads = getattr(scanner, "block_reads", 0)
-                    record_store_statistics(pass_statistics, ("incomplete", incomplete))
                     statistics.merge(pass_statistics)
     finally:
         # The shared Complete store is recorded once, on every exit.
-        if statistics is not None:
-            record_store_statistics(statistics, ("complete", shared_complete))
+        record_store_statistics(statistics, ("complete", shared_complete))
 
 
 def full_disjunction(

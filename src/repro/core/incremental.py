@@ -82,6 +82,24 @@ refused: the set is not interned, the database's catalog is stale or is not
 the set's, a member is tombstoned, or the scanner is a
 :class:`~repro.core.scanner.BlockScanner`.  The approximate semantics
 (:class:`~repro.core.approx.ApproxSemantics`) always takes it.
+
+**One loop for every driver.**  :func:`incremental_fd` is the only Fig. 1
+loop.  Two rules let every driver run through it:
+
+* ``semantics`` — :data:`EXACT`, or an ``ApproxSemantics(A, τ)`` that makes
+  the loop ``ApproxIncrementalFD`` (Fig. 5): its default seeds are the
+  singletons with ``A({t}) ≥ τ`` and each step is ``ApproxGetNextResult``
+  (Fig. 6).  The approximate full disjunction runs one such pass per
+  relation (:func:`repro.core.approx.approx_pass`).
+* a shared ``complete`` — a result the shared store already covers was
+  printed by another pass, so it is stored but not yielded.  The Section 7
+  reuse strategies (:mod:`repro.core.full_disjunction`) and the delta
+  passes of streaming ingest (:mod:`repro.service.delta`) are this loop
+  with other seeds and one ``Complete`` shared across their passes.
+
+The ranked engines have one loop too, Fig. 3's
+:meth:`repro.core.priority.PriorityState.results`, which takes the same
+``semantics``.
 """
 
 from __future__ import annotations
@@ -235,9 +253,19 @@ def _gid_mask(tuples, catalog) -> int:
 
 
 def _extend_by_tuples(
-    tuple_set: TupleSet, scanner: TupleScanner, statistics: Optional[FDStatistics]
+    tuple_set: TupleSet,
+    scanner: TupleScanner,
+    statistics: Optional[FDStatistics],
+    semantics: "ExactSemantics",
 ) -> TupleSet:
-    """Lines 2–6 one scanned tuple at a time (when a mask pass is refused)."""
+    """Lines 2–6 one scanned tuple at a time: absorb each tuple that passes
+    ``semantics``' one-tuple growth test, until a pass absorbs nothing.
+
+    The exact step takes this path when a mask pass is refused; the
+    approximate one always does.
+    """
+    can_absorb = semantics.can_absorb
+    qualifies = semantics.qualifies
     current = tuple_set
     changed = True
     while changed:
@@ -245,10 +273,11 @@ def _extend_by_tuples(
         if statistics is not None:
             statistics.extension_passes += 1
         for candidate in scanner.scan():
-            if candidate in current:
+            if candidate in current or not can_absorb(current, candidate):
                 continue
-            if current.can_absorb(candidate):
-                current = current.with_tuple(candidate)
+            grown = current.with_tuple(candidate)
+            if qualifies(grown):
+                current = grown
                 changed = True
     return current
 
@@ -269,7 +298,7 @@ def maximally_extend(
     """
     plan = scanner.mask_pass(tuple_set)
     if plan is None:
-        return _extend_by_tuples(tuple_set, scanner, statistics)
+        return _extend_by_tuples(tuple_set, scanner, statistics, EXACT)
     catalog = tuple_set.catalog
     members = tuple_set.id_mask
     consistent = _consistent_with_all(catalog, members)
@@ -477,7 +506,25 @@ class ExactSemantics:
     the starred ``(A, τ)`` steps.  Lines 7–9 come in two forms:
     :meth:`survivors` on masks, when the scanner accepts a mask pass, and
     :meth:`candidates` one tuple set per candidate otherwise.
+
+    The drivers above the step ask two more tests of it.  The one-tuple
+    growth test — used by the tuple loop of Lines 2–6 and by the size-≤c
+    seed growth of ``PriorityIncrementalFD`` — is ``can_absorb(T, t)`` and
+    then ``qualifies(T ∪ {t})``; the Line 3 seed test is
+    ``qualifies({t})``.  Exactly, ``can_absorb`` is ``JCC(T ∪ {t})`` itself
+    and every set qualifies; the starred versions test ``A(·) ≥ τ``.
     """
+
+    @property
+    def can_absorb(self) -> Callable[[TupleSet, Tuple], bool]:
+        """The one-tuple growth test: ``TupleSet.can_absorb``, looked up
+        once per loop like :attr:`mergeable`."""
+        return TupleSet.can_absorb
+
+    def qualifies(self, tuple_set: TupleSet) -> bool:
+        """Line 3's seed test and the rest of the growth test: always true,
+        since ``can_absorb`` has already decided ``JCC``."""
+        return True
 
     def extend(self, tuple_set, scanner, statistics):
         """Lines 2–6: :func:`maximally_extend`."""
@@ -609,6 +656,7 @@ def incremental_fd(
     complete: Optional[CompleteStore] = None,
     backend=None,
     anchor_tuples: Optional[Iterable] = None,
+    semantics=EXACT,
 ) -> Iterator[TupleSet]:
     """``IncrementalFD(R, i)`` (Fig. 1): generate ``FD_i(R)`` one tuple set at a time.
 
@@ -629,16 +677,21 @@ def incremental_fd(
     initial:
         Alternative initialization of ``Incomplete`` (Section 7, "minimizing
         repeated work").  Defaults to the singleton sets ``{t}`` for every
-        ``t ∈ R_i``.  The caller is responsible for respecting the conditions
-        of Remarks 4.3 and 4.5.
+        ``t ∈ R_i`` that pass ``semantics``' seed test.  The caller is
+        responsible for respecting the conditions of Remarks 4.3 and 4.5.
     statistics:
         Optional counters to fill in.
     on_initialized / on_iteration:
         Hooks used by the trace harness (Table 3) and by tests: called after
         initialization and after each result is produced.
     complete:
-        An externally managed ``Complete`` store (the Section 7 strategies
-        keep one store across all ``n`` passes).  Defaults to a fresh store.
+        An externally managed ``Complete`` store, shared with other passes
+        (the Section 7 reuse strategies, the delta passes of streaming
+        ingest).  A result the shared store already covers was printed by
+        another pass — verbatim, or inside its maximal extension — so it is
+        stored but not yielded again, and counts in ``results`` but not in
+        ``results_emitted``.  Defaults to a fresh store, which covers no
+        result before the pass produces it.
     backend:
         The :class:`~repro.exec.base.ExecutionBackend` (or its name) whose
         ``next_result`` schedules each step; ``None`` is the serial
@@ -651,11 +704,19 @@ def incremental_fd(
         into sub-relations (see :func:`get_next_result`), and yields exactly
         the ``FD_i`` members anchored in the range, once each.  The sharded
         backend fans a pass out as one such range per worker task.
+    semantics:
+        :data:`EXACT` for ``IncrementalFD``, or an
+        :class:`~repro.core.approx.ApproxSemantics` for
+        ``ApproxIncrementalFD(R, i, A, τ)`` (Fig. 5): the default seeds are
+        then the singletons with ``A({t}) ≥ τ`` (the starred Line 3) and
+        every step is ``ApproxGetNextResult`` (Fig. 6).  The loop itself is
+        the same.
 
     Yields
     ------
     TupleSet
-        Each member of ``FD_i(R)``, exactly once (Theorem 4.6).
+        Each member of ``FD_i(R)`` (or ``AFD_i(R, A, τ)``), exactly once
+        (Theorems 4.6 and 6.6).
     """
     anchor_name = resolve_anchor(database, anchor)
     if statistics is not None:
@@ -672,13 +733,20 @@ def incremental_fd(
 
         next_result = resolve_backend(backend).next_result
 
+    # Only what differs from the default rides along as a keyword, so custom
+    # backends that predate the bucket restriction and the semantics
+    # argument keep working unchanged.
+    step_options = {}
     bucket = None
     if anchor_tuples is not None:
         bucket = frozenset(anchor_tuples)
+        step_options["anchor_tuples"] = bucket
+    if semantics is not EXACT:
+        step_options["semantics"] = semantics
 
     incomplete = ListIncompletePool(anchor_name, use_index=use_index)
-    owned_complete = complete is None
-    if owned_complete:
+    shared_complete = complete is not None
+    if not shared_complete:
         complete = CompleteStore(anchor_name, use_index=use_index)
 
     # Lines 1-4: initialization of the two lists.  Initial sets are interned
@@ -689,10 +757,13 @@ def incremental_fd(
 
     with trace_span("engine.initialize", "engine", anchor=anchor_name):
         if initial is None:
-            initial = (
-                TupleSet.singleton(t, catalog=catalog)
-                for t in database.relation(anchor_name)
-                if bucket is None or t in bucket
+            initial = filter(
+                semantics.qualifies,
+                (
+                    TupleSet.singleton(t, catalog=catalog)
+                    for t in database.relation(anchor_name)
+                    if bucket is None or t in bucket
+                ),
             )
         for tuple_set in initial:
             incomplete.add(tuple_set.attach_catalog(catalog))
@@ -704,39 +775,34 @@ def incremental_fd(
         # Line 5: loop until Incomplete is exhausted.
         while incomplete:
             iteration += 1
-            if bucket is None:
-                # The positional call keeps custom backends that predate the
-                # bucket restriction working unchanged.
-                result = next_result(
-                    database, anchor_name, incomplete, complete, scanner, statistics
-                )
-            else:
-                result = next_result(
-                    database,
-                    anchor_name,
-                    incomplete,
-                    complete,
-                    scanner,
-                    statistics,
-                    anchor_tuples=bucket,
-                )
-            # Lines 7-8: print the result and remember it in Complete.
+            result = next_result(
+                database, anchor_name, incomplete, complete, scanner, statistics,
+                **step_options,
+            )
+            # Lines 7-8: print the result and remember it in Complete — unless
+            # a shared Complete shows another pass printed it already.
+            covered = shared_complete and complete.contains_superset(
+                result, anchor=result.tuple_from(anchor_name)
+            )
             complete.add(result)
             if statistics is not None:
                 statistics.results += 1
-                statistics.results_emitted += 1
                 statistics.tuple_reads = scanner.tuple_reads
                 statistics.scan_passes = scanner.passes
             if on_iteration is not None:
                 on_iteration(iteration, result, incomplete, complete)
+            if covered:
+                continue
+            if statistics is not None:
+                statistics.results_emitted += 1
             yield result
     finally:
         # Record store counters on every exit — exhaustion, an abandoned
         # generator (first-k retrieval) or an error — exactly once.
-        if owned_complete:
+        if shared_complete:
+            # A shared Complete store is recorded by its owner, once.
+            record_store_statistics(statistics, ("incomplete", incomplete))
+        else:
             record_store_statistics(
                 statistics, ("incomplete", incomplete), ("complete", complete)
             )
-        else:
-            # A shared Complete store is recorded by its owner, once.
-            record_store_statistics(statistics, ("incomplete", incomplete))

@@ -1,22 +1,18 @@
-"""``Complete``/``Incomplete`` containers: the engine's pools and the reference ``Complete``.
+"""``Incomplete`` containers: the engine's pools and their shared counters.
 
 The paper stores both containers as linked lists and, in Section 7,
 recommends replacing them with hash tables keyed by the member tuple of the
 anchor relation ``R_i``.  The engine's ``Complete`` is the dual-indexed
 :class:`repro.core.store.CompleteStore` (anchor-tuple buckets plus
 relation-set groups, over the interned bitset
-:class:`~repro.core.tupleset.TupleSet` representation).
+:class:`~repro.core.tupleset.TupleSet` representation); the paper's literal
+list ``Complete`` survives as the oracle ``tests/core/reference_store.py``.
 
-This module keeps the straightforward implementations — backed by lists and
+This module keeps the ``Incomplete`` containers, backed by lists and
 single-level hash buckets (the ``Incomplete`` list keeps its members in
 slots so a replace is O(1); the literal searched list survives as the
 oracle in ``tests/core/test_pools.py``):
 
-* :class:`CompleteStore` — already-printed results; answers "is ``T'``
-  contained in some stored set?".  It is retained as the executable
-  reference the randomized equivalence tests
-  (``tests/core/test_tupleset_equivalence.py``) run beside the indexed
-  store, and for callers that want the paper's literal list.
 * :class:`ListIncompletePool` — the ``Incomplete`` list of ``IncrementalFD``;
   positional list semantics matching the paper's linked list.
 * :class:`PriorityIncompletePool` — the ``Incomplete_i`` priority queues of
@@ -45,7 +41,6 @@ from repro.core.tupleset import TupleSet
 
 __all__ = [
     "PoolStatistics",
-    "CompleteStore",
     "ListIncompletePool",
     "PriorityIncompletePool",
 ]
@@ -94,85 +89,6 @@ class PoolStatistics:
     def __repr__(self) -> str:
         rendered = ", ".join(f"{key}={value}" for key, value in self.as_dict().items())
         return f"PoolStatistics({rendered})"
-
-
-class CompleteStore:
-    """The ``Complete`` list: results already printed.
-
-    Parameters
-    ----------
-    anchor_relation:
-        Name of the relation ``R_i`` whose member tuple keys the hash index.
-        Only used when ``use_index`` is true.  In the priority algorithm the
-        store is shared by all indexes; the superset probe then passes the
-        anchor tuple explicitly.
-    use_index:
-        When true, stored sets are additionally hashed by *every* member
-        tuple, and superset probes restricted to the bucket of the probe's
-        anchor tuple (Section 7 optimization).
-    """
-
-    def __init__(self, anchor_relation: Optional[str] = None, use_index: bool = False):
-        self._anchor_relation = anchor_relation
-        self._use_index = use_index
-        self._sets: List[TupleSet] = []
-        self._members = set()
-        self._buckets: Dict[Tuple, List[TupleSet]] = {}
-        self.statistics = PoolStatistics()
-
-    def __len__(self) -> int:
-        return len(self._sets)
-
-    def __iter__(self) -> Iterator[TupleSet]:
-        return iter(self._sets)
-
-    def __contains__(self, tuple_set: TupleSet) -> bool:
-        return tuple_set in self._members
-
-    def add(self, tuple_set: TupleSet) -> None:
-        """Store a printed result."""
-        self._sets.append(tuple_set)
-        self._members.add(tuple_set)
-        self.statistics.additions += 1
-        self.statistics.peak_size = max(self.statistics.peak_size, len(self._sets))
-        if self._use_index:
-            for t in tuple_set:
-                self._buckets.setdefault(t, []).append(tuple_set)
-
-    def _candidates(self, probe: TupleSet, anchor: Optional[Tuple]) -> Iterable[TupleSet]:
-        if self._use_index:
-            key = anchor
-            if key is None and self._anchor_relation is not None:
-                key = probe.tuple_from(self._anchor_relation)
-            if key is not None:
-                return self._buckets.get(key, ())
-            # Fall back to a full scan when no anchor tuple is available.
-        return self._sets
-
-    def contains_superset(self, probe: TupleSet, anchor: Optional[Tuple] = None) -> bool:
-        """Line 11 of ``GetNextResult``: is ``probe`` contained in a stored set?"""
-        for stored in self._candidates(probe, anchor):
-            self.statistics.sets_scanned += 1
-            if probe.issubset(stored):
-                return True
-        return False
-
-    def contains_superset_mask(
-        self, id_mask: int, relation_mask: int, anchor: Tuple, catalog
-    ) -> bool:
-        """:meth:`contains_superset` for a probe given as the tuple bitmask
-        ``id_mask`` of ``catalog``, with its relation bitmask and anchor tuple.
-        """
-        stored_sets = self._buckets.get(anchor, ()) if self._use_index else self._sets
-        for stored in stored_sets:
-            self.statistics.sets_scanned += 1
-            if stored.holds_mask(id_mask, catalog):
-                return True
-        return False
-
-    def as_list(self) -> List[TupleSet]:
-        """The stored sets in insertion (printing) order."""
-        return list(self._sets)
 
 
 class ListIncompletePool:

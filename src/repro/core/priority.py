@@ -26,6 +26,12 @@ the streaming maintainer (:mod:`repro.service.delta`) pushes an arrival's
 qualifying size-≤c subsets into the live queues
 (:meth:`PriorityState.ingest`) and drains only the genuinely new results
 instead of rebuilding the queues from scratch.
+
+The same loop serves ranked retrieval of the approximate full disjunction
+(end of Section 6, "in the spirit of PriorityIncrementalFD"): pass an
+:class:`~repro.core.approx.ApproxSemantics` as ``semantics`` and every
+``JCC`` test above — the size-≤c seeds, the queue merge and each step —
+becomes ``A(·) ≥ τ``.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple as TupleType
 
 from repro.relational.database import Database
 from repro.relational.tuples import Tuple
-from repro.core.incremental import FDStatistics, get_next_result
+from repro.core.incremental import EXACT, FDStatistics, get_next_result
 from repro.core.store import CompleteStore, PriorityIncompletePool
 from repro.core.ranking import (
     RankingFunction,
@@ -49,13 +55,15 @@ from repro.core.tupleset import TupleSet
 RankedResult = TupleType[TupleSet, float]
 
 
-def _merge_queue_members(pool: PriorityIncompletePool) -> None:
+def _merge_queue_members(pool: PriorityIncompletePool, semantics=EXACT) -> None:
     """Lines 5–8 of Fig. 3: merge queue members whose union is JCC, to a fixpoint.
 
     After the merge no two members of the queue can be contained in the same
     member of ``FD_i`` (two such members would share the ``R_i`` tuple and be
-    join consistent, hence mergeable).
+    join consistent, hence mergeable).  ``semantics`` supplies the merge
+    test: ``JCC`` here, ``A ≥ τ`` for ranked approximate retrieval.
     """
+    mergeable = semantics.mergeable
     changed = True
     while changed:
         changed = False
@@ -68,7 +76,7 @@ def _merge_queue_members(pool: PriorityIncompletePool) -> None:
                     continue
                 if first == second:
                     continue
-                if first.union_is_jcc(second):
+                if mergeable(first, second):
                     merged = first.union(second)
                     # Remove both members and insert the union once.
                     pool.replace(first, merged)
@@ -82,18 +90,24 @@ def build_priority_pools(
     database: Database,
     ranking: RankingFunction,
     use_index: bool = False,
+    semantics=EXACT,
 ) -> List[PriorityIncompletePool]:
-    """Initialization of Fig. 3: one merged priority queue per relation."""
+    """Initialization of Fig. 3: one merged priority queue per relation.
+
+    Under an :class:`~repro.core.approx.ApproxSemantics` each queue holds the
+    connected sets of size at most ``c`` with ``A ≥ τ``: every member of
+    ``AFD`` has such a witness of its rank, since ``A`` is acceptable.
+    """
     ranking.require_monotonically_c_determined()
     catalog = database.catalog()
     pools: List[PriorityIncompletePool] = []
     for relation in database.relations:
         pool = PriorityIncompletePool(relation.name, ranking, use_index=use_index)
         for tuple_set in enumerate_connected_subsets(
-            database, relation.name, ranking.c, catalog=catalog
+            database, relation.name, ranking.c, catalog=catalog, semantics=semantics
         ):
             pool.add(tuple_set)
-        _merge_queue_members(pool)
+        _merge_queue_members(pool, semantics)
         pools.append(pool)
     return pools
 
@@ -124,8 +138,13 @@ class PriorityState:
         use_index: bool = False,
         statistics: Optional[FDStatistics] = None,
         backend=None,
+        semantics=EXACT,
     ):
         ranking.require_monotonically_c_determined()
+        self.semantics = semantics
+        # As in incremental_fd: the default semantics is not passed, so
+        # custom backends without the argument keep working.
+        self._step_options = {} if semantics is EXACT else {"semantics": semantics}
         if backend is None:
             self._next_result = get_next_result
         else:
@@ -140,7 +159,9 @@ class PriorityState:
             from repro.core.kernels import tag_kernel
 
             tag_kernel(statistics)
-        self.pools = build_priority_pools(database, ranking, use_index=use_index)
+        self.pools = build_priority_pools(
+            database, ranking, use_index=use_index, semantics=semantics
+        )
         self.anchors = [relation.name for relation in database.relations]
         self.complete = CompleteStore(anchor_relation=None, use_index=use_index)
         self.scanner = TupleScanner(database)
@@ -198,6 +219,7 @@ class PriorityState:
                 self.complete,
                 self.scanner,
                 statistics,
+                **self._step_options,
             )
             if result in self.complete:
                 # Line 17: the same result was already produced via another
@@ -245,7 +267,8 @@ class PriorityState:
         touched = set()
         for t in fresh_tuples:
             for subset in enumerate_connected_subsets_containing(
-                self.database, t, self.ranking.c, catalog=catalog
+                self.database, t, self.ranking.c, catalog=catalog,
+                semantics=self.semantics,
             ):
                 for index, anchor_name in enumerate(self.anchors):
                     if subset.contains_tuple_from(anchor_name):
@@ -254,7 +277,7 @@ class PriorityState:
                             seeded.add(subset)
                         touched.add(index)
         for index in touched:
-            _merge_queue_members(self.pools[index])
+            _merge_queue_members(self.pools[index], self.semantics)
         self.arrivals_seeded += len(fresh_tuples)
         return len(seeded)
 
@@ -328,6 +351,7 @@ def priority_incremental_fd(
     use_index: bool = False,
     statistics: Optional[FDStatistics] = None,
     backend=None,
+    semantics=EXACT,
 ) -> Iterator[RankedResult]:
     """Generate ``FD(R)`` in non-increasing rank order.
 
@@ -353,11 +377,20 @@ def priority_incremental_fd(
         The :class:`~repro.exec.base.ExecutionBackend` (or its name) whose
         ``next_result`` schedules each step.  The output *order* is
         backend-independent: rank extraction happens here.
+    semantics:
+        :data:`~repro.core.incremental.EXACT`, or an
+        :class:`~repro.core.approx.ApproxSemantics` for ranked retrieval of
+        ``AFD(R, A, τ)`` (end of Section 6): the queues start from the
+        qualifying connected sets of size at most ``c`` and each step is
+        ``ApproxGetNextResult``.  Monotonicity of the ranking still makes a
+        produced result rank at least as high as the queue entry it grew
+        from, so the order argument of Lemma 5.4 carries over.
 
     Yields
     ------
     (TupleSet, float)
-        Each member of ``FD(R)`` with its rank, highest rank first.
+        Each member of ``FD(R)`` (or ``AFD(R, A, τ)``) with its rank,
+        highest rank first.
     """
     if k is not None and k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
@@ -367,7 +400,7 @@ def priority_incremental_fd(
 
     state = PriorityState(
         database, ranking, use_index=use_index, statistics=statistics,
-        backend=backend,
+        backend=backend, semantics=semantics,
     )
     try:
         yield from state.results(k=k, threshold=threshold)
@@ -384,12 +417,14 @@ def top_k(
     use_index: bool = False,
     statistics: Optional[FDStatistics] = None,
     backend=None,
+    semantics=EXACT,
 ) -> List[RankedResult]:
-    """The top-``(k, f)`` full-disjunction problem (Theorem 5.5)."""
+    """The top-``(k, f)`` full-disjunction problem (Theorem 5.5), or its
+    approximate counterpart under an approximate ``semantics``."""
     return list(
         priority_incremental_fd(
             database, ranking, k=k, use_index=use_index,
-            statistics=statistics, backend=backend,
+            statistics=statistics, backend=backend, semantics=semantics,
         )
     )
 

@@ -24,6 +24,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 from repro.relational.database import Database
 from repro.relational.errors import RankingError
 from repro.relational.tuples import Tuple
+from repro.core.incremental import EXACT
 from repro.core.tupleset import TupleSet
 
 #: How importances may be supplied: a mapping from tuple label, or a callable.
@@ -268,43 +269,62 @@ def paper_example_ranking(
     return CDeterminedRanking(3, subset_score, name="f_example_3det")
 
 
-def enumerate_connected_subsets(
-    database: Database,
-    anchor_name: str,
-    max_size: int,
-    catalog=None,
+def _grow_subsets(
+    database: Database, seeds: Iterable[TupleSet], max_size: int, semantics
 ) -> Iterator[TupleSet]:
-    """Enumerate every JCC tuple set of size at most ``max_size`` containing a tuple of ``R_i``.
+    """The seeds that qualify, then every set grown from them one tuple at a
+    time, up to ``max_size`` tuples, through ``semantics``' growth test.
 
-    This is the initialization of ``PriorityIncrementalFD`` (Lines 3–4 of
-    Fig. 3).  The enumeration grows sets tuple by tuple, so its cost is
-    ``O(s^c)`` for ``c = max_size`` — polynomial for constant ``c``.
+    Every qualifying connected set has a build order from its seed whose
+    prefixes are connected (a spanning-tree traversal), and join
+    consistency — or, for an acceptable ``A``, ``A ≥ τ`` — holds for those
+    prefixes too, so tuple-by-tuple growth reaches every qualifying set.
+    Each set is yielded once; a set already seen is not tested again.
     """
     if max_size < 1:
         raise RankingError(f"max_size must be at least 1, got {max_size}")
+    can_absorb = semantics.can_absorb
+    qualifies = semantics.qualifies
+    frontier: List[TupleSet] = [seed for seed in seeds if qualifies(seed)]
+    seen = set(frontier)
+    yield from frontier
+    if max_size == 1:
+        # The common case (f_max is 1-determined): no growth, and no O(s)
+        # copy of the database.
+        return
     all_tuples = list(database.tuples())
-    seen = set()
-    frontier: List[TupleSet] = []
-    for t in database.relation(anchor_name):
-        singleton = TupleSet.singleton(t, catalog=catalog)
-        seen.add(singleton)
-        frontier.append(singleton)
-        yield singleton
     for _ in range(max_size - 1):
         next_frontier: List[TupleSet] = []
         for current in frontier:
             for t in all_tuples:
-                if t in current:
-                    continue
-                if not current.can_absorb(t):
+                if t in current or not can_absorb(current, t):
                     continue
                 grown = current.with_tuple(t)
-                if grown in seen:
+                if grown in seen or not qualifies(grown):
                     continue
                 seen.add(grown)
                 next_frontier.append(grown)
                 yield grown
         frontier = next_frontier
+
+
+def enumerate_connected_subsets(
+    database: Database,
+    anchor_name: str,
+    max_size: int,
+    catalog=None,
+    semantics=EXACT,
+) -> Iterator[TupleSet]:
+    """Every JCC tuple set of size at most ``max_size`` containing a tuple of ``R_i``.
+
+    This is the initialization of ``PriorityIncrementalFD`` (Lines 3–4 of
+    Fig. 3).  The enumeration grows sets tuple by tuple, so its cost is
+    ``O(s^c)`` for ``c = max_size`` — polynomial for constant ``c``.  Under
+    an :class:`~repro.core.approx.ApproxSemantics` the sets are the
+    connected ones with ``A ≥ τ`` instead.
+    """
+    seeds = (TupleSet.singleton(t, catalog=catalog) for t in database.relation(anchor_name))
+    return _grow_subsets(database, seeds, max_size, semantics)
 
 
 def enumerate_connected_subsets_containing(
@@ -312,46 +332,20 @@ def enumerate_connected_subsets_containing(
     t: Tuple,
     max_size: int,
     catalog=None,
+    semantics=EXACT,
 ) -> Iterator[TupleSet]:
-    """Enumerate every JCC tuple set of size at most ``max_size`` containing ``t``.
+    """Every JCC tuple set of size at most ``max_size`` containing ``t``.
 
     The bounded variant of :func:`enumerate_connected_subsets` used by ranked
     delta maintenance: when ``t`` arrives on a stream, the only size-≤c
     witness subsets the priority queues are missing are exactly the ones
     containing ``t`` — everything else was enumerated when the queues were
-    built.  The growth argument matches the unbounded enumerator: every
-    connected set containing ``t`` has a build order starting at ``{t}``
-    whose prefixes are all connected (a spanning-tree traversal from ``t``),
-    and join consistency is preserved under taking subsets, so growing
-    tuple by tuple through ``can_absorb`` reaches every qualifying subset.
-    Cost is ``O(s^(c-1))`` per arrival instead of the ``O(s^c)`` rebuild.
+    built.  Cost is ``O(s^(c-1))`` per arrival instead of the ``O(s^c)``
+    rebuild.
     """
-    if max_size < 1:
-        raise RankingError(f"max_size must be at least 1, got {max_size}")
-    singleton = TupleSet.singleton(t, catalog=catalog)
-    seen = {singleton}
-    frontier: List[TupleSet] = [singleton]
-    yield singleton
-    if max_size == 1:
-        # The common case (f_max is 1-determined): no growth loop, and no
-        # point paying an O(s) database copy per arrival.
-        return
-    all_tuples = list(database.tuples())
-    for _ in range(max_size - 1):
-        next_frontier: List[TupleSet] = []
-        for current in frontier:
-            for other in all_tuples:
-                if other in current:
-                    continue
-                if not current.can_absorb(other):
-                    continue
-                grown = current.with_tuple(other)
-                if grown in seen:
-                    continue
-                seen.add(grown)
-                next_frontier.append(grown)
-                yield grown
-        frontier = next_frontier
+    return _grow_subsets(
+        database, [TupleSet.singleton(t, catalog=catalog)], max_size, semantics
+    )
 
 
 def canonical_rank_key(item):

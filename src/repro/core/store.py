@@ -19,9 +19,10 @@ subsystem implementing that recommendation on top of the interned
   paper's positional and heap semantics and the anchor-bucket merge probe),
   re-exported so the engine imports every container from here.
 
-:class:`CompleteStore` is a from-scratch reimplementation — its probe
-strategy genuinely differs from the reference — while the pools exist in
-exactly one place.  All containers fill in a
+Each container exists once in ``src/``.  The paper's literal ``Complete``
+list — one bucket level, an ``issubset`` per stored set — is kept only as
+the test oracle ``tests/core/reference_store.py``, which the randomized
+equivalence tests run beside :class:`CompleteStore`.  All containers fill in a
 :class:`~repro.core.pools.PoolStatistics`, the machine-independent work
 measure the benchmarks (E1, E6) report: ``sets_scanned`` counts subset/merge
 tests actually performed, ``bucket_probes`` counts index buckets and

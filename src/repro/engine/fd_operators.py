@@ -23,11 +23,10 @@ from typing import Iterator, Optional
 
 from repro.relational.database import Database
 from repro.relational.operators import combined_schema, pad_tuple_set
-from repro.core.approx import approx_full_disjunction_sets
+from repro.core.approx import ApproxSemantics, approx_full_disjunction_sets
 from repro.core.approx_join import ApproximateJoinFunction
 from repro.core.full_disjunction import full_disjunction_sets
 from repro.core.priority import priority_incremental_fd
-from repro.core.ranked_approx import ranked_approx_full_disjunction
 from repro.core.ranking import RankingFunction
 from repro.core.tupleset import TupleSet
 from repro.engine.operators import Operator
@@ -159,12 +158,11 @@ class ApproximateFullDisjunctionScan(_StreamingScan):
                 self._threshold,
                 use_index=self._use_index,
             )
-        return ranked_approx_full_disjunction(
+        return priority_incremental_fd(
             self._database,
-            self._join_function,
-            self._threshold,
             self._ranking,
             use_index=self._use_index,
+            semantics=ApproxSemantics(self._join_function, self._threshold),
         )
 
     def _produce(self) -> Optional[Row]:

@@ -7,17 +7,21 @@ else — candidate generation, subsumption, merging — is a property of the
 *algorithm*; whether the passes run one after another or fan out across
 processes is a property of the *schedule*.
 
-:class:`ExecutionBackend` is that seam.  The drivers in
-:mod:`repro.core.full_disjunction`, :mod:`repro.core.incremental`,
-:mod:`repro.core.priority`, :mod:`repro.core.approx` and
-:mod:`repro.core.ranked_approx` dispatch through a backend instead of
-hard-coding their loops, so the same algorithm runs under either of:
+:class:`ExecutionBackend` is that seam.  Every driver runs one of two
+loops — :func:`repro.core.incremental.incremental_fd` (Fig. 1, under either
+join semantics, with or without a shared ``Complete``) or
+:meth:`repro.core.priority.PriorityState.results` (Fig. 3) — and both
+dispatch each step through a backend's ``next_result``.  The full
+disjunction's independent passes (:mod:`repro.core.full_disjunction`,
+:mod:`repro.core.approx`) are scheduled by the backend as a whole, so the
+same algorithm runs under either of:
 
 * :class:`~repro.exec.serial.SerialBackend` — the paper's reference
   execution, extracted from the original driver loops;
 * :class:`~repro.exec.sharded.ShardedBackend` — the restricted passes of
-  the ``singletons`` strategy, split into anchor-bucket ranges, run on a
-  ``ProcessPoolExecutor``, with deterministic result and statistics merging.
+  the ``singletons`` strategy, split into anchor-bucket ranges, and the
+  whole approximate passes, run on a ``ProcessPoolExecutor``, with
+  deterministic result and statistics merging.
 
 Both backends produce the same result sets; the cross-backend tests in
 ``tests/exec/test_backend_equivalence.py`` check them against the naive
@@ -87,18 +91,19 @@ class ExecutionBackend:
     def run_approx_passes(
         self,
         database: Database,
-        join_function,
-        threshold: float,
+        semantics,
         use_index: bool = False,
         statistics=None,
     ) -> Iterator[TupleSet]:
         """Compute ``AFD(R, A, τ)`` (Corollary 6.7) under this backend's schedule.
 
-        The approximate driver's per-relation ``ApproxIncrementalFD`` passes
-        are independent exactly like the exact driver's singleton passes, so
-        the backend owns their schedule too.  Yields every member of the
-        approximate full disjunction exactly once, in database relation order
-        with the earlier-relation duplicate suppression applied.
+        ``semantics`` is the :class:`~repro.core.approx.ApproxSemantics` of
+        ``(A, τ)``.  Pass ``i`` is :func:`repro.core.approx.approx_pass` for
+        ``R_i``; the passes are independent exactly like the exact driver's
+        singleton passes, so the backend owns their schedule too, under the
+        same rules as :meth:`run_singleton_passes`.  Yields every member of
+        the approximate full disjunction exactly once, in database relation
+        order.
         """
         raise NotImplementedError
 

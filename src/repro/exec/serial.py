@@ -2,10 +2,12 @@
 
 This backend *is* the pre-existing behaviour of the drivers — the step is
 exactly :func:`repro.core.incremental.get_next_result`, and
-:meth:`SerialBackend.run_singleton_passes` runs the passes of
-:func:`repro.core.full_disjunction.restricted_pass` one after another.  It
-exists as a class so the sharded backend can replace the pass schedule
-while inheriting the rest.
+:meth:`SerialBackend.run_singleton_passes` and
+:meth:`SerialBackend.run_approx_passes` run the passes of
+:func:`repro.core.full_disjunction.restricted_pass` and
+:func:`repro.core.approx.approx_pass` one after another.  It exists as a
+class so the sharded backend can replace the pass schedule while inheriting
+the rest.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 from typing import Iterator, Optional
 
 from repro.relational.database import Database
+from repro.core.approx import approx_pass
 from repro.core.full_disjunction import restricted_pass
 from repro.core.incremental import EXACT, get_next_result
 from repro.core.tupleset import TupleSet
@@ -72,27 +75,17 @@ class SerialBackend(ExecutionBackend):
     def run_approx_passes(
         self,
         database: Database,
-        join_function,
-        threshold: float,
+        semantics,
         use_index: bool = False,
         statistics=None,
     ) -> Iterator[TupleSet]:
-        """The Corollary 6.7 driver: a fresh ``ApproxIncrementalFD`` per relation."""
-        from repro.core.approx import approx_incremental_fd
-
-        for index, relation in enumerate(database.relations):
-            earlier = {r.name for r in database.relations[:index]}
-            for result in approx_incremental_fd(
+        """The Corollary 6.7 driver: one approximate pass per relation, in order."""
+        for relation in database.relations:
+            yield from approx_pass(
                 database,
                 relation.name,
-                join_function,
-                threshold,
+                semantics,
                 use_index=use_index,
                 statistics=statistics,
                 backend=self,
-            ):
-                if any(result.contains_tuple_from(name) for name in earlier):
-                    continue
-                if statistics is not None:
-                    statistics.results_emitted += 1
-                yield result
+            )

@@ -38,11 +38,12 @@ This backend therefore distributes **bucket ranges**, not whole passes:
   across worker counts and steal interleavings, and an abandoned stream
   still reports the ranges it consumed.
 
-The approximate driver fans out whole passes instead (one task per
-relation chunk, output order identical to serial): without the exact
-Line 14 ``JCC`` test, a similarity merge could join candidates across
-anchor tuples, so bucket-splitting an approx pass is not sound, and approx
-passes keep scanning the whole database.
+The approximate driver runs through the same pool runner with one task per
+relation: a whole :func:`repro.core.approx.approx_pass`, in the same plan
+order, so its output order is the serial one.  Without the exact Line 14
+``JCC`` test, a similarity merge could join candidates across anchor tuples,
+so bucket-splitting an approx pass is not sound, and approx passes keep
+scanning the whole database.
 
 Worker pools are long-lived: one shared pool, sized to the most recent
 request — resizing discards the old pool instead of leaking it, and
@@ -64,6 +65,7 @@ import warnings
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple as TupleType
 
 from repro.relational.database import Database
+from repro.core.approx import approx_pass
 from repro.core.full_disjunction import restricted_pass
 from repro.core.incremental import FDStatistics
 from repro.core.kernels import active_kernel, set_kernel
@@ -265,25 +267,30 @@ def plan_bucket_ranges(
     return plan
 
 
-def _bucket_range_worker(
+def _pass_worker(
     payload: DatabasePayload,
     anchor_name: str,
-    labels: List[str],
+    labels: Optional[List[str]],
     use_index: bool,
     block_size: Optional[int],
     kernel_name: Optional[str] = None,
     trace: bool = False,
+    semantics=None,
 ) -> TupleType[List[ResultKeys], FDStatistics, Optional[dict]]:
-    """One bucket range of one restricted pass, inside a worker.
+    """One task inside a worker: a bucket range of one restricted pass or,
+    given an approximate ``semantics``, one whole approximate pass.
 
-    Runs :func:`~repro.core.full_disjunction.restricted_pass` limited to
-    the range's anchor tuples (the ``anchor_tuples`` bucket restriction)
-    and ships the results back as frozensets of ``(relation_name, label)``
-    keys — tiny, and unambiguous because labels are unique per relation.  The parent's kernel name rides
+    The range runs :func:`~repro.core.full_disjunction.restricted_pass`
+    limited to its anchor tuples (the ``anchor_tuples`` bucket restriction);
+    the approximate task runs :func:`~repro.core.approx.approx_pass` for the
+    whole anchor relation (``labels`` is ``None``).  Results ship back as
+    frozensets of ``(relation_name, label)`` keys — tiny, and unambiguous
+    because labels are unique per relation.  The parent's kernel name rides
     along so workers run the same inner-loop implementation even when the
-    parent selected it programmatically.
+    parent selected it programmatically; the approximate join function rides
+    along inside ``semantics``.
 
-    With ``trace=True`` the range runs under a fresh worker-local
+    With ``trace=True`` the task runs under a fresh worker-local
     :class:`~repro.obs.tracing.PhaseTracer` and its span log rides home as
     the third slot — ``{"pid": worker pid, "events": [...]}`` — for the
     parent to absorb during the plan-order merge.  Untraced calls carry
@@ -292,22 +299,27 @@ def _bucket_range_worker(
     if kernel_name is not None:
         set_kernel(kernel_name)
     database = _payload_database(payload)
-    label_set = frozenset(labels)
-    bucket = frozenset(
-        t for t in database.relation(anchor_name) if t.label in label_set
-    )
     statistics = FDStatistics()
-    results: List[ResultKeys] = []
-
-    def run() -> None:
-        for result in restricted_pass(
+    if semantics is None:
+        label_set = frozenset(labels)
+        passes = restricted_pass(
             database,
             anchor_name,
             use_index=use_index,
             block_size=block_size,
             statistics=statistics,
-            anchor_tuples=bucket,
-        ):
+            anchor_tuples=frozenset(
+                t for t in database.relation(anchor_name) if t.label in label_set
+            ),
+        )
+    else:
+        passes = approx_pass(
+            database, anchor_name, semantics, use_index=use_index, statistics=statistics
+        )
+    results: List[ResultKeys] = []
+
+    def run() -> None:
+        for result in passes:
             results.append(
                 frozenset((t.relation_name, t.label) for t in result)
             )
@@ -319,58 +331,13 @@ def _bucket_range_worker(
         tracer = PhaseTracer()
         with use_tracer(tracer):
             with tracer.span(
-                "shard.range", "shard", anchor=anchor_name, labels=len(labels)
+                "shard.range", "shard", anchor=anchor_name, labels=len(labels or ())
             ):
                 run()
         trace_payload = {"pid": os.getpid(), "events": tracer.events()}
     else:
         run()
     return results, statistics, trace_payload
-
-
-def _approx_passes_worker(
-    database: Database,
-    anchor_names: List[str],
-    join_function,
-    threshold: float,
-    use_index: bool,
-    kernel_name: Optional[str] = None,
-) -> List[TupleType[List[ResultKeys], FDStatistics]]:
-    """A chunk of ``ApproxIncrementalFD`` passes, run inside one worker process.
-
-    Module-level so it is picklable by ``ProcessPoolExecutor``; shipping a
-    *chunk* of anchors per task serializes the database once per chunk, not
-    once per relation.  The join function rides along in the pickle (the
-    stock similarity/aggregation classes are plain picklable objects) and
-    the results come back as ``(relation_name, label)`` key sets.
-    Approx passes stay whole and scan the whole database: a similarity merge
-    may join candidates across anchor tuples, so neither the bucket
-    restriction nor the exact drop rule is sound for them.  A result holding
-    a tuple of an earlier relation is dropped here, as in the serial driver.
-    """
-    from repro.core.approx import approx_incremental_fd
-
-    if kernel_name is not None:
-        set_kernel(kernel_name)
-    order = {relation.name: index for index, relation in enumerate(database.relations)}
-    outputs: List[TupleType[List[ResultKeys], FDStatistics]] = []
-    for anchor_name in anchor_names:
-        statistics = FDStatistics()
-        results: List[ResultKeys] = []
-        position = order[anchor_name]
-        for result in approx_incremental_fd(
-            database,
-            anchor_name,
-            join_function,
-            threshold,
-            use_index=use_index,
-            statistics=statistics,
-        ):
-            if any(order[t.relation_name] < position for t in result):
-                continue
-            results.append(frozenset((t.relation_name, t.label) for t in result))
-        outputs.append((results, statistics))
-    return outputs
 
 
 def _replay(
@@ -397,21 +364,8 @@ def _replay(
             statistics.merge(task_statistics)
 
 
-def _contiguous_chunks(items: List[str], count: int) -> List[List[str]]:
-    """Split ``items`` into at most ``count`` contiguous, balanced chunks."""
-    count = min(count, len(items))
-    base, remainder = divmod(len(items), count)
-    chunks: List[List[str]] = []
-    start = 0
-    for index in range(count):
-        size = base + (1 if index < remainder else 0)
-        chunks.append(items[start : start + size])
-        start += size
-    return chunks
-
-
 class ShardedBackend(SerialBackend):
-    """Fan bucket ranges (or whole approximate passes) out to worker processes."""
+    """Fan bucket ranges (and whole approximate passes) out to worker processes."""
 
     name = "sharded"
 
@@ -435,8 +389,14 @@ class ShardedBackend(SerialBackend):
         block_size: Optional[int] = None,
         statistics=None,
     ) -> Iterator[TupleSet]:
-        return self._run_bucket_ranges_on_pool(
+        tasks = [
+            (anchor_name, labels)
+            for anchor_name, ranges in plan_bucket_ranges(database)
+            for labels in ranges
+        ]
+        yield from self._run_on_pool(
             database,
+            tasks,
             use_index,
             block_size,
             statistics,
@@ -451,12 +411,12 @@ class ShardedBackend(SerialBackend):
     def run_approx_passes(
         self,
         database: Database,
-        join_function,
-        threshold: float,
+        semantics,
         use_index: bool = False,
         statistics=None,
     ) -> Iterator[TupleSet]:
-        """Fan the independent ``ApproxIncrementalFD`` passes out to the pool.
+        """Fan the independent approximate passes out to the pool, one task
+        per relation.
 
         Always pass-grained — the starred Line 14 merge (``A(S ∪ T') ≥ τ``)
         can join candidates across anchor tuples, so the bucket restriction
@@ -464,46 +424,49 @@ class ShardedBackend(SerialBackend):
         unpicklable ad-hoc join function degrades to the in-process schedule
         exactly like a host that cannot spawn processes.
         """
-        return self._run_passes_on_pool(
+        tasks = [(relation.name, None) for relation in database.relations]
+        yield from self._run_on_pool(
             database,
+            tasks,
+            use_index,
+            None,
             statistics,
-            submit_chunk=lambda executor, chunk: executor.submit(
-                _approx_passes_worker, database, chunk, join_function, threshold,
-                use_index, active_kernel().name,
-            ),
             fallback=lambda: super(ShardedBackend, self).run_approx_passes(
-                database,
-                join_function,
-                threshold,
-                use_index=use_index,
-                statistics=statistics,
+                database, semantics, use_index=use_index, statistics=statistics
             ),
+            semantics=semantics,
         )
 
-    def _run_bucket_ranges_on_pool(
-        self, database: Database, use_index, block_size, statistics, fallback
+    def _run_on_pool(
+        self,
+        database: Database,
+        tasks,
+        use_index,
+        block_size,
+        statistics,
+        fallback,
+        semantics=None,
     ) -> Iterator[TupleSet]:
-        """The bucket-grained schedule: one pool task per anchor-bucket range.
+        """Run ``tasks`` — ``(anchor name, range labels or None)`` pairs in
+        plan order — one pool task each (see :func:`_pass_worker`).
 
-        All ranges of all passes are submitted up front; the executor's
-        shared queue hands the next pending range to whichever worker frees
-        up first (work stealing).  The parent consumes futures strictly in
-        plan order — relation order, then range order — so the emitted
-        sequence and the merged statistics never depend on completion order.
-        Range ``i``'s results stream out while later ranges are still
-        running; abandoning the generator (first-k retrieval) cancels every
-        range not yet started.
+        All tasks are submitted up front; the executor's shared queue hands
+        the next pending task to whichever worker frees up first (work
+        stealing).  The parent consumes futures strictly in plan order —
+        relation order, then range order — so the emitted sequence and the
+        merged statistics never depend on completion order.  Task ``i``'s
+        results stream out while later tasks are still running; abandoning
+        the generator (first-k retrieval) cancels every task not yet
+        started.  Systemic failures (no process spawn, unpicklable
+        arguments) surface on the first task and degrade to ``fallback()``
+        — the in-process schedule — with a warning.
         """
-        catalog = database.catalog()
-        label_map = {(t.relation_name, t.label): t for t in database.tuples()}
-        plan = plan_bucket_ranges(database)
-        tasks = [
-            (anchor_name, labels)
-            for anchor_name, ranges in plan
-            for labels in ranges
-        ]
         if not tasks:
             return  # no tuples anywhere; the full disjunction is empty
+        # Build the catalog *before* pickling so every worker receives the
+        # precomputed bitmatrices instead of rebuilding them.
+        catalog = database.catalog()
+        label_map = {(t.relation_name, t.label): t for t in database.tuples()}
         workers = min(self.max_workers, len(tasks))
 
         futures = []
@@ -512,20 +475,20 @@ class ShardedBackend(SerialBackend):
                 executor = _shared_pool(workers)
                 kernel_name = active_kernel().name
                 payload = _database_payload(database)
-                # Workers trace when the parent is tracing: each range runs
+                # Workers trace when the parent is tracing: each task runs
                 # under a worker-local tracer and ships its span log home.
                 from repro.obs.tracing import get_tracer
 
                 parent_tracer = get_tracer()
                 futures = [
                     executor.submit(
-                        _bucket_range_worker, payload, anchor_name, labels,
+                        _pass_worker, payload, anchor_name, labels,
                         use_index, block_size, kernel_name,
-                        parent_tracer is not None,
+                        parent_tracer is not None, semantics,
                     )
                     for anchor_name, labels in tasks
                 ]
-                # Resolve the first range before yielding anything: systemic
+                # Resolve the first task before yielding anything: systemic
                 # failures (no process spawn, unpicklable database) surface
                 # here, while the fallback can still take over cleanly.
                 first_output = futures[0].result()
@@ -546,83 +509,23 @@ class ShardedBackend(SerialBackend):
                 return
 
             for cursor in range(len(tasks)):
-                keys_list, range_statistics, range_trace = (
+                keys_list, task_statistics, task_trace = (
                     first_output if cursor == 0 else futures[cursor].result()
                 )
-                if parent_tracer is not None and range_trace is not None:
+                if parent_tracer is not None and task_trace is not None:
                     # Worker spans join the parent's trace during the same
                     # plan-order merge the results take, attributed by
                     # range id and true worker pid.
                     parent_tracer.absorb(
-                        range_trace["events"],
-                        pid=range_trace["pid"],
+                        task_trace["events"],
+                        pid=task_trace["pid"],
                         range_id=cursor,
                     )
                 yield from _replay(
-                    keys_list, range_statistics, statistics, label_map, catalog
+                    keys_list, task_statistics, statistics, label_map, catalog
                 )
         finally:
-            for future in futures:
-                future.cancel()
-
-    def _run_passes_on_pool(
-        self, database: Database, statistics, submit_chunk, fallback
-    ) -> Iterator[TupleSet]:
-        """The pass-grained fan-out of the approximate passes.
-
-        Chunks the relations, submits each chunk through ``submit_chunk``,
-        and merges deterministically: chunks (and passes within them) in
-        relation order, results in each pass's emission order, every result
-        re-interned against the parent's catalog.  The workers have already
-        dropped the duplicates of earlier passes.  Chunk ``i``
-        streams out while chunks ``i+1..`` are still running.  Systemic
-        failures (no process spawn, unpicklable arguments) surface on the
-        first chunk and degrade to ``fallback()`` — the in-process schedule
-        — with a warning.
-        """
-        # Build the catalog *before* pickling so every worker receives the
-        # precomputed bitmatrices instead of rebuilding them n times.
-        catalog = database.catalog()
-        label_map = {(t.relation_name, t.label): t for t in database.tuples()}
-        relation_names = [relation.name for relation in database.relations]
-        if not relation_names:
-            return  # the result over an empty database is empty; nothing to shard
-        workers = min(self.max_workers, len(relation_names))
-
-        chunks = _contiguous_chunks(relation_names, workers)
-        futures = []
-        try:
-            try:
-                executor = _shared_pool(workers)
-                futures = [submit_chunk(executor, chunk) for chunk in chunks]
-                # Resolve the first chunk before yielding anything: systemic
-                # failures surface here, while the fallback can still take
-                # over cleanly.
-                first_output = futures[0].result()
-            except Exception as error:
-                for future in futures:
-                    future.cancel()
-                futures = []
-                _discard_pool(workers)
-                if not self._warned_fallback:
-                    self._warned_fallback = True
-                    warnings.warn(
-                        f"sharded backend could not use a process pool ({error!r}); "
-                        "falling back to in-process passes",
-                        RuntimeWarning,
-                        stacklevel=3,
-                    )
-                yield from fallback()
-                return
-
-            for index in range(len(chunks)):
-                chunk_output = first_output if index == 0 else futures[index].result()
-                for keys_list, pass_statistics in chunk_output:
-                    yield from _replay(
-                        keys_list, pass_statistics, statistics, label_map, catalog
-                    )
-        finally:
-            # Abandoned generators (first-k retrieval) cancel chunks not yet
-            # started; the shared pool itself stays warm for the next call.
+            # Abandoned generators cancel tasks not yet started; the shared
+            # pool itself stays warm for the next call.
             for future in futures:
                 future.cancel()

@@ -10,9 +10,10 @@ the only new seed":
   result emitted so far (across the base run and all arrivals);
 * each arrival ``t`` is appended through
   :meth:`~repro.relational.database.Database.add_tuple` (append-only catalog
-  maintenance, no snapshot rebuild) and then a single ``GetNextResult`` loop
-  runs, anchored at ``t``'s relation and seeded with the *singleton*
-  ``{t}`` alone;
+  maintenance, no snapshot rebuild) and then a single ``IncrementalFD``
+  pass runs (:func:`~repro.core.incremental.incremental_fd` with the shared
+  store as its ``complete``), anchored at ``t``'s relation and seeded with
+  the *singleton* ``{t}`` alone;
 * candidates that do not contain ``t`` are pruned by the accumulated store
   (they are subsets of old results), so the loop's work is proportional to
   the new results the arrival creates, not to the result set already served.
@@ -75,7 +76,7 @@ from repro.core.kernels import tag_kernel
 from repro.core.priority import PriorityState
 from repro.core.ranking import canonical_rank_key
 from repro.core.scanner import TupleScanner
-from repro.core.store import CompleteStore, ListIncompletePool, record_store_statistics
+from repro.core.store import CompleteStore
 from repro.core.tupleset import TupleSet
 from repro.obs.tracing import trace_span
 from repro.relational.database import Database
@@ -171,7 +172,8 @@ class StreamingFullDisjunction:
     live :class:`ResultLog` that open sessions read.
 
     ``backend`` schedules the per-step work through its ``next_result``;
-    the per-arrival loop is a single pass, so there is nothing to shard.
+    the per-arrival loop is a single ``incremental_fd`` pass, so there is
+    nothing to shard.
 
     With a ``ranking`` the maintained stream is the *ranked* full
     disjunction: log entries are ``(tuple set, score)`` pairs, the base run
@@ -195,7 +197,6 @@ class StreamingFullDisjunction:
         self.statistics = statistics if statistics is not None else FDStatistics()
         tag_kernel(self.statistics)
         self._backend = resolve_backend(backend)
-        self._next_result = self._backend.next_result
         if ranking is not None:
             # The live queue state *is* the engine: its shared Complete
             # store doubles as the maintainer's accumulated result mirror.
@@ -625,13 +626,27 @@ class StreamingFullDisjunction:
         by_relation: "dict[str, list]" = {}
         for t in fresh:
             by_relation.setdefault(t.relation_name, []).append(t)
-        batch_statistics = FDStatistics()
         emitted = 0
         for relation_name, fresh_tuples in by_relation.items():
-            emitted += self._delta_pass(
-                relation_name, fresh_tuples, catalog, batch_statistics
-            )
-        self.statistics.merge(batch_statistics)
+            # One IncrementalFD pass per target relation, seeded with the
+            # arrivals' singletons and run against the accumulated store:
+            # every new maximal set holding a fresh tuple is produced (its
+            # anchor tuple is the fresh tuple), every candidate that is a
+            # subset of an old result is pruned at Line 11, and a re-derived
+            # old result is stored but not emitted (the shared-Complete rule).
+            pass_statistics = FDStatistics()
+            for result in incremental.incremental_fd(
+                self.database,
+                relation_name,
+                use_index=self.use_index,
+                initial=[TupleSet.singleton(t, catalog=catalog) for t in fresh_tuples],
+                statistics=pass_statistics,
+                complete=self._store,
+                backend=self._backend,
+            ):
+                self._log.append(result)
+                emitted += 1
+            self.statistics.merge(pass_statistics)
         return emitted
 
     def _retract_and_rederive(self, dead_tuples) -> "tuple":
@@ -686,45 +701,6 @@ class StreamingFullDisjunction:
             self._log.append(item)
             if self._state is not None:
                 self._scores[item[0]] = item[1]
-
-    def _delta_pass(
-        self,
-        anchor_name: str,
-        fresh_tuples,
-        catalog,
-        statistics: FDStatistics,
-    ) -> int:
-        """One ``GetNextResult`` loop seeded with the arrivals' singletons.
-
-        Anchored at the arrivals' relation and run against the accumulated
-        store: every new maximal set containing a fresh tuple is produced
-        (its anchor tuple *is* the fresh tuple), every candidate that is a
-        subset of an old result is pruned at Line 11.
-        """
-        pool = ListIncompletePool(anchor_name, use_index=self.use_index)
-        for t in fresh_tuples:
-            pool.add(TupleSet.singleton(t, catalog=catalog))
-        scanner = TupleScanner(self.database)
-        emitted = 0
-        while pool:
-            result = self._next_result(
-                self.database, anchor_name, pool, self._store, scanner, statistics
-            )
-            statistics.results += 1
-            anchor_tuple = result.tuple_from(anchor_name)
-            covered = self._store.contains_superset(result, anchor=anchor_tuple)
-            self._store.add(result)
-            if covered:
-                # A re-derived old result (reachable when a candidate without
-                # any fresh tuple survived subsumption); never re-emitted.
-                continue
-            self._log.append(result)
-            emitted += 1
-            statistics.results_emitted += 1
-        statistics.tuple_reads += scanner.tuple_reads
-        statistics.scan_passes += scanner.passes
-        record_store_statistics(statistics, ("incomplete", pool))
-        return emitted
 
 
 def incremental_replay_stream(

@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
-from repro.core.incremental import FDStatistics
+from repro.core.incremental import EXACT, FDStatistics
 from repro.relational.database import Database
 
 #: The engines a session can wrap; each maps to a lazy result generator.
@@ -49,7 +49,9 @@ def _fd_source(database: Database, options: dict) -> Iterator[object]:
     )
 
 
-def _priority_source(database: Database, options: dict) -> Iterator[object]:
+def _priority_source(
+    database: Database, options: dict, semantics=EXACT
+) -> Iterator[object]:
     from repro.core.priority import priority_incremental_fd
 
     ranking = options.get("ranking")
@@ -63,6 +65,7 @@ def _priority_source(database: Database, options: dict) -> Iterator[object]:
         use_index=options.get("use_index", False),
         statistics=options.get("statistics"),
         backend=options.get("backend"),
+        semantics=semantics,
     )
 
 
@@ -83,25 +86,16 @@ def _approx_source(database: Database, options: dict) -> Iterator[object]:
 
 
 def _ranked_approx_source(database: Database, options: dict) -> Iterator[object]:
-    from repro.core.ranked_approx import ranked_approx_full_disjunction
+    """The 'priority' engine under the ``(A, τ)`` semantics."""
+    from repro.core.approx import ApproxSemantics
 
     join_function = options.get("join_function")
-    ranking = options.get("ranking")
-    if join_function is None or ranking is None:
+    if join_function is None or options.get("ranking") is None:
         raise ValueError(
             "the 'ranked_approx' engine requires join_function= and ranking= options"
         )
-    return ranked_approx_full_disjunction(
-        database,
-        join_function,
-        options.get("threshold", 1.0),
-        ranking,
-        k=options.get("k"),
-        rank_threshold=options.get("rank_threshold"),
-        use_index=options.get("use_index", False),
-        statistics=options.get("statistics"),
-        backend=options.get("backend"),
-    )
+    semantics = ApproxSemantics(join_function, options.get("threshold", 1.0))
+    return _priority_source(database, options, semantics)
 
 
 class StaleResultLog(RuntimeError):

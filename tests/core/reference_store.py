@@ -1,0 +1,96 @@
+"""The paper's literal ``Complete`` list, kept as the oracle of the indexed store.
+
+This is the store the engine ran before :class:`repro.core.store.CompleteStore`
+indexed its sets twice (anchor-tuple buckets, then relation-set groups): a
+list of printed results, optionally hashed by every member tuple (the
+Section 7 index), each probe testing the sets of one bucket, or all of them,
+by ``issubset``.  The randomized equivalence tests run it beside the indexed
+store, and the step accepts it as ``complete``.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, Iterable, Iterator, List, Optional
+
+from repro.core.pools import PoolStatistics
+from repro.core.tupleset import TupleSet
+from repro.relational.tuples import Tuple
+
+
+class CompleteStore:
+    """The ``Complete`` list: results already printed.
+
+    Parameters
+    ----------
+    anchor_relation:
+        Name of the relation ``R_i`` whose member tuple keys the hash index.
+        Only used when ``use_index`` is true.  In the priority algorithm the
+        store is shared by all indexes; the superset probe then passes the
+        anchor tuple explicitly.
+    use_index:
+        When true, stored sets are additionally hashed by *every* member
+        tuple, and superset probes restricted to the bucket of the probe's
+        anchor tuple (Section 7 optimization).
+    """
+
+    def __init__(self, anchor_relation: Optional[str] = None, use_index: bool = False):
+        self._anchor_relation = anchor_relation
+        self._use_index = use_index
+        self._sets: List[TupleSet] = []
+        self._members = set()
+        self._buckets: Dict[Tuple, List[TupleSet]] = {}
+        self.statistics = PoolStatistics()
+
+    def __len__(self) -> int:
+        return len(self._sets)
+
+    def __iter__(self) -> Iterator[TupleSet]:
+        return iter(self._sets)
+
+    def __contains__(self, tuple_set: TupleSet) -> bool:
+        return tuple_set in self._members
+
+    def add(self, tuple_set: TupleSet) -> None:
+        """Store a printed result."""
+        self._sets.append(tuple_set)
+        self._members.add(tuple_set)
+        self.statistics.additions += 1
+        self.statistics.peak_size = max(self.statistics.peak_size, len(self._sets))
+        if self._use_index:
+            for t in tuple_set:
+                self._buckets.setdefault(t, []).append(tuple_set)
+
+    def _candidates(self, probe: TupleSet, anchor: Optional[Tuple]) -> Iterable[TupleSet]:
+        if self._use_index:
+            key = anchor
+            if key is None and self._anchor_relation is not None:
+                key = probe.tuple_from(self._anchor_relation)
+            if key is not None:
+                return self._buckets.get(key, ())
+            # Fall back to a full scan when no anchor tuple is available.
+        return self._sets
+
+    def contains_superset(self, probe: TupleSet, anchor: Optional[Tuple] = None) -> bool:
+        """Line 11 of ``GetNextResult``: is ``probe`` contained in a stored set?"""
+        for stored in self._candidates(probe, anchor):
+            self.statistics.sets_scanned += 1
+            if probe.issubset(stored):
+                return True
+        return False
+
+    def contains_superset_mask(
+        self, id_mask: int, relation_mask: int, anchor: Tuple, catalog
+    ) -> bool:
+        """:meth:`contains_superset` for a probe given as the tuple bitmask
+        ``id_mask`` of ``catalog``, with its relation bitmask and anchor tuple.
+        """
+        stored_sets = self._buckets.get(anchor, ()) if self._use_index else self._sets
+        for stored in stored_sets:
+            self.statistics.sets_scanned += 1
+            if stored.holds_mask(id_mask, catalog):
+                return True
+        return False
+
+    def as_list(self) -> List[TupleSet]:
+        """The stored sets in insertion (printing) order."""
+        return list(self._sets)

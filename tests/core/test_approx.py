@@ -1,15 +1,19 @@
-"""Tests for ``ApproxIncrementalFD`` and the approximate full disjunction."""
+"""Tests for ``ApproxIncrementalFD`` and the approximate full disjunction.
+
+``ApproxIncrementalFD(R, i, A, τ)`` is ``incremental_fd`` under
+``semantics=ApproxSemantics(A, τ)``.
+"""
 
 import pytest
 
 from repro.core.approx import (
     ApproximateFullDisjunction,
+    ApproxSemantics,
     approx_full_disjunction,
-    approx_incremental_fd,
 )
 from repro.core.approx_join import EditDistanceSimilarity, ExactJoin, MinJoin, ProductJoin
 from repro.core.full_disjunction import full_disjunction
-from repro.core.incremental import FDStatistics
+from repro.core.incremental import FDStatistics, incremental_fd
 from repro.baselines.naive import naive_approx_full_disjunction
 from repro.workloads.dirty import dirty_sources_database
 from repro.workloads.tourist import noisy_tourist_database, noisy_tourist_similarity
@@ -25,11 +29,13 @@ def amin():
 class TestApproxIncrementalFD:
     def test_threshold_validation(self, noisy_db, amin):
         with pytest.raises(ValueError):
-            list(approx_incremental_fd(noisy_db, "Climates", amin, 1.5))
+            list(incremental_fd(noisy_db, "Climates", semantics=ApproxSemantics(amin, 1.5)))
 
     def test_all_results_qualify_and_are_maximal(self, noisy_db, amin):
         tau = 0.4
-        results = list(approx_incremental_fd(noisy_db, "Climates", amin, tau))
+        results = list(
+            incremental_fd(noisy_db, "Climates", semantics=ApproxSemantics(amin, tau))
+        )
         for result in results:
             assert amin(result) >= tau
             for t in noisy_db.tuples():
@@ -40,18 +46,25 @@ class TestApproxIncrementalFD:
         assert len(results) == len(set(results))
 
     def test_every_result_contains_an_anchor_tuple(self, noisy_db, amin):
-        for result in approx_incremental_fd(noisy_db, "Sites", amin, 0.4):
+        for result in incremental_fd(noisy_db, "Sites", semantics=ApproxSemantics(amin, 0.4)):
             assert result.contains_tuple_from("Sites")
 
     def test_low_probability_singletons_are_filtered_at_initialization(self, noisy_db, amin):
         # prob(s2) = 0.6: with τ = 0.7 no result may contain s2.
-        results = list(approx_incremental_fd(noisy_db, "Sites", amin, 0.7))
+        results = list(
+            incremental_fd(noisy_db, "Sites", semantics=ApproxSemantics(amin, 0.7))
+        )
         assert all("s2" not in result.labels() for result in results)
 
     def test_statistics(self, noisy_db, amin):
         statistics = FDStatistics()
         results = list(
-            approx_incremental_fd(noisy_db, "Climates", amin, 0.4, statistics=statistics)
+            incremental_fd(
+                noisy_db,
+                "Climates",
+                statistics=statistics,
+                semantics=ApproxSemantics(amin, 0.4),
+            )
         )
         assert statistics.results == len(results) > 0
 

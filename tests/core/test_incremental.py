@@ -9,11 +9,13 @@ from repro.core.incremental import (
     maximally_extend,
     resolve_anchor,
 )
-from repro.core.pools import CompleteStore, ListIncompletePool
+from repro.core.pools import ListIncompletePool
 from repro.core.scanner import TupleScanner
 from repro.core.tupleset import TupleSet
 from repro.relational.errors import DatabaseError
 from repro.workloads.tourist import TABLE2_TUPLE_SETS
+
+from tests.core.reference_store import CompleteStore
 
 
 def labels(results):

@@ -29,7 +29,6 @@ from repro.core.incremental import (
     incremental_fd,
 )
 from repro.core.kernels import KERNELS, numpy_available, use_kernel
-from repro.core.pools import CompleteStore as ReferenceCompleteStore
 from repro.core.priority import PriorityState
 from repro.core.ranking import MaxRanking
 from repro.core.scanner import BlockScanner, TupleScanner
@@ -45,6 +44,7 @@ from repro.workloads.generators import (
 from repro.workloads.tourist import tourist_database
 
 from tests.core.reference_step import ReferenceBackend, reference_get_next_result
+from tests.core.reference_store import CompleteStore as ReferenceCompleteStore
 
 AVAILABLE_KERNELS = [name for name in KERNELS if name != "packed" or numpy_available()]
 
@@ -483,7 +483,7 @@ def test_sets_of_an_older_catalog_snapshot(kind, use_index):
 
 @pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
 def test_reference_complete_store_as_complete(use_index):
-    """The step accepts the reference ``Complete`` of ``repro.core.pools``,
+    """The step accepts the reference ``Complete`` of ``tests/core/reference_store.py``,
     holding an uninterned set and an interned one, and counts its scans as
     the reference step does."""
     database = tourist_database()

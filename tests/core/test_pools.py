@@ -5,10 +5,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import store
-from repro.core.pools import CompleteStore, ListIncompletePool, PriorityIncompletePool
+from repro.core.pools import ListIncompletePool, PriorityIncompletePool
 from repro.core.ranking import MaxRanking
 from repro.core.tupleset import TupleSet
 from repro.workloads.tourist import tourist_database, tourist_importance
+
+from tests.core.reference_store import CompleteStore
 
 
 def by_label(db, *labels):

@@ -1,17 +1,17 @@
-"""Tests for ranked retrieval of approximate full disjunctions (end of Section 6)."""
+"""Tests for ranked retrieval of approximate full disjunctions (end of Section 6).
+
+Ranked approximate retrieval is ``priority_incremental_fd`` (or ``top_k``)
+under ``semantics=ApproxSemantics(A, τ)``; its queue seeds are
+``enumerate_connected_subsets`` under the same semantics.
+"""
 
 import pytest
 
-from repro.core.approx import approx_full_disjunction
+from repro.core.approx import ApproxSemantics, approx_full_disjunction
 from repro.core.approx_join import EditDistanceSimilarity, ExactJoin, MinJoin
 from repro.core.full_disjunction import full_disjunction
-from repro.core.priority import priority_incremental_fd
-from repro.core.ranked_approx import (
-    approx_top_k,
-    enumerate_qualifying_subsets,
-    ranked_approx_full_disjunction,
-)
-from repro.core.ranking import MaxRanking, SumRanking
+from repro.core.priority import priority_incremental_fd, top_k
+from repro.core.ranking import MaxRanking, SumRanking, enumerate_connected_subsets
 from repro.relational.errors import RankingError
 from repro.workloads.dirty import dirty_sources_database
 from repro.workloads.tourist import (
@@ -42,59 +42,87 @@ def ranking():
 class TestEnumerateQualifyingSubsets:
     def test_singletons_below_threshold_are_excluded(self, noisy, amin):
         subsets = list(
-            enumerate_qualifying_subsets(noisy, "Sites", 1, amin, threshold=0.7)
+            enumerate_connected_subsets(
+                noisy, "Sites", 1, semantics=ApproxSemantics(amin, threshold=0.7)
+            )
         )
         labels = {next(iter(ts)).label for ts in subsets}
         assert "s2" not in labels  # prob(s2) = 0.6
         assert "s1" in labels
 
     def test_all_enumerated_sets_qualify(self, noisy, amin):
-        for ts in enumerate_qualifying_subsets(noisy, "Climates", 2, amin, 0.5):
+        for ts in enumerate_connected_subsets(
+            noisy, "Climates", 2, semantics=ApproxSemantics(amin, 0.5)
+        ):
             assert amin(ts) >= 0.5
             assert len(ts) <= 2
             assert ts.contains_tuple_from("Climates")
 
     def test_respects_size_bound(self, noisy, amin):
-        subsets = list(enumerate_qualifying_subsets(noisy, "Climates", 3, amin, 0.4))
+        subsets = list(
+            enumerate_connected_subsets(
+                noisy, "Climates", 3, semantics=ApproxSemantics(amin, 0.4)
+            )
+        )
         assert max(len(ts) for ts in subsets) <= 3
 
 
 class TestRankedApproxFullDisjunction:
     def test_produces_afd_in_rank_order(self, noisy, amin, ranking):
-        ranked = list(ranked_approx_full_disjunction(noisy, amin, 0.4, ranking))
+        ranked = list(
+            priority_incremental_fd(noisy, ranking, semantics=ApproxSemantics(amin, 0.4))
+        )
         expected = labels_of(approx_full_disjunction(noisy, amin, 0.4))
         assert labels_of(ts for ts, _ in ranked) == expected
         scores = [score for _, score in ranked]
         assert scores == sorted(scores, reverse=True)
 
     def test_scores_match_the_ranking_function(self, noisy, amin, ranking):
-        for tuple_set, score in ranked_approx_full_disjunction(noisy, amin, 0.4, ranking):
+        for tuple_set, score in priority_incremental_fd(
+            noisy, ranking, semantics=ApproxSemantics(amin, 0.4)
+        ):
             assert score == ranking(tuple_set)
 
     def test_top_k_prefix_matches_the_full_ranked_run(self, noisy, amin, ranking):
-        everything = list(ranked_approx_full_disjunction(noisy, amin, 0.4, ranking))
-        top = approx_top_k(noisy, amin, 0.4, ranking, 3)
+        everything = list(
+            priority_incremental_fd(noisy, ranking, semantics=ApproxSemantics(amin, 0.4))
+        )
+        top = top_k(noisy, ranking, 3, semantics=ApproxSemantics(amin, 0.4))
         assert [score for _, score in top] == [score for _, score in everything[:3]]
 
     def test_k_zero_and_negative(self, noisy, amin, ranking):
-        assert approx_top_k(noisy, amin, 0.4, ranking, 0) == []
+        assert top_k(noisy, ranking, 0, semantics=ApproxSemantics(amin, 0.4)) == []
         with pytest.raises(ValueError):
-            list(ranked_approx_full_disjunction(noisy, amin, 0.4, ranking, k=-1))
+            list(
+                priority_incremental_fd(
+                    noisy, ranking, k=-1, semantics=ApproxSemantics(amin, 0.4)
+                )
+            )
 
     def test_invalid_threshold_rejected(self, noisy, amin, ranking):
         with pytest.raises(ValueError):
-            list(ranked_approx_full_disjunction(noisy, amin, 1.5, ranking))
+            list(
+                priority_incremental_fd(noisy, ranking, semantics=ApproxSemantics(amin, 1.5))
+            )
 
     def test_non_c_determined_ranking_rejected(self, noisy, amin):
         with pytest.raises(RankingError):
-            list(ranked_approx_full_disjunction(noisy, amin, 0.4, SumRanking()))
+            list(
+                priority_incremental_fd(
+                    noisy, SumRanking(), semantics=ApproxSemantics(amin, 0.4)
+                )
+            )
 
     def test_rank_threshold_variant(self, noisy, amin, ranking):
-        everything = list(ranked_approx_full_disjunction(noisy, amin, 0.4, ranking))
+        everything = list(
+            priority_incremental_fd(noisy, ranking, semantics=ApproxSemantics(amin, 0.4))
+        )
         cutoff = 3.0
         expected = {ts.labels() for ts, score in everything if score >= cutoff}
         got = list(
-            ranked_approx_full_disjunction(noisy, amin, 0.4, ranking, rank_threshold=cutoff)
+            priority_incremental_fd(
+                noisy, ranking, threshold=cutoff, semantics=ApproxSemantics(amin, 0.4)
+            )
         )
         assert {ts.labels() for ts, _ in got} == expected
 
@@ -106,8 +134,8 @@ class TestRankedApproxFullDisjunction:
         ]
         via_approx = [
             (ts.labels(), score)
-            for ts, score in ranked_approx_full_disjunction(
-                database, ExactJoin(), 1.0, ranking
+            for ts, score in priority_incremental_fd(
+                database, ranking, semantics=ApproxSemantics(ExactJoin(), 1.0)
             )
         ]
         assert {entry[0] for entry in via_exact} == {entry[0] for entry in via_approx}
@@ -115,12 +143,15 @@ class TestRankedApproxFullDisjunction:
 
     def test_use_index_does_not_change_results(self, noisy, amin, ranking):
         plain = labels_of(
-            ts for ts, _ in ranked_approx_full_disjunction(noisy, amin, 0.4, ranking)
+            ts
+            for ts, _ in priority_incremental_fd(
+                noisy, ranking, semantics=ApproxSemantics(amin, 0.4)
+            )
         )
         indexed = labels_of(
             ts
-            for ts, _ in ranked_approx_full_disjunction(
-                noisy, amin, 0.4, ranking, use_index=True
+            for ts, _ in priority_incremental_fd(
+                noisy, ranking, use_index=True, semantics=ApproxSemantics(amin, 0.4)
             )
         )
         assert plain == indexed
@@ -132,7 +163,9 @@ class TestRankedApproxFullDisjunction:
         )
         amin = MinJoin(EditDistanceSimilarity())
         ranking = MaxRanking(lambda t: float(len(t.label)))
-        ranked = list(ranked_approx_full_disjunction(database, amin, 0.7, ranking))
+        ranked = list(
+            priority_incremental_fd(database, ranking, semantics=ApproxSemantics(amin, 0.7))
+        )
         assert labels_of(ts for ts, _ in ranked) == labels_of(
             approx_full_disjunction(database, amin, 0.7)
         )

@@ -8,7 +8,10 @@ driver returns the brute-force ``AFD(R, A, τ)`` oracle's answer set.  And
 with :class:`~repro.core.approx_join.ExactJoin` (``A(T) = 1`` exactly when
 ``JCC(T)``) at τ = 1, the starred step replays the exact one: the same
 results in the same order, the same ``Incomplete`` list after every step
-and the same step counters, under both kernels.
+and the same step counters, under both kernels.  The drivers above the step
+are one loop each, so the same holds for whole ``incremental_fd`` passes and
+for the ranked loop of ``priority_incremental_fd``: every ``FDStatistics``
+field agrees.
 """
 
 from __future__ import annotations
@@ -18,15 +21,13 @@ import zlib
 import pytest
 
 from repro.baselines.naive import naive_approx_full_disjunction
-from repro.core.approx import (
-    ApproxSemantics,
-    approx_full_disjunction,
-    approx_incremental_fd,
-)
+from repro.core.approx import ApproxSemantics, approx_full_disjunction
 from repro.core.approx_join import ExactJoin, MinJoin, SimilarityFunction
 from repro.core.full_disjunction import full_disjunction
 from repro.core.incremental import FDStatistics, incremental_fd
 from repro.core.kernels import KERNELS, numpy_available, use_kernel
+from repro.core.priority import priority_incremental_fd
+from repro.core.ranking import MaxRanking
 from repro.exec import SerialBackend
 from repro.workloads.generators import chain_database, random_database, star_database
 from repro.workloads.tourist import tourist_database
@@ -96,18 +97,6 @@ def _labelled(results):
     return [ts.labels() for ts in results]
 
 
-def _step_counters(statistics):
-    """The counters the step and the pass keep.
-
-    ``results_emitted`` (results handed to the consumer) and the kernel tag
-    are kept by the exact driver only, so they are left out.
-    """
-    counters = statistics.as_dict()
-    counters.pop("results_emitted")
-    counters.pop("kernel", None)
-    return counters
-
-
 def _steps(database, anchor, use_index, backend):
     """Results, the ``Incomplete`` list after every step, and the counters."""
     statistics = FDStatistics()
@@ -124,7 +113,7 @@ def _steps(database, anchor, use_index, backend):
         on_iteration=after_step,
         backend=backend,
     )
-    return _labelled(results), pools, _step_counters(statistics)
+    return _labelled(results), pools, statistics.as_dict()
 
 
 @with_index
@@ -155,20 +144,46 @@ def test_exact_join_replays_the_exact_step(name, database, use_index):
 @with_index
 @with_workloads
 def test_exact_join_approx_driver_is_the_exact_driver(name, database, use_index):
-    """Every ``ApproxIncrementalFD`` pass, and the whole ``AFD``, in order."""
+    """Every ``ApproxIncrementalFD`` pass, and the whole ``AFD``, in order,
+    with every ``FDStatistics`` field."""
     for anchor in database.relation_names:
         exact, starred = FDStatistics(), FDStatistics()
         expected = _labelled(
             incremental_fd(database, anchor, use_index=use_index, statistics=exact)
         )
         produced = _labelled(
-            approx_incremental_fd(
-                database, anchor, ExactJoin(), 1.0, use_index=use_index,
-                statistics=starred,
+            incremental_fd(
+                database, anchor, use_index=use_index, statistics=starred,
+                semantics=EXACT_JOIN,
             )
         )
         assert produced == expected, anchor
-        assert _step_counters(starred) == _step_counters(exact), anchor
+        assert starred.as_dict() == exact.as_dict(), anchor
     assert _labelled(
         approx_full_disjunction(database, ExactJoin(), 1.0, use_index=use_index)
     ) == _labelled(full_disjunction(database, use_index=use_index))
+
+
+RANKED_WORKLOADS = [(name, database) for name, database in WORKLOADS if name in ("tourist", "star")]
+
+
+@with_index
+@pytest.mark.parametrize(
+    "name,database", RANKED_WORKLOADS, ids=[name for name, _ in RANKED_WORKLOADS]
+)
+def test_exact_join_ranked_driver_is_the_exact_ranked_driver(name, database, use_index):
+    """The Fig. 3 loop under ``ExactJoin`` at τ = 1: the exact ranked stream,
+    scores and order included, with every ``FDStatistics`` field."""
+    ranking = MaxRanking(lambda t: float(sum(ord(ch) for ch in t.label) % 7))
+    runs = []
+    for semantics in (None, EXACT_JOIN):
+        statistics = FDStatistics()
+        options = {} if semantics is None else {"semantics": semantics}
+        stream = [
+            (ts.labels(), score)
+            for ts, score in priority_incremental_fd(
+                database, ranking, use_index=use_index, statistics=statistics, **options
+            )
+        ]
+        runs.append((stream, statistics.as_dict()))
+    assert runs[1] == runs[0]

@@ -4,10 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.pools import (
-    CompleteStore as ReferenceCompleteStore,
-    ListIncompletePool as ReferenceIncompletePool,
-)
+from repro.core.pools import ListIncompletePool as ReferenceIncompletePool
 from repro.core.store import (
     CompleteStore,
     ListIncompletePool,
@@ -19,6 +16,8 @@ from repro.core.incremental import FDStatistics, incremental_fd
 from repro.core.tupleset import TupleSet
 from repro.workloads.generators import star_database
 from repro.workloads.tourist import tourist_database
+
+from tests.core.reference_store import CompleteStore as ReferenceCompleteStore
 
 
 def _jcc_sets(database):

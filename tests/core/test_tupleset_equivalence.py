@@ -2,8 +2,9 @@
 
 The bitset ``TupleSet`` fast paths and the indexed store layer must be
 observationally identical to the retained reference implementations — the
-uninterned dictionary/BFS paths of :class:`repro.core.tupleset.TupleSet` and
-the plain containers of :mod:`repro.core.pools`.  These tests generate random
+uninterned dictionary/BFS paths of :class:`repro.core.tupleset.TupleSet`, the
+plain ``Incomplete`` list of :mod:`repro.core.pools` and the literal
+``Complete`` list of ``tests/core/reference_store.py``.  These tests generate random
 workloads and compare the two side by side, operation by operation and
 end to end.
 """
@@ -16,14 +17,13 @@ import pytest
 
 from repro.core.incremental import get_next_result
 from repro.core.full_disjunction import full_disjunction
-from repro.core.pools import (
-    CompleteStore as ReferenceCompleteStore,
-    ListIncompletePool as ReferenceIncompletePool,
-)
+from repro.core.pools import ListIncompletePool as ReferenceIncompletePool
 from repro.core.scanner import TupleScanner
 from repro.core.tupleset import TupleSet
 from repro.workloads.generators import chain_database, random_database, star_database
 from repro.workloads.tourist import tourist_database
+
+from tests.core.reference_store import CompleteStore as ReferenceCompleteStore
 
 
 def _workloads():

@@ -8,22 +8,19 @@ approximate, through the backend's ``next_result``.
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.naive import naive_full_disjunction
-from repro.core.approx import (
-    ApproxSemantics,
-    approx_full_disjunction,
-    approx_incremental_fd,
-)
-from repro.core.approx_join import ExactMatchSimilarity, MinJoin
+from repro.core.approx import ApproxSemantics, approx_full_disjunction
+from repro.core.approx_join import EditDistanceSimilarity, ExactMatchSimilarity, MinJoin
 from repro.core.full_disjunction import first_k, full_disjunction
 from repro.core.incremental import EXACT, FDStatistics, incremental_fd
 from repro.core.kernels import numpy_available, use_kernel
 from repro.core.priority import priority_incremental_fd
-from repro.core.ranked_approx import ranked_approx_full_disjunction
 from repro.core.ranking import MaxRanking
 from repro.exec import (
     BACKENDS,
@@ -32,6 +29,8 @@ from repro.exec import (
     ShardedBackend,
     resolve_backend,
 )
+from repro.exec import sharded as sharded_module
+from repro.workloads.dirty import dirty_sources_database
 from repro.workloads.generators import (
     chain_database,
     random_database,
@@ -171,9 +170,9 @@ DRIVERS = {
     ),
     "approx-pass": (
         lambda db, backend: _labelled(
-            approx_incremental_fd(
-                db, db.relation_names[-1], AMIN, 0.6, use_index=True,
-                backend=backend,
+            incremental_fd(
+                db, db.relation_names[-1], use_index=True, backend=backend,
+                semantics=ApproxSemantics(AMIN, 0.6),
             )
         ),
         ApproxSemantics(AMIN, 0.6),
@@ -181,8 +180,9 @@ DRIVERS = {
     "ranked-approx": (
         lambda db, backend: [
             (ts.labels(), score)
-            for ts, score in ranked_approx_full_disjunction(
-                db, AMIN, 0.6, RANKING, use_index=True, backend=backend
+            for ts, score in priority_incremental_fd(
+                db, RANKING, use_index=True, backend=backend,
+                semantics=ApproxSemantics(AMIN, 0.6),
             )
         ],
         ApproxSemantics(AMIN, 0.6),
@@ -298,6 +298,48 @@ class TestShardedBackend:
             database, amin, 0.6, use_index=True, backend="sharded:2"
         )
         assert _labelled(serial) == _labelled(sharded)
+
+    def test_approx_statistics_match_serial_and_sum_the_passes(self):
+        """Every approximate pass keeps its own counters and all are merged,
+        so the serial and the sharded driver report the same ``FDStatistics``
+        and the scan counters are the per-anchor sums."""
+        database = dirty_sources_database(seed=0)
+        amin = MinJoin(EditDistanceSimilarity())
+        by_backend = {}
+        for backend in ("serial", "sharded:2"):
+            statistics = FDStatistics()
+            approx_full_disjunction(
+                database, amin, 0.8, use_index=True, statistics=statistics,
+                backend=backend,
+            )
+            by_backend[backend] = statistics.as_dict()
+        assert by_backend["serial"] == by_backend["sharded:2"]
+        passes = []
+        for anchor in database.relation_names:
+            statistics = FDStatistics()
+            list(
+                incremental_fd(
+                    database, anchor, use_index=True, statistics=statistics,
+                    semantics=ApproxSemantics(amin, 0.8),
+                )
+            )
+            passes.append(statistics)
+        assert by_backend["serial"]["tuple_reads"] == sum(s.tuple_reads for s in passes)
+        assert by_backend["serial"]["scan_passes"] == sum(s.scan_passes for s in passes)
+
+    def test_out_of_range_threshold_fails_before_the_pool(self):
+        """A bad τ raises in the caller: no worker runs, nothing warns of a
+        pool failure, and the warm pool survives for the next call."""
+        database = dirty_sources_database(seed=0)
+        amin = MinJoin(EditDistanceSimilarity())
+        approx_full_disjunction(database, amin, 0.8, backend="sharded:2")
+        warm = sharded_module._POOL
+        assert warm is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="threshold"):
+                approx_full_disjunction(database, amin, 1.5, backend="sharded:2")
+        assert sharded_module._POOL is warm
 
     def test_first_k_abandons_remaining_passes(self):
         database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=2)

@@ -13,11 +13,10 @@ import random
 
 import pytest
 
-from repro.core.approx import approx_full_disjunction_sets
+from repro.core.approx import ApproxSemantics, approx_full_disjunction_sets
 from repro.core.approx_join import ExactMatchSimilarity, MinJoin
 from repro.core.full_disjunction import full_disjunction_sets
 from repro.core.priority import priority_incremental_fd
-from repro.core.ranked_approx import ranked_approx_full_disjunction
 from repro.core.ranking import MaxRanking
 from repro.service.session import (
     ENGINES,
@@ -71,8 +70,8 @@ def _serial_reference(engine, database):
             approx_full_disjunction_sets(database, _join(), 0.6, use_index=True)
         )
     return list(
-        ranked_approx_full_disjunction(
-            database, _join(), 0.6, _ranking(), use_index=True
+        priority_incremental_fd(
+            database, _ranking(), use_index=True, semantics=ApproxSemantics(_join(), 0.6)
         )
     )
 
