@@ -80,7 +80,7 @@ class ApproxSemantics:
         """
         return _extend_by_tuples(tuple_set, scanner, statistics, self)
 
-    def survivors(self, result, anchor, scanner, statistics, anchor_tuples):
+    def survivors(self, result, anchor, scanner, statistics, anchor_tuples, settle=None):
         """Never on masks: the starred Line 8 scores each outside tuple."""
         return None
 

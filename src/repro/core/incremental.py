@@ -67,6 +67,20 @@ plus an append.
   itself, so only the pool's ``replace(S, S)`` effect is applied
   (``requeue``).  A tuple set is built only for a Line 18 insert or a merge
   that grows ``S``.
+* The *anchor singletons* — survivors ``t_b ∈ R_i`` in no member's reach,
+  whose ``T'`` is ``{t_b}`` — are settled first, as one gid mask
+  (:func:`_settle_singletons`).  ``{t_b}`` lies in a stored set exactly when
+  the set holds ``t_b``, so Lines 10–11 are one AND with the gids
+  ``Complete`` holds.  Every waiting set of ``t_b``'s bucket holds ``t_b``
+  and is JCC, so the first merges, the union is itself, and Lines 12–15
+  only move it to the end of its bucket, a change only where two or more
+  wait.  No other survivor of the step has anchor ``t_b`` and ``Complete``
+  does not change within a step, so only Line 18 inserts depend on order:
+  singletons with an empty bucket stay in the per-survivor stream, at their
+  plan position, with every other survivor.  The counters are added in bulk
+  with the values the probes count.  A container that cannot answer on
+  masks (see :mod:`repro.core.store`) settles nothing, and then nothing is
+  counted in bulk.
 
 The pool therefore evolves, and the results come out, exactly as with the
 tuple loop, and every counter keeps its meaning: each mask pass counts as
@@ -105,6 +119,7 @@ The ranked engines have one loop too, Fig. 3's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     AbstractSet,
     Callable,
@@ -124,6 +139,7 @@ from repro.core.store import (
     PriorityIncompletePool,
     record_store_statistics,
 )
+from repro.core.pools import popcount
 from repro.core.scanner import TupleScanner
 from repro.core.tupleset import TupleSet
 
@@ -236,10 +252,6 @@ def _consistent_with_all(catalog, members: int) -> int:
         consistent &= catalog.consistent_mask(low.bit_length() - 1)
         members ^= low
     return consistent
-
-
-def _popcount(mask: int) -> int:
-    return bin(mask).count("1")
 
 
 def _gid_mask(tuples, catalog) -> int:
@@ -360,13 +372,16 @@ def line9_survivors(
     plan,
     statistics: Optional[FDStatistics] = None,
     anchor_tuples: Optional[AbstractSet] = None,
+    settle: Optional[Callable[[int, object], int]] = None,
 ) -> Iterator[TupleType[int, int, int, Tuple]]:
     """Lines 7–9 on masks: the footnote-3 candidates that pass Line 9, in scan order.
 
     ``plan`` is the scanner's accepted :meth:`~TupleScanner.mask_pass` for
     ``result``.  Yields each survivor ``T'`` as ``(gid mask, relation mask,
     gid of t_b, anchor tuple)`` (see the module docstring); the candidate
-    counters are added in bulk.
+    counters are added in bulk.  ``settle(singletons, catalog)``, when given,
+    first takes the gid mask of the anchor singletons and returns those it
+    settled, which are not yielded.
     """
     catalog = result.catalog
     members = result.id_mask
@@ -410,18 +425,24 @@ def line9_survivors(
     # member of R_i when the candidate keeps it.
     anchor_rid = catalog.relation_id(anchor)
     anchor_member = result.tuple_from(anchor)
-    survivors = outside & catalog.relation_tuples_mask(anchor_rid)
+    in_anchor = outside & catalog.relation_tuples_mask(anchor_rid)
     bucket = -1
     if anchor_tuples is not None:
         bucket = _gid_mask(anchor_tuples, catalog)
-        survivors &= bucket
+        in_anchor &= bucket
+    survivors = in_anchor
     for gid, rid, reached in zip(gids, rids, reach):
         if rid == anchor_rid and (bucket >> gid) & 1:
             survivors |= reached
     if statistics is not None:
-        generated = _popcount(outside)
+        generated = popcount(outside)
         statistics.candidates_generated += generated
-        statistics.candidates_without_anchor += generated - _popcount(survivors)
+        statistics.candidates_without_anchor += generated - popcount(survivors)
+    if settle is not None:
+        for reached in reach:
+            in_anchor &= ~reached
+        if in_anchor:
+            survivors &= ~settle(in_anchor, catalog)
 
     kept = [(1 << gid, 1 << rid, reached) for gid, rid, reached in zip(gids, rids, reach)]
     for rid, live in plan:
@@ -450,6 +471,26 @@ def _survivor_set(catalog, mask: int, gid: int) -> TupleSet:
     members = catalog.tuples_of_mask(mask & ~(1 << gid))
     members.append(catalog.tuple_at(gid))
     return TupleSet(members, catalog=catalog)
+
+
+def _settle_singletons(incomplete, complete, statistics, singletons: int, catalog) -> int:
+    """Lines 10–15 for the anchor singletons ``T' = {t_b}`` of the gid mask
+    ``singletons``, all at once (see the module docstring); returns the gids
+    settled, none when either container cannot answer on masks."""
+    waiting = incomplete.waiting_anchors(catalog)
+    if waiting is None:
+        return 0
+    covered = complete.covered_singletons(singletons, catalog)
+    if covered is None:
+        return 0
+    once, twice = waiting
+    merged = singletons & once & ~covered
+    if merged:
+        incomplete.requeue_singletons(merged, merged & twice, catalog)
+    if statistics is not None:
+        statistics.candidates_subsumed += popcount(covered)
+        statistics.candidates_merged += popcount(merged)
+    return covered | merged
 
 
 def _place_survivors(
@@ -530,13 +571,13 @@ class ExactSemantics:
         """Lines 2–6: :func:`maximally_extend`."""
         return maximally_extend(tuple_set, scanner, statistics)
 
-    def survivors(self, result, anchor, scanner, statistics, anchor_tuples):
-        """Lines 7–9 on masks (:func:`line9_survivors`), or ``None``,
-        counting nothing, when the scanner refuses a mask pass."""
+    def survivors(self, result, anchor, scanner, statistics, anchor_tuples, settle=None):
+        """Lines 7–9 on masks (:func:`line9_survivors`, with ``settle``), or
+        ``None``, counting nothing, when the scanner refuses a mask pass."""
         plan = scanner.mask_pass(result)
         if plan is None:
             return None
-        return line9_survivors(result, anchor, plan, statistics, anchor_tuples)
+        return line9_survivors(result, anchor, plan, statistics, anchor_tuples, settle)
 
     def candidates(self, result, anchor, scanner, statistics, anchor_tuples):
         """Lines 7–9 one scanned tuple at a time: a footnote-3 candidate per
@@ -607,7 +648,8 @@ def get_next_result(
     # those holding a tuple of the anchor relation (and, under a bucket-range
     # restriction, of the anchor bucket) pass Line 9.  On masks when the
     # scanner accepts a mask pass, else one tuple set per candidate.
-    survivors = semantics.survivors(result, anchor, scanner, statistics, anchor_tuples)
+    settle = partial(_settle_singletons, incomplete, complete, statistics)
+    survivors = semantics.survivors(result, anchor, scanner, statistics, anchor_tuples, settle)
     if survivors is not None:
         _place_survivors(result.catalog, survivors, incomplete, complete, statistics)
         return result

@@ -22,7 +22,11 @@ The two pools are the engine's own (:mod:`repro.core.store` re-exports
 them).  Both answer the Line 14 probe for a tuple set (``candidates``) and
 for a bare anchor tuple (``waiting``, the form the mask step of
 :mod:`repro.core.incremental` uses), and apply ``replace(S, S)`` given its
-anchor (``requeue``).
+anchor (``requeue``), which moves ``S`` to the end of its bucket (and of the
+priority pool's member order) without re-ranking it.  The indexed list pool
+also settles the step's anchor singletons in bulk: gid masks of the anchors
+with one and with two or more waiting sets (``waiting_anchors``, kept in one
+catalog as :mod:`repro.core.store` describes), and ``requeue_singletons``.
 
 All containers count the tuple sets they scan in a :class:`PoolStatistics`
 (shared with :mod:`repro.core.store`), which the benchmarks use as a
@@ -35,6 +39,7 @@ import heapq
 import itertools
 from collections import deque
 from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional
+from typing import Tuple as TupleType
 
 from repro.relational.tuples import Tuple
 from repro.core.tupleset import TupleSet
@@ -44,6 +49,10 @@ __all__ = [
     "ListIncompletePool",
     "PriorityIncompletePool",
 ]
+
+
+#: The number of set bits of a non-negative mask (``int.bit_count`` on Python 3.10+).
+popcount = getattr(int, "bit_count", None) or (lambda mask: bin(mask).count("1"))
 
 
 class PoolStatistics:
@@ -142,6 +151,12 @@ class ListIncompletePool:
         self._insert_cursor = 0
         # Anchor tuple -> its members, in insertion order (dict as ordered set).
         self._buckets: Dict[Tuple, Dict[TupleSet, None]] = {}
+        # With the index, gid masks of one catalog: the anchors with at
+        # least one and at least two waiting sets, and every anchor seen
+        # (None once a set of another catalog, or none, arrives).
+        self._mask_catalog = None
+        self._waiting_once = self._waiting_twice = 0
+        self._anchors_seen: Optional[int] = 0
         self.statistics = PoolStatistics()
 
     def __len__(self) -> int:
@@ -159,19 +174,45 @@ class ListIncompletePool:
     def _anchor_of(self, tuple_set: TupleSet) -> Optional[Tuple]:
         return tuple_set.tuple_from(self._anchor_relation)
 
+    def _anchor_bit(self, tuple_set: TupleSet) -> int:
+        """The gid bit of ``tuple_set``'s anchor, read off its own mask and
+        added to the anchors seen; 0, with the masks given up, for a set of
+        a second catalog or of none."""
+        catalog = tuple_set.catalog
+        if catalog is None or self._mask_catalog not in (None, catalog):
+            self._anchors_seen = None
+            return 0
+        self._mask_catalog = catalog
+        rid = catalog.relation_id(self._anchor_relation)
+        bit = tuple_set.id_mask & catalog.relation_tuples_mask(rid)
+        self._anchors_seen |= bit
+        return bit
+
     def _index_add(self, tuple_set: TupleSet) -> None:
         if self._use_index:
             anchor = self._anchor_of(tuple_set)
             if anchor is not None:
-                self._buckets.setdefault(anchor, {})[tuple_set] = None
+                bucket = self._buckets.setdefault(anchor, {})
+                bucket[tuple_set] = None
+                if self._anchors_seen is not None:
+                    bit = self._anchor_bit(tuple_set)
+                    if len(bucket) == 1:
+                        self._waiting_once |= bit
+                    elif len(bucket) == 2:
+                        self._waiting_twice |= bit
 
     def _index_discard(self, tuple_set: TupleSet) -> None:
         if self._use_index:
             anchor = self._anchor_of(tuple_set)
             if anchor is not None:
                 bucket = self._buckets.get(anchor)
-                if bucket is not None:
-                    bucket.pop(tuple_set, None)
+                if bucket is not None and tuple_set in bucket:
+                    del bucket[tuple_set]
+                    if self._anchors_seen is not None:
+                        if not bucket:
+                            self._waiting_once &= ~self._anchor_bit(tuple_set)
+                        elif len(bucket) == 1:
+                            self._waiting_twice &= ~self._anchor_bit(tuple_set)
 
     def add(self, tuple_set: TupleSet) -> None:
         """Insert a tuple set (Line 18 of ``GetNextResult`` / initialization)."""
@@ -233,7 +274,8 @@ class ListIncompletePool:
 
         A merge that changes nothing (``new is old``) keeps the slot and
         only moves ``old`` to the end of its anchor bucket, which is all the
-        general path's remove-and-reinsert would change.
+        general path's remove-and-reinsert would change.  A merge that grows
+        ``old`` keeps its anchor: ``new`` swaps in, leaving the masks as they are.
         """
         if new is old:
             if old not in self._slots:
@@ -243,15 +285,22 @@ class ListIncompletePool:
         slot = self._slots.pop(old, None)
         if slot is None:
             raise KeyError(f"{old!r} is not in the Incomplete pool")
-        self._index_discard(old)
         self.statistics.replacements += 1
         if new in self._slots:
             # The union already exists elsewhere in the list; just drop ``old``.
+            self._index_discard(old)
             slot[0] = None
             return
         slot[0] = new
         self._slots[new] = slot
-        self._index_add(new)
+        anchor = self._anchor_of(old)
+        bucket = self._buckets.get(anchor) if self._use_index else None
+        if bucket is not None and self._anchor_of(new) is anchor and new.catalog is old.catalog:
+            del bucket[old]
+            bucket[new] = None
+        else:
+            self._index_discard(old)
+            self._index_add(new)
 
     def requeue(self, member: TupleSet, anchor: Optional[Tuple]) -> None:
         """``replace(member, member)`` for a member whose ``R_i`` tuple is
@@ -262,6 +311,36 @@ class ListIncompletePool:
             bucket = self._buckets[anchor]
             del bucket[member]
             bucket[member] = None
+
+    def waiting_anchors(self, catalog) -> Optional[TupleType[int, int]]:
+        """The gid masks, in ``catalog``, of the anchors with at least one
+        and with at least two waiting sets; ``None`` when the masks cannot
+        answer (see the module docstring)."""
+        seen = self._anchors_seen
+        usable = self._use_index and seen is not None and self._mask_catalog in (None, catalog)
+        if not usable or seen & catalog.dead_mask:
+            return None
+        return self._waiting_once, self._waiting_twice
+
+    def requeue_singletons(self, anchors: int, crowded: int, catalog) -> None:
+        """Lines 12–15 for the singletons ``{t_b}`` of the gid mask
+        ``anchors``, each with a waiting set: the first set of ``t_b``'s
+        bucket merges and is requeued, which moves it only in the buckets of
+        ``crowded``.  Each is counted as :meth:`waiting` and :meth:`requeue`
+        count it."""
+        statistics = self.statistics
+        count = popcount(anchors)
+        statistics.bucket_probes += count
+        statistics.replacements += count
+        statistics.sets_scanned += count
+        while crowded:
+            low = crowded & -crowded
+            bucket = self._buckets[catalog.tuple_at(low.bit_length() - 1)]
+            statistics.sets_scanned += len(bucket) - 1
+            first = next(iter(bucket))
+            del bucket[first]
+            bucket[first] = None
+            crowded ^= low
 
     def discard_containing(self, dead_tuples) -> int:
         """Evict every queued set holding a dead tuple (streaming deletion).
@@ -404,9 +483,15 @@ class PriorityIncompletePool:
         return self._members
 
     def replace(self, old: TupleSet, new: TupleSet) -> None:
-        """Replace ``old`` by ``new``; the new set is re-ranked."""
+        """Replace ``old`` by ``new``; the new set is re-ranked.
+
+        ``replace(S, S)`` is :meth:`requeue`.
+        """
         if old not in self._members:
             raise KeyError(f"{old!r} is not in the Incomplete pool")
+        if new is old:
+            self.requeue(old, self._anchor_of(old))
+            return
         self._discard(old)
         self.statistics.replacements += 1
         if new not in self._members:
@@ -419,9 +504,21 @@ class PriorityIncompletePool:
                     self._buckets.setdefault(anchor, {})[new] = None
 
     def requeue(self, member: TupleSet, anchor: Optional[Tuple]) -> None:
-        """``replace(member, member)``: the member is re-ranked and re-pushed
-        (``anchor`` is its ``R_i`` tuple, as for the list pool)."""
-        self.replace(member, member)
+        """``replace(member, member)``: the member moves to the end of the
+        member order and of its bucket.  Its heap entry stays, since a
+        re-push, with the same rank and a later counter, would never pop."""
+        self.statistics.replacements += 1
+        del self._members[member]
+        self._members[member] = None
+        if self._use_index and anchor is not None:
+            bucket = self._buckets[anchor]
+            del bucket[member]
+            bucket[member] = None
+
+    def waiting_anchors(self, catalog) -> None:
+        """Never on masks: :meth:`requeue` reorders the one member list, so
+        survivors are placed one at a time, in plan order."""
+        return None
 
     def discard_containing(self, dead_tuples) -> int:
         """Evict every queued set holding a dead tuple (streaming deletion).

@@ -38,6 +38,17 @@ stored set with one ``AND NOT``; the pools' ``waiting`` returns the sets the
 Line 14 probe tests, counted as ``candidates`` counts them, without a copy;
 and ``requeue`` applies ``replace(S, S)`` for a survivor already inside
 ``S``.  Every counter reads what the tuple-set probes would have counted.
+The anchor singletons ``{t_b}`` are settled as one gid mask: the indexed
+store keeps the gids of every tuple its sets hold
+(:meth:`CompleteStore.covered_singletons`), and the indexed list pool the
+gids of the anchors with at least one and at least two waiting sets, read
+off each set's own mask (``waiting_anchors``, ``requeue_singletons``).
+Each keeps its masks current in its own add, discard, replace and retract
+paths, and the masks hold gids of one catalog: a container that has held
+sets of two catalogs (or an uninterned one) answers ``None`` for good, as
+do unindexed containers, the priority pool, and a container holding a set
+whose tuple (the anchor, in the pool) is now tombstoned, since an update
+back to old values gives that tuple a live namesake in the same bucket.
 """
 
 from __future__ import annotations
@@ -50,6 +61,7 @@ from repro.core.pools import (
     ListIncompletePool,
     PoolStatistics,
     PriorityIncompletePool,
+    popcount,
 )
 from repro.core.tupleset import TupleSet
 from repro.obs.tracing import trace_span
@@ -88,6 +100,10 @@ class CompleteStore:
         self._members = set()
         # tuple -> relation set -> stored sets holding that tuple.
         self._buckets: Dict[Tuple, Dict[FrozenSet[str], List[TupleSet]]] = {}
+        # With the index, the gids of every tuple a stored set holds, in one
+        # catalog (None once a set of another catalog, or none, arrives).
+        self._held: Optional[int] = 0
+        self._held_catalog = None
         self.statistics = PoolStatistics()
 
     def __len__(self) -> int:
@@ -109,6 +125,13 @@ class CompleteStore:
             relations = tuple_set.relations
             for t in tuple_set:
                 self._buckets.setdefault(t, {}).setdefault(relations, []).append(tuple_set)
+            if self._held is not None:
+                catalog = tuple_set.catalog
+                if catalog is None or self._held_catalog not in (None, catalog):
+                    self._held = None
+                else:
+                    self._held_catalog = catalog
+                    self._held |= tuple_set.id_mask
 
     def contains_superset(self, probe: TupleSet, anchor: Optional[Tuple] = None) -> bool:
         """Line 11 of ``GetNextResult``: is ``probe`` contained in a stored set?"""
@@ -181,6 +204,22 @@ class CompleteStore:
         self.statistics.sets_scanned += scanned
         return found
 
+    def covered_singletons(self, singletons: int, catalog) -> Optional[int]:
+        """Lines 10–11 for the anchor singletons ``{t_b}`` of the gid mask
+        ``singletons``, at once: the gids a stored set holds, each counted
+        as :meth:`contains_superset_mask` counts it, one group and one set.
+        ``None``, counting nothing, when the mask cannot answer (see the
+        module docstring)."""
+        held = self._held
+        usable = self._use_index and held is not None and self._held_catalog in (None, catalog)
+        if not usable or held & catalog.dead_mask:
+            return None
+        covered = singletons & held
+        count = popcount(covered)
+        self.statistics.bucket_probes += count
+        self.statistics.sets_scanned += count
+        return covered
+
     def contains_superset_batch(
         self, probes: List[TupleSet], anchor: Optional[Tuple] = None
     ) -> List[bool]:
@@ -237,6 +276,10 @@ class CompleteStore:
                 retracted.append(stored)
                 seen.add(stored)
         self._sets = [stored for stored in self._sets if stored not in victims]
+        if self._use_index and self._held is not None:
+            self._held = 0
+            for stored in self._sets:
+                self._held |= stored.id_mask
         touched = set()
         for stored in victims:
             self._members.discard(stored)

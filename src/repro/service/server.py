@@ -21,6 +21,8 @@ Protocol (one JSON object per line, both directions)::
     → {"op": "close", "session": "s1"}
     → {"op": "stats"}
 
+``next`` takes a positive integer ``k`` (default 1), served at most
+:data:`MAX_NEXT_K` results at a time.
 ``open`` accepts ``engine`` ∈ {"fd", "approx", "ranked", "stream"} plus
 engine options (``use_index``, ``initialization``, ``threshold``,
 ``similarity``, ``importance``) and a ``format`` ∈ {"labels", "padded"};
@@ -108,6 +110,11 @@ logger = logging.getLogger(__name__)
 #: because the rest of the line is still in flight.
 MAX_LINE_BYTES = 8 * 1024 * 1024
 LINE_TOO_LONG = {"ok": False, "error": f"request line exceeds {MAX_LINE_BYTES} bytes"}
+
+#: Most results one ``next`` returns.  A larger ``k`` is served as this
+#: many, so one request cannot drain a whole full disjunction into a reply
+#: line; the reply then says ``exhausted: false`` while results remain.
+MAX_NEXT_K = 10_000
 
 #: Options of an ``open`` request that shape the served computation — the
 #: wire-level counterpart of the prefix cache's key options.  ``format``
@@ -621,7 +628,10 @@ class QueryServer:
         session, error = self._session_of(request)
         if session is None:
             return error
-        k = int(request.get("k", 1))
+        k = request.get("k", 1)
+        if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+            return {"ok": False, "error": "the 'k' option must be a positive integer"}
+        k = min(k, MAX_NEXT_K)
         render = self._renderer(request)
         results = await self.driver.drive(session, k)
         return {

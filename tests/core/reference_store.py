@@ -91,6 +91,20 @@ class CompleteStore:
                 return True
         return False
 
+    def covered_singletons(self, singletons: int, catalog) -> int:
+        """The singletons ``{t_b}`` of the gid mask ``singletons`` that a
+        stored set contains, one :meth:`contains_superset_mask` probe each."""
+        covered = 0
+        remaining = singletons
+        while remaining:
+            low = remaining & -remaining
+            gid = low.bit_length() - 1
+            relation_bit = 1 << catalog.relation_of_tuple(gid)
+            if self.contains_superset_mask(low, relation_bit, catalog.tuple_at(gid), catalog):
+                covered |= low
+            remaining ^= low
+        return covered
+
     def as_list(self) -> List[TupleSet]:
         """The stored sets in insertion (printing) order."""
         return list(self._sets)

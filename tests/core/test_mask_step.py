@@ -17,12 +17,14 @@ relation; an invariant test pins that down through every mutation path.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core import incremental as incremental_module
 from repro.core.incremental import (
     FDStatistics,
     get_next_result,
@@ -64,8 +66,10 @@ def _base_database(kind: str, seed: int) -> Database:
         return chain_database(
             relations=4, tuples_per_relation=4, domain_size=3, null_rate=0.15, seed=seed
         )
+    # Six tuples per relation: hot values then leave two or more sets
+    # waiting in one anchor bucket often enough to draw.
     return skewed_chain_database(
-        relations=3, tuples_per_relation=3, hot_factor=3, domain_size=3,
+        relations=3, tuples_per_relation=6, hot_factor=3, domain_size=3,
         null_rate=0.1, seed=seed,
     )
 
@@ -108,8 +112,21 @@ def _labels(tuple_set):
     return sorted(t.label for t in tuple_set)
 
 
-def _run(database, anchor, backend, use_index, anchor_tuples, restricted):
-    """Results, the Incomplete list after every step, and the statistics."""
+def _buckets(incomplete):
+    """Each non-empty anchor bucket of an indexed pool, in bucket order."""
+    return {
+        anchor.label: [_labels(s) for s in bucket]
+        for anchor, bucket in incomplete._buckets.items()
+        if bucket
+    }
+
+
+def _run(
+    database, anchor, backend, use_index, anchor_tuples, restricted,
+    initial=None, complete=None,
+):
+    """Results, the Incomplete list and its buckets after every step, the
+    statistics, and the counters of a ``complete`` store passed in."""
     skip = ()
     if restricted:
         skip = database.relation_names[: database.index_of(anchor)]
@@ -117,7 +134,7 @@ def _run(database, anchor, backend, use_index, anchor_tuples, restricted):
     pools = []
 
     def after_step(iteration, result, incomplete, complete):
-        pools.append([_labels(s) for s in incomplete.as_list()])
+        pools.append(([_labels(s) for s in incomplete.as_list()], _buckets(incomplete)))
 
     results = incremental_fd(
         database,
@@ -128,11 +145,44 @@ def _run(database, anchor, backend, use_index, anchor_tuples, restricted):
         on_iteration=after_step,
         backend=backend,
         anchor_tuples=anchor_tuples,
+        initial=initial,
+        complete=complete,
     )
-    return [_labels(r) for r in results], pools, statistics
+    stream = [_labels(r) for r in results]
+    shared = None if complete is None else complete.statistics.as_dict()
+    return stream, pools, statistics, shared
 
 
-@PROPERTY
+#: How the property test stocks ``Complete``: the run's own store, a shared
+#: empty one, the reference list of ``tests/core/reference_store.py``, or a
+#: shared store holding results interned in the catalog before a rebuild.
+COMPLETES = ("own", "shared", "reference", "older")
+
+
+def _complete_factory(kind, database, anchor, use_index, choice):
+    """A function building a fresh ``Complete`` for one run, or ``None``."""
+    if kind == "own":
+        return lambda: None
+    if kind == "shared":
+        return lambda: CompleteStore(anchor, use_index=use_index)
+    if kind == "reference":
+        return lambda: ReferenceCompleteStore(anchor, use_index=use_index)
+    other = choice.choice(database.relation_names)
+    older = list(incremental_fd(database, other, use_index=True))
+    older = choice.sample(older, len(older) // 2)
+    database.compact()
+    assert all(tuple_set.catalog is not database.catalog() for tuple_set in older)
+
+    def build():
+        store = CompleteStore(anchor, use_index=use_index)
+        for tuple_set in older:
+            store.add(tuple_set)
+        return store
+
+    return build
+
+
+@settings(PROPERTY, max_examples=200)
 @given(
     database=mutated_databases(),
     choice=st.randoms(use_true_random=False),
@@ -140,23 +190,134 @@ def _run(database, anchor, backend, use_index, anchor_tuples, restricted):
     restricted=st.booleans(),
     kernel=st.sampled_from(AVAILABLE_KERNELS),
     backend=st.sampled_from([None, "serial"]),
+    seeding=st.sampled_from(["all", "some"]),
+    complete_kind=st.sampled_from(COMPLETES),
 )
 def test_mask_step_matches_the_reference_step(
-    database, choice, use_index, restricted, kernel, backend
+    database, choice, use_index, restricted, kernel, backend, seeding, complete_kind
+):
+    """Seeding only some ``R_i`` singletons leaves anchors whose singleton
+    finds no waiting set (a Line 18 insert); the ``Complete`` variants make
+    the bulk settle decline or run through the oracle's naive loop."""
+    _compare_with_reference(
+        database, choice, use_index, restricted, kernel, backend, seeding, complete_kind
+    )
+
+
+def _compare_with_reference(
+    database, choice, use_index, restricted, kernel, backend, seeding, complete_kind
 ):
     anchor = choice.choice(database.relation_names)
     anchor_tuples = None
     if choice.random() < 0.5:
         members = list(database.relation(anchor))
         anchor_tuples = choice.sample(members, choice.randint(0, len(members)))
+    make_complete = _complete_factory(complete_kind, database, anchor, use_index, choice)
+    initial = None
+    if seeding == "some":
+        catalog = database.catalog()
+        members = list(database.relation(anchor))
+        initial = [
+            TupleSet.singleton(t, catalog=catalog)
+            for t in choice.sample(members, choice.randint(1, len(members)))
+        ]
     with use_kernel(kernel):
-        shipped = _run(database, anchor, backend, use_index, anchor_tuples, restricted)
+        shipped = _run(
+            database, anchor, backend, use_index, anchor_tuples, restricted,
+            initial, make_complete(),
+        )
         reference = _run(
-            database, anchor, ReferenceBackend(), use_index, anchor_tuples, restricted
+            database, anchor, ReferenceBackend(), use_index, anchor_tuples, restricted,
+            initial, make_complete(),
         )
     assert shipped[0] == reference[0]
     assert shipped[1] == reference[1]
     assert shipped[2] == reference[2]
+    assert shipped[3] == reference[3]
+
+
+def test_the_drawn_cases_reach_every_branch_of_the_bulk_settle(monkeypatch):
+    """The cases :func:`test_mask_step_matches_the_reference_step` draws
+    from reach every branch of the anchor-singleton settle: covered,
+    merged into a bucket of one and of two or more waiting sets, and left
+    in the stream as an insert; under a bucket restriction, for an anchor
+    after the plan's first relation, and through the oracle ``Complete``;
+    and declining when ``Complete`` holds sets of an older catalog.  Each
+    case is checked against the reference step here too."""
+    reached = set()
+    case = {}
+    requeue_singletons = ListIncompletePool.requeue_singletons
+    covered_singletons = CompleteStore.covered_singletons
+    reference_covered_singletons = ReferenceCompleteStore.covered_singletons
+    survivor_set = incremental_module._survivor_set
+    run = _run
+
+    def requeued(pool, anchors, crowded, catalog):
+        if case["compared"]:
+            if crowded:
+                reached.add("merged into a crowded bucket")
+            if anchors & ~crowded:
+                reached.add("merged")
+            if case["anchor_tuples"] is not None:
+                reached.add("bucket restriction")
+            if case["later anchor"]:
+                reached.add("later anchor")
+        return requeue_singletons(pool, anchors, crowded, catalog)
+
+    def covered(store, singletons, catalog):
+        outcome = covered_singletons(store, singletons, catalog)
+        if case["compared"] and outcome:
+            reached.add("covered")
+        if case["compared"] and outcome is None and case["complete"] == "older":
+            reached.add("older catalog declines")
+        return outcome
+
+    def reference_covered(store, singletons, catalog):
+        reached.add("reference Complete")
+        return reference_covered_singletons(store, singletons, catalog)
+
+    def inserted(catalog, mask, gid):
+        if mask == 1 << gid and case["compared"]:
+            reached.add("inserted")
+        return survivor_set(catalog, mask, gid)
+
+    def compared_run(database, anchor, backend, use_index, anchor_tuples, restricted, *rest):
+        """Record reach only in the shipped run of a comparison, not in
+        the run that builds the older ``Complete``."""
+        case["anchor_tuples"] = anchor_tuples
+        case["later anchor"] = not restricted and database.index_of(anchor) > 0
+        case["compared"] = not isinstance(backend, ReferenceBackend)
+        try:
+            return run(database, anchor, backend, use_index, anchor_tuples, restricted, *rest)
+        finally:
+            case["compared"] = False
+
+    monkeypatch.setattr(ListIncompletePool, "requeue_singletons", requeued)
+    monkeypatch.setattr(CompleteStore, "covered_singletons", covered)
+    monkeypatch.setattr(ReferenceCompleteStore, "covered_singletons", reference_covered)
+    monkeypatch.setattr(incremental_module, "_survivor_set", inserted)
+    monkeypatch.setitem(globals(), "_run", compared_run)
+    case["compared"] = False
+    for seed in range(48):
+        rng = random.Random(seed)
+        database = _base_database(["star", "chain", "skewed"][seed % 3], seed)
+        database.catalog()
+        mutate(database, rng, rng.choices(["remove", "append", "update"], k=seed % 4))
+        case["complete"] = COMPLETES[seed // 3 % len(COMPLETES)]
+        _compare_with_reference(
+            database, rng, True, seed % 2 == 0, AVAILABLE_KERNELS[0], None,
+            ["all", "some"][seed // 12 % 2], case["complete"],
+        )
+    assert reached == {
+        "covered",
+        "merged",
+        "merged into a crowded bucket",
+        "inserted",
+        "bucket restriction",
+        "later anchor",
+        "reference Complete",
+        "older catalog declines",
+    }
 
 
 @pytest.mark.skipif(not numpy_available(), reason="mirror files need NumPy")
@@ -243,10 +404,47 @@ def _drain_both(database, anchor, seeds, scanner_factory):
         while incomplete:
             result = step(database, anchor, incomplete, complete, scanner, statistics)
             complete.add(result)
-            trace.append((_labels(result), [_labels(s) for s in incomplete.as_list()]))
-        runs.append((trace, statistics, scanner.cost_summary()))
+            trace.append(
+                (
+                    _labels(result),
+                    [_labels(s) for s in incomplete.as_list()],
+                    _buckets(incomplete),
+                )
+            )
+        runs.append(
+            (
+                trace,
+                statistics,
+                scanner.cost_summary(),
+                incomplete.statistics.as_dict(),
+                complete.statistics.as_dict(),
+            )
+        )
     assert runs[0] == runs[1]
     assert runs[0][0], "the pool produced nothing"
+
+
+@PROPERTY
+@given(database=mutated_databases(), choice=st.randoms(use_true_random=False))
+def test_a_pool_holding_sets_of_an_older_catalog(database, choice):
+    """Some seeds are interned in the catalog before a rebuild: their steps
+    take the tuple loop, and while they wait the pool's anchor masks
+    decline, so every survivor is placed one at a time."""
+    anchor = choice.choice(database.relation_names)
+    old = database.catalog()
+    members = list(database.relation(anchor))
+    stale = set(choice.sample(members, choice.randint(1, len(members))))
+    new = database.compact()
+    assert new is not old
+    seeds = [
+        TupleSet.singleton(t, catalog=old if t in stale else new)
+        for t in database.relation(anchor)
+    ]
+    pool = ListIncompletePool(anchor, use_index=True)
+    for seed in seeds:
+        pool.add(seed)
+    assert pool.waiting_anchors(new) is None
+    _drain_both(database, anchor, seeds, lambda: TupleScanner(database))
 
 
 class TestFallbacks:
@@ -390,8 +588,9 @@ def _step_both(database, make_pool, waiting, complete_sets):
     """One step of each implementation from the same pool and ``Complete``.
 
     ``make_pool`` builds an empty pool; ``waiting`` lists its members, the
-    set to pop first leading.  Returns per implementation the result, the
-    pool afterwards, and every counter.
+    set to pop first leading.  Returns the result, the pool afterwards, and
+    every counter; the two implementations must also leave each anchor
+    bucket in the same order.
     """
     runs = []
     for step in (get_next_result, reference_get_next_result):
@@ -411,10 +610,11 @@ def _step_both(database, make_pool, waiting, complete_sets):
                 statistics,
                 pool.statistics.as_dict(),
                 complete.statistics.as_dict(),
+                _buckets(pool),
             )
         )
     assert runs[0] == runs[1]
-    return runs[0]
+    return runs[0][:-1]
 
 
 def _pools(use_index):
@@ -514,3 +714,144 @@ def test_reference_complete_store_as_complete(use_index):
     assert ["a1", "c1"] not in runs[0][0] and ["a2", "c1", "s1"] not in runs[0][0]
     assert runs[0][1].candidates_subsumed > 0
     assert runs[0][2]["sets_scanned"] > 0
+
+
+# --------------------------------------------------------------------- #
+# the anchor-singleton settle: when the masks may not answer
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("kind", ["list", "priority"])
+def test_a_covered_singleton_is_counted_once_whichever_pool(kind):
+    """The step pops {c2}; the singleton {c3} lies in a stored result.  The
+    list pool settles it in bulk; the priority pool declines, so the
+    ``Complete`` side must not have counted it in bulk either."""
+    database = tourist_database()
+    catalog = database.catalog()
+    c2, c3 = (database.tuple_by_label(label) for label in ("c2", "c3"))
+    ranking = MaxRanking({"c2": 9.0}, default=1.0)
+    pools = {
+        "list": lambda: ListIncompletePool("Climates", use_index=True, extraction="fifo"),
+        "priority": lambda: PriorityIncompletePool("Climates", ranking, use_index=True),
+    }
+    popped = TupleSet.singleton(c2, catalog=catalog)
+    stored = TupleSet.of(c3, database.tuple_by_label("a3"), catalog=catalog)
+    _, _, _, statistics, _, complete_counters = _step_both(
+        database, pools[kind], [popped, TupleSet.singleton(c3, catalog=catalog)], [stored]
+    )
+    assert statistics.candidates_subsumed == 1
+    assert complete_counters["sets_scanned"] == 1
+
+
+def _namesake(database, label):
+    """Update ``label`` away and back: its first incarnation is tombstoned
+    and an equal tuple, the live namesake, gets a fresh gid."""
+    values = list(database.tuple_by_label(label).values)
+    database.update_tuple("Climates", label, [values[0], "changed"])
+    return database.update_tuple("Climates", label, values)
+
+
+def test_a_complete_holding_a_tombstoned_namesake_declines():
+    """A stored set holds the first incarnation of c1, a later one its live
+    namesake: both sit in one bucket, so the probe scans the stale set
+    first and the bulk count of one set would be wrong."""
+    database = tourist_database()
+    catalog = database.catalog()
+    stale = TupleSet.of(
+        database.tuple_by_label("c1"), database.tuple_by_label("a1"), catalog=catalog
+    )
+    live = _namesake(database, "c1")
+    assert database.catalog() is catalog and live == stale.tuple_from("Climates")
+    fresh = TupleSet.of(live, database.tuple_by_label("a2"), catalog=catalog)
+    complete = CompleteStore("Climates", use_index=True)
+    complete.add(stale)
+    complete.add(fresh)
+    assert complete.covered_singletons(1 << catalog.id_of(live), catalog) is None
+    popped = TupleSet.singleton(database.tuple_by_label("c2"), catalog=catalog)
+    _, _, _, statistics, _, complete_counters = _step_both(
+        database, _pools(True)["list"], [popped], [stale, fresh]
+    )
+    assert statistics.candidates_subsumed == 1
+    assert complete_counters["sets_scanned"] == 2
+
+
+def test_a_pool_holding_a_tombstoned_namesake_declines():
+    """{c1'} (the live namesake) waits before {c1, s1} (the tombstoned
+    incarnation) in one bucket, so only one set holds c1' and the masks
+    would call the bucket uncrowded: the singleton {c1'} scans both sets,
+    merges into {c1'} and moves it behind the stale set."""
+    database = tourist_database()
+    catalog = database.catalog()
+    stale = TupleSet.of(
+        database.tuple_by_label("c1"), database.tuple_by_label("s1"), catalog=catalog
+    )
+    live = _namesake(database, "c1")
+    fresh = TupleSet.singleton(live, catalog=catalog)
+    popped = TupleSet.singleton(database.tuple_by_label("c2"), catalog=catalog)
+    make_pool = _pools(True)["list"]
+    pool = make_pool()
+    for tuple_set in (popped, fresh, stale):
+        pool.add(tuple_set)
+    assert pool.waiting_anchors(catalog) is None
+    _, listed, _, _, pool_counters, _ = _step_both(
+        database, make_pool, [popped, fresh, stale], []
+    )
+    assert listed[:2] == [["c1"], ["c1", "s1"]]
+    assert pool_counters["sets_scanned"] == 2
+
+
+@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
+def test_only_indexed_containers_answer_on_masks(use_index):
+    database = tourist_database()
+    catalog = database.catalog()
+    pool = ListIncompletePool("Climates", use_index=use_index)
+    complete = CompleteStore("Climates", use_index=use_index)
+    c1 = TupleSet.singleton(database.tuple_by_label("c1"), catalog=catalog)
+    pool.add(c1)
+    complete.add(c1)
+    if use_index:
+        bit = 1 << catalog.id_of(database.tuple_by_label("c1"))
+        assert pool.waiting_anchors(catalog) == (bit, 0)
+        assert complete.covered_singletons(bit, catalog) == bit
+    else:
+        assert pool.waiting_anchors(catalog) is None
+        assert complete.covered_singletons(1, catalog) is None
+
+
+def test_probes_run_once_per_survivor_that_is_not_an_anchor_singleton(monkeypatch):
+    """On an indexed 5×120 chain, first 10 answers: the mask step probes
+    ``Complete`` (``contains_superset_mask``) and ``Incomplete``
+    (``waiting``) for exactly the survivors the reference step probes that
+    are not anchor singletons; the singletons are settled in bulk."""
+    database = chain_database(
+        relations=5, tuples_per_relation=120, domain_size=60, null_rate=0.05, seed=0
+    )
+    anchor = database.relation_names[0]
+
+    def first_ten(backend):
+        results = incremental_fd(database, anchor, use_index=True, backend=backend)
+        return [_labels(r) for r in itertools.islice(results, 10)]
+
+    def record(patch, owner, name):
+        """Patch ``owner.name`` to record the first argument of each call."""
+        probes = []
+        original = getattr(owner, name)
+
+        def recorded(self, probe, *args, **options):
+            probes.append(probe)
+            return original(self, probe, *args, **options)
+
+        patch.setattr(owner, name, recorded)
+        return probes
+
+    with monkeypatch.context() as patch:
+        mask_probes = record(patch, CompleteStore, "contains_superset_mask")
+        waiting_probes = record(patch, ListIncompletePool, "waiting")
+        shipped = first_ten(None)
+    with monkeypatch.context() as patch:
+        complete_probes = record(patch, CompleteStore, "contains_superset")
+        merge_probes = record(patch, ListIncompletePool, "candidates")
+        reference = first_ten(ReferenceBackend())
+    assert shipped == reference
+    singletons = sum(len(probe) == 1 for probe in complete_probes)
+    assert singletons > 0
+    assert len(mask_probes) == len(complete_probes) - singletons
+    assert len(waiting_probes) == sum(len(probe) > 1 for probe in merge_probes)

@@ -276,6 +276,63 @@ def test_slot_pool_keeps_the_literal_list_order(operations, extraction, use_inde
         assert bool(pool) == bool(model.items)
 
 
+def _interned_universe():
+    """:func:`_pool_universe`, interned in the tourist catalog."""
+    database = tourist_database()
+    catalog = database.catalog()
+    anchors = list(database.relation("Climates"))[:2]
+    others = [database.tuple_by_label(label) for label in ("a1", "a2", "s1")]
+    sets = [
+        TupleSet([anchor] + extra, catalog=catalog)
+        for anchor in anchors
+        for extra in [[]] + [[t] for t in others]
+    ]
+    return catalog, sets
+
+
+MASK_CATALOG, MASK_UNIVERSE = _interned_universe()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    operations=st.lists(
+        st.tuples(
+            st.sampled_from(["add", "add", "pop", "replace", "requeue"]),
+            st.integers(0, len(MASK_UNIVERSE) - 1),
+            st.integers(0, len(MASK_UNIVERSE) - 1),
+        ),
+        max_size=60,
+    ),
+    extraction=st.sampled_from(ListIncompletePool.EXTRACTION_ORDERS),
+)
+def test_anchor_masks_follow_the_buckets(operations, extraction):
+    """``waiting_anchors`` names the anchors with one and with two or more
+    waiting sets after every add, pop, growing replace and requeue."""
+    pool = ListIncompletePool("Climates", use_index=True, extraction=extraction)
+    model = _LiteralList(extraction)
+    for operation, first, second in operations:
+        if operation == "add":
+            pool.add(MASK_UNIVERSE[first])
+            model.add(MASK_UNIVERSE[first])
+        elif operation == "pop" and model.items:
+            assert pool.pop() == model.pop()
+        elif operation in ("replace", "requeue") and model.items:
+            old = model.items[first % len(model.items)]
+            new = old
+            if operation == "replace":
+                extra = [t for t in MASK_UNIVERSE[second] if t.relation_name != "Climates"]
+                new = old.union(TupleSet(extra, catalog=MASK_CATALOG))
+            pool.replace(old, new)
+            model.replace(old, new)
+        sizes = {
+            MASK_CATALOG.id_of(anchor): len(sets) for anchor, sets in model.buckets.items()
+        }
+        once = sum(1 << gid for gid, size in sizes.items() if size >= 1)
+        twice = sum(1 << gid for gid, size in sizes.items() if size >= 2)
+        assert pool.waiting_anchors(MASK_CATALOG) == (once, twice)
+        assert pool.as_list() == model.items
+
+
 class TestPriorityIncompletePool:
     @pytest.fixture
     def ranking(self):
@@ -337,3 +394,34 @@ class TestPriorityIncompletePool:
         pool = PriorityIncompletePool("Climates", ranking)
         with pytest.raises(KeyError):
             pool.replace(by_label(tourist_db, "c1"), by_label(tourist_db, "c2"))
+
+    @pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
+    def test_requeue_calls_no_ranking_and_pushes_nothing(self, tourist_db, use_index):
+        """``replace(S, S)`` moves S to the end of the member order and of
+        its bucket; a re-push would only leave a dead heap entry behind,
+        since S's older entry has the same rank and pops first."""
+        calls = []
+
+        def ranking(tuple_set):
+            calls.append(tuple_set)
+            return 1.0
+
+        pool = PriorityIncompletePool("Climates", ranking, use_index=use_index)
+        first, second, other = (
+            by_label(tourist_db, *labels) for labels in (["c1"], ["c1", "a1"], ["c2"])
+        )
+        for tuple_set in (first, second, other):
+            pool.add(tuple_set)
+        calls.clear()
+        heap = len(pool._heap)
+        pool.requeue(first, tourist_db.tuple_by_label("c1"))
+        pool.replace(second, second)
+        assert calls == []
+        assert len(pool._heap) == heap
+        assert list(pool) == [other, first, second]
+        assert pool.statistics.replacements == 2
+        if use_index:
+            assert pool.candidates(first) == [first, second]
+        assert [pool.pop() for _ in range(3)] == [first, second, other]
+        with pytest.raises(KeyError):
+            pool.replace(first, first)

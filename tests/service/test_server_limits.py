@@ -1,9 +1,11 @@
 """Careless clients and server faults.
 
 A request line longer than ``MAX_LINE_BYTES`` gets a clear error and a
-closed connection instead of killing the handler, junk ops or engine names
-cannot grow the metric label sets, and an exception escaping a handler is
-logged with its traceback while the connection keeps serving.
+closed connection instead of killing the handler, a ``next`` with a junk
+``k`` is refused as the client's error and a huge one is served
+``MAX_NEXT_K`` results at a time, junk ops or engine names cannot grow the
+metric label sets, and an exception escaping a handler is logged with its
+traceback while the connection keeps serving.
 """
 
 from __future__ import annotations
@@ -12,14 +14,18 @@ import asyncio
 import json
 import logging
 
+import pytest
+
 from repro.obs import MetricsRegistry
 from repro.service.server import (
     LINE_TOO_LONG,
     MAX_LINE_BYTES,
+    MAX_NEXT_K,
     QueryServer,
     client_call,
     start_server,
 )
+from repro.service import server as server_module
 from repro.service import sharding
 from repro.service.sharding import start_sharded_server
 from repro.workloads.tourist import tourist_database
@@ -264,6 +270,81 @@ class TestServerFaults:
         assert "'ping'" in records[0].getMessage()
         assert records[0].exc_info[0] is RuntimeError
         assert "injected fault" in caplog.text  # the traceback, not just the op
+
+
+K_REFUSED = {"ok": False, "error": "the 'k' option must be a positive integer"}
+
+
+async def _pull(port, ks):
+    """Open an ``fd`` session on the tourist database (6 answers), send one
+    ``next`` per entry of ``ks`` (``...`` leaves ``k`` out), then ping."""
+    reader, writer = await _connect(port)
+    try:
+        opened = await client_call(reader, writer, {"op": "open", "engine": "fd"})
+        replies = []
+        for k in ks:
+            request = {"op": "next", "session": opened["session"]}
+            if k is not ...:
+                request["k"] = k
+            replies.append(await client_call(reader, writer, request))
+        pong = await client_call(reader, writer, {"op": "ping"})
+    finally:
+        writer.close()
+        await writer.wait_closed()
+    return replies, pong
+
+
+def _server_faults(caplog):
+    return [r for r in caplog.records if r.name == "repro.service.server"]
+
+
+class TestNextK:
+    @pytest.mark.parametrize(
+        "k", ["x", None, 2.9, True, False, 0, -3, "2", [1], {"k": 1}],
+        ids=repr,
+    )
+    def test_a_junk_k_is_the_clients_error(self, k, caplog):
+        async def scenario(state, port):
+            return await _pull(port, [k, 1])
+
+        with caplog.at_level(logging.ERROR, logger="repro.service.server"):
+            (refused, served), pong = _run(_with_server(scenario))
+        assert refused == K_REFUSED
+        assert _server_faults(caplog) == []
+        # The refusal consumed nothing: the next pull starts at the first answer.
+        assert served["ok"] and len(served["results"]) == 1
+        assert pong == {"ok": True, "pong": True}
+
+    def test_k_defaults_to_one(self):
+        async def scenario(state, port):
+            return await _pull(port, [...])
+
+        (reply,), _ = _run(_with_server(scenario))
+        assert reply["ok"] and len(reply["results"]) == 1
+
+    def test_a_huge_k_is_clamped_and_the_reply_says_more_remain(
+        self, monkeypatch, caplog
+    ):
+        monkeypatch.setattr(server_module, "MAX_NEXT_K", 4)
+
+        async def scenario(state, port):
+            return await _pull(port, [10**9, 10**9, 10**9])
+
+        with caplog.at_level(logging.ERROR, logger="repro.service.server"):
+            (first, rest, after), _ = _run(_with_server(scenario))
+        assert (len(first["results"]), first["exhausted"]) == (4, False)
+        assert (len(rest["results"]), rest["exhausted"]) == (2, True)
+        assert (after["results"], after["exhausted"]) == ([], True)
+        assert _server_faults(caplog) == []
+
+    def test_the_cap_is_ten_thousand(self):
+        assert MAX_NEXT_K == 10_000
+
+        async def scenario(state, port):
+            return await _pull(port, [10**9])
+
+        (reply,), _ = _run(_with_server(scenario))
+        assert len(reply["results"]) == 6 and reply["exhausted"]
 
 
 def _label_values(snapshot):
