@@ -81,6 +81,12 @@ plus an append.
   with the values the probes count.  A container that cannot answer on
   masks (see :mod:`repro.core.store`) settles nothing, and then nothing is
   counted in bulk.
+* Lines 1–4 of Fig. 1 hand the pool its default seeds as one gid mask
+  (:meth:`~repro.core.pools.ListIncompletePool.seed`), so the first answer
+  costs no work per tuple of ``R_i``: a seed's tuple set is built only when
+  Line 1 pops it or a probe names its anchor.  A waiting seed ``{a}`` is the
+  only waiting set with anchor ``a``, so every probe for ``a`` merges into
+  it, and until then it is a bucket of one, as the settle counts it.
 
 The pool therefore evolves, and the results come out, exactly as with the
 tuple loop, and every counter keeps its meaning: each mask pass counts as
@@ -793,22 +799,28 @@ def incremental_fd(
 
     # Lines 1-4: initialization of the two lists.  Initial sets are interned
     # against the catalog so every set the run derives from them carries the
-    # bitset representation.  Under a bucket restriction the seeds are the
-    # bucket's singletons only, in scan order.
+    # bitset representation.  The default seeds go in as one gid mask, in
+    # scan order (gid order): the live tuples of R_i, only the bucket's under
+    # a bucket restriction, and only those passing the seed test.
     from repro.obs.tracing import trace_span
 
     with trace_span("engine.initialize", "engine", anchor=anchor_name):
         if initial is None:
-            initial = filter(
-                semantics.qualifies,
-                (
-                    TupleSet.singleton(t, catalog=catalog)
-                    for t in database.relation(anchor_name)
-                    if bucket is None or t in bucket
-                ),
+            seeds = catalog.live_mask & catalog.relation_tuples_mask(
+                catalog.relation_id(anchor_name)
             )
-        for tuple_set in initial:
-            incomplete.add(tuple_set.attach_catalog(catalog))
+            if bucket is not None:
+                seeds &= _gid_mask(bucket, catalog)
+            if semantics is not EXACT:
+                qualifying = (
+                    t for t in catalog.tuples_of_mask(seeds)
+                    if semantics.qualifies(TupleSet.singleton(t, catalog=catalog))
+                )
+                seeds = _gid_mask(qualifying, catalog)
+            incomplete.seed(seeds, catalog)
+        else:
+            for tuple_set in initial:
+                incomplete.add(tuple_set.attach_catalog(catalog))
     if on_initialized is not None:
         on_initialized(incomplete, complete)
 

@@ -28,6 +28,19 @@ also settles the step's anchor singletons in bulk: gid masks of the anchors
 with one and with two or more waiting sets (``waiting_anchors``, kept in one
 catalog as :mod:`repro.core.store` describes), and ``requeue_singletons``.
 
+**The seed block.**  :meth:`ListIncompletePool.seed` takes Line 1's
+singletons ``{t}``, ``t ∈ R_i``, as one gid mask and keeps them, in gid
+(scan) order, after every set added later: where a ``"paper"`` list that
+added each seed puts them once it has popped, and ``IncrementalFD`` pops
+before it adds.  A seed's tuple set is built in place only when ``pop`` or
+a full scan reaches it or a probe or ``add`` names its anchor; views list
+it as a copy.  This is exact: a waiting seed ``{a}`` is the only waiting
+set with anchor ``a``, a bucket of one in ``waiting_anchors``, and is built
+before anything joins its bucket, so ``replace`` and ``requeue`` only ever
+see built members.  Every counter reads as if each seed had been added:
+``additions`` counts the seeds at seeding, and ``len``, ``peak_size`` and
+the full scan's ``sets_scanned`` count unbuilt ones.
+
 All containers count the tuple sets they scan in a :class:`PoolStatistics`
 (shared with :mod:`repro.core.store`), which the benchmarks use as a
 machine-independent work measure.
@@ -53,6 +66,14 @@ __all__ = [
 
 #: The number of set bits of a non-negative mask (``int.bit_count`` on Python 3.10+).
 popcount = getattr(int, "bit_count", None) or (lambda mask: bin(mask).count("1"))
+
+
+def _gids(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class PoolStatistics:
@@ -157,19 +178,89 @@ class ListIncompletePool:
         self._mask_catalog = None
         self._waiting_once = self._waiting_twice = 0
         self._anchors_seen: Optional[int] = 0
+        # The seed block (see seed): gids of its seeds and of the unbuilt
+        # ones, and the slots of the built ones.
+        self._seeds = self._unbuilt = 0
+        self._seed_catalog = None
+        self._seed_slots: Dict[int, list] = {}
         self.statistics = PoolStatistics()
 
     def __len__(self) -> int:
+        if self._unbuilt:
+            return len(self._slots) + popcount(self._unbuilt)
         return len(self._slots)
 
     def __bool__(self) -> bool:
-        return bool(self._slots)
+        return bool(self._slots or self._unbuilt)
 
     def __iter__(self) -> Iterator[TupleSet]:
         return iter(self.as_list())
 
     def __contains__(self, tuple_set: TupleSet) -> bool:
+        if self._unbuilt:
+            gid = self._pending_gid(self._anchor_of(tuple_set))
+            if gid is not None and TupleSet.singleton_at(gid, self._seed_catalog) == tuple_set:
+                return True
         return tuple_set in self._slots
+
+    def seed(self, seeds: int, catalog) -> None:
+        """Add ``{t}`` for each anchor tuple ``t`` of ``catalog``'s gid mask
+        ``seeds`` to an empty ``"paper"`` pool, as a seed block (see the
+        module docstring)."""
+        if self or self._extraction != "paper":
+            raise ValueError('seeds go into an empty "paper" Incomplete pool')
+        self._seed_slots.clear()
+        self._seeds = self._unbuilt = seeds
+        self._seed_catalog = catalog
+        statistics = self.statistics
+        statistics.additions += popcount(seeds)
+        statistics.peak_size = max(statistics.peak_size, len(self))
+        if self._use_index and seeds and self._anchors_seen is not None:
+            if self._mask_catalog not in (None, catalog):
+                self._anchors_seen = None
+            else:
+                # Each pending seed is a bucket of one.
+                self._mask_catalog = catalog
+                self._anchors_seen |= seeds
+                self._waiting_once |= seeds
+
+    def _pending_gid(self, anchor: Optional[Tuple]) -> Optional[int]:
+        """The gid of the unbuilt seed whose tuple equals ``anchor``, if any."""
+        if anchor is None:
+            return None
+        catalog = self._seed_catalog
+        gid = catalog.id_of(anchor)
+        if gid is not None and (self._unbuilt >> gid) & 1:
+            return gid
+        # A seed tombstoned since seeding: the lookup names its namesake.
+        stale = self._unbuilt & catalog.dead_mask
+        return next((gid for gid in _gids(stale) if catalog.tuple_at(gid) == anchor), None)
+
+    def _build(self, gid: int) -> TupleSet:
+        """Build the unbuilt seed ``gid`` in place: its slot stays in the block."""
+        seed = TupleSet.singleton_at(gid, self._seed_catalog)
+        slot = self._seed_slots[gid] = [seed]
+        self._slots[seed] = slot
+        self._unbuilt ^= 1 << gid
+        if self._use_index:
+            self._buckets.setdefault(self._seed_catalog.tuple_at(gid), {})[seed] = None
+        return seed
+
+    def _build_pending(self, anchor: Optional[Tuple]) -> None:
+        """Build the unbuilt seed of ``anchor``, if any."""
+        gid = self._pending_gid(anchor)
+        if gid is not None:
+            self._build(gid)
+
+    def _walk(self, build: bool) -> Iterator[TupleSet]:
+        """The members in list order; an unbuilt seed is built in place when
+        ``build``, else listed as a copy the pool does not keep."""
+        yield from (slot[0] for slot in self._items if slot[0] is not None)
+        for gid in _gids(self._seeds):
+            if (self._unbuilt >> gid) & 1:
+                yield self._build(gid) if build else TupleSet.singleton_at(gid, self._seed_catalog)
+            elif self._seed_slots[gid][0] is not None:
+                yield self._seed_slots[gid][0]
 
     def _anchor_of(self, tuple_set: TupleSet) -> Optional[Tuple]:
         return tuple_set.tuple_from(self._anchor_relation)
@@ -216,6 +307,12 @@ class ListIncompletePool:
 
     def add(self, tuple_set: TupleSet) -> None:
         """Insert a tuple set (Line 18 of ``GetNextResult`` / initialization)."""
+        pending = 0
+        if self._unbuilt:
+            anchor = self._anchor_of(tuple_set)
+            if not self._buckets.get(anchor):
+                self._build_pending(anchor)
+            pending = popcount(self._unbuilt)
         if tuple_set in self._slots:
             return
         slot = [tuple_set]
@@ -226,22 +323,42 @@ class ListIncompletePool:
             self._items.append(slot)
         self._slots[tuple_set] = slot
         self.statistics.additions += 1
-        self.statistics.peak_size = max(self.statistics.peak_size, len(self._slots))
+        self.statistics.peak_size = max(self.statistics.peak_size, len(self._slots) + pending)
         self._index_add(tuple_set)
 
     def pop(self) -> TupleSet:
         """Remove and return the next tuple set to extend (Line 1)."""
-        if not self._slots:
+        if not (self._slots or self._unbuilt):
             raise IndexError("pop from an empty Incomplete pool")
-        take = self._items.pop if self._extraction == "lifo" else self._items.popleft
-        tuple_set = take()[0]
-        while tuple_set is None:
+        if self._seeds:
+            tuple_set = self._take_seeded()
+        else:
+            take = self._items.pop if self._extraction == "lifo" else self._items.popleft
             tuple_set = take()[0]
+            while tuple_set is None:
+                tuple_set = take()[0]
         del self._slots[tuple_set]
         self._index_discard(tuple_set)
         self._insert_cursor = 0
         self.statistics.removals += 1
         return tuple_set
+
+    def _take_seeded(self) -> TupleSet:
+        """Take the next member out of a list with a seed block, which comes
+        after the other slots."""
+        while self._items:
+            tuple_set = self._items.popleft()[0]
+            if tuple_set is not None:
+                return tuple_set
+        while True:
+            low = self._seeds & -self._seeds
+            self._seeds ^= low
+            gid = low.bit_length() - 1
+            if self._unbuilt & low:
+                self._build(gid)
+            tuple_set = self._seed_slots.pop(gid)[0]
+            if tuple_set is not None:
+                return tuple_set
 
     def candidates(self, probe: TupleSet) -> List[TupleSet]:
         """Member sets that might merge with ``probe`` (Line 14 probe).
@@ -262,12 +379,16 @@ class ListIncompletePool:
         statistics = self.statistics
         if self._use_index and anchor is not None:
             bucket = self._buckets.get(anchor, ())
+            if not bucket and self._unbuilt:
+                # A waiting seed is alone in its bucket: build it now.
+                self._build_pending(anchor)
+                bucket = self._buckets.get(anchor, ())
             statistics.bucket_probes += 1
             statistics.sets_scanned += len(bucket)
             return bucket
         statistics.full_scans += 1
-        statistics.sets_scanned += len(self._slots)
-        return (slot[0] for slot in self._items if slot[0] is not None)
+        statistics.sets_scanned += len(self)
+        return self._walk(build=True)
 
     def replace(self, old: TupleSet, new: TupleSet) -> None:
         """Replace ``old`` by ``new`` (Line 15), in place.
@@ -351,10 +472,12 @@ class ListIncompletePool:
         surviving members.  Returns the number of sets evicted.
         """
         dead = set(dead_tuples)
-        if not dead or not self._slots:
+        if not dead or not self:
             return 0
         from repro.core.kernels import active_kernel
 
+        for gid in _gids(self._unbuilt):
+            self._build(gid)
         members = self.as_list()
         flags = active_kernel().batch_contains_dead(members, dead)
         evicted = 0
@@ -370,8 +493,18 @@ class ListIncompletePool:
         return evicted
 
     def as_list(self) -> List[TupleSet]:
-        """The live member sets in list order (used by the trace harness)."""
-        return [slot[0] for slot in self._items if slot[0] is not None]
+        """The live member sets in list order (used by the trace harness),
+        a seed not built yet as a copy."""
+        return list(self._walk(build=False))
+
+    def anchor_buckets(self) -> Dict[Tuple, List[TupleSet]]:
+        """The indexed pool's non-empty anchor buckets, each in bucket order,
+        a seed not built yet as a bucket of its own copy."""
+        buckets = {anchor: list(bucket) for anchor, bucket in self._buckets.items() if bucket}
+        catalog = self._seed_catalog
+        for gid in _gids(self._unbuilt if self._use_index else 0):
+            buckets[catalog.tuple_at(gid)] = [TupleSet.singleton_at(gid, catalog)]
+        return buckets
 
 
 class PriorityIncompletePool:

@@ -15,11 +15,21 @@ The structure mirrors Fig. 3:
     be merged (Lines 5–8) — this re-establishes the invariant of Remark 4.5.
 2.  Repeatedly pick the queue whose top has the highest rank (Lines 10–15),
     call ``GetNextResult`` on it, and print the produced result unless it was
-    already printed (Line 17); ``Complete`` is shared by all the queues.
+    already printed (Line 17).
+
+Each queue keeps its own ``Complete_i``, the results ``GetNextResult``
+produced on it, exactly as pass ``i`` of Fig. 1 does; a separate store of the
+printed results answers Line 17.  One ``Complete`` for all the queues would
+break the rank order: a result printed through queue ``k`` that holds an
+``R_i`` tuple would make queue ``i`` drop (Lines 10–11) the subsets that
+still carry the rank witness of another ``R_i`` result, and that result would
+then come out only through a lower-ranked entry of some other queue.  Once
+every queue is drained, ``Complete_i`` is ``FD_i``, so the delta passes prune
+as one store would.
 
 The queue machinery lives in an explicit :class:`PriorityState` object rather
 than loop locals, so the whole engine state — the per-relation priority
-queues, the shared ``Complete`` store and the scanner — survives between
+queues, their ``Complete`` stores and the scanner — survives between
 pulls.  That is what makes the state *resumable*: a first-k client stops the
 :meth:`PriorityState.results` generator mid-stream and continues later, and
 the streaming maintainer (:mod:`repro.service.delta`) pushes an arrival's
@@ -116,11 +126,12 @@ class PriorityState:
     """The explicit, resumable engine state of ``PriorityIncrementalFD``.
 
     Owns everything Fig. 3 keeps between iterations: the per-relation
-    priority queues (built eagerly, Lines 3–8), the shared ``Complete``
-    store, and the tuple scanner.  :meth:`results` is the Fig. 3 main loop
-    reading and mutating this state — stopping the generator and calling
-    :meth:`results` again continues exactly where the previous pull left
-    off, which is what the serving layer's pausable sessions rely on.
+    priority queues (built eagerly, Lines 3–8) with their ``Complete_i``
+    stores, the store of printed results, and the tuple scanner.
+    :meth:`results` is the Fig. 3 main loop reading and mutating this
+    state — stopping the generator and calling :meth:`results` again
+    continues exactly where the previous pull left off, which is what the
+    serving layer's pausable sessions rely on.
 
     Under streaming ingest the state stays live across arrivals:
     :meth:`ingest` pushes each arrival's qualifying size-≤c connected
@@ -163,7 +174,12 @@ class PriorityState:
             database, ranking, use_index=use_index, semantics=semantics
         )
         self.anchors = [relation.name for relation in database.relations]
+        #: Every distinct result produced so far (Line 17's printed test).
         self.complete = CompleteStore(anchor_relation=None, use_index=use_index)
+        #: ``Complete_i`` of each queue: the results produced on it.
+        self.completes = [
+            CompleteStore(anchor_relation=None, use_index=use_index) for _ in self.pools
+        ]
         self.scanner = TupleScanner(database)
         #: Results emitted by :meth:`results` so far (across all pulls).
         self.printed = 0
@@ -212,15 +228,18 @@ class PriorityState:
                 # Lemma 5.4.
                 return
 
+            complete = self.completes[best_index]
             result = self._next_result(
                 self.database,
                 self.anchors[best_index],
                 self.pools[best_index],
-                self.complete,
+                complete,
                 self.scanner,
                 statistics,
                 **self._step_options,
             )
+            if result not in complete:
+                complete.add(result)
             if result in self.complete:
                 # Line 17: the same result was already produced via another
                 # queue (or, after ingest, re-derived from an old seed).
@@ -288,29 +307,41 @@ class PriorityState:
         (removed through :meth:`~repro.relational.database.Database.remove_tuple`).
         Every queued subset containing a dead tuple is evicted — it could
         never extend into a result of the post-deletion database — and every
-        stored ``Complete`` result containing one is dropped so it stops
-        suppressing the subsets it used to cover.  Returns the retracted
-        results in their original emission order; re-deriving what the
-        retractions unblock is the caller's job (the streaming maintainer
-        extends each retracted result's surviving components).
+        stored result containing one is dropped, from each ``Complete_i``
+        and from the printed store, so it stops suppressing the subsets it
+        used to cover.  Returns the retracted results in their original
+        emission order; re-deriving what the retractions unblock is the
+        caller's job (the streaming maintainer extends each retracted
+        result's surviving components).
         """
         for pool in self.pools:
             pool.discard_containing(dead_tuples)
         catalog = self.database.catalog()
+        for complete in self.completes:
+            complete.retract_containing(dead_tuples, catalog=catalog)
         return self.complete.retract_containing(dead_tuples, catalog=catalog)
+
+    def store(self, result: TupleSet) -> None:
+        """Record a result derived outside the queues (the streaming
+        maintainer's re-derivations) as printed, and in the ``Complete_i`` of
+        every relation it holds a tuple of, as a drained run would have it."""
+        self.complete.add(result)
+        for anchor_name, complete in zip(self.anchors, self.completes):
+            if result.contains_tuple_from(anchor_name) and result not in complete:
+                complete.add(result)
 
     def drain_new(self) -> List[RankedResult]:
         """Drain the queues and return the genuinely new results, rank first.
 
-        Old results re-derived from the seeds are suppressed by the shared
-        ``Complete`` store (Line 17); the new ones — all containing an
+        Old results re-derived from the seeds are suppressed by the store
+        of printed results (Line 17); the new ones — all containing an
         arrival, since a maximal set without one was maximal before the
         arrival too — are returned sorted by ``(-score, sort key)``, the
         canonical rank order a full ranked recompute would emit them in.
 
         Complete only relative to a drained base run: until the base stream
-        has been exhausted, ``Complete`` cannot distinguish "new" from "not
-        yet derived".
+        has been exhausted, the printed store cannot distinguish "new" from
+        "not yet derived".
         """
         produced = list(self.results())
         produced.sort(key=canonical_rank_key)
@@ -329,6 +360,7 @@ class PriorityState:
         if self.statistics is None:
             return
         containers = [("complete", self.complete)]
+        containers.extend(("complete", complete) for complete in self.completes)
         containers.extend(("incomplete", pool) for pool in self.pools)
         for prefix, container in containers:
             current = container.statistics.as_dict()

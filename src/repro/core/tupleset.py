@@ -153,6 +153,15 @@ class TupleSet:
         return cls((t,), catalog=catalog)
 
     @classmethod
+    def singleton_at(cls, gid: int, catalog) -> "TupleSet":
+        """The singleton of ``catalog``'s tuple ``gid``, interned at ``gid``
+        even when that incarnation is tombstoned and the catalog's lookup
+        names a live namesake."""
+        tuple_set = cls((catalog.tuple_at(gid),), catalog=catalog)
+        tuple_set._id_mask = 1 << gid
+        return tuple_set
+
+    @classmethod
     def empty(cls, catalog=None) -> "TupleSet":
         """The empty tuple set (connected and join consistent by convention)."""
         return cls((), catalog=catalog)

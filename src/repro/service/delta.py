@@ -198,8 +198,8 @@ class StreamingFullDisjunction:
         tag_kernel(self.statistics)
         self._backend = resolve_backend(backend)
         if ranking is not None:
-            # The live queue state *is* the engine: its shared Complete
-            # store doubles as the maintainer's accumulated result mirror.
+            # The live queue state *is* the engine: its store of printed
+            # results doubles as the maintainer's accumulated result mirror.
             self._state = PriorityState(
                 database,
                 ranking,
@@ -230,8 +230,8 @@ class StreamingFullDisjunction:
     def _base_results(self) -> Iterator[object]:
         """The initial database's full disjunction, mirrored into the store."""
         if self._state is not None:
-            # The ranked engine mirrors into its own shared Complete store
-            # (= self._store) as it produces.  Canonicalising rank ties
+            # The ranked engine mirrors into its own store of printed
+            # results (= self._store) as it produces.  Canonicalising rank ties
             # keeps the log byte-identical to the recompute reference
             # stream; buffering is per tie group, so first-k stays
             # incremental.
@@ -683,7 +683,10 @@ class StreamingFullDisjunction:
                 anchor = min(extended)
                 if self._store.contains_superset(extended, anchor=anchor):
                     continue
-                self._store.add(extended)
+                if self._state is not None:
+                    self._state.store(extended)
+                else:
+                    self._store.add(extended)
                 stats.results += 1
                 stats.results_emitted += 1
                 if self._state is not None:

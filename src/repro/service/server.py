@@ -110,6 +110,8 @@ logger = logging.getLogger(__name__)
 #: because the rest of the line is still in flight.
 MAX_LINE_BYTES = 8 * 1024 * 1024
 LINE_TOO_LONG = {"ok": False, "error": f"request line exceeds {MAX_LINE_BYTES} bytes"}
+#: The reply to a line that is JSON but not an object: the client's error.
+NOT_AN_OBJECT = {"ok": False, "error": "a request must be a JSON object"}
 
 #: Most results one ``next`` returns.  A larger ``k`` is served as this
 #: many, so one request cannot drain a whole full disjunction into a reply
@@ -302,23 +304,30 @@ class QueryServer:
     # request handling
     # ------------------------------------------------------------------ #
     async def handle_request(
-        self, request: dict, connection_sessions: Optional[set] = None
+        self, request: object, connection_sessions: Optional[set] = None
     ) -> dict:
-        """Dispatch one wire request, timed: every op lands in the per-op
-        latency histogram and (as a complete span) on the active tracer.
+        """Dispatch one decoded wire request, timed: every op lands in the
+        per-op latency histogram and (as a complete span) on the active
+        tracer.
 
         The metric label and span name are the op when the server serves
         it and ``"other"`` when not, so clients cannot grow the label sets.
+        A line that is not JSON (passed as its ``JSONDecodeError``) or not a
+        JSON object is the client's error, answered under ``"other"``.
         """
         self.requests += 1
-        op = str(request.get("op"))
+        op = str(request.get("op")) if isinstance(request, dict) else None
         handler = self._OPS.get(op)
         label = op if handler is not None else "other"
         start = time.perf_counter()
         span = trace_span(f"op.{label}", "server")
         ok = False
         try:
-            if handler is None:
+            if isinstance(request, json.JSONDecodeError):
+                response = {"ok": False, "error": f"bad JSON: {request}"}
+            elif op is None:
+                response = dict(NOT_AN_OBJECT)
+            elif handler is None:
                 response = {"ok": False, "error": f"unknown op {op!r}"}
             else:
                 response = await handler(self, request, connection_sessions)
@@ -901,15 +910,12 @@ class QueryServer:
                 try:
                     request = json.loads(line)
                 except json.JSONDecodeError as error:
-                    response = {"ok": False, "error": f"bad JSON: {error}"}
-                else:
-                    try:
-                        response = await self.handle_request(
-                            request, connection_sessions
-                        )
-                    except Exception as error:  # serve errors, don't die
-                        logger.exception("server fault on op %r", request_op(request))
-                        response = {"ok": False, "error": str(error)}
+                    request = error
+                try:
+                    response = await self.handle_request(request, connection_sessions)
+                except Exception as error:  # serve errors, don't die
+                    logger.exception("server fault on op %r", request_op(request))
+                    response = {"ok": False, "error": str(error)}
                 writer.write(json.dumps(response).encode() + b"\n")
                 try:
                     await writer.drain()

@@ -64,6 +64,7 @@ from repro.service.server import (  # noqa: F401 - re-export
     _ROUTING_KEYS,
     LINE_TOO_LONG,
     MAX_LINE_BYTES,
+    NOT_AN_OBJECT,
     client_call,
     open_routing_key,
     reply_line_too_long,
@@ -320,6 +321,8 @@ class ShardedQueryServer:
     ) -> dict:
         self.requests += 1
         self._m_requests.inc()
+        if not isinstance(request, dict):
+            return dict(NOT_AN_OBJECT)
         op = request.get("op")
         if op == "ping":
             return {"ok": True, "pong": True, "shards": len(self.shards)}

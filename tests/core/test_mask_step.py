@@ -8,7 +8,9 @@ updates), both steps must produce the same results in the same order, the
 same ``Incomplete`` list after every step and equal ``FDStatistics`` — with
 and without an anchor bucket, with the index on and off, restricted to
 ``R_i, …, R_n`` or not, and under both kernels; the ranked engine must
-produce the same stream and the same queues after every answer.  Unit tests
+produce the same stream and the same queues after every answer.  The
+default seeds, handed to the pool as one gid mask and built lazily, must
+match the same singletons added one set at a time.  Unit tests
 pin the Lines 10–18 edge cases: a merge whose union is already waiting,
 sets of an older catalog snapshot, and the reference ``Complete`` store.
 The mask step's exactness rests on scan order being gid order within a
@@ -113,20 +115,23 @@ def _labels(tuple_set):
 
 
 def _buckets(incomplete):
-    """Each non-empty anchor bucket of an indexed pool, in bucket order."""
-    return {
-        anchor.label: [_labels(s) for s in bucket]
-        for anchor, bucket in incomplete._buckets.items()
-        if bucket
-    }
+    """Each non-empty anchor bucket of an indexed pool, in bucket order: the
+    list pool's public view, where a seed not built yet is a bucket of its
+    own (the priority pool has no seed block)."""
+    if isinstance(incomplete, ListIncompletePool):
+        buckets = incomplete.anchor_buckets()
+    else:
+        buckets = {anchor: bucket for anchor, bucket in incomplete._buckets.items() if bucket}
+    return {anchor.label: [_labels(s) for s in bucket] for anchor, bucket in buckets.items()}
 
 
 def _run(
     database, anchor, backend, use_index, anchor_tuples, restricted,
-    initial=None, complete=None,
+    initial=None, complete=None, limit=None,
 ):
-    """Results, the Incomplete list and its buckets after every step, the
-    statistics, and the counters of a ``complete`` store passed in."""
+    """Results (the first ``limit``, when given), the Incomplete list and
+    its buckets after every step, the statistics, and the counters of a
+    ``complete`` store passed in."""
     skip = ()
     if restricted:
         skip = database.relation_names[: database.index_of(anchor)]
@@ -148,7 +153,8 @@ def _run(
         initial=initial,
         complete=complete,
     )
-    stream = [_labels(r) for r in results]
+    stream = [_labels(r) for r in itertools.islice(results, limit)]
+    results.close()
     shared = None if complete is None else complete.statistics.as_dict()
     return stream, pools, statistics, shared
 
@@ -234,6 +240,53 @@ def _compare_with_reference(
     assert shipped[1] == reference[1]
     assert shipped[2] == reference[2]
     assert shipped[3] == reference[3]
+
+
+@settings(PROPERTY, max_examples=150)
+@given(
+    database=mutated_databases(),
+    choice=st.randoms(use_true_random=False),
+    use_index=st.booleans(),
+    restricted=st.booleans(),
+    backend=st.sampled_from([None, "serial", "sharded:2"]),
+    namesake=st.booleans(),
+    limit=st.sampled_from([None, 1, 3]),
+)
+def test_seeding_by_mask_matches_seeding_set_by_set(
+    database, choice, use_index, restricted, backend, namesake, limit
+):
+    """The default seeds, handed to the pool as one gid mask and built
+    lazily, against the same singletons passed as ``initial``, which the
+    pool adds one set at a time: the same answers in the same order, the
+    same ``Incomplete`` list and buckets after every step and equal
+    ``FDStatistics``, also when the run stops after ``limit`` answers."""
+    if namesake:
+        # Update a tuple away and back: its first incarnation is tombstoned
+        # and an equal tuple, the live namesake, gets a fresh gid.
+        relation = choice.choice(database.relations)
+        victim = choice.choice(list(relation))
+        values = list(victim.values)
+        database.update_tuple(relation.name, victim.label, _mixed_values(choice, relation))
+        database.update_tuple(relation.name, victim.label, values)
+    anchor = choice.choice(database.relation_names)
+    anchor_tuples = None
+    if choice.random() < 0.5:
+        members = list(database.relation(anchor))
+        anchor_tuples = choice.sample(members, choice.randint(0, len(members)))
+    catalog = database.catalog()
+    seeds = [
+        TupleSet.singleton(t, catalog=catalog)
+        for t in database.relation(anchor)
+        if anchor_tuples is None or t in anchor_tuples
+    ]
+    options = dict(limit=limit)
+    by_mask = _run(database, anchor, backend, use_index, anchor_tuples, restricted, **options)
+    by_sets = _run(
+        database, anchor, backend, use_index, anchor_tuples, restricted, initial=seeds, **options
+    )
+    assert by_mask[0] == by_sets[0]
+    assert by_mask[1] == by_sets[1]
+    assert by_mask[2] == by_sets[2]
 
 
 def test_the_drawn_cases_reach_every_branch_of_the_bulk_settle(monkeypatch):

@@ -218,62 +218,229 @@ class _LiteralList:
         self.items[position] = new
         self.buckets.setdefault(self._anchor(new), []).append(new)
 
+    def settle(self, anchors):
+        """``requeue_singletons``: the first set of each bucket moves last."""
+        for anchor in anchors:
+            bucket = self.buckets[anchor]
+            bucket.append(bucket.pop(0))
+
+    def discard(self, dead):
+        kept = [s for s in self.items if not s.tuples & dead]
+        evicted = len(self.items) - len(kept)
+        if evicted:
+            self.items = kept
+            self.cursor = 0
+            self.buckets = {
+                anchor: [s for s in bucket if not s.tuples & dead]
+                for anchor, bucket in self.buckets.items()
+            }
+        return evicted
+
 
 def _pool_universe():
-    """Sets holding one Climates tuple (the anchor) and at most one other."""
+    """Sets holding one Climates tuple (the anchor) and at most one other,
+    uninterned and interned, and the catalog the seeds are interned in."""
     database = tourist_database()
+    catalog = database.catalog()
     # Few sets, so unions often collide with a queued member.
-    anchors = list(database.relation("Climates"))[:2]
+    anchors = list(database.relation("Climates"))
     others = [database.tuple_by_label(label) for label in ("a1", "a2", "s1")]
-    return [
-        TupleSet([anchor] + extra)
-        for anchor in anchors
-        for extra in [[]] + [[t] for t in others]
-    ]
+    members = [[anchor] + extra for anchor in anchors for extra in [[]] + [[t] for t in others]]
+    return (
+        catalog,
+        {
+            False: [TupleSet(tuples) for tuples in members],
+            True: [TupleSet(tuples, catalog=catalog) for tuples in members],
+        },
+        anchors + others,
+    )
 
 
-POOL_UNIVERSE = _pool_universe()
+POOL_CATALOG, POOL_UNIVERSE, POOL_TUPLES = _pool_universe()
 POOL_OPERATIONS = st.lists(
     st.tuples(
-        st.sampled_from(["add", "add", "pop", "replace", "probe"]),
-        st.integers(0, len(POOL_UNIVERSE) - 1),
-        st.integers(0, len(POOL_UNIVERSE) - 1),
+        st.sampled_from(
+            ["add", "add", "pop", "replace", "requeue", "probe", "settle", "discard"]
+        ),
+        st.integers(0, len(POOL_UNIVERSE[False]) - 1),
+        st.integers(0, len(POOL_UNIVERSE[False]) - 1),
     ),
     max_size=60,
 )
 
 
+def _observed(pool, universe):
+    """Everything a pool shows without popping."""
+    return (
+        pool.as_list(),
+        len(pool),
+        bool(pool),
+        [tuple_set in pool for tuple_set in universe],
+        pool.anchor_buckets(),
+        pool.waiting_anchors(POOL_CATALOG),
+        pool.statistics.as_dict(),
+    )
+
+
 @settings(max_examples=300, deadline=None)
 @given(
+    seeded=st.lists(st.booleans(), min_size=3, max_size=3),
     operations=POOL_OPERATIONS,
     extraction=st.sampled_from(ListIncompletePool.EXTRACTION_ORDERS),
     use_index=st.booleans(),
+    interned=st.booleans(),
 )
-def test_slot_pool_keeps_the_literal_list_order(operations, extraction, use_index):
-    """O(1) slots reproduce the searched list position for position."""
+def test_slot_pool_keeps_the_literal_list_order(
+    seeded, operations, extraction, use_index, interned
+):
+    """O(1) slots reproduce the searched list position for position, and a
+    "paper" pool seeded by mask shows, after every operation, what a pool
+    seeded by adding each singleton in gid order shows: list, size,
+    membership, buckets, anchor masks and counters."""
+    universe = POOL_UNIVERSE[interned]
+    climates = POOL_TUPLES[:3]
     pool = store.ListIncompletePool("Climates", use_index=use_index, extraction=extraction)
+    eager = ListIncompletePool("Climates", use_index=use_index, extraction=extraction)
     model = _LiteralList(extraction)
+    # The first operation: seed by mask ("paper" only; the other orders add
+    # each seed), then pop, as IncrementalFD does.
+    seeds = [t for t, chosen in zip(climates, seeded) if chosen]
+    if extraction == "paper":
+        pool.seed(POOL_CATALOG.mask_of(seeds), POOL_CATALOG)
+    for t in seeds:
+        if extraction != "paper":
+            pool.add(TupleSet.singleton(t, catalog=POOL_CATALOG))
+        eager.add(TupleSet.singleton(t, catalog=POOL_CATALOG))
+        model.add(TupleSet.singleton(t, catalog=POOL_CATALOG))
+    if seeds:
+        operations = [("pop", 0, 0)] + operations
     for operation, first, second in operations:
         if operation == "add":
-            pool.add(POOL_UNIVERSE[first])
-            model.add(POOL_UNIVERSE[first])
+            for container in (pool, eager, model):
+                container.add(universe[first])
         elif operation == "pop" and model.items:
-            assert pool.pop() == model.pop()
-        elif operation == "replace" and model.items:
+            expected = model.pop()
+            assert pool.pop() == expected and eager.pop() == expected
+        elif operation in ("replace", "requeue") and model.items:
             old = model.items[first % len(model.items)]
-            # A merge keeps the anchor: the union holds old's Climates tuple.
-            new = old.union(TupleSet(t for t in POOL_UNIVERSE[second] if t.relation_name != "Climates"))
-            pool.replace(old, new)
+            # The step replaces what its Line 14 probe handed it.
+            expected = model.buckets[model._anchor(old)] if use_index else model.items
+            assert pool.candidates(old) == expected == eager.candidates(old)
+            new = old
+            if operation == "replace":
+                # A merge keeps the anchor: the union holds old's Climates tuple.
+                extra = [t for t in universe[second] if t.relation_name != "Climates"]
+                new = old.union(TupleSet(extra, catalog=old.catalog))
+                pool.replace(old, new)
+                eager.replace(old, new)
+            else:
+                pool.requeue(old, model._anchor(old))
+                eager.requeue(old, model._anchor(old))
             model.replace(old, new)
         elif operation == "probe":
-            probe = POOL_UNIVERSE[first]
+            probe = universe[first]
             expected = (
                 model.buckets.get(model._anchor(probe), []) if use_index else model.items
             )
-            assert pool.candidates(probe) == expected
+            assert pool.candidates(probe) == expected == eager.candidates(probe)
+        elif operation == "settle" and eager.waiting_anchors(POOL_CATALOG) is not None:
+            once, twice = eager.waiting_anchors(POOL_CATALOG)
+            anchors = once & POOL_CATALOG.mask_of(
+                t for bit, t in enumerate(climates) if (first >> bit) & 1
+            )
+            pool.requeue_singletons(anchors, anchors & twice, POOL_CATALOG)
+            eager.requeue_singletons(anchors, anchors & twice, POOL_CATALOG)
+            model.settle(POOL_CATALOG.tuples_of_mask(anchors))
+        elif operation == "discard":
+            dead = {POOL_TUPLES[first % len(POOL_TUPLES)]}
+            evicted = model.discard(dead)
+            assert pool.discard_containing(dead) == evicted == eager.discard_containing(dead)
         assert pool.as_list() == model.items
         assert len(pool) == len(model.items)
         assert bool(pool) == bool(model.items)
+        assert _observed(pool, universe) == _observed(eager, universe)
+
+
+def _seeded_pair(database, use_index=True):
+    """A pool seeded by mask with every Climates tuple, and its eager twin."""
+    catalog = database.catalog()
+    climates = list(database.relation("Climates"))
+    pool = ListIncompletePool("Climates", use_index=use_index)
+    pool.seed(catalog.mask_of(climates), catalog)
+    eager = ListIncompletePool("Climates", use_index=use_index)
+    for t in climates:
+        eager.add(TupleSet.singleton(t, catalog=catalog))
+    return catalog, pool, eager
+
+
+@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
+def test_the_seed_block_sits_after_every_later_insert(use_index):
+    """Where a "paper" list that added each seed puts them once it popped."""
+    database = tourist_database()
+    catalog, pool, eager = _seeded_pair(database, use_index)
+    first, second = (
+        TupleSet.of(database.tuple_by_label(c), database.tuple_by_label(a), catalog=catalog)
+        for c, a in (("c2", "a2"), ("c3", "a3"))
+    )
+    popped = []
+    for step in ["pop", first, second, "pop", "pop"]:
+        for container in (pool, eager):
+            if step == "pop":
+                popped.append(container.pop())
+            else:
+                container.add(step)
+        assert pool.as_list() == eager.as_list()
+    assert popped[0::2] == popped[1::2]
+    assert popped[2::2] == [first, second]
+
+
+@pytest.mark.parametrize("extraction", ["fifo", "lifo"])
+def test_only_an_empty_paper_pool_takes_a_seed_block(extraction, tourist_db):
+    catalog = tourist_db.catalog()
+    seeds = catalog.mask_of(tourist_db.relation("Climates"))
+    with pytest.raises(ValueError):
+        ListIncompletePool("Climates", extraction=extraction).seed(seeds, catalog)
+    pool = ListIncompletePool("Climates")
+    pool.add(TupleSet.of(tourist_db.tuple_by_label("c1"), catalog=catalog))
+    with pytest.raises(ValueError):
+        pool.seed(seeds, catalog)
+
+
+@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
+def test_a_dead_pending_seed_trips_the_tombstone_check_and_is_evicted(use_index):
+    database = tourist_database()
+    catalog, pool, eager = _seeded_pair(database, use_index)
+    victim = database.tuple_by_label("c2")
+    database.remove_tuple("Climates", "c2")
+    assert database.catalog() is catalog and catalog.is_tombstoned(victim)
+    assert pool.waiting_anchors(catalog) is None is eager.waiting_anchors(catalog)
+    assert pool.discard_containing({victim}) == 1 == eager.discard_containing({victim})
+    assert pool.as_list() == eager.as_list() and len(pool) == len(eager) == 2
+    assert pool.statistics.as_dict() == eager.statistics.as_dict()
+
+
+def test_a_pending_seed_keeps_its_incarnation_past_a_namesake():
+    """c3 is updated away and back while its seed waits: the catalog's
+    lookup then names the live namesake, but the seed is built at its own
+    gid, as eager seeding built it, and an add for the namesake builds it
+    first, so it leads the bucket."""
+    database = tourist_database()
+    catalog, pool, eager = _seeded_pair(database)
+    assert pool.pop() == eager.pop()
+    stale = catalog.id_of(database.tuple_by_label("c3"))
+    values = list(database.tuple_by_label("c3").values)
+    database.update_tuple("Climates", "c3", [values[0], "changed"])
+    live = database.update_tuple("Climates", "c3", values)
+    assert catalog.id_of(live) != stale
+    fresh = TupleSet.of(live, database.tuple_by_label("a3"), catalog=catalog)
+    for container in (pool, eager):
+        container.add(fresh)
+    assert pool.anchor_buckets() == eager.anchor_buckets()
+    assert [s.id_mask for s in pool.anchor_buckets()[live]] == [1 << stale, fresh.id_mask]
+    popped = [pool.pop() for _ in range(len(pool))]
+    expected = [eager.pop() for _ in range(len(eager))]
+    assert [s.id_mask for s in popped] == [s.id_mask for s in expected]
+    assert 1 << stale in [s.id_mask for s in popped]
 
 
 def _interned_universe():

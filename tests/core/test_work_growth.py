@@ -8,15 +8,19 @@ with the Section 7 hash index, where the counters are deterministic, and
 bound their growth: at most linear in ``n`` (tuples per relation) and, per
 answer, flat in ``k``.  Without the index, each Line 14 probe walks every
 waiting set and ``incomplete_sets_scanned`` grows about 3.3–3.9× per
-doubling of ``n``, which the first test refuses.
+doubling of ``n``, which the first test refuses.  The Python work before
+the first answer must not grow with ``n`` either: Line 1 seeds ``Incomplete``
+with a singleton per tuple of the anchor relation, and the pool builds a
+seed's tuple set only when it is needed, which the last test pins.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.full_disjunction import first_k
+from repro.core.full_disjunction import first_k, full_disjunction_sets
 from repro.core.incremental import FDStatistics
+from repro.core.tupleset import TupleSet
 from repro.workloads.generators import chain_database
 
 GROWTH_COUNTERS = ("tuple_reads", "candidates_generated", "incomplete_sets_scanned")
@@ -49,3 +53,34 @@ def test_first_k_work_per_answer_is_flat_in_k(counter):
     per_answer = [_work(200, k)[counter] / k for k in ks]
     for smaller, larger in zip(per_answer, per_answer[1:]):
         assert larger <= 1.1 * smaller
+
+
+def test_tuple_sets_built_before_the_first_answers_do_not_grow_with_n(monkeypatch):
+    """``TupleSet`` constructions up to the first answer and up to the 10th,
+    on the indexed 5×n chain: 1 and 41–53 for every ``n`` from 50 to 400,
+    where building every seed up front made them ``n`` and ``n`` + 30–50."""
+    built = [0]
+    construct = TupleSet.__init__
+
+    def counted(self, *args, **options):
+        built[0] += 1
+        construct(self, *args, **options)
+
+    monkeypatch.setattr(TupleSet, "__init__", counted)
+    first, tenth = [], []
+    for n in (50, 100, 200, 400):
+        database = chain_database(
+            relations=5, tuples_per_relation=n, domain_size=n // 2, null_rate=0.05, seed=0
+        )
+        database.catalog()
+        built[0] = 0
+        results = full_disjunction_sets(database, use_index=True)
+        for count, _ in enumerate(results, 1):
+            if count == 1:
+                first.append(built[0])
+            if count == 10:
+                tenth.append(built[0])
+                break
+        results.close()
+    assert len(set(first)) == 1, first
+    assert all(larger <= smaller for smaller, larger in zip(tenth, tenth[1:])), tenth

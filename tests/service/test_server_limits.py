@@ -272,6 +272,84 @@ class TestServerFaults:
         assert "injected fault" in caplog.text  # the traceback, not just the op
 
 
+#: Lines that are JSON but not an object, then one that is not JSON.
+NOT_OBJECTS = [b"[1, 2]", b'"x"', b"5", b"null"]
+BAD_JSON = b"{not json"
+
+
+def _other_count(reply, family, key="value"):
+    """The ``op="other"`` sample of ``family`` in a ``stats`` metrics reply."""
+    (found,) = [f for f in reply["metrics"]["families"] if f["name"] == family]
+    return sum(s[key] for s in found["samples"] if s["labels"] == {"op": "other"})
+
+
+async def _send_lines(reader, writer, lines):
+    replies = []
+    for line in lines:
+        writer.write(line + b"\n")
+        await writer.drain()
+        replies.append(json.loads(await reader.readline()))
+    return replies
+
+
+class TestRequestsThatAreNotObjects:
+    """A line that is JSON but not an object is the client's mistake: it
+    is refused with a plain reply, no fault is logged, and, like a line
+    that is not JSON, it counts once under ``op="other"``, in the request,
+    error and latency families alike."""
+
+    def test_the_server_refuses_them_and_counts_them_as_other(self, caplog):
+        state = QueryServer(tourist_database(), registry=MetricsRegistry())
+
+        async def scenario():
+            server = await asyncio.start_server(
+                state.handle_connection, "127.0.0.1", 0, limit=MAX_LINE_BYTES
+            )
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await _connect(port)
+                try:
+                    replies = await _send_lines(reader, writer, NOT_OBJECTS + [BAD_JSON])
+                    stats = await client_call(
+                        reader, writer, {"op": "stats", "detail": "metrics"}
+                    )
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+            finally:
+                server.close()
+                await server.wait_closed()
+            return replies, stats
+
+        with caplog.at_level(logging.ERROR, logger="repro.service.server"):
+            replies, stats = _run(scenario())
+        assert replies[:4] == [server_module.NOT_AN_OBJECT] * 4
+        assert replies[4]["ok"] is False and replies[4]["error"].startswith("bad JSON")
+        assert _server_faults(caplog) == []
+        assert _other_count(stats, "repro_requests_total") == 5
+        assert _other_count(stats, "repro_request_errors_total") == 5
+        assert _other_count(stats, "repro_request_latency_seconds", key="count") == 5
+        assert stats["requests"] == 6
+
+    @pytest.mark.parametrize("request_value", [[1, 2], "x", 5, None])
+    def test_handle_request_refuses_them_directly(self, request_value):
+        state = QueryServer(tourist_database(), registry=MetricsRegistry())
+        reply = _run(state.handle_request(request_value))
+        assert reply == {"ok": False, "error": "a request must be a JSON object"}
+
+    def test_the_router_refuses_them_without_a_fault(self, caplog):
+        async def scenario(reader, writer):
+            replies = await _send_lines(reader, writer, NOT_OBJECTS)
+            pong = await client_call(reader, writer, {"op": "ping"})
+            return replies, pong
+
+        with caplog.at_level(logging.ERROR, logger="repro.service.sharding"):
+            replies, pong = _run(_with_router(scenario))
+        assert replies == [server_module.NOT_AN_OBJECT] * 4
+        assert pong["ok"] and pong["pong"]
+        assert [r for r in caplog.records if r.name == "repro.service.sharding"] == []
+
+
 K_REFUSED = {"ok": False, "error": "the 'k' option must be a positive integer"}
 
 
