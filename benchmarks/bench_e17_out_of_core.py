@@ -44,9 +44,9 @@ import pytest
 
 from repro.core.full_disjunction import first_k, full_disjunction
 from repro.core.incremental import FDStatistics
-from repro.core.kernels import numpy_available
 from repro.exec.sharded import _database_payload, _payload_probe
 from repro.relational.catalog_file import load_database
+from repro.relational.packed_mirror import numpy_available
 from repro.workloads.generators import chain_database, star_database
 
 pytestmark = pytest.mark.skipif(

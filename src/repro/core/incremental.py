@@ -767,10 +767,6 @@ def incremental_fd(
         (Theorems 4.6 and 6.6).
     """
     anchor_name = resolve_anchor(database, anchor)
-    if statistics is not None:
-        from repro.core.kernels import tag_kernel
-
-        tag_kernel(statistics)
     if scanner is None:
         scanner = TupleScanner(database)
     catalog = database.catalog()

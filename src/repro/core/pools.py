@@ -41,6 +41,11 @@ see built members.  Every counter reads as if each seed had been added:
 ``additions`` counts the seeds at seeding, and ``len``, ``peak_size`` and
 the full scan's ``sets_scanned`` count unbuilt ones.
 
+**The eviction sweep.**  Streaming deletion drops every member holding a
+dead tuple: both pools' ``discard_containing``, and
+``CompleteStore.retract_containing`` on an unindexed store without a
+catalog, run :func:`holding_dead`, one Python loop over the members.
+
 All containers count the tuple sets they scan in a :class:`PoolStatistics`
 (shared with :mod:`repro.core.store`), which the benchmarks use as a
 machine-independent work measure.
@@ -61,6 +66,7 @@ __all__ = [
     "PoolStatistics",
     "ListIncompletePool",
     "PriorityIncompletePool",
+    "holding_dead",
 ]
 
 
@@ -74,6 +80,17 @@ def _gids(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def holding_dead(sets: Iterable[TupleSet], dead) -> List[TupleSet]:
+    """The eviction sweep: the members of ``sets``, in order, that hold a
+    tuple equal to one in the set ``dead``.
+
+    Tuples are matched by equality, not by catalog gid: after an update
+    back to old values a live incarnation equals the dead one, so a gid
+    lookup of a dead tuple can name the live tuple instead.
+    """
+    return [tuple_set for tuple_set in sets if any(t in dead for t in tuple_set)]
 
 
 class PoolStatistics:
@@ -474,23 +491,17 @@ class ListIncompletePool:
         dead = set(dead_tuples)
         if not dead or not self:
             return 0
-        from repro.core.kernels import active_kernel
-
         for gid in _gids(self._unbuilt):
             self._build(gid)
-        members = self.as_list()
-        flags = active_kernel().batch_contains_dead(members, dead)
-        evicted = 0
-        for tuple_set, hit in zip(members, flags):
-            if hit:
-                evicted += 1
-                self._slots.pop(tuple_set)[0] = None
-                self._index_discard(tuple_set)
-                self.statistics.removals += 1
-        if evicted:
+        victims = holding_dead(self.as_list(), dead)
+        for tuple_set in victims:
+            self._slots.pop(tuple_set)[0] = None
+            self._index_discard(tuple_set)
+            self.statistics.removals += 1
+        if victims:
             self._items = deque(slot for slot in self._items if slot[0] is not None)
             self._insert_cursor = 0
-        return evicted
+        return len(victims)
 
     def as_list(self) -> List[TupleSet]:
         """The live member sets in list order (used by the trace harness),
@@ -662,11 +673,7 @@ class PriorityIncompletePool:
         dead = set(dead_tuples)
         if not dead or not self._members:
             return 0
-        from repro.core.kernels import active_kernel
-
-        members = list(self._members)
-        flags = active_kernel().batch_contains_dead(members, dead)
-        victims = [tuple_set for tuple_set, hit in zip(members, flags) if hit]
+        victims = holding_dead(self._members, dead)
         for tuple_set in victims:
             self._discard(tuple_set)
             self.statistics.removals += 1

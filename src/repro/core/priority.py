@@ -166,10 +166,6 @@ class PriorityState:
         self.ranking = ranking
         self.use_index = use_index
         self.statistics = statistics
-        if statistics is not None:
-            from repro.core.kernels import tag_kernel
-
-            tag_kernel(statistics)
         self.pools = build_priority_pools(
             database, ranking, use_index=use_index, semantics=semantics
         )

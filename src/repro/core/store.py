@@ -56,11 +56,11 @@ from __future__ import annotations
 from typing import Dict, FrozenSet, Iterator, List, Optional
 
 from repro.relational.tuples import Tuple
-from repro.core.kernels import active_kernel
 from repro.core.pools import (
     ListIncompletePool,
     PoolStatistics,
     PriorityIncompletePool,
+    holding_dead,
     popcount,
 )
 from repro.core.tupleset import TupleSet
@@ -244,8 +244,10 @@ class CompleteStore:
         tuple) and by a liveness sweep otherwise — on interned sets the
         per-set test is one ``AND`` of the member bitmask against the
         catalog's tombstone set
-        (:meth:`~repro.core.tupleset.TupleSet.contains_tombstoned`); nothing
-        is re-interned and surviving sets keep their ids.  Returned in
+        (:meth:`~repro.core.tupleset.TupleSet.contains_tombstoned`), and
+        without a catalog it is the pools' eviction sweep
+        (:func:`~repro.core.pools.holding_dead`); nothing is re-interned and
+        surviving sets keep their ids.  Returned in
         insertion (emission) order, deduplicated, which is the order the
         serving layer retracts them in.
         """
@@ -263,9 +265,7 @@ class CompleteStore:
         elif catalog is not None:
             victims = {s for s in self._members if s.contains_tombstoned(catalog)}
         else:
-            members = list(self._members)
-            flags = active_kernel().batch_contains_dead(members, dead)
-            victims = {s for s, hit in zip(members, flags) if hit}
+            victims = set(holding_dead(self._members, dead))
         if not victims:
             span.close()
             return []

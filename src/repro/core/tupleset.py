@@ -90,7 +90,6 @@ class TupleSet:
         "_id_mask",
         "_relation_mask",
         "_adjacent_relations",
-        "_packed_row",
     )
 
     def __init__(self, tuples: Iterable[Tuple], catalog=None):
@@ -112,11 +111,7 @@ class TupleSet:
         self._join_consistent: Optional[bool] = None
         self._connected: Optional[bool] = None
 
-        # Interning against the catalog's dense ids.  The packed kernel
-        # caches this set's id mask as a word array here (see
-        # repro.core.kernels.packed.set_words); the mask itself is immutable
-        # so the cache only ever widens.
-        self._packed_row = None
+        # Interning against the catalog's dense ids.
         self._catalog = None
         self._id_mask: Optional[int] = None
         self._relation_mask: Optional[int] = None

@@ -68,7 +68,6 @@ from repro.relational.database import Database
 from repro.core.approx import approx_pass
 from repro.core.full_disjunction import restricted_pass
 from repro.core.incremental import FDStatistics
-from repro.core.kernels import active_kernel, set_kernel
 from repro.core.tupleset import TupleSet
 from repro.exec.serial import SerialBackend
 
@@ -273,7 +272,6 @@ def _pass_worker(
     labels: Optional[List[str]],
     use_index: bool,
     block_size: Optional[int],
-    kernel_name: Optional[str] = None,
     trace: bool = False,
     semantics=None,
 ) -> TupleType[List[ResultKeys], FDStatistics, Optional[dict]]:
@@ -285,10 +283,8 @@ def _pass_worker(
     the approximate task runs :func:`~repro.core.approx.approx_pass` for the
     whole anchor relation (``labels`` is ``None``).  Results ship back as
     frozensets of ``(relation_name, label)`` keys — tiny, and unambiguous
-    because labels are unique per relation.  The parent's kernel name rides
-    along so workers run the same inner-loop implementation even when the
-    parent selected it programmatically; the approximate join function rides
-    along inside ``semantics``.
+    because labels are unique per relation.  The approximate join function
+    rides along inside ``semantics``.
 
     With ``trace=True`` the task runs under a fresh worker-local
     :class:`~repro.obs.tracing.PhaseTracer` and its span log rides home as
@@ -296,8 +292,6 @@ def _pass_worker(
     parent to absorb during the plan-order merge.  Untraced calls carry
     ``None`` there, keeping the future result shape uniform.
     """
-    if kernel_name is not None:
-        set_kernel(kernel_name)
     database = _payload_database(payload)
     statistics = FDStatistics()
     if semantics is None:
@@ -473,7 +467,6 @@ class ShardedBackend(SerialBackend):
         try:
             try:
                 executor = _shared_pool(workers)
-                kernel_name = active_kernel().name
                 payload = _database_payload(database)
                 # Workers trace when the parent is tracing: each task runs
                 # under a worker-local tracer and ships its span log home.
@@ -483,7 +476,7 @@ class ShardedBackend(SerialBackend):
                 futures = [
                     executor.submit(
                         _pass_worker, payload, anchor_name, labels,
-                        use_index, block_size, kernel_name,
+                        use_index, block_size,
                         parent_tracer is not None, semantics,
                     )
                     for anchor_name, labels in tasks

@@ -67,7 +67,7 @@ class _MirrorRows:
 
     Stands in for the catalog's ``_consistent`` list in catalogs attached to
     a mirror file: ``rows[gid]`` unpacks one mapped row to a big int on
-    demand, so code paths that want big-int masks (the reference kernel,
+    demand, so code paths that want big-int masks (the step, the sweeps,
     parity checks, ``pair_consistent``) work unchanged while the matrix
     itself stays on disk and pages in lazily.
 
@@ -95,7 +95,7 @@ class _MirrorRows:
         return self._mirror.n
 
     def __getitem__(self, gid: int) -> int:
-        from repro.core.kernels.packed import unpack_to_int
+        from repro.relational.packed_mirror import unpack_to_int
 
         mirror = self._mirror
         if gid < 0:
@@ -246,7 +246,7 @@ class Catalog:
         self._dead_mask = 0
         self._connected_cache: Dict[int, bool] = {1: True} if count else {}
         self._relation_sets: Dict[int, FrozenSet[str]] = {}
-        # Columnar mirror of the bitmatrices for the packed kernel, built
+        # Columnar mirror of the bitmatrices (mapped catalogs), built
         # lazily by packed_mirror() and maintained by the append/tombstone
         # hooks below.  When the mirror is file-backed, _mirror_path names
         # the file so pickled catalogs can reattach instead of rebuilding.
@@ -392,10 +392,10 @@ class Catalog:
         resolve_backing`: RAM arrays below the ``REPRO_MMAP_THRESHOLD``
         tuple count, a self-deleting temporary mirror file above it (or as
         forced by ``REPRO_MMAP=on|off``).  A failed file backing degrades to
-        RAM with a warning — same contract as kernel selection.
+        RAM with a warning.
         """
         if self._packed_mirror is None:
-            from repro.core.kernels.packed import PackedMirror
+            from repro.relational.packed_mirror import PackedMirror
             from repro.relational.catalog_file import resolve_backing
 
             if resolve_backing(self.tuple_count) == "mmap":
@@ -428,7 +428,7 @@ class Catalog:
         mirror *becomes* the catalog's packed mirror, so subsequent appends
         and tombstones maintain the file incrementally.  Returns the mirror.
         """
-        from repro.core.kernels.packed import PackedMirror
+        from repro.relational.packed_mirror import PackedMirror
 
         mirror = PackedMirror(self, backing="mmap", path=path)
         mirror.file.seal()
@@ -530,7 +530,7 @@ class Catalog:
         falls back to the lazy RAM rebuild.
         """
         try:
-            from repro.core.kernels.packed import PackedMirror
+            from repro.relational.packed_mirror import PackedMirror
             from repro.relational.catalog_file import MirrorFile, MirrorFileError
 
             path = self._mirror_path
@@ -559,11 +559,11 @@ class Catalog:
         The relation-level masks are small and unpacked to big ints; the
         O(n²)-bit consistency matrix is *not* — it stays in the file behind
         :class:`_MirrorRows` and the attached :class:`PackedMirror
-        <repro.core.kernels.packed.PackedMirror>`, paging in on demand.
+        <repro.relational.packed_mirror.PackedMirror>`, paging in on demand.
         ``tuples`` lists every issued gid in order (dead incarnations
         included); ``dead_mask`` is the tombstone set.
         """
-        from repro.core.kernels.packed import PackedMirror
+        from repro.relational.packed_mirror import PackedMirror
         from repro.relational.catalog_file import MirrorFileError
 
         if len(tuples) != mirror_file.n:

@@ -1,6 +1,6 @@
 """The on-disk catalog mirror: a versioned, memory-mappable word-array file.
 
-The packed kernel's :class:`~repro.core.kernels.packed.PackedMirror` keeps the
+The :class:`~repro.relational.packed_mirror.PackedMirror` keeps the
 catalog's bitmatrices as columnar little-endian ``uint64`` word arrays.  This
 module gives those arrays a persistent home, so
 
@@ -38,12 +38,12 @@ whole body and sets the SEALED flag; any later mutation clears the flag.  The
 word sections mutate in place, so their checksum is only defined at seal
 points — the same contract as the WAL/snapshot layer's "checksummed at rest".
 
-Backing selection mirrors the kernel-selection machinery: ``REPRO_MMAP=on``
-forces the file backing, ``off`` forces RAM, and by default the mirror goes
-to a (self-deleting) file once the catalog crosses ``REPRO_MMAP_THRESHOLD``
-tuples.  Without NumPy everything here degrades to the RAM/bigint path — the
-module imports, the selection answers ``"ram"``, and only actually opening a
-mirror file raises.
+Backing selection: ``REPRO_MMAP=on`` forces the file backing, ``off``
+forces RAM, and by default the mirror goes to a (self-deleting) file once
+the catalog crosses ``REPRO_MMAP_THRESHOLD`` tuples.  Without NumPy
+everything here degrades to the in-RAM big ints — the module imports, the
+selection answers ``"ram"``, and only actually opening a mirror file
+raises.
 """
 
 from __future__ import annotations
@@ -111,10 +111,10 @@ def mmap_threshold() -> int:
 def resolve_backing(tuple_count: int) -> str:
     """``"ram"`` or ``"mmap"`` for a mirror over ``tuple_count`` tuples.
 
-    Mirrors the kernel-selection contract: an explicit ``REPRO_MMAP=on|off``
-    wins, otherwise the size threshold decides, and a host without NumPy
-    always answers ``"ram"`` (the packed mirror cannot exist there at all, so
-    ``REPRO_MMAP=on`` degrades cleanly instead of failing).
+    An explicit ``REPRO_MMAP=on|off`` wins, otherwise the size threshold
+    decides, and a host without NumPy always answers ``"ram"`` (the packed
+    mirror cannot exist there at all, so ``REPRO_MMAP=on`` degrades cleanly
+    instead of failing).
     """
     if np is None:
         return "ram"

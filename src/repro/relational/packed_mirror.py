@@ -1,53 +1,50 @@
-"""The packed kernel: bitset sweeps on NumPy ``uint64`` word arrays.
+"""The packed mirror: the catalog's bitmatrices as ``uint64`` word arrays.
 
-The big-int representation answers one set per Python bytecode loop
-iteration; this module answers a whole batch per NumPy array operation.  The
-data layout is a columnar mirror of the catalog's bitmatrices
-(:class:`PackedMirror`): every big-int bitmask becomes a row of ``uint64``
-little-endian words, so a mask of ``n`` tuples occupies ``ceil(n/64)`` words
-and the engine's predicates become word-wise ``AND``/``ANDN`` reductions
-over contiguous arrays.
+:class:`PackedMirror` is a columnar mirror of the catalog's bitmatrices:
+every big-int bitmask becomes a row of little-endian ``uint64`` words, so a
+mask of ``n`` tuples occupies ``ceil(n/64)`` words.  It is the in-memory
+face of the mirror file format (:mod:`repro.relational.catalog_file`), and
+it backs mapped catalogs (``repro pack``, ``load_database``), whose
+consistency rows are served from its file, and the sharded backend's mirror
+transport, where workers attach to the file instead of unpickling the
+database.
 
 Layout invariant: for every mask ``m`` and width ``w``,
 ``pack_int(m, w)`` is exactly ``m.to_bytes(w*8, 'little')`` viewed as
 ``<u8`` words — so ``unpack_to_int(pack_int(m, w)) == m`` and the packed
 rows can always be checked bit-for-bit against the catalog's big ints
-(``tests/core/test_kernels.py`` does).
+(``tests/relational/test_packed_mirror.py`` does).
 
 The mirror is created lazily by :meth:`Catalog.packed_mirror
 <repro.relational.catalog.Catalog.packed_mirror>` and maintained
 *incrementally* by the catalog's ``append_tuple``/``tombstone`` hooks:
 appending a tuple writes one packed row and ORs one bit-column
 (amortized O(n/64) words via capacity doubling), a tombstone sets one bit.
-Interned tuple sets cache their own packed row in a ``TupleSet`` slot, built
-on first use and padded when the id space grows.
 
-Besides the kernel, the mirror backs mapped catalogs (``repro pack``,
-``load_database``), whose consistency rows are served from its file, and
-sharded workers attach to it instead of unpickling the database.
-
-The kernel obeys the parity contract of :mod:`repro.core.kernels.base`:
-inputs the packed representation cannot express (uninterned sets, mixed
-catalogs, uncatalogued tuples, ambiguous dead-tuple incarnations) are
-delegated to the big-int reference kernel for that call, so answers are
-identical by construction, not by luck.
+Only building or attaching a mirror imports this module, so NumPy is needed
+for mapped catalogs alone; :func:`numpy_available` answers without it.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
-import numpy as np
+from repro.relational.catalog_file import MirrorFile, MirrorFileError
 
-from repro.core.kernels.base import Kernel
-from repro.core.kernels.bigint import BigintKernel
+try:  # pragma: no cover - exercised by the no-NumPy CI leg
+    import numpy as np
+except ImportError:  # pragma: no cover
+    np = None
 
 #: All packed arrays use explicit little-endian words so ``pack_int`` /
 #: ``unpack_to_int`` round-trip through ``int.to_bytes(..., "little")`` on
 #: any host byte order.
-U64 = np.dtype("<u8")
+U64 = "<u8"
 
-_ONE = np.uint64(1)
+
+def numpy_available() -> bool:
+    """Whether NumPy imported: mirrors and mapped catalogs need it."""
+    return np is not None
 
 
 def words_for(bits: int) -> int:
@@ -55,36 +52,22 @@ def words_for(bits: int) -> int:
     return max(1, (bits + 63) >> 6)
 
 
-def pack_int(mask: int, width: int) -> np.ndarray:
+def pack_int(mask: int, width: int):
     """A big-int bitmask as ``width`` little-endian ``uint64`` words (read-only)."""
     return np.frombuffer(mask.to_bytes(width * 8, "little"), dtype=U64)
 
 
-def unpack_to_int(words: np.ndarray) -> int:
+def unpack_to_int(words) -> int:
     """The inverse of :func:`pack_int`."""
     return int.from_bytes(np.ascontiguousarray(words).tobytes(), "little")
 
 
-def unpack_bits(mask: int, bits: int) -> np.ndarray:
+def unpack_bits(mask: int, bits: int):
     """A big-int bitmask as a boolean array of ``bits`` positions."""
     if bits <= 0:
         return np.zeros(0, dtype=bool)
     raw = np.frombuffer(mask.to_bytes((bits + 7) >> 3, "little"), dtype=np.uint8)
     return np.unpackbits(raw, bitorder="little")[:bits].astype(bool)
-
-
-def set_words(tuple_set, width: int) -> np.ndarray:
-    """The packed row of an interned tuple set, cached on the set itself.
-
-    The cached row only ever needs to *grow* (dense ids are append-only), so
-    a cached row at least ``width`` words wide is sliced, a narrower one is
-    rebuilt and re-cached.
-    """
-    row = tuple_set._packed_row
-    if row is None or row.shape[0] < width:
-        row = pack_int(tuple_set._id_mask, width)
-        tuple_set._packed_row = row
-    return row[:width]
 
 
 class PackedMirror:
@@ -95,7 +78,7 @@ class PackedMirror:
     (capacity doubling in both rows and words), with ``n``/``width`` marking
     the logical extent, so streaming appends stay amortized O(row).
 
-    Two backings share every kernel code path — the arrays differ only in
+    Two backings share every code path — the arrays differ only in
     where their bytes live:
 
     ``backing="ram"``
@@ -140,8 +123,6 @@ class PackedMirror:
         if backing == "mmap":
             if path is None:
                 raise ValueError("the mmap backing needs a file path")
-            from repro.relational.catalog_file import MirrorFile
-
             self.file = MirrorFile.create(
                 path,
                 row_cap=row_cap,
@@ -244,8 +225,6 @@ class PackedMirror:
         contract of the in-RAM mirror, preserved on disk.
         """
         if self.file is not None and self.file.readonly:
-            from repro.relational.catalog_file import MirrorFileError
-
             raise MirrorFileError(
                 f"cannot append through a read-only mirror mapping ({self.file.path})"
             )
@@ -253,7 +232,7 @@ class PackedMirror:
         self._grow(gid + 1, width)
         self.width = max(self.width, width)
         self.consistent[gid, :self.width] = pack_int(mask, self.width)
-        bit = _ONE << np.uint64(gid & 63)
+        bit = np.uint64(1 << (gid & 63))
         word = gid >> 6
         if mask:
             rows = np.flatnonzero(unpack_bits(mask, gid))
@@ -270,77 +249,20 @@ class PackedMirror:
     def tombstone(self, gid: int) -> None:
         """Mirror ``Catalog.tombstone``: one bit in the dead words."""
         if self.file is not None and self.file.readonly:
-            from repro.relational.catalog_file import MirrorFileError
-
             raise MirrorFileError(
                 f"cannot tombstone through a read-only mirror mapping ({self.file.path})"
             )
-        self.dead[gid >> 6] |= _ONE << np.uint64(gid & 63)
+        self.dead[gid >> 6] |= np.uint64(1 << (gid & 63))
         self.version += 1
         if self.file is not None:
             self.file.mark_dirty()
 
-    def dead_words(self) -> np.ndarray:
+    def dead_words(self):
         return self.dead[:self.width]
 
-    def consistent_row(self, gid: int) -> np.ndarray:
+    def consistent_row(self, gid: int):
         return self.consistent[gid, :self.width]
 
     def row_as_int(self, gid: int) -> int:
         """The consistency row as a big int (parity checks in tests)."""
         return unpack_to_int(self.consistent_row(gid))
-
-
-class PackedKernel(Kernel):
-    """Vectorized batch operations over the packed-word representation."""
-
-    name = "packed"
-
-    #: Below this many sets the big-int reference is faster — a CPython
-    #: loop over a few sets beats the NumPy dispatch and row-gathering — and
-    #: the call delegates (same answers either way, per the parity
-    #: contract).
-    MIN_DEAD = 64
-
-    def __init__(self):
-        self._reference = BigintKernel()
-
-    def batch_contains_dead(self, sets, dead) -> List[bool]:
-        dead = dead if isinstance(dead, (set, frozenset)) else set(dead)
-        if not dead or not sets:
-            return [False] * len(sets)
-        if len(sets) < self.MIN_DEAD:
-            return self._reference.batch_contains_dead(sets, dead)
-        first = sets[0]
-        catalog = first._catalog if first._id_mask is not None else None
-        if catalog is None or any(
-            s._id_mask is None or s._catalog is not catalog for s in sets
-        ):
-            return self._reference.batch_contains_dead(sets, dead)
-        mask = 0
-        dead_mask = catalog.dead_mask
-        for t in dead:
-            gid = catalog.id_of(t)
-            if gid is None:
-                # No catalogued tuple equals t, so no interned set holds it.
-                continue
-            if not (dead_mask >> gid) & 1:
-                # t maps to a *live* incarnation: equality-based eviction is
-                # ambiguous in ids, so answer by tuple equality instead.
-                return self._reference.batch_contains_dead(sets, dead)
-            mask |= 1 << gid
-        width = words_for(catalog.tuple_count)
-        rows = np.vstack([set_words(s, width) for s in sets])
-        flags = np.any(rows & pack_int(mask, width)[None, :], axis=1)
-        # A set may hold an *older* tombstoned incarnation equal to a dead
-        # tuple under a different id; such sets intersect the remaining
-        # tombstone bits and are re-checked by equality.
-        suspect_mask = dead_mask & ~mask
-        if suspect_mask:
-            suspects = np.flatnonzero(
-                np.any(rows & pack_int(suspect_mask, width)[None, :], axis=1) & ~flags
-            )
-            for index in suspects:
-                if any(t in dead for t in sets[int(index)]):
-                    flags[int(index)] = True
-        return [bool(flag) for flag in flags]

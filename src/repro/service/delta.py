@@ -72,7 +72,6 @@ from typing import Iterator, List, Optional, Sequence
 from repro.core.full_disjunction import full_disjunction_sets
 from repro.core import incremental
 from repro.core.incremental import FDStatistics
-from repro.core.kernels import tag_kernel
 from repro.core.priority import PriorityState
 from repro.core.ranking import canonical_rank_key
 from repro.core.scanner import TupleScanner
@@ -195,7 +194,6 @@ class StreamingFullDisjunction:
         self.use_index = use_index
         self.ranking = ranking
         self.statistics = statistics if statistics is not None else FDStatistics()
-        tag_kernel(self.statistics)
         self._backend = resolve_backend(backend)
         if ranking is not None:
             # The live queue state *is* the engine: its store of printed

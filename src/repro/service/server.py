@@ -279,8 +279,9 @@ class QueryServer:
         )
         self._m_errors = self.registry.counter(
             "repro_request_errors_total",
-            "Requests answered with ok=false, by wire op.",
-            ("op",),
+            "Requests answered with ok=false, by wire op and by whose error:"
+            ' "client" for a refused request, "server" for a handler that raised.',
+            ("op", "kind"),
         )
         self._m_latency = self.registry.histogram(
             "repro_request_latency_seconds",
@@ -313,7 +314,9 @@ class QueryServer:
         The metric label and span name are the op when the server serves
         it and ``"other"`` when not, so clients cannot grow the label sets.
         A line that is not JSON (passed as its ``JSONDecodeError``) or not a
-        JSON object is the client's error, answered under ``"other"``.
+        JSON object is the client's error, answered under ``"other"``.  An
+        error counts under ``kind="server"`` when the handler raised (the
+        connection loop logs its traceback) and ``kind="client"`` otherwise.
         """
         self.requests += 1
         op = str(request.get("op")) if isinstance(request, dict) else None
@@ -322,6 +325,7 @@ class QueryServer:
         start = time.perf_counter()
         span = trace_span(f"op.{label}", "server")
         ok = False
+        kind = "server"
         try:
             if isinstance(request, json.JSONDecodeError):
                 response = {"ok": False, "error": f"bad JSON: {request}"}
@@ -331,12 +335,13 @@ class QueryServer:
                 response = {"ok": False, "error": f"unknown op {op!r}"}
             else:
                 response = await handler(self, request, connection_sessions)
+            kind = "client"
             ok = bool(response.get("ok"))
             return response
         finally:
             self._m_requests.labels(op=label).inc()
             if not ok:
-                self._m_errors.labels(op=label).inc()
+                self._m_errors.labels(op=label, kind=kind).inc()
             self._m_latency.labels(op=label).observe(time.perf_counter() - start)
             span.close()
 
@@ -414,14 +419,11 @@ class QueryServer:
 
     def health(self) -> dict:
         """The liveness summary the sidecar serves as /health."""
-        from repro.core.kernels import active_kernel
-
         return {
             "status": "ok",
             "sessions": len(self._sessions),
             "requests": self.requests,
             "epoch": self.database.epoch,
-            "kernel": active_kernel().name,
             "uptime_seconds": time.monotonic() - self.started_at,
         }
 
@@ -957,14 +959,11 @@ def server_stats(state: QueryServer) -> dict:
     summary — build on this, so a field added here shows up in both and
     the two can't drift.
     """
-    from repro.core.kernels import active_kernel
-
     stats = {
         "cache": state.cache.stats(),
         "sessions": len(state._sessions),
         "requests": state.requests,
         "steps": dict(state.driver.steps),
-        "kernel": active_kernel().name,
         "arrivals_applied": state.maintainer.arrivals_applied,
         "mutations_applied": state.maintainer.mutations_applied,
         "epoch": state.database.epoch,

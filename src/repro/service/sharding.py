@@ -423,7 +423,6 @@ class ShardedQueryServer:
                     "requests": shard.requests,
                     "server_requests": upstream.get("requests"),
                     "cache": upstream.get("cache"),
-                    "kernel": upstream.get("kernel"),
                 }
             )
             if detail == "metrics" and upstream.get("metrics") is not None:

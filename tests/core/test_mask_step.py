@@ -7,7 +7,7 @@ and skewed databases mutated through ``Database`` (removals, appends,
 updates), both steps must produce the same results in the same order, the
 same ``Incomplete`` list after every step and equal ``FDStatistics`` — with
 and without an anchor bucket, with the index on and off, restricted to
-``R_i, …, R_n`` or not, and under both kernels; the ranked engine must
+``R_i, …, R_n`` or not; the ranked engine must
 produce the same stream and the same queues after every answer.  The
 default seeds, handed to the pool as one gid mask and built lazily, must
 match the same singletons added one set at a time.  Unit tests
@@ -32,7 +32,6 @@ from repro.core.incremental import (
     get_next_result,
     incremental_fd,
 )
-from repro.core.kernels import KERNELS, numpy_available, use_kernel
 from repro.core.priority import PriorityState
 from repro.core.ranking import MaxRanking
 from repro.core.scanner import BlockScanner, TupleScanner
@@ -40,6 +39,7 @@ from repro.core.store import CompleteStore, ListIncompletePool, PriorityIncomple
 from repro.core.tupleset import TupleSet
 from repro.relational.database import Database
 from repro.relational.nulls import NULL
+from repro.relational.packed_mirror import numpy_available
 from repro.workloads.generators import (
     chain_database,
     skewed_chain_database,
@@ -49,8 +49,6 @@ from repro.workloads.tourist import tourist_database
 
 from tests.core.reference_step import ReferenceBackend, reference_get_next_result
 from tests.core.reference_store import CompleteStore as ReferenceCompleteStore
-
-AVAILABLE_KERNELS = [name for name in KERNELS if name != "packed" or numpy_available()]
 
 PROPERTY = settings(
     max_examples=60,
@@ -194,24 +192,23 @@ def _complete_factory(kind, database, anchor, use_index, choice):
     choice=st.randoms(use_true_random=False),
     use_index=st.booleans(),
     restricted=st.booleans(),
-    kernel=st.sampled_from(AVAILABLE_KERNELS),
     backend=st.sampled_from([None, "serial"]),
     seeding=st.sampled_from(["all", "some"]),
     complete_kind=st.sampled_from(COMPLETES),
 )
 def test_mask_step_matches_the_reference_step(
-    database, choice, use_index, restricted, kernel, backend, seeding, complete_kind
+    database, choice, use_index, restricted, backend, seeding, complete_kind
 ):
     """Seeding only some ``R_i`` singletons leaves anchors whose singleton
     finds no waiting set (a Line 18 insert); the ``Complete`` variants make
     the bulk settle decline or run through the oracle's naive loop."""
     _compare_with_reference(
-        database, choice, use_index, restricted, kernel, backend, seeding, complete_kind
+        database, choice, use_index, restricted, backend, seeding, complete_kind
     )
 
 
 def _compare_with_reference(
-    database, choice, use_index, restricted, kernel, backend, seeding, complete_kind
+    database, choice, use_index, restricted, backend, seeding, complete_kind
 ):
     anchor = choice.choice(database.relation_names)
     anchor_tuples = None
@@ -227,15 +224,14 @@ def _compare_with_reference(
             TupleSet.singleton(t, catalog=catalog)
             for t in choice.sample(members, choice.randint(1, len(members)))
         ]
-    with use_kernel(kernel):
-        shipped = _run(
-            database, anchor, backend, use_index, anchor_tuples, restricted,
-            initial, make_complete(),
-        )
-        reference = _run(
-            database, anchor, ReferenceBackend(), use_index, anchor_tuples, restricted,
-            initial, make_complete(),
-        )
+    shipped = _run(
+        database, anchor, backend, use_index, anchor_tuples, restricted,
+        initial, make_complete(),
+    )
+    reference = _run(
+        database, anchor, ReferenceBackend(), use_index, anchor_tuples, restricted,
+        initial, make_complete(),
+    )
     assert shipped[0] == reference[0]
     assert shipped[1] == reference[1]
     assert shipped[2] == reference[2]
@@ -358,7 +354,7 @@ def test_the_drawn_cases_reach_every_branch_of_the_bulk_settle(monkeypatch):
         mutate(database, rng, rng.choices(["remove", "append", "update"], k=seed % 4))
         case["complete"] = COMPLETES[seed // 3 % len(COMPLETES)]
         _compare_with_reference(
-            database, rng, True, seed % 2 == 0, AVAILABLE_KERNELS[0], None,
+            database, rng, True, seed % 2 == 0, None,
             ["all", "some"][seed // 12 % 2], case["complete"],
         )
     assert reached == {
@@ -616,19 +612,15 @@ def _ranked(database, ranking, use_index, backend):
     database=mutated_databases(),
     importance_seed=st.integers(0, 10_000),
     use_index=st.booleans(),
-    kernel=st.sampled_from(AVAILABLE_KERNELS),
 )
-def test_ranked_mask_step_matches_the_reference_step(
-    database, importance_seed, use_index, kernel
-):
+def test_ranked_mask_step_matches_the_reference_step(database, importance_seed, use_index):
     """Few importance values make many rank ties, so the order in which a
     merge re-pushes a waiting set decides which of the tied sets pops first;
     the queues' member order after each answer shows every re-push."""
     rng = random.Random(importance_seed)
     ranking = MaxRanking({t.label: rng.randrange(3) for t in database.tuples()})
-    with use_kernel(kernel):
-        shipped = _ranked(database, ranking, use_index, None)
-        reference = _ranked(database, ranking, use_index, ReferenceBackend())
+    shipped = _ranked(database, ranking, use_index, None)
+    reference = _ranked(database, ranking, use_index, ReferenceBackend())
     assert shipped[0] == reference[0]
     assert shipped[1] == reference[1]
     assert shipped[2] == reference[2]

@@ -280,7 +280,7 @@ class TestThreshold:
 
 
 #: One unindexed ranked run, printed as JSON: the ``(answer, rank)`` stream
-#: and every ``FDStatistics`` field but the kernel tag.
+#: and every ``FDStatistics`` field.
 _RANKED_RUN = """
 import json, random
 from repro.core.incremental import FDStatistics
@@ -298,9 +298,7 @@ stream = [
         database, MaxRanking(importance), use_index=False, statistics=statistics
     )
 ]
-counters = statistics.as_dict()
-counters.pop("kernel")
-print(json.dumps([stream, counters]))
+print(json.dumps([stream, statistics.as_dict()]))
 """
 
 

@@ -8,7 +8,7 @@ driver returns the brute-force ``AFD(R, A, τ)`` oracle's answer set.  And
 with :class:`~repro.core.approx_join.ExactJoin` (``A(T) = 1`` exactly when
 ``JCC(T)``) at τ = 1, the starred step replays the exact one: the same
 results in the same order, the same ``Incomplete`` list after every step
-and the same step counters, under both kernels.  The drivers above the step
+and the same step counters.  The drivers above the step
 are one loop each, so the same holds for whole ``incremental_fd`` passes and
 for the ranked loop of ``priority_incremental_fd``: every ``FDStatistics``
 field agrees.
@@ -25,15 +25,11 @@ from repro.core.approx import ApproxSemantics, approx_full_disjunction
 from repro.core.approx_join import ExactJoin, MinJoin, SimilarityFunction
 from repro.core.full_disjunction import full_disjunction
 from repro.core.incremental import FDStatistics, incremental_fd
-from repro.core.kernels import KERNELS, numpy_available, use_kernel
 from repro.core.priority import priority_incremental_fd
 from repro.core.ranking import MaxRanking
 from repro.exec import SerialBackend
 from repro.workloads.generators import chain_database, random_database, star_database
 from repro.workloads.tourist import tourist_database
-
-AVAILABLE_KERNELS = [name for name in KERNELS if name != "packed" or numpy_available()]
-
 
 class GradedSimilarity(SimilarityFunction):
     """Join-consistent pairs score 1; any other pair a fixed grade below 1.
@@ -133,12 +129,10 @@ def test_approx_semantics_matches_the_oracle(name, database, use_index):
 def test_exact_join_replays_the_exact_step(name, database, use_index):
     """Step by step: the starred Lines 2–9 and 14 make the exact decisions."""
     starred = SemanticsBackend(EXACT_JOIN)
-    for kernel in AVAILABLE_KERNELS:
-        with use_kernel(kernel):
-            for anchor in database.relation_names:
-                assert _steps(database, anchor, use_index, starred) == _steps(
-                    database, anchor, use_index, None
-                ), (kernel, anchor)
+    for anchor in database.relation_names:
+        assert _steps(database, anchor, use_index, starred) == _steps(
+            database, anchor, use_index, None
+        ), anchor
 
 
 @with_index

@@ -1,6 +1,14 @@
-"""Live-mask retraction: stores and pools forget dead tuples without rebuilds."""
+"""Live-mask retraction: stores and pools forget dead tuples without rebuilds.
+
+Both pools' ``discard_containing`` and the catalog-less, unindexed
+``CompleteStore.retract_containing`` run one eviction sweep,
+:func:`repro.core.pools.holding_dead`; the sweep tests below drive it
+through all three, on batches either side of 64 sets.
+"""
 
 from __future__ import annotations
+
+import random
 
 import pytest
 
@@ -10,6 +18,7 @@ from repro.core.store import CompleteStore, ListIncompletePool, PriorityIncomple
 from repro.core.tupleset import TupleSet
 from repro.relational.database import Database
 from repro.relational.relation import Relation
+from repro.workloads.generators import chain_database
 
 
 def _database():
@@ -162,3 +171,112 @@ class TestPriorityStateRetract:
         # (re-derivation is the maintainer's job, not the state's).
         assert surviving <= fresh
         assert all(victim.label not in labels for labels in surviving)
+
+
+# --------------------------------------------------------------------- #
+# the eviction sweep, through both pools and the store
+# --------------------------------------------------------------------- #
+#: Containers whose retraction runs the sweep.
+SWEPT = ["list pool", "priority pool", "store"]
+
+#: Batch sizes either side of 64 sets, where the retired NumPy sweep
+#: stopped handing batches to the Python loop.
+BATCHES = [12, 80]
+
+
+def _sweep(kind, sets, dead):
+    """Evict ``dead`` from a container of ``sets``: the evicted sets and the
+    survivors, each in the container's own order, after checking both
+    against a per-member scan of that order."""
+    if kind == "store":
+        container = CompleteStore(anchor_relation=None, use_index=False)
+    elif kind == "list pool":
+        container = ListIncompletePool("R1")
+    else:
+        container = PriorityIncompletePool("R1", MaxRanking(lambda t: float(len(t.label))))
+    for tuple_set in sets:
+        container.add(tuple_set)
+    before = container.as_list()
+    assert len(before) == len(sets)
+    if kind == "store":
+        evicted = container.retract_containing(dead)
+    else:
+        count = container.discard_containing(dead)
+        evicted = [s for s in before if s not in container.as_list()]
+        assert count == len(evicted)
+    assert evicted == [s for s in before if any(t in dead for t in s.tuples)]
+    assert container.as_list() == [s for s in before if s not in evicted]
+    return evicted
+
+
+def _distinct_jcc_sets(database, count, rng):
+    """``count`` distinct random join-consistent connected sets, interned."""
+    catalog = database.catalog()
+    tuples = list(database.tuples())
+    sets = {}
+    for _ in range(50 * count):
+        current = TupleSet.singleton(rng.choice(tuples))
+        for t in rng.sample(tuples, len(tuples)):
+            if rng.random() < 0.6 and current.can_absorb(t):
+                current = current.with_tuple(t)
+        sets[TupleSet(current.tuples, catalog=catalog)] = None
+        if len(sets) == count:
+            return list(sets)
+    raise AssertionError(f"fewer than {count} distinct sets")
+
+
+@pytest.mark.parametrize("kind", SWEPT)
+@pytest.mark.parametrize("batch", BATCHES)
+def test_retraction_sweeps_parity_under_mutations(kind, batch):
+    """After each removal or update, the sweep evicts exactly the sets a
+    per-member scan flags, and keeps the others in order."""
+    database = chain_database(
+        relations=5, tuples_per_relation=10, domain_size=3, null_rate=0.2, seed=9
+    )
+    catalog = database.catalog()
+    all_tuples = list(database.tuples())
+    rng = random.Random(61)
+    sets = _distinct_jcc_sets(database, batch, rng)
+    evictions = []
+    for step in range(6):
+        live = [t for t in database.tuples() if not catalog.is_tombstoned(t)]
+        victim = rng.choice(live)
+        if step % 2:
+            values = [rng.choice([1, 2, 3]) for _ in victim.values]
+            database.update_tuple(victim.relation_name, victim.label, values)
+        else:
+            database.remove_tuple(victim.relation_name, victim.label)
+        dead = {t for t in all_tuples if catalog.is_tombstoned(t)}
+        evictions.append(len(_sweep(kind, sets, dead)))
+    assert 0 < evictions[-1] < batch
+
+
+@pytest.mark.parametrize("kind", SWEPT)
+@pytest.mark.parametrize("batch", BATCHES)
+def test_batch_contains_dead_sees_equal_reincarnations(kind, batch):
+    """An equal tuple appended after a tombstone must not hide the dead one.
+
+    ``update_tuple`` back to the original values creates a *live* tuple
+    equal to a tombstoned incarnation under a new gid; the sweep matches
+    tuples by equality, so a set interned before the round trip, which holds
+    the old gid, is evicted, and so is a set holding the live namesake.
+    """
+    database = chain_database(
+        relations=4, tuples_per_relation=8, domain_size=3, null_rate=0.0, seed=2
+    )
+    catalog = database.catalog()
+    target = next(iter(database.relations[0]))
+    original_values = list(target.values)
+    others = [
+        s for s in _distinct_jcc_sets(database, batch + 20, random.Random(5))
+        if target not in s.tuples
+    ][: batch - 2]
+    stale = TupleSet.singleton(target, catalog=catalog)
+    database.update_tuple(target.relation_name, target.label, [2 for _ in original_values])
+    database.update_tuple(target.relation_name, target.label, original_values)
+    namesake = database.relation(target.relation_name).tuple_by_label(target.label)
+    live = TupleSet.singleton(namesake, catalog=database.catalog())
+    assert namesake == target and live.id_mask != stale.id_mask
+    sets = others[: len(others) // 2] + [stale] + others[len(others) // 2 :] + [live]
+    assert len(sets) == batch
+    assert _sweep(kind, sets, {target}) == [stale, live] != []

@@ -11,7 +11,9 @@ end to end.
 
 from __future__ import annotations
 
+import os
 import random
+from unittest import mock
 
 import pytest
 
@@ -152,18 +154,16 @@ def test_engine_output_matches_reference_run(name, database, use_index):
 
 
 # --------------------------------------------------------------------- #
-# four-way suite: reference (dict/BFS) vs big-int vs packed kernels,
-# the packed kernel on both mirror backings (RAM arrays and mapped file)
+# reference (dict/BFS) vs big-int bitsets, with no mirror and on both
+# mirror backings (RAM arrays and a mapped file)
 # --------------------------------------------------------------------- #
-from repro.core.kernels import numpy_available, use_kernel  # noqa: E402
+from repro.core.pools import holding_dead  # noqa: E402
 from repro.core.store import CompleteStore  # noqa: E402
+from repro.relational.packed_mirror import numpy_available  # noqa: E402
 
-#: (kernel, mirror backing) pairs; every mode must agree with the
-#: uninterned dict/BFS reference the tests below compute inline.
-KERNEL_MODES = [("bigint", "ram")]
-if numpy_available():
-    KERNEL_MODES += [("packed", "ram"), ("packed", "mmap")]
-KERNEL_MODE_IDS = [f"{kernel}-{backing}" for kernel, backing in KERNEL_MODES]
+#: Mirror backings ("none": the catalog's big ints alone); each must agree
+#: with the uninterned dict/BFS reference the tests below compute inline.
+BACKINGS = ["none", "ram", "mmap"] if numpy_available() else ["none"]
 
 #: Deterministic builders so mmap modes get a private database instance
 #: (its catalog mirror lives in a file under the test's tmp_path).
@@ -188,37 +188,40 @@ for _seed in (0, 1, 2):
     )
 
 
+def _attach_mirror(database, backing, path):
+    """Give ``database``'s catalog the requested mirror, maintained from
+    then on by every append and tombstone."""
+    catalog = database.catalog()
+    if backing == "mmap":
+        mirror = catalog.save_mirror(str(path))
+    elif backing == "ram":
+        # Pin the RAM arm even when the ambient environment would
+        # auto-select the file backing.
+        with mock.patch.dict(os.environ, {"REPRO_MMAP": "off"}):
+            mirror = catalog.packed_mirror()
+    else:
+        return
+    assert mirror.backing == backing
+
+
 def _mode_database(name, backing, tmp_path):
     database = WORKLOAD_FACTORIES[name]()
-    if backing == "mmap":
-        mirror = database.catalog().save_mirror(str(tmp_path / f"{name}.rpmc"))
-        assert mirror.backing == "mmap"
+    _attach_mirror(database, backing, tmp_path / f"{name}.rpmc")
     return database
 
-
-
-def _vectorized(kernel):
-    """Zero the packed kernel's small-batch cutoff so the vectorized path
-    runs even on these small workloads (below it the kernel delegates to
-    the big-int reference)."""
-    if hasattr(kernel, "MIN_DEAD"):
-        kernel.MIN_DEAD = 0
-    return kernel
 
 
 def _sorted(tuples):
     return sorted(tuples, key=lambda t: (t.relation_name, t.label))
 
 
-@pytest.mark.parametrize("kernel,backing", KERNEL_MODES, ids=KERNEL_MODE_IDS)
+@pytest.mark.parametrize("backing", BACKINGS)
 @pytest.mark.parametrize("name", WORKLOAD_IDS)
-def test_inner_loop_tests_match_reference_under_every_kernel(
-    name, kernel, backing, tmp_path
-):
-    """union_is_jcc / can_absorb / maximal_jcc_subset_with, three ways.
+def test_inner_loop_tests_match_reference_on_every_backing(name, backing, tmp_path):
+    """union_is_jcc / can_absorb / maximal_jcc_subset_with, both ways.
 
     The uninterned dict/BFS reference and the interned big-int fast path —
-    on RAM and mapped-file mirrors, under each kernel — must all give the
+    with no mirror, a RAM mirror or a mapped-file mirror — must give the
     same answer on the same random JCC sets.
     """
     database = _mode_database(name, backing, tmp_path)
@@ -227,74 +230,67 @@ def test_inner_loop_tests_match_reference_under_every_kernel(
     rng = random.Random(271)
     jcc_sets = [_random_jcc_set(rng, all_tuples) for _ in range(12)]
     interned = [TupleSet(ts.tuples, catalog=catalog) for ts in jcc_sets]
-    with use_kernel(kernel):
-        for reference, bits in zip(jcc_sets, interned):
-            for t in all_tuples:
-                assert bits.can_absorb(t) == reference.can_absorb(t)
-                assert (
-                    bits.maximal_jcc_subset_with(t).tuples
-                    == reference.maximal_jcc_subset_with(t).tuples
-                )
-        for candidate_ref, candidate in zip(jcc_sets, interned):
-            for waiting_ref, waiting in zip(jcc_sets, interned):
-                assert waiting.union_is_jcc(candidate) == (
-                    waiting_ref.union_is_jcc(candidate_ref)
-                )
+    for reference, bits in zip(jcc_sets, interned):
+        for t in all_tuples:
+            assert bits.can_absorb(t) == reference.can_absorb(t)
+            assert (
+                bits.maximal_jcc_subset_with(t).tuples
+                == reference.maximal_jcc_subset_with(t).tuples
+            )
+    for candidate_ref, candidate in zip(jcc_sets, interned):
+        for waiting_ref, waiting in zip(jcc_sets, interned):
+            assert waiting.union_is_jcc(candidate) == (
+                waiting_ref.union_is_jcc(candidate_ref)
+            )
 
 
-@pytest.mark.parametrize("kernel,backing", KERNEL_MODES, ids=KERNEL_MODE_IDS)
+@pytest.mark.parametrize("backing", BACKINGS)
 @pytest.mark.parametrize("name", WORKLOAD_IDS)
-def test_contains_superset_batch_matches_reference_under_every_kernel(
-    name, kernel, backing, tmp_path
-):
+def test_contains_superset_batch_matches_reference_on_every_backing(name, backing, tmp_path):
     database = _mode_database(name, backing, tmp_path)
     catalog = database.catalog()
     all_tuples = list(database.tuples())
     rng = random.Random(137)
-    with use_kernel(kernel) as active:
-        _vectorized(active)
-        reference_store = ReferenceCompleteStore(None)
-        store = CompleteStore(anchor_relation=None, use_index=True)
-        stored = [
-            TupleSet(_random_jcc_set(rng, all_tuples).tuples, catalog=catalog)
-            for _ in range(10)
+    reference_store = ReferenceCompleteStore(None)
+    store = CompleteStore(anchor_relation=None, use_index=True)
+    stored = [
+        TupleSet(_random_jcc_set(rng, all_tuples).tuples, catalog=catalog)
+        for _ in range(10)
+    ]
+    for ts in stored:
+        reference_store.add(TupleSet(ts.tuples))
+        store.add(ts)
+    for _ in range(25):
+        donor = rng.choice(stored)
+        members = rng.sample(_sorted(donor.tuples), rng.randint(1, len(donor)))
+        anchor = members[0]
+        probes = [
+            TupleSet(members, catalog=catalog),
+            TupleSet(
+                _random_jcc_set(rng, all_tuples).with_tuple(anchor).tuples
+                if rng.random() < 0.5
+                else members,
+                catalog=catalog,
+            ),
         ]
-        for ts in stored:
-            reference_store.add(TupleSet(ts.tuples))
-            store.add(ts)
-        for _ in range(25):
-            donor = rng.choice(stored)
-            members = rng.sample(_sorted(donor.tuples), rng.randint(1, len(donor)))
-            anchor = members[0]
-            probes = [
-                TupleSet(members, catalog=catalog),
-                TupleSet(
-                    _random_jcc_set(rng, all_tuples).with_tuple(anchor).tuples
-                    if rng.random() < 0.5
-                    else members,
-                    catalog=catalog,
-                ),
-            ]
-            expected = [
-                reference_store.contains_superset(TupleSet(p.tuples)) for p in probes
-            ]
-            assert store.contains_superset_batch(probes, anchor=anchor) == expected
+        expected = [
+            reference_store.contains_superset(TupleSet(p.tuples)) for p in probes
+        ]
+        assert store.contains_superset_batch(probes, anchor=anchor) == expected
 
 
-@pytest.mark.parametrize("kernel,backing", KERNEL_MODES, ids=KERNEL_MODE_IDS)
-def test_retraction_matches_reference_under_every_kernel(kernel, backing, tmp_path):
-    """remove_tuple / update_tuple sweeps, three ways.
+@pytest.mark.parametrize("backing", BACKINGS)
+def test_retraction_matches_reference_on_every_backing(backing, tmp_path):
+    """remove_tuple / update_tuple sweeps, both ways.
 
-    After each mutation the tombstone test and the kernel's dead-tuple
-    sweep must flag exactly the sets a per-member Python scan flags —
-    including when the tombstone bits live in a mapped mirror file.
+    After each mutation the tombstone test and the eviction sweep must flag
+    exactly the sets a per-member Python scan flags — including when the
+    catalog also maintains its tombstone bits in a RAM or mapped mirror.
     """
     database = chain_database(
         relations=3, tuples_per_relation=5, domain_size=3, null_rate=0.2, seed=41
     )
-    if backing == "mmap":
-        mirror = database.catalog().save_mirror(str(tmp_path / "retract.rpmc"))
-        assert mirror.backing == "mmap"
+    _attach_mirror(database, backing, tmp_path / "retract.rpmc")
     catalog = database.catalog()
     all_tuples = list(database.tuples())
     rng = random.Random(43)
@@ -302,26 +298,24 @@ def test_retraction_matches_reference_under_every_kernel(kernel, backing, tmp_pa
         TupleSet(_random_jcc_set(rng, all_tuples).tuples, catalog=catalog)
         for _ in range(10)
     ]
-    with use_kernel(kernel) as active:
-        _vectorized(active)
-        for step in range(8):
-            live = [t for t in database.tuples() if not catalog.is_tombstoned(t)]
-            victim = rng.choice(live)
-            if step % 2:
-                database.update_tuple(
-                    victim.relation_name,
-                    victim.label,
-                    [rng.choice([1, 2, 3]) for _ in victim.values],
-                )
-            else:
-                database.remove_tuple(victim.relation_name, victim.label)
-            dead = {t for t in all_tuples if catalog.is_tombstoned(t)}
-            expected_tombstoned = [
-                any(catalog.is_tombstoned(t) for t in ts.tuples) for ts in sets
-            ]
-            expected_dead = [any(t in dead for t in ts.tuples) for ts in sets]
-            assert [ts.contains_tombstoned(catalog) for ts in sets] == expected_tombstoned
-            assert active.batch_contains_dead(sets, dead) == expected_dead
+    for step in range(8):
+        live = [t for t in database.tuples() if not catalog.is_tombstoned(t)]
+        victim = rng.choice(live)
+        if step % 2:
+            database.update_tuple(
+                victim.relation_name,
+                victim.label,
+                [rng.choice([1, 2, 3]) for _ in victim.values],
+            )
+        else:
+            database.remove_tuple(victim.relation_name, victim.label)
+        dead = {t for t in all_tuples if catalog.is_tombstoned(t)}
+        expected_tombstoned = [
+            any(catalog.is_tombstoned(t) for t in ts.tuples) for ts in sets
+        ]
+        expected_dead = [ts for ts in sets if any(t in dead for t in ts.tuples)]
+        assert [ts.contains_tombstoned(catalog) for ts in sets] == expected_tombstoned
+        assert holding_dead(sets, dead) == expected_dead
 
 
 def test_union_across_two_catalogs_interns_in_the_wider_one():

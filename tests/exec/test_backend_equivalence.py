@@ -2,8 +2,8 @@
 
 In the style of ``tests/core/test_tupleset_equivalence.py``: the execution
 backends must return the naive oracle's answer set on randomized workloads,
-under both kernels, and every driver must send each of its steps, exact or
-approximate, through the backend's ``next_result``.
+and every driver must send each of its steps, exact or approximate, through
+the backend's ``next_result``.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from repro.core.approx import ApproxSemantics, approx_full_disjunction
 from repro.core.approx_join import EditDistanceSimilarity, ExactMatchSimilarity, MinJoin
 from repro.core.full_disjunction import first_k, full_disjunction
 from repro.core.incremental import EXACT, FDStatistics, incremental_fd
-from repro.core.kernels import numpy_available, use_kernel
 from repro.core.priority import priority_incremental_fd
 from repro.core.ranking import MaxRanking
 from repro.exec import (
@@ -242,9 +241,6 @@ def shaped_databases(draw):
     return database
 
 
-KERNELS = ("bigint", "packed") if numpy_available() else ("bigint",)
-
-
 @settings(
     max_examples=25,
     deadline=None,
@@ -252,14 +248,12 @@ KERNELS = ("bigint", "packed") if numpy_available() else ("bigint",)
 )
 @given(database=shaped_databases(), use_index=st.booleans())
 def test_singleton_driver_matches_the_oracle_on_every_backend(database, use_index):
-    """Restricted passes are exact under every schedule and kernel."""
+    """Restricted passes are exact under every schedule."""
     expected = {ts.labels() for ts in naive_full_disjunction(database)}
-    for kernel in KERNELS:
-        with use_kernel(kernel):
-            for backend in ("serial", "sharded:2"):
-                results = full_disjunction(database, use_index=use_index, backend=backend)
-                assert {ts.labels() for ts in results} == expected, (kernel, backend)
-                assert len(results) == len(expected), (kernel, backend)
+    for backend in ("serial", "sharded:2"):
+        results = full_disjunction(database, use_index=use_index, backend=backend)
+        assert {ts.labels() for ts in results} == expected, backend
+        assert len(results) == len(expected), backend
 
 
 class TestShardedBackend:

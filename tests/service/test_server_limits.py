@@ -271,6 +271,36 @@ class TestServerFaults:
         assert records[0].exc_info[0] is RuntimeError
         assert "injected fault" in caplog.text  # the traceback, not just the op
 
+    def test_errors_count_server_faults_apart_from_client_errors(self, monkeypatch, caplog):
+        async def broken(state, request, connection_sessions):
+            raise RuntimeError("injected fault")
+
+        monkeypatch.setitem(QueryServer._OPS, "ping", broken)
+        registry = MetricsRegistry()
+        state = QueryServer(tourist_database(), registry=registry)
+
+        async def scenario():
+            server = await asyncio.start_server(state.handle_connection, "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await _connect(port)
+                try:
+                    for request in ({"op": "warp"}, {"op": "ping"}):
+                        await client_call(reader, writer, request)
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+            finally:
+                server.close()
+                await server.wait_closed()
+
+        with caplog.at_level(logging.ERROR, logger="repro.service.server"):
+            _run(scenario())
+        assert len(_server_faults(caplog)) == 1
+        errors = registry.family("repro_request_errors_total").samples()
+        counts = {(s["labels"]["op"], s["labels"]["kind"]): s["value"] for s in errors}
+        assert counts == {("other", "client"): 1, ("ping", "server"): 1}
+
 
 #: Lines that are JSON but not an object, then one that is not JSON.
 NOT_OBJECTS = [b"[1, 2]", b'"x"', b"5", b"null"]
@@ -278,9 +308,10 @@ BAD_JSON = b"{not json"
 
 
 def _other_count(reply, family, key="value"):
-    """The ``op="other"`` sample of ``family`` in a ``stats`` metrics reply."""
+    """The ``op="other"`` samples of ``family`` in a ``stats`` metrics reply,
+    summed over any other label."""
     (found,) = [f for f in reply["metrics"]["families"] if f["name"] == family]
-    return sum(s[key] for s in found["samples"] if s["labels"] == {"op": "other"})
+    return sum(s[key] for s in found["samples"] if s["labels"]["op"] == "other")
 
 
 async def _send_lines(reader, writer, lines):

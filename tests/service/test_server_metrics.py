@@ -46,8 +46,8 @@ class TestServerMetrics:
         # An unknown op is counted under the bounded label "other".
         assert requests.labels(op="other").value == 1
         errors = registry.family("repro_request_errors_total")
-        assert errors.labels(op="other").value == 1
-        assert errors.labels(op="open").value == 0
+        assert errors.labels(op="other", kind="client").value == 1
+        assert errors.labels(op="open", kind="client").value == 0
         latency = registry.family("repro_request_latency_seconds")
         assert latency.labels(op="open").count == 1
         assert latency.labels(op="next").count == 1
@@ -141,7 +141,7 @@ class TestServerMetrics:
         assert health["status"] == "ok"
         assert health["sessions"] == 1
         assert health["epoch"] == 0
-        assert "kernel" in health and health["uptime_seconds"] >= 0
+        assert "kernel" not in health and health["uptime_seconds"] >= 0
 
     def test_server_stats_helper_is_the_stats_op_shape(self):
         state, _ = _server()

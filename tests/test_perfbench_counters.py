@@ -5,9 +5,8 @@ balanced 5-spoke star) and ``chain-firstk`` (the first 30 answers of a 5×600
 chain).  Their ``FDStatistics`` are machine-independent and the same on
 every ``--seed``: the seed only permutes rows among equals or renames
 values.  They are pinned here exactly, so a change to the engine that does
-more or less work, or the same work differently counted, fails in both
-kernel jobs.  The inputs come from ``perfbench/inputs.py``, loaded by path
-and only read.
+more or less work, or the same work differently counted, fails in tier-1.
+The inputs come from ``perfbench/inputs.py``, loaded by path and only read.
 """
 
 from __future__ import annotations
@@ -101,9 +100,7 @@ def _counters(database, limit):
         if answers == limit:
             break
     generator.close()
-    counters = statistics.as_dict()
-    counters.pop("kernel")
-    return answers, counters
+    return answers, statistics.as_dict()
 
 
 @pytest.mark.parametrize("seed", [1, 11])
