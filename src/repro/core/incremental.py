@@ -60,9 +60,18 @@ plus an append.
 * Lines 10–18 keep each survivor a mask.  The ``Complete`` probe
   (:meth:`~repro.core.store.CompleteStore.contains_superset_mask`) visits the
   anchor bucket's relation-set groups and decides a stored set by
-  ``T' & ~S``; the ``Incomplete`` probe runs ``union_is_jcc``'s bit test
-  against each waiting set of the anchor bucket
-  (:meth:`~repro.core.tupleset.TupleSet.union_is_jcc_mask`).  A survivor
+  ``T' & ~S``, or a whole group by one lookup when its relation set is the
+  probe's.  The ``Incomplete`` probe tests each waiting set ``S`` of the
+  anchor bucket against the survivor's *consistency closure*
+  ``C(T') = AND over t ∈ T' of (row(t) | bit(t))``
+  (:meth:`~repro.relational.catalog.Catalog.consistency_closure`), built
+  once per survivor, at its first waiting set of the survivor's catalog.
+  ``union_is_jcc`` assumes both operands JCC, and so ``JCC(S ∪ T')`` holds
+  exactly when ``S ⊆ C(T')`` — for ``t ∈ T' ∩ S`` the row test holds
+  already, since ``S`` is join consistent — and ``S`` shares a member with
+  ``T'`` or is adjacent to one of its relations.  The empty ``S`` merges;
+  a set of another catalog (or none) keeps
+  :meth:`~repro.core.tupleset.TupleSet.union_is_jcc_mask`.  A survivor
   already inside the waiting set ``S`` it merges with makes the union ``S``
   itself, so only the pool's ``replace(S, S)`` effect is applied
   (``requeue``).  A tuple set is built only for a Line 18 insert or a merge
@@ -524,10 +533,25 @@ def _place_survivors(
             continue
         # Lines 12-15: merge into the first waiting S with JCC(S ∪ T').  When
         # T' ⊆ S the union is S itself, and replacing S by S only reorders.
+        # For S of this catalog that is S ⊆ C(T') — with T''s consistency
+        # closure built at the first such S — and S ∩ T' ≠ ∅ or S adjacent
+        # to a relation of T' (see the module docstring).
+        # The slots are read directly: this loop runs once per waiting set.
+        closure = None
         for waiting in waiting_sets(anchor_tuple):
-            if not waiting.union_is_jcc_mask(mask, relation_mask, catalog):
-                continue
-            if waiting.catalog is catalog and not mask & ~waiting.id_mask:
+            same_catalog = waiting._catalog is catalog
+            held = waiting._id_mask
+            if not same_catalog:
+                if not waiting.union_is_jcc_mask(mask, relation_mask, catalog):
+                    continue
+            elif held:
+                if closure is None:
+                    closure = catalog.consistency_closure(mask)
+                if held & closure != held or not (
+                    held & mask or waiting._adjacent_relations & relation_mask
+                ):
+                    continue
+            if same_catalog and not mask & ~held:
                 incomplete.requeue(waiting, anchor_tuple)
             else:
                 incomplete.replace(waiting, waiting.union(_survivor_set(catalog, mask, gid)))

@@ -19,10 +19,16 @@ catalog's bitmasks instead of yielding tuples: it returns the *plan* — the
 relations the pass reads, in scan order, each with its live tuples as a gid
 mask — and counts the pass exactly as :meth:`~TupleScanner.scan` would (one
 pass, one tuple read per tuple of every relation read), so the counters
-mean the same whichever way a pass ran.  :class:`BlockScanner` never takes a
-mask pass: block execution (Section 7) exists to count the block fetches a
-real scan makes, so its passes always read tuples.  How ``GetNextResult``
-uses the plan, and why that is exact, is in :mod:`repro.core.incremental`.
+mean the same whichever way a pass ran.  A scanner builds the plan once
+and hands the same plan, counted the same, to every pass while the catalog
+object and its live mask stay unchanged.  That relies on the pass's
+precondition, which the staleness checks still test on every pass: the set
+is interned in the database's current catalog, and a current catalog moves
+its live mask with every append and tombstone, the only changes that keep
+it current.  :class:`BlockScanner` never takes a mask pass: block execution
+(Section 7) exists to count the block fetches a real scan makes, so its
+passes always read tuples.  How ``GetNextResult`` uses the plan, and why
+that is exact, is in :mod:`repro.core.incremental`.
 """
 
 from __future__ import annotations
@@ -44,6 +50,8 @@ class TupleScanner:
         self.skip_relations = frozenset(skip_relations)
         self.tuple_reads = 0
         self.passes = 0
+        # The last mask pass's (catalog, live mask, plan, reads).
+        self._plan = None
 
     @property
     def database(self) -> Database:
@@ -60,13 +68,15 @@ class TupleScanner:
                 self.tuple_reads += 1
                 yield t
 
-    def mask_pass(self, tuple_set) -> Optional[List[TupleType[int, int]]]:
+    def mask_pass(self, tuple_set) -> Optional[TupleType[TupleType[int, int], ...]]:
         """One pass on masks: the plan as ``(relation id, live gid mask)`` pairs.
 
         Counts the pass like :meth:`scan`.  Returns ``None`` and counts
         nothing when ``tuple_set`` cannot be read against the plan: it is not
         interned, the database's catalog is stale or is not the set's, or a
-        member is tombstoned.  The caller then reads tuples instead.
+        member is tombstoned.  The caller then reads tuples instead.  The
+        plan and its read count are reused while the catalog and its live
+        mask are unchanged (see the module docstring).
         """
         catalog = tuple_set.catalog
         if (
@@ -75,19 +85,22 @@ class TupleScanner:
             or tuple_set.id_mask & catalog.dead_mask
         ):
             return None
-        skip = self.skip_relations
         live = catalog.live_mask
-        plan = []
-        reads = 0
-        for relation in self._database:
-            if skip and relation.name in skip:
-                continue
-            rid = catalog.relation_id(relation.name)
-            plan.append((rid, catalog.relation_tuples_mask(rid) & live))
-            reads += len(relation)
+        cached = self._plan
+        if cached is None or cached[0] is not catalog or cached[1] != live:
+            skip = self.skip_relations
+            plan = []
+            reads = 0
+            for relation in self._database:
+                if skip and relation.name in skip:
+                    continue
+                rid = catalog.relation_id(relation.name)
+                plan.append((rid, catalog.relation_tuples_mask(rid) & live))
+                reads += len(relation)
+            cached = self._plan = (catalog, live, tuple(plan), reads)
         self.passes += 1
-        self.tuple_reads += reads
-        return plan
+        self.tuple_reads += cached[3]
+        return cached[2]
 
     def cost_summary(self) -> dict:
         """The scanner's work counters, for benchmark reporting."""

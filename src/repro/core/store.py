@@ -34,7 +34,16 @@ fall back to a full traversal.
 its gid mask, relation mask and anchor tuple, not as a tuple set.
 :meth:`CompleteStore.contains_superset_mask` probes the same bucket and
 relation-set groups as :meth:`CompleteStore.contains_superset` and decides a
-stored set with one ``AND NOT``; the pools' ``waiting`` returns the sets the
+stored set with one ``AND NOT``.  Both probes answer a group whose relation
+set equals the probe's without a walk: a JCC set holds one tuple per
+relation, so when every set of the group does too, the only stored superset
+of the probe there is the probe itself.  The group's map from id mask to
+the position of its first copy answers, and ``sets_scanned`` counts that
+position plus one, or the group's length on a miss, as the walk would.  A
+group builds its map at the first such probe and keeps it on ``add``;
+retraction rebuilds the touched groups without one.  A store that has held
+sets of two catalogs, and a group holding a set with more gids than
+relations, walk.  The pools' ``waiting`` returns the sets the
 Line 14 probe tests, counted as ``candidates`` counts them, without a copy;
 and ``requeue`` applies ``replace(S, S)`` for a survivor already inside
 ``S``.  Every counter reads what the tuple-set probes would have counted.
@@ -76,6 +85,34 @@ __all__ = [
 ]
 
 
+class _Group(list):
+    """One relation-set group of a bucket: the stored sets whose relation set
+    is the group's, in insertion order.
+
+    ``positions`` maps the id mask of each stored set to the position of its
+    first copy, for probes whose relation set is the group's: ``None`` until
+    the first such probe builds it, ``False`` once the group holds a set
+    with more gids than relations (see the module docstring).
+    """
+
+    __slots__ = ("positions",)
+
+    def __init__(self, stored_sets=()):
+        super().__init__(stored_sets)
+        self.positions = None
+
+
+def _first_positions(group: _Group, relation_count: int):
+    """``group.positions`` built from scratch (``False`` when it cannot be)."""
+    positions = {}
+    for position, stored in enumerate(group):
+        id_mask = stored._id_mask
+        if popcount(id_mask) != relation_count:
+            return False
+        positions.setdefault(id_mask, position)
+    return positions
+
+
 class CompleteStore:
     """The ``Complete`` list: results already printed, dual-indexed.
 
@@ -99,7 +136,7 @@ class CompleteStore:
         self._sets: List[TupleSet] = []
         self._members = set()
         # tuple -> relation set -> stored sets holding that tuple.
-        self._buckets: Dict[Tuple, Dict[FrozenSet[str], List[TupleSet]]] = {}
+        self._buckets: Dict[Tuple, Dict[FrozenSet[str], _Group]] = {}
         # With the index, the gids of every tuple a stored set holds, in one
         # catalog (None once a set of another catalog, or none, arrives).
         self._held: Optional[int] = 0
@@ -123,8 +160,18 @@ class CompleteStore:
         self.statistics.peak_size = max(self.statistics.peak_size, len(self._sets))
         if self._use_index:
             relations = tuple_set.relations
+            id_mask = tuple_set.id_mask
             for t in tuple_set:
-                self._buckets.setdefault(t, {}).setdefault(relations, []).append(tuple_set)
+                groups = self._buckets.setdefault(t, {})
+                group = groups.get(relations)
+                if group is None:
+                    group = groups[relations] = _Group()
+                group.append(tuple_set)
+                if group.positions:  # a built map: never empty
+                    if id_mask is None or popcount(id_mask) != len(relations):
+                        group.positions = False
+                    else:
+                        group.positions.setdefault(id_mask, len(group) - 1)
             if self._held is not None:
                 catalog = tuple_set.catalog
                 if catalog is None or self._held_catalog not in (None, catalog):
@@ -144,12 +191,19 @@ class CompleteStore:
                 if not groups:
                     return False
                 probe_relations = probe.relations
+                lookup = self._can_look_up(probe._catalog)
                 for relations, group in groups.items():
                     self.statistics.bucket_probes += 1
                     # A stored set can only contain the probe when its
                     # relation set contains the probe's.
                     if not probe_relations <= relations:
                         continue
+                    if lookup and relations == probe_relations:
+                        found = self._look_up(group, probe._id_mask, len(relations))
+                        if found is not None:
+                            if found:
+                                return True
+                            continue
                     for stored in group:
                         self.statistics.sets_scanned += 1
                         if probe.issubset(stored):
@@ -180,11 +234,39 @@ class CompleteStore:
         if not groups:
             return False
         relations = catalog.relation_names_of(relation_mask)
+        lookup = self._can_look_up(catalog)
         for group_relations, group in groups.items():
             statistics.bucket_probes += 1
-            if relations <= group_relations and self._holds_mask(group, id_mask, catalog):
+            if not relations <= group_relations:
+                continue
+            found = None
+            if lookup and relations == group_relations:
+                found = self._look_up(group, id_mask, len(relations))
+            if found is None:
+                found = self._holds_mask(group, id_mask, catalog)
+            if found:
                 return True
         return False
+
+    def _can_look_up(self, catalog) -> bool:
+        """Whether every stored set, like the probe, is of ``catalog``."""
+        return self._held is not None and catalog is not None and self._held_catalog is catalog
+
+    def _look_up(self, group: _Group, id_mask: int, relation_count: int) -> Optional[bool]:
+        """:meth:`_holds_mask` on a group whose relation set is the probe's,
+        by one lookup, counting the sets the walk would have scanned; ``None``,
+        counting nothing, when the group cannot answer so."""
+        positions = group.positions
+        if positions is None:
+            positions = group.positions = _first_positions(group, relation_count)
+        if positions is False:
+            return None
+        position = positions.get(id_mask)
+        if position is None:
+            self.statistics.sets_scanned += len(group)
+            return False
+        self.statistics.sets_scanned += position + 1
+        return True
 
     def _holds_mask(self, stored_sets: List[TupleSet], id_mask: int, catalog) -> bool:
         """Scan ``stored_sets`` in order for one holding ``id_mask``, counting
@@ -291,7 +373,7 @@ class CompleteStore:
                 if not groups:
                     continue
                 for relations in list(groups):
-                    kept = [s for s in groups[relations] if s not in victims]
+                    kept = _Group(s for s in groups[relations] if s not in victims)
                     if kept:
                         groups[relations] = kept
                     else:

@@ -694,6 +694,18 @@ class Catalog:
         """Bitmask of the tuples join consistent with tuple ``gid`` (other relations only)."""
         return self._consistent[gid]
 
+    def consistency_closure(self, id_mask: int) -> int:
+        """The AND over the tuples ``t`` of ``id_mask`` of ``row(t) | bit(t)``:
+        the tuples consistent with every member other than themselves (all
+        bits for the empty mask)."""
+        rows = self._consistent
+        closure = -1
+        while id_mask:
+            low = id_mask & -id_mask
+            closure &= rows[low.bit_length() - 1] | low
+            id_mask ^= low
+        return closure
+
     def pair_consistent(self, first: int, second: int) -> bool:
         """Join consistency of a catalogued tuple pair (by global ids)."""
         return bool((self._consistent[first] >> second) & 1)

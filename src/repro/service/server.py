@@ -85,7 +85,7 @@ from repro.relational.nulls import is_null
 from repro.relational.operators import combined_schema, pad_tuple_set
 from repro.service.cache import PrefixCache, database_generation
 from repro.service.delta import StreamingFullDisjunction
-from repro.service.session import QuerySession, Retraction
+from repro.service.session import QuerySession, Retraction, StaleResultLog
 from repro.storage.codec import (
     CodecError,
     arrival_from_wire,
@@ -644,7 +644,12 @@ class QueryServer:
             return {"ok": False, "error": "the 'k' option must be a positive integer"}
         k = min(k, MAX_NEXT_K)
         render = self._renderer(request)
-        results = await self.driver.drive(session, k)
+        try:
+            results = await self.driver.drive(session, k)
+        except StaleResultLog as error:
+            # A pull beyond an invalidated prefix: the error tells the client
+            # to reopen the query.  The client's cue, not a server fault.
+            return {"ok": False, "error": str(error)}
         return {
             "ok": True,
             "results": [render(item) for item in results],
@@ -655,7 +660,10 @@ class QueryServer:
         session, error = self._session_of(request)
         if session is None:
             return error
-        item = session.peek()
+        try:
+            item = session.peek()
+        except StaleResultLog as error:
+            return {"ok": False, "error": str(error)}
         render = self._renderer(request)
         return {
             "ok": True,

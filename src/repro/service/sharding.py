@@ -317,10 +317,15 @@ class ShardedQueryServer:
     # request handling
     # ------------------------------------------------------------------ #
     async def handle_request(
-        self, request: dict, connection_sessions: Optional[set] = None
+        self, request: object, connection_sessions: Optional[set] = None
     ) -> dict:
+        """Route one decoded wire request.  A line that is not JSON (passed
+        as its ``JSONDecodeError``) or not a JSON object is counted like any
+        request and refused as the client's error."""
         self.requests += 1
         self._m_requests.inc()
+        if isinstance(request, json.JSONDecodeError):
+            return {"ok": False, "error": f"bad JSON: {request}"}
         if not isinstance(request, dict):
             return dict(NOT_AN_OBJECT)
         op = request.get("op")
@@ -494,7 +499,8 @@ class ShardedQueryServer:
             while True:
                 try:
                     line = await reader.readline()
-                except asyncio.CancelledError:
+                except (asyncio.CancelledError, ConnectionError):
+                    # Shutdown, or a peer that reset its socket: a disconnect.
                     break
                 except ValueError:
                     await reply_line_too_long(writer)
@@ -504,17 +510,17 @@ class ShardedQueryServer:
                 try:
                     request = json.loads(line)
                 except json.JSONDecodeError as error:
-                    response = {"ok": False, "error": f"bad JSON: {error}"}
-                else:
-                    try:
-                        response = await self.handle_request(
-                            request, connection_sessions
-                        )
-                    except Exception as error:  # serve errors, don't die
-                        logger.exception("router fault on op %r", request_op(request))
-                        response = {"ok": False, "error": str(error)}
+                    request = error
+                try:
+                    response = await self.handle_request(request, connection_sessions)
+                except Exception as error:  # serve errors, don't die
+                    logger.exception("router fault on op %r", request_op(request))
+                    response = {"ok": False, "error": str(error)}
                 writer.write(json.dumps(response).encode() + b"\n")
-                await writer.drain()
+                try:
+                    await writer.drain()
+                except ConnectionError:
+                    break  # the peer went away mid-reply: a disconnect
         finally:
             # A dropped connection releases its sessions on the shards too.
             for name in connection_sessions:

@@ -5,12 +5,14 @@ indexed its sets twice (anchor-tuple buckets, then relation-set groups): a
 list of printed results, optionally hashed by every member tuple (the
 Section 7 index), each probe testing the sets of one bucket, or all of them,
 by ``issubset``.  The randomized equivalence tests run it beside the indexed
-store, and the step accepts it as ``complete``.
+store, and the step accepts it as ``complete``.  :class:`WalkedCompleteStore`
+walks the indexed store's buckets and relation-set groups set by set: the
+oracle of the counters the indexed store reports.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Callable, Dict, FrozenSet, Iterable, Iterator, List, Optional
 
 from repro.core.pools import PoolStatistics
 from repro.core.tupleset import TupleSet
@@ -108,3 +110,86 @@ class CompleteStore:
     def as_list(self) -> List[TupleSet]:
         """The stored sets in insertion (printing) order."""
         return list(self._sets)
+
+
+class WalkedCompleteStore:
+    """The indexed ``Complete`` walked set by set, kept as the oracle of the
+    counters :class:`repro.core.store.CompleteStore` reports.
+
+    Stored sets are hashed by every member tuple (Section 7) and, within a
+    bucket, grouped by relation set in order of first appearance.  A probe
+    visits the groups of its anchor tuple's bucket in that order, counting
+    each in ``bucket_probes``, and tests every set of each group whose
+    relation set contains the probe's, counting each in ``sets_scanned``,
+    until one holds the probe.  Without an anchor tuple it tests every
+    stored set.  Retraction drops the sets holding a dead tuple from their
+    groups in place, and a group or bucket left empty with them.
+    """
+
+    def __init__(self, anchor_relation: Optional[str] = None):
+        self._anchor_relation = anchor_relation
+        self._sets: List[TupleSet] = []
+        self._buckets: Dict[Tuple, Dict[FrozenSet[str], List[TupleSet]]] = {}
+        self.statistics = PoolStatistics()
+
+    def add(self, tuple_set: TupleSet) -> None:
+        self._sets.append(tuple_set)
+        for t in tuple_set:
+            groups = self._buckets.setdefault(t, {})
+            groups.setdefault(tuple_set.relations, []).append(tuple_set)
+
+    def _walk(self, key, relations, holds: Callable[[TupleSet], bool]) -> bool:
+        for group_relations, group in self._buckets.get(key, {}).items():
+            self.statistics.bucket_probes += 1
+            if not relations <= group_relations:
+                continue
+            for stored in group:
+                self.statistics.sets_scanned += 1
+                if holds(stored):
+                    return True
+        return False
+
+    def contains_superset(self, probe: TupleSet, anchor: Optional[Tuple] = None) -> bool:
+        key = anchor
+        if key is None and self._anchor_relation is not None:
+            key = probe.tuple_from(self._anchor_relation)
+        if key is None:
+            self.statistics.full_scans += 1
+            for stored in self._sets:
+                self.statistics.sets_scanned += 1
+                if probe.issubset(stored):
+                    return True
+            return False
+        return self._walk(key, probe.relations, probe.issubset)
+
+    def contains_superset_mask(
+        self, id_mask: int, relation_mask: int, anchor: Tuple, catalog
+    ) -> bool:
+        return self._walk(
+            anchor,
+            catalog.relation_names_of(relation_mask),
+            lambda stored: stored.holds_mask(id_mask, catalog),
+        )
+
+    def retract_containing(self, dead_tuples) -> List[TupleSet]:
+        """Drop every stored set holding a dead tuple; return them in
+        insertion order, each once."""
+        dead = set(dead_tuples)
+
+        def holds_dead(stored: TupleSet) -> bool:
+            return any(t in stored for t in dead)
+
+        retracted: List[TupleSet] = []
+        for stored in self._sets:
+            if holds_dead(stored) and stored not in retracted:
+                retracted.append(stored)
+        self._sets = [stored for stored in self._sets if not holds_dead(stored)]
+        for t in list(self._buckets):
+            groups = self._buckets[t]
+            for relations in list(groups):
+                groups[relations] = [s for s in groups[relations] if not holds_dead(s)]
+                if not groups[relations]:
+                    del groups[relations]
+            if not groups:
+                del self._buckets[t]
+        return retracted

@@ -10,7 +10,9 @@ and without an anchor bucket, with the index on and off, restricted to
 ``R_i, …, R_n`` or not; the ranked engine must
 produce the same stream and the same queues after every answer.  The
 default seeds, handed to the pool as one gid mask and built lazily, must
-match the same singletons added one set at a time.  Unit tests
+match the same singletons added one set at a time.  Line 14's test by
+the survivor's consistency closure must merge exactly when
+``union_is_jcc_mask`` holds, on every JCC pair.  Unit tests
 pin the Lines 10–18 edge cases: a merge whose union is already waiting,
 sets of an older catalog snapshot, and the reference ``Complete`` store.
 The mask step's exactness rests on scan order being gid order within a
@@ -588,6 +590,69 @@ def test_replace_with_itself_moves_the_set_to_the_end_of_its_bucket(use_index):
     missing = TupleSet.singleton(database.tuple_by_label("c3"), catalog=catalog)
     with pytest.raises(KeyError):
         pool.replace(missing, missing)
+
+
+# --------------------------------------------------------------------- #
+# Line 14 by the survivor's consistency closure
+# --------------------------------------------------------------------- #
+def _jcc_masks(catalog, largest):
+    """The gid masks of the JCC sets of 1 to ``largest`` tuples, live or
+    tombstoned."""
+    for size in range(1, largest + 1):
+        for gids in itertools.combinations(range(catalog.tuple_count), size):
+            mask = sum(1 << gid for gid in gids)
+            if all(
+                catalog.pair_consistent(a, b) for a, b in itertools.combinations(gids, 2)
+            ) and catalog.relations_connected(catalog.relation_mask_of(mask)):
+                yield mask
+
+
+@st.composite
+def updated_back_databases(draw):
+    """``mutated_databases``, then maybe one tuple updated away and back, so
+    that a tombstoned tuple has a live namesake with a fresh gid."""
+    database = draw(mutated_databases())
+    if draw(st.booleans()):
+        rng = random.Random(draw(st.integers(0, 10_000)))
+        relation = rng.choice([r for r in database.relations if len(r)])
+        victim = rng.choice(list(relation))
+        database.update_tuple(relation.name, victim.label, _mixed_values(rng, relation))
+        database.update_tuple(relation.name, victim.label, victim.values)
+    return database
+
+
+@settings(PROPERTY, max_examples=15)
+@given(database=updated_back_databases())
+def test_the_closure_test_is_the_merge_test(database):
+    """Line 14 decides a waiting set ``S`` of the survivor's catalog by
+    ``S ⊆ C(T')`` and a shared member or relation adjacency; on every JCC
+    pair, the empty ``S`` included, it merges exactly when
+    ``union_is_jcc_mask`` holds."""
+    catalog = database.catalog()
+    masks = list(_jcc_masks(catalog, 3))
+    waiting_sets = [TupleSet.empty(catalog=catalog)]
+    for mask in masks:
+        tuple_set = TupleSet(catalog.tuples_of_mask(mask), catalog=catalog)
+        # A dead tuple with a live namesake interns as the namesake: skip it.
+        if tuple_set.id_mask == mask:
+            waiting_sets.append(tuple_set)
+    complete = CompleteStore()
+    for waiting in waiting_sets:
+        for mask in masks:
+            relation_mask = catalog.relation_mask_of(mask)
+            gid = mask.bit_length() - 1
+            pool = ListIncompletePool(None)
+            pool.add(waiting)
+            statistics = FDStatistics()
+            incremental_module._place_survivors(
+                catalog,
+                [(mask, relation_mask, gid, catalog.tuple_at(gid))],
+                pool,
+                complete,
+                statistics,
+            )
+            expected = waiting.union_is_jcc_mask(mask, relation_mask, catalog)
+            assert statistics.candidates_merged == expected, (waiting, mask)
 
 
 # --------------------------------------------------------------------- #

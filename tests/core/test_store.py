@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
-import pytest
+import itertools
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core.full_disjunction import full_disjunction_sets
 from repro.core.pools import ListIncompletePool as ReferenceIncompletePool
 from repro.core.store import (
     CompleteStore,
@@ -14,10 +19,12 @@ from repro.core.store import (
 )
 from repro.core.incremental import FDStatistics, incremental_fd
 from repro.core.tupleset import TupleSet
+from repro.relational.catalog import Catalog
 from repro.workloads.generators import star_database
 from repro.workloads.tourist import tourist_database
 
 from tests.core.reference_store import CompleteStore as ReferenceCompleteStore
+from tests.core.reference_store import WalkedCompleteStore
 
 
 def _jcc_sets(database):
@@ -79,6 +86,105 @@ class TestCompleteStoreDualIndex:
         assert not store.contains_superset(probe, anchor=c1)
         assert store.statistics.bucket_probes == 1
         assert store.statistics.sets_scanned == 0
+
+
+def _stored_candidates(database, catalog):
+    """Sets to store and probe: every connected subset of every answer of the
+    full disjunction, in gid-mask order, then one set of two tuples of one
+    relation, which has more gids than relations."""
+    by_mask = {}
+    for answer in full_disjunction_sets(database):
+        for size in range(1, len(answer) + 1):
+            for subset in itertools.combinations(answer, size):
+                tuple_set = TupleSet(subset, catalog=catalog)
+                if tuple_set.is_connected:
+                    by_mask.setdefault(tuple_set.id_mask, tuple_set)
+    crowded = TupleSet(list(database.relations[0])[:2], catalog=catalog)
+    return [by_mask[mask] for mask in sorted(by_mask)] + [crowded]
+
+
+def _counters(store):
+    statistics = store.statistics
+    return statistics.sets_scanned, statistics.bucket_probes, statistics.full_scans
+
+
+def _probe_all(store, walked, sets, catalog):
+    for probe in sets:
+        anchor = min(probe, key=lambda t: t.label)
+        arguments = (probe.id_mask, probe.relation_mask, anchor, catalog)
+        assert store.contains_superset_mask(*arguments) == (
+            walked.contains_superset_mask(*arguments)
+        )
+    assert _counters(store) == _counters(walked)
+
+
+STORE_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "add", "probe", "probe mask", "retract"]),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+    ),
+    min_size=20,
+    max_size=80,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    seed=st.integers(0, 10_000),
+    stored=st.lists(st.integers(0, 10**6), min_size=10, max_size=60),
+    operations=STORE_OPS,
+    foreign_at=st.one_of(st.none(), st.integers(0, 80)),
+)
+def test_lookups_answer_and_count_as_the_walk_does(seed, stored, operations, foreign_at):
+    """The indexed store answers a probe whose relation set equals a group's
+    from the group's first positions; through random adds (duplicates
+    included), probes of both kinds, retractions and, from operation
+    ``foreign_at`` on, a set of a second catalog, it gives the walk's
+    answers and counts the walk's sets and groups."""
+    database = star_database(
+        spokes=3, tuples_per_relation=3, hub_domain=2, null_rate=0.1, seed=seed
+    )
+    catalog = database.catalog()
+    sets = _stored_candidates(database, catalog)
+    tuples = list(database.tuples())
+    anchor_relation = database.relation_names[0]
+    store = CompleteStore(anchor_relation, use_index=True)
+    walked = WalkedCompleteStore(anchor_relation)
+    for index in stored:
+        store.add(sets[index % len(sets)])
+        walked.add(sets[index % len(sets)])
+    for step, (operation, first, second) in enumerate(operations):
+        chosen = sets[first % len(sets)]
+        # The bucket key: a member of the probe, or now and then any tuple.
+        keys = sorted(chosen, key=lambda t: t.label) + [tuples[second % len(tuples)]]
+        anchor = keys[second % len(keys)]
+        if step == foreign_at:
+            foreign = TupleSet(chosen.tuples, catalog=Catalog(database))
+            store.add(foreign)
+            walked.add(foreign)
+        if operation == "add":
+            store.add(chosen)
+            walked.add(chosen)
+        elif operation == "probe":
+            # Every other probe leaves the anchor to the anchor relation.
+            key = anchor if second % 2 else None
+            assert store.contains_superset(chosen, anchor=key) == (
+                walked.contains_superset(chosen, anchor=key)
+            )
+        elif operation == "probe mask":
+            probe = (chosen.id_mask, chosen.relation_mask, anchor, catalog)
+            assert store.contains_superset_mask(*probe) == (
+                walked.contains_superset_mask(*probe)
+            )
+        else:
+            # Every group probed once per set before the retraction, which
+            # builds its map, and after it.
+            _probe_all(store, walked, sets, catalog)
+            dead = [tuples[second % len(tuples)]]
+            assert store.retract_containing(dead) == walked.retract_containing(dead)
+            _probe_all(store, walked, sets, catalog)
+        assert _counters(store) == _counters(walked), operation
 
 
 class TestIncompletePoolSemantics:

@@ -13,6 +13,8 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
+import socket
+import struct
 
 import pytest
 
@@ -379,6 +381,102 @@ class TestRequestsThatAreNotObjects:
         assert replies == [server_module.NOT_AN_OBJECT] * 4
         assert pong["ok"] and pong["pong"]
         assert [r for r in caplog.records if r.name == "repro.service.sharding"] == []
+
+
+class TestRouterConnections:
+    """The router loop treats its clients as the server does: a line that is
+    not JSON reaches ``handle_request`` and is counted there, and a client
+    that resets its socket is a disconnect that releases its sessions."""
+
+    def test_a_bad_json_line_is_counted_like_any_request(self, caplog):
+        async def scenario(reader, writer):
+            (refused,) = await _send_lines(reader, writer, [BAD_JSON])
+            stats = await client_call(reader, writer, {"op": "stats"})
+            return refused, stats
+
+        with caplog.at_level(logging.ERROR, logger="repro.service.sharding"):
+            refused, stats = _run(_with_router(scenario))
+        assert refused["ok"] is False and refused["error"].startswith("bad JSON")
+        assert stats["requests"] == 2
+        assert [r for r in caplog.records if r.name == "repro.service.sharding"] == []
+
+    def test_a_peer_reset_is_a_disconnect_that_releases_its_sessions(self):
+        async def scenario(reader, writer):
+            loop = asyncio.get_running_loop()
+            errors = []
+            loop.set_exception_handler(lambda _, context: errors.append(context))
+            port = writer.get_extra_info("peername")[1]
+            victim_reader, victim_writer = await _connect(port)
+            opened = await client_call(
+                victim_reader, victim_writer, {"op": "open", "engine": "fd"}
+            )
+            before = await client_call(reader, writer, {"op": "stats"})
+            # SO_LINGER 0: closing sends an RST while the router waits in readline.
+            victim_writer.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            victim_writer.transport.abort()
+            for _ in range(100):
+                after = await client_call(reader, writer, {"op": "stats"})
+                if after["sessions"] == 0:
+                    break
+                await asyncio.sleep(0.01)
+            await asyncio.sleep(0.05)  # let a crashing handler report
+            pong = await client_call(reader, writer, {"op": "ping"})
+            return opened, before, after, pong, errors
+
+        opened, before, after, pong, errors = _run(_with_router(scenario))
+        assert opened["ok"] and before["sessions"] == 1
+        assert after["sessions"] == 0
+        assert sum(shard["sessions"] for shard in after["per_shard"]) == 0
+        assert pong["ok"] and pong["pong"]
+        assert errors == []
+
+
+class TestStaleCursors:
+    def test_a_stale_cursor_is_the_clients_error(self, caplog):
+        """A pull beyond a prefix an ingest invalidated gets the documented
+        "reopen the query" reply, counted as the client's error and not
+        logged as a server fault."""
+        registry = MetricsRegistry()
+        state = QueryServer(tourist_database(), registry=registry)
+        ingest = {"op": "ingest", "tuples": [["Climates", ["Atlantis", "mild"]]]}
+
+        async def scenario():
+            server = await asyncio.start_server(
+                state.handle_connection, "127.0.0.1", 0, limit=MAX_LINE_BYTES
+            )
+            port = server.sockets[0].getsockname()[1]
+            try:
+                reader, writer = await _connect(port)
+                try:
+                    opened = await client_call(reader, writer, {"op": "open", "engine": "fd"})
+                    name = opened["session"]
+                    first = await client_call(
+                        reader, writer, {"op": "next", "session": name, "k": 1}
+                    )
+                    ingested = await client_call(reader, writer, ingest)
+                    deep = await client_call(
+                        reader, writer, {"op": "next", "session": name, "k": 100}
+                    )
+                    peeked = await client_call(reader, writer, {"op": "peek", "session": name})
+                finally:
+                    writer.close()
+                    await writer.wait_closed()
+            finally:
+                server.close()
+                await server.wait_closed()
+            return first, ingested, deep, peeked
+
+        with caplog.at_level(logging.ERROR, logger="repro.service.server"):
+            first, ingested, deep, peeked = _run(scenario())
+        assert first["ok"] and ingested["ok"] and ingested["invalidated_queries"] == 1
+        for reply in (deep, peeked):
+            assert reply["ok"] is False and "reopen the query" in reply["error"]
+        assert _server_faults(caplog) == []
+        errors = registry.family("repro_request_errors_total").samples()
+        counts = {(s["labels"]["op"], s["labels"]["kind"]): s["value"] for s in errors}
+        assert counts == {("next", "client"): 1, ("peek", "client"): 1}
 
 
 K_REFUSED = {"ok": False, "error": "the 'k' option must be a positive integer"}
