@@ -75,12 +75,15 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="enable the Section 7 hash index on the Complete/Incomplete lists",
     )
+
+
+def _add_backend_arguments(
+    parser: argparse.ArgumentParser,
+    backend_help: str = "execution backend: serial reference or process-sharded "
+    "passes (identical results either way)",
+) -> None:
     parser.add_argument(
-        "--backend",
-        choices=BACKENDS,
-        default="serial",
-        help="execution backend: serial reference or process-sharded "
-        "passes (identical results either way)",
+        "--backend", choices=BACKENDS, default="serial", help=backend_help
     )
     parser.add_argument(
         "--workers",
@@ -88,6 +91,19 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="worker processes for the sharded backend (default: 2)",
     )
+
+
+def _check_backend_arguments(arguments: argparse.Namespace) -> None:
+    """Refuse a ``--workers`` the backend would reject or silently ignore."""
+    if arguments.workers is None:
+        return
+    if arguments.backend != "sharded":
+        raise SystemExit(
+            "error: --workers only applies to --backend sharded "
+            f"(got --backend {arguments.backend})"
+        )
+    if arguments.workers < 1:
+        raise SystemExit(f"error: --workers must be positive, got {arguments.workers}")
 
 
 def _backend_of(arguments: argparse.Namespace):
@@ -138,8 +154,7 @@ def _command_topk(arguments: argparse.Namespace) -> int:
     database = _load_database(arguments.csv, arguments.null_token)
     ranking = MaxRanking(_attribute_importance(arguments.importance_attribute))
     ranked = priority_incremental_fd(
-        database, ranking, k=arguments.k, use_index=arguments.use_index,
-        backend=_backend_of(arguments),
+        database, ranking, k=arguments.k, use_index=arguments.use_index
     )
     for tuple_set, score in ranked:
         members = ", ".join(sorted(t.label for t in tuple_set))
@@ -170,19 +185,15 @@ def _command_stream(arguments: argparse.Namespace) -> int:
 
     if arguments.importance_attribute and not arguments.rank:
         raise SystemExit("error: --importance-attribute requires --rank")
-    if arguments.workers is not None and arguments.backend != "sharded":
-        raise SystemExit(
-            "error: --workers only applies to --backend sharded "
-            f"(got --backend {arguments.backend})"
-        )
-    if arguments.mode == "delta" and arguments.backend == "sharded":
-        # The delta maintainer schedules single seeded passes — there are no
+    if arguments.backend == "sharded" and (arguments.mode == "delta" or arguments.rank):
+        # The delta maintainer schedules single seeded passes, and the
+        # Fig. 3 loop takes only the backend's step: there are no
         # per-relation passes to shard, so the option would be silently
         # ignored; refuse it instead.
+        flag = "--mode delta" if arguments.mode == "delta" else "--rank"
         raise SystemExit(
-            "error: --backend sharded is not supported with --mode delta "
-            "(the per-arrival delta pass is a single in-process loop); "
-            "use serial"
+            f"error: --backend sharded is not supported with {flag} "
+            "(that loop runs one step at a time, in-process); use serial"
         )
     if arguments.mutations < 0:
         raise SystemExit("error: --mutations must be non-negative")
@@ -287,23 +298,18 @@ def _command_serve(arguments: argparse.Namespace) -> int:
     import asyncio
     import signal
 
-    from repro.exec import shutdown_pools
     from repro.service.server import run_smoke, start_server
 
     if arguments.csv and arguments.workload:
         raise SystemExit(
             "error: give CSV files or --workload, not both"
         )
-    if arguments.shards < 1:
-        raise SystemExit("error: --shards must be positive")
     if arguments.follow is not None:
         if arguments.data_dir is not None:
             raise SystemExit(
                 "error: --follow tails a primary's --data-dir; a follower "
                 "does not own one of its own"
             )
-        if arguments.shards > 1:
-            raise SystemExit("error: --follow serves a single read-only process")
         if arguments.ranked:
             raise SystemExit("error: --ranked smoke does not apply to --follow")
     if arguments.data_dir is None and arguments.follow is None:
@@ -365,7 +371,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             )
         finally:
             primary.shutdown()
-            shutdown_pools()
         print(
             f"follower smoke OK: {arguments.smoke_clients} concurrent "
             f"read-only clients matched the primary's answers; "
@@ -401,39 +406,15 @@ def _command_serve(arguments: argparse.Namespace) -> int:
 
         try:
             asyncio.run(_serve_follower())
-            print("stopped")
         except KeyboardInterrupt:
-            print("stopped")
-        finally:
-            shutdown_pools()
+            pass
+        print("stopped")
         return 0
 
     database = _serve_database(arguments)
     if arguments.smoke_clients is not None:
         flavour = "ranked answers (scores included)" if arguments.ranked else "answers"
         engine = "ranked" if arguments.ranked else "fd"
-        if arguments.shards > 1:
-            from repro.service.sharding import run_sharded_smoke
-
-            outcome = run_sharded_smoke(
-                database,
-                clients=arguments.smoke_clients,
-                k=arguments.k,
-                shards=arguments.shards,
-                use_index=arguments.use_index,
-                engine=engine,
-            )
-            gauges = ", ".join(
-                f"shard {entry['shard']}: {entry['requests']} requests"
-                for entry in outcome["stats"]["per_shard"]
-            )
-            print(
-                f"smoke OK: {outcome['clients']} concurrent clients each "
-                f"received {outcome['results_per_client']} {flavour} identical "
-                f"to the serial run through {outcome['shards']} shards "
-                f"({gauges})"
-            )
-            return 0
         outcome = run_smoke(
             database,
             clients=arguments.smoke_clients,
@@ -463,34 +444,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         return stop
 
     async def _serve() -> None:
-        if arguments.shards > 1:
-            from repro.service.sharding import start_sharded_server
-
-            server, router, port = await start_sharded_server(
-                database, shards=arguments.shards, host=arguments.host,
-                port=arguments.port, use_index=arguments.use_index,
-                data_dir=arguments.data_dir,
-            )
-            durable = (
-                f", durable in {arguments.data_dir}/shard-N"
-                if arguments.data_dir
-                else ""
-            )
-            print(
-                f"serving {len(database)} relations on {arguments.host}:{port} "
-                f"across {arguments.shards} shard processes{durable} "
-                "(JSON lines; ops: open/next/peek/close/ingest/stats)"
-            )
-            sidecar = await _start_sidecar(router.render_metrics, router.health)
-            stop = await _stop_signal()
-            try:
-                async with server:
-                    await stop.wait()
-            finally:
-                if sidecar is not None:
-                    await sidecar.close()
-                await router.shutdown()
-            return
         state = None
         if arguments.data_dir is not None:
             from repro.service.server import open_durable_server
@@ -541,13 +494,9 @@ def _command_serve(arguments: argparse.Namespace) -> int:
 
     try:
         asyncio.run(_serve())
-        print("stopped")
     except KeyboardInterrupt:
-        print("stopped")
-    finally:
-        # The server may have run sharded-backend passes; release the worker
-        # pool with the service instead of waiting for interpreter exit.
-        shutdown_pools()
+        pass
+    print("stopped")
     return 0
 
 
@@ -566,6 +515,10 @@ def _command_trace(arguments: argparse.Namespace) -> int:
             arguments.csv = []
     if arguments.csv and arguments.workload:
         raise SystemExit("error: give CSV files or --workload, not both")
+    if arguments.backend != "serial" and not arguments.out:
+        # The one-pass Table 3 trace runs in-process; only --out profiles
+        # the full engine through a backend.
+        raise SystemExit("error: --backend only applies to trace --out")
     database = _serve_database(arguments)
     if arguments.out:
         return _trace_profile(arguments, database)
@@ -652,6 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     fd_parser = subparsers.add_parser("fd", help="compute the full disjunction")
     _add_common_arguments(fd_parser)
+    _add_backend_arguments(fd_parser)
     fd_parser.add_argument("--limit", type=int, default=None,
                            help="stop after this many answers (incremental retrieval)")
     fd_parser.add_argument("--initialization", choices=STRATEGIES, default="singletons",
@@ -676,6 +630,7 @@ def build_parser() -> argparse.ArgumentParser:
         "approx", help="(A_min, τ)-approximate full disjunction"
     )
     _add_common_arguments(approx_parser)
+    _add_backend_arguments(approx_parser)
     approx_parser.add_argument("--threshold", type=float, required=True,
                                help="threshold τ in [0, 1]")
     approx_parser.add_argument("--similarity", choices=("edit", "exact"), default="edit",
@@ -688,6 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
         "replay it while serving results (append-only catalog maintenance)",
     )
     _add_common_arguments(stream_parser)
+    _add_backend_arguments(stream_parser)
     stream_parser.add_argument(
         "--arrival-fraction", type=float, default=0.5,
         help="fraction of every relation's tuples replayed as arrivals (default: 0.5)",
@@ -747,11 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=0,
                               help="TCP port (default: 0 = ephemeral)")
-    serve_parser.add_argument(
-        "--shards", type=int, default=1, metavar="N",
-        help="run N shard processes behind a consistent-hash router with "
-        "admission control (default: 1 = the single-process server)",
-    )
     serve_parser.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
         help="also serve GET /metrics (Prometheus text) and GET /health "
@@ -818,13 +769,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument("--use-index", action="store_true",
                               help="enable the Section 7 hash index")
-    trace_parser.add_argument(
-        "--backend", choices=BACKENDS, default="serial",
-        help="execution backend for --out profiling runs",
-    )
-    trace_parser.add_argument(
-        "--workers", type=int, default=None,
-        help="worker processes for the sharded backend (default: 2)",
+    _add_backend_arguments(
+        trace_parser, backend_help="execution backend for --out profiling runs"
     )
     trace_parser.add_argument("--anchor", default=None,
                               help="anchor relation R_i (default: the first relation)")
@@ -870,6 +816,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``python -m repro`` and the ``repro`` console script."""
     parser = build_parser()
     arguments = parser.parse_args(argv)
+    if "workers" in arguments:
+        _check_backend_arguments(arguments)
     try:
         status = arguments.handler(arguments)
         sys.stdout.flush()

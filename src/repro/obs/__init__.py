@@ -3,8 +3,8 @@
 ``repro.obs`` is the substrate the serving stack instruments itself with:
 
 - :mod:`repro.obs.metrics` — counters / gauges / log-bucketed histograms in
-  a :class:`MetricsRegistry`, rendered as Prometheus text or shipped as
-  mergeable snapshots (how the sharded router aggregates shard registries).
+  a :class:`MetricsRegistry`, rendered as Prometheus text or shipped as a
+  JSON snapshot (``stats {"detail": "metrics"}``).
   ``REPRO_METRICS=off`` swaps every series for a shared no-op.
 - :mod:`repro.obs.tracing` — a :class:`PhaseTracer` of complete spans
   (engine init, passes, bucket ranges, store probes, cache revalidation,
@@ -30,8 +30,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     NULL_METRIC,
     get_registry,
-    labeled_snapshot,
-    merge_snapshots,
     metrics_enabled,
     render_snapshot,
     set_default_registry,
@@ -59,8 +57,6 @@ __all__ = [
     "PhaseTracer",
     "get_registry",
     "get_tracer",
-    "labeled_snapshot",
-    "merge_snapshots",
     "metrics_enabled",
     "render_snapshot",
     "set_default_registry",

@@ -12,21 +12,19 @@ The sidecar is handed two callables at startup:
 - ``metrics()`` → the Prometheus text page (``text/plain; version=0.0.4``)
 - ``health()`` → a JSON-serializable dict (``application/json``, 200)
 
-Either may be a coroutine function — the sharded router's callbacks fan out
-to shard processes, so they must await.  Callback exceptions become a 500
-with the error message in the body rather than a dropped connection: a
-scraper seeing a 500 is a *signal*; a reset is a mystery.
+Callback exceptions become a 500 with the error message in the body rather
+than a dropped connection: a scraper seeing a 500 is a *signal*; a reset is
+a mystery.
 """
 
 from __future__ import annotations
 
 import asyncio
-import inspect
 import json
-from typing import Awaitable, Callable, Optional, Union
+from typing import Callable, Optional
 
-_MetricsFn = Callable[[], Union[str, Awaitable[str]]]
-_HealthFn = Callable[[], Union[dict, Awaitable[dict]]]
+_MetricsFn = Callable[[], str]
+_HealthFn = Callable[[], dict]
 
 _REASONS = {200: "OK", 404: "Not Found", 405: "Method Not Allowed", 500: "Internal Server Error"}
 
@@ -41,13 +39,6 @@ def _response(status: int, content_type: str, body: str) -> bytes:
         "\r\n"
     )
     return head.encode("ascii") + payload
-
-
-async def _call(fn):
-    result = fn()
-    if inspect.isawaitable(result):
-        result = await result
-    return result
 
 
 class MetricsSidecar:
@@ -83,7 +74,7 @@ class MetricsSidecar:
                 line = await reader.readline()
                 if not line or line in (b"\r\n", b"\n"):
                     break
-            writer.write(await self._route(request_line))
+            writer.write(self._route(request_line))
             await writer.drain()
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
@@ -94,7 +85,7 @@ class MetricsSidecar:
             except ConnectionError:
                 pass
 
-    async def _route(self, request_line: bytes) -> bytes:
+    def _route(self, request_line: bytes) -> bytes:
         try:
             method, path, _ = request_line.decode("ascii", "replace").split(None, 2)
         except ValueError:
@@ -104,12 +95,12 @@ class MetricsSidecar:
             return _response(405, "text/plain", "method not allowed\n")
         try:
             if path == "/metrics":
-                body = await _call(self._metrics)
+                body = self._metrics()
                 return _response(
                     200, "text/plain; version=0.0.4; charset=utf-8", body
                 )
             if path == "/health":
-                body = await _call(self._health)
+                body = self._health()
                 return _response(
                     200, "application/json", json.dumps(body) + "\n"
                 )

@@ -8,12 +8,8 @@ everyone asking for that name), each family hands out labelled children, and
 the whole registry renders to the Prometheus text exposition format or to a
 JSON-serializable *snapshot* that can cross a process boundary.
 
-Snapshots are how the sharded router aggregates: each shard process ships its
-registry as a snapshot over the wire (``stats {"detail": "metrics"}``), the
-router stamps a ``shard`` label onto every sample (:func:`labeled_snapshot`),
-merges the stamped snapshots with its own (:func:`merge_snapshots`) and
-renders one page (:func:`render_snapshot`).  ``registry.render()`` is just
-``render_snapshot(registry.snapshot())``.
+The snapshot is what ``stats {"detail": "metrics"}`` ships over the wire;
+``registry.render()`` is just ``render_snapshot(registry.snapshot())``.
 
 **The off switch.**  ``REPRO_METRICS=off`` (checked when a registry is
 created; ``MetricsRegistry(enabled=...)`` overrides per instance) makes every
@@ -34,7 +30,7 @@ import math
 import os
 import threading
 from bisect import bisect_left
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 #: Log-spaced latency buckets: 1/2.5/5 per decade from 10 µs to 50 s.
 DEFAULT_LATENCY_BUCKETS: Tuple[float, ...] = tuple(
@@ -358,7 +354,7 @@ class MetricsRegistry:
         return self._families.get(name)
 
     def snapshot(self) -> dict:
-        """A JSON-serializable copy of every family (wire-safe, mergeable)."""
+        """A JSON-serializable copy of every family (wire-safe)."""
         return {
             "families": [
                 family.snapshot()
@@ -372,49 +368,8 @@ class MetricsRegistry:
 
 
 # --------------------------------------------------------------------------- #
-# snapshots: labelling, merging, rendering
+# rendering
 # --------------------------------------------------------------------------- #
-def labeled_snapshot(snapshot: dict, **labels: object) -> dict:
-    """A copy of ``snapshot`` with ``labels`` stamped onto every sample.
-
-    The router uses this to attribute each shard's series before merging:
-    identical metric names from different shards stay distinct samples
-    (``repro_cache_hits_total{shard="0"}`` vs ``{shard="1"}``) instead of
-    silently summing.
-    """
-    stamped = {str(k): str(v) for k, v in labels.items()}
-    families = []
-    for family in snapshot.get("families", []):
-        samples = []
-        for sample in family.get("samples", []):
-            merged = dict(sample)
-            merged["labels"] = {**sample.get("labels", {}), **stamped}
-            samples.append(merged)
-        families.append({**family, "samples": samples})
-    return {"families": families}
-
-
-def merge_snapshots(snapshots: Iterable[dict]) -> dict:
-    """Union several snapshots into one: families by name, samples concatenated.
-
-    Type and help come from the first snapshot that carries the family.  The
-    caller is responsible for keeping same-name samples distinguishable
-    (stamp a ``shard`` label first — :func:`labeled_snapshot`).
-    """
-    by_name: "Dict[str, dict]" = {}
-    order: List[str] = []
-    for snapshot in snapshots:
-        for family in snapshot.get("families", []):
-            name = family["name"]
-            existing = by_name.get(name)
-            if existing is None:
-                by_name[name] = {**family, "samples": list(family.get("samples", []))}
-                order.append(name)
-            else:
-                existing["samples"].extend(family.get("samples", []))
-    return {"families": [by_name[name] for name in sorted(order)]}
-
-
 def _render_family(lines: List[str], family: dict) -> None:
     name = family["name"]
     lines.append(f"# HELP {name} {_escape_help(family.get('help', ''))}")
@@ -444,7 +399,7 @@ def _render_family(lines: List[str], family: dict) -> None:
 
 
 def render_snapshot(snapshot: dict) -> str:
-    """Render a snapshot (a registry's, or a merged one) as Prometheus text."""
+    """Render a registry snapshot as Prometheus text."""
     lines: List[str] = []
     for family in snapshot.get("families", []):
         _render_family(lines, family)

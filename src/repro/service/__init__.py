@@ -27,12 +27,6 @@ finish wastes that shape.  This package turns the engines into a service:
     many concurrent clients one step at a time (``SessionDriver``); a
     ranked ``open`` validates its wire importance map and ships scores with
     every answer.
-:mod:`repro.service.sharding`
-    The scale-out face: shard processes each running a full ``QueryServer``
-    replica, a router that places sessions by consistent hash of the query's
-    cache key (``repro serve --shards N``), broadcast mutations, and
-    admission control with ``busy`` backpressure responses plus per-shard
-    gauges in ``stats``.
 """
 
 from repro.service.session import (

@@ -19,11 +19,10 @@ refused with ``read_only: true`` so a misdirected client fails loudly
 instead of forking history.  Replication lag is exported through the
 ``obs`` registry as the wall-clock age of the last applied record.
 
-This file-tailing design shares the deployment model of the sharded
-server: primary and followers live on one host (or one shared
-filesystem), each process serving its own port.  Remote log shipping
-would slot in behind :meth:`FollowerTailer.poll_once` without touching
-the apply path.
+In this file-tailing design, primary and followers live on one host (or
+one shared filesystem), each process serving its own port.  Remote log
+shipping would slot in behind :meth:`FollowerTailer.poll_once` without
+touching the apply path.
 """
 
 from __future__ import annotations

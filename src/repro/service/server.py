@@ -121,8 +121,8 @@ MAX_NEXT_K = 10_000
 #: Options of an ``open`` request that shape the served computation — the
 #: wire-level counterpart of the prefix cache's key options.  ``format``
 #: stays out: it shapes the rendering, not the cached result log.  The
-#: sharded router routes opens by this key; the durable store uses it to
-#: index the wire requests whose cached prefixes a snapshot persists.
+#: durable store uses it to index the wire requests whose cached prefixes a
+#: snapshot persists.
 _ROUTING_KEYS = (
     "engine",
     "use_index",
@@ -139,8 +139,8 @@ def open_routing_key(request: dict) -> str:
     """The canonical routing key of an ``open`` request.
 
     A deterministic JSON rendering of the options that key the prefix
-    cache: two requests for the same query always produce the same key and
-    therefore route to the same shard, where they share one cached prefix.
+    cache: two requests for the same query always produce the same key, so
+    the durable store keeps one persisted open per cached prefix.
     """
     payload = {
         key: request[key] for key in _ROUTING_KEYS if request.get(key) is not None

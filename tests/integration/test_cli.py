@@ -80,9 +80,63 @@ class TestFdCommand:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["fd", *csv_paths, "--backend", name])
 
+    def test_the_sharded_router_is_gone(self):
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(["serve", "--workload", "star", "--shards", "2"])
+        assert refused.value.code == 2
+
     def test_sharded_backend_produces_the_same_answers(self, csv_paths, capsys):
         assert main(["fd", *csv_paths, "--backend", "sharded", "--workers", "2"]) == 0
         assert "(6 answers)" in capsys.readouterr().out
+
+
+#: ``--backend``/``--workers`` combinations every engine command refuses
+#: with one ``error:`` line: a worker count the backend would reject or
+#: ignore, and a sharded backend the command would not run.
+BAD_BACKEND_ARGUMENTS = [
+    (["fd", "--workers", "2"], "--workers only applies to --backend sharded"),
+    (["approx", "--threshold", "0.8", "--workers", "2"], "--workers only applies"),
+    (["trace", "--out", "OUT", "--workers", "2"], "--workers only applies"),
+    (["fd", "--backend", "sharded", "--workers", "0"], "--workers must be positive"),
+    (
+        ["approx", "--threshold", "0.8", "--backend", "sharded", "--workers", "0"],
+        "--workers must be positive",
+    ),
+    (["stream", "--backend", "sharded", "--workers", "-1"], "--workers must be positive"),
+    (
+        ["trace", "--out", "OUT", "--backend", "sharded", "--workers", "0"],
+        "--workers must be positive",
+    ),
+    (["stream", "--rank", "--backend", "sharded"], "not supported with --rank"),
+    (["trace", "--backend", "sharded"], "--backend only applies to trace --out"),
+]
+
+
+class TestBackendArguments:
+    @pytest.mark.parametrize(
+        "arguments, message",
+        BAD_BACKEND_ARGUMENTS,
+        ids=[" ".join(arguments) for arguments, _ in BAD_BACKEND_ARGUMENTS],
+    )
+    def test_a_bad_combination_exits_with_one_error_line(
+        self, csv_paths, tmp_path, arguments, message
+    ):
+        command, *options = arguments
+        options = [str(tmp_path / "t.json") if o == "OUT" else o for o in options]
+        with pytest.raises(SystemExit) as refused:
+            main([command, *csv_paths, *options])
+        error = refused.value.code
+        assert isinstance(error, str) and error.startswith("error: ")
+        assert message in error and "\n" not in error
+        assert not (tmp_path / "t.json").exists()
+
+    @pytest.mark.parametrize(
+        "options", [["--backend", "sharded"], ["--backend", "serial"], ["--workers", "2"]]
+    )
+    def test_topk_takes_no_backend_options(self, csv_paths, options):
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(["topk", *csv_paths, "--k", "2", *options])
+        assert refused.value.code == 2
 
 
 class TestTopkCommand:
@@ -279,6 +333,32 @@ class TestServeCommand:
     def test_csv_and_workload_are_mutually_exclusive(self, csv_paths):
         with pytest.raises(SystemExit, match="not both"):
             main(["serve", *csv_paths, "--workload", "star", "--smoke-clients", "2"])
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (["--follow", "PRIMARY", "--data-dir", "OWN"], "does not own one"),
+            (
+                ["--follow", "PRIMARY", "--ranked", "--smoke-clients", "2"],
+                "--ranked smoke does not apply to --follow",
+            ),
+            (["--snapshot-every", "5"], "--snapshot-every requires --data-dir"),
+            (["--fsync-every", "5"], "--fsync-every requires --data-dir"),
+            (["--smoke-clients", "2", "--metrics-port", "0"], "not the --smoke-clients"),
+        ],
+        ids=["follow-data-dir", "follow-ranked", "snapshot-every", "fsync-every",
+             "smoke-metrics-port"],
+    )
+    def test_an_option_serve_would_ignore_is_refused_before_it_starts(
+        self, tmp_path, options, message
+    ):
+        options = [str(tmp_path / o) if o in ("PRIMARY", "OWN") else o for o in options]
+        with pytest.raises(SystemExit) as refused:
+            main(["serve", "--workload", "tourist", *options])
+        error = refused.value.code
+        assert isinstance(error, str) and error.startswith("error: ")
+        assert message in error
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTraceCommand:

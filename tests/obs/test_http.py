@@ -1,4 +1,4 @@
-"""The HTTP sidecar: routing, content types, async callbacks, failures."""
+"""The HTTP sidecar: routing, content types, failures."""
 
 from __future__ import annotations
 
@@ -62,25 +62,6 @@ class TestSidecar:
         assert headers["content-type"] == "application/json"
         assert json.loads(body) == {"status": "ok", "epoch": 3}
 
-    def test_async_callbacks_are_awaited(self):
-        async def metrics():
-            return "repro_async_total 1\n"
-
-        async def health():
-            return {"status": "ok"}
-
-        async def scenario(port):
-            return (
-                await _http_get(port, "/metrics"),
-                await _http_get(port, "/health"),
-            )
-
-        (m_status, _, m_body), (h_status, _, h_body) = _run(
-            _with_sidecar(metrics, health, scenario)
-        )
-        assert m_status == 200 and "repro_async_total 1" in m_body
-        assert h_status == 200 and json.loads(h_body)["status"] == "ok"
-
     def test_unknown_path_is_404_and_bad_method_is_405(self):
         async def scenario(port):
             return (
@@ -94,6 +75,42 @@ class TestSidecar:
         assert nf_status == 404
         assert "/metrics" in nf_body
         assert mm_status == 405
+
+    def test_a_query_string_does_not_change_the_route(self):
+        async def scenario(port):
+            return (
+                await _http_get(port, "/metrics?name[]=repro_pings_total"),
+                await _http_get(port, "/health?verbose=1"),
+                await _http_get(port, "/nope?metrics"),
+            )
+
+        (m_status, _, m_body), (h_status, _, h_body), (n_status, _, _) = _run(
+            _with_sidecar(lambda: "repro_pings_total 4\n", lambda: {"status": "ok"}, scenario)
+        )
+        assert m_status == 200 and m_body == "repro_pings_total 4\n"
+        assert h_status == 200 and json.loads(h_body) == {"status": "ok"}
+        assert n_status == 404
+
+    def test_a_malformed_request_is_answered_and_the_sidecar_keeps_serving(self):
+        async def scenario(port):
+            replies = []
+            for request in (b"", b"GARBAGE\r\n\r\n"):
+                reader, writer = await asyncio.open_connection("127.0.0.1", port)
+                writer.write(request)
+                writer.write_eof()
+                replies.append(await reader.read())
+                writer.close()
+                await writer.wait_closed()
+            return replies, await _http_get(port, "/health")
+
+        replies, (status, _, body) = _run(
+            _with_sidecar(lambda: "", lambda: {"status": "ok"}, scenario)
+        )
+        for raw in replies:
+            head, _, text = raw.partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.0 4")  # the client's error
+            assert text == b"bad request\n"
+        assert status == 200 and json.loads(body) == {"status": "ok"}
 
     def test_callback_exception_becomes_a_500(self):
         def broken():

@@ -20,8 +20,6 @@ from repro.obs import (
     DEFAULT_LATENCY_BUCKETS,
     MetricsRegistry,
     NULL_METRIC,
-    labeled_snapshot,
-    merge_snapshots,
     render_snapshot,
 )
 from repro.obs.metrics import _format_value
@@ -179,23 +177,6 @@ class TestExposition:
 
 
 class TestSnapshots:
-    def test_labeled_merge_render_round_trip(self):
-        shard0 = MetricsRegistry(enabled=True)
-        shard0.counter("repro_cache_hits_total", "Hits.").inc(3)
-        shard1 = MetricsRegistry(enabled=True)
-        shard1.counter("repro_cache_hits_total", "Hits.").inc(5)
-        merged = merge_snapshots(
-            [
-                labeled_snapshot(shard0.snapshot(), shard=0),
-                labeled_snapshot(shard1.snapshot(), shard=1),
-            ]
-        )
-        page = render_snapshot(merged)
-        assert 'repro_cache_hits_total{shard="0"} 3' in page
-        assert 'repro_cache_hits_total{shard="1"} 5' in page
-        # one family, two samples — not a silent sum
-        assert page.count("# TYPE repro_cache_hits_total counter") == 1
-
     def test_snapshot_is_json_safe(self):
         import json
 
@@ -204,6 +185,26 @@ class TestSnapshots:
             op="x"
         ).observe(0.1)
         json.dumps(registry.snapshot())  # must not raise
+
+    def test_a_snapshot_that_crossed_the_wire_renders_the_live_page(self):
+        """``stats {"detail": "metrics"}`` ships the snapshot as JSON; the
+        decoded copy renders the page the registry itself serves."""
+        import json
+
+        registry = MetricsRegistry(enabled=True)
+        requests = registry.counter("repro_requests_total", "Requests.", ("op",))
+        requests.labels(op="open").inc(2)
+        requests.labels(op="next").inc()
+        registry.gauge("repro_live_sessions", "Live sessions.").set(3)
+        latency = registry.histogram(
+            "repro_request_latency_seconds", "Latency.", ("op",), buckets=(0.01, 0.1)
+        )
+        for value in (0.005, 0.05, 2.5):
+            latency.labels(op="next").observe(value)
+        shipped = json.loads(json.dumps(registry.snapshot()))
+        page = render_snapshot(shipped)
+        assert page == registry.render()
+        assert 'repro_request_latency_seconds_bucket{op="next",le="+Inf"} 3' in page
 
 
 @settings(max_examples=50, deadline=None)

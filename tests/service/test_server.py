@@ -11,9 +11,11 @@ import pytest
 
 from repro.core.full_disjunction import full_disjunction_sets
 from repro.service.server import (
+    QueryServer,
     SessionDriver,
     client_call,
     fetch_first_k,
+    open_routing_key,
     run_smoke,
     start_server,
 )
@@ -595,3 +597,45 @@ class TestSessionDriverFairness:
         # Both labels appear in the first half of the trace: neither task
         # monopolized the loop for its whole prefix.
         assert {"a", "b"} <= set(order[:4])
+
+
+class TestOpenRoutingKey:
+    """``open_routing_key`` names the computation an ``open`` asks for: the
+    durable store keeps one persisted open per key."""
+
+    def test_identical_opens_share_a_routing_key(self):
+        first = {"op": "open", "engine": "fd", "use_index": True}
+        second = {"use_index": True, "engine": "fd", "op": "open"}
+        assert open_routing_key(first) == open_routing_key(second)
+
+    def test_different_queries_produce_different_keys(self):
+        base = {"op": "open", "engine": "fd"}
+        ranked = {"op": "open", "engine": "ranked", "importance": {"c1": 1.0}}
+        assert open_routing_key(base) != open_routing_key(ranked)
+
+    def test_the_rendering_and_unset_options_stay_out_of_the_key(self):
+        bare = {"op": "open"}
+        dressed = {"op": "open", "engine": "fd", "format": "padded", "use_index": None}
+        assert open_routing_key(bare) == open_routing_key(dressed)
+        assert open_routing_key(bare) != open_routing_key(
+            {"op": "open", "use_index": False}
+        )
+
+    def test_a_server_persists_one_open_per_key(self):
+        state = QueryServer(tourist_database(), use_index=True)
+        requests = [
+            {"op": "open", "engine": "fd", "use_index": True},
+            {"use_index": True, "engine": "fd", "op": "open", "format": "padded"},
+            {"op": "open", "engine": "approx", "threshold": 0.9},
+        ]
+
+        async def scenario():
+            return [await state.handle_request(dict(request)) for request in requests]
+
+        replies = _run(scenario())
+        assert [reply["cached"] for reply in replies] == [False, True, False]
+        persisted = [entry["request"] for entry in state.durable_state()["cached"]]
+        assert len(persisted) == 2
+        assert {open_routing_key(request) for request in persisted} == {
+            open_routing_key(request) for request in requests
+        }

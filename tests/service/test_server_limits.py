@@ -13,8 +13,6 @@ from __future__ import annotations
 import asyncio
 import json
 import logging
-import socket
-import struct
 
 import pytest
 
@@ -28,8 +26,6 @@ from repro.service.server import (
     start_server,
 )
 from repro.service import server as server_module
-from repro.service import sharding
-from repro.service.sharding import start_sharded_server
 from repro.workloads.tourist import tourist_database
 
 
@@ -106,142 +102,88 @@ class TestOversizedLines:
         assert reply == {"ok": True, "pong": True}
         assert again == {"ok": True, "pong": True}
 
-    def test_router_carries_lines_over_the_asyncio_default(self):
-        """A 100 KiB ingest line and a reply over 64 KiB cross the router,
-        and the router refuses a line over the limit like a server."""
+    def test_lines_over_the_asyncio_default_are_served_both_ways(self):
+        """A 100 KiB ingest line is read whole, and so is a reply over 64 KiB."""
         wide = "x" * 2600
         tuples = [["Climates", [f"land{i}", wide]] for i in range(40)]
 
-        async def scenario():
-            server, router, port = await start_sharded_server(
-                tourist_database(), shards=2
+        async def scenario(state, port):
+            reader, writer = await _connect(port)
+            ingested = await client_call(
+                reader, writer, {"op": "ingest", "tuples": tuples}
             )
-            try:
-                reader, writer = await _connect(port)
-                ingested = await client_call(
-                    reader, writer, {"op": "ingest", "tuples": tuples}
-                )
-                opened = await client_call(
-                    reader, writer, {"op": "open", "engine": "fd", "format": "padded"}
-                )
-                pulled = await client_call(
-                    reader, writer, {"op": "next", "session": opened["session"], "k": 100}
-                )
-                writer.write(_ping_line(MAX_LINE_BYTES + 1))
-                await writer.drain()
-                refused = json.loads(await reader.readline())
-                closed = await reader.read()
-                writer.close()
-                await writer.wait_closed()
-                reader, writer = await _connect(port)
-                pong = await client_call(reader, writer, {"op": "ping"})
-                writer.close()
-                await writer.wait_closed()
-                return ingested, pulled, refused, closed, pong
-            finally:
-                server.close()
-                await server.wait_closed()
-                await router.shutdown()
+            opened = await client_call(
+                reader, writer, {"op": "open", "engine": "fd", "format": "padded"}
+            )
+            pulled = await client_call(
+                reader, writer, {"op": "next", "session": opened["session"], "k": 100}
+            )
+            writer.close()
+            await writer.wait_closed()
+            return ingested, pulled
 
-        ingested, pulled, refused, closed, pong = _run(scenario())
+        ingested, pulled = _run(_with_server(scenario))
         assert len(json.dumps({"op": "ingest", "tuples": tuples})) > 100 * 1024
-        assert ingested["ok"] and ingested["shards_applied"] == 2
-        assert pulled["ok"]
+        assert ingested["ok"] and ingested["applied"] == 40
+        assert pulled["ok"] and pulled["exhausted"]
         assert len(json.dumps(pulled)) > 64 * 1024
         wide_rows = [r for r in pulled["results"] if r["row"]["Climate"] == wide]
         assert len(wide_rows) == 40
-        assert refused == LINE_TOO_LONG and closed == b""
-        assert pong["ok"] and pong["pong"]
 
 
-async def _with_router(scenario):
-    server, router, port = await start_sharded_server(tourist_database(), shards=2)
-    try:
-        reader, writer = await _connect(port)
-        try:
-            return await scenario(reader, writer)
-        finally:
-            writer.close()
-            await writer.wait_closed()
-    finally:
-        server.close()
-        await server.wait_closed()
-        await router.shutdown()
+def _climate_ingest_line(byte_length: int) -> tuple:
+    """An ``ingest`` line of about ``byte_length`` UTF-8 bytes, padded with
+    the two-byte "é"; returns the line and the climate it carries."""
+    def line(climate):
+        request = {"op": "ingest", "tuples": [["Climates", ["Atlantis", climate]]]}
+        return json.dumps(request, ensure_ascii=False).encode()
+
+    climate = "é" * ((byte_length - len(line(""))) // 2)
+    return line(climate), climate
 
 
-class TestRouterUpstream:
-    """The router's lines to its shards stay within the shards' limit, and a
-    shard reply over the router's own limit cannot answer a later request."""
+class TestMultibyteLines:
+    """The line limit counts the bytes a client sends, not the characters
+    they decode to."""
 
-    def test_request_that_outgrows_the_limit_when_re_encoded_is_refused(self):
-        # UTF-8 "é" is two bytes on the client's line and six ("\u00e9") in
-        # the router's re-encoding for the shards.
-        def ingest(climate):
-            return {"op": "ingest", "tuples": [["Climates", ["Atlantis", climate]]]}
+    def test_a_line_over_the_limit_in_bytes_but_not_characters_is_refused(self):
+        encoded, _ = _climate_ingest_line(MAX_LINE_BYTES + 2)
+        assert len(encoded.decode()) < MAX_LINE_BYTES < len(encoded)
 
-        base = len(json.dumps(ingest(""), ensure_ascii=False).encode())
-        request = ingest("é" * ((MAX_LINE_BYTES - base) // 2))
-        line = json.dumps(request, ensure_ascii=False).encode()
-        assert MAX_LINE_BYTES - 2 < len(line) <= MAX_LINE_BYTES
-        assert len(json.dumps(request)) > MAX_LINE_BYTES
-
-        async def scenario(reader, writer):
-            writer.write(line + b"\n")
+        async def scenario(state, port):
+            reader, writer = await _connect(port)
+            writer.write(encoded + b"\n")
             await writer.drain()
             refused = json.loads(await reader.readline())
-            ingested = await client_call(reader, writer, ingest("mild"))
-            opened = await client_call(reader, writer, {"op": "open", "engine": "fd"})
-            pulled = await client_call(
-                reader, writer, {"op": "next", "session": opened["session"], "k": 3}
-            )
-            return refused, ingested, pulled
+            closed = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return refused, closed, state.maintainer.arrivals_applied
 
-        refused, ingested, pulled = _run(_with_router(scenario))
-        assert refused == LINE_TOO_LONG
-        assert ingested["ok"] and ingested["shards_applied"] == 2
-        assert pulled["ok"] and len(pulled["results"]) == 3
+        refused, closed, applied = _run(_with_server(scenario))
+        assert refused == LINE_TOO_LONG and closed == b""
+        assert applied == 0
 
-    def test_reply_over_the_limit_drops_the_shard_connection(self, monkeypatch):
-        # Only the router's limit shrinks; the shard processes keep theirs.
-        # The ~390 KB reply is longer than one socket read (256 KiB), so the
-        # router's read fails before the reply's end has arrived.
-        monkeypatch.setattr(sharding, "MAX_LINE_BYTES", 64 * 1024)
-        wide = "x" * 8000
-        batches = [
-            [["Climates", [f"land{i}", wide]] for i in range(start, start + 7)]
-            for start in range(0, 49, 7)
-        ]
-        padded = {"op": "open", "engine": "fd", "format": "padded"}
+    def test_a_line_at_the_limit_in_bytes_is_served_as_sent(self):
+        encoded, climate = _climate_ingest_line(MAX_LINE_BYTES)
+        assert MAX_LINE_BYTES - 2 < len(encoded) <= MAX_LINE_BYTES
+        assert len(json.dumps(json.loads(encoded))) > MAX_LINE_BYTES
 
-        async def scenario(reader, writer):
-            for batch in batches:
-                ingested = await client_call(
-                    reader, writer, {"op": "ingest", "tuples": batch}
-                )
-                assert ingested["ok"]
-            opened = await client_call(reader, writer, padded)
-            name = opened["session"]
-            too_long = await client_call(
-                reader, writer, {"op": "next", "session": name, "k": 100}
-            )
-            lost = await client_call(
-                reader, writer, {"op": "next", "session": name, "k": 1}
-            )
-            reopened = await client_call(reader, writer, padded)
-            pulled = await client_call(
-                reader, writer, {"op": "next", "session": reopened["session"], "k": 2}
-            )
-            stats = await client_call(reader, writer, {"op": "stats"})
-            return opened, too_long, lost, reopened, pulled, stats
+        async def scenario(state, port):
+            reader, writer = await _connect(port)
+            writer.write(encoded + b"\n")
+            await writer.drain()
+            ingested = json.loads(await reader.readline())
+            pong = await client_call(reader, writer, {"op": "ping"})
+            writer.close()
+            await writer.wait_closed()
+            climates = next(r for r in state.database.relations if r.name == "Climates")
+            return ingested, pong, [t.values for t in climates if t.values[0] == "Atlantis"]
 
-        opened, too_long, lost, reopened, pulled, stats = _run(_with_router(scenario))
-        assert too_long["ok"] is False
-        assert f"shard {opened['shard']} connection dropped" in too_long["error"]
-        assert lost == {"ok": False, "error": f"no session {opened['session']!r}"}
-        assert reopened["ok"] and reopened["shard"] == opened["shard"]
-        assert pulled["ok"] and len(pulled["results"]) == 2
-        assert all(set(result) == {"labels", "row"} for result in pulled["results"])
-        assert stats["sessions"] == 1
+        ingested, pong, stored = _run(_with_server(scenario))
+        assert ingested["ok"] and ingested["applied"] == 1
+        assert pong == {"ok": True, "pong": True}
+        assert stored == [("Atlantis", climate)]
 
 
 class TestServerFaults:
@@ -369,68 +311,6 @@ class TestRequestsThatAreNotObjects:
         state = QueryServer(tourist_database(), registry=MetricsRegistry())
         reply = _run(state.handle_request(request_value))
         assert reply == {"ok": False, "error": "a request must be a JSON object"}
-
-    def test_the_router_refuses_them_without_a_fault(self, caplog):
-        async def scenario(reader, writer):
-            replies = await _send_lines(reader, writer, NOT_OBJECTS)
-            pong = await client_call(reader, writer, {"op": "ping"})
-            return replies, pong
-
-        with caplog.at_level(logging.ERROR, logger="repro.service.sharding"):
-            replies, pong = _run(_with_router(scenario))
-        assert replies == [server_module.NOT_AN_OBJECT] * 4
-        assert pong["ok"] and pong["pong"]
-        assert [r for r in caplog.records if r.name == "repro.service.sharding"] == []
-
-
-class TestRouterConnections:
-    """The router loop treats its clients as the server does: a line that is
-    not JSON reaches ``handle_request`` and is counted there, and a client
-    that resets its socket is a disconnect that releases its sessions."""
-
-    def test_a_bad_json_line_is_counted_like_any_request(self, caplog):
-        async def scenario(reader, writer):
-            (refused,) = await _send_lines(reader, writer, [BAD_JSON])
-            stats = await client_call(reader, writer, {"op": "stats"})
-            return refused, stats
-
-        with caplog.at_level(logging.ERROR, logger="repro.service.sharding"):
-            refused, stats = _run(_with_router(scenario))
-        assert refused["ok"] is False and refused["error"].startswith("bad JSON")
-        assert stats["requests"] == 2
-        assert [r for r in caplog.records if r.name == "repro.service.sharding"] == []
-
-    def test_a_peer_reset_is_a_disconnect_that_releases_its_sessions(self):
-        async def scenario(reader, writer):
-            loop = asyncio.get_running_loop()
-            errors = []
-            loop.set_exception_handler(lambda _, context: errors.append(context))
-            port = writer.get_extra_info("peername")[1]
-            victim_reader, victim_writer = await _connect(port)
-            opened = await client_call(
-                victim_reader, victim_writer, {"op": "open", "engine": "fd"}
-            )
-            before = await client_call(reader, writer, {"op": "stats"})
-            # SO_LINGER 0: closing sends an RST while the router waits in readline.
-            victim_writer.get_extra_info("socket").setsockopt(
-                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
-            )
-            victim_writer.transport.abort()
-            for _ in range(100):
-                after = await client_call(reader, writer, {"op": "stats"})
-                if after["sessions"] == 0:
-                    break
-                await asyncio.sleep(0.01)
-            await asyncio.sleep(0.05)  # let a crashing handler report
-            pong = await client_call(reader, writer, {"op": "ping"})
-            return opened, before, after, pong, errors
-
-        opened, before, after, pong, errors = _run(_with_router(scenario))
-        assert opened["ok"] and before["sessions"] == 1
-        assert after["sessions"] == 0
-        assert sum(shard["sessions"] for shard in after["per_shard"]) == 0
-        assert pong["ok"] and pong["pong"]
-        assert errors == []
 
 
 class TestStaleCursors:

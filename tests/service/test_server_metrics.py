@@ -1,4 +1,4 @@
-"""Observability through the serving stack: live series, surfaces, routers.
+"""Observability through the serving stack: live series and surfaces.
 
 Every suite hands the servers *explicit* registries so the assertions are
 isolated from the process-default one (and from each other).
@@ -9,10 +9,13 @@ from __future__ import annotations
 import asyncio
 import json
 
-from repro.obs import MetricsRegistry, PhaseTracer, use_tracer
-from repro.service.server import QueryServer, server_stats
-from repro.service.sharding import ShardedQueryServer, ShardHandle
+from repro.obs import MetricsRegistry, PhaseTracer, start_sidecar, use_tracer
+from repro.service.follower import open_follower_server
+from repro.service.server import QueryServer, open_durable_server, server_stats
+from repro.workloads.generators import star_database
 from repro.workloads.tourist import tourist_database
+
+from tests.storage._workload import op_request
 
 
 def _run(coroutine):
@@ -187,96 +190,80 @@ class TestServerMetrics:
         assert "cache.open" in names
 
 
-class _MetricShard(ShardHandle):
-    """An in-process shard with its own registry, like a real shard process."""
-
-    def __init__(self, index, database, registry):
-        super().__init__(index, process=None, host="", port=0)
-        self.state = QueryServer(database, registry=registry)
-
-    async def call(self, request):
-        self.requests += 1
-        return await self.state.handle_request(request)
-
-
-def _metric_router(shards=2):
-    database = tourist_database()
-    shard_registries = [MetricsRegistry(enabled=True) for _ in range(shards)]
-    handles = [
-        _MetricShard(index, database, registry)
-        for index, registry in enumerate(shard_registries)
-    ]
-    router_registry = MetricsRegistry(enabled=True)
-    router = ShardedQueryServer(handles, registry=router_registry)
-    return router, handles, router_registry
+async def _scrape(port, path):
+    """One HTTP GET against a sidecar: ``(status, body)``."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    writer.write(f"GET {path} HTTP/1.0\r\n\r\n".encode())
+    await writer.drain()
+    raw = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    head, _, body = raw.partition(b"\r\n\r\n")
+    return int(head.split()[1]), body.decode()
 
 
-class TestRouterMetrics:
-    def test_stats_carries_the_router_level_aggregates(self):
-        router, _, _ = _metric_router()
+class TestSidecarSurfaces:
+    """The sidecar serves a server's own ``render_metrics`` and ``health``,
+    the plain methods ``repro serve --metrics-port`` hands it, for a
+    primary and a follower alike; every scrape reads the live state."""
+
+    def test_a_primary_is_scraped_live(self):
+        state, _ = _server()
 
         async def scenario():
-            opened = await router.handle_request({"op": "open", "engine": "fd"})
-            await router.handle_request(
-                {"op": "next", "session": opened["session"], "k": 2}
-            )
-            return await router.handle_request({"op": "stats"})
+            sidecar = await start_sidecar(state.render_metrics, state.health)
+            try:
+                session = await _drain_one_session(state)
+                during = await _scrape(sidecar.port, "/metrics")
+                health = await _scrape(sidecar.port, "/health")
+                await state.handle_request({"op": "close", "session": session})
+                after = await _scrape(sidecar.port, "/metrics")
+                return during, health, after
+            finally:
+                await sidecar.close()
 
-        stats = _run(scenario())
-        assert stats["uptime_seconds"] >= 0
-        assert stats["sessions_total"] == 1
-        # open + next, as counted by the shard servers themselves (their
-        # stats round trips excluded: they are counted on the *next* call).
-        assert stats["requests_aggregate"] >= 2
-        assert all(
-            "server_requests" in entry for entry in stats["per_shard"]
+        (m_status, during), (h_status, health), (_, after) = _run(scenario())
+        assert m_status == h_status == 200
+        assert 'repro_requests_total{op="open"} 1' in during
+        assert "repro_live_sessions 1" in during
+        assert "repro_live_sessions 0" in after
+        health = json.loads(health)
+        assert health["status"] == "ok"
+        assert health["sessions"] == 1 and health["requests"] == 2
+
+    def test_a_follower_is_scraped_with_its_replication_series(self, tmp_path):
+        database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=3)
+        primary = open_durable_server(
+            database, str(tmp_path), registry=MetricsRegistry(), snapshot_every=None
+        )
+        follower, tailer = open_follower_server(
+            str(tmp_path), registry=MetricsRegistry(enabled=True)
         )
 
-    def test_metrics_detail_merges_shard_registries_with_attribution(self):
-        router, _, _ = _metric_router()
-
         async def scenario():
-            for _ in range(2):
-                await router.handle_request({"op": "open", "engine": "fd"})
-            detailed = await router.handle_request(
-                {"op": "stats", "detail": "metrics"}
-            )
-            page = await router.render_metrics()
-            return detailed, page
+            for index in range(3):
+                applied = await primary.handle_request(
+                    op_request(primary.database, index)
+                )
+                assert applied.get("ok"), applied
+            primary.store.wal.sync()
+            assert tailer.poll_once() == 3
+            sidecar = await start_sidecar(follower.render_metrics, follower.health)
+            try:
+                return (
+                    await _scrape(sidecar.port, "/metrics"),
+                    await _scrape(sidecar.port, "/health"),
+                )
+            finally:
+                await sidecar.close()
 
-        detailed, page = _run(scenario())
-        json.dumps(detailed["metrics"])
-        # Identical opens share one shard: its cache shows a hit, the other
-        # stays at zero, and both replicas stay distinguishable by label.
-        assert 'repro_router_requests_total{shard="router"} 3' in page
-        hit_lines = [
-            line
-            for line in page.splitlines()
-            if line.startswith("repro_cache_hits_total")
-        ]
-        assert len(hit_lines) == 2
-        assert sorted(int(line.rsplit(" ", 1)[1]) for line in hit_lines) == [0, 1]
-        assert 'shard="0"' in page and 'shard="1"' in page
-
-    def test_busy_rejections_and_session_gauges(self):
-        router, _, registry = _metric_router()
-        router.max_sessions_per_shard = 1
-
-        async def scenario():
-            first = await router.handle_request({"op": "open", "engine": "fd"})
-            refused = await router.handle_request({"op": "open", "engine": "fd"})
-            return first, refused
-
-        first, refused = _run(scenario())
-        assert first["ok"] and refused.get("busy") is True
-        assert registry.family("repro_router_busy_rejections_total").value == 1
-        assert registry.family("repro_router_sessions").value == 1
-        shard_gauge = registry.family("repro_router_shard_sessions")
-        assert shard_gauge.labels(shard=first["shard"]).value == 1
-
-    def test_health_reports_every_shard_alive(self):
-        router, _, _ = _metric_router(shards=3)
-        health = _run(router.health())
+        try:
+            (m_status, page), (h_status, health) = _run(scenario())
+        finally:
+            primary.shutdown()
+        assert m_status == h_status == 200
+        assert "repro_replication_records_total 3" in page
+        assert f"repro_replication_offset_bytes {tailer.offset}" in page
+        health = json.loads(health)
         assert health["status"] == "ok"
-        assert [entry["alive"] for entry in health["shards"]] == [True] * 3
-        assert health["uptime_seconds"] >= 0
+        assert health["epoch"] == primary.database.epoch == follower.database.epoch

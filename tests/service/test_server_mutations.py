@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import asyncio
 
+import pytest
+
 from repro.core.full_disjunction import full_disjunction_sets
 from repro.relational.nulls import is_null
 from repro.relational.operators import combined_schema, pad_tuple_set
-from repro.service.server import QueryServer, client_call, start_server
+from repro.service.server import (
+    QueryServer,
+    client_call,
+    open_durable_server,
+    start_server,
+)
 from repro.workloads.generators import star_database
 from repro.workloads.tourist import tourist_database
 
@@ -297,3 +304,50 @@ class TestOpenValidation:
             assert good["ok"]
 
         _run(scenario())
+
+
+#: Mutation batches whose second entry is bad: an unknown target, or an
+#: arrival without values.
+MIXED_BATCHES = {
+    "retract": [["Climates", "c1"], ["Climates", "nope"]],
+    "update": [["Climates", "c1", ["Canada", "mild"]], ["Climates", "nope", ["X", "Y"]]],
+    "ingest": [["Climates", ["Atlantis", "mild"]], ["Climates"]],
+}
+
+
+class TestRefusedBatches:
+    @pytest.mark.parametrize("op", sorted(MIXED_BATCHES))
+    def test_a_batch_with_one_bad_entry_changes_nothing(self, tmp_path, op):
+        """The whole batch is refused: nothing is applied or logged, and the
+        cached prefix keeps serving what it served before."""
+        server = open_durable_server(
+            tourist_database(), str(tmp_path), snapshot_every=None
+        )
+        fd = {"op": "open", "engine": "fd", "use_index": True}
+
+        async def scenario():
+            opened = await server.handle_request(dict(fd))
+            before = await server.handle_request(
+                {"op": "next", "session": opened["session"], "k": 100}
+            )
+            refused = await server.handle_request(
+                {"op": op, "tuples": MIXED_BATCHES[op]}
+            )
+            reopened = await server.handle_request(dict(fd))
+            after = await server.handle_request(
+                {"op": "next", "session": reopened["session"], "k": 100}
+            )
+            stats = await server.handle_request({"op": "stats"})
+            return before, refused, reopened, after, stats
+
+        try:
+            before, refused, reopened, after, stats = _run(scenario())
+        finally:
+            server.shutdown()
+        assert refused["ok"] is False and refused["error"]
+        assert reopened["cached"] is True
+        assert after["results"] == before["results"] and after["exhausted"]
+        assert stats["arrivals_applied"] == stats["mutations_applied"] == 0
+        assert stats["epoch"] == 0
+        assert stats["durability"]["wal"]["records_appended"] == 0
+        assert stats["durability"]["wal"]["offset"] == 0
