@@ -1,6 +1,6 @@
-"""E17 — out-of-core catalogs: RSS under a budget, latency, worker startup.
+"""E17 — out-of-core catalogs: RSS under a budget, and latency.
 
-Three claims about the mmap-backed mirror (`relational/catalog_file.py`),
+Two claims about the mmap-backed mirror (`relational/catalog_file.py`),
 measured end to end:
 
 * **E17a — over-budget open + streaming.**  A chain database whose packed
@@ -21,12 +21,6 @@ measured end to end:
   RAM, first-k through the attached (mmap) catalog stays within
   ``MAX_LATENCY_RATIO`` (2×) of the RAM-mirrored run, with identical
   ordered streams and ``sets_scanned``.
-* **E17c — worker startup.**  The sharded backend's worker cold start,
-  dispatch + materialise: pickling the whole database and unpickling it
-  in the worker, vs stamping a ``(path, generation)`` reference and
-  mapping the durable mirror file (`exec/sharded.py`).  The reference
-  transport must win end to end on the large fixture — it ships ~100
-  bytes where the pickle ships the whole matrix.
 
 Set ``REPRO_BENCH_SMOKE=1`` to shrink the sweep (used by the CI smoke
 job); the budget assertions only apply at full scale, where the mirror
@@ -42,9 +36,8 @@ import time
 
 import pytest
 
-from repro.core.full_disjunction import first_k, full_disjunction
+from repro.core.full_disjunction import first_k
 from repro.core.incremental import FDStatistics
-from repro.exec.sharded import _database_payload, _payload_probe
 from repro.relational.catalog_file import load_database
 from repro.relational.packed_mirror import numpy_available
 from repro.workloads.generators import chain_database, star_database
@@ -72,9 +65,7 @@ CHAIN_SHAPE = dict(
 #: (≈ the matrix again, as Python ints) before it can serve at all.
 BUDGET_BYTES = 144 * 2**20
 
-#: Answers streamed by each E17a arm (serial backend: the smallest
-#: working set, so the budget measures the catalog story, not batching
-#: transients).
+#: Answers streamed by each E17a arm.
 STREAM_K = 2
 
 #: E17b fixture: in-RAM-sized (n=1200 full scale).
@@ -89,9 +80,6 @@ STAR_SHAPE = dict(
 #: E17b answers per arm, and the headline latency bound.
 LATENCY_K = 8 if SMOKE else 24
 MAX_LATENCY_RATIO = 2.0
-
-#: Cold-start probes per transport in E17c (min taken).
-PROBE_REPEATS = 3
 
 
 def _chain():
@@ -163,7 +151,7 @@ thread = threading.Thread(target=governor, daemon=True)
 thread.start()
 results = []
 started = time.perf_counter()
-for tuple_set in first_k(database, k, backend="serial"):
+for tuple_set in first_k(database, k):
     results.append(sorted(tuple_set.labels()))
     handle.release_pages()
 stream_seconds = time.perf_counter() - started
@@ -190,7 +178,7 @@ load_seconds = time.perf_counter() - started
 load_rss = peak_rss()
 results = []
 started = time.perf_counter()
-for tuple_set in first_k(database, k, backend="serial"):
+for tuple_set in first_k(database, k):
     results.append(sorted(tuple_set.labels()))
 stream_seconds = time.perf_counter() - started
 print(json.dumps({
@@ -352,131 +340,3 @@ def test_e17b_in_ram_sized_latency(tmp_path, report_table):
         assert ratio <= MAX_LATENCY_RATIO, (
             f"attached first-{LATENCY_K} is {ratio:.2f}x the RAM run"
         )
-
-
-# --------------------------------------------------------------------------- #
-# E17c — worker startup: mmap attach vs whole-database pickle
-# --------------------------------------------------------------------------- #
-
-def _timed(function):
-    started = time.perf_counter()
-    value = function()
-    return value, time.perf_counter() - started
-
-
-def test_e17c_worker_startup(chain_fixture, report_table, benchmark):
-    mapped = load_database(chain_fixture["mirror_path"])
-    with open(chain_fixture["pickle_path"], "rb") as handle:
-        plain = pickle.load(handle)
-    plain.catalog().packed_mirror()  # RAM mirror (pickled pre-save): pickle transport
-
-    # Dispatch: what the coordinator pays to snapshot the database for a
-    # pass — pickling the whole thing vs stamping a file reference.
-    reference_payload, reference_dispatch = min(
-        (_timed(lambda: _database_payload(mapped)) for _ in range(PROBE_REPEATS)),
-        key=lambda pair: pair[1],
-    )
-    pickle_payload, pickle_dispatch = min(
-        (_timed(lambda: _database_payload(plain)) for _ in range(PROBE_REPEATS)),
-        key=lambda pair: pair[1],
-    )
-    assert not isinstance(reference_payload[1], bytes), (
-        "the durable mirror must ship a path reference"
-    )
-    assert isinstance(pickle_payload[1], bytes)
-
-    # Materialise: the worker-side cold start for each transport.
-    attach_seconds = min(
-        _payload_probe(reference_payload) for _ in range(PROBE_REPEATS)
-    )
-    pickle_seconds = min(
-        _payload_probe(pickle_payload) for _ in range(PROBE_REPEATS)
-    )
-    reference_total = reference_dispatch + attach_seconds
-    pickle_total = pickle_dispatch + pickle_seconds
-    speedup = pickle_total / reference_total
-    report_table(
-        "E17c: worker startup, dispatch + cold materialisation "
-        f"(n={chain_fixture['database'].tuple_count()})",
-        [
-            "transport",
-            "payload size",
-            "dispatch (s)",
-            "materialise (s)",
-            "total (s)",
-            "speedup",
-        ],
-        [
-            [
-                "pickle (whole database)",
-                f"{len(pickle_payload[1]) / 2**20:.1f} MiB",
-                f"{pickle_dispatch:.4f}",
-                f"{pickle_seconds:.4f}",
-                f"{pickle_total:.4f}",
-                "1.00x",
-            ],
-            [
-                "mmap ((path, generation))",
-                "~0 (reference)",
-                f"{reference_dispatch:.4f}",
-                f"{attach_seconds:.4f}",
-                f"{reference_total:.4f}",
-                f"{speedup:.1f}x",
-            ],
-        ],
-    )
-    if not SMOKE:
-        assert reference_total < pickle_total, (
-            f"mmap startup {reference_total:.4f}s vs pickle {pickle_total:.4f}s"
-        )
-
-    # pytest-benchmark times the mmap cold start in isolation.
-    benchmark(lambda: _payload_probe(reference_payload))
-
-
-# --------------------------------------------------------------------------- #
-# sharded parity rides along: file-backed fan-out, identical streams
-# --------------------------------------------------------------------------- #
-
-def test_e17d_sharded_file_backed_parity(tmp_path, report_table):
-    # Fixed small shape even at full scale: this leg checks the transport
-    # (full FD × 3 worker counts × 2 backings), not size.
-    def build():
-        return star_database(
-            spokes=3, tuples_per_relation=120, hub_domain=40, null_rate=0.1, seed=3
-        )
-
-    ram = build()
-    ram.catalog().packed_mirror()
-    mapped = build()
-    mapped.save_mirror(str(tmp_path / "shard.rpmc"))
-
-    def stream(database, backend):
-        statistics = FDStatistics()
-        results = full_disjunction(
-            database, use_index=True, statistics=statistics, backend=backend
-        )
-        return (
-            [tuple(sorted(ts.labels())) for ts in results],
-            statistics.extras.get("complete_sets_scanned", 0),
-        )
-
-    rows = []
-    reference = None
-    for workers in (1, 2, 4):
-        backend = f"sharded:{workers}"
-        ram_stream = stream(ram, backend)
-        started = time.perf_counter()
-        mapped_stream = stream(mapped, backend)
-        seconds = time.perf_counter() - started
-        assert mapped_stream == ram_stream
-        if reference is None:
-            reference = mapped_stream
-        assert mapped_stream == reference, f"{backend} reordered the stream"
-        rows.append([backend, len(mapped_stream[0]), mapped_stream[1], f"{seconds:.3f}"])
-    report_table(
-        "E17d: sharded fan-out over the mirror file (streams byte-identical "
-        "to RAM and across worker counts)",
-        ["backend", "|FD|", "sets scanned", "mapped wall (s)"],
-        rows,
-    )

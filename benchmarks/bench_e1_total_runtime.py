@@ -9,12 +9,10 @@ oracle.  The expected shape: the incremental driver is consistently the
 fastest complete method and the gap grows with the input.
 """
 
-import os
 import time
 
 from repro.baselines.batch import batch_full_disjunction
 from repro.baselines.naive import naive_full_disjunction
-from repro.bench.reporting import BACKEND_SWEEP_HEADERS, backend_sweep_rows
 from repro.core.full_disjunction import full_disjunction
 from repro.core.incremental import FDStatistics
 from repro.workloads.generators import chain_database
@@ -111,24 +109,3 @@ def test_e1_total_runtime_vs_baselines(benchmark, report_table):
         relations=4, tuples_per_relation=12, domain_size=5, null_rate=0.1, seed=1
     )
     benchmark(lambda: full_disjunction(database, use_index=True))
-
-
-def test_e1b_execution_backends(report_table):
-    """The --backend axis: identical result sets, different schedules."""
-    sizes = SIZES[:1] if os.environ.get("REPRO_BENCH_SMOKE") else SIZES[:3]
-    rows = []
-    for tuples_per_relation in sizes:
-        database = chain_database(
-            relations=4,
-            tuples_per_relation=tuples_per_relation,
-            domain_size=5,
-            null_rate=0.1,
-            seed=1,
-        )
-        rows.extend(backend_sweep_rows(database, f"chain {tuples_per_relation}/rel"))
-
-    report_table(
-        "E1b: execution backends on chain workloads (4 relations, indexed store)",
-        list(BACKEND_SWEEP_HEADERS),
-        rows,
-    )

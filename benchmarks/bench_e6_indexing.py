@@ -16,7 +16,6 @@ Set ``REPRO_BENCH_SMOKE=1`` to restrict the sweep to the smallest workload
 import os
 import time
 
-from repro.bench.reporting import BACKEND_SWEEP_HEADERS, backend_sweep_rows
 from repro.core.full_disjunction import full_disjunction
 from repro.core.incremental import FDStatistics, incremental_fd
 from repro.core.triples import TripleList, merge_join_consistent
@@ -84,21 +83,6 @@ def test_e6_indexing_complete_and_incomplete(benchmark, report_table):
             "scan drop",
         ],
         rows,
-    )
-
-    # The --backend axis: the full driver on the same workloads, per backend.
-    backend_rows = []
-    for spokes, per_relation in workloads:
-        database = star_database(
-            spokes=spokes, tuples_per_relation=per_relation, hub_domain=2, seed=4
-        )
-        backend_rows.extend(
-            backend_sweep_rows(database, f"star {spokes}x{per_relation}")
-        )
-    report_table(
-        "E6c: full-disjunction driver per execution backend (indexed store)",
-        list(BACKEND_SWEEP_HEADERS),
-        backend_rows,
     )
 
     # Micro-benchmark of the two tuple-set representations on the Line-14 test.

@@ -12,7 +12,6 @@ directory from its smoke runs.
 from __future__ import annotations
 
 import json
-import os
 import pathlib
 import re
 import time
@@ -219,80 +218,3 @@ class BenchArtifacts:
             entry["budget_bytes"] = int(budget_bytes)
         self._memory.setdefault(experiment, []).append(entry)
         return self._write(experiment)
-
-
-
-
-#: Backend sweep used by the E1/E6 execution-backend axes.
-DEFAULT_BENCH_BACKENDS = ("serial", "sharded:2")
-
-
-def backends_under_test() -> List[str]:
-    """Backend specs the benchmarks sweep over.
-
-    Defaults to serial and 2-worker sharded; override with a
-    comma-separated ``REPRO_BENCH_BACKENDS`` (the CI smoke job restricts the
-    sweep to ``sharded:2``).
-    """
-    raw = os.environ.get("REPRO_BENCH_BACKENDS", "")
-    specs = [spec.strip() for spec in raw.split(",") if spec.strip()]
-    return specs or list(DEFAULT_BENCH_BACKENDS)
-
-
-#: Column headers matching the rows of :func:`backend_sweep_rows`.
-BACKEND_SWEEP_HEADERS = (
-    "workload",
-    "backend",
-    "|FD|",
-    "wall time (s)",
-    "vs serial",
-    "bucket probes",
-    "full scans",
-)
-
-
-def backend_sweep_rows(database, label: str, use_index: bool = True) -> List[list]:
-    """One backend-axis sweep: run the full driver per backend, assert parity.
-
-    The serial baseline always runs first (even when excluded from
-    ``REPRO_BENCH_BACKENDS``) so the ``vs serial`` column is meaningful, and
-    every backend's result *set* is asserted identical to it.  Timing is the
-    best of two runs — at smoke scale the schedules differ by milliseconds,
-    so a single sample is mostly process-start noise.
-    """
-    from repro.core.full_disjunction import full_disjunction
-    from repro.core.incremental import FDStatistics
-
-    database.catalog()  # shared build; not charged to any one backend
-    rows: List[list] = []
-    reference = None
-    serial_seconds = None
-    for spec in ["serial"] + [s for s in backends_under_test() if s != "serial"]:
-        statistics = FDStatistics()
-        results, seconds = time_call(
-            lambda: full_disjunction(
-                database, use_index=use_index, statistics=statistics, backend=spec
-            )
-        )
-        _, second_run = time_call(
-            lambda: full_disjunction(database, use_index=use_index, backend=spec)
-        )
-        seconds = min(seconds, second_run)
-        produced = {ts.labels() for ts in results}
-        if reference is None:
-            reference = produced
-            serial_seconds = seconds
-        assert produced == reference, f"backend {spec} changed the result set"
-        bucket_probes, full_scans = probe_counters(statistics)
-        rows.append(
-            [
-                label,
-                spec,
-                len(results),
-                f"{seconds:.3f}",
-                f"{serial_seconds / seconds:.2f}x",
-                bucket_probes,
-                full_scans,
-            ]
-        )
-    return rows

@@ -10,7 +10,6 @@ Examples
 ::
 
     python -m repro fd sources/*.csv --limit 20
-    python -m repro fd sources/*.csv --backend sharded --workers 4
     python -m repro fd sources/*.csv --output fd.csv --initialization previous-results
     python -m repro topk sources/*.csv --k 5 --importance-attribute Stars
     python -m repro approx sources/*.csv --threshold 0.8 --similarity edit
@@ -21,7 +20,7 @@ Examples
     python -m repro serve sources/*.csv --port 7411
     python -m repro serve --workload star --smoke-clients 4
     python -m repro serve --workload star --port 7411 --metrics-port 9100
-    python -m repro trace star --out trace.json --backend sharded
+    python -m repro trace star --out trace.json
 
 Library errors (a missing or malformed CSV, say) print ``repro: error:
 <message>`` and exit with status 2; a reader that closes the output early
@@ -42,7 +41,6 @@ from repro.core.initialization import STRATEGIES
 from repro.core.priority import priority_incremental_fd
 from repro.core.ranking import MaxRanking
 from repro.core.trace import format_trace, trace_incremental_fd
-from repro.exec import BACKENDS, resolve_backend
 from repro.relational import csv_io
 from repro.relational.database import Database
 from repro.relational.errors import ReproError
@@ -77,39 +75,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_backend_arguments(
-    parser: argparse.ArgumentParser,
-    backend_help: str = "execution backend: serial reference or process-sharded "
-    "passes (identical results either way)",
-) -> None:
-    parser.add_argument(
-        "--backend", choices=BACKENDS, default="serial", help=backend_help
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes for the sharded backend (default: 2)",
-    )
-
-
-def _check_backend_arguments(arguments: argparse.Namespace) -> None:
-    """Refuse a ``--workers`` the backend would reject or silently ignore."""
-    if arguments.workers is None:
-        return
-    if arguments.backend != "sharded":
-        raise SystemExit(
-            "error: --workers only applies to --backend sharded "
-            f"(got --backend {arguments.backend})"
-        )
-    if arguments.workers < 1:
-        raise SystemExit(f"error: --workers must be positive, got {arguments.workers}")
-
-
-def _backend_of(arguments: argparse.Namespace):
-    return resolve_backend(arguments.backend, workers=arguments.workers)
-
-
 def _command_fd(arguments: argparse.Namespace) -> int:
     database = _load_database(arguments.csv, arguments.null_token)
     fd = FullDisjunction(
@@ -117,7 +82,6 @@ def _command_fd(arguments: argparse.Namespace) -> int:
         use_index=arguments.use_index,
         initialization=arguments.initialization,
         block_size=arguments.block_size,
-        backend=_backend_of(arguments),
     )
     if arguments.limit is not None:
         results = fd.first(arguments.limit)
@@ -173,7 +137,6 @@ def _command_approx(arguments: argparse.Namespace) -> int:
         MinJoin(similarity),
         threshold=arguments.threshold,
         use_index=arguments.use_index,
-        backend=_backend_of(arguments),
     )
     print(afd.pretty())
     print(f"({len(afd.compute())} answers at threshold {arguments.threshold})")
@@ -185,16 +148,6 @@ def _command_stream(arguments: argparse.Namespace) -> int:
 
     if arguments.importance_attribute and not arguments.rank:
         raise SystemExit("error: --importance-attribute requires --rank")
-    if arguments.backend == "sharded" and (arguments.mode == "delta" or arguments.rank):
-        # The delta maintainer schedules single seeded passes, and the
-        # Fig. 3 loop takes only the backend's step: there are no
-        # per-relation passes to shard, so the option would be silently
-        # ignored; refuse it instead.
-        flag = "--mode delta" if arguments.mode == "delta" else "--rank"
-        raise SystemExit(
-            f"error: --backend sharded is not supported with {flag} "
-            "(that loop runs one step at a time, in-process); use serial"
-        )
     if arguments.mutations < 0:
         raise SystemExit("error: --mutations must be non-negative")
     database = _load_database(arguments.csv, arguments.null_token)
@@ -225,7 +178,6 @@ def _command_stream(arguments: argparse.Namespace) -> int:
             ops,
             batch_size=arguments.batch_size,
             use_index=arguments.use_index,
-            backend=_backend_of(arguments),
             summary=summary,
             ranking=ranking,
         )
@@ -236,7 +188,6 @@ def _command_stream(arguments: argparse.Namespace) -> int:
             ops,
             batch_size=arguments.batch_size,
             use_index=arguments.use_index,
-            backend=_backend_of(arguments),
             summary=summary,
             ranking=ranking,
         )
@@ -433,10 +384,9 @@ def _command_serve(arguments: argparse.Namespace) -> int:
 
     async def _stop_signal() -> "asyncio.Event":
         # SIGTERM/SIGINT land here as a graceful stop: the serve loops
-        # below fall out of ``stop.wait()``, seal WALs and logs through
-        # ``QueryServer.shutdown()``, and release the worker pools — a
-        # durable server leaves a clean final snapshot instead of a torn
-        # tail to recover.
+        # below fall out of ``stop.wait()`` and seal WALs and logs through
+        # ``QueryServer.shutdown()`` — a durable server leaves a clean final
+        # snapshot instead of a torn tail to recover.
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()
         for signum in (signal.SIGTERM, signal.SIGINT):
@@ -515,10 +465,6 @@ def _command_trace(arguments: argparse.Namespace) -> int:
             arguments.csv = []
     if arguments.csv and arguments.workload:
         raise SystemExit("error: give CSV files or --workload, not both")
-    if arguments.backend != "serial" and not arguments.out:
-        # The one-pass Table 3 trace runs in-process; only --out profiles
-        # the full engine through a backend.
-        raise SystemExit("error: --backend only applies to trace --out")
     database = _serve_database(arguments)
     if arguments.out:
         return _trace_profile(arguments, database)
@@ -535,16 +481,13 @@ def _trace_profile(arguments: argparse.Namespace, database: Database) -> int:
 
     tracer = PhaseTracer()
     with use_tracer(tracer):
-        fd = FullDisjunction(
-            database, use_index=arguments.use_index, backend=_backend_of(arguments)
-        )
+        fd = FullDisjunction(database, use_index=arguments.use_index)
         answers = fd.compute()
     path = tracer.dump(arguments.out)
     events = tracer.events()
     print(f"trace written to {path} ({len(events)} events; "
           f"open in Perfetto or chrome://tracing)")
-    print(f"({len(answers)} answers over {len(database)} relations, "
-          f"backend {arguments.backend!r})")
+    print(f"({len(answers)} answers over {len(database)} relations)")
     summary = summarize_events(events)
     if summary:
         width = max(len(name) for name in summary)
@@ -605,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     fd_parser = subparsers.add_parser("fd", help="compute the full disjunction")
     _add_common_arguments(fd_parser)
-    _add_backend_arguments(fd_parser)
     fd_parser.add_argument("--limit", type=int, default=None,
                            help="stop after this many answers (incremental retrieval)")
     fd_parser.add_argument("--initialization", choices=STRATEGIES, default="singletons",
@@ -630,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
         "approx", help="(A_min, τ)-approximate full disjunction"
     )
     _add_common_arguments(approx_parser)
-    _add_backend_arguments(approx_parser)
     approx_parser.add_argument("--threshold", type=float, required=True,
                                help="threshold τ in [0, 1]")
     approx_parser.add_argument("--similarity", choices=("edit", "exact"), default="edit",
@@ -643,7 +584,6 @@ def build_parser() -> argparse.ArgumentParser:
         "replay it while serving results (append-only catalog maintenance)",
     )
     _add_common_arguments(stream_parser)
-    _add_backend_arguments(stream_parser)
     stream_parser.add_argument(
         "--arrival-fraction", type=float, default=0.5,
         help="fraction of every relation's tuples replayed as arrivals (default: 0.5)",
@@ -769,9 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     trace_parser.add_argument("--use-index", action="store_true",
                               help="enable the Section 7 hash index")
-    _add_backend_arguments(
-        trace_parser, backend_help="execution backend for --out profiling runs"
-    )
     trace_parser.add_argument("--anchor", default=None,
                               help="anchor relation R_i (default: the first relation)")
     trace_parser.add_argument(
@@ -785,7 +722,7 @@ def build_parser() -> argparse.ArgumentParser:
     pack_parser = subparsers.add_parser(
         "pack",
         help="pack a database into a sealed, memory-mappable catalog mirror "
-        "file (servable out-of-core, shareable zero-copy by sharded workers)",
+        "file (servable out-of-core)",
     )
     pack_parser.add_argument(
         "csv", nargs="*",
@@ -816,8 +753,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Entry point of ``python -m repro`` and the ``repro`` console script."""
     parser = build_parser()
     arguments = parser.parse_args(argv)
-    if "workers" in arguments:
-        _check_backend_arguments(arguments)
     try:
         status = arguments.handler(arguments)
         sys.stdout.flush()

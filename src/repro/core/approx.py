@@ -53,8 +53,7 @@ class ApproxSemantics:
     is ``A(T) ≥ τ`` on a connected ``T`` (:meth:`qualifies`), Lines 2–6
     extend while ``T ∪ {t_g}`` qualifies, Line 8 yields every maximal
     qualifying subset, and Line 14 merges ``S`` and ``T'`` when ``S ∪ T'``
-    qualifies.  ``τ`` is checked here, in the caller's process, before any
-    pass is scheduled.
+    qualifies.  ``τ`` is checked here, before any pass runs.
     """
 
     def __init__(self, join_function: ApproximateJoinFunction, threshold: float):
@@ -80,11 +79,11 @@ class ApproxSemantics:
         """
         return _extend_by_tuples(tuple_set, scanner, statistics, self)
 
-    def survivors(self, result, anchor, scanner, statistics, anchor_tuples, settle=None):
+    def survivors(self, result, anchor, scanner, statistics, settle=None):
         """Never on masks: the starred Line 8 scores each outside tuple."""
         return None
 
-    def candidates(self, result, anchor, scanner, statistics, anchor_tuples):
+    def candidates(self, result, anchor, scanner, statistics):
         """Lines 7–9 (starred): ``(T', anchor tuple)`` for every maximal
         qualifying subset that passes Line 9, in scan order."""
         return anchored_candidates(
@@ -98,7 +97,6 @@ class ApproxSemantics:
             ),
             anchor,
             statistics,
-            anchor_tuples,
         )
 
     def mergeable(self, waiting: TupleSet, candidate: TupleSet) -> bool:
@@ -112,7 +110,6 @@ def approx_pass(
     semantics: ApproxSemantics,
     use_index: bool = False,
     statistics: Optional[FDStatistics] = None,
-    backend=None,
 ) -> Iterator[TupleSet]:
     """Pass ``i`` of the approximate driver: the ``AFD`` members whose first
     relation is ``R_i``.
@@ -122,8 +119,8 @@ def approx_pass(
     ``ApproxIncrementalFD`` for ``R_i`` (``anchor_name``) over the whole
     database and drops each result that holds a tuple of an earlier
     relation, which that relation's pass emits.  A similarity merge may join
-    candidates through earlier relations and across anchor tuples, so
-    neither the ``R_≥i`` scan nor the anchor-bucket split is sound here.
+    candidates through earlier relations, so the ``R_≥i`` scan is not sound
+    here.
     The pass's counters are merged into ``statistics`` on every exit, an
     abandoned pass included.
     """
@@ -135,7 +132,6 @@ def approx_pass(
         anchor_name,
         use_index=use_index,
         statistics=pass_statistics,
-        backend=backend,
         semantics=semantics,
     )
     try:
@@ -157,22 +153,17 @@ def approx_full_disjunction_sets(
     threshold: float,
     use_index: bool = False,
     statistics: Optional[FDStatistics] = None,
-    backend=None,
 ) -> Iterator[TupleSet]:
     """Generate every member of ``AFD(R, A, τ)`` exactly once (Corollary 6.7).
 
-    The independent per-relation passes (:func:`approx_pass`) are scheduled
-    by ``backend`` (``None`` means the serial reference), exactly like the
-    exact driver's singleton passes — the sharded backend fans them out to
-    its process pool.  An out-of-range ``threshold`` raises ``ValueError``
-    before any pass is scheduled.
+    Runs one :func:`approx_pass` per relation, in database order.  An
+    out-of-range ``threshold`` raises ``ValueError`` before any pass runs.
     """
-    from repro.exec import resolve_backend
-
     semantics = ApproxSemantics(join_function, threshold)
-    yield from resolve_backend(backend).run_approx_passes(
-        database, semantics, use_index=use_index, statistics=statistics
-    )
+    for relation in database.relations:
+        yield from approx_pass(
+            database, relation.name, semantics, use_index=use_index, statistics=statistics
+        )
 
 
 def approx_full_disjunction(
@@ -181,7 +172,6 @@ def approx_full_disjunction(
     threshold: float,
     use_index: bool = False,
     statistics: Optional[FDStatistics] = None,
-    backend=None,
 ) -> List[TupleSet]:
     """Materialise ``AFD(R, A, τ)`` as a list of tuple sets."""
     return list(
@@ -191,7 +181,6 @@ def approx_full_disjunction(
             threshold,
             use_index=use_index,
             statistics=statistics,
-            backend=backend,
         )
     )
 
@@ -205,13 +194,11 @@ class ApproximateFullDisjunction:
         join_function: ApproximateJoinFunction,
         threshold: float,
         use_index: bool = False,
-        backend=None,
     ):
         self._database = database
         self._join_function = join_function
         self._threshold = threshold
         self._use_index = use_index
-        self._backend = backend
         self.statistics = FDStatistics()
         self._cached: Optional[List[TupleSet]] = None
 
@@ -225,7 +212,6 @@ class ApproximateFullDisjunction:
             self._join_function,
             self._threshold,
             use_index=self._use_index,
-            backend=self._backend,
         )
 
     def compute(self) -> List[TupleSet]:
@@ -238,7 +224,6 @@ class ApproximateFullDisjunction:
                 self._threshold,
                 use_index=self._use_index,
                 statistics=self.statistics,
-                backend=self._backend,
             )
         return list(self._cached)
 

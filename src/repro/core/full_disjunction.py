@@ -53,6 +53,7 @@ from repro.core.initialization import (
 from repro.core.scanner import make_scanner
 from repro.core.store import CompleteStore, record_store_statistics
 from repro.core.tupleset import TupleSet
+from repro.obs.tracing import trace_span
 
 
 def absorbs_earlier_tuple(
@@ -89,17 +90,14 @@ def restricted_pass(
     use_index: bool = False,
     block_size: Optional[int] = None,
     statistics: Optional[FDStatistics] = None,
-    backend=None,
-    anchor_tuples=None,
 ) -> Iterator[TupleSet]:
     """Pass ``i`` of the exact driver: the answers whose first relation is ``R_i``.
 
     Runs ``IncrementalFD`` for ``R_i`` (``anchor_name``) with a scanner that
     skips ``R_<i`` and yields a result only when it cannot absorb one live
-    tuple of ``R_<i`` (see the module docstring for why this is exact).
-    ``anchor_tuples`` restricts the pass to an anchor bucket range, as in
-    :func:`~repro.core.incremental.incremental_fd`.  The pass's counters are
-    merged into ``statistics`` on every exit, an abandoned pass included.
+    tuple of ``R_<i`` (see the module docstring for why this is exact).  The
+    pass's counters are merged into ``statistics`` on every exit, an
+    abandoned pass included.
     """
     earlier = earlier_relations(database, anchor_name)
     scanner = make_scanner(database, block_size, earlier)
@@ -111,8 +109,6 @@ def restricted_pass(
         use_index=use_index,
         scanner=scanner,
         statistics=pass_statistics,
-        backend=backend,
-        anchor_tuples=anchor_tuples,
     )
     try:
         for result in results:
@@ -137,7 +133,6 @@ def full_disjunction_sets(
     initialization: str = "singletons",
     block_size: Optional[int] = None,
     statistics: Optional[FDStatistics] = None,
-    backend=None,
 ) -> Iterator[TupleSet]:
     """Generate every tuple set of ``FD(R)`` exactly once.
 
@@ -154,33 +149,32 @@ def full_disjunction_sets(
         "block-based execution"); results are identical.
     statistics:
         Optional counters accumulated across all passes.
-    backend:
-        The :class:`~repro.exec.base.ExecutionBackend` (or its name —
-        ``"serial"``, ``"sharded"``) that schedules the work.
-        All backends produce the same result set; ``None`` means serial.
     """
-    from repro.exec import resolve_backend
-
     if initialization not in STRATEGIES:
         raise ValueError(
             f"unknown initialization strategy {initialization!r}; expected one of {STRATEGIES}"
         )
-    backend = resolve_backend(backend)
-    if initialization == "singletons":
-        # Independent per-relation passes: the backend owns the schedule
-        # (serial loop or a process-pool fan-out).
-        yield from backend.run_singleton_passes(
-            database, use_index=use_index, block_size=block_size, statistics=statistics
-        )
-    else:
+    if initialization != "singletons":
         yield from _run_reusing_passes(
             database,
             use_index=use_index,
             initialization=initialization,
             block_size=block_size,
             statistics=statistics,
-            backend=backend,
         )
+        return
+    for relation in database.relations:
+        # The span covers the pass's wall clock as the consumer sees it
+        # (pauses between pulls included) — on a trace, that is where the
+        # serving time actually went.
+        with trace_span("engine.pass", "engine", anchor=relation.name):
+            yield from restricted_pass(
+                database,
+                relation.name,
+                use_index=use_index,
+                block_size=block_size,
+                statistics=statistics,
+            )
 
 
 def _run_reusing_passes(
@@ -189,15 +183,13 @@ def _run_reusing_passes(
     initialization: str,
     block_size: Optional[int],
     statistics: Optional[FDStatistics],
-    backend=None,
 ) -> Iterator[TupleSet]:
     """The Section 7 reuse strategies: pass ``i`` is ``IncrementalFD`` over
     ``R_≥i``, seeded from the answers of the earlier passes.
 
     All passes share one ``Complete`` store, so :func:`incremental_fd` yields
     only the results no earlier answer covers (its shared-``Complete``
-    rule).  The passes depend on each other, so they run one after another;
-    only the per-step work is dispatched through the backend.
+    rule).  The passes depend on each other, so they run one after another.
     """
     produced: List[TupleSet] = []
     catalog = database.catalog()
@@ -219,7 +211,6 @@ def _run_reusing_passes(
                 ),
                 statistics=pass_statistics,
                 complete=shared_complete,
-                backend=backend,
             )
             try:
                 for result in results:
@@ -242,7 +233,6 @@ def full_disjunction(
     initialization: str = "singletons",
     block_size: Optional[int] = None,
     statistics: Optional[FDStatistics] = None,
-    backend=None,
 ) -> List[TupleSet]:
     """Materialise ``FD(R)`` as a list of tuple sets (see :func:`full_disjunction_sets`)."""
     return list(
@@ -252,7 +242,6 @@ def full_disjunction(
             initialization=initialization,
             block_size=block_size,
             statistics=statistics,
-            backend=backend,
         )
     )
 
@@ -264,7 +253,6 @@ def first_k(
     initialization: str = "singletons",
     block_size: Optional[int] = None,
     statistics: Optional[FDStatistics] = None,
-    backend=None,
 ) -> List[TupleSet]:
     """Return ``k`` (arbitrary) members of ``FD(R)``, stopping all work early.
 
@@ -282,7 +270,6 @@ def first_k(
         initialization=initialization,
         block_size=block_size,
         statistics=statistics,
-        backend=backend,
     ):
         results.append(result)
         if len(results) == k:
@@ -307,13 +294,11 @@ class FullDisjunction:
         use_index: bool = False,
         initialization: str = "singletons",
         block_size: Optional[int] = None,
-        backend=None,
     ):
         self._database = database
         self._use_index = use_index
         self._initialization = initialization
         self._block_size = block_size
-        self._backend = backend
         self.statistics = FDStatistics()
         self._cached: Optional[List[TupleSet]] = None
 
@@ -328,7 +313,6 @@ class FullDisjunction:
             use_index=self._use_index,
             initialization=self._initialization,
             block_size=self._block_size,
-            backend=self._backend,
         )
 
     def compute(self) -> List[TupleSet]:
@@ -342,7 +326,6 @@ class FullDisjunction:
                     initialization=self._initialization,
                     block_size=self._block_size,
                     statistics=self.statistics,
-                    backend=self._backend,
                 )
             )
         return list(self._cached)
@@ -355,7 +338,6 @@ class FullDisjunction:
             use_index=self._use_index,
             initialization=self._initialization,
             block_size=self._block_size,
-            backend=self._backend,
         )
 
     def result_schema(self) -> Schema:

@@ -52,11 +52,10 @@ plus an append.
   those consistent with ``m_j`` whose relation is adjacent to ``m_j``'s, or
   to the relation of a member ``m_l`` with the tuple in ``X_l``, to a
   fixpoint.  The Line 9 survivors are ``X_anchor`` plus the outside tuples of
-  ``R_i`` (both restricted to the anchor bucket, when there is one).  A
-  survivor ``t`` stands for ``T' = {t} ∪ {m_j : t ∈ X_j}``, given as its gid
-  mask, relation mask and anchor tuple, and survivors are visited in plan
-  order — relation order, then gid order — which is the order the tuple
-  loop meets them in.
+  ``R_i``.  A survivor ``t`` stands for ``T' = {t} ∪ {m_j : t ∈ X_j}``,
+  given as its gid mask, relation mask and anchor tuple, and survivors are
+  visited in plan order — relation order, then gid order — which is the
+  order the tuple loop meets them in.
 * Lines 10–18 keep each survivor a mask.  The ``Complete`` probe
   (:meth:`~repro.core.store.CompleteStore.contains_superset_mask`) visits the
   anchor bucket's relation-set groups and decides a stored set by
@@ -136,7 +135,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
-    AbstractSet,
     Callable,
     Iterable,
     Iterator,
@@ -205,8 +203,8 @@ class FDStatistics:
         Numeric ``extras`` values accumulate; any other pairing — strings,
         booleans, or a numeric value meeting a non-numeric one — resolves
         deterministically to the incoming (``other``) value, last writer
-        wins.  The distinction matters for cross-process statistics merging,
-        where every worker ships its own ``extras`` dict.
+        wins, so merging the passes' statistics in order is deterministic
+        whatever each pass records there.
         """
         self.results += other.results
         self.results_emitted += other.results_emitted
@@ -360,21 +358,17 @@ def anchored_candidates(
     candidates: Iterable[TupleSet],
     anchor: str,
     statistics: Optional[FDStatistics] = None,
-    anchor_tuples: Optional[AbstractSet] = None,
 ) -> Iterator[TupleType[TupleSet, Tuple]]:
     """Line 9 for candidates built one at a time.
 
     Counts every candidate and yields ``(T', anchor tuple)`` for those that
-    hold a tuple of the anchor relation — one of ``anchor_tuples``, when
-    given.
+    hold a tuple of the anchor relation.
     """
     for candidate in candidates:
         if statistics is not None:
             statistics.candidates_generated += 1
         anchor_tuple = candidate.tuple_from(anchor)
-        if anchor_tuple is None or (
-            anchor_tuples is not None and anchor_tuple not in anchor_tuples
-        ):
+        if anchor_tuple is None:
             if statistics is not None:
                 statistics.candidates_without_anchor += 1
             continue
@@ -386,7 +380,6 @@ def line9_survivors(
     anchor: str,
     plan,
     statistics: Optional[FDStatistics] = None,
-    anchor_tuples: Optional[AbstractSet] = None,
     settle: Optional[Callable[[int, object], int]] = None,
 ) -> Iterator[TupleType[int, int, int, Tuple]]:
     """Lines 7–9 on masks: the footnote-3 candidates that pass Line 9, in scan order.
@@ -441,13 +434,9 @@ def line9_survivors(
     anchor_rid = catalog.relation_id(anchor)
     anchor_member = result.tuple_from(anchor)
     in_anchor = outside & catalog.relation_tuples_mask(anchor_rid)
-    bucket = -1
-    if anchor_tuples is not None:
-        bucket = _gid_mask(anchor_tuples, catalog)
-        in_anchor &= bucket
     survivors = in_anchor
-    for gid, rid, reached in zip(gids, rids, reach):
-        if rid == anchor_rid and (bucket >> gid) & 1:
+    for rid, reached in zip(rids, reach):
+        if rid == anchor_rid:
             survivors |= reached
     if statistics is not None:
         generated = popcount(outside)
@@ -601,22 +590,21 @@ class ExactSemantics:
         """Lines 2–6: :func:`maximally_extend`."""
         return maximally_extend(tuple_set, scanner, statistics)
 
-    def survivors(self, result, anchor, scanner, statistics, anchor_tuples, settle=None):
+    def survivors(self, result, anchor, scanner, statistics, settle=None):
         """Lines 7–9 on masks (:func:`line9_survivors`, with ``settle``), or
         ``None``, counting nothing, when the scanner refuses a mask pass."""
         plan = scanner.mask_pass(result)
         if plan is None:
             return None
-        return line9_survivors(result, anchor, plan, statistics, anchor_tuples, settle)
+        return line9_survivors(result, anchor, plan, statistics, settle)
 
-    def candidates(self, result, anchor, scanner, statistics, anchor_tuples):
+    def candidates(self, result, anchor, scanner, statistics):
         """Lines 7–9 one scanned tuple at a time: a footnote-3 candidate per
         tuple outside ``result``, through :func:`anchored_candidates`."""
         return anchored_candidates(
             (result.maximal_jcc_subset_with(t) for t in scanner.scan() if t not in result),
             anchor,
             statistics,
-            anchor_tuples,
         )
 
     @property
@@ -640,23 +628,12 @@ def get_next_result(
     complete: CompleteStore,
     scanner: Optional[TupleScanner] = None,
     statistics: Optional[FDStatistics] = None,
-    anchor_tuples: Optional[AbstractSet] = None,
     semantics=EXACT,
 ) -> TupleSet:
     """One call of ``GetNextResult`` (Fig. 2): produce the next result of ``FD_i``.
 
     The ``incomplete`` pool decides the extraction order: FIFO for plain
     ``IncrementalFD``, highest-rank-first for ``PriorityIncrementalFD``.
-
-    ``anchor_tuples`` restricts the pass to an *anchor bucket range*: when
-    given, the Line 9 test requires the candidate's anchor tuple to be a
-    member of the set, not merely a tuple of the anchor relation.  This is
-    exactly the paper's algorithm run over a database in which ``R_i`` has
-    been split into sub-relations — sound because two distinct tuples of one
-    relation are never join consistent (so a tuple set holds at most one
-    ``R_i`` tuple, every pool merge is anchor-local, and the split pass
-    produces precisely the ``FD_i`` members anchored in the range, once
-    each).  The sharded backend's bucket-grained fan-out is built on this.
 
     ``semantics`` supplies Lines 2–6, Lines 7–9 and the Line 14 test:
     :data:`EXACT` by default, or
@@ -675,18 +652,15 @@ def get_next_result(
     result = semantics.extend(result, scanner, statistics)
 
     # Lines 7-18: derive candidate tuple sets from the tuples left out; only
-    # those holding a tuple of the anchor relation (and, under a bucket-range
-    # restriction, of the anchor bucket) pass Line 9.  On masks when the
-    # scanner accepts a mask pass, else one tuple set per candidate.
+    # those holding a tuple of the anchor relation pass Line 9.  On masks
+    # when the scanner accepts a mask pass, else one tuple set per candidate.
     settle = partial(_settle_singletons, incomplete, complete, statistics)
-    survivors = semantics.survivors(result, anchor, scanner, statistics, anchor_tuples, settle)
+    survivors = semantics.survivors(result, anchor, scanner, statistics, settle)
     if survivors is not None:
         _place_survivors(result.catalog, survivors, incomplete, complete, statistics)
         return result
     mergeable = semantics.mergeable
-    for candidate, anchor_tuple in semantics.candidates(
-        result, anchor, scanner, statistics, anchor_tuples
-    ):
+    for candidate, anchor_tuple in semantics.candidates(result, anchor, scanner, statistics):
         # Lines 10-11: already covered by a printed result?
         if complete.contains_superset(candidate, anchor=anchor_tuple):
             if statistics is not None:
@@ -726,8 +700,6 @@ def incremental_fd(
     on_initialized: Optional[Callable[[IncompletePool, CompleteStore], None]] = None,
     on_iteration: Optional[IterationCallback] = None,
     complete: Optional[CompleteStore] = None,
-    backend=None,
-    anchor_tuples: Optional[Iterable] = None,
     semantics=EXACT,
 ) -> Iterator[TupleSet]:
     """``IncrementalFD(R, i)`` (Fig. 1): generate ``FD_i(R)`` one tuple set at a time.
@@ -764,18 +736,6 @@ def incremental_fd(
         stored but not yielded again, and counts in ``results`` but not in
         ``results_emitted``.  Defaults to a fresh store, which covers no
         result before the pass produces it.
-    backend:
-        The :class:`~repro.exec.base.ExecutionBackend` (or its name) whose
-        ``next_result`` schedules each step; ``None`` is the serial
-        reference step, :func:`get_next_result`.
-    anchor_tuples:
-        Restrict the pass to the *anchor bucket range* holding exactly these
-        ``R_i`` tuples: ``Incomplete`` starts from their singletons only and
-        the Line 9 test requires the anchor tuple to be one of them.  This
-        is the paper's algorithm over a database in which ``R_i`` is split
-        into sub-relations (see :func:`get_next_result`), and yields exactly
-        the ``FD_i`` members anchored in the range, once each.  The sharded
-        backend fans a pass out as one such range per worker task.
     semantics:
         :data:`EXACT` for ``IncrementalFD``, or an
         :class:`~repro.core.approx.ApproxSemantics` for
@@ -794,24 +754,6 @@ def incremental_fd(
     if scanner is None:
         scanner = TupleScanner(database)
     catalog = database.catalog()
-    if backend is None:
-        next_result = get_next_result
-    else:
-        from repro.exec import resolve_backend
-
-        next_result = resolve_backend(backend).next_result
-
-    # Only what differs from the default rides along as a keyword, so custom
-    # backends that predate the bucket restriction and the semantics
-    # argument keep working unchanged.
-    step_options = {}
-    bucket = None
-    if anchor_tuples is not None:
-        bucket = frozenset(anchor_tuples)
-        step_options["anchor_tuples"] = bucket
-    if semantics is not EXACT:
-        step_options["semantics"] = semantics
-
     incomplete = ListIncompletePool(anchor_name, use_index=use_index)
     shared_complete = complete is not None
     if not shared_complete:
@@ -820,8 +762,7 @@ def incremental_fd(
     # Lines 1-4: initialization of the two lists.  Initial sets are interned
     # against the catalog so every set the run derives from them carries the
     # bitset representation.  The default seeds go in as one gid mask, in
-    # scan order (gid order): the live tuples of R_i, only the bucket's under
-    # a bucket restriction, and only those passing the seed test.
+    # scan order (gid order): the live tuples of R_i that pass the seed test.
     from repro.obs.tracing import trace_span
 
     with trace_span("engine.initialize", "engine", anchor=anchor_name):
@@ -829,8 +770,6 @@ def incremental_fd(
             seeds = catalog.live_mask & catalog.relation_tuples_mask(
                 catalog.relation_id(anchor_name)
             )
-            if bucket is not None:
-                seeds &= _gid_mask(bucket, catalog)
             if semantics is not EXACT:
                 qualifying = (
                     t for t in catalog.tuples_of_mask(seeds)
@@ -849,9 +788,8 @@ def incremental_fd(
         # Line 5: loop until Incomplete is exhausted.
         while incomplete:
             iteration += 1
-            result = next_result(
-                database, anchor_name, incomplete, complete, scanner, statistics,
-                **step_options,
+            result = get_next_result(
+                database, anchor_name, incomplete, complete, scanner, statistics, semantics
             )
             # Lines 7-8: print the result and remember it in Complete — unless
             # a shared Complete shows another pass printed it already.

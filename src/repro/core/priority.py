@@ -148,20 +148,10 @@ class PriorityState:
         ranking: RankingFunction,
         use_index: bool = False,
         statistics: Optional[FDStatistics] = None,
-        backend=None,
         semantics=EXACT,
     ):
         ranking.require_monotonically_c_determined()
         self.semantics = semantics
-        # As in incremental_fd: the default semantics is not passed, so
-        # custom backends without the argument keep working.
-        self._step_options = {} if semantics is EXACT else {"semantics": semantics}
-        if backend is None:
-            self._next_result = get_next_result
-        else:
-            from repro.exec import resolve_backend
-
-            self._next_result = resolve_backend(backend).next_result
         self.database = database
         self.ranking = ranking
         self.use_index = use_index
@@ -225,14 +215,14 @@ class PriorityState:
                 return
 
             complete = self.completes[best_index]
-            result = self._next_result(
+            result = get_next_result(
                 self.database,
                 self.anchors[best_index],
                 self.pools[best_index],
                 complete,
                 self.scanner,
                 statistics,
-                **self._step_options,
+                self.semantics,
             )
             if result not in complete:
                 complete.add(result)
@@ -378,7 +368,6 @@ def priority_incremental_fd(
     threshold: Optional[float] = None,
     use_index: bool = False,
     statistics: Optional[FDStatistics] = None,
-    backend=None,
     semantics=EXACT,
 ) -> Iterator[RankedResult]:
     """Generate ``FD(R)`` in non-increasing rank order.
@@ -401,10 +390,6 @@ def priority_incremental_fd(
         Enable the Section 7 hash index on the queues and on ``Complete``.
     statistics:
         Optional counters to fill in.
-    backend:
-        The :class:`~repro.exec.base.ExecutionBackend` (or its name) whose
-        ``next_result`` schedules each step.  The output *order* is
-        backend-independent: rank extraction happens here.
     semantics:
         :data:`~repro.core.incremental.EXACT`, or an
         :class:`~repro.core.approx.ApproxSemantics` for ranked retrieval of
@@ -428,7 +413,7 @@ def priority_incremental_fd(
 
     state = PriorityState(
         database, ranking, use_index=use_index, statistics=statistics,
-        backend=backend, semantics=semantics,
+        semantics=semantics,
     )
     try:
         yield from state.results(k=k, threshold=threshold)
@@ -444,7 +429,6 @@ def top_k(
     k: int,
     use_index: bool = False,
     statistics: Optional[FDStatistics] = None,
-    backend=None,
     semantics=EXACT,
 ) -> List[RankedResult]:
     """The top-``(k, f)`` full-disjunction problem (Theorem 5.5), or its
@@ -452,7 +436,7 @@ def top_k(
     return list(
         priority_incremental_fd(
             database, ranking, k=k, use_index=use_index,
-            statistics=statistics, backend=backend, semantics=semantics,
+            statistics=statistics, semantics=semantics,
         )
     )
 
@@ -463,12 +447,11 @@ def above_threshold(
     threshold: float,
     use_index: bool = False,
     statistics: Optional[FDStatistics] = None,
-    backend=None,
 ) -> List[RankedResult]:
     """The ``(τ, f)``-threshold full-disjunction problem (Remark 5.6)."""
     return list(
         priority_incremental_fd(
             database, ranking, threshold=threshold, use_index=use_index,
-            statistics=statistics, backend=backend,
+            statistics=statistics,
         )
     )

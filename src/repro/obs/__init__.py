@@ -7,8 +7,7 @@
   JSON snapshot (``stats {"detail": "metrics"}``).
   ``REPRO_METRICS=off`` swaps every series for a shared no-op.
 - :mod:`repro.obs.tracing` — a :class:`PhaseTracer` of complete spans
-  (engine init, passes, bucket ranges, store probes, cache revalidation,
-  delta apply) dumped as Chrome-trace-event JSON for Perfetto.
+  (engine init, passes, store probes, cache revalidation, delta apply) dumped as Chrome-trace-event JSON for Perfetto.
 - :mod:`repro.obs.http` — the asyncio ``/metrics`` + ``/health`` sidecar.
 
 The durable storage layer (PR 9) exports its series through the same

@@ -26,7 +26,13 @@ from typing import Callable, Optional
 _MetricsFn = Callable[[], str]
 _HealthFn = Callable[[], dict]
 
-_REASONS = {200: "OK", 404: "Not Found", 405: "Method Not Allowed", 500: "Internal Server Error"}
+_REASONS = {
+    200: "OK",
+    400: "Bad Request",
+    404: "Not Found",
+    405: "Method Not Allowed",
+    500: "Internal Server Error",
+}
 
 
 def _response(status: int, content_type: str, body: str) -> bytes:
@@ -89,7 +95,7 @@ class MetricsSidecar:
         try:
             method, path, _ = request_line.decode("ascii", "replace").split(None, 2)
         except ValueError:
-            return _response(404, "text/plain", "bad request\n")
+            return _response(400, "text/plain", "bad request\n")
         path = path.split("?", 1)[0]
         if method not in ("GET", "HEAD"):
             return _response(405, "text/plain", "method not allowed\n")

@@ -3,9 +3,8 @@
 Metrics answer "how often / how slow on aggregate"; the tracer answers
 "where did *this* run spend its time".  A :class:`PhaseTracer` records
 complete spans — named, categorized, wall-clock-bounded phases such as
-engine initialization, one singleton pass, one bucket range on a sharded
-worker, a store batch probe, a cache revalidation, a delta apply — and
-serializes them as Chrome trace events (``ph: "X"``) that Perfetto or
+engine initialization, one singleton pass, a cache revalidation, a delta
+apply — and serializes them as Chrome trace events (``ph: "X"``) that Perfetto or
 ``chrome://tracing`` render as a flame chart.
 
 The instrumentation sites never hold a tracer: they call
@@ -18,12 +17,6 @@ want a trace install one around the work:
     with use_tracer(tracer):
         run_workload()
     tracer.dump(path)
-
-Sharded workers are separate processes with no access to the parent's
-tracer, so the worker records into its own :class:`PhaseTracer` and ships
-``tracer.events()`` back with the results; the parent absorbs them via
-:meth:`PhaseTracer.absorb` during the existing plan-order merge, stamping
-the real worker pid so the flame chart shows true parallelism.
 """
 
 from __future__ import annotations
@@ -142,30 +135,6 @@ class PhaseTracer:
         """A copy of the recorded events (wire-safe: plain JSON types)."""
         with self._lock:
             return [dict(event) for event in self._events]
-
-    def absorb(
-        self,
-        events: List[dict],
-        pid: Optional[int] = None,
-        **extra_args: Any,
-    ) -> None:
-        """Merge another tracer's events (a worker's) into this log.
-
-        The events keep their own timebase — workers measure real
-        durations; only relative alignment across processes is
-        approximate — and are re-stamped with ``pid`` (the worker's) and
-        any ``extra_args`` (e.g. ``range_id``) for attribution.
-        """
-        stamped = []
-        for event in events:
-            event = dict(event)
-            if pid is not None:
-                event["pid"] = pid
-            if extra_args:
-                event["args"] = {**event.get("args", {}), **extra_args}
-            stamped.append(event)
-        with self._lock:
-            self._events.extend(stamped)
 
     def __len__(self) -> int:
         with self._lock:

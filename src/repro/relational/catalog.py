@@ -189,7 +189,8 @@ class Catalog:
             self._relation_ids[relation.name] = rid
             self._relation_names.append(relation.name)
         # Enough schema to rebuild the relations elsewhere — written into
-        # mirror-file metadata so workers can reconstruct the Database shell.
+        # mirror-file metadata so ``load_database`` can reconstruct the
+        # Database shell.
         self._relation_meta = [
             (relation.name, tuple(relation.schema.attributes), relation._label_prefix)
             for relation in relations

@@ -2,14 +2,10 @@
 
 The :class:`~repro.relational.packed_mirror.PackedMirror` keeps the
 catalog's bitmatrices as columnar little-endian ``uint64`` word arrays.  This
-module gives those arrays a persistent home, so
-
-* databases whose consistency matrix exceeds RAM page in on demand
-  (``np.memmap`` over a shared file instead of anonymous memory) — the
-  paper's "block-based reading" property at matrix scale, and
-* the sharded backend ships a *path* to its workers instead of pickling the
-  whole database: every worker maps the same pages through the OS page
-  cache, zero-copy.
+module gives those arrays a persistent home, so databases whose
+consistency matrix exceeds RAM page in on demand (``np.memmap`` over a
+shared file instead of anonymous memory) — the paper's "block-based
+reading" property at matrix scale.
 
 File layout (all integers little-endian)::
 
@@ -560,7 +556,7 @@ def _unlink_quietly(path: str) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# whole-database attach (the worker side of the zero-copy fan-out)
+# whole-database attach (``repro pack`` files, mapped catalogs)
 # --------------------------------------------------------------------------- #
 
 def load_database(path: str, writable: bool = False):

@@ -5,9 +5,7 @@ every big-int bitmask becomes a row of little-endian ``uint64`` words, so a
 mask of ``n`` tuples occupies ``ceil(n/64)`` words.  It is the in-memory
 face of the mirror file format (:mod:`repro.relational.catalog_file`), and
 it backs mapped catalogs (``repro pack``, ``load_database``), whose
-consistency rows are served from its file, and the sharded backend's mirror
-transport, where workers attach to the file instead of unpickling the
-database.
+consistency rows are served from its file.
 
 Layout invariant: for every mask ``m`` and width ``w``,
 ``pack_int(m, w)`` is exactly ``m.to_bytes(w*8, 'little')`` viewed as
@@ -85,8 +83,7 @@ class PackedMirror:
         Anonymous ``np.zeros`` allocations (the original mirror).
     ``backing="mmap"``
         Views over a :class:`~repro.relational.catalog_file.MirrorFile`
-        mapping, so the matrices page in on demand, survive the process, and
-        are shared zero-copy with sharded workers via the OS page cache.
+        mapping, so the matrices page in on demand and survive the process.
         Appends additionally write the tuple's payload entry to the file and
         growth delegates to the file's ftruncate-and-remap doubling.
 
@@ -162,7 +159,7 @@ class PackedMirror:
 
     @classmethod
     def attached(cls, mirror_file) -> "PackedMirror":
-        """Wrap an already-populated mirror file (the worker side).
+        """Wrap an already-populated mirror file (a loaded database's).
 
         No catalog big ints are read — the file's header supplies the
         logical extents and the mapped sections supply the matrices, so

@@ -98,9 +98,6 @@ def _query_key(database: Database, engine: str, options: dict, extra: Optional[s
     for key in _KEY_OPTIONS:
         if options.get(key) is not None:
             parts.append((key, options[key]))
-    backend = options.get("backend")
-    if backend is not None:
-        parts.append(("backend", getattr(backend, "name", str(backend))))
     # Ranking / join functions are arbitrary callables.  A ``cache_tag``
     # *names* them: the caller asserts that equal tags mean equivalent
     # callables, so fresh-but-identical instances (a new ``MinJoin`` per

@@ -170,10 +170,6 @@ class StreamingFullDisjunction:
     ``Complete`` store mirroring every distinct result emitted so far, and a
     live :class:`ResultLog` that open sessions read.
 
-    ``backend`` schedules the per-step work through its ``next_result``;
-    the per-arrival loop is a single ``incremental_fd`` pass, so there is
-    nothing to shard.
-
     With a ``ranking`` the maintained stream is the *ranked* full
     disjunction: log entries are ``(tuple set, score)`` pairs, the base run
     is rank-ordered, and every ingested batch appends its new results in
@@ -184,17 +180,13 @@ class StreamingFullDisjunction:
         self,
         database: Database,
         use_index: bool = True,
-        backend=None,
         statistics: Optional[FDStatistics] = None,
         ranking=None,
     ):
-        from repro.exec import resolve_backend
-
         self.database = database
         self.use_index = use_index
         self.ranking = ranking
         self.statistics = statistics if statistics is not None else FDStatistics()
-        self._backend = resolve_backend(backend)
         if ranking is not None:
             # The live queue state *is* the engine: its store of printed
             # results doubles as the maintainer's accumulated result mirror.
@@ -203,7 +195,6 @@ class StreamingFullDisjunction:
                 ranking,
                 use_index=use_index,
                 statistics=self.statistics,
-                backend=self._backend,
             )
             self._store = self._state.complete
         else:
@@ -241,7 +232,6 @@ class StreamingFullDisjunction:
             self.database,
             use_index=self.use_index,
             statistics=self.statistics,
-            backend=self._backend,
         ):
             self._store.add(result)
             yield result
@@ -640,7 +630,6 @@ class StreamingFullDisjunction:
                 initial=[TupleSet.singleton(t, catalog=catalog) for t in fresh_tuples],
                 statistics=pass_statistics,
                 complete=self._store,
-                backend=self._backend,
             ):
                 self._log.append(result)
                 emitted += 1
@@ -709,7 +698,6 @@ def incremental_replay_stream(
     arrivals: Sequence[StreamOp],
     batch_size: int = 1,
     use_index: bool = True,
-    backend=None,
     summary: Optional[DeltaSummary] = None,
     ranking=None,
 ) -> Iterator[StreamEvent]:
@@ -741,7 +729,6 @@ def incremental_replay_stream(
     maintainer = StreamingFullDisjunction(
         database,
         use_index=use_index,
-        backend=backend,
         statistics=summary.statistics,
         ranking=ranking,
     )

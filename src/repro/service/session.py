@@ -45,7 +45,6 @@ def _fd_source(database: Database, options: dict) -> Iterator[object]:
         initialization=options.get("initialization", "singletons"),
         block_size=options.get("block_size"),
         statistics=options.get("statistics"),
-        backend=options.get("backend"),
     )
 
 
@@ -64,7 +63,6 @@ def _priority_source(
         threshold=options.get("rank_threshold"),
         use_index=options.get("use_index", False),
         statistics=options.get("statistics"),
-        backend=options.get("backend"),
         semantics=semantics,
     )
 
@@ -81,7 +79,6 @@ def _approx_source(database: Database, options: dict) -> Iterator[object]:
         options.get("threshold", 1.0),
         use_index=options.get("use_index", False),
         statistics=options.get("statistics"),
-        backend=options.get("backend"),
     )
 
 
@@ -496,7 +493,7 @@ def open_session(
     """Open an owning session over a fresh engine run.
 
     ``engine`` is one of :data:`ENGINES`; ``options`` are forwarded to the
-    engine (``use_index``, ``backend``, ``ranking``, ``join_function``,
+    engine (``use_index``, ``ranking``, ``join_function``,
     ``threshold``, ``initialization``, ``block_size``, …).  The returned
     session owns its log: closing it closes the generator and releases the
     engine state.

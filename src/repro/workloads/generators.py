@@ -103,15 +103,12 @@ def skewed_chain_database(
 ) -> Database:
     """A chain schema with one *hot* relation carrying ``hot_factor``× the tuples.
 
-    The adversarial fixture for pass-grained parallelism: with whole passes as
-    the unit of distribution the hot relation's pass dominates the makespan
-    no matter how many workers run, while bucket-grained scheduling splits the
-    hot pass into ranges that the whole pool can steal.  ``hot_relation`` is
-    the 1-based chain position of the hot relation (``R2`` by default, so the
-    skew sits mid-chain and joins in both directions).
-
-    Used by the scale-out benchmark (E14) and the determinism-under-stealing
-    tests; deterministic in ``seed`` like every generator here.
+    Every relation draws its join values from the same domain, so the hot
+    relation's tuples together hold more join-consistent partners in the
+    neighbouring relations than any other relation's do, and its pass does
+    the most work.  ``hot_relation`` is the 1-based chain position of the hot relation
+    (``R2`` by default, so the skew sits mid-chain and joins in both
+    directions).  Deterministic in ``seed`` like every generator here.
     """
     if relations < 2:
         raise ValueError("a chain needs at least two relations")

@@ -18,8 +18,8 @@ that cheap:
 
 :func:`streaming_chain_workload` and :func:`streaming_star_workload` generate
 a base database plus an arrival sequence; :func:`replay_stream` ingests the
-arrivals batch by batch, recomputing through any execution backend
-(:mod:`repro.exec`) and yielding events as they happen.  The CLI exposes the
+arrivals batch by batch, recomputing the full disjunction after each batch
+and yielding events as they happen.  The CLI exposes the
 driver as ``repro stream``.
 """
 
@@ -337,7 +337,6 @@ def replay_stream(
     arrivals: Sequence[StreamOp],
     batch_size: int = 1,
     use_index: bool = False,
-    backend=None,
     summary: Optional[StreamSummary] = None,
     ranking=None,
 ) -> Iterator[StreamEvent]:
@@ -347,13 +346,12 @@ def replay_stream(
     against: each batch of stream operations — arrivals, and with
     :class:`Removal` / :class:`Update` ops also deletions and in-place
     updates — is applied through the in-place catalog maintenance entry
-    points, the full disjunction is recomputed through ``backend``, and the
-    event stream is the diff against the previous recompute: a ``retract``
-    :class:`ResultEvent` for every previously emitted result that
-    disappeared, then an ``emit`` event for every new one.  Events
-    interleave :class:`IngestEvent` and :class:`ResultEvent` in stream
-    order, and the net emitted set always equals the current database's full
-    disjunction.
+    points, the full disjunction is recomputed, and the event stream is the
+    diff against the previous recompute: a ``retract`` :class:`ResultEvent`
+    for every previously emitted result that disappeared, then an ``emit``
+    event for every new one.  Events interleave :class:`IngestEvent` and
+    :class:`ResultEvent` in stream order, and the net emitted set always
+    equals the current database's full disjunction.
 
     With a ``ranking`` (a monotonically c-determined
     :class:`~repro.core.ranking.RankingFunction`), each recomputation runs
@@ -393,7 +391,6 @@ def replay_stream(
                     database,
                     ranking,
                     use_index=use_index,
-                    backend=backend,
                     statistics=summary.statistics,
                 )
             )
@@ -402,7 +399,6 @@ def replay_stream(
             for tuple_set in full_disjunction_sets(
                 database,
                 use_index=use_index,
-                backend=backend,
                 statistics=summary.statistics,
             )
         ]

@@ -11,14 +11,26 @@ from repro.core.approx import (
     ApproxSemantics,
     approx_full_disjunction,
 )
-from repro.core.approx_join import EditDistanceSimilarity, ExactJoin, MinJoin, ProductJoin
+from repro.core.approx_join import (
+    EditDistanceSimilarity,
+    ExactJoin,
+    ExactMatchSimilarity,
+    MinJoin,
+    ProductJoin,
+)
 from repro.core.full_disjunction import full_disjunction
-from repro.core.incremental import FDStatistics, incremental_fd
+from repro.core.incremental import FDStatistics, get_next_result, incremental_fd
 from repro.baselines.naive import naive_approx_full_disjunction
 from repro.workloads.dirty import dirty_sources_database
-from repro.workloads.tourist import noisy_tourist_database, noisy_tourist_similarity
+from repro.workloads.generators import chain_database, star_database
+from repro.workloads.tourist import (
+    noisy_tourist_database,
+    noisy_tourist_similarity,
+    tourist_database,
+)
 
 from tests.conftest import labels_of
+from tests.core.reference_step import swapped_step
 
 
 @pytest.fixture
@@ -143,3 +155,59 @@ class TestApproximateFullDisjunctionFacade:
         # {a2, c1, s2} qualifies at τ = 0.4 with A_min = 0.5 (Example 6.1).
         assert "{a2, c1, s2}" in rendered
         assert "0.50" in rendered
+
+
+#: ``(database, A, τ)`` for the driver's statistics test, built per test.
+DRIVER_CASES = {
+    "dirty": lambda: (dirty_sources_database(seed=0), MinJoin(EditDistanceSimilarity()), 0.8),
+    "noisy-tourist": lambda: (
+        noisy_tourist_database(), MinJoin(noisy_tourist_similarity()), 0.5
+    ),
+    "tourist-exact": lambda: (tourist_database(), ExactJoin(), 1.0),
+    "chain": lambda: (
+        chain_database(relations=3, tuples_per_relation=4, domain_size=3, null_rate=0.2, seed=5),
+        MinJoin(ExactMatchSimilarity()),
+        0.6,
+    ),
+    "star": lambda: (
+        star_database(spokes=3, tuples_per_relation=3, hub_domain=2, seed=11),
+        MinJoin(ExactMatchSimilarity()),
+        0.6,
+    ),
+}
+
+
+class TestApproxDriver:
+    @pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
+    @pytest.mark.parametrize("case", sorted(DRIVER_CASES))
+    def test_a_drained_run_counts_the_work_of_its_passes(self, case, use_index):
+        """Each approximate pass is ``ApproxIncrementalFD`` over the whole
+        database: every counter of the driver but ``results_emitted`` is
+        the sum of those runs' counters, and ``results_emitted`` counts the
+        answers."""
+        database, join_function, threshold = DRIVER_CASES[case]()
+        drained = FDStatistics()
+        answers = approx_full_disjunction(
+            database, join_function, threshold, use_index=use_index, statistics=drained
+        )
+        summed = FDStatistics()
+        for anchor in database.relation_names:
+            statistics = FDStatistics()
+            list(
+                incremental_fd(
+                    database, anchor, use_index=use_index, statistics=statistics,
+                    semantics=ApproxSemantics(join_function, threshold),
+                )
+            )
+            summed.merge(statistics)
+        expected = summed.as_dict()
+        expected["results_emitted"] = len(answers)
+        assert drained.as_dict() == expected
+        assert drained.results >= len(answers) > 0
+
+    @pytest.mark.parametrize("threshold", [-0.1, 1.5])
+    def test_an_out_of_range_threshold_fails_before_any_step(self, noisy_db, amin, threshold):
+        with swapped_step(get_next_result) as steps:
+            with pytest.raises(ValueError, match="threshold"):
+                approx_full_disjunction(noisy_db, amin, threshold)
+        assert steps == []

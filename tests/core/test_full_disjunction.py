@@ -1,6 +1,8 @@
 """Tests for the ``FD(R)`` driver and the :class:`FullDisjunction` facade."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core.full_disjunction import (
     FullDisjunction,
@@ -9,18 +11,48 @@ from repro.core.full_disjunction import (
     full_disjunction,
     full_disjunction_sets,
 )
-from repro.core.incremental import FDStatistics
+from repro.core.incremental import FDStatistics, incremental_fd
 from repro.core.initialization import STRATEGIES
-from repro.core.scanner import BlockScanner
+from repro.core.scanner import BlockScanner, TupleScanner
 from repro.core.tupleset import TupleSet
 from repro.relational.database import Database
 from repro.relational.nulls import is_null
 from repro.relational.relation import Relation
-from repro.workloads.generators import chain_database, star_database
-from repro.workloads.tourist import TABLE2_TUPLE_SETS, table2_padded_rows
+from repro.workloads.generators import (
+    chain_database,
+    skewed_chain_database,
+    star_database,
+)
+from repro.workloads.tourist import TABLE2_TUPLE_SETS, table2_padded_rows, tourist_database
 from repro.baselines.naive import naive_full_disjunction
 
 from tests.conftest import labels_of
+
+
+def _mutated_star():
+    """A star whose catalog saw a removal and an update: dead rows."""
+    database = star_database(spokes=3, tuples_per_relation=3, hub_domain=2, seed=4)
+    database.catalog()
+    hub, spoke = database.relations[0], database.relations[1]
+    database.remove_tuple(hub.name, next(iter(hub)).label)
+    victim = next(iter(spoke))
+    database.update_tuple(spoke.name, victim.label, list(reversed(victim.values)))
+    return database
+
+
+#: Small workloads the driver tests run on, built fresh per test.
+WORKLOADS = {
+    "tourist": tourist_database,
+    "star": lambda: star_database(spokes=3, tuples_per_relation=3, hub_domain=2, seed=11),
+    "chain": lambda: chain_database(
+        relations=4, tuples_per_relation=5, domain_size=3, null_rate=0.2, seed=5
+    ),
+    "skewed": lambda: skewed_chain_database(
+        relations=3, tuples_per_relation=3, hot_factor=3, domain_size=3, seed=2
+    ),
+    "mutated": _mutated_star,
+}
+with_workloads = pytest.mark.parametrize("name", sorted(WORKLOADS))
 
 
 class TestFullDisjunctionDriver:
@@ -84,11 +116,9 @@ class TestRestrictedPasses:
         database.catalog()
         database.remove_tuple("R1", "r1")
         # {s1} could absorb r1 before the removal; afterwards it is an answer.
-        expected = {frozenset({"r2"}), frozenset({"s1"})}
-        for backend in ("serial", "sharded:2"):
-            results = full_disjunction(database, use_index=True, backend=backend)
-            assert labels_of(results) == expected
-            assert len(results) == 2
+        results = full_disjunction(database, use_index=True)
+        assert labels_of(results) == {frozenset({"r2"}), frozenset({"s1"})}
+        assert len(results) == 2
 
     @pytest.mark.parametrize("remove", [False, True])
     def test_mask_test_matches_the_uninterned_test(self, remove):
@@ -127,21 +157,71 @@ class TestRestrictedPasses:
         assert statistics.results_emitted == 8
 
 
+@st.composite
+def shaped_databases(draw):
+    """Small star, chain and skewed-chain databases, some with tuples removed."""
+    shape = draw(st.sampled_from(["star", "chain", "skewed"]))
+    seed = draw(st.integers(0, 10_000))
+    if shape == "star":
+        database = star_database(
+            spokes=draw(st.integers(2, 4)),
+            tuples_per_relation=draw(st.integers(1, 3)),
+            hub_domain=draw(st.integers(1, 2)),
+            null_rate=0.1,
+            seed=seed,
+        )
+    elif shape == "chain":
+        database = chain_database(
+            relations=draw(st.integers(2, 4)),
+            tuples_per_relation=draw(st.integers(1, 4)),
+            domain_size=draw(st.integers(1, 3)),
+            null_rate=0.2,
+            seed=seed,
+        )
+    else:
+        database = skewed_chain_database(
+            relations=3,
+            tuples_per_relation=2,
+            hot_factor=draw(st.integers(1, 3)),
+            domain_size=2,
+            seed=seed,
+        )
+    # Removals after the catalog exists tombstone tuples in place, so the
+    # drop rule must ignore dead rows of the consistency matrix.
+    database.catalog()
+    victims = draw(
+        st.lists(st.sampled_from(list(database.tuples())), max_size=3, unique=True)
+    )
+    for t in victims:
+        database.remove_tuple(t.relation_name, t.label)
+    return database
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(database=shaped_databases(), use_index=st.booleans())
+def test_singleton_driver_matches_the_oracle(database, use_index):
+    """Restricted passes are exact: the naive oracle's answer set, once each."""
+    expected = {ts.labels() for ts in naive_full_disjunction(database)}
+    results = full_disjunction(database, use_index=use_index)
+    assert {ts.labels() for ts in results} == expected
+    assert len(results) == len(expected)
+
+
 class TestDriverStatistics:
     """Counters survive an abandoned stream and count what each pass did."""
 
-    BACKENDS = ("serial", "sharded:2")
-
     @pytest.mark.parametrize("initialization", STRATEGIES)
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_first_k_and_drained_runs_report_their_work(self, backend, initialization):
+    def test_first_k_and_drained_runs_report_their_work(self, initialization):
         database = chain_database(
             relations=4, tuples_per_relation=8, domain_size=4, null_rate=0.1, seed=1
         )
         statistics = FDStatistics()
         prefix = first_k(
-            database, 5, initialization=initialization, statistics=statistics,
-            backend=backend,
+            database, 5, initialization=initialization, statistics=statistics
         )
         assert len(prefix) == 5
         assert statistics.results_emitted == 5
@@ -149,11 +229,36 @@ class TestDriverStatistics:
         assert statistics.candidates_generated > 0
         drained = FDStatistics()
         answers = full_disjunction(
-            database, initialization=initialization, statistics=drained,
-            backend=backend,
+            database, initialization=initialization, statistics=drained
         )
         assert drained.results_emitted == len(answers)
         assert drained.results >= len(answers)
+
+    @pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
+    @with_workloads
+    def test_a_drained_run_counts_the_work_of_its_passes(self, name, use_index):
+        """Pass i is ``IncrementalFD`` for R_i over R_i..R_n (Section 7):
+        every counter of the drained driver but ``results_emitted`` is the
+        sum of those runs' counters, and ``results_emitted`` counts the
+        answers."""
+        database = WORKLOADS[name]()
+        drained = FDStatistics()
+        answers = full_disjunction(database, use_index=use_index, statistics=drained)
+        summed = FDStatistics()
+        for index, relation in enumerate(database.relations):
+            statistics = FDStatistics()
+            scanner = TupleScanner(database, database.relation_names[:index])
+            list(
+                incremental_fd(
+                    database, relation.name, use_index=use_index, scanner=scanner,
+                    statistics=statistics,
+                )
+            )
+            summed.merge(statistics)
+        expected = summed.as_dict()
+        expected["results_emitted"] = len(answers)
+        assert drained.as_dict() == expected
+        assert drained.results > 0
 
     @pytest.mark.parametrize("initialization", STRATEGIES)
     def test_block_reads_count_every_fetched_block(self, initialization, monkeypatch):
@@ -178,6 +283,28 @@ class TestDriverStatistics:
 
 
 class TestStreamingAndFirstK:
+    @pytest.mark.parametrize("initialization", STRATEGIES)
+    @with_workloads
+    def test_first_k_is_the_prefix_of_the_drained_stream(self, name, initialization):
+        """One schedule: stopping early returns the drained run's first k
+        answers in its order, after no more work than the drained run."""
+        database = WORKLOADS[name]()
+        drained = FDStatistics()
+        answers = [
+            ts.labels()
+            for ts in full_disjunction(
+                database, initialization=initialization, statistics=drained
+            )
+        ]
+        for k in sorted({1, len(answers) // 2, len(answers)}):
+            statistics = FDStatistics()
+            prefix = first_k(
+                database, k, initialization=initialization, statistics=statistics
+            )
+            assert [ts.labels() for ts in prefix] == answers[:k]
+            assert statistics.results_emitted == k
+            assert statistics.results <= drained.results
+
     def test_first_k_returns_k_distinct_results(self, tourist_db):
         results = first_k(tourist_db, 3)
         assert len(results) == 3

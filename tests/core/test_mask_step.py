@@ -6,8 +6,9 @@ tuple at a time, with one tuple set per candidate.  On random star, chain
 and skewed databases mutated through ``Database`` (removals, appends,
 updates), both steps must produce the same results in the same order, the
 same ``Incomplete`` list after every step and equal ``FDStatistics`` — with
-and without an anchor bucket, with the index on and off, restricted to
-``R_i, …, R_n`` or not; the ranked engine must
+the index on and off, restricted to ``R_i, …, R_n`` or not; the reference
+runs assert that the reference step took every step, so a swap that failed
+cannot compare the mask step with itself.  The ranked engine must
 produce the same stream and the same queues after every answer.  The
 default seeds, handed to the pool as one gid mask and built lazily, must
 match the same singletons added one set at a time.  Line 14's test by
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from contextlib import nullcontext
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -49,7 +51,7 @@ from repro.workloads.generators import (
 )
 from repro.workloads.tourist import tourist_database
 
-from tests.core.reference_step import ReferenceBackend, reference_get_next_result
+from tests.core.reference_step import reference_get_next_result, reference_step
 from tests.core.reference_store import CompleteStore as ReferenceCompleteStore
 
 PROPERTY = settings(
@@ -126,12 +128,12 @@ def _buckets(incomplete):
 
 
 def _run(
-    database, anchor, backend, use_index, anchor_tuples, restricted,
-    initial=None, complete=None, limit=None,
+    database, anchor, use_index, restricted,
+    initial=None, complete=None, limit=None, reference=False,
 ):
     """Results (the first ``limit``, when given), the Incomplete list and
     its buckets after every step, the statistics, and the counters of a
-    ``complete`` store passed in."""
+    ``complete`` store passed in; on the reference step when ``reference``."""
     skip = ()
     if restricted:
         skip = database.relation_names[: database.index_of(anchor)]
@@ -141,20 +143,21 @@ def _run(
     def after_step(iteration, result, incomplete, complete):
         pools.append(([_labels(s) for s in incomplete.as_list()], _buckets(incomplete)))
 
-    results = incremental_fd(
-        database,
-        anchor,
-        use_index=use_index,
-        scanner=TupleScanner(database, skip),
-        statistics=statistics,
-        on_iteration=after_step,
-        backend=backend,
-        anchor_tuples=anchor_tuples,
-        initial=initial,
-        complete=complete,
-    )
-    stream = [_labels(r) for r in itertools.islice(results, limit)]
-    results.close()
+    with reference_step() if reference else nullcontext() as steps:
+        results = incremental_fd(
+            database,
+            anchor,
+            use_index=use_index,
+            scanner=TupleScanner(database, skip),
+            statistics=statistics,
+            on_iteration=after_step,
+            initial=initial,
+            complete=complete,
+        )
+        stream = [_labels(r) for r in itertools.islice(results, limit)]
+        results.close()
+    if reference:
+        assert len(steps) == statistics.results, "a step bypassed the reference"
     shared = None if complete is None else complete.statistics.as_dict()
     return stream, pools, statistics, shared
 
@@ -194,29 +197,20 @@ def _complete_factory(kind, database, anchor, use_index, choice):
     choice=st.randoms(use_true_random=False),
     use_index=st.booleans(),
     restricted=st.booleans(),
-    backend=st.sampled_from([None, "serial"]),
     seeding=st.sampled_from(["all", "some"]),
     complete_kind=st.sampled_from(COMPLETES),
 )
 def test_mask_step_matches_the_reference_step(
-    database, choice, use_index, restricted, backend, seeding, complete_kind
+    database, choice, use_index, restricted, seeding, complete_kind
 ):
     """Seeding only some ``R_i`` singletons leaves anchors whose singleton
     finds no waiting set (a Line 18 insert); the ``Complete`` variants make
     the bulk settle decline or run through the oracle's naive loop."""
-    _compare_with_reference(
-        database, choice, use_index, restricted, backend, seeding, complete_kind
-    )
+    _compare_with_reference(database, choice, use_index, restricted, seeding, complete_kind)
 
 
-def _compare_with_reference(
-    database, choice, use_index, restricted, backend, seeding, complete_kind
-):
+def _compare_with_reference(database, choice, use_index, restricted, seeding, complete_kind):
     anchor = choice.choice(database.relation_names)
-    anchor_tuples = None
-    if choice.random() < 0.5:
-        members = list(database.relation(anchor))
-        anchor_tuples = choice.sample(members, choice.randint(0, len(members)))
     make_complete = _complete_factory(complete_kind, database, anchor, use_index, choice)
     initial = None
     if seeding == "some":
@@ -226,13 +220,9 @@ def _compare_with_reference(
             TupleSet.singleton(t, catalog=catalog)
             for t in choice.sample(members, choice.randint(1, len(members)))
         ]
-    shipped = _run(
-        database, anchor, backend, use_index, anchor_tuples, restricted,
-        initial, make_complete(),
-    )
+    shipped = _run(database, anchor, use_index, restricted, initial, make_complete())
     reference = _run(
-        database, anchor, ReferenceBackend(), use_index, anchor_tuples, restricted,
-        initial, make_complete(),
+        database, anchor, use_index, restricted, initial, make_complete(), reference=True
     )
     assert shipped[0] == reference[0]
     assert shipped[1] == reference[1]
@@ -246,12 +236,11 @@ def _compare_with_reference(
     choice=st.randoms(use_true_random=False),
     use_index=st.booleans(),
     restricted=st.booleans(),
-    backend=st.sampled_from([None, "serial", "sharded:2"]),
     namesake=st.booleans(),
     limit=st.sampled_from([None, 1, 3]),
 )
 def test_seeding_by_mask_matches_seeding_set_by_set(
-    database, choice, use_index, restricted, backend, namesake, limit
+    database, choice, use_index, restricted, namesake, limit
 ):
     """The default seeds, handed to the pool as one gid mask and built
     lazily, against the same singletons passed as ``initial``, which the
@@ -267,21 +256,10 @@ def test_seeding_by_mask_matches_seeding_set_by_set(
         database.update_tuple(relation.name, victim.label, _mixed_values(choice, relation))
         database.update_tuple(relation.name, victim.label, values)
     anchor = choice.choice(database.relation_names)
-    anchor_tuples = None
-    if choice.random() < 0.5:
-        members = list(database.relation(anchor))
-        anchor_tuples = choice.sample(members, choice.randint(0, len(members)))
     catalog = database.catalog()
-    seeds = [
-        TupleSet.singleton(t, catalog=catalog)
-        for t in database.relation(anchor)
-        if anchor_tuples is None or t in anchor_tuples
-    ]
-    options = dict(limit=limit)
-    by_mask = _run(database, anchor, backend, use_index, anchor_tuples, restricted, **options)
-    by_sets = _run(
-        database, anchor, backend, use_index, anchor_tuples, restricted, initial=seeds, **options
-    )
+    seeds = [TupleSet.singleton(t, catalog=catalog) for t in database.relation(anchor)]
+    by_mask = _run(database, anchor, use_index, restricted, limit=limit)
+    by_sets = _run(database, anchor, use_index, restricted, initial=seeds, limit=limit)
     assert by_mask[0] == by_sets[0]
     assert by_mask[1] == by_sets[1]
     assert by_mask[2] == by_sets[2]
@@ -291,8 +269,8 @@ def test_the_drawn_cases_reach_every_branch_of_the_bulk_settle(monkeypatch):
     """The cases :func:`test_mask_step_matches_the_reference_step` draws
     from reach every branch of the anchor-singleton settle: covered,
     merged into a bucket of one and of two or more waiting sets, and left
-    in the stream as an insert; under a bucket restriction, for an anchor
-    after the plan's first relation, and through the oracle ``Complete``;
+    in the stream as an insert; for an anchor after the plan's first
+    relation, and through the oracle ``Complete``;
     and declining when ``Complete`` holds sets of an older catalog.  Each
     case is checked against the reference step here too."""
     reached = set()
@@ -309,8 +287,6 @@ def test_the_drawn_cases_reach_every_branch_of_the_bulk_settle(monkeypatch):
                 reached.add("merged into a crowded bucket")
             if anchors & ~crowded:
                 reached.add("merged")
-            if case["anchor_tuples"] is not None:
-                reached.add("bucket restriction")
             if case["later anchor"]:
                 reached.add("later anchor")
         return requeue_singletons(pool, anchors, crowded, catalog)
@@ -332,14 +308,13 @@ def test_the_drawn_cases_reach_every_branch_of_the_bulk_settle(monkeypatch):
             reached.add("inserted")
         return survivor_set(catalog, mask, gid)
 
-    def compared_run(database, anchor, backend, use_index, anchor_tuples, restricted, *rest):
+    def compared_run(database, anchor, use_index, restricted, *rest, reference=False):
         """Record reach only in the shipped run of a comparison, not in
         the run that builds the older ``Complete``."""
-        case["anchor_tuples"] = anchor_tuples
         case["later anchor"] = not restricted and database.index_of(anchor) > 0
-        case["compared"] = not isinstance(backend, ReferenceBackend)
+        case["compared"] = not reference
         try:
-            return run(database, anchor, backend, use_index, anchor_tuples, restricted, *rest)
+            return run(database, anchor, use_index, restricted, *rest, reference=reference)
         finally:
             case["compared"] = False
 
@@ -356,7 +331,7 @@ def test_the_drawn_cases_reach_every_branch_of_the_bulk_settle(monkeypatch):
         mutate(database, rng, rng.choices(["remove", "append", "update"], k=seed % 4))
         case["complete"] = COMPLETES[seed // 3 % len(COMPLETES)]
         _compare_with_reference(
-            database, rng, True, seed % 2 == 0, None,
+            database, rng, True, seed % 2 == 0,
             ["all", "some"][seed // 12 % 2], case["complete"],
         )
     assert reached == {
@@ -364,7 +339,6 @@ def test_the_drawn_cases_reach_every_branch_of_the_bulk_settle(monkeypatch):
         "merged",
         "merged into a crowded bucket",
         "inserted",
-        "bucket restriction",
         "later anchor",
         "reference Complete",
         "older catalog declines",
@@ -387,8 +361,8 @@ def test_mask_step_on_a_mapped_catalog(seed, tmp_path):
     try:
         assert mapped.catalog().packed_mirror().backing == "mmap"
         for anchor in mapped.relation_names:
-            assert _run(mapped, anchor, None, True, None, True) == _run(
-                mapped, anchor, ReferenceBackend(), True, None, True
+            assert _run(mapped, anchor, True, True) == _run(
+                mapped, anchor, True, True, reference=True
             )
     finally:
         _close_mirror(mapped)
@@ -658,17 +632,19 @@ def test_the_closure_test_is_the_merge_test(database):
 # --------------------------------------------------------------------- #
 # the ranked engine: priority pools through the same step
 # --------------------------------------------------------------------- #
-def _ranked(database, ranking, use_index, backend):
+def _ranked(database, ranking, use_index, reference=False):
     """The ranked stream, every queue's members in order after each answer,
-    and the statistics."""
+    and the statistics; on the reference step when ``reference``."""
     statistics = FDStatistics()
-    state = PriorityState(
-        database, ranking, use_index=use_index, statistics=statistics, backend=backend
-    )
     stream, queues = [], []
-    for result, rank in state.results():
-        stream.append((_labels(result), rank))
-        queues.append([[_labels(s) for s in pool] for pool in state.pools])
+    with reference_step() if reference else nullcontext() as steps:
+        state = PriorityState(database, ranking, use_index=use_index, statistics=statistics)
+        for result, rank in state.results():
+            stream.append((_labels(result), rank))
+            queues.append([[_labels(s) for s in pool] for pool in state.pools])
+    if reference:
+        # A step that re-derives a printed result counts no result.
+        assert len(steps) >= statistics.results and bool(steps) == bool(stream)
     return stream, queues, statistics
 
 
@@ -684,8 +660,8 @@ def test_ranked_mask_step_matches_the_reference_step(database, importance_seed, 
     the queues' member order after each answer shows every re-push."""
     rng = random.Random(importance_seed)
     ranking = MaxRanking({t.label: rng.randrange(3) for t in database.tuples()})
-    shipped = _ranked(database, ranking, use_index, None)
-    reference = _ranked(database, ranking, use_index, ReferenceBackend())
+    shipped = _ranked(database, ranking, use_index)
+    reference = _ranked(database, ranking, use_index, reference=True)
     assert shipped[0] == reference[0]
     assert shipped[1] == reference[1]
     assert shipped[2] == reference[2]
@@ -802,23 +778,24 @@ def test_reference_complete_store_as_complete(use_index):
         database.tuple_by_label(label) for label in ("c1", "c2", "c3", "a1", "a2", "s1")
     )
     runs = []
-    for backend in (None, ReferenceBackend()):
+    for reference in (False, True):
         complete = ReferenceCompleteStore("Climates", use_index=use_index)
         complete.add(TupleSet.of(c1, a1))
         complete.add(TupleSet.of(c1, a2, s1, catalog=catalog))
         statistics = FDStatistics()
-        results = [
-            _labels(r)
-            for r in incremental_fd(
-                database,
-                "Climates",
-                use_index=use_index,
-                initial=[TupleSet.singleton(c2), TupleSet.singleton(c3)],
-                statistics=statistics,
-                complete=complete,
-                backend=backend,
-            )
-        ]
+        with reference_step() if reference else nullcontext() as steps:
+            results = [
+                _labels(r)
+                for r in incremental_fd(
+                    database,
+                    "Climates",
+                    use_index=use_index,
+                    initial=[TupleSet.singleton(c2), TupleSet.singleton(c3)],
+                    statistics=statistics,
+                    complete=complete,
+                )
+            ]
+        assert not reference or len(steps) == statistics.results > 0
         runs.append((results, statistics, complete.statistics.as_dict()))
     assert runs[0] == runs[1]
     assert ["a1", "c1"] not in runs[0][0] and ["a2", "c1", "s1"] not in runs[0][0]
@@ -936,8 +913,8 @@ def test_probes_run_once_per_survivor_that_is_not_an_anchor_singleton(monkeypatc
     )
     anchor = database.relation_names[0]
 
-    def first_ten(backend):
-        results = incremental_fd(database, anchor, use_index=True, backend=backend)
+    def first_ten():
+        results = incremental_fd(database, anchor, use_index=True)
         return [_labels(r) for r in itertools.islice(results, 10)]
 
     def record(patch, owner, name):
@@ -955,11 +932,13 @@ def test_probes_run_once_per_survivor_that_is_not_an_anchor_singleton(monkeypatc
     with monkeypatch.context() as patch:
         mask_probes = record(patch, CompleteStore, "contains_superset_mask")
         waiting_probes = record(patch, ListIncompletePool, "waiting")
-        shipped = first_ten(None)
+        shipped = first_ten()
     with monkeypatch.context() as patch:
         complete_probes = record(patch, CompleteStore, "contains_superset")
         merge_probes = record(patch, ListIncompletePool, "candidates")
-        reference = first_ten(ReferenceBackend())
+        with reference_step() as steps:
+            reference = first_ten()
+    assert len(steps) >= 10
     assert shipped == reference
     singletons = sum(len(probe) == 1 for probe in complete_probes)
     assert singletons > 0

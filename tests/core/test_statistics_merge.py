@@ -1,10 +1,10 @@
 """``FDStatistics.merge``: deterministic extras merging.
 
-Cross-process statistics merging (the sharded backend) ships every worker's
-``extras`` dict through ``merge``; numeric values must accumulate and
-everything else must resolve deterministically (last writer wins) — the old
-implementation raised ``TypeError`` when a numeric value met a non-numeric
-one and summed booleans into meaningless integers.
+The drivers merge every pass's statistics, ``extras`` dict included,
+through ``merge``; numeric values must accumulate and everything else must
+resolve deterministically (last writer wins) — the old implementation
+raised ``TypeError`` when a numeric value met a non-numeric one and summed
+booleans into meaningless integers.
 """
 
 from __future__ import annotations
@@ -33,12 +33,12 @@ class TestNumericExtras:
 
 class TestNonNumericExtras:
     def test_strings_are_last_writer_wins(self):
-        merged = _with_extras(backend="serial").merge(_with_extras(backend="sharded"))
-        assert merged.extras["backend"] == "sharded"
+        merged = _with_extras(mode="recompute").merge(_with_extras(mode="delta"))
+        assert merged.extras["mode"] == "delta"
 
     def test_incoming_string_is_kept_not_dropped(self):
-        merged = FDStatistics().merge(_with_extras(note="worker-3"))
-        assert merged.extras["note"] == "worker-3"
+        merged = FDStatistics().merge(_with_extras(note="pass-3"))
+        assert merged.extras["note"] == "pass-3"
 
     def test_booleans_overwrite_instead_of_summing(self):
         merged = _with_extras(indexed=True).merge(_with_extras(indexed=True))

@@ -11,7 +11,8 @@ results in the same order, the same ``Incomplete`` list after every step
 and the same step counters.  The drivers above the step
 are one loop each, so the same holds for whole ``incremental_fd`` passes and
 for the ranked loop of ``priority_incremental_fd``: every ``FDStatistics``
-field agrees.
+field agrees.  And every driver hands each of its steps its own semantics,
+and a step swap that records them leaves the answers unchanged.
 """
 
 from __future__ import annotations
@@ -22,14 +23,17 @@ import pytest
 
 from repro.baselines.naive import naive_approx_full_disjunction
 from repro.core.approx import ApproxSemantics, approx_full_disjunction
-from repro.core.approx_join import ExactJoin, MinJoin, SimilarityFunction
-from repro.core.full_disjunction import full_disjunction
-from repro.core.incremental import FDStatistics, incremental_fd
+from repro.core.approx_join import ExactJoin, ExactMatchSimilarity, MinJoin, SimilarityFunction
+from repro.core.full_disjunction import first_k, full_disjunction
+from repro.core.incremental import EXACT, FDStatistics, get_next_result, incremental_fd
 from repro.core.priority import priority_incremental_fd
 from repro.core.ranking import MaxRanking
-from repro.exec import SerialBackend
+from repro.relational.database import Database
+from repro.relational.relation import Relation
 from repro.workloads.generators import chain_database, random_database, star_database
 from repro.workloads.tourist import tourist_database
+
+from tests.core.reference_step import swapped_step
 
 class GradedSimilarity(SimilarityFunction):
     """Join-consistent pairs score 1; any other pair a fixed grade below 1.
@@ -78,22 +82,22 @@ with_index = pytest.mark.parametrize(
 )
 
 
-class SemanticsBackend(SerialBackend):
-    """The serial step under one fixed semantics, whatever the driver passes."""
+def _under(semantics):
+    """The shipped step under ``semantics``, whatever the driver passes."""
 
-    def __init__(self, semantics):
-        self.semantics = semantics
+    def step(database, anchor, incomplete, complete, scanner, statistics, _):
+        return get_next_result(
+            database, anchor, incomplete, complete, scanner, statistics, semantics
+        )
 
-    def next_result(self, *args, **kwargs):
-        kwargs["semantics"] = self.semantics
-        return super().next_result(*args, **kwargs)
+    return step
 
 
 def _labelled(results):
     return [ts.labels() for ts in results]
 
 
-def _steps(database, anchor, use_index, backend):
+def _steps(database, anchor, use_index):
     """Results, the ``Incomplete`` list after every step, and the counters."""
     statistics = FDStatistics()
     pools = []
@@ -107,7 +111,6 @@ def _steps(database, anchor, use_index, backend):
         use_index=use_index,
         statistics=statistics,
         on_iteration=after_step,
-        backend=backend,
     )
     return _labelled(results), pools, statistics.as_dict()
 
@@ -128,11 +131,11 @@ def test_approx_semantics_matches_the_oracle(name, database, use_index):
 @with_workloads
 def test_exact_join_replays_the_exact_step(name, database, use_index):
     """Step by step: the starred Lines 2–9 and 14 make the exact decisions."""
-    starred = SemanticsBackend(EXACT_JOIN)
     for anchor in database.relation_names:
-        assert _steps(database, anchor, use_index, starred) == _steps(
-            database, anchor, use_index, None
-        ), anchor
+        with swapped_step(_under(EXACT_JOIN)) as steps:
+            starred = _steps(database, anchor, use_index)
+        assert len(steps) == len(starred[0]), anchor
+        assert starred == _steps(database, anchor, use_index), anchor
 
 
 @with_index
@@ -181,3 +184,97 @@ def test_exact_join_ranked_driver_is_the_exact_ranked_driver(name, database, use
         ]
         runs.append((stream, statistics.as_dict()))
     assert runs[1] == runs[0]
+
+
+APPROX = ApproxSemantics(MinJoin(ExactMatchSimilarity()), 0.6)
+RANKING = MaxRanking(lambda t: float(sum(ord(ch) for ch in t.label) % 7))
+
+#: Every driver, with the semantics its steps carry.  A run returns the
+#: driver's output: tuple sets, or ``(tuple set, score)`` pairs.
+DRIVERS = {
+    "fd": (full_disjunction, EXACT),
+    "fd-reuse": (
+        lambda db: full_disjunction(db, use_index=True, initialization="previous-results"),
+        EXACT,
+    ),
+    "first-k": (lambda db: first_k(db, 3), EXACT),
+    "pass": (lambda db: list(incremental_fd(db, db.relation_names[-1], use_index=True)), EXACT),
+    "priority": (lambda db: list(priority_incremental_fd(db, RANKING, use_index=True)), EXACT),
+    "approx": (
+        lambda db: approx_full_disjunction(db, APPROX.join_function, APPROX.threshold),
+        APPROX,
+    ),
+    "approx-pass": (
+        lambda db: list(
+            incremental_fd(db, db.relation_names[-1], use_index=True, semantics=APPROX)
+        ),
+        APPROX,
+    ),
+    "ranked-approx": (
+        lambda db: list(
+            priority_incremental_fd(db, RANKING, use_index=True, semantics=APPROX)
+        ),
+        APPROX,
+    ),
+}
+with_drivers = pytest.mark.parametrize("driver", sorted(DRIVERS))
+
+
+def _tuple_sets(output):
+    return [item[0] if isinstance(item, tuple) else item for item in output]
+
+
+def _comparable(output):
+    """Labels in output order, with the scores of a ranked driver."""
+    return [
+        (item[0].labels(), item[1]) if isinstance(item, tuple) else item.labels()
+        for item in output
+    ]
+
+
+@with_workloads
+@with_drivers
+def test_each_driver_steps_carry_its_semantics(driver, name, database):
+    """A recorder swapped in for the step sees every step of the driver,
+    each with the driver's semantics, and the answers and their order are
+    those of the unrecorded run."""
+    run, semantics = DRIVERS[driver]
+    with swapped_step(get_next_result) as steps:
+        recorded = _comparable(run(database))
+    assert recorded == _comparable(run(database))
+    assert steps
+    assert {type(carried) for _, carried in steps} == {type(semantics)}
+
+
+@with_drivers
+def test_each_driver_returns_sets_of_the_database_catalog(driver):
+    database = chain_database(
+        relations=3, tuples_per_relation=4, domain_size=3, null_rate=0.2, seed=9
+    )
+    catalog = database.catalog()
+    results = _tuple_sets(DRIVERS[driver][0](database))
+    assert results
+    assert all(tuple_set.catalog is catalog for tuple_set in results)
+
+
+def _without_tuples(how):
+    """The tourist relations, with no tuples or with every tuple removed."""
+    database = tourist_database()
+    if how == "all removed":
+        database.catalog()
+        for t in list(database.tuples()):
+            database.remove_tuple(t.relation_name, t.label)
+        return database
+    return Database([Relation(r.name, r.schema.attributes) for r in database.relations])
+
+
+@pytest.mark.parametrize("how", ["no tuples", "all removed"])
+@with_drivers
+def test_each_driver_yields_nothing_without_live_tuples(driver, how):
+    """No step runs, and nothing comes out, when no relation holds a live
+    tuple: tombstoned rows seed nothing."""
+    database = _without_tuples(how)
+    assert not list(database.tuples())
+    with swapped_step(get_next_result) as steps:
+        assert DRIVERS[driver][0](database) == []
+    assert steps == []

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import json
 import os
 import subprocess
 import sys
@@ -32,15 +33,6 @@ class TestParser:
     def test_topk_requires_k(self, csv_paths):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["topk", *csv_paths])
-
-    def test_backend_defaults_to_serial(self, csv_paths):
-        arguments = build_parser().parse_args(["fd", *csv_paths])
-        assert arguments.backend == "serial"
-        assert arguments.workers is None
-
-    def test_backend_rejects_unknown_names(self, csv_paths):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fd", *csv_paths, "--backend", "quantum"])
 
 
 class TestFdCommand:
@@ -75,68 +67,44 @@ class TestFdCommand:
         with pytest.raises(SystemExit):
             main(["fd"])
 
-    @pytest.mark.parametrize("name", ["batched", "async", "sharded-pass"])
-    def test_removed_backend_names_are_rejected(self, csv_paths, name):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fd", *csv_paths, "--backend", name])
-
     def test_the_sharded_router_is_gone(self):
         with pytest.raises(SystemExit) as refused:
             build_parser().parse_args(["serve", "--workload", "star", "--shards", "2"])
         assert refused.value.code == 2
 
-    def test_sharded_backend_produces_the_same_answers(self, csv_paths, capsys):
-        assert main(["fd", *csv_paths, "--backend", "sharded", "--workers", "2"]) == 0
-        assert "(6 answers)" in capsys.readouterr().out
+
+#: Every engine command, with the options it needs besides the CSV files.
+ENGINE_COMMANDS = {
+    "fd": [],
+    "topk": ["--k", "2"],
+    "approx": ["--threshold", "0.8"],
+    "stream": [],
+    "trace": ["--out", "OUT"],
+}
 
 
-#: ``--backend``/``--workers`` combinations every engine command refuses
-#: with one ``error:`` line: a worker count the backend would reject or
-#: ignore, and a sharded backend the command would not run.
-BAD_BACKEND_ARGUMENTS = [
-    (["fd", "--workers", "2"], "--workers only applies to --backend sharded"),
-    (["approx", "--threshold", "0.8", "--workers", "2"], "--workers only applies"),
-    (["trace", "--out", "OUT", "--workers", "2"], "--workers only applies"),
-    (["fd", "--backend", "sharded", "--workers", "0"], "--workers must be positive"),
-    (
-        ["approx", "--threshold", "0.8", "--backend", "sharded", "--workers", "0"],
-        "--workers must be positive",
-    ),
-    (["stream", "--backend", "sharded", "--workers", "-1"], "--workers must be positive"),
-    (
-        ["trace", "--out", "OUT", "--backend", "sharded", "--workers", "0"],
-        "--workers must be positive",
-    ),
-    (["stream", "--rank", "--backend", "sharded"], "not supported with --rank"),
-    (["trace", "--backend", "sharded"], "--backend only applies to trace --out"),
-]
+class TestNoBackendOptions:
+    """There is one schedule: no command knows ``--backend`` or ``--workers``."""
 
-
-class TestBackendArguments:
     @pytest.mark.parametrize(
-        "arguments, message",
-        BAD_BACKEND_ARGUMENTS,
-        ids=[" ".join(arguments) for arguments, _ in BAD_BACKEND_ARGUMENTS],
+        "options",
+        [["--backend", "serial"], ["--backend", "sharded"], ["--workers", "2"]],
+        ids=["backend-serial", "backend-sharded", "workers"],
     )
-    def test_a_bad_combination_exits_with_one_error_line(
-        self, csv_paths, tmp_path, arguments, message
+    @pytest.mark.parametrize("command", sorted(ENGINE_COMMANDS))
+    def test_argparse_refuses_the_option_before_any_work(
+        self, csv_paths, tmp_path, capsys, command, options
     ):
-        command, *options = arguments
-        options = [str(tmp_path / "t.json") if o == "OUT" else o for o in options]
+        extra = [
+            str(tmp_path / "t.json") if o == "OUT" else o for o in ENGINE_COMMANDS[command]
+        ]
         with pytest.raises(SystemExit) as refused:
-            main([command, *csv_paths, *options])
-        error = refused.value.code
-        assert isinstance(error, str) and error.startswith("error: ")
-        assert message in error and "\n" not in error
-        assert not (tmp_path / "t.json").exists()
-
-    @pytest.mark.parametrize(
-        "options", [["--backend", "sharded"], ["--backend", "serial"], ["--workers", "2"]]
-    )
-    def test_topk_takes_no_backend_options(self, csv_paths, options):
-        with pytest.raises(SystemExit) as refused:
-            build_parser().parse_args(["topk", *csv_paths, "--k", "2", *options])
+            main([command, *csv_paths, *extra, *options])
         assert refused.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {' '.join(options)}" in captured.err
+        assert not (tmp_path / "t.json").exists()
 
 
 class TestTopkCommand:
@@ -183,12 +151,6 @@ class TestStreamCommand:
         assert main(["stream", *csv_paths, "--arrival-fraction", "0"]) == 0
         output = capsys.readouterr().out
         assert "(6 standing answers over 0 streamed ops" in output
-
-    def test_stream_accepts_a_backend(self, csv_paths, capsys):
-        assert main(
-            ["stream", *csv_paths, "--backend", "serial", "--use-index"]
-        ) == 0
-        assert "catalog build)" in capsys.readouterr().out
 
     def test_delta_mode_matches_recompute_and_reports_work(self, csv_paths, capsys):
         assert main(["stream", *csv_paths, "--arrival-fraction", "0.4"]) == 0
@@ -286,14 +248,6 @@ class TestStreamCommand:
 
         assert standing(delta) == standing(recompute)
 
-    def test_sharded_backend_is_rejected_in_delta_mode(self, csv_paths):
-        with pytest.raises(SystemExit, match="sharded"):
-            main(["stream", *csv_paths, "--mode", "delta", "--backend", "sharded"])
-
-    def test_workers_without_sharded_backend_is_an_error(self, csv_paths):
-        with pytest.raises(SystemExit, match="--workers"):
-            main(["stream", *csv_paths, "--workers", "4"])
-
     def test_negative_mutations_is_an_error(self, csv_paths):
         with pytest.raises(SystemExit, match="non-negative"):
             main(["stream", *csv_paths, "--mutations", "-1"])
@@ -371,6 +325,19 @@ class TestTraceCommand:
     def test_trace_defaults_to_first_relation(self, csv_paths, capsys):
         assert main(["trace", *csv_paths]) == 0
         assert "iterations, anchor relation 'Accommodations'" in capsys.readouterr().out
+
+    def test_out_profiles_the_full_engine(self, csv_paths, tmp_path, capsys):
+        """``--out`` runs the whole driver under the tracer: one
+        ``engine.pass`` span per relation, in database order."""
+        out = tmp_path / "t.json"
+        assert main(["trace", *csv_paths, "--use-index", "--out", str(out)]) == 0
+        output = capsys.readouterr().out
+        assert f"trace written to {out}" in output
+        assert "(6 answers over 3 relations)" in output
+        with open(out, encoding="utf-8") as handle:
+            events = json.load(handle)["traceEvents"]
+        anchors = [e["args"]["anchor"] for e in events if e["name"] == "engine.pass"]
+        assert anchors == [os.path.splitext(os.path.basename(p))[0] for p in csv_paths]
 
 
 class TestPackCommand:

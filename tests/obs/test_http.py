@@ -108,7 +108,7 @@ class TestSidecar:
         )
         for raw in replies:
             head, _, text = raw.partition(b"\r\n\r\n")
-            assert head.startswith(b"HTTP/1.0 4")  # the client's error
+            assert head.split(b"\r\n")[0] == b"HTTP/1.0 400 Bad Request"
             assert text == b"bad request\n"
         assert status == 200 and json.loads(body) == {"status": "ok"}
 

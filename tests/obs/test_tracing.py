@@ -1,10 +1,13 @@
-"""The phase tracer: spans, the global hook, absorption, Chrome dumps."""
+"""The phase tracer: spans, the global hook, the engine's spans, Chrome dumps."""
 
 from __future__ import annotations
 
 import json
 import threading
 
+import pytest
+
+from repro.core.full_disjunction import first_k, full_disjunction
 from repro.obs import (
     NULL_SPAN,
     PhaseTracer,
@@ -14,6 +17,8 @@ from repro.obs import (
     trace_span,
     use_tracer,
 )
+from repro.workloads.generators import chain_database, star_database
+from repro.workloads.tourist import tourist_database
 
 
 class TestSpans:
@@ -88,24 +93,6 @@ class TestGlobalHook:
         assert [e["name"] for e in outer.events()] == ["shallow"]
 
 
-class TestAbsorption:
-    def test_absorb_restamps_pid_and_merges_args(self):
-        worker = PhaseTracer(pid=111)
-        worker.span("shard.range", "shard", labels=4).close()
-        parent = PhaseTracer(pid=1)
-        parent.absorb(worker.events(), pid=2222, range_id=5)
-        (event,) = parent.events()
-        assert event["pid"] == 2222
-        assert event["args"] == {"labels": 4, "range_id": 5}
-
-    def test_absorb_leaves_the_source_events_alone(self):
-        worker = PhaseTracer(pid=3)
-        worker.span("w").close()
-        before = worker.events()
-        PhaseTracer().absorb(before, pid=9, extra="x")
-        assert worker.events() == before
-
-
 class TestDump:
     def test_chrome_trace_shape_and_dump(self, tmp_path):
         tracer = PhaseTracer()
@@ -128,3 +115,47 @@ class TestDump:
         assert summary["b"]["count"] == 1
         assert "ignored" not in summary
         assert summary["a"]["max_us"] <= summary["a"]["total_us"]
+
+
+def _spans(events, name):
+    return [event for event in events if event["name"] == name]
+
+
+ENGINE_WORKLOADS = {
+    "tourist": tourist_database,
+    "star": lambda: star_database(spokes=3, tuples_per_relation=3, hub_domain=2, seed=1),
+    "chain": lambda: chain_database(
+        relations=4, tuples_per_relation=4, domain_size=3, null_rate=0.1, seed=2
+    ),
+}
+
+
+class TestEngineSpans:
+    @pytest.mark.parametrize("workload", sorted(ENGINE_WORKLOADS))
+    def test_a_drained_run_traces_one_pass_per_relation_in_order(self, workload):
+        """The driver's ``engine.pass`` spans: one per relation, in database
+        order, each enclosing the ``engine.initialize`` of its own anchor."""
+        database = ENGINE_WORKLOADS[workload]()
+        tracer = PhaseTracer()
+        with use_tracer(tracer):
+            answers = full_disjunction(database, use_index=True)
+        assert answers
+        events = tracer.events()
+        passes = _spans(events, "engine.pass")
+        assert [e["args"]["anchor"] for e in passes] == database.relation_names
+        initializations = _spans(events, "engine.initialize")
+        assert len(initializations) == len(passes)
+        for span, initialization in zip(passes, initializations):
+            assert initialization["args"]["anchor"] == span["args"]["anchor"]
+            assert span["ts"] <= initialization["ts"]
+            assert initialization["ts"] + initialization["dur"] <= span["ts"] + span["dur"]
+
+    def test_first_k_traces_only_the_passes_it_reached(self):
+        """An abandoned stream closes the pass it stopped in, and opens no
+        later one."""
+        database = tourist_database()
+        tracer = PhaseTracer()
+        with use_tracer(tracer):
+            assert len(first_k(database, 1)) == 1
+        passes = _spans(tracer.events(), "engine.pass")
+        assert [e["args"]["anchor"] for e in passes] == database.relation_names[:1]

@@ -33,11 +33,9 @@ from repro.workloads.tourist import tourist_database
 np = pytest.importorskip("numpy")
 
 
-def _stream(database, backend="serial"):
+def _stream(database):
     statistics = FDStatistics()
-    results = full_disjunction(
-        database, use_index=True, statistics=statistics, backend=backend
-    )
+    results = full_disjunction(database, use_index=True, statistics=statistics)
     return (
         [tuple(sorted(ts.labels())) for ts in results],
         statistics.extras.get("complete_sets_scanned", 0),

@@ -1,11 +1,10 @@
 """The packed mirror: the catalog's bitmatrices as ``uint64`` word arrays.
 
-The mirror (:mod:`repro.relational.packed_mirror`) backs mapped catalogs
-and the sharded backend's mirror transport.  These tests hold its rows
-bit-for-bit to the catalog's big ints on both backings (anonymous RAM
-arrays and a mapped file), through appends and tombstones, across pickling
-and across processes, and check that the engine returns the same stream
-on either backing.
+The mirror (:mod:`repro.relational.packed_mirror`) backs mapped catalogs.
+These tests hold its rows bit-for-bit to the catalog's big ints on both
+backings (anonymous RAM arrays and a mapped file), through appends and
+tombstones, across pickling and across processes, and check that the
+engine returns the same stream on either backing.
 """
 
 from __future__ import annotations

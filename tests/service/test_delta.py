@@ -244,27 +244,18 @@ def test_ingest_is_atomic_on_a_bad_arrival():
     assert record["arrivals"] == 1
 
 
-def test_maintainer_honours_the_backend_for_the_base_run():
-    from repro.exec import SerialBackend
-
-    class CountingBackend(SerialBackend):
-        steps = 0
-
-        def next_result(self, *args, **kwargs):
-            CountingBackend.steps += 1
-            return super().next_result(*args, **kwargs)
+def test_the_base_run_counts_every_step_it_takes():
+    from repro.core.incremental import get_next_result
+    from tests.core.reference_step import swapped_step
 
     workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=2, seed=3)
-    reference = streaming_chain_workload(relations=3, base_tuples=4, arrivals=2, seed=3)
-    counted = StreamingFullDisjunction(
-        workload.database, use_index=True, backend=CountingBackend()
-    )
-    counted.prime()
-    serial = StreamingFullDisjunction(reference.database, use_index=True)
-    serial.prime()
-    assert [_keys(ts) for ts in counted.results] == [_keys(ts) for ts in serial.results]
-    # Every step of the base run went through the given backend.
-    assert CountingBackend.steps == counted.statistics.results > 0
+    maintainer = StreamingFullDisjunction(workload.database, use_index=True)
+    with swapped_step(get_next_result) as steps:
+        maintainer.prime()
+    expected = full_disjunction(workload.database, use_index=True)
+    assert [_keys(ts) for ts in maintainer.results] == [_keys(ts) for ts in expected]
+    # The base run is the full driver: one step per result it produced.
+    assert len(steps) == maintainer.statistics.results > 0
 
 
 def test_bad_batch_size_is_rejected():

@@ -103,18 +103,24 @@ class TestSkewedChainDatabase:
         )
         assert all(len(relation) == 4 for relation in database)
 
-    def test_plan_isolates_the_hot_pass_into_many_ranges(self):
-        """The fixture's whole point: the hot pass splits, the cold ones don't."""
-        from repro.exec import plan_bucket_ranges
-
+    def test_the_hot_relation_holds_the_most_join_partners(self):
+        """The fixture's whole point: counted from the catalog's consistency
+        rows, the hot relation's tuples together have more consistent
+        partners in their neighbouring relations than any cold relation's."""
         database = skewed_chain_database(
             relations=3, tuples_per_relation=6, hot_relation=2, hot_factor=8, seed=1
         )
-        ranges_per_pass = {
-            anchor: len(ranges) for anchor, ranges in plan_bucket_ranges(database)
-        }
-        assert ranges_per_pass["R2"] > ranges_per_pass["R1"]
-        assert ranges_per_pass["R2"] > ranges_per_pass["R3"]
+        catalog = database.catalog()
+        partners = {}
+        for relation in database.relations:
+            rid = catalog.relation_id(relation.name)
+            neighbours = catalog.tuples_in_relations(catalog.adjacency_mask(rid))
+            partners[relation.name] = sum(
+                bin(catalog.consistent_mask(catalog.id_of(t)) & neighbours).count("1")
+                for t in relation
+            )
+        assert partners["R2"] > partners["R1"]
+        assert partners["R2"] > partners["R3"]
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):

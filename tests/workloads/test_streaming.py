@@ -94,9 +94,8 @@ class TestWorkloadGenerators:
             hold_back_arrivals(tourist_database(), fraction=1.0)
 
 
-@pytest.mark.parametrize("backend", ["serial", "sharded:2"])
 @pytest.mark.parametrize("batch_size", [1, 3])
-def test_streaming_ingest_builds_the_catalog_exactly_once(backend, batch_size):
+def test_streaming_ingest_builds_the_catalog_exactly_once(batch_size):
     """The acceptance criterion: N streamed tuples, 1 catalog build."""
     workload = streaming_chain_workload(
         relations=3, base_tuples=4, arrivals=6, seed=3
@@ -108,7 +107,6 @@ def test_streaming_ingest_builds_the_catalog_exactly_once(backend, batch_size):
             workload.arrivals,
             batch_size=batch_size,
             use_index=True,
-            backend=backend,
             summary=summary,
         )
     )
@@ -133,19 +131,18 @@ def test_replay_emits_every_final_result_and_never_retracts():
     assert [_keys(ts) for ts in summary.results] == emitted
 
 
-def test_replay_is_backend_agnostic():
+def test_replay_is_the_same_with_and_without_the_index():
     reference = None
-    for backend in ("serial", "sharded:2"):
+    for use_index in (False, True):
         workload = streaming_chain_workload(
             relations=3, base_tuples=4, arrivals=5, seed=8
         )
         events = list(
             replay_stream(
                 workload.database, workload.arrivals, batch_size=2,
-                use_index=True, backend=backend,
+                use_index=use_index,
             )
         )
-        # Sharded passes run bucket-major, so the trace is compared as a set.
         trace = {
             (_keys(e.tuple_set), e.after_arrivals)
             for e in events
