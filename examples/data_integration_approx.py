@@ -36,12 +36,13 @@ def figure4_worked_examples() -> None:
     similarity = noisy_tourist_similarity()
     amin = MinJoin(similarity)
     aprod = ProductJoin(similarity)
+    catalog = database.catalog()
 
-    t1 = TupleSet(database.tuple_by_label(label) for label in ("c1", "a2", "s2"))
+    t1 = TupleSet((database.tuple_by_label(label) for label in ("c1", "a2", "s2")), catalog)
     print(f"A_min({{c1, a2, s2}})  = {amin(t1):.2f}   (paper: 0.5)")
     print(f"A_prod({{c1, a2, s2}}) = {aprod(t1):.2f}   (paper: 0.32)")
 
-    base = TupleSet(database.tuple_by_label(label) for label in ("c1", "s1", "a2"))
+    base = TupleSet((database.tuple_by_label(label) for label in ("c1", "s1", "a2")), catalog)
     s2 = database.tuple_by_label("s2")
     amin_extensions = amin.candidate_extensions(base, s2, 0.4)
     aprod_extensions = aprod.candidate_extensions(base, s2, 0.4)

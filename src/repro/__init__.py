@@ -47,7 +47,6 @@ from repro.relational import (
 )
 from repro.core import (
     TupleSet,
-    jcc,
     FDStatistics,
     incremental_fd,
     full_disjunction,
@@ -104,7 +103,6 @@ __all__ = [
     "CSVFormatError",
     # core algorithms
     "TupleSet",
-    "jcc",
     "FDStatistics",
     "incremental_fd",
     "full_disjunction",

@@ -32,9 +32,11 @@ from repro.core.tupleset import TupleSet
 
 
 def _padded_value(tuple_set: TupleSet, attribute: str) -> object:
-    """The value of ``attribute`` in the padded row of ``tuple_set`` (null if absent)."""
-    if attribute in tuple_set.attributes:
-        return tuple_set.attribute_value(attribute)
+    """The value of ``attribute`` in the padded row of ``tuple_set``: a
+    member's non-null value, else null."""
+    for t in tuple_set:
+        if t.has_attribute(attribute) and not is_null(t[attribute]):
+            return t[attribute]
     return NULL
 
 
@@ -88,8 +90,9 @@ def outerjoin_sequence(
             f"order {list(order)!r} is not a permutation of the database relations"
         )
 
+    catalog = database.catalog()
     first_relation = database.relation(order[0])
-    state: List[TupleSet] = [TupleSet.singleton(t) for t in first_relation]
+    state: List[TupleSet] = [TupleSet.singleton(t, catalog) for t in first_relation]
     accumulated_attributes: Set[str] = set(first_relation.schema.attribute_set)
 
     for name in order[1:]:
@@ -107,7 +110,7 @@ def outerjoin_sequence(
                 next_state.append(tuple_set)
         for candidate in relation:
             if candidate not in matched_right:
-                next_state.append(TupleSet.singleton(candidate))
+                next_state.append(TupleSet.singleton(candidate, catalog))
         state = next_state
         accumulated_attributes |= set(relation.schema.attribute_set)
 

@@ -17,7 +17,7 @@ algorithm for computing ranked full disjunctions*:
   strategies of Section 7.
 """
 
-from repro.core.tupleset import TupleSet, jcc
+from repro.core.tupleset import TupleSet
 from repro.core.triples import Triple, TripleList, merge_join_consistent, merge_triples
 from repro.core.scanner import BlockScanner, TupleScanner
 from repro.core.store import (
@@ -89,7 +89,6 @@ from repro.core.blocks import (
 __all__ = [
     # data model
     "TupleSet",
-    "jcc",
     "Triple",
     "TripleList",
     "merge_join_consistent",

@@ -42,7 +42,9 @@ from repro.core.incremental import (
     incremental_fd,
 )
 from repro.core.initialization import earlier_relations
+from repro.core.scanner import require_current
 from repro.core.tupleset import TupleSet
+from repro.obs.tracing import trace_span
 
 
 class ApproxSemantics:
@@ -75,8 +77,11 @@ class ApproxSemantics:
 
         Because ``A`` is acceptable, any maximal set of ``AFD`` that contains
         the current set can be reached by such single-tuple steps, so the
-        fixpoint is maximal (see the discussion after Definition 6.4).
+        fixpoint is maximal (see the discussion after Definition 6.4).  No
+        pass runs on masks here, so the step checks the run's catalog first,
+        as a mask pass would (:func:`~repro.core.scanner.require_current`).
         """
+        require_current(scanner.database, tuple_set.catalog)
         return _extend_by_tuples(tuple_set, scanner, statistics, self)
 
     def survivors(self, result, anchor, scanner, statistics, settle=None):
@@ -156,14 +161,20 @@ def approx_full_disjunction_sets(
 ) -> Iterator[TupleSet]:
     """Generate every member of ``AFD(R, A, τ)`` exactly once (Corollary 6.7).
 
-    Runs one :func:`approx_pass` per relation, in database order.  An
-    out-of-range ``threshold`` raises ``ValueError`` before any pass runs.
+    Runs one :func:`approx_pass` per relation, in database order, each in
+    an ``engine.pass`` span.  An out-of-range ``threshold`` raises
+    ``ValueError`` before any pass runs.  The run keeps the catalog it
+    starts with: a rebuild under it makes the next pass raise
+    ``DatabaseError``.
     """
     semantics = ApproxSemantics(join_function, threshold)
+    catalog = database.catalog()
     for relation in database.relations:
-        yield from approx_pass(
-            database, relation.name, semantics, use_index=use_index, statistics=statistics
-        )
+        require_current(database, catalog)
+        with trace_span("engine.pass", "engine", anchor=relation.name):
+            yield from approx_pass(
+                database, relation.name, semantics, use_index=use_index, statistics=statistics
+            )
 
 
 def approx_full_disjunction(

@@ -230,7 +230,8 @@ class ApproximateJoinFunction:
         ``t_b``.  Acceptability guarantees that any qualifying subset is
         reachable this way.  The result keeps only maximal sets.
         """
-        if self(TupleSet.singleton(t_b)) < threshold:
+        catalog = tuple_set.catalog
+        if self(TupleSet.singleton(t_b, catalog)) < threshold:
             return []
         qualifying: List[TupleSet] = []
         seen = set()
@@ -248,7 +249,7 @@ class ApproximateJoinFunction:
             for member in current:
                 if member == t_b:
                     continue
-                frontier.append(current.difference(TupleSet.singleton(member)))
+                frontier.append(current.difference(TupleSet.singleton(member, catalog)))
         # Keep only the maximal qualifying sets.
         maximal: List[TupleSet] = []
         for candidate in qualifying:
@@ -312,7 +313,7 @@ class MinJoin(ApproximateJoinFunction):
         ]
         # Keep the connected component of t_b among the survivors.
         component = _connected_component_with(survivors, t_b)
-        result = TupleSet(component + [t_b], catalog=tuple_set.catalog)
+        result = TupleSet(component + [t_b], tuple_set.catalog)
         return [result]
 
 

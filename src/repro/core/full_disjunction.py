@@ -50,7 +50,7 @@ from repro.core.initialization import (
     earlier_relations,
     initial_sets,
 )
-from repro.core.scanner import make_scanner
+from repro.core.scanner import make_scanner, require_current
 from repro.core.store import CompleteStore, record_store_statistics
 from repro.core.tupleset import TupleSet
 from repro.obs.tracing import trace_span
@@ -62,15 +62,11 @@ def absorbs_earlier_tuple(
     """Whether ``JCC(result ∪ {t})`` holds for a live tuple ``t`` of ``R_<i``.
 
     ``R_i`` is the relation named ``anchor_name`` and ``result`` holds no
-    tuple of ``R_<i``.  On an interned set the test is one mask: the tuples
-    of the earlier relations adjacent to the set, live, and join consistent
-    with every member.  An uninterned set asks ``can_absorb`` of each live
-    earlier tuple.
+    tuple of ``R_<i``.  The test is one mask: the tuples of the earlier
+    relations adjacent to the set, live, and join consistent with every
+    member.
     """
     catalog = result.catalog
-    if catalog is None:
-        earlier = database.relations[: database.index_of(anchor_name)]
-        return any(result.can_absorb(t) for relation in earlier for t in relation)
     earlier_relations_mask = (1 << catalog.relation_id(anchor_name)) - 1
     adjacent = earlier_relations_mask & result.adjacent_relations
     if not adjacent:
@@ -149,6 +145,10 @@ def full_disjunction_sets(
         "block-based execution"); results are identical.
     statistics:
         Optional counters accumulated across all passes.
+
+    The run keeps the catalog it starts with (see
+    :mod:`repro.core.incremental`): a rebuild under it makes the next pass
+    raise ``DatabaseError``.
     """
     if initialization not in STRATEGIES:
         raise ValueError(
@@ -163,7 +163,9 @@ def full_disjunction_sets(
             statistics=statistics,
         )
         return
+    catalog = database.catalog()
     for relation in database.relations:
+        require_current(database, catalog)
         # The span covers the pass's wall clock as the consumer sees it
         # (pauses between pulls included) — on a trace, that is where the
         # serving time actually went.
@@ -197,31 +199,33 @@ def _run_reusing_passes(
     try:
         for relation in database.relations:
             anchor_name = relation.name
-            scanner = make_scanner(
-                database, block_size, earlier_relations(database, anchor_name)
-            )
-            pass_statistics = FDStatistics() if statistics is not None else None
-            results = incremental_fd(
-                database,
-                anchor_name,
-                use_index=use_index,
-                scanner=scanner,
-                initial=initial_sets(
-                    initialization, database, anchor_name, produced, catalog=catalog
-                ),
-                statistics=pass_statistics,
-                complete=shared_complete,
-            )
-            try:
-                for result in results:
-                    produced.append(result)
-                    yield result
-            finally:
-                # Close the pass first: its store counters land in pass_statistics.
-                results.close()
-                if pass_statistics is not None:
-                    pass_statistics.block_reads = getattr(scanner, "block_reads", 0)
-                    statistics.merge(pass_statistics)
+            require_current(database, catalog)
+            with trace_span("engine.pass", "engine", anchor=anchor_name):
+                scanner = make_scanner(
+                    database, block_size, earlier_relations(database, anchor_name)
+                )
+                pass_statistics = FDStatistics() if statistics is not None else None
+                results = incremental_fd(
+                    database,
+                    anchor_name,
+                    use_index=use_index,
+                    scanner=scanner,
+                    initial=initial_sets(
+                        initialization, database, anchor_name, produced, catalog
+                    ),
+                    statistics=pass_statistics,
+                    complete=shared_complete,
+                )
+                try:
+                    for result in results:
+                        produced.append(result)
+                        yield result
+                finally:
+                    # Close the pass first: its store counters land in pass_statistics.
+                    results.close()
+                    if pass_statistics is not None:
+                        pass_statistics.block_reads = getattr(scanner, "block_reads", 0)
+                        statistics.merge(pass_statistics)
     finally:
         # The shared Complete store is recorded once, on every exit.
         record_store_statistics(statistics, ("complete", shared_complete))

@@ -64,17 +64,16 @@ plus an append.
   anchor bucket against the survivor's *consistency closure*
   ``C(T') = AND over t ∈ T' of (row(t) | bit(t))``
   (:meth:`~repro.relational.catalog.Catalog.consistency_closure`), built
-  once per survivor, at its first waiting set of the survivor's catalog.
+  once per survivor, at its first non-empty waiting set.
   ``union_is_jcc`` assumes both operands JCC, and so ``JCC(S ∪ T')`` holds
   exactly when ``S ⊆ C(T')`` — for ``t ∈ T' ∩ S`` the row test holds
   already, since ``S`` is join consistent — and ``S`` shares a member with
-  ``T'`` or is adjacent to one of its relations.  The empty ``S`` merges;
-  a set of another catalog (or none) keeps
-  :meth:`~repro.core.tupleset.TupleSet.union_is_jcc_mask`.  A survivor
-  already inside the waiting set ``S`` it merges with makes the union ``S``
-  itself, so only the pool's ``replace(S, S)`` effect is applied
-  (``requeue``).  A tuple set is built only for a Line 18 insert or a merge
-  that grows ``S``.
+  ``T'`` or is adjacent to one of its relations.  The empty ``S`` merges.
+  Every waiting set is of the survivor's catalog, the run's (see below).
+  A survivor already inside the waiting set ``S`` it merges with makes the
+  union ``S`` itself, so only the pool's ``replace(S, S)`` effect is
+  applied (``requeue``).  A tuple set is built only for a Line 18 insert or
+  a merge that grows ``S``.
 * The *anchor singletons* — survivors ``t_b ∈ R_i`` in no member's reach,
   whose ``T'`` is ``{t_b}`` — are settled first, as one gid mask
   (:func:`_settle_singletons`).  ``{t_b}`` lies in a stored set exactly when
@@ -87,8 +86,9 @@ plus an append.
   singletons with an empty bucket stay in the per-survivor stream, at their
   plan position, with every other survivor.  The counters are added in bulk
   with the values the probes count.  A container that cannot answer on
-  masks (see :mod:`repro.core.store`) settles nothing, and then nothing is
-  counted in bulk.
+  masks — unindexed, the priority pool, or holding a tombstoned tuple (see
+  :mod:`repro.core.store`) — settles nothing, and then nothing is counted
+  in bulk.
 * Lines 1–4 of Fig. 1 hand the pool its default seeds as one gid mask
   (:meth:`~repro.core.pools.ListIncompletePool.seed`), so the first answer
   costs no work per tuple of ``R_i``: a seed's tuple set is built only when
@@ -105,11 +105,20 @@ one candidate per outside tuple, all but the survivors without an anchor —
 and the stores count the buckets, groups and sets the tuple-set probes
 would have.
 
-The tuple loop of Lines 2–18 remains the path whenever a mask pass is
-refused: the set is not interned, the database's catalog is stale or is not
-the set's, a member is tombstoned, or the scanner is a
-:class:`~repro.core.scanner.BlockScanner`.  The approximate semantics
-(:class:`~repro.core.approx.ApproxSemantics`) always takes it.
+**One catalog per run.**  A run works in the catalog ``database.catalog()``
+gave it at its start: its seeds, every set it derives and both containers
+are of that catalog, and the containers refuse a set of another
+(``ValueError``).  Appends, removals and updates made through the
+:class:`~repro.relational.database.Database` keep that catalog current.  A
+rebuild under the run — compaction, a new relation, or a change behind the
+database's back — makes its next pass raise ``DatabaseError``, "restart
+the query" (:func:`repro.core.scanner.require_current`).  Every predicate
+the step asks of a tuple set then runs on that catalog's masks; the tuple
+loop of Lines 2–18 is a way of *scanning*, not a second predicate.  It
+remains the path for a set with a tombstoned member and for a
+:class:`~repro.core.scanner.BlockScanner`, whose passes read tuples, and
+the approximate semantics (:class:`~repro.core.approx.ApproxSemantics`)
+always takes it.
 
 **One loop for every driver.**  :func:`incremental_fd` is the only Fig. 1
 loop.  Two rules let every driver run through it:
@@ -509,8 +518,7 @@ def _place_survivors(
     Each test visits and counts what the tuple-set loop of
     :func:`get_next_result` does, in the same order, so the pool evolves
     exactly as there.  A tuple set is built only for a Line 18 insert or a
-    merge that grows the waiting set; the tests against a set of another
-    catalog (or none) build one for the tuple-level comparison.
+    merge that grows the waiting set.
     """
     subsumed = merged = inserted = 0
     covered = complete.contains_superset_mask
@@ -522,25 +530,21 @@ def _place_survivors(
             continue
         # Lines 12-15: merge into the first waiting S with JCC(S ∪ T').  When
         # T' ⊆ S the union is S itself, and replacing S by S only reorders.
-        # For S of this catalog that is S ⊆ C(T') — with T''s consistency
-        # closure built at the first such S — and S ∩ T' ≠ ∅ or S adjacent
-        # to a relation of T' (see the module docstring).
+        # That is S ⊆ C(T') — with T''s consistency closure built at the
+        # first non-empty S — and S ∩ T' ≠ ∅ or S adjacent to a relation of
+        # T' (see the module docstring).
         # The slots are read directly: this loop runs once per waiting set.
         closure = None
         for waiting in waiting_sets(anchor_tuple):
-            same_catalog = waiting._catalog is catalog
             held = waiting._id_mask
-            if not same_catalog:
-                if not waiting.union_is_jcc_mask(mask, relation_mask, catalog):
-                    continue
-            elif held:
+            if held:
                 if closure is None:
                     closure = catalog.consistency_closure(mask)
                 if held & closure != held or not (
                     held & mask or waiting._adjacent_relations & relation_mask
                 ):
                     continue
-            if same_catalog and not mask & ~held:
+            if not mask & ~held:
                 incomplete.requeue(waiting, anchor_tuple)
             else:
                 incomplete.replace(waiting, waiting.union(_survivor_set(catalog, mask, gid)))
@@ -759,10 +763,10 @@ def incremental_fd(
     if not shared_complete:
         complete = CompleteStore(anchor_name, use_index=use_index)
 
-    # Lines 1-4: initialization of the two lists.  Initial sets are interned
-    # against the catalog so every set the run derives from them carries the
-    # bitset representation.  The default seeds go in as one gid mask, in
-    # scan order (gid order): the live tuples of R_i that pass the seed test.
+    # Lines 1-4: initialization of the two lists.  Initial sets must be of
+    # the run's catalog (the pool refuses others).  The default seeds go in
+    # as one gid mask, in scan order (gid order): the live tuples of R_i that
+    # pass the seed test.
     from repro.obs.tracing import trace_span
 
     with trace_span("engine.initialize", "engine", anchor=anchor_name):
@@ -773,13 +777,13 @@ def incremental_fd(
             if semantics is not EXACT:
                 qualifying = (
                     t for t in catalog.tuples_of_mask(seeds)
-                    if semantics.qualifies(TupleSet.singleton(t, catalog=catalog))
+                    if semantics.qualifies(TupleSet.singleton(t, catalog))
                 )
                 seeds = _gid_mask(qualifying, catalog)
             incomplete.seed(seeds, catalog)
         else:
             for tuple_set in initial:
-                incomplete.add(tuple_set.attach_catalog(catalog))
+                incomplete.add(tuple_set)
     if on_initialized is not None:
         on_initialized(incomplete, complete)
 

@@ -51,11 +51,9 @@ from repro.core.tupleset import TupleSet
 STRATEGIES = ("singletons", "previous-results", "reduced-previous")
 
 
-def singleton_sets(database: Database, anchor_name: str, catalog=None) -> List[TupleSet]:
+def singleton_sets(database: Database, anchor_name: str, catalog) -> List[TupleSet]:
     """The default initialization: ``{t}`` for every ``t ∈ R_i``."""
-    return [
-        TupleSet.singleton(t, catalog=catalog) for t in database.relation(anchor_name)
-    ]
+    return [TupleSet.singleton(t, catalog) for t in database.relation(anchor_name)]
 
 
 def covered_tuples(previous_results: Iterable[TupleSet], anchor_name: str) -> Set[Tuple]:
@@ -72,7 +70,7 @@ def previous_results_sets(
     database: Database,
     anchor_name: str,
     previous_results: Sequence[TupleSet],
-    catalog=None,
+    catalog,
 ) -> List[TupleSet]:
     """Second strategy: previous results with an ``R_i`` tuple + uncovered singletons."""
     initial: List[TupleSet] = [
@@ -81,7 +79,7 @@ def previous_results_sets(
     covered = covered_tuples(previous_results, anchor_name)
     for t in database.relation(anchor_name):
         if t not in covered:
-            initial.append(TupleSet.singleton(t, catalog=catalog))
+            initial.append(TupleSet.singleton(t, catalog))
     return initial
 
 
@@ -109,7 +107,7 @@ def reduced_previous_sets(
     database: Database,
     anchor_name: str,
     previous_results: Sequence[TupleSet],
-    catalog=None,
+    catalog,
 ) -> List[TupleSet]:
     """Third strategy: reduce previous results to later relations and re-extend them."""
     anchor_index = database.index_of(anchor_name)
@@ -128,7 +126,7 @@ def reduced_previous_sets(
             # Dropping the earlier relations may disconnect the set; keep the
             # connected component of the anchor tuple, which is JCC.
             anchor_tuple = reduced.tuple_from(anchor_name)
-            others = reduced.difference(TupleSet.singleton(anchor_tuple))
+            others = reduced.difference(TupleSet.singleton(anchor_tuple, reduced.catalog))
             reduced = others.maximal_jcc_subset_with(anchor_tuple)
         extended = _greedy_extend(reduced, database, later)
         candidates.append(extended)
@@ -136,7 +134,7 @@ def reduced_previous_sets(
     covered = covered_tuples(previous_results, anchor_name)
     for t in database.relation(anchor_name):
         if t not in covered:
-            candidates.append(TupleSet.singleton(t, catalog=catalog))
+            candidates.append(TupleSet.singleton(t, catalog))
 
     # Remove initial sets contained in another initial set (retains the O(f)
     # space bound, as the paper notes), and drop duplicates.
@@ -162,19 +160,19 @@ def initial_sets(
     database: Database,
     anchor_name: str,
     previous_results: Sequence[TupleSet],
-    catalog=None,
+    catalog,
 ) -> List[TupleSet]:
     """Dispatch to the initialization strategy named ``strategy``.
 
-    ``catalog`` interns the produced seed sets so a run started from them
-    stays on the bitset :class:`TupleSet` representation throughout.
+    ``catalog`` is the run's: the new seed sets are interned in it, and the
+    previous results must be of it too.
     """
     if strategy == "singletons":
-        return singleton_sets(database, anchor_name, catalog=catalog)
+        return singleton_sets(database, anchor_name, catalog)
     if strategy == "previous-results":
-        return previous_results_sets(database, anchor_name, previous_results, catalog=catalog)
+        return previous_results_sets(database, anchor_name, previous_results, catalog)
     if strategy == "reduced-previous":
-        return reduced_previous_sets(database, anchor_name, previous_results, catalog=catalog)
+        return reduced_previous_sets(database, anchor_name, previous_results, catalog)
     raise ValueError(
         f"unknown initialization strategy {strategy!r}; expected one of {STRATEGIES}"
     )

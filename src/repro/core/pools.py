@@ -25,8 +25,13 @@ for a bare anchor tuple (``waiting``, the form the mask step of
 anchor (``requeue``), which moves ``S`` to the end of its bucket (and of the
 priority pool's member order) without re-ranking it.  The indexed list pool
 also settles the step's anchor singletons in bulk: gid masks of the anchors
-with one and with two or more waiting sets (``waiting_anchors``, kept in one
-catalog as :mod:`repro.core.store` describes), and ``requeue_singletons``.
+with one and with two or more waiting sets (``waiting_anchors``, read off
+each set's own mask), and ``requeue_singletons``.
+
+**One catalog.**  Every container holds the sets of one catalog, the one its
+first set (or seed block) is interned in, and ``add`` refuses a set of
+another catalog with ``ValueError``: a query runs in one catalog (see
+:mod:`repro.core.scanner`), so its masks can be read off any member.
 
 **The seed block.**  :meth:`ListIncompletePool.seed` takes Line 1's
 singletons ``{t}``, ``t ∈ R_i``, as one gid mask and keeps them, in gid
@@ -43,7 +48,7 @@ the full scan's ``sets_scanned`` count unbuilt ones.
 
 **The eviction sweep.**  Streaming deletion drops every member holding a
 dead tuple: both pools' ``discard_containing``, and
-``CompleteStore.retract_containing`` on an unindexed store without a
+``CompleteStore.retract_containing`` on an unindexed store told no
 catalog, run :func:`holding_dead`, one Python loop over the members.
 
 All containers count the tuple sets they scan in a :class:`PoolStatistics`
@@ -67,6 +72,7 @@ __all__ = [
     "ListIncompletePool",
     "PriorityIncompletePool",
     "holding_dead",
+    "one_catalog",
 ]
 
 
@@ -80,6 +86,15 @@ def _gids(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def one_catalog(held, catalog):
+    """The catalog of a container that held the sets of ``held`` (``None``
+    for none yet) once it admits a set of ``catalog``: ``catalog`` itself,
+    which must be ``held`` unless the container held nothing."""
+    if held is not None and catalog is not held:
+        raise ValueError("a container holds the sets of one catalog; this set is of another")
+    return catalog
 
 
 def holding_dead(sets: Iterable[TupleSet], dead) -> List[TupleSet]:
@@ -189,16 +204,14 @@ class ListIncompletePool:
         self._insert_cursor = 0
         # Anchor tuple -> its members, in insertion order (dict as ordered set).
         self._buckets: Dict[Tuple, Dict[TupleSet, None]] = {}
-        # With the index, gid masks of one catalog: the anchors with at
-        # least one and at least two waiting sets, and every anchor seen
-        # (None once a set of another catalog, or none, arrives).
-        self._mask_catalog = None
-        self._waiting_once = self._waiting_twice = 0
-        self._anchors_seen: Optional[int] = 0
+        # The catalog of every member (see the module docstring).
+        self._catalog = None
+        # With the index, gid masks: the anchors with at least one and at
+        # least two waiting sets, and every anchor seen.
+        self._waiting_once = self._waiting_twice = self._anchors_seen = 0
         # The seed block (see seed): gids of its seeds and of the unbuilt
         # ones, and the slots of the built ones.
         self._seeds = self._unbuilt = 0
-        self._seed_catalog = None
         self._seed_slots: Dict[int, list] = {}
         self.statistics = PoolStatistics()
 
@@ -216,7 +229,7 @@ class ListIncompletePool:
     def __contains__(self, tuple_set: TupleSet) -> bool:
         if self._unbuilt:
             gid = self._pending_gid(self._anchor_of(tuple_set))
-            if gid is not None and TupleSet.singleton_at(gid, self._seed_catalog) == tuple_set:
+            if gid is not None and TupleSet.singleton_at(gid, self._catalog) == tuple_set:
                 return True
         return tuple_set in self._slots
 
@@ -226,26 +239,22 @@ class ListIncompletePool:
         module docstring)."""
         if self or self._extraction != "paper":
             raise ValueError('seeds go into an empty "paper" Incomplete pool')
+        self._catalog = one_catalog(self._catalog, catalog)
         self._seed_slots.clear()
         self._seeds = self._unbuilt = seeds
-        self._seed_catalog = catalog
         statistics = self.statistics
         statistics.additions += popcount(seeds)
         statistics.peak_size = max(statistics.peak_size, len(self))
-        if self._use_index and seeds and self._anchors_seen is not None:
-            if self._mask_catalog not in (None, catalog):
-                self._anchors_seen = None
-            else:
-                # Each pending seed is a bucket of one.
-                self._mask_catalog = catalog
-                self._anchors_seen |= seeds
-                self._waiting_once |= seeds
+        if self._use_index:
+            # Each pending seed is a bucket of one.
+            self._anchors_seen |= seeds
+            self._waiting_once |= seeds
 
     def _pending_gid(self, anchor: Optional[Tuple]) -> Optional[int]:
         """The gid of the unbuilt seed whose tuple equals ``anchor``, if any."""
         if anchor is None:
             return None
-        catalog = self._seed_catalog
+        catalog = self._catalog
         gid = catalog.id_of(anchor)
         if gid is not None and (self._unbuilt >> gid) & 1:
             return gid
@@ -255,12 +264,12 @@ class ListIncompletePool:
 
     def _build(self, gid: int) -> TupleSet:
         """Build the unbuilt seed ``gid`` in place: its slot stays in the block."""
-        seed = TupleSet.singleton_at(gid, self._seed_catalog)
+        seed = TupleSet.singleton_at(gid, self._catalog)
         slot = self._seed_slots[gid] = [seed]
         self._slots[seed] = slot
         self._unbuilt ^= 1 << gid
         if self._use_index:
-            self._buckets.setdefault(self._seed_catalog.tuple_at(gid), {})[seed] = None
+            self._buckets.setdefault(self._catalog.tuple_at(gid), {})[seed] = None
         return seed
 
     def _build_pending(self, anchor: Optional[Tuple]) -> None:
@@ -275,7 +284,7 @@ class ListIncompletePool:
         yield from (slot[0] for slot in self._items if slot[0] is not None)
         for gid in _gids(self._seeds):
             if (self._unbuilt >> gid) & 1:
-                yield self._build(gid) if build else TupleSet.singleton_at(gid, self._seed_catalog)
+                yield self._build(gid) if build else TupleSet.singleton_at(gid, self._catalog)
             elif self._seed_slots[gid][0] is not None:
                 yield self._seed_slots[gid][0]
 
@@ -284,13 +293,8 @@ class ListIncompletePool:
 
     def _anchor_bit(self, tuple_set: TupleSet) -> int:
         """The gid bit of ``tuple_set``'s anchor, read off its own mask and
-        added to the anchors seen; 0, with the masks given up, for a set of
-        a second catalog or of none."""
-        catalog = tuple_set.catalog
-        if catalog is None or self._mask_catalog not in (None, catalog):
-            self._anchors_seen = None
-            return 0
-        self._mask_catalog = catalog
+        added to the anchors seen."""
+        catalog = self._catalog
         rid = catalog.relation_id(self._anchor_relation)
         bit = tuple_set.id_mask & catalog.relation_tuples_mask(rid)
         self._anchors_seen |= bit
@@ -302,12 +306,11 @@ class ListIncompletePool:
             if anchor is not None:
                 bucket = self._buckets.setdefault(anchor, {})
                 bucket[tuple_set] = None
-                if self._anchors_seen is not None:
-                    bit = self._anchor_bit(tuple_set)
-                    if len(bucket) == 1:
-                        self._waiting_once |= bit
-                    elif len(bucket) == 2:
-                        self._waiting_twice |= bit
+                bit = self._anchor_bit(tuple_set)
+                if len(bucket) == 1:
+                    self._waiting_once |= bit
+                elif len(bucket) == 2:
+                    self._waiting_twice |= bit
 
     def _index_discard(self, tuple_set: TupleSet) -> None:
         if self._use_index:
@@ -316,14 +319,14 @@ class ListIncompletePool:
                 bucket = self._buckets.get(anchor)
                 if bucket is not None and tuple_set in bucket:
                     del bucket[tuple_set]
-                    if self._anchors_seen is not None:
-                        if not bucket:
-                            self._waiting_once &= ~self._anchor_bit(tuple_set)
-                        elif len(bucket) == 1:
-                            self._waiting_twice &= ~self._anchor_bit(tuple_set)
+                    if not bucket:
+                        self._waiting_once &= ~self._anchor_bit(tuple_set)
+                    elif len(bucket) == 1:
+                        self._waiting_twice &= ~self._anchor_bit(tuple_set)
 
     def add(self, tuple_set: TupleSet) -> None:
         """Insert a tuple set (Line 18 of ``GetNextResult`` / initialization)."""
+        self._catalog = one_catalog(self._catalog, tuple_set.catalog)
         pending = 0
         if self._unbuilt:
             anchor = self._anchor_of(tuple_set)
@@ -420,6 +423,7 @@ class ListIncompletePool:
                 raise KeyError(f"{old!r} is not in the Incomplete pool")
             self.requeue(old, self._anchor_of(old))
             return
+        self._catalog = one_catalog(self._catalog, new.catalog)
         slot = self._slots.pop(old, None)
         if slot is None:
             raise KeyError(f"{old!r} is not in the Incomplete pool")
@@ -433,7 +437,7 @@ class ListIncompletePool:
         self._slots[new] = slot
         anchor = self._anchor_of(old)
         bucket = self._buckets.get(anchor) if self._use_index else None
-        if bucket is not None and self._anchor_of(new) is anchor and new.catalog is old.catalog:
+        if bucket is not None and self._anchor_of(new) is anchor:
             del bucket[old]
             bucket[new] = None
         else:
@@ -454,9 +458,7 @@ class ListIncompletePool:
         """The gid masks, in ``catalog``, of the anchors with at least one
         and with at least two waiting sets; ``None`` when the masks cannot
         answer (see the module docstring)."""
-        seen = self._anchors_seen
-        usable = self._use_index and seen is not None and self._mask_catalog in (None, catalog)
-        if not usable or seen & catalog.dead_mask:
+        if not self._use_index or self._anchors_seen & catalog.dead_mask:
             return None
         return self._waiting_once, self._waiting_twice
 
@@ -512,7 +514,7 @@ class ListIncompletePool:
         """The indexed pool's non-empty anchor buckets, each in bucket order,
         a seed not built yet as a bucket of its own copy."""
         buckets = {anchor: list(bucket) for anchor, bucket in self._buckets.items() if bucket}
-        catalog = self._seed_catalog
+        catalog = self._catalog
         for gid in _gids(self._unbuilt if self._use_index else 0):
             buckets[catalog.tuple_at(gid)] = [TupleSet.singleton_at(gid, catalog)]
         return buckets
@@ -542,6 +544,8 @@ class PriorityIncompletePool:
         self._counter = itertools.count()
         # Anchor tuple -> its members, in insertion order (dict as ordered set).
         self._buckets: Dict[Tuple, Dict[TupleSet, None]] = {}
+        # The catalog of every member (see the module docstring).
+        self._catalog = None
         self.statistics = PoolStatistics()
 
     def __len__(self) -> int:
@@ -561,6 +565,7 @@ class PriorityIncompletePool:
 
     def add(self, tuple_set: TupleSet) -> None:
         """Insert a tuple set, keyed by its rank."""
+        self._catalog = one_catalog(self._catalog, tuple_set.catalog)
         if tuple_set in self._members:
             return
         score = self._ranking(tuple_set)
@@ -636,6 +641,7 @@ class PriorityIncompletePool:
         if new is old:
             self.requeue(old, self._anchor_of(old))
             return
+        self._catalog = one_catalog(self._catalog, new.catalog)
         self._discard(old)
         self.statistics.replacements += 1
         if new not in self._members:

@@ -238,7 +238,7 @@ class CDeterminedRanking(RankingFunction):
         members = sorted(tuple_set, key=lambda t: (t.relation_name, t.label))
         for size in range(1, min(self.c, len(members)) + 1):
             for subset in itertools.combinations(members, size):
-                if size > 1 and not TupleSet(subset).is_connected:
+                if size > 1 and not TupleSet(subset, tuple_set.catalog).is_connected:
                     continue
                 value = self._subset_score(subset)
                 if value > best:
@@ -312,7 +312,7 @@ def enumerate_connected_subsets(
     database: Database,
     anchor_name: str,
     max_size: int,
-    catalog=None,
+    catalog,
     semantics=EXACT,
 ) -> Iterator[TupleSet]:
     """Every JCC tuple set of size at most ``max_size`` containing a tuple of ``R_i``.
@@ -323,7 +323,7 @@ def enumerate_connected_subsets(
     an :class:`~repro.core.approx.ApproxSemantics` the sets are the
     connected ones with ``A ≥ τ`` instead.
     """
-    seeds = (TupleSet.singleton(t, catalog=catalog) for t in database.relation(anchor_name))
+    seeds = (TupleSet.singleton(t, catalog) for t in database.relation(anchor_name))
     return _grow_subsets(database, seeds, max_size, semantics)
 
 
@@ -331,7 +331,7 @@ def enumerate_connected_subsets_containing(
     database: Database,
     t: Tuple,
     max_size: int,
-    catalog=None,
+    catalog,
     semantics=EXACT,
 ) -> Iterator[TupleSet]:
     """Every JCC tuple set of size at most ``max_size`` containing ``t``.
@@ -344,7 +344,7 @@ def enumerate_connected_subsets_containing(
     rebuild.
     """
     return _grow_subsets(
-        database, [TupleSet.singleton(t, catalog=catalog)], max_size, semantics
+        database, [TupleSet.singleton(t, catalog)], max_size, semantics
     )
 
 

@@ -22,13 +22,15 @@ pass, one tuple read per tuple of every relation read), so the counters
 mean the same whichever way a pass ran.  A scanner builds the plan once
 and hands the same plan, counted the same, to every pass while the catalog
 object and its live mask stay unchanged.  That relies on the pass's
-precondition, which the staleness checks still test on every pass: the set
-is interned in the database's current catalog, and a current catalog moves
-its live mask with every append and tombstone, the only changes that keep
-it current.  :class:`BlockScanner` never takes a mask pass: block execution
-(Section 7) exists to count the block fetches a real scan makes, so its
-passes always read tuples.  How ``GetNextResult`` uses the plan, and why
-that is exact, is in :mod:`repro.core.incremental`.
+precondition, which every pass checks (:func:`require_current`): the set's
+catalog — the one the query started in — is the database's current
+catalog.  A current catalog moves its live mask with every append and
+tombstone, the only changes that keep it current; any other change
+rebuilds the catalog, and the pass raises ``DatabaseError`` ("restart the
+query").  A set with a tombstoned member reads tuples instead, and so does
+every pass of a :class:`BlockScanner`: block execution (Section 7) exists
+to count the block fetches a real scan makes.  How ``GetNextResult`` uses
+the plan, and why that is exact, is in :mod:`repro.core.incremental`.
 """
 
 from __future__ import annotations
@@ -36,7 +38,20 @@ from __future__ import annotations
 from typing import Iterable, Iterator, List, Optional, Tuple as TupleType
 
 from repro.relational.database import Database
+from repro.relational.errors import DatabaseError
 from repro.relational.tuples import Tuple
+
+
+def require_current(database: Database, catalog) -> None:
+    """Raise ``DatabaseError`` unless ``catalog`` is ``database``'s current
+    catalog: a query runs in the catalog it started with, and a rebuild
+    under it ends the query."""
+    if catalog is not database.current_catalog():
+        raise DatabaseError(
+            "the database's catalog was rebuilt under a running query "
+            "(compaction, a new relation or a change behind the database's "
+            "back); restart the query"
+        )
 
 
 class TupleScanner:
@@ -71,19 +86,16 @@ class TupleScanner:
     def mask_pass(self, tuple_set) -> Optional[TupleType[TupleType[int, int], ...]]:
         """One pass on masks: the plan as ``(relation id, live gid mask)`` pairs.
 
-        Counts the pass like :meth:`scan`.  Returns ``None`` and counts
-        nothing when ``tuple_set`` cannot be read against the plan: it is not
-        interned, the database's catalog is stale or is not the set's, or a
-        member is tombstoned.  The caller then reads tuples instead.  The
+        Counts the pass like :meth:`scan`.  Raises ``DatabaseError`` when
+        the set's catalog is no longer the database's (see
+        :func:`require_current`); returns ``None`` and counts nothing when a
+        member is tombstoned, and the caller then reads tuples instead.  The
         plan and its read count are reused while the catalog and its live
         mask are unchanged (see the module docstring).
         """
         catalog = tuple_set.catalog
-        if (
-            catalog is None
-            or catalog is not self._database.current_catalog()
-            or tuple_set.id_mask & catalog.dead_mask
-        ):
+        require_current(self._database, catalog)
+        if tuple_set.id_mask & catalog.dead_mask:
             return None
         live = catalog.live_mask
         cached = self._plan
@@ -154,7 +166,9 @@ class BlockScanner(TupleScanner):
             yield from block
 
     def mask_pass(self, tuple_set) -> None:
-        """Never a mask pass: ``block_reads`` counts the blocks a scan fetches."""
+        """Never a mask pass: ``block_reads`` counts the blocks a scan
+        fetches.  The set's catalog is checked as on every pass."""
+        require_current(self._database, tuple_set.catalog)
         return None
 
     def cost_summary(self) -> dict:

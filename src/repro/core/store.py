@@ -41,23 +41,24 @@ of the probe there is the probe itself.  The group's map from id mask to
 the position of its first copy answers, and ``sets_scanned`` counts that
 position plus one, or the group's length on a miss, as the walk would.  A
 group builds its map at the first such probe and keeps it on ``add``;
-retraction rebuilds the touched groups without one.  A store that has held
-sets of two catalogs, and a group holding a set with more gids than
-relations, walk.  The pools' ``waiting`` returns the sets the
-Line 14 probe tests, counted as ``candidates`` counts them, without a copy;
-and ``requeue`` applies ``replace(S, S)`` for a survivor already inside
-``S``.  Every counter reads what the tuple-set probes would have counted.
-The anchor singletons ``{t_b}`` are settled as one gid mask: the indexed
-store keeps the gids of every tuple its sets hold
+retraction rebuilds the touched groups without one.  A group holding a set
+with more gids than relations walks, and so does a tuple-set probe of
+another catalog than the store's.  The pools' ``waiting`` returns the sets
+the Line 14 probe tests, counted as ``candidates`` counts them, without a
+copy; and ``requeue`` applies ``replace(S, S)`` for a survivor already
+inside ``S``.  Every counter reads what the tuple-set probes would have
+counted.  The anchor singletons ``{t_b}`` are settled as one gid mask: the
+indexed store keeps the gids of every tuple its sets hold
 (:meth:`CompleteStore.covered_singletons`), and the indexed list pool the
 gids of the anchors with at least one and at least two waiting sets, read
 off each set's own mask (``waiting_anchors``, ``requeue_singletons``).
 Each keeps its masks current in its own add, discard, replace and retract
-paths, and the masks hold gids of one catalog: a container that has held
-sets of two catalogs (or an uninterned one) answers ``None`` for good, as
-do unindexed containers, the priority pool, and a container holding a set
-whose tuple (the anchor, in the pool) is now tombstoned, since an update
-back to old values gives that tuple a live namesake in the same bucket.
+paths.  Every container holds the sets of one catalog and refuses a set
+of another on ``add`` (see :mod:`repro.core.pools`), so the masks are of
+one catalog.  They answer ``None`` on unindexed containers, the priority
+pool, and a container holding a set whose tuple (the anchor, in the pool)
+is now tombstoned, since an update back to old values gives that tuple a
+live namesake in the same bucket.
 """
 
 from __future__ import annotations
@@ -70,6 +71,7 @@ from repro.core.pools import (
     PoolStatistics,
     PriorityIncompletePool,
     holding_dead,
+    one_catalog,
     popcount,
 )
 from repro.core.tupleset import TupleSet
@@ -137,10 +139,10 @@ class CompleteStore:
         self._members = set()
         # tuple -> relation set -> stored sets holding that tuple.
         self._buckets: Dict[Tuple, Dict[FrozenSet[str], _Group]] = {}
-        # With the index, the gids of every tuple a stored set holds, in one
-        # catalog (None once a set of another catalog, or none, arrives).
-        self._held: Optional[int] = 0
-        self._held_catalog = None
+        # The catalog of every stored set (see repro.core.pools) and, with
+        # the index, the gids of every tuple a stored set holds.
+        self._catalog = None
+        self._held = 0
         self.statistics = PoolStatistics()
 
     def __len__(self) -> int:
@@ -154,6 +156,7 @@ class CompleteStore:
 
     def add(self, tuple_set: TupleSet) -> None:
         """Store a printed result."""
+        self._catalog = one_catalog(self._catalog, tuple_set.catalog)
         self._sets.append(tuple_set)
         self._members.add(tuple_set)
         self.statistics.additions += 1
@@ -168,17 +171,11 @@ class CompleteStore:
                     group = groups[relations] = _Group()
                 group.append(tuple_set)
                 if group.positions:  # a built map: never empty
-                    if id_mask is None or popcount(id_mask) != len(relations):
+                    if popcount(id_mask) != len(relations):
                         group.positions = False
                     else:
                         group.positions.setdefault(id_mask, len(group) - 1)
-            if self._held is not None:
-                catalog = tuple_set.catalog
-                if catalog is None or self._held_catalog not in (None, catalog):
-                    self._held = None
-                else:
-                    self._held_catalog = catalog
-                    self._held |= tuple_set.id_mask
+            self._held |= id_mask
 
     def contains_superset(self, probe: TupleSet, anchor: Optional[Tuple] = None) -> bool:
         """Line 11 of ``GetNextResult``: is ``probe`` contained in a stored set?"""
@@ -191,7 +188,7 @@ class CompleteStore:
                 if not groups:
                     return False
                 probe_relations = probe.relations
-                lookup = self._can_look_up(probe._catalog)
+                lookup = probe._catalog is self._catalog
                 for relations, group in groups.items():
                     self.statistics.bucket_probes += 1
                     # A stored set can only contain the probe when its
@@ -234,23 +231,18 @@ class CompleteStore:
         if not groups:
             return False
         relations = catalog.relation_names_of(relation_mask)
-        lookup = self._can_look_up(catalog)
         for group_relations, group in groups.items():
             statistics.bucket_probes += 1
             if not relations <= group_relations:
                 continue
             found = None
-            if lookup and relations == group_relations:
+            if relations == group_relations:
                 found = self._look_up(group, id_mask, len(relations))
             if found is None:
                 found = self._holds_mask(group, id_mask, catalog)
             if found:
                 return True
         return False
-
-    def _can_look_up(self, catalog) -> bool:
-        """Whether every stored set, like the probe, is of ``catalog``."""
-        return self._held is not None and catalog is not None and self._held_catalog is catalog
 
     def _look_up(self, group: _Group, id_mask: int, relation_count: int) -> Optional[bool]:
         """:meth:`_holds_mask` on a group whose relation set is the probe's,
@@ -269,18 +261,15 @@ class CompleteStore:
         return True
 
     def _holds_mask(self, stored_sets: List[TupleSet], id_mask: int, catalog) -> bool:
-        """Scan ``stored_sets`` in order for one holding ``id_mask``, counting
-        the sets scanned.  A set of ``catalog`` is decided by one ``AND NOT``
-        on its slots, read directly: this loop runs once per stored set."""
+        """Scan ``stored_sets`` in order for one holding ``id_mask`` of
+        ``catalog``, the store's, counting the sets scanned.  Each set is
+        decided by one ``AND NOT`` on its slot, read directly: this loop runs
+        once per stored set."""
         scanned = 0
         found = False
         for stored in stored_sets:
             scanned += 1
-            if stored._catalog is catalog:
-                if not id_mask & ~stored._id_mask:
-                    found = True
-                    break
-            elif stored.holds_mask(id_mask, catalog):
+            if not id_mask & ~stored._id_mask:
                 found = True
                 break
         self.statistics.sets_scanned += scanned
@@ -293,8 +282,7 @@ class CompleteStore:
         ``None``, counting nothing, when the mask cannot answer (see the
         module docstring)."""
         held = self._held
-        usable = self._use_index and held is not None and self._held_catalog in (None, catalog)
-        if not usable or held & catalog.dead_mask:
+        if not self._use_index or held & catalog.dead_mask:
             return None
         covered = singletons & held
         count = popcount(covered)
@@ -323,13 +311,13 @@ class CompleteStore:
         stored result containing a tombstoned tuple is no longer an answer
         and must stop subsuming new candidates.  Victims are found through
         the anchor-tuple buckets when the index is on (one lookup per dead
-        tuple) and by a liveness sweep otherwise — on interned sets the
-        per-set test is one ``AND`` of the member bitmask against the
-        catalog's tombstone set
+        tuple) and by a liveness sweep otherwise — when a ``catalog`` is
+        given, the dead tuples are tombstoned in it and the per-set test is
+        one ``AND`` of the member bitmask against the tombstone set
         (:meth:`~repro.core.tupleset.TupleSet.contains_tombstoned`), and
-        without a catalog it is the pools' eviction sweep
-        (:func:`~repro.core.pools.holding_dead`); nothing is re-interned and
-        surviving sets keep their ids.  Returned in
+        without one it is the pools' eviction sweep
+        (:func:`~repro.core.pools.holding_dead`); surviving sets keep their
+        ids.  Returned in
         insertion (emission) order, deduplicated, which is the order the
         serving layer retracts them in.
         """
@@ -345,7 +333,7 @@ class CompleteStore:
                     for group in groups.values():
                         victims.update(group)
         elif catalog is not None:
-            victims = {s for s in self._members if s.contains_tombstoned(catalog)}
+            victims = {s for s in self._members if s.contains_tombstoned()}
         else:
             victims = set(holding_dead(self._members, dead))
         if not victims:
@@ -358,7 +346,7 @@ class CompleteStore:
                 retracted.append(stored)
                 seen.add(stored)
         self._sets = [stored for stored in self._sets if stored not in victims]
-        if self._use_index and self._held is not None:
+        if self._use_index:
             self._held = 0
             for stored in self._sets:
                 self._held |= stored.id_mask

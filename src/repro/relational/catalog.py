@@ -677,11 +677,8 @@ class Catalog:
             yield gid, t, bool((dead >> gid) & 1)
 
     def describe(self, t: Tuple) -> Optional[TupleType[int, int, int]]:
-        """Return ``(gid, relation_bit, adjacent_relations)`` for ``t``.
-
-        ``None`` when ``t`` is not catalogued — callers fall back to the
-        uninterned representation in that case.
-        """
+        """Return ``(gid, relation_bit, adjacent_relations)`` for ``t``, or
+        ``None`` when ``t`` is not catalogued (a tuple set refuses it)."""
         gid = self._tuple_ids.get(t)
         if gid is None:
             return None

@@ -219,8 +219,11 @@ class Database:
 
         The off-hot-path counterpart of the tombstone scheme: the dense id
         space is rebuilt without the tombstoned tuples (one
-        ``catalog_rebuilds`` bump, so every generation-keyed cache entry and
-        interned tuple set ages out).  Returns the fresh catalog.
+        ``catalog_rebuilds`` bump, so every generation-keyed cache entry
+        ages out).  Tuple sets interned before stay of the old catalog: a
+        query running across the compaction raises ``DatabaseError`` on its
+        next pass ("restart the query"), and the containers refuse to mix
+        the old sets with new ones.  Returns the fresh catalog.
         """
         self._catalog_cache = None
         self._catalog_key = None

@@ -395,7 +395,7 @@ class PrefixCache:
             return False
         for item in entry.log.results:
             tuple_set = item[0] if isinstance(item, tuple) else item
-            if tuple_set.contains_tombstoned(catalog):
+            if tuple_set.contains_tombstoned():
                 return False
         return True
 

@@ -1,13 +1,18 @@
-"""The paper's literal ``Complete`` list, kept as the oracle of the indexed store.
+"""The paper's literal containers, kept as the oracles of the engine's.
 
-This is the store the engine ran before :class:`repro.core.store.CompleteStore`
-indexed its sets twice (anchor-tuple buckets, then relation-set groups): a
-list of printed results, optionally hashed by every member tuple (the
-Section 7 index), each probe testing the sets of one bucket, or all of them,
-by ``issubset``.  The randomized equivalence tests run it beside the indexed
-store, and the step accepts it as ``complete``.  :class:`WalkedCompleteStore`
-walks the indexed store's buckets and relation-set groups set by set: the
-oracle of the counters the indexed store reports.
+:class:`CompleteStore` is the store the engine ran before
+:class:`repro.core.store.CompleteStore` indexed its sets twice (anchor-tuple
+buckets, then relation-set groups): a list of printed results, optionally
+hashed by every member tuple (the Section 7 index), each probe testing the
+sets of one bucket, or all of them, by ``issubset``.  The randomized
+equivalence tests run it beside the indexed store, and the step accepts it
+as ``complete``.  :class:`WalkedCompleteStore` walks the indexed store's
+buckets and relation-set groups set by set: the oracle of the counters the
+indexed store reports.  :class:`IncompleteList` is the paper's
+``Incomplete`` linked list, a Python list searched by value: the oracle of
+:class:`repro.core.pools.ListIncompletePool`.  None of them reads a catalog
+to hold or probe a set, so they also hold the
+:class:`~tests.core.reference_tupleset.ReferenceTupleSet` oracle's sets.
 """
 
 from __future__ import annotations
@@ -89,7 +94,7 @@ class CompleteStore:
         stored_sets = self._buckets.get(anchor, ()) if self._use_index else self._sets
         for stored in stored_sets:
             self.statistics.sets_scanned += 1
-            if stored.holds_mask(id_mask, catalog):
+            if not id_mask & ~stored.id_mask:
                 return True
         return False
 
@@ -168,7 +173,7 @@ class WalkedCompleteStore:
         return self._walk(
             anchor,
             catalog.relation_names_of(relation_mask),
-            lambda stored: stored.holds_mask(id_mask, catalog),
+            lambda stored: not id_mask & ~stored.id_mask,
         )
 
     def retract_containing(self, dead_tuples) -> List[TupleSet]:
@@ -193,3 +198,72 @@ class WalkedCompleteStore:
             if not groups:
                 del self._buckets[t]
         return retracted
+
+
+class IncompleteList:
+    """The paper's ``Incomplete`` linked list, literally: a Python list
+    searched by value, with ``"paper"``, ``"fifo"`` or ``"lifo"``
+    extraction as :class:`repro.core.pools.ListIncompletePool` has them, and
+    the sets of each anchor tuple in insertion order."""
+
+    def __init__(self, anchor_relation, extraction="paper"):
+        self.anchor_relation = anchor_relation
+        self.extraction = extraction
+        self.items = []
+        self.cursor = 0
+        self.buckets = {}
+
+    def __len__(self):
+        return len(self.items)
+
+    def _anchor(self, tuple_set):
+        return tuple_set.tuple_from(self.anchor_relation)
+
+    def candidates(self, probe):
+        """The Line 14 probe: every waiting set, in list order."""
+        return list(self.items)
+
+    def add(self, tuple_set):
+        if tuple_set in self.items:
+            return
+        if self.extraction == "paper":
+            self.items.insert(self.cursor, tuple_set)
+            self.cursor += 1
+        else:
+            self.items.append(tuple_set)
+        self.buckets.setdefault(self._anchor(tuple_set), []).append(tuple_set)
+
+    def pop(self):
+        tuple_set = self.items.pop() if self.extraction == "lifo" else self.items.pop(0)
+        self.buckets[self._anchor(tuple_set)].remove(tuple_set)
+        self.cursor = 0
+        return tuple_set
+
+    def replace(self, old, new):
+        position = self.items.index(old)
+        self.buckets[self._anchor(old)].remove(old)
+        if new in self.items and new != old:
+            del self.items[position]
+            if position < self.cursor:
+                self.cursor -= 1
+            return
+        self.items[position] = new
+        self.buckets.setdefault(self._anchor(new), []).append(new)
+
+    def settle(self, anchors):
+        """``requeue_singletons``: the first set of each bucket moves last."""
+        for anchor in anchors:
+            bucket = self.buckets[anchor]
+            bucket.append(bucket.pop(0))
+
+    def discard(self, dead):
+        kept = [s for s in self.items if not s.tuples & dead]
+        evicted = len(self.items) - len(kept)
+        if evicted:
+            self.items = kept
+            self.cursor = 0
+            self.buckets = {
+                anchor: [s for s in bucket if not s.tuples & dead]
+                for anchor, bucket in self.buckets.items()
+            }
+        return evicted

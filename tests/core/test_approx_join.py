@@ -24,7 +24,7 @@ from repro.workloads.tourist import noisy_tourist_database, noisy_tourist_simila
 
 
 def by_label(db, *labels):
-    return TupleSet(db.tuple_by_label(label) for label in labels)
+    return TupleSet((db.tuple_by_label(label) for label in labels), db.catalog())
 
 
 class TestLevenshteinAndStringSimilarity:
@@ -120,7 +120,7 @@ class TestMinJoin:
         return MinJoin(noisy_tourist_similarity())
 
     def test_empty_and_singleton(self, noisy_db, amin):
-        assert amin(TupleSet.empty()) == 1.0
+        assert amin(TupleSet.empty(noisy_db.catalog())) == 1.0
         assert amin(by_label(noisy_db, "s2")) == pytest.approx(0.6)  # prob(s2)
 
     def test_disconnected_set_scores_zero(self, noisy_db, amin):
@@ -161,7 +161,7 @@ class TestProductJoin:
         return ProductJoin(noisy_tourist_similarity())
 
     def test_empty_singleton_and_disconnected(self, noisy_db, aprod):
-        assert aprod(TupleSet.empty()) == 1.0
+        assert aprod(TupleSet.empty(noisy_db.catalog())) == 1.0
         assert aprod(by_label(noisy_db, "c1")) == 1.0
         assert aprod(by_label(noisy_db, "c1", "c2")) == 0.0
 
@@ -196,7 +196,7 @@ class TestExactJoinAdapter:
         exact = ExactJoin()
         assert exact(by_label(tourist_db, "c1", "a1")) == 1.0
         assert exact(by_label(tourist_db, "c2", "a1")) == 0.0
-        assert exact(TupleSet.empty()) == 1.0
+        assert exact(TupleSet.empty(tourist_db.catalog())) == 1.0
 
     def test_candidate_extensions_use_footnote_3(self, tourist_db):
         exact = ExactJoin()

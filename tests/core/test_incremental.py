@@ -56,7 +56,7 @@ class TestResolveAnchor:
 class TestMaximallyExtend:
     def test_extends_to_a_maximal_jcc_set(self, tourist_db):
         scanner = TupleScanner(tourist_db)
-        seed = TupleSet.singleton(tourist_db.tuple_by_label("c1"))
+        seed = TupleSet.singleton(tourist_db.tuple_by_label("c1"), tourist_db.catalog())
         extended = maximally_extend(seed, scanner)
         assert extended.is_jcc
         for t in tourist_db.tuples():
@@ -66,7 +66,8 @@ class TestMaximallyExtend:
     def test_extension_of_already_maximal_set_is_identity(self, tourist_db):
         scanner = TupleScanner(tourist_db)
         maximal = TupleSet(
-            tourist_db.tuple_by_label(label) for label in ("c1", "a2", "s1")
+            (tourist_db.tuple_by_label(label) for label in ("c1", "a2", "s1")),
+            tourist_db.catalog(),
         )
         assert maximally_extend(maximal, scanner) == maximal
 
@@ -74,7 +75,7 @@ class TestMaximallyExtend:
         statistics = FDStatistics()
         scanner = TupleScanner(tourist_db)
         maximally_extend(
-            TupleSet.singleton(tourist_db.tuple_by_label("c3")), scanner, statistics
+            TupleSet.singleton(tourist_db.tuple_by_label("c3"), tourist_db.catalog()), scanner, statistics
         )
         assert statistics.extension_passes >= 2  # one productive pass + the fixpoint pass
 
@@ -84,7 +85,7 @@ class TestGetNextResult:
         incomplete = ListIncompletePool("Climates")
         complete = CompleteStore("Climates")
         for t in tourist_db.relation("Climates"):
-            incomplete.add(TupleSet.singleton(t))
+            incomplete.add(TupleSet.singleton(t, tourist_db.catalog()))
         result = get_next_result(tourist_db, "Climates", incomplete, complete)
         assert result.labels() in FD_BY_ANCHOR["Climates"]
 
@@ -92,7 +93,7 @@ class TestGetNextResult:
         incomplete = ListIncompletePool("Climates")
         complete = CompleteStore("Climates")
         for t in tourist_db.relation("Climates"):
-            incomplete.add(TupleSet.singleton(t))
+            incomplete.add(TupleSet.singleton(t, tourist_db.catalog()))
         get_next_result(tourist_db, "Climates", incomplete, complete)
         for waiting in incomplete:
             assert waiting.contains_tuple_from("Climates")
@@ -133,7 +134,7 @@ class TestIncrementalFD:
 
     def test_custom_initialization(self, tourist_db):
         # Seeding with the full singleton list explicitly behaves like the default.
-        initial = [TupleSet.singleton(t) for t in tourist_db.relation("Sites")]
+        initial = [TupleSet.singleton(t, tourist_db.catalog()) for t in tourist_db.relation("Sites")]
         results = labels(incremental_fd(tourist_db, "Sites", initial=initial))
         assert results == FD_BY_ANCHOR["Sites"]
 
@@ -189,7 +190,10 @@ class TestIncrementalFD:
         # Pretend {c1, a1} was already produced: it must not be produced again,
         # because every candidate below it is discarded by the Line 11 check.
         complete.add(
-            TupleSet(tourist_db.tuple_by_label(label) for label in ("c1", "a1"))
+            TupleSet(
+                (tourist_db.tuple_by_label(label) for label in ("c1", "a1")),
+                tourist_db.catalog(),
+            )
         )
         results = labels(
             incremental_fd(
@@ -197,8 +201,8 @@ class TestIncrementalFD:
                 "Climates",
                 complete=complete,
                 initial=[
-                    TupleSet.singleton(tourist_db.tuple_by_label("c2")),
-                    TupleSet.singleton(tourist_db.tuple_by_label("c3")),
+                    TupleSet.singleton(tourist_db.tuple_by_label("c2"), tourist_db.catalog()),
+                    TupleSet.singleton(tourist_db.tuple_by_label("c3"), tourist_db.catalog()),
                 ],
             )
         )

@@ -28,7 +28,7 @@ def previous_results(tourist_db):
 
 class TestSingletonStrategy:
     def test_one_singleton_per_anchor_tuple(self, tourist_db):
-        sets = singleton_sets(tourist_db, "Sites")
+        sets = singleton_sets(tourist_db, "Sites", tourist_db.catalog())
         assert len(sets) == 4
         assert all(len(ts) == 1 for ts in sets)
         assert {next(iter(ts)).label for ts in sets} == {"s1", "s2", "s3", "s4"}
@@ -38,7 +38,7 @@ class TestPreviousResultsStrategy:
     def test_reuses_previous_results_and_covers_all_anchor_tuples(
         self, tourist_db, previous_results
     ):
-        sets = previous_results_sets(tourist_db, "Accommodations", previous_results)
+        sets = previous_results_sets(tourist_db, "Accommodations", previous_results, tourist_db.catalog())
         anchored = [ts for ts in sets if len(ts) > 1]
         assert all(ts.contains_tuple_from("Accommodations") for ts in anchored)
         covered = {ts.tuple_from("Accommodations").label for ts in sets if ts.tuple_from("Accommodations")}
@@ -46,13 +46,13 @@ class TestPreviousResultsStrategy:
 
     def test_uncovered_tuples_get_singletons(self, tourist_db):
         # With no previous results every anchor tuple gets a singleton.
-        sets = previous_results_sets(tourist_db, "Sites", [])
+        sets = previous_results_sets(tourist_db, "Sites", [], tourist_db.catalog())
         assert len(sets) == 4 and all(len(ts) == 1 for ts in sets)
 
     def test_remark_4_5_condition_no_two_seeds_under_one_result(
         self, tourist_db, previous_results
     ):
-        sets = previous_results_sets(tourist_db, "Sites", previous_results)
+        sets = previous_results_sets(tourist_db, "Sites", previous_results, tourist_db.catalog())
         for result in previous_results:
             under = [ts for ts in sets if ts.issubset(result)]
             assert len(under) <= 1
@@ -60,7 +60,7 @@ class TestPreviousResultsStrategy:
 
 class TestReducedPreviousStrategy:
     def test_seeds_are_jcc_and_anchored(self, tourist_db, previous_results):
-        sets = reduced_previous_sets(tourist_db, "Sites", previous_results)
+        sets = reduced_previous_sets(tourist_db, "Sites", previous_results, tourist_db.catalog())
         assert sets, "the reduced strategy must produce seeds"
         for ts in sets:
             assert ts.is_jcc
@@ -69,20 +69,20 @@ class TestReducedPreviousStrategy:
     def test_no_seed_contains_a_tuple_of_an_earlier_relation(
         self, tourist_db, previous_results
     ):
-        sets = reduced_previous_sets(tourist_db, "Sites", previous_results)
+        sets = reduced_previous_sets(tourist_db, "Sites", previous_results, tourist_db.catalog())
         for ts in sets:
             assert not ts.contains_tuple_from("Climates")
             assert not ts.contains_tuple_from("Accommodations")
 
     def test_no_seed_is_contained_in_another(self, tourist_db, previous_results):
-        sets = reduced_previous_sets(tourist_db, "Sites", previous_results)
+        sets = reduced_previous_sets(tourist_db, "Sites", previous_results, tourist_db.catalog())
         for first in sets:
             for second in sets:
                 if first != second:
                     assert not first.issubset(second)
 
     def test_every_anchor_tuple_is_covered(self, tourist_db, previous_results):
-        sets = reduced_previous_sets(tourist_db, "Sites", previous_results)
+        sets = reduced_previous_sets(tourist_db, "Sites", previous_results, tourist_db.catalog())
         covered = set()
         for ts in sets:
             member = ts.tuple_from("Sites")
@@ -94,12 +94,12 @@ class TestReducedPreviousStrategy:
 class TestDispatchAndHelpers:
     def test_initial_sets_dispatch(self, tourist_db):
         for strategy in STRATEGIES:
-            sets = initial_sets(strategy, tourist_db, "Climates", [])
+            sets = initial_sets(strategy, tourist_db, "Climates", [], tourist_db.catalog())
             assert sets and all(isinstance(ts, TupleSet) for ts in sets)
 
     def test_unknown_strategy_raises(self, tourist_db):
         with pytest.raises(ValueError):
-            initial_sets("bogus", tourist_db, "Climates", [])
+            initial_sets("bogus", tourist_db, "Climates", [], tourist_db.catalog())
 
     def test_covered_tuples(self, tourist_db, previous_results):
         covered = covered_tuples(previous_results, "Accommodations")

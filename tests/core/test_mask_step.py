@@ -15,7 +15,7 @@ match the same singletons added one set at a time.  Line 14's test by
 the survivor's consistency closure must merge exactly when
 ``union_is_jcc_mask`` holds, on every JCC pair.  Unit tests
 pin the Lines 10–18 edge cases: a merge whose union is already waiting,
-sets of an older catalog snapshot, and the reference ``Complete`` store.
+tombstoned namesakes, and the reference ``Complete`` store.
 The mask step's exactness rests on scan order being gid order within a
 relation; an invariant test pins that down through every mutation path.
 """
@@ -163,9 +163,8 @@ def _run(
 
 
 #: How the property test stocks ``Complete``: the run's own store, a shared
-#: empty one, the reference list of ``tests/core/reference_store.py``, or a
-#: shared store holding results interned in the catalog before a rebuild.
-COMPLETES = ("own", "shared", "reference", "older")
+#: empty one, or the reference list of ``tests/core/reference_store.py``.
+COMPLETES = ("own", "shared", "reference")
 
 
 def _complete_factory(kind, database, anchor, use_index, choice):
@@ -174,21 +173,7 @@ def _complete_factory(kind, database, anchor, use_index, choice):
         return lambda: None
     if kind == "shared":
         return lambda: CompleteStore(anchor, use_index=use_index)
-    if kind == "reference":
-        return lambda: ReferenceCompleteStore(anchor, use_index=use_index)
-    other = choice.choice(database.relation_names)
-    older = list(incremental_fd(database, other, use_index=True))
-    older = choice.sample(older, len(older) // 2)
-    database.compact()
-    assert all(tuple_set.catalog is not database.catalog() for tuple_set in older)
-
-    def build():
-        store = CompleteStore(anchor, use_index=use_index)
-        for tuple_set in older:
-            store.add(tuple_set)
-        return store
-
-    return build
+    return lambda: ReferenceCompleteStore(anchor, use_index=use_index)
 
 
 @settings(PROPERTY, max_examples=200)
@@ -204,8 +189,8 @@ def test_mask_step_matches_the_reference_step(
     database, choice, use_index, restricted, seeding, complete_kind
 ):
     """Seeding only some ``R_i`` singletons leaves anchors whose singleton
-    finds no waiting set (a Line 18 insert); the ``Complete`` variants make
-    the bulk settle decline or run through the oracle's naive loop."""
+    finds no waiting set (a Line 18 insert); the reference ``Complete``
+    makes the bulk settle run through the oracle's naive loop."""
     _compare_with_reference(database, choice, use_index, restricted, seeding, complete_kind)
 
 
@@ -270,9 +255,8 @@ def test_the_drawn_cases_reach_every_branch_of_the_bulk_settle(monkeypatch):
     from reach every branch of the anchor-singleton settle: covered,
     merged into a bucket of one and of two or more waiting sets, and left
     in the stream as an insert; for an anchor after the plan's first
-    relation, and through the oracle ``Complete``;
-    and declining when ``Complete`` holds sets of an older catalog.  Each
-    case is checked against the reference step here too."""
+    relation, and through the oracle ``Complete``.  Each case is checked
+    against the reference step here too."""
     reached = set()
     case = {}
     requeue_singletons = ListIncompletePool.requeue_singletons
@@ -295,8 +279,6 @@ def test_the_drawn_cases_reach_every_branch_of_the_bulk_settle(monkeypatch):
         outcome = covered_singletons(store, singletons, catalog)
         if case["compared"] and outcome:
             reached.add("covered")
-        if case["compared"] and outcome is None and case["complete"] == "older":
-            reached.add("older catalog declines")
         return outcome
 
     def reference_covered(store, singletons, catalog):
@@ -309,8 +291,7 @@ def test_the_drawn_cases_reach_every_branch_of_the_bulk_settle(monkeypatch):
         return survivor_set(catalog, mask, gid)
 
     def compared_run(database, anchor, use_index, restricted, *rest, reference=False):
-        """Record reach only in the shipped run of a comparison, not in
-        the run that builds the older ``Complete``."""
+        """Record reach only in the shipped run of a comparison."""
         case["later anchor"] = not restricted and database.index_of(anchor) > 0
         case["compared"] = not reference
         try:
@@ -341,7 +322,6 @@ def test_the_drawn_cases_reach_every_branch_of_the_bulk_settle(monkeypatch):
         "inserted",
         "later anchor",
         "reference Complete",
-        "older catalog declines",
     }
 
 
@@ -413,7 +393,7 @@ def test_relations_stay_in_gid_order_through_every_mutation_path(seed, tmp_path)
 
 
 # --------------------------------------------------------------------- #
-# the fallbacks: the tuple loop whenever a mask pass is refused
+# the tuple loop: a tombstoned member, or a block scanner
 # --------------------------------------------------------------------- #
 def _drain_both(database, anchor, seeds, scanner_factory):
     """Step a shipped and a reference pool to exhaustion, side by side."""
@@ -449,48 +429,7 @@ def _drain_both(database, anchor, seeds, scanner_factory):
     assert runs[0][0], "the pool produced nothing"
 
 
-@PROPERTY
-@given(database=mutated_databases(), choice=st.randoms(use_true_random=False))
-def test_a_pool_holding_sets_of_an_older_catalog(database, choice):
-    """Some seeds are interned in the catalog before a rebuild: their steps
-    take the tuple loop, and while they wait the pool's anchor masks
-    decline, so every survivor is placed one at a time."""
-    anchor = choice.choice(database.relation_names)
-    old = database.catalog()
-    members = list(database.relation(anchor))
-    stale = set(choice.sample(members, choice.randint(1, len(members))))
-    new = database.compact()
-    assert new is not old
-    seeds = [
-        TupleSet.singleton(t, catalog=old if t in stale else new)
-        for t in database.relation(anchor)
-    ]
-    pool = ListIncompletePool(anchor, use_index=True)
-    for seed in seeds:
-        pool.add(seed)
-    assert pool.waiting_anchors(new) is None
-    _drain_both(database, anchor, seeds, lambda: TupleScanner(database))
-
-
 class TestFallbacks:
-    def test_uninterned_seed(self):
-        database = tourist_database()
-        database.catalog()
-        seeds = [TupleSet.singleton(t) for t in database.relation("Climates")]
-        assert TupleScanner(database).mask_pass(seeds[0]) is None
-        _drain_both(database, "Climates", seeds, lambda: TupleScanner(database))
-
-    def test_catalog_made_stale_behind_the_database(self):
-        database = tourist_database()
-        catalog = database.catalog()
-        seeds = [
-            TupleSet.singleton(t, catalog=catalog) for t in database.relation("Climates")
-        ]
-        database.relation("Sites").add(["Canada", "Toronto", "CN Tower"])
-        assert database.current_catalog() is None
-        assert TupleScanner(database).mask_pass(seeds[0]) is None
-        _drain_both(database, "Climates", seeds, lambda: TupleScanner(database))
-
     def test_tombstoned_member(self):
         database = tourist_database()
         catalog = database.catalog()
@@ -540,8 +479,6 @@ def test_union_with_a_subset_is_self():
     assert whole.union(whole) is whole
     grown = TupleSet.singleton(c1, catalog=catalog).union(whole)
     assert grown == whole and grown is not whole
-    # An uninterned operand takes the general path.
-    assert whole.union(TupleSet.singleton(a1)) is not whole
 
 
 @pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
@@ -739,39 +676,10 @@ def test_growing_merge_into_a_union_that_is_already_waiting(kind, use_index):
         assert listed == [["a2", "c1", "s1"], ["c2"], ["c3"], ["c1", "s2"]]
 
 
-@pytest.mark.parametrize("kind", ["list", "priority"])
-@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
-def test_sets_of_an_older_catalog_snapshot(kind, use_index):
-    """A waiting set and a stored ``Complete`` set interned in the snapshot
-    before a rebuild meet a step whose popped set is in the new one: the
-    bit tests do not apply to them, and the tuple-level tests decide."""
-    database = tourist_database()
-    old = database.catalog()
-
-    def ts(catalog, *labels):
-        return TupleSet([database.tuple_by_label(label) for label in labels], catalog=catalog)
-
-    waiting, stored = ts(old, "c1", "s1"), ts(old, "c1", "s2")
-    database.relation("Sites").add(["Canada", "Toronto", "CN Tower"])
-    new = database.catalog()
-    assert new is not old and database.current_catalog() is new
-    popped = ts(new, "c1", "a1")
-    assert TupleScanner(database).mask_pass(popped) is not None
-    assert waiting.catalog is old and stored.catalog is old
-    _, _, members, statistics, _, complete_counters = _step_both(
-        database, _pools(use_index)[kind], [popped, waiting], [stored]
-    )
-    # {c1, s2} ⊆ the stored set; {c1, a2} grows {c1, s1}.
-    assert statistics.candidates_subsumed >= 1
-    assert ["a2", "c1", "s1"] in members
-    assert complete_counters["sets_scanned"] > 0
-
-
 @pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
 def test_reference_complete_store_as_complete(use_index):
-    """The step accepts the reference ``Complete`` of ``tests/core/reference_store.py``,
-    holding an uninterned set and an interned one, and counts its scans as
-    the reference step does."""
+    """The step accepts the reference ``Complete`` of ``tests/core/reference_store.py``
+    and counts its scans as the reference step does."""
     database = tourist_database()
     catalog = database.catalog()
     c1, c2, c3, a1, a2, s1 = (
@@ -780,7 +688,7 @@ def test_reference_complete_store_as_complete(use_index):
     runs = []
     for reference in (False, True):
         complete = ReferenceCompleteStore("Climates", use_index=use_index)
-        complete.add(TupleSet.of(c1, a1))
+        complete.add(TupleSet.of(c1, a1, catalog=catalog))
         complete.add(TupleSet.of(c1, a2, s1, catalog=catalog))
         statistics = FDStatistics()
         with reference_step() if reference else nullcontext() as steps:
@@ -790,7 +698,7 @@ def test_reference_complete_store_as_complete(use_index):
                     database,
                     "Climates",
                     use_index=use_index,
-                    initial=[TupleSet.singleton(c2), TupleSet.singleton(c3)],
+                    initial=[TupleSet.singleton(c2, catalog), TupleSet.singleton(c3, catalog)],
                     statistics=statistics,
                     complete=complete,
                 )

@@ -73,7 +73,7 @@ class TestExample22NaturalJoin:
     def test_tuple_set_without_accommodation_because_of_null(self, tourist_db):
         # "{c1, s2} does not contain a tuple from Accommodations since no tuple
         #  in Accommodations is join consistent with {c1, s2}" (Example 2.2).
-        c1_s2 = TupleSet(tourist_db.tuple_by_label(label) for label in ("c1", "s2"))
+        c1_s2 = TupleSet((tourist_db.tuple_by_label(label) for label in ("c1", "s2")), tourist_db.catalog())
         for t in tourist_db.relation("Accommodations"):
             assert not c1_s2.can_absorb(t)
 
@@ -115,22 +115,22 @@ class TestFig4AndSection6Examples:
         return noisy_tourist_similarity()
 
     def test_example_61_amin_value(self, noisy, sim):
-        t1 = TupleSet(noisy.tuple_by_label(label) for label in ("c1", "a2", "s2"))
+        t1 = TupleSet((noisy.tuple_by_label(label) for label in ("c1", "a2", "s2")), noisy.catalog())
         assert MinJoin(sim)(t1) == pytest.approx(0.5)
 
     def test_example_61_aprod_value(self, noisy, sim):
-        t1 = TupleSet(noisy.tuple_by_label(label) for label in ("c1", "a2", "s2"))
+        t1 = TupleSet((noisy.tuple_by_label(label) for label in ("c1", "a2", "s2")), noisy.catalog())
         assert ProductJoin(sim)(t1) == pytest.approx(0.32)
 
     def test_example_63_amin_unique_maximal_subset(self, noisy, sim):
-        base = TupleSet(noisy.tuple_by_label(label) for label in ("c1", "s1", "a2"))
+        base = TupleSet((noisy.tuple_by_label(label) for label in ("c1", "s1", "a2")), noisy.catalog())
         s2 = noisy.tuple_by_label("s2")
         extensions = MinJoin(sim).candidate_extensions(base, s2, 0.4)
         assert [ts.labels() for ts in extensions] == [frozenset({"c1", "s2", "a2"})]
         assert MinJoin(sim)(extensions[0]) == pytest.approx(0.5)
 
     def test_example_63_aprod_two_maximal_subsets(self, noisy, sim):
-        base = TupleSet(noisy.tuple_by_label(label) for label in ("c1", "s1", "a2"))
+        base = TupleSet((noisy.tuple_by_label(label) for label in ("c1", "s1", "a2")), noisy.catalog())
         s2 = noisy.tuple_by_label("s2")
         extensions = ProductJoin(sim).candidate_extensions(base, s2, 0.4)
         assert {ts.labels() for ts in extensions} == {
@@ -139,6 +139,6 @@ class TestFig4AndSection6Examples:
         }
 
     def test_example_63_aprod_full_set_fails_threshold(self, noisy, sim):
-        full = TupleSet(noisy.tuple_by_label(label) for label in ("c1", "s2", "a2"))
+        full = TupleSet((noisy.tuple_by_label(label) for label in ("c1", "s2", "a2")), noisy.catalog())
         assert ProductJoin(sim)(full) == pytest.approx(0.32)
         assert ProductJoin(sim)(full) < 0.4

@@ -10,11 +10,11 @@ from repro.core.ranking import MaxRanking
 from repro.core.tupleset import TupleSet
 from repro.workloads.tourist import tourist_database, tourist_importance
 
-from tests.core.reference_store import CompleteStore
+from tests.core.reference_store import CompleteStore, IncompleteList
 
 
 def by_label(db, *labels):
-    return TupleSet(db.tuple_by_label(label) for label in labels)
+    return TupleSet((db.tuple_by_label(label) for label in labels), db.catalog())
 
 
 class TestCompleteStore:
@@ -179,81 +179,16 @@ class TestListIncompletePool:
         assert stats["peak_size"] == 1
 
 
-class _LiteralList:
-    """The paper's linked list, literally: a Python list searched by value."""
-
-    def __init__(self, extraction):
-        self.extraction = extraction
-        self.items = []
-        self.cursor = 0
-        self.buckets = {}
-
-    def _anchor(self, tuple_set):
-        return tuple_set.tuple_from("Climates")
-
-    def add(self, tuple_set):
-        if tuple_set in self.items:
-            return
-        if self.extraction == "paper":
-            self.items.insert(self.cursor, tuple_set)
-            self.cursor += 1
-        else:
-            self.items.append(tuple_set)
-        self.buckets.setdefault(self._anchor(tuple_set), []).append(tuple_set)
-
-    def pop(self):
-        tuple_set = self.items.pop() if self.extraction == "lifo" else self.items.pop(0)
-        self.buckets[self._anchor(tuple_set)].remove(tuple_set)
-        self.cursor = 0
-        return tuple_set
-
-    def replace(self, old, new):
-        position = self.items.index(old)
-        self.buckets[self._anchor(old)].remove(old)
-        if new in self.items and new != old:
-            del self.items[position]
-            if position < self.cursor:
-                self.cursor -= 1
-            return
-        self.items[position] = new
-        self.buckets.setdefault(self._anchor(new), []).append(new)
-
-    def settle(self, anchors):
-        """``requeue_singletons``: the first set of each bucket moves last."""
-        for anchor in anchors:
-            bucket = self.buckets[anchor]
-            bucket.append(bucket.pop(0))
-
-    def discard(self, dead):
-        kept = [s for s in self.items if not s.tuples & dead]
-        evicted = len(self.items) - len(kept)
-        if evicted:
-            self.items = kept
-            self.cursor = 0
-            self.buckets = {
-                anchor: [s for s in bucket if not s.tuples & dead]
-                for anchor, bucket in self.buckets.items()
-            }
-        return evicted
-
-
 def _pool_universe():
     """Sets holding one Climates tuple (the anchor) and at most one other,
-    uninterned and interned, and the catalog the seeds are interned in."""
+    and the catalog they and the seeds are interned in."""
     database = tourist_database()
     catalog = database.catalog()
     # Few sets, so unions often collide with a queued member.
     anchors = list(database.relation("Climates"))
     others = [database.tuple_by_label(label) for label in ("a1", "a2", "s1")]
     members = [[anchor] + extra for anchor in anchors for extra in [[]] + [[t] for t in others]]
-    return (
-        catalog,
-        {
-            False: [TupleSet(tuples) for tuples in members],
-            True: [TupleSet(tuples, catalog=catalog) for tuples in members],
-        },
-        anchors + others,
-    )
+    return catalog, [TupleSet(tuples, catalog=catalog) for tuples in members], anchors + others
 
 
 POOL_CATALOG, POOL_UNIVERSE, POOL_TUPLES = _pool_universe()
@@ -262,8 +197,8 @@ POOL_OPERATIONS = st.lists(
         st.sampled_from(
             ["add", "add", "pop", "replace", "requeue", "probe", "settle", "discard"]
         ),
-        st.integers(0, len(POOL_UNIVERSE[False]) - 1),
-        st.integers(0, len(POOL_UNIVERSE[False]) - 1),
+        st.integers(0, len(POOL_UNIVERSE) - 1),
+        st.integers(0, len(POOL_UNIVERSE) - 1),
     ),
     max_size=60,
 )
@@ -288,20 +223,17 @@ def _observed(pool, universe):
     operations=POOL_OPERATIONS,
     extraction=st.sampled_from(ListIncompletePool.EXTRACTION_ORDERS),
     use_index=st.booleans(),
-    interned=st.booleans(),
 )
-def test_slot_pool_keeps_the_literal_list_order(
-    seeded, operations, extraction, use_index, interned
-):
+def test_slot_pool_keeps_the_literal_list_order(seeded, operations, extraction, use_index):
     """O(1) slots reproduce the searched list position for position, and a
     "paper" pool seeded by mask shows, after every operation, what a pool
     seeded by adding each singleton in gid order shows: list, size,
     membership, buckets, anchor masks and counters."""
-    universe = POOL_UNIVERSE[interned]
+    universe = POOL_UNIVERSE
     climates = POOL_TUPLES[:3]
     pool = store.ListIncompletePool("Climates", use_index=use_index, extraction=extraction)
     eager = ListIncompletePool("Climates", use_index=use_index, extraction=extraction)
-    model = _LiteralList(extraction)
+    model = IncompleteList("Climates", extraction)
     # The first operation: seed by mask ("paper" only; the other orders add
     # each seed), then pop, as IncrementalFD does.
     seeds = [t for t, chosen in zip(climates, seeded) if chosen]
@@ -476,7 +408,7 @@ def test_anchor_masks_follow_the_buckets(operations, extraction):
     """``waiting_anchors`` names the anchors with one and with two or more
     waiting sets after every add, pop, growing replace and requeue."""
     pool = ListIncompletePool("Climates", use_index=True, extraction=extraction)
-    model = _LiteralList(extraction)
+    model = IncompleteList("Climates", extraction)
     for operation, first, second in operations:
         if operation == "add":
             pool.add(MASK_UNIVERSE[first])

@@ -43,7 +43,7 @@ class TestEnumerateQualifyingSubsets:
     def test_singletons_below_threshold_are_excluded(self, noisy, amin):
         subsets = list(
             enumerate_connected_subsets(
-                noisy, "Sites", 1, semantics=ApproxSemantics(amin, threshold=0.7)
+                noisy, "Sites", 1, noisy.catalog(), semantics=ApproxSemantics(amin, threshold=0.7)
             )
         )
         labels = {next(iter(ts)).label for ts in subsets}
@@ -52,7 +52,7 @@ class TestEnumerateQualifyingSubsets:
 
     def test_all_enumerated_sets_qualify(self, noisy, amin):
         for ts in enumerate_connected_subsets(
-            noisy, "Climates", 2, semantics=ApproxSemantics(amin, 0.5)
+            noisy, "Climates", 2, noisy.catalog(), semantics=ApproxSemantics(amin, 0.5)
         ):
             assert amin(ts) >= 0.5
             assert len(ts) <= 2
@@ -61,7 +61,7 @@ class TestEnumerateQualifyingSubsets:
     def test_respects_size_bound(self, noisy, amin):
         subsets = list(
             enumerate_connected_subsets(
-                noisy, "Climates", 3, semantics=ApproxSemantics(amin, 0.4)
+                noisy, "Climates", 3, noisy.catalog(), semantics=ApproxSemantics(amin, 0.4)
             )
         )
         assert max(len(ts) for ts in subsets) <= 3

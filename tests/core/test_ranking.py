@@ -20,7 +20,7 @@ from repro.workloads.tourist import tourist_importance
 
 
 def by_label(db, *labels):
-    return TupleSet(db.tuple_by_label(label) for label in labels)
+    return TupleSet((db.tuple_by_label(label) for label in labels), db.catalog())
 
 
 class TestImportanceFunction:
@@ -60,8 +60,8 @@ class TestMaxRanking:
         assert ranking(by_label(tourist_db, "c1", "a1")) == 4.0
         assert ranking(by_label(tourist_db, "c2", "s3")) == 2.0
 
-    def test_empty_set_scores_minus_infinity(self):
-        assert MaxRanking({})(TupleSet.empty()) == float("-inf")
+    def test_empty_set_scores_minus_infinity(self, tourist_db):
+        assert MaxRanking({})(TupleSet.empty(tourist_db.catalog())) == float("-inf")
 
     def test_is_monotonically_1_determined(self):
         ranking = MaxRanking({})
@@ -125,7 +125,7 @@ class TestCDeterminedRanking:
 
 class TestEnumerateConnectedSubsets:
     def test_size_one_enumerates_anchor_singletons(self, tourist_db):
-        subsets = list(enumerate_connected_subsets(tourist_db, "Climates", 1))
+        subsets = list(enumerate_connected_subsets(tourist_db, "Climates", 1, tourist_db.catalog()))
         assert {ts.labels() for ts in subsets} == {
             frozenset({"c1"}),
             frozenset({"c2"}),
@@ -133,7 +133,7 @@ class TestEnumerateConnectedSubsets:
         }
 
     def test_size_two_contains_only_jcc_pairs_with_anchor(self, tourist_db):
-        subsets = list(enumerate_connected_subsets(tourist_db, "Climates", 2))
+        subsets = list(enumerate_connected_subsets(tourist_db, "Climates", 2, tourist_db.catalog()))
         assert frozenset({"c1", "a1"}) in {ts.labels() for ts in subsets}
         assert frozenset({"c2", "a1"}) not in {ts.labels() for ts in subsets}
         for ts in subsets:
@@ -142,13 +142,13 @@ class TestEnumerateConnectedSubsets:
             assert ts.contains_tuple_from("Climates")
 
     def test_every_jcc_subset_up_to_size_c_is_enumerated(self, tourist_db):
-        subsets = {ts.labels() for ts in enumerate_connected_subsets(tourist_db, "Climates", 3)}
+        subsets = {ts.labels() for ts in enumerate_connected_subsets(tourist_db, "Climates", 3, tourist_db.catalog())}
         assert frozenset({"c1", "a2", "s1"}) in subsets
         assert frozenset({"c1", "s2"}) in subsets
 
     def test_invalid_size_raises(self, tourist_db):
         with pytest.raises(RankingError):
-            list(enumerate_connected_subsets(tourist_db, "Climates", 0))
+            list(enumerate_connected_subsets(tourist_db, "Climates", 0, tourist_db.catalog()))
 
 
 class TestValidateImportanceSpec:
@@ -185,13 +185,13 @@ class TestEnumerateConnectedSubsetsContaining:
             for size in (1, 2, 3):
                 full = {
                     ts.labels()
-                    for ts in enumerate_connected_subsets(tourist_db, anchor_name, size)
+                    for ts in enumerate_connected_subsets(tourist_db, anchor_name, size, tourist_db.catalog())
                 }
                 for t in tourist_db.relation(anchor_name):
                     bounded = {
                         ts.labels()
                         for ts in enumerate_connected_subsets_containing(
-                            tourist_db, t, size
+                            tourist_db, t, size, tourist_db.catalog()
                         )
                     }
                     assert bounded == {
@@ -200,7 +200,7 @@ class TestEnumerateConnectedSubsetsContaining:
 
     def test_every_subset_contains_the_tuple_and_is_jcc(self, tourist_db):
         t = tourist_db.tuple_by_label("a2")
-        subsets = list(enumerate_connected_subsets_containing(tourist_db, t, 3))
+        subsets = list(enumerate_connected_subsets_containing(tourist_db, t, 3, tourist_db.catalog()))
         assert subsets, "a2 joins with climates and sites"
         for ts in subsets:
             assert t in ts
@@ -209,13 +209,13 @@ class TestEnumerateConnectedSubsetsContaining:
 
     def test_size_one_is_the_singleton(self, tourist_db):
         t = tourist_db.tuple_by_label("c1")
-        subsets = list(enumerate_connected_subsets_containing(tourist_db, t, 1))
+        subsets = list(enumerate_connected_subsets_containing(tourist_db, t, 1, tourist_db.catalog()))
         assert [ts.labels() for ts in subsets] == [frozenset({"c1"})]
 
     def test_invalid_size_raises(self, tourist_db):
         t = tourist_db.tuple_by_label("c1")
         with pytest.raises(RankingError):
-            list(enumerate_connected_subsets_containing(tourist_db, t, 0))
+            list(enumerate_connected_subsets_containing(tourist_db, t, 0, tourist_db.catalog()))
 
 
 class TestExhaustiveTopK:

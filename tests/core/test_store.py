@@ -19,7 +19,6 @@ from repro.core.store import (
 )
 from repro.core.incremental import FDStatistics, incremental_fd
 from repro.core.tupleset import TupleSet
-from repro.relational.catalog import Catalog
 from repro.workloads.generators import star_database
 from repro.workloads.tourist import tourist_database
 
@@ -39,7 +38,7 @@ class TestCompleteStoreDualIndex:
         results = _jcc_sets(database)
         store = CompleteStore("Climates", use_index=use_index)
         for result in results:
-            store.add(result.attach_catalog(catalog))
+            store.add(result)
         return database, catalog, results, store
 
     @pytest.mark.parametrize("use_index", [False, True])
@@ -134,13 +133,11 @@ STORE_OPS = st.lists(
     seed=st.integers(0, 10_000),
     stored=st.lists(st.integers(0, 10**6), min_size=10, max_size=60),
     operations=STORE_OPS,
-    foreign_at=st.one_of(st.none(), st.integers(0, 80)),
 )
-def test_lookups_answer_and_count_as_the_walk_does(seed, stored, operations, foreign_at):
+def test_lookups_answer_and_count_as_the_walk_does(seed, stored, operations):
     """The indexed store answers a probe whose relation set equals a group's
     from the group's first positions; through random adds (duplicates
-    included), probes of both kinds, retractions and, from operation
-    ``foreign_at`` on, a set of a second catalog, it gives the walk's
+    included), probes of both kinds and retractions, it gives the walk's
     answers and counts the walk's sets and groups."""
     database = star_database(
         spokes=3, tuples_per_relation=3, hub_domain=2, null_rate=0.1, seed=seed
@@ -159,10 +156,6 @@ def test_lookups_answer_and_count_as_the_walk_does(seed, stored, operations, for
         # The bucket key: a member of the probe, or now and then any tuple.
         keys = sorted(chosen, key=lambda t: t.label) + [tuples[second % len(tuples)]]
         anchor = keys[second % len(keys)]
-        if step == foreign_at:
-            foreign = TupleSet(chosen.tuples, catalog=Catalog(database))
-            store.add(foreign)
-            walked.add(foreign)
         if operation == "add":
             store.add(chosen)
             walked.add(chosen)
@@ -187,11 +180,51 @@ def test_lookups_answer_and_count_as_the_walk_does(seed, stored, operations, for
         assert _counters(store) == _counters(walked), operation
 
 
+def _containers():
+    """A fresh instance of every container kind, by name."""
+    ranking = lambda ts: float(len(ts))  # noqa: E731
+    return {
+        "complete": CompleteStore("Climates"),
+        "indexed complete": CompleteStore("Climates", use_index=True),
+        "list": ListIncompletePool("Climates"),
+        "indexed list": ListIncompletePool("Climates", use_index=True),
+        "priority": PriorityIncompletePool("Climates", ranking),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_containers()))
+def test_every_container_refuses_a_set_of_a_second_catalog(kind):
+    """A container holds the sets of the catalog its first set is of: one
+    of another catalog — here the same tuples, catalogued again after a
+    compaction — is refused on ``add`` and as a replacement, and nothing
+    changes."""
+    database = tourist_database()
+    old = database.catalog()
+    c1, c2 = database.tuple_by_label("c1"), database.tuple_by_label("c2")
+    held = TupleSet.singleton(c1, old)
+    container = _containers()[kind]
+    container.add(held)
+    new = database.compact()
+    assert new is not old
+    with pytest.raises(ValueError, match="one catalog"):
+        container.add(TupleSet.singleton(c2, new))
+    if hasattr(container, "replace"):
+        with pytest.raises(ValueError, match="one catalog"):
+            container.replace(held, TupleSet.of(c1, c2, catalog=new))
+    if hasattr(container, "seed"):
+        container.pop()
+        with pytest.raises(ValueError, match="one catalog"):
+            container.seed(new.mask_of([c1, c2]), new)
+    else:
+        assert list(container) == [held]
+
+
 class TestIncompletePoolSemantics:
     """The indexed pool preserves the paper's positional list semantics."""
 
     def _singletons(self, database, labels):
-        return [TupleSet.singleton(database.tuple_by_label(label)) for label in labels]
+        catalog = database.catalog()
+        return [TupleSet.singleton(database.tuple_by_label(label), catalog) for label in labels]
 
     @pytest.mark.parametrize("extraction", ["paper", "fifo", "lifo"])
     def test_extraction_orders_match_reference(self, extraction):
@@ -215,9 +248,9 @@ class TestIncompletePoolSemantics:
         c1, c2, c3 = self._singletons(database, ["c1", "c2", "c3"])
         pool = ListIncompletePool("Climates", use_index=True)
         for tuple_set in (c1, c2, c3):
-            pool.add(tuple_set.attach_catalog(catalog))
+            pool.add(tuple_set)
         grown = c2.with_tuple(database.tuple_by_label("s3"))
-        pool.replace(c2.attach_catalog(catalog), grown.attach_catalog(catalog))
+        pool.replace(c2, grown)
         assert pool.as_list()[1] == grown
         assert grown in pool
         assert c2 not in pool
@@ -227,9 +260,9 @@ class TestIncompletePoolSemantics:
         catalog = database.catalog()
         c1, c2 = self._singletons(database, ["c1", "c2"])
         pool = ListIncompletePool("Climates", use_index=True)
-        pool.add(c1.attach_catalog(catalog))
-        pool.add(c2.attach_catalog(catalog))
-        bucket = pool.candidates(c1.attach_catalog(catalog))
+        pool.add(c1)
+        pool.add(c2)
+        bucket = pool.candidates(c1)
         assert bucket == [c1]
         assert pool.statistics.sets_scanned == 1
         assert pool.statistics.bucket_probes == 1
@@ -241,9 +274,10 @@ class TestPriorityPool:
         database = tourist_database()
         ranking = lambda ts: float(len(ts))  # noqa: E731
         pool = PriorityIncompletePool("Climates", ranking, use_index=True)
-        c1 = TupleSet.singleton(database.tuple_by_label("c1"))
+        catalog = database.catalog()
+        c1 = TupleSet.singleton(database.tuple_by_label("c1"), catalog)
         pair = c1.with_tuple(database.tuple_by_label("a1"))
-        c2 = TupleSet.singleton(database.tuple_by_label("c2"))
+        c2 = TupleSet.singleton(database.tuple_by_label("c2"), catalog)
         pool.add(c1)
         pool.add(pair)
         pool.add(c2)
@@ -264,7 +298,7 @@ class TestStatisticsPlumbing:
     def test_record_store_statistics_accumulates_into_extras(self):
         statistics = FDStatistics()
         store = CompleteStore("Climates")
-        store.add(TupleSet.empty())
+        store.add(TupleSet.empty(tourist_database().catalog()))
         record_store_statistics(statistics, ("complete", store))
         record_store_statistics(statistics, ("complete", store))
         assert statistics.extras["complete_additions"] == 2

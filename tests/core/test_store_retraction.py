@@ -215,7 +215,7 @@ def _distinct_jcc_sets(database, count, rng):
     tuples = list(database.tuples())
     sets = {}
     for _ in range(50 * count):
-        current = TupleSet.singleton(rng.choice(tuples))
+        current = TupleSet.singleton(rng.choice(tuples), catalog)
         for t in rng.sample(tuples, len(tuples)):
             if rng.random() < 0.6 and current.can_absorb(t):
                 current = current.with_tuple(t)

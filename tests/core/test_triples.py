@@ -8,7 +8,7 @@ from repro.relational.index import AttributePositions
 
 
 def by_label(db, *labels):
-    return TupleSet(db.tuple_by_label(label) for label in labels)
+    return TupleSet((db.tuple_by_label(label) for label in labels), db.catalog())
 
 
 class TestSingletonConstruction:

@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.core.tupleset import TupleSet, jcc
-from repro.relational.nulls import NULL
+from repro.core.tupleset import TupleSet
 from repro.relational.relation import Relation
 from repro.relational.database import Database
 
@@ -14,15 +13,39 @@ def db(tourist_db):
 
 
 def by_label(db, *labels):
-    return TupleSet(db.tuple_by_label(label) for label in labels)
+    return TupleSet((db.tuple_by_label(label) for label in labels), db.catalog())
 
 
 class TestConstructionAndContainerProtocol:
     def test_of_and_singleton_and_empty(self, db):
         c1 = db.tuple_by_label("c1")
-        assert len(TupleSet.of(c1)) == 1
-        assert len(TupleSet.singleton(c1)) == 1
-        assert len(TupleSet.empty()) == 0
+        catalog = db.catalog()
+        assert len(TupleSet.of(c1, catalog=catalog)) == 1
+        assert len(TupleSet.singleton(c1, catalog)) == 1
+        assert len(TupleSet.empty(catalog)) == 0
+
+    def test_a_set_needs_a_catalog_that_describes_its_members(self, db):
+        c1 = db.tuple_by_label("c1")
+        with pytest.raises(TypeError):
+            TupleSet([c1])
+        with pytest.raises(TypeError):
+            TupleSet([c1], None)
+        stranger = Relation.from_rows("Climates", ["Country", "Climate"], [["Peru", "dry"]])
+        with pytest.raises(ValueError, match="not in the catalog"):
+            TupleSet([c1, stranger.tuples[0]], db.catalog())
+        with pytest.raises(ValueError, match="not in the catalog"):
+            by_label(db, "c1").can_absorb(stranger.tuples[0])
+
+    def test_operands_of_two_catalogs_are_refused_but_compare_by_value(self, db):
+        mine = by_label(db, "c1")
+        other_db = Database([Relation.from_rows("Climates", ["Country", "Climate"], [])])
+        other_db.add_tuple("Climates", ["Canada", "diverse"], label="c1")
+        theirs = TupleSet(other_db.tuples(), other_db.catalog())
+        assert mine == theirs and hash(mine) == hash(theirs) and mine.issubset(theirs)
+        with pytest.raises(ValueError, match="two catalogs"):
+            mine.union(theirs)
+        with pytest.raises(ValueError, match="two catalogs"):
+            mine.union_is_jcc(theirs)
 
     def test_membership_iteration_and_len(self, db):
         ts = by_label(db, "c1", "a1")
@@ -65,16 +88,10 @@ class TestRelationAndAttributeViews:
         assert ts.contains_tuple_from("Accommodations")
         assert not ts.contains_tuple_from("Sites")
 
-    def test_attribute_values_merge_non_nulls(self, db):
-        ts = by_label(db, "c1", "s2")  # s2 has City = NULL
-        assert ts.attribute_value("Country") == "Canada"
-        assert ts.attribute_value("City") is NULL
-        assert "Site" in ts.attributes and "Climate" in ts.attributes
-
 
 class TestJCCPredicate:
     def test_empty_and_singletons_are_jcc(self, db):
-        assert TupleSet.empty().is_jcc
+        assert TupleSet.empty(db.catalog()).is_jcc
         assert by_label(db, "c1").is_jcc
 
     def test_paper_results_are_jcc(self, db):
@@ -99,7 +116,7 @@ class TestJCCPredicate:
         left = Relation.from_rows("L", ["A"], [["x"]])
         right = Relation.from_rows("R", ["B"], [["x"]])
         db = Database([left, right])
-        ts = TupleSet(db.tuples())
+        ts = TupleSet(db.tuples(), db.catalog())
         assert not ts.is_connected
 
     def test_connectivity_may_go_through_intermediate_relation(self):
@@ -109,12 +126,8 @@ class TestJCCPredicate:
         right = Relation.from_rows("R", ["B"], [["y"]])
         db = Database([left, middle, right])
         l1, m1, r1 = list(db.tuples())
-        assert not TupleSet.of(l1, r1).is_connected
-        assert TupleSet.of(l1, m1, r1).is_jcc
-
-    def test_jcc_helper_function(self, db):
-        assert jcc([db.tuple_by_label("c1"), db.tuple_by_label("a1")])
-        assert not jcc([db.tuple_by_label("c1"), db.tuple_by_label("a3")])
+        assert not TupleSet.of(l1, r1, catalog=db.catalog()).is_connected
+        assert TupleSet.of(l1, m1, r1, catalog=db.catalog()).is_jcc
 
 
 class TestDerivedSets:
@@ -148,14 +161,14 @@ class TestCanAbsorb:
         right = Relation.from_rows("R", ["B"], [["y"]])
         db = Database([left, right])
         l1, r1 = list(db.tuples())
-        assert not TupleSet.singleton(l1).can_absorb(r1)
+        assert not TupleSet.singleton(l1, db.catalog()).can_absorb(r1)
 
     def test_member_tuple_is_trivially_absorbable(self, db):
         ts = by_label(db, "c1")
         assert ts.can_absorb(db.tuple_by_label("c1"))
 
     def test_empty_set_absorbs_anything(self, db):
-        assert TupleSet.empty().can_absorb(db.tuple_by_label("a3"))
+        assert TupleSet.empty(db.catalog()).can_absorb(db.tuple_by_label("a3"))
 
     def test_null_shared_attribute_blocks_absorption(self, db):
         # s2 has a null City; a1 provides City=Toronto: the pair is inconsistent.
@@ -184,12 +197,13 @@ class TestUnionIsJcc:
         right = Relation.from_rows("R", ["B"], [["y"]])
         db = Database([left, right])
         l1, r1 = list(db.tuples())
-        assert not TupleSet.singleton(l1).union_is_jcc(TupleSet.singleton(r1))
+        catalog = db.catalog()
+        assert not TupleSet.singleton(l1, catalog).union_is_jcc(TupleSet.singleton(r1, catalog))
 
     def test_union_with_empty_set(self, db):
         ts = by_label(db, "c1", "a1")
-        assert ts.union_is_jcc(TupleSet.empty())
-        assert TupleSet.empty().union_is_jcc(ts)
+        assert ts.union_is_jcc(TupleSet.empty(db.catalog()))
+        assert TupleSet.empty(db.catalog()).union_is_jcc(ts)
 
     def test_union_matches_direct_jcc_computation(self, db):
         sets = [
@@ -229,7 +243,7 @@ class TestMaximalJccSubsetWith:
         l1 = left.tuples[0]
         m1 = middle.tuples[0]
         r_z = right.tuples[1]  # B = z, inconsistent with m1 (B = y)
-        base = TupleSet.of(l1, m1)
+        base = TupleSet.of(l1, m1, catalog=db.catalog())
         result = base.maximal_jcc_subset_with(r_z)
         assert result.labels() == {r_z.label}
 

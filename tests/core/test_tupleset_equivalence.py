@@ -1,12 +1,14 @@
-"""Randomized cross-checks: bitset (interned) representation vs. the reference.
+"""Randomized cross-checks: the interned ``TupleSet`` vs. the reference.
 
-The bitset ``TupleSet`` fast paths and the indexed store layer must be
-observationally identical to the retained reference implementations — the
-uninterned dictionary/BFS paths of :class:`repro.core.tupleset.TupleSet`, the
-plain ``Incomplete`` list of :mod:`repro.core.pools` and the literal
-``Complete`` list of ``tests/core/reference_store.py``.  These tests generate random
-workloads and compare the two side by side, operation by operation and
-end to end.
+The bitset :class:`repro.core.tupleset.TupleSet` and the indexed store layer
+must be observationally identical to the retained reference
+implementations — the dictionary/BFS
+:class:`~tests.core.reference_tupleset.ReferenceTupleSet` and the literal
+``Incomplete`` and ``Complete`` lists of ``tests/core/reference_store.py``.
+These tests generate random workloads and compare the two side by side,
+operation by operation and end to end: the end-to-end reference run drives
+the per-tuple step of ``tests/core/reference_step.py`` over reference sets
+and the reference containers only.
 """
 
 from __future__ import annotations
@@ -17,15 +19,17 @@ from unittest import mock
 
 import pytest
 
-from repro.core.incremental import get_next_result
 from repro.core.full_disjunction import full_disjunction
-from repro.core.pools import ListIncompletePool as ReferenceIncompletePool
 from repro.core.scanner import TupleScanner
 from repro.core.tupleset import TupleSet
+from repro.relational.catalog import Catalog
 from repro.workloads.generators import chain_database, random_database, star_database
 from repro.workloads.tourist import tourist_database
 
+from tests.core.reference_step import reference_get_next_result
 from tests.core.reference_store import CompleteStore as ReferenceCompleteStore
+from tests.core.reference_store import IncompleteList as ReferenceIncompleteList
+from tests.core.reference_tupleset import ReferenceTupleSet
 
 
 def _workloads():
@@ -56,8 +60,8 @@ def _random_subset(rng, all_tuples, max_size=5):
 
 
 def _random_jcc_set(rng, all_tuples):
-    """Grow a JCC set greedily on the reference (uninterned) path."""
-    current = TupleSet.singleton(rng.choice(all_tuples))
+    """Grow a JCC set greedily on the reference."""
+    current = ReferenceTupleSet.singleton(rng.choice(all_tuples))
     for t in rng.sample(all_tuples, len(all_tuples)):
         if rng.random() < 0.6 and current.can_absorb(t):
             current = current.with_tuple(t)
@@ -71,10 +75,9 @@ def test_predicates_match_reference_on_random_subsets(name, database):
     rng = random.Random(42)
     for _ in range(120):
         members = _random_subset(rng, all_tuples)
-        reference = TupleSet(members)
+        reference = ReferenceTupleSet(members)
         interned = TupleSet(members, catalog=catalog)
-        assert interned.is_interned
-        assert interned == reference
+        assert interned.tuples == reference.tuples
         assert interned.is_join_consistent == reference.is_join_consistent
         assert interned.is_connected == reference.is_connected
         assert interned.is_jcc == reference.is_jcc
@@ -83,6 +86,7 @@ def test_predicates_match_reference_on_random_subsets(name, database):
 @pytest.mark.parametrize("name,database", WORKLOADS, ids=WORKLOAD_IDS)
 def test_subset_relations_match_reference(name, database):
     catalog = database.catalog()
+    second_catalog = Catalog(database)
     all_tuples = list(database.tuples())
     rng = random.Random(7)
     for _ in range(80):
@@ -90,13 +94,13 @@ def test_subset_relations_match_reference(name, database):
         second = _random_subset(rng, all_tuples)
         if rng.random() < 0.3:
             second = first + second  # force genuine subset pairs regularly
-        plain_a, plain_b = TupleSet(first), TupleSet(second)
+        plain_a, plain_b = ReferenceTupleSet(first), ReferenceTupleSet(second)
         bits_a = TupleSet(first, catalog=catalog)
         bits_b = TupleSet(second, catalog=catalog)
         assert bits_a.issubset(bits_b) == plain_a.issubset(plain_b)
         assert bits_a.issuperset(bits_b) == plain_a.issuperset(plain_b)
-        # Mixed representations must agree too (they fall back to tuples).
-        assert bits_a.issubset(plain_b) == plain_a.issubset(plain_b)
+        # Sets of two catalogs compare their member tuples.
+        assert bits_a.issubset(TupleSet(second, second_catalog)) == plain_a.issubset(plain_b)
 
 
 @pytest.mark.parametrize("name,database", WORKLOADS, ids=WORKLOAD_IDS)
@@ -125,19 +129,21 @@ def test_inner_loop_tests_match_reference_on_jcc_sets(name, database):
 
 
 def _reference_full_disjunction(database):
-    """The FD(R) driver run entirely on the reference pools and uninterned sets."""
+    """The FD(R) driver run entirely on the reference step, the reference
+    containers and reference sets."""
     results = []
     for index, relation in enumerate(database.relations):
         earlier = {r.name for r in database.relations[:index]}
         scanner = TupleScanner(database)
-        incomplete = ReferenceIncompletePool(relation.name)
+        incomplete = ReferenceIncompleteList(relation.name)
         for t in relation:
-            incomplete.add(TupleSet.singleton(t))
+            incomplete.add(ReferenceTupleSet.singleton(t))
         complete = ReferenceCompleteStore(relation.name)
         while incomplete:
-            result = get_next_result(
+            result = reference_get_next_result(
                 database, relation.name, incomplete, complete, scanner
             )
+            assert isinstance(result, ReferenceTupleSet)
             complete.add(result)
             if any(result.contains_tuple_from(name) for name in earlier):
                 continue
@@ -162,7 +168,7 @@ from repro.core.store import CompleteStore  # noqa: E402
 from repro.relational.packed_mirror import numpy_available  # noqa: E402
 
 #: Mirror backings ("none": the catalog's big ints alone); each must agree
-#: with the uninterned dict/BFS reference the tests below compute inline.
+#: with the dict/BFS ``ReferenceTupleSet``.
 BACKINGS = ["none", "ram", "mmap"] if numpy_available() else ["none"]
 
 #: Deterministic builders so mmap modes get a private database instance
@@ -220,9 +226,9 @@ def _sorted(tuples):
 def test_inner_loop_tests_match_reference_on_every_backing(name, backing, tmp_path):
     """union_is_jcc / can_absorb / maximal_jcc_subset_with, both ways.
 
-    The uninterned dict/BFS reference and the interned big-int fast path —
-    with no mirror, a RAM mirror or a mapped-file mirror — must give the
-    same answer on the same random JCC sets.
+    The dict/BFS reference and the interned big-int sets — with no mirror,
+    a RAM mirror or a mapped-file mirror — must give the same answer on the
+    same random JCC sets.
     """
     database = _mode_database(name, backing, tmp_path)
     catalog = database.catalog()
@@ -258,7 +264,7 @@ def test_contains_superset_batch_matches_reference_on_every_backing(name, backin
         for _ in range(10)
     ]
     for ts in stored:
-        reference_store.add(TupleSet(ts.tuples))
+        reference_store.add(ReferenceTupleSet(ts.tuples))
         store.add(ts)
     for _ in range(25):
         donor = rng.choice(stored)
@@ -274,7 +280,7 @@ def test_contains_superset_batch_matches_reference_on_every_backing(name, backin
             ),
         ]
         expected = [
-            reference_store.contains_superset(TupleSet(p.tuples)) for p in probes
+            reference_store.contains_superset(ReferenceTupleSet(p.tuples)) for p in probes
         ]
         assert store.contains_superset_batch(probes, anchor=anchor) == expected
 
@@ -314,44 +320,8 @@ def test_retraction_matches_reference_on_every_backing(backing, tmp_path):
             any(catalog.is_tombstoned(t) for t in ts.tuples) for ts in sets
         ]
         expected_dead = [ts for ts in sets if any(t in dead for t in ts.tuples)]
-        assert [ts.contains_tombstoned(catalog) for ts in sets] == expected_tombstoned
+        assert [ts.contains_tombstoned() for ts in sets] == expected_tombstoned
         assert holding_dead(sets, dead) == expected_dead
-
-
-def test_union_across_two_catalogs_interns_in_the_wider_one():
-    """Regression: ``a.union(b)`` must also try ``b``'s catalog.
-
-    ``a`` is interned in a catalog snapshot taken *before* new tuples
-    arrived; ``b`` is interned in the current catalog, which can describe
-    both operands.  The union used to try only ``a``'s catalog, silently
-    de-interning the result (and with it every downstream bitset fast
-    path).
-    """
-    database = chain_database(
-        relations=3, tuples_per_relation=4, domain_size=3, null_rate=0.2, seed=19
-    )
-    old_catalog = database.catalog()
-    old_tuple = next(iter(database.relations[0]))
-    a = TupleSet.singleton(old_tuple).attach_catalog(old_catalog)
-    assert a.is_interned
-
-    # Add behind the database's back: the cached catalog goes stale and the
-    # next catalog() call is a full rebuild — a genuinely *different*
-    # snapshot, unlike add_tuple's in-place extension.
-    fresh = database.relations[1].add(
-        [1 for _ in database.relations[1].schema], label="late"
-    )
-    new_catalog = database.catalog()
-    assert new_catalog is not old_catalog
-    b = TupleSet.singleton(fresh).attach_catalog(new_catalog)
-    assert b.is_interned
-    assert new_catalog.id_of(fresh) is not None
-    assert old_catalog.id_of(fresh) is None  # a's catalog cannot describe b
-
-    for union in (a.union(b), b.union(a)):
-        assert union.tuples == a.tuples | b.tuples
-        assert union.is_interned, "union fell off the bitset fast path"
-        assert union._catalog is new_catalog
 
 
 def test_tourist_table2_output_is_unchanged():

@@ -24,7 +24,7 @@ class TestRow:
         assert row["A"] == 1
 
     def test_project_keeps_provenance(self, tourist_db):
-        provenance = TupleSet.singleton(tourist_db.tuple_by_label("c1"))
+        provenance = TupleSet.singleton(tourist_db.tuple_by_label("c1"), tourist_db.catalog())
         row = Row({"A": 1, "B": 2}, provenance=provenance)
         projected = row.project(["B", "C"])
         assert projected.attributes == ("B", "C")
@@ -37,6 +37,6 @@ class TestRow:
         assert len({Row({"A": 1}), Row({"A": 1})}) == 1
 
     def test_repr_mentions_provenance(self, tourist_db):
-        provenance = TupleSet.singleton(tourist_db.tuple_by_label("c1"))
+        provenance = TupleSet.singleton(tourist_db.tuple_by_label("c1"), tourist_db.catalog())
         assert "c1" in repr(Row({"A": 1}, provenance=provenance))
         assert "from" not in repr(Row({"A": 1}))

@@ -20,10 +20,11 @@ RELAXED = settings(
 def random_subsets(database, rng, count, max_size=3):
     """Draw random tuple subsets (not necessarily JCC) from a database."""
     all_tuples = list(database.tuples())
+    catalog = database.catalog()
     subsets = []
     for _ in range(count):
         size = rng.randint(1, min(max_size, len(all_tuples)))
-        subsets.append(TupleSet(rng.sample(all_tuples, size)))
+        subsets.append(TupleSet(rng.sample(all_tuples, size), catalog))
     return subsets
 
 
@@ -98,7 +99,7 @@ def test_triple_list_check_agrees_with_tuple_set_check(database, seed):
 @given(database=small_databases())
 def test_tuple_set_hash_and_equality_are_order_insensitive(database):
     tuples = list(database.tuples())
-    forward = TupleSet(tuples)
-    backward = TupleSet(reversed(tuples))
+    forward = TupleSet(tuples, database.catalog())
+    backward = TupleSet(reversed(tuples), database.catalog())
     assert forward == backward
     assert hash(forward) == hash(backward)

@@ -7,6 +7,8 @@ import threading
 
 import pytest
 
+from repro.core.approx import approx_full_disjunction
+from repro.core.approx_join import ExactMatchSimilarity, MinJoin
 from repro.core.full_disjunction import first_k, full_disjunction
 from repro.obs import (
     NULL_SPAN,
@@ -130,15 +132,31 @@ ENGINE_WORKLOADS = {
 }
 
 
+#: Every driver that runs one pass per relation, drained.
+ENGINE_DRIVERS = {
+    "singletons": lambda database: full_disjunction(database, use_index=True),
+    "previous-results": lambda database: full_disjunction(
+        database, use_index=True, initialization="previous-results"
+    ),
+    "reduced-previous": lambda database: full_disjunction(
+        database, use_index=True, initialization="reduced-previous"
+    ),
+    "approximate": lambda database: approx_full_disjunction(
+        database, MinJoin(ExactMatchSimilarity()), 1.0, use_index=True
+    ),
+}
+
+
 class TestEngineSpans:
+    @pytest.mark.parametrize("driver", sorted(ENGINE_DRIVERS))
     @pytest.mark.parametrize("workload", sorted(ENGINE_WORKLOADS))
-    def test_a_drained_run_traces_one_pass_per_relation_in_order(self, workload):
-        """The driver's ``engine.pass`` spans: one per relation, in database
+    def test_a_drained_run_traces_one_pass_per_relation_in_order(self, workload, driver):
+        """Each driver's ``engine.pass`` spans: one per relation, in database
         order, each enclosing the ``engine.initialize`` of its own anchor."""
         database = ENGINE_WORKLOADS[workload]()
         tracer = PhaseTracer()
         with use_tracer(tracer):
-            answers = full_disjunction(database, use_index=True)
+            answers = ENGINE_DRIVERS[driver](database)
         assert answers
         events = tracer.events()
         passes = _spans(events, "engine.pass")

@@ -128,7 +128,7 @@ class TestPadding:
         c1 = database.tuple_by_label("c1")
         s2 = database.tuple_by_label("s2")
         schema = operators.combined_schema(database.relations)
-        row = operators.pad_tuple_set(TupleSet.of(c1, s2), schema)
+        row = operators.pad_tuple_set(TupleSet.of(c1, s2, catalog=database.catalog()), schema)
         assert row["Country"] == "Canada"
         assert row["Climate"] == "diverse"
         assert row["Site"] == "Mount Logan"
