@@ -11,16 +11,16 @@ measured end to end:
   page governor (watermark + `MirrorFile.release_pages`) emulates the
   cap by dropping clean mapped pages, exactly what the kernel would do
   under real memory pressure.  The in-RAM configuration of the same
-  database (unpickle + RAM mirror) busts the budget before streaming a
-  single answer, and its stream peak carries the whole matrix twice
-  (big-int rows + RAM mirror).  Both arms must stream identical
+  database (unpickling its big-int catalog, with no mirror) busts the
+  budget before streaming a single answer: it must hold the whole
+  matrix as Python ints.  Both arms must stream identical
   answers; each runs in a fresh child process measured by its own
   ``VmHWM`` (Linux never resets ``ru_maxrss`` across ``exec``, so the
   child would otherwise inherit the benchmark parent's mark).
 * **E17b — in-RAM-sized latency.**  On a fixture that comfortably fits in
   RAM, first-k through the attached (mmap) catalog stays within
-  ``MAX_LATENCY_RATIO`` (2×) of the RAM-mirrored run, with identical
-  ordered streams and ``sets_scanned``.
+  ``MAX_LATENCY_RATIO`` (2×) of the in-RAM run (big ints, no mirror),
+  with identical ordered streams and ``sets_scanned``.
 
 Set ``REPRO_BENCH_SMOKE=1`` to shrink the sweep (used by the CI smoke
 job); the budget assertions only apply at full scale, where the mirror
@@ -43,7 +43,7 @@ from repro.relational.packed_mirror import numpy_available
 from repro.workloads.generators import chain_database, star_database
 
 pytestmark = pytest.mark.skipif(
-    not numpy_available(), reason="the mmap backing needs NumPy"
+    not numpy_available(), reason="mirror files need NumPy"
 )
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -124,7 +124,7 @@ started = time.perf_counter()
 database = load_database(path)
 attach_seconds = time.perf_counter() - started
 open_rss = peak_rss()  # high-water so far: the whole cost of opening
-handle = database.catalog()._packed_mirror.file
+handle = database.catalog().packed_mirror()
 
 # The page governor: emulate a hard RSS cap by dropping clean mapped pages
 # whenever the resident set crosses the watermark (the budget minus a
@@ -173,7 +173,6 @@ path, k = sys.argv[1], int(sys.argv[2])
 started = time.perf_counter()
 with open(path, "rb") as fh:
     database = pickle.load(fh)
-database.catalog().packed_mirror()
 load_seconds = time.perf_counter() - started
 load_rss = peak_rss()
 results = []
@@ -208,10 +207,9 @@ def chain_fixture(tmp_path_factory):
     directory = tmp_path_factory.mktemp("e17a")
     database = _chain()
     database.catalog()
-    # Pickle BEFORE attaching the mirror: a catalog pickled with a mirror
-    # path reattaches to the file in O(1) (that is the point of the fix in
-    # Catalog.__getstate__), which would silently turn the "in-RAM"
-    # configuration into a second mmap run.
+    # Pickle BEFORE saving the mirror: a catalog pickled with a mirror file
+    # ships its path and reattaches to the file (Catalog.__getstate__), so
+    # the "in-RAM" configuration would carry a mapping it never reads.
     pickle_path = str(directory / "chain.pkl")
     with open(pickle_path, "wb") as handle:
         pickle.dump(database, handle, protocol=pickle.HIGHEST_PROTOCOL)
@@ -262,7 +260,7 @@ def test_e17a_over_budget_streaming(chain_fixture, report_table, report_memory):
                 mib(attached["peak_rss_bytes"]),
             ],
             [
-                "in-RAM (unpickle + mirror)",
+                "in-RAM (unpickle)",
                 f"{in_ram['load_seconds']:.3f}",
                 mib(in_ram["load_rss_bytes"]),
                 in_ram["load_rss_bytes"] <= BUDGET_BYTES,
@@ -317,7 +315,7 @@ def _stream_first_k(database, k):
 
 def test_e17b_in_ram_sized_latency(tmp_path, report_table):
     ram = _star()
-    ram.catalog().packed_mirror()
+    ram.catalog()
     mapped = _star()
     mapped.save_mirror(str(tmp_path / "star.rpmc"))
 

@@ -636,8 +636,10 @@ def get_next_result(
 ) -> TupleSet:
     """One call of ``GetNextResult`` (Fig. 2): produce the next result of ``FD_i``.
 
-    The ``incomplete`` pool decides the extraction order: FIFO for plain
-    ``IncrementalFD``, highest-rank-first for ``PriorityIncrementalFD``.
+    The ``incomplete`` pool decides the extraction order.  For plain
+    ``IncrementalFD`` the default ``"paper"`` order pops the head and puts
+    the candidates of this step at the head, in generation order;
+    ``PriorityIncrementalFD`` pops the highest rank first.
 
     ``semantics`` supplies Lines 2–6, Lines 7–9 and the Line 14 test:
     :data:`EXACT` by default, or

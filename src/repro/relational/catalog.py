@@ -48,13 +48,19 @@ against :attr:`Catalog.dead_mask` (the store layer's retraction sweep and
 the serving layer's epoch revalidation both run on exactly that check).
 Dead ids are reclaimed only by an explicit rebuild
 (:meth:`Database.compact <repro.relational.database.Database.compact>`).
+
+A catalog may also hold a mirror file
+(:class:`~repro.relational.catalog_file.MirrorFile`): one that
+:meth:`Catalog.save_mirror` wrote, that
+:func:`~repro.relational.catalog_file.load_database` attached, or that
+unpickling reattached.  Appends and tombstones maintain it in place.  An
+*attached* catalog reads its consistency rows from the file instead of RAM
+(the paper's block-based reading); every other catalog answers from its big
+ints, and with no mirror nothing here imports NumPy.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
-import warnings
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple as TupleType
 
 from repro.relational.database import Database
@@ -63,7 +69,7 @@ from repro.relational.tuples import Tuple
 
 
 class _MirrorRows:
-    """Big-int row access over an attached (file-backed) mirror.
+    """Big-int row access over an attached mirror file.
 
     Stands in for the catalog's ``_consistent`` list in catalogs attached to
     a mirror file: ``rows[gid]`` unpacks one mapped row to a big int on
@@ -177,8 +183,7 @@ class Catalog:
         "_dead_mask",
         "_connected_cache",
         "_relation_sets",
-        "_packed_mirror",
-        "_mirror_path",
+        "_mirror",
     )
 
     def __init__(self, database: Database):
@@ -247,12 +252,9 @@ class Catalog:
         self._dead_mask = 0
         self._connected_cache: Dict[int, bool] = {1: True} if count else {}
         self._relation_sets: Dict[int, FrozenSet[str]] = {}
-        # Columnar mirror of the bitmatrices (mapped catalogs), built
-        # lazily by packed_mirror() and maintained by the append/tombstone
-        # hooks below.  When the mirror is file-backed, _mirror_path names
-        # the file so pickled catalogs can reattach instead of rebuilding.
-        self._packed_mirror = None
-        self._mirror_path = None
+        # The mirror file, once save_mirror writes one; the append/tombstone
+        # hooks below maintain it.
+        self._mirror = None
 
     # ------------------------------------------------------------------ #
     # append-only maintenance
@@ -277,25 +279,10 @@ class Catalog:
         existing = self._tuple_ids.get(t)
         if existing is not None and not (self._dead_mask >> existing) & 1:
             raise ValueError(f"tuple {t.label!r} is already catalogued")
-        mirror = self._packed_mirror
+        mirror = self._mirror
+        if mirror is not None and mirror.readonly:
+            mirror = self.writable_mirror("append")
         inline = isinstance(self._consistent, list)
-        if mirror is not None and mirror.file is not None and mirror.file.readonly:
-            if inline:
-                # The big ints remain the source of truth; drop the
-                # unwritable file-backed mirror (it rebuilds lazily, in RAM)
-                # rather than fail the append.
-                self._packed_mirror = None
-                self._mirror_path = None
-                mirror = None
-            else:
-                # Attached catalog: the file IS the matrix — refuse before
-                # mutating anything.
-                from repro.relational.catalog_file import MirrorFileError
-
-                raise MirrorFileError(
-                    f"catalog is attached read-only to {mirror.file.path}; "
-                    "reopen with writable=True to append"
-                )
         gid = len(self._tuples)
         bit = 1 << gid
         self._tuple_ids[t] = gid
@@ -339,8 +326,7 @@ class Catalog:
             # and _MirrorRows serves them back on demand.
             consistent.append(mask)
         if mirror is not None:
-            payload = self.payload_entry(gid) if mirror.file is not None else None
-            mirror.append_row(gid, mask, rid, payload=payload)
+            mirror.append_row(gid, mask, rid, self.payload_entry(gid))
         return gid
 
     def tombstone(self, t: Tuple) -> int:
@@ -358,83 +344,60 @@ class Catalog:
         bit = 1 << gid
         if self._dead_mask & bit:
             raise ValueError(f"tuple {t.label!r} is already tombstoned")
-        mirror = self._packed_mirror
-        if mirror is not None and mirror.file is not None and mirror.file.readonly:
-            if isinstance(self._consistent, list):
-                self._packed_mirror = None
-                self._mirror_path = None
-                mirror = None
-            else:
-                from repro.relational.catalog_file import MirrorFileError
-
-                raise MirrorFileError(
-                    f"catalog is attached read-only to {mirror.file.path}; "
-                    "reopen with writable=True to tombstone"
-                )
+        mirror = self._mirror
+        if mirror is not None and mirror.readonly:
+            mirror = self.writable_mirror("tombstone")
         self._dead_mask |= bit
         if mirror is not None:
             mirror.tombstone(gid)
         return gid
 
+    def writable_mirror(self, action: str):
+        """The mirror file ``action`` must maintain, or ``None``.
+
+        Called before a mutation changes anything.  A read-only mirror under
+        big-int rows (one reattached on unpickling) is dropped: the big ints
+        stay the source of truth.  An attached catalog's rows *are* its
+        file, so a read-only attachment refuses with
+        :class:`~repro.relational.catalog_file.MirrorFileError`.
+        """
+        mirror = self._mirror
+        if mirror is None or not mirror.readonly:
+            return mirror
+        if isinstance(self._consistent, list):
+            self._mirror = None
+            return None
+        from repro.relational.catalog_file import MirrorFileError
+
+        raise MirrorFileError(
+            f"catalog is attached read-only to {mirror.path}; "
+            f"reopen with writable=True to {action}"
+        )
+
     # ------------------------------------------------------------------ #
-    # the packed columnar mirror
+    # the mirror file
     # ------------------------------------------------------------------ #
     def packed_mirror(self):
-        """The catalog's bitmatrices as packed ``uint64`` word arrays.
-
-        Built lazily on first use (requires NumPy) and from then on
-        maintained incrementally by :meth:`append_tuple`/:meth:`tombstone`,
-        so streaming appends stay O(row) on both representations.  The
-        mirror never goes stale: the big ints remain the source of truth
-        and every mirror mutation happens inside the same call that mutates
-        them.
-
-        The backing is chosen per :func:`~repro.relational.catalog_file.
-        resolve_backing`: RAM arrays below the ``REPRO_MMAP_THRESHOLD``
-        tuple count, a self-deleting temporary mirror file above it (or as
-        forced by ``REPRO_MMAP=on|off``).  A failed file backing degrades to
-        RAM with a warning.
-        """
-        if self._packed_mirror is None:
-            from repro.relational.packed_mirror import PackedMirror
-            from repro.relational.catalog_file import resolve_backing
-
-            if resolve_backing(self.tuple_count) == "mmap":
-                fd, path = tempfile.mkstemp(prefix="repro-mirror-", suffix=".rpmc")
-                os.close(fd)
-                try:
-                    self._packed_mirror = PackedMirror(
-                        self, backing="mmap", path=path, delete_on_close=True
-                    )
-                    self._mirror_path = os.path.abspath(path)
-                    return self._packed_mirror
-                except Exception as error:
-                    try:
-                        os.unlink(path)
-                    except OSError:
-                        pass
-                    warnings.warn(
-                        f"mmap mirror backing failed ({error}); using RAM",
-                        RuntimeWarning,
-                        stacklevel=2,
-                    )
-            self._packed_mirror = PackedMirror(self)
-        return self._packed_mirror
+        """The catalog's :class:`~repro.relational.catalog_file.MirrorFile`,
+        or ``None`` when it has none; nothing is built here."""
+        return self._mirror
 
     def save_mirror(self, path: str):
         """Write (and keep using) a durable mirror file at ``path``.
 
         The catalog's matrices and tuple payloads are packed into a sealed
-        :class:`~repro.relational.catalog_file.MirrorFile`, and the written
-        mirror *becomes* the catalog's packed mirror, so subsequent appends
-        and tombstones maintain the file incrementally.  Returns the mirror.
+        :class:`~repro.relational.catalog_file.MirrorFile`, which *becomes*
+        the catalog's mirror, so subsequent appends and tombstones maintain
+        the file incrementally.  Returns the mirror.
         """
-        from repro.relational.packed_mirror import PackedMirror
+        from repro.relational.catalog_file import MirrorFile
 
-        mirror = PackedMirror(self, backing="mmap", path=path)
-        mirror.file.seal()
-        self._packed_mirror = mirror
-        self._mirror_path = os.path.abspath(path)
+        mirror = MirrorFile.pack(self, path)
+        mirror.seal()
+        self._mirror = mirror
+        if not isinstance(self._consistent, list):
+            # An attached catalog reads its rows from the new file from now on.
+            self._consistent = _MirrorRows(mirror)
         return mirror
 
     def mirror_meta(self) -> dict:
@@ -460,83 +423,63 @@ class Catalog:
     def stamp_mirror_generation(self, generation) -> None:
         """Record the owning database's generation in a writable mirror file.
 
-        A no-op for RAM mirrors and read-only attachments.  The database
+        A no-op without a mirror or on a read-only one.  The database
         calls this after every catalog-maintained mutation, so a mirror file
         under streaming ingest is always stamped at a database-consistent
         point and :func:`~repro.relational.catalog_file.load_database` can
         verify it.
         """
-        mirror = self._packed_mirror
-        if mirror is not None and mirror.file is not None and not mirror.file.readonly:
-            mirror.file.stamp_generation(tuple(generation))
+        mirror = self._mirror
+        if mirror is not None and not mirror.readonly:
+            mirror.stamp_generation(tuple(generation))
 
     def mirror_snapshot_ref(self) -> Optional[dict]:
         """A by-reference snapshot of the tuple entries, if one is possible.
 
-        Non-``None`` only when the catalog has a *durable* file-backed
-        mirror (ephemeral auto-selected temp files self-delete and must not
-        be referenced).  The ref pins the payload prefix length and the dead
-        mask at this moment; since the payload is append-only, the ref stays
-        valid under later ingest.
+        Non-``None`` only when the catalog has a mirror file.  The ref pins
+        the payload prefix length and the dead mask at this moment; since
+        the payload is append-only, the ref stays valid under later ingest.
         """
-        mirror = self._packed_mirror
-        if mirror is None or mirror.file is None or mirror.file.ephemeral:
+        mirror = self._mirror
+        if mirror is None:
             return None
-        handle = mirror.file
-        if not handle.readonly:
-            handle.flush()
+        mirror.flush()
         return {
-            "path": os.path.abspath(handle.path),
-            "payload_offset": handle.payload_off,
-            "payload_length": handle.payload_used,
+            "path": mirror.path,
+            "payload_offset": mirror.payload_off,
+            "payload_length": mirror.payload_used,
             "count": self.tuple_count,
             "dead_mask": format(self._dead_mask, "x"),
         }
 
     def __getstate__(self):
-        # The mirror is a derived cache of NumPy arrays: dropping it keeps
-        # catalogs picklable without NumPy on the receiving side.  A RAM
-        # mirror rebuilds lazily; a durable file-backed mirror ships its
-        # path instead, so the receiver reattaches in O(1) rather than
-        # repacking the matrices from big ints.
+        # The mirror is a mapping: ship its path, so the receiver reattaches
+        # read-only in O(1).  An attached catalog's consistency rows live in
+        # the file, so it ships the reference, not a big-int copy of them.
         state = {slot: getattr(self, slot) for slot in self.__slots__}
-        state["_packed_mirror"] = None
-        mirror = self._packed_mirror
-        durable = (
-            mirror is not None
-            and mirror.file is not None
-            and not mirror.file.ephemeral
-        )
-        state["_mirror_path"] = mirror.path if durable else None
+        state["_mirror"] = None if self._mirror is None else self._mirror.path
         if not isinstance(self._consistent, list):
-            # Attached catalog: the consistency matrix lives in the file —
-            # ship the reference, not a big-int copy of the bytes.
             state["_consistent"] = None
         return state
 
     def __setstate__(self, state):
+        path = state.pop("_mirror")
         for slot, value in state.items():
             setattr(self, slot, value)
-        if self._consistent is None:
-            self._reattach_mirror(required=True)
-        elif self._mirror_path:
-            self._reattach_mirror(required=False)
+        self._mirror = None
+        if path is not None:
+            self._reattach_mirror(path)
 
-    def _reattach_mirror(self, required: bool) -> None:
-        """Reopen ``_mirror_path`` read-only and attach to it.
+    def _reattach_mirror(self, path: str) -> None:
+        """Reopen the mirror file at ``path`` read-only and attach to it.
 
-        ``required`` is set when the pickled state shipped no consistency
-        big ints (attached catalogs): failure to reattach is then an error.
-        Otherwise the path is best-effort — on any failure the catalog
-        falls back to the lazy RAM rebuild.
+        A catalog pickled without its consistency big ints (an attached one)
+        cannot answer without the file, so failing to reattach raises.  One
+        with big ints drops the mirror instead and answers from them.
         """
-        try:
-            from repro.relational.packed_mirror import PackedMirror
-            from repro.relational.catalog_file import MirrorFile, MirrorFileError
+        from repro.relational.catalog_file import MirrorFile, MirrorFileError
 
-            path = self._mirror_path
-            if not path:
-                raise MirrorFileError("catalog state carries no mirror path")
+        try:
             handle = MirrorFile.open(path, writable=False)
             if handle.n != len(self._tuples):
                 handle.close()
@@ -544,14 +487,13 @@ class Catalog:
                     f"{path}: mirror holds {handle.n} rows, "
                     f"catalog has {len(self._tuples)}"
                 )
-            self._packed_mirror = PackedMirror.attached(handle)
+        except MirrorFileError:
             if self._consistent is None:
-                self._consistent = _MirrorRows(self._packed_mirror)
-        except Exception:
-            if required:
                 raise
-            self._packed_mirror = None
-            self._mirror_path = None
+            return
+        self._mirror = handle
+        if self._consistent is None:
+            self._consistent = _MirrorRows(handle)
 
     @classmethod
     def _attach(cls, mirror_file, tuples: List[Tuple], dead_mask: int) -> "Catalog":
@@ -559,12 +501,10 @@ class Catalog:
 
         The relation-level masks are small and unpacked to big ints; the
         O(n²)-bit consistency matrix is *not* — it stays in the file behind
-        :class:`_MirrorRows` and the attached :class:`PackedMirror
-        <repro.relational.packed_mirror.PackedMirror>`, paging in on demand.
+        :class:`_MirrorRows`, paging in on demand.
         ``tuples`` lists every issued gid in order (dead incarnations
         included); ``dead_mask`` is the tombstone set.
         """
-        from repro.relational.packed_mirror import PackedMirror
         from repro.relational.catalog_file import MirrorFileError
 
         if len(tuples) != mirror_file.n:
@@ -600,9 +540,8 @@ class Catalog:
         self._dead_mask = dead_mask
         self._connected_cache = {1: True} if count else {}
         self._relation_sets = {}
-        self._packed_mirror = PackedMirror.attached(mirror_file)
-        self._consistent = _MirrorRows(self._packed_mirror)
-        self._mirror_path = os.path.abspath(mirror_file.path)
+        self._mirror = mirror_file
+        self._consistent = _MirrorRows(mirror_file)
         return self
 
     # ------------------------------------------------------------------ #
@@ -668,9 +607,7 @@ class Catalog:
         This is the storage layer's view of the catalog: every id ever
         issued — tombstoned ones included — in the order they were issued.
         A snapshot serialized from this order restores with identical gids,
-        which is what lets persisted result logs name their members by gid
-        (the packed mirror is derived state and is rebuilt lazily instead
-        of being serialized; see ``__getstate__``).
+        which is what lets persisted result logs name their members by gid.
         """
         dead = self._dead_mask
         for gid, t in enumerate(self._tuples):

@@ -1,11 +1,12 @@
-"""The on-disk catalog mirror: a versioned, memory-mappable word-array file.
+"""The catalog mirror: a versioned, memory-mappable word-array file.
 
-The :class:`~repro.relational.packed_mirror.PackedMirror` keeps the
-catalog's bitmatrices as columnar little-endian ``uint64`` word arrays.  This
-module gives those arrays a persistent home, so databases whose
-consistency matrix exceeds RAM page in on demand (``np.memmap`` over a
-shared file instead of anonymous memory) — the paper's "block-based
-reading" property at matrix scale.
+A :class:`MirrorFile` holds the catalog's bitmatrices as columnar
+little-endian ``uint64`` word arrays (``np.memmap``-style views over a
+shared file), so databases whose consistency matrix exceeds RAM page in on
+demand — the paper's "block-based reading" property at matrix scale.  A
+catalog has a mirror only when ``Catalog.save_mirror`` wrote one,
+:func:`load_database` attached one, or unpickling reattached one; it then
+maintains the file in place under appends and tombstones.
 
 File layout (all integers little-endian)::
 
@@ -19,13 +20,13 @@ File layout (all integers little-endian)::
     [ payload              JSON lines, grows       ]   one tuple entry per gid
 
 The header records logical sizes (``n`` tuples, ``width`` words) separately
-from capacities (``row_cap``, ``word_cap``), exactly like the in-RAM mirror:
-streaming appends write one row and bump the logical counts; when a capacity
-is exhausted the file grows by doubling (``ftruncate`` + remap) and the
-sections are relaid out.  Tombstones flip bits in the dead section in place.
-The payload region is append-only — one JSON line per gid, dead flags live in
-the dead section, never in the payload — and is the last section, so payload
-appends extend the file without moving anything.
+from capacities (``row_cap``, ``word_cap``): streaming appends write one row
+and bump the logical counts; when a capacity is exhausted the file grows by
+doubling (``ftruncate`` + remap) and the sections are relaid out.
+Tombstones flip bits in the dead section in place.  The payload region is
+append-only — one JSON line per gid, dead flags live in the dead section,
+never in the payload — and is the last section, so payload appends extend
+the file without moving anything.
 
 Integrity: the header carries a CRC over itself and a running CRC over the
 append-only payload, both checked on open.  ``seal()`` (the ``repro pack``
@@ -34,12 +35,9 @@ whole body and sets the SEALED flag; any later mutation clears the flag.  The
 word sections mutate in place, so their checksum is only defined at seal
 points — the same contract as the WAL/snapshot layer's "checksummed at rest".
 
-Backing selection: ``REPRO_MMAP=on`` forces the file backing, ``off``
-forces RAM, and by default the mirror goes to a (self-deleting) file once
-the catalog crosses ``REPRO_MMAP_THRESHOLD`` tuples.  Without NumPy
-everything here degrades to the in-RAM big ints — the module imports, the
-selection answers ``"ram"``, and only actually opening a mirror file
-raises.
+Without NumPy the module still imports and reads snapshot references
+(:func:`read_snapshot_entries`); writing or opening a mirror file raises
+:class:`MirrorFileError`.
 """
 
 from __future__ import annotations
@@ -48,15 +46,10 @@ import json
 import mmap
 import os
 import struct
-import warnings
-import weakref
 import zlib
 from typing import List
 
-try:  # pragma: no cover - exercised by the no-NumPy CI leg
-    import numpy as np
-except ImportError:  # pragma: no cover
-    np = None
+from repro.relational.packed_mirror import np, pack_int, unpack_bits, words_for
 
 MAGIC = b"RPMIRR01"
 FORMAT_VERSION = 1
@@ -74,58 +67,11 @@ FLAG_SEALED = 1
 _HEADER = struct.Struct("<8sII6Q4q5QII")
 _HEADER_CRC = struct.Struct("<I")
 
-#: Tuples at or above this count move an automatically-selected mirror to a
-#: temporary file (override with ``REPRO_MMAP_THRESHOLD``).  At the default,
-#: the consistency matrix alone is ~0.5 GiB — past the point where a second
-#: in-RAM copy of the catalog's matrices starts to hurt.
-DEFAULT_MMAP_THRESHOLD = 65536
-
 _GENERATION_UNSTAMPED = (-1, -1, -1, -1)
 
 
 class MirrorFileError(Exception):
     """A mirror file that cannot be created, grown, decoded, or verified."""
-
-
-def mmap_threshold() -> int:
-    """The automatic-selection tuple threshold (``REPRO_MMAP_THRESHOLD``)."""
-    raw = os.environ.get("REPRO_MMAP_THRESHOLD", "").strip()
-    if not raw:
-        return DEFAULT_MMAP_THRESHOLD
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        warnings.warn(
-            f"invalid REPRO_MMAP_THRESHOLD {raw!r}; "
-            f"using the default ({DEFAULT_MMAP_THRESHOLD})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return DEFAULT_MMAP_THRESHOLD
-
-
-def resolve_backing(tuple_count: int) -> str:
-    """``"ram"`` or ``"mmap"`` for a mirror over ``tuple_count`` tuples.
-
-    An explicit ``REPRO_MMAP=on|off`` wins, otherwise the size threshold
-    decides, and a host without NumPy always answers ``"ram"`` (the packed
-    mirror cannot exist there at all, so ``REPRO_MMAP=on`` degrades cleanly
-    instead of failing).
-    """
-    if np is None:
-        return "ram"
-    spec = os.environ.get("REPRO_MMAP", "").strip().lower()
-    if spec in ("on", "1", "true", "yes", "mmap"):
-        return "mmap"
-    if spec in ("off", "0", "false", "no", "ram"):
-        return "ram"
-    if spec and spec != "auto":
-        warnings.warn(
-            f"unknown REPRO_MMAP value {spec!r}; using automatic selection",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return "mmap" if tuple_count >= mmap_threshold() else "ram"
 
 
 def _encode_payload_line(entry) -> bytes:
@@ -174,15 +120,18 @@ def _read_header_fields(raw: bytes, path: str) -> dict:
 class MirrorFile:
     """One open mirror file: header state plus mapped word-array views.
 
-    Use :meth:`create` for a fresh file and :meth:`open` for an existing one;
-    the mapped section views (``consistent``, ``relation_tuples``,
-    ``adjacency``, ``dead``, ``tuple_relation``) are NumPy arrays over the
-    shared mapping — mutating them mutates the file.  Callers holding views
-    must rebind after :meth:`grow` or a payload extension (both remap).
+    Use :meth:`pack` to write a catalog to a fresh file and :meth:`open` for
+    an existing one.  The mapped section views (``consistent``,
+    ``relation_tuples``, ``adjacency``, ``dead``, ``tuple_relation``) are
+    NumPy arrays over the shared mapping — mutating them mutates the file —
+    and are rebound by every remap (:meth:`grow`, a payload extension), so
+    read them through the file, not a saved reference.  ``version`` counts
+    :meth:`append_row` and :meth:`tombstone` calls, so a reader caching
+    unpacked rows knows when to drop them.
     """
 
     def __init__(self):
-        raise TypeError("use MirrorFile.create() or MirrorFile.open()")
+        raise TypeError("use MirrorFile.pack() or MirrorFile.open()")
 
     # ------------------------------------------------------------------ #
     # construction
@@ -192,39 +141,36 @@ class MirrorFile:
         self = object.__new__(cls)
         self.path = None
         self.readonly = False
-        self.ephemeral = False
+        self.version = 0
         self._handle = None
         self._map = None
         self._u8 = None
-        self._finalizer = None
         return self
 
     @classmethod
-    def create(
-        cls,
-        path: str,
-        *,
-        row_cap: int,
-        word_cap: int,
-        relation_count: int,
-        r_words: int,
-        meta: dict,
-        delete_on_close: bool = False,
-    ) -> "MirrorFile":
-        """Create (or truncate) a mirror file with the given capacities."""
+    def pack(cls, catalog, path: str) -> "MirrorFile":
+        """Write ``catalog``'s matrices and tuple payloads to a fresh file.
+
+        The file at ``path`` is created (or truncated) with room for the
+        catalog's rows, filled, and left open for writing, unsealed and
+        unstamped.
+        """
         if np is None:
             raise MirrorFileError("mirror files require NumPy")
-        self = cls._blank()
-        self.path = os.fspath(path)
-        self.ephemeral = bool(delete_on_close)
+        n = catalog.tuple_count
+        relation_count = catalog.relation_count
+        width = words_for(n)
+        meta = catalog.mirror_meta()
         meta_blob = json.dumps(meta, separators=(",", ":"), sort_keys=True).encode("utf-8")
+        self = cls._blank()
+        self.path = os.path.abspath(path)
         self.flags = 0
         self.n = 0
         self.width = 1
-        self.row_cap = max(1, int(row_cap))
-        self.word_cap = max(1, int(word_cap))
-        self.relation_count = int(relation_count)
-        self.r_words = max(1, int(r_words))
+        self.row_cap = max(n, 16)
+        self.word_cap = width
+        self.relation_count = relation_count
+        self.r_words = words_for(max(relation_count, 1))
         self.generation = _GENERATION_UNSTAMPED
         self.meta_len = len(meta_blob)
         self.meta_off = self._dead_off() + self.word_cap * 8
@@ -242,8 +188,19 @@ class MirrorFile:
                 meta_blob, dtype=np.uint8
             )
         self._write_header()
-        if self.ephemeral:
-            self._finalizer = weakref.finalize(self, _unlink_quietly, self.path)
+        for gid in range(n):
+            self.consistent[gid, :width] = pack_int(catalog.consistent_mask(gid), width)
+            self.tuple_relation[gid] = catalog.relation_of_tuple(gid)
+        self.dead[:width] = pack_int(catalog.dead_mask, width)
+        for rid in range(relation_count):
+            self.relation_tuples[rid, :width] = pack_int(
+                catalog.relation_tuples_mask(rid), width
+            )
+            self.adjacency[rid, :] = pack_int(catalog.adjacency_mask(rid), self.r_words)
+        for gid in range(n):
+            self.append_payload(catalog.payload_entry(gid))
+        self.set_counts(n, width)
+        self.flush()
         return self
 
     @classmethod
@@ -252,7 +209,7 @@ class MirrorFile:
         if np is None:
             raise MirrorFileError("mirror files require NumPy")
         self = cls._blank()
-        self.path = os.fspath(path)
+        self.path = os.path.abspath(path)
         self.readonly = not writable
         try:
             self._handle = open(self.path, "r+b" if writable else "rb")
@@ -400,11 +357,10 @@ class MirrorFile:
     # ------------------------------------------------------------------ #
     # payload (tuple entries)
     # ------------------------------------------------------------------ #
-    def append_payload(self, entry) -> bool:
-        """Append one tuple entry line; ``True`` when the file was remapped."""
+    def append_payload(self, entry) -> None:
+        """Append one tuple entry line (remapping when the region is full)."""
         self._require_writable()
         line = _encode_payload_line(entry)
-        remapped = False
         if self.payload_used + len(line) > self.payload_cap:
             new_cap = self.payload_cap
             while self.payload_used + len(line) > new_cap:
@@ -412,7 +368,6 @@ class MirrorFile:
             self._handle.truncate(self.payload_off + new_cap)
             self.payload_cap = new_cap
             self._remap()
-            remapped = True
         start = self.payload_off + self.payload_used
         self._u8[start : start + len(line)] = np.frombuffer(line, dtype=np.uint8)
         self.payload_crc = zlib.crc32(line, self.payload_crc)
@@ -421,7 +376,6 @@ class MirrorFile:
             self.flags &= ~FLAG_SEALED
             self.body_crc = 0
         self._write_header()
-        return remapped
 
     def payload_bytes(self) -> bytes:
         """The used payload region as bytes (one JSON line per gid)."""
@@ -437,6 +391,37 @@ class MirrorFile:
         return [json.loads(line) for line in lines]
 
     # ------------------------------------------------------------------ #
+    # catalog maintenance
+    # ------------------------------------------------------------------ #
+    def append_row(self, gid: int, mask: int, rid: int, payload) -> None:
+        """Mirror ``Catalog.append_tuple``: one new row plus one bit-column.
+
+        The tuple's ``payload`` entry rides into the payload region and the
+        header's logical counts advance, so the file is attachable after
+        every append (amortized O(n/64) words via capacity doubling).
+        """
+        width = max(self.width, words_for(gid + 1))
+        self.grow(gid + 1, width)
+        self.consistent[gid, :width] = pack_int(mask, width)
+        bit = np.uint64(1 << (gid & 63))
+        word = gid >> 6
+        if mask:
+            rows = np.flatnonzero(unpack_bits(mask, gid))
+            self.consistent[rows, word] |= bit
+        self.relation_tuples[rid, word] |= bit
+        self.tuple_relation[gid] = rid
+        self.version += 1
+        self.append_payload(payload)
+        self.set_counts(gid + 1, width)
+
+    def tombstone(self, gid: int) -> None:
+        """Mirror ``Catalog.tombstone``: one bit in the dead words."""
+        self._require_writable()
+        self.dead[gid >> 6] |= np.uint64(1 << (gid & 63))
+        self.version += 1
+        self.mark_dirty()
+
+    # ------------------------------------------------------------------ #
     # growth
     # ------------------------------------------------------------------ #
     def grow(self, need_rows: int, need_words: int) -> None:
@@ -444,8 +429,8 @@ class MirrorFile:
 
         The logical data (``n`` rows by ``width`` words, plus the meta and
         payload bytes) is read into RAM, the file is extended, and every
-        section is rewritten at its new offset — amortized exactly like the
-        in-RAM mirror's capacity doubling.
+        section is rewritten at its new offset, so appends stay amortized
+        O(row).
         """
         self._require_writable()
         new_rows = self.row_cap
@@ -474,7 +459,7 @@ class MirrorFile:
         self._handle.truncate(self.payload_off + self.payload_cap)
         self._remap()
         # Zero the whole body: the old layout's bytes are garbage at the new
-        # offsets (same cost class as allocating the doubled RAM arrays).
+        # offsets.
         self._u8[HEADER_SIZE:] = 0
         self.consistent[:n, :width] = consistent
         self.tuple_relation[:n] = tuple_relation
@@ -514,7 +499,7 @@ class MirrorFile:
             madvise(dontneed)
 
     def close(self) -> None:
-        """Drop the mapping and close the file (unlink when ephemeral)."""
+        """Drop the mapping and close the file."""
         self.consistent = None
         self.relation_tuples = None
         self.adjacency = None
@@ -530,11 +515,6 @@ class MirrorFile:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-        if self._finalizer is not None:
-            self._finalizer()
-            self._finalizer = None
-        elif self.ephemeral:
-            _unlink_quietly(self.path)
 
     def size_bytes(self) -> int:
         """The current on-disk size of the mirror file."""
@@ -546,13 +526,6 @@ class MirrorFile:
             f"MirrorFile({self.path!r}, {mode}, n={self.n}, width={self.width}, "
             f"caps=({self.row_cap}x{self.word_cap}), sealed={self.sealed})"
         )
-
-
-def _unlink_quietly(path: str) -> None:
-    try:
-        os.unlink(path)
-    except OSError:
-        pass
 
 
 # --------------------------------------------------------------------------- #

@@ -81,17 +81,16 @@ class Database:
         catalog build (observable as ``catalog_rebuilds``).
         """
         relation = self.relation(relation_name)
-        before = self._structure_key()
+        catalog = self._maintained_catalog("append")
         t = relation.add(
             values, label=label, importance=importance, probability=probability
         )
-        if self._catalog_cache is not None:
-            if self._catalog_key == before:
-                self._catalog_cache.append_tuple(t)
-                self._catalog_key = self._structure_key()
-                self._catalog_cache.stamp_mirror_generation(self.generation)
-            # A stale snapshot (tuples added behind the database's back)
-            # keeps its stale key and is rebuilt on the next catalog() call.
+        # A stale snapshot (tuples added behind the database's back) keeps
+        # its stale key and is rebuilt on the next catalog() call.
+        if catalog is not None:
+            catalog.append_tuple(t)
+            self._catalog_key = self._structure_key()
+            catalog.stamp_mirror_generation(self.generation)
         return t
 
     def _structure_key(self):
@@ -113,6 +112,22 @@ class Database:
             and self._catalog_key == self._structure_key()
         )
 
+    def _maintained_catalog(self, action: str):
+        """The cached catalog a mutation maintains in place, or ``None``
+        when it is stale and the next :meth:`catalog` call rebuilds it.
+
+        Called before the relation changes: a catalog attached read-only to
+        a mirror file refuses ``action`` here
+        (:class:`~repro.relational.catalog_file.MirrorFileError`), while
+        nothing has changed yet.
+        """
+        catalog = self._catalog_cache
+        if catalog is None or self._catalog_key != self._structure_key():
+            return None
+        if catalog._mirror is not None:
+            catalog.writable_mirror(action)
+        return catalog
+
     def remove_tuple(self, relation_name: str, label: str) -> Tuple:
         """Delete a tuple, maintaining the catalog as an append-only tombstone.
 
@@ -126,13 +141,13 @@ class Database:
         :meth:`compact`.  Returns the removed tuple.
         """
         relation = self.relation(relation_name)
-        was_current = self._catalog_is_current()
+        catalog = self._maintained_catalog("tombstone")
         t = relation.remove(label)
         self.epoch += 1
-        if was_current:
-            self._catalog_cache.tombstone(t)
+        if catalog is not None:
+            catalog.tombstone(t)
             self._catalog_key = self._structure_key()
-            self._catalog_cache.stamp_mirror_generation(self.generation)
+            catalog.stamp_mirror_generation(self.generation)
         return t
 
     def resolve_update(
@@ -201,17 +216,17 @@ class Database:
             return self.relation(relation_name).tuple_by_label(label)
         old, values, importance, probability = resolved
         relation = self.relation(relation_name)
-        was_current = self._catalog_is_current()
+        catalog = self._maintained_catalog("update")
         relation.remove(label)
         t = relation.add(
             values, label=label, importance=importance, probability=probability
         )
         self.epoch += 1
-        if was_current:
-            self._catalog_cache.tombstone(old)
-            self._catalog_cache.append_tuple(t)
+        if catalog is not None:
+            catalog.tombstone(old)
+            catalog.append_tuple(t)
             self._catalog_key = self._structure_key()
-            self._catalog_cache.stamp_mirror_generation(self.generation)
+            catalog.stamp_mirror_generation(self.generation)
         return t
 
     def compact(self):
@@ -239,13 +254,15 @@ class Database:
         the packed bitmatrices, the relation metadata, and every tuple
         payload, so :func:`~repro.relational.catalog_file.load_database`
         reconstructs an equivalent database around it — and the catalog
-        keeps using the file as its packed mirror, maintaining it in place
-        under further ingest.  Returns ``path``.
+        keeps the file as its mirror, maintaining it in place under further
+        ingest.  Without NumPy it raises
+        :class:`~repro.relational.catalog_file.MirrorFileError` and writes
+        nothing.  Returns ``path``.
         """
         catalog = self.catalog()
         mirror = catalog.save_mirror(path)
-        mirror.file.stamp_generation(tuple(self.generation))
-        mirror.file.flush()
+        mirror.stamp_generation(tuple(self.generation))
+        mirror.flush()
         return path
 
     def snapshot_state(self) -> dict:
@@ -255,12 +272,10 @@ class Database:
         :meth:`restore_state` reproduces the catalog's dense id space
         exactly — including tombstones — and anything that named tuples by
         gid (persisted result logs) stays valid.  Null cells are encoded as
-        JSON ``null``.  The packed mirror is derived state and is rebuilt
-        lazily on the restored side rather than serialized — except when it
-        is a durable mirror *file*: then the tuple entries are recorded **by
-        reference** (``tuples_ref``: path + payload prefix + dead mask)
-        instead of being re-serialized, so snapshot latency stays O(1) in
-        the database size.
+        JSON ``null``.  When the catalog has a mirror file, the tuple
+        entries are recorded **by reference** instead (``tuples_ref``: path
+        + payload prefix + dead mask), so snapshot latency stays O(1) in the
+        database size; the restored database holds no mirror.
         """
         catalog = self.catalog()
         state = {

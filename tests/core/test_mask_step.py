@@ -339,7 +339,7 @@ def test_mask_step_on_a_mapped_catalog(seed, tmp_path):
     database.save_mirror(path)
     mapped = load_database(path)
     try:
-        assert mapped.catalog().packed_mirror().backing == "mmap"
+        assert mapped.catalog().packed_mirror().readonly
         for anchor in mapped.relation_names:
             assert _run(mapped, anchor, True, True) == _run(
                 mapped, anchor, True, True, reference=True
@@ -350,7 +350,7 @@ def test_mask_step_on_a_mapped_catalog(seed, tmp_path):
 
 
 def _close_mirror(database: Database) -> None:
-    database.catalog().packed_mirror().file.close()
+    database.catalog().packed_mirror().close()
 
 
 # --------------------------------------------------------------------- #

@@ -13,9 +13,7 @@ and the reference containers only.
 
 from __future__ import annotations
 
-import os
 import random
-from unittest import mock
 
 import pytest
 
@@ -160,18 +158,21 @@ def test_engine_output_matches_reference_run(name, database, use_index):
 
 
 # --------------------------------------------------------------------- #
-# reference (dict/BFS) vs big-int bitsets, with no mirror and on both
-# mirror backings (RAM arrays and a mapped file)
+# reference (dict/BFS) vs big-int bitsets, with no mirror, with a saved
+# mirror file, and with rows read from an attached one
 # --------------------------------------------------------------------- #
 from repro.core.pools import holding_dead  # noqa: E402
 from repro.core.store import CompleteStore  # noqa: E402
+from repro.relational.catalog_file import load_database  # noqa: E402
 from repro.relational.packed_mirror import numpy_available  # noqa: E402
 
-#: Mirror backings ("none": the catalog's big ints alone); each must agree
-#: with the dict/BFS ``ReferenceTupleSet``.
-BACKINGS = ["none", "ram", "mmap"] if numpy_available() else ["none"]
+#: Mirror arms, each of which must agree with the dict/BFS
+#: ``ReferenceTupleSet``: "none" (the catalog's big ints alone), "mmap" (a
+#: saved mirror file the catalog maintains beside its big ints) and
+#: "attached" (a writable attachment whose rows are read from the file).
+BACKINGS = ["none", "mmap", "attached"] if numpy_available() else ["none"]
 
-#: Deterministic builders so mmap modes get a private database instance
+#: Deterministic builders so the mirror arms get a private database instance
 #: (its catalog mirror lives in a file under the test's tmp_path).
 WORKLOAD_FACTORIES = {
     "tourist": tourist_database,
@@ -195,25 +196,21 @@ for _seed in (0, 1, 2):
 
 
 def _attach_mirror(database, backing, path):
-    """Give ``database``'s catalog the requested mirror, maintained from
-    then on by every append and tombstone."""
-    catalog = database.catalog()
+    """``database`` with the requested mirror, maintained from then on by
+    every append and tombstone (for "attached", the database that
+    attached it)."""
+    if backing == "none":
+        return database
+    database.save_mirror(str(path))
     if backing == "mmap":
-        mirror = catalog.save_mirror(str(path))
-    elif backing == "ram":
-        # Pin the RAM arm even when the ambient environment would
-        # auto-select the file backing.
-        with mock.patch.dict(os.environ, {"REPRO_MMAP": "off"}):
-            mirror = catalog.packed_mirror()
-    else:
-        return
-    assert mirror.backing == backing
+        return database
+    attached = load_database(str(path), writable=True)
+    assert not isinstance(attached.catalog()._consistent, list)
+    return attached
 
 
 def _mode_database(name, backing, tmp_path):
-    database = WORKLOAD_FACTORIES[name]()
-    _attach_mirror(database, backing, tmp_path / f"{name}.rpmc")
-    return database
+    return _attach_mirror(WORKLOAD_FACTORIES[name](), backing, tmp_path / f"{name}.rpmc")
 
 
 
@@ -227,8 +224,8 @@ def test_inner_loop_tests_match_reference_on_every_backing(name, backing, tmp_pa
     """union_is_jcc / can_absorb / maximal_jcc_subset_with, both ways.
 
     The dict/BFS reference and the interned big-int sets — with no mirror,
-    a RAM mirror or a mapped-file mirror — must give the same answer on the
-    same random JCC sets.
+    a saved mirror file, or rows read from an attached one — must give the
+    same answer on the same random JCC sets.
     """
     database = _mode_database(name, backing, tmp_path)
     catalog = database.catalog()
@@ -291,12 +288,15 @@ def test_retraction_matches_reference_on_every_backing(backing, tmp_path):
 
     After each mutation the tombstone test and the eviction sweep must flag
     exactly the sets a per-member Python scan flags — including when the
-    catalog also maintains its tombstone bits in a RAM or mapped mirror.
+    catalog also maintains its tombstone bits in a mirror file.
     """
-    database = chain_database(
-        relations=3, tuples_per_relation=5, domain_size=3, null_rate=0.2, seed=41
+    database = _attach_mirror(
+        chain_database(
+            relations=3, tuples_per_relation=5, domain_size=3, null_rate=0.2, seed=41
+        ),
+        backing,
+        tmp_path / "retract.rpmc",
     )
-    _attach_mirror(database, backing, tmp_path / "retract.rpmc")
     catalog = database.catalog()
     all_tuples = list(database.tuples())
     rng = random.Random(43)

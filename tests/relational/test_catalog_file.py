@@ -1,30 +1,31 @@
 """The on-disk catalog mirror: format, attach, growth, and corruption.
 
-``catalog_file.MirrorFile`` is the persistent home of the packed mirror's
-word arrays.  Its contract: ``Database.save_mirror`` followed by
-``load_database`` reproduces an observationally identical database (same
-tuples, same masks, same FD stream); the file survives in-place mutation
-and capacity-doubling growth; and any corruption — header, payload, or a
-sealed body — is rejected on open rather than silently served.
+``catalog_file.MirrorFile`` is the catalog's mirror: its bitmatrices as
+word arrays in a mapped file.  Its contract: ``Database.save_mirror``
+followed by ``load_database`` reproduces an observationally identical
+database (same tuples, same masks, same FD stream); the file survives
+in-place mutation and capacity-doubling growth; its bytes are pinned; a
+read-only attachment refuses a mutation before anything changes; and any
+corruption — header, payload, or a sealed body — is rejected on open
+rather than silently served.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
+import random
 
 import pytest
 
 from repro.core.full_disjunction import full_disjunction
 from repro.core.incremental import FDStatistics
 from repro.relational.catalog_file import (
-    DEFAULT_MMAP_THRESHOLD,
     MirrorFile,
     MirrorFileError,
     load_database,
-    mmap_threshold,
     read_snapshot_entries,
-    resolve_backing,
 )
 from repro.relational.database import Database
 from repro.workloads.generators import chain_database, star_database
@@ -57,6 +58,29 @@ def _mutate(database, rng, steps):
             relation = rng.choice(database.relations)
             values = [rng.choice([1, 2, 3, None]) for _ in relation.schema]
             database.add_tuple(relation.name, values, label=f"mut{step}")
+
+
+#: One step of each mutation a database takes, on the tourist database.
+MUTATIONS = {
+    "add": lambda database: database.add_tuple(
+        "Climates", ["Peru", "arid"], label="c9"
+    ),
+    "remove": lambda database: database.remove_tuple("Sites", "s4"),
+    "update": lambda database: database.update_tuple(
+        "Climates", "c2", ["UK", "rainy"]
+    ),
+}
+
+
+def _rows(database):
+    """Every relation's tuples, in scan order, with all their fields."""
+    return [
+        (
+            relation.name,
+            [(t.label, t.values, t.importance, t.probability) for t in relation],
+        )
+        for relation in database.relations
+    ]
 
 
 # --------------------------------------------------------------------- #
@@ -125,11 +149,9 @@ class TestRoundTrip:
         database.save_mirror(path)
         catalog = database.catalog()
         mirror = catalog.packed_mirror()
-        assert mirror.backing == "mmap"
+        assert isinstance(mirror, MirrorFile) and not mirror.readonly
         assert os.path.abspath(mirror.path) == os.path.abspath(path)
-        # Further ingest maintains the file in place, not a RAM copy.
-        import random
-
+        # Further ingest maintains the file in place.
         _mutate(database, random.Random(13), steps=12)
         assert catalog.packed_mirror() is mirror
         handle = MirrorFile.open(path)
@@ -144,8 +166,6 @@ class TestRoundTrip:
 # --------------------------------------------------------------------- #
 class TestWritableAttach:
     def test_ingest_through_capacity_doubling_round_trips(self, tmp_path):
-        import random
-
         database = chain_database(
             relations=3, tuples_per_relation=4, domain_size=3, null_rate=0.2, seed=9
         )
@@ -162,19 +182,50 @@ class TestWritableAttach:
 
         clone = load_database(path)
         assert _stream(clone) == _stream(writer)
-        handle = clone.catalog().packed_mirror().file
+        handle = clone.catalog().packed_mirror()
         assert handle.row_cap > row_cap or handle.word_cap > word_cap
 
-    def test_readonly_attach_rejects_ingest(self, tmp_path):
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_readonly_attach_rejects_ingest(self, tmp_path, mutation):
+        """A refused mutation changes nothing: not the relations, not the
+        counters, not the attached catalog, and not the answers."""
         database = tourist_database()
         path = str(tmp_path / "ro.rpmc")
         database.save_mirror(path)
         reader = load_database(path)
-        relation = reader.relations[0]
-        with pytest.raises(MirrorFileError, match="writable=True"):
-            reader.add_tuple(
-                relation.name, [None for _ in relation.schema], label="nope"
+        catalog = reader.current_catalog()
+        assert catalog is not None and catalog.packed_mirror().readonly
+        answers = _stream(reader)
+
+        def state():
+            return (
+                _rows(reader),
+                reader.epoch,
+                reader.generation,
+                reader.catalog_rebuilds,
             )
+
+        before = state()
+        with pytest.raises(MirrorFileError, match="writable=True"):
+            MUTATIONS[mutation](reader)
+        assert state() == before
+        assert reader.current_catalog() is catalog
+        assert _stream(reader) == answers
+        assert state() == before  # the query rebuilt no catalog either
+
+    def test_resaving_an_attached_catalog_moves_its_rows_to_the_new_file(self, tmp_path):
+        database = tourist_database()
+        first, second = str(tmp_path / "first.rpmc"), str(tmp_path / "second.rpmc")
+        database.save_mirror(first)
+        attached = load_database(first)
+        attached.save_mirror(second)
+        assert attached.catalog().packed_mirror().path == second
+        for mutation in ("add", "remove", "update"):
+            MUTATIONS[mutation](attached)
+            MUTATIONS[mutation](database)
+        assert _stream(attached) == _stream(database)
+        assert _stream(load_database(second)) == _stream(database)
+        assert load_database(first).tuple_count() == tourist_database().tuple_count()
 
     def test_two_writers_are_a_contract_violation_not_silent(self, tmp_path):
         """The single-writer contract: a second writable attach sees stale
@@ -297,46 +348,46 @@ class TestIntegrity:
 
 
 # --------------------------------------------------------------------- #
-# backing selection
+# where a mirror comes from
 # --------------------------------------------------------------------- #
-class TestBackingSelection:
-    def test_forced_on_and_off(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MMAP", "on")
-        assert resolve_backing(1) == "mmap"
-        monkeypatch.setenv("REPRO_MMAP", "off")
-        assert resolve_backing(10**9) == "ram"
+class TestMirrorSources:
+    """A catalog has a mirror only when one was saved, attached or
+    reattached on unpickling; ``packed_mirror()`` builds nothing."""
 
-    def test_threshold_decides_in_auto_mode(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MMAP", raising=False)
-        monkeypatch.setenv("REPRO_MMAP_THRESHOLD", "100")
-        assert mmap_threshold() == 100
-        assert resolve_backing(99) == "ram"
-        assert resolve_backing(100) == "mmap"
-
-    def test_default_threshold(self, monkeypatch):
-        monkeypatch.delenv("REPRO_MMAP_THRESHOLD", raising=False)
-        assert mmap_threshold() == DEFAULT_MMAP_THRESHOLD
-
-    def test_invalid_settings_warn_and_fall_back(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MMAP_THRESHOLD", "lots")
-        with pytest.warns(RuntimeWarning, match="REPRO_MMAP_THRESHOLD"):
-            assert mmap_threshold() == DEFAULT_MMAP_THRESHOLD
-        monkeypatch.setenv("REPRO_MMAP", "sometimes")
-        monkeypatch.setenv("REPRO_MMAP_THRESHOLD", str(10**9))
-        with pytest.warns(RuntimeWarning, match="REPRO_MMAP"):
-            assert resolve_backing(1) == "ram"
-
-    def test_auto_selection_builds_an_ephemeral_file_mirror(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MMAP", "on")
-        database = tourist_database()
+    def test_a_built_catalog_has_no_mirror(self):
+        database = chain_database()
         catalog = database.catalog()
+        assert catalog.packed_mirror() is None
+        assert full_disjunction(database, use_index=True)
+        victim = next(iter(database.relations[0]))
+        database.remove_tuple(victim.relation_name, victim.label)
+        relation = database.relations[1]
+        database.add_tuple(relation.name, [1 for _ in relation.schema], label="new")
+        assert database.catalog() is catalog
+        assert catalog.packed_mirror() is None
+
+    @pytest.mark.parametrize(
+        "source", ["saved", "attached", "attached-writable", "unpickled"]
+    )
+    def test_the_mirror_is_the_file_it_came_from(self, tmp_path, source):
+        database = tourist_database()
+        path = str(tmp_path / "source.rpmc")
+        database.save_mirror(path)
+        catalog, readonly = {
+            "saved": lambda: (database.catalog(), False),
+            "attached": lambda: (load_database(path).catalog(), True),
+            "attached-writable": lambda: (
+                load_database(path, writable=True).catalog(),
+                False,
+            ),
+            "unpickled": lambda: (pickle.loads(pickle.dumps(database.catalog())), True),
+        }[source]()
         mirror = catalog.packed_mirror()
-        assert mirror.backing == "mmap"
-        path = mirror.path
-        assert os.path.exists(path)
-        assert mirror.file.ephemeral
-        mirror.file.close()
-        assert not os.path.exists(path)  # self-deleting temp file
+        assert isinstance(mirror, MirrorFile)
+        assert mirror.path == os.path.abspath(path)
+        assert mirror.readonly is readonly
+        assert mirror.n == catalog.tuple_count
+        assert catalog.packed_mirror() is mirror
 
 
 # --------------------------------------------------------------------- #
@@ -399,13 +450,15 @@ class TestSnapshotReference:
         with pytest.raises(MirrorFileError, match="payload"):
             read_snapshot_entries(ref)
 
-    def test_ephemeral_mirrors_never_go_by_reference(self, monkeypatch):
-        monkeypatch.setenv("REPRO_MMAP", "on")
+    def test_a_catalog_without_a_mirror_snapshots_inline(self):
         database = tourist_database()
-        database.catalog().packed_mirror()  # ephemeral temp-file mirror
         state = database.snapshot_state()
         assert "tuples_ref" not in state
-        assert "tuples" in state  # inline entries: the temp file may vanish
+        assert len(state["tuples"]) == database.tuple_count()
+        assert database.catalog().packed_mirror() is None
+        restored = Database.restore_state(state)
+        assert restored.catalog().packed_mirror() is None
+        assert _stream(restored) == _stream(database)
 
 
 # --------------------------------------------------------------------- #
@@ -420,24 +473,129 @@ class TestPickleReattach:
         database.save_mirror(path)
         catalog = database.catalog()
         clone = pickle.loads(pickle.dumps(catalog))
-        mirror = clone._packed_mirror
-        assert mirror is not None  # no lazy rebuild: O(1) reattach
-        assert mirror.backing == "mmap"
+        mirror = clone.packed_mirror()
+        assert mirror is not None  # O(1) reattach
         assert os.path.abspath(mirror.path) == os.path.abspath(path)
-        assert mirror.file.readonly
+        assert mirror.readonly
         for gid in range(catalog.tuple_count):
             assert clone.consistent_mask(gid) == catalog.consistent_mask(gid)
 
-    def test_stale_path_falls_back_to_lazy_rebuild(self, tmp_path):
+    def test_stale_path_drops_the_mirror_and_keeps_the_big_ints(self, tmp_path):
         database = tourist_database()
         path = str(tmp_path / "vanishing.rpmc")
         database.save_mirror(path)
-        catalog = database.catalog()
-        blob = pickle.dumps(catalog)
+        blob = pickle.dumps(database)
         os.unlink(path)
         clone = pickle.loads(blob)
-        assert clone._packed_mirror is None
-        assert clone._mirror_path is None
-        # The inline matrix survived the pickle, so everything still works.
-        rebuilt = clone.packed_mirror()
-        assert rebuilt.n == catalog.tuple_count
+        catalog = clone.current_catalog()
+        assert catalog is not None and catalog.packed_mirror() is None
+        # The inline matrix survived the pickle, so the big ints answer.
+        assert _stream(clone) == _stream(database)
+        assert clone.current_catalog() is catalog
+
+    def test_an_attached_catalog_needs_its_file_to_unpickle(self, tmp_path):
+        database = tourist_database()
+        path = str(tmp_path / "attached.rpmc")
+        database.save_mirror(path)
+        blob = pickle.dumps(load_database(path).catalog())
+        os.unlink(path)
+        with pytest.raises(MirrorFileError, match="cannot open"):
+            pickle.loads(blob)
+
+    @pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+    def test_a_readonly_mirror_under_big_ints_is_dropped_on_mutation(
+        self, tmp_path, mutation
+    ):
+        """A catalog unpickled beside its file reattaches read-only; the
+        first mutation drops that mirror and maintains the big ints, which
+        then answer like a database that never had a mirror."""
+        database = tourist_database()
+        path = str(tmp_path / "beside.rpmc")
+        database.save_mirror(path)
+        clone = pickle.loads(pickle.dumps(database))
+        catalog = clone.current_catalog()
+        assert catalog.packed_mirror().readonly
+        twin = tourist_database()
+        twin.catalog()
+        MUTATIONS[mutation](clone)
+        MUTATIONS[mutation](twin)
+        assert clone.current_catalog() is catalog
+        assert catalog.packed_mirror() is None
+        assert clone.catalog_rebuilds == twin.catalog_rebuilds == 1
+        assert _stream(clone) == _stream(twin)
+        handle = MirrorFile.open(path)
+        try:
+            assert handle.n == database.tuple_count()  # the file is untouched
+        finally:
+            handle.close()
+
+
+# --------------------------------------------------------------------- #
+# the bytes of the format
+# --------------------------------------------------------------------- #
+def _saved_after_mutations(path):
+    database = tourist_database()
+    database.catalog()
+    for mutation in ("remove", "update"):
+        MUTATIONS[mutation](database)
+    database.remove_tuple("Accommodations", "a1")
+    database.save_mirror(path)
+
+
+def _maintained_after_mutations(path):
+    database = chain_database(
+        relations=3, tuples_per_relation=4, domain_size=3, null_rate=0.2, seed=5
+    )
+    database.save_mirror(path)
+    _mutate(database, random.Random(13), steps=40)
+
+
+def _written_through_a_writable_attach(path):
+    chain_database(
+        relations=3, tuples_per_relation=4, domain_size=3, null_rate=0.2, seed=9
+    ).save_mirror(path)
+    _mutate(load_database(path, writable=True), random.Random(31), steps=150)
+
+
+#: How each pinned file is written, and the SHA-256 of its bytes.  Writers
+#: and readers of other versions share these files, so any change to a
+#: byte must be deliberate (with a new ``FORMAT_VERSION``).
+FORMAT_PINS = {
+    "tourist": (
+        lambda path: tourist_database().save_mirror(path),
+        "25e745d4968ffa40eeb3cdb38e768659279ac198a6bfae7fc74597f48979efb3",
+    ),
+    "star": (
+        lambda path: star_database(
+            spokes=3, tuples_per_relation=4, hub_domain=2, seed=11
+        ).save_mirror(path),
+        "ca800141679618d42ff61ff926a71b2c1522e627dbfe7974a99ec6972874c8f1",
+    ),
+    "chain": (
+        lambda path: chain_database(
+            relations=3, tuples_per_relation=5, domain_size=3, null_rate=0.2, seed=7
+        ).save_mirror(path),
+        "c119a2dbe2cbc5f2c11c4fb5ff9d91325fa0744430d1a6d1bf4819cac9f7fe01",
+    ),
+    "saved-after-mutations": (
+        _saved_after_mutations,
+        "f8f4c5f90f2e5149e7188eb204c86b4fe7473dcdf0ddf8f97bc7d379df902cee",
+    ),
+    "maintained-after-mutations": (
+        _maintained_after_mutations,
+        "2e778bac5e217b9caebdaa8c4725080dad61b45b0162c2dcad9bc1c181b3a528",
+    ),
+    "writable-attach-150": (
+        _written_through_a_writable_attach,
+        "006f0f1ea98cf1478c3d807acca3788a72132d29b6fb1ee447b2350a6dfb4c64",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(FORMAT_PINS))
+def test_the_file_bytes_are_pinned(tmp_path, name):
+    write, digest = FORMAT_PINS[name]
+    path = str(tmp_path / f"{name}.rpmc")
+    write(path)
+    with open(path, "rb") as handle:
+        assert hashlib.sha256(handle.read()).hexdigest() == digest

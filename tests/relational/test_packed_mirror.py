@@ -1,10 +1,11 @@
-"""The packed mirror: the catalog's bitmatrices as ``uint64`` word arrays.
+"""The mirror file's word arrays, bit for bit against the catalog's big ints.
 
-The mirror (:mod:`repro.relational.packed_mirror`) backs mapped catalogs.
-These tests hold its rows bit-for-bit to the catalog's big ints on both
-backings (anonymous RAM arrays and a mapped file), through appends and
-tombstones, across pickling and across processes, and check that the
-engine returns the same stream on either backing.
+A catalog's mirror (:class:`repro.relational.catalog_file.MirrorFile`) holds
+its bitmatrices as ``uint64`` word arrays.  These tests hold its rows to the
+big ints of a catalog built in RAM — for a file the catalog saved and for
+one a fresh database attached — through appends and tombstones, across
+pickling and across processes, and check that the engine returns the same
+stream from an attached catalog as from one without a mirror.
 """
 
 from __future__ import annotations
@@ -14,17 +15,17 @@ import pickle
 import random
 import subprocess
 import sys
-from unittest import mock
 
 import pytest
 
 from repro.core.full_disjunction import full_disjunction
 from repro.core.incremental import FDStatistics
+from repro.relational.catalog_file import load_database
 from repro.relational.packed_mirror import numpy_available, unpack_to_int
 from repro.workloads.generators import chain_database, random_database, star_database
 from repro.workloads.tourist import tourist_database
 
-pytestmark = pytest.mark.skipif(not numpy_available(), reason="the packed mirror needs NumPy")
+pytestmark = pytest.mark.skipif(not numpy_available(), reason="mirror files need NumPy")
 
 
 def _workload_factories():
@@ -48,51 +49,44 @@ def _workload_factories():
 
 
 #: Deterministic builders, so tests that need a private database instance
-#: (e.g. to give it a file-backed mirror) can clone any workload by name.
+#: (e.g. to give it a mirror file) can clone any workload by name.
 WORKLOAD_FACTORIES = dict(_workload_factories())
 WORKLOAD_IDS = list(WORKLOAD_FACTORIES)
 
-#: The mirror backings under test; both must be observationally identical.
-MIRROR_BACKINGS = ["ram", "mmap"]
+#: How the checked mirror is reached: the file a catalog saved and keeps
+#: maintaining (``mmap``), or that file attached by a fresh database
+#: (``attached``, rows read from the mapping).
+MIRROR_ARMS = ["mmap", "attached"]
 
 
-def _backed_database(name, backing, tmp_path):
-    """A fresh instance of the named workload with the requested mirror.
-
-    ``ram`` reuses the shared instances' behavior (anonymous NumPy arrays);
-    ``mmap`` builds a private database whose catalog mirror lives in (and is
-    maintained through) a file under ``tmp_path``.
-    """
-    database = WORKLOAD_FACTORIES[name]()
-    catalog = database.catalog()
-    if backing == "mmap":
-        mirror = catalog.save_mirror(str(tmp_path / f"{name}.rpmc"))
-        assert mirror.backing == "mmap"
-    else:
-        # Pin the RAM arm: the parametrization must hold even when the
-        # ambient environment (e.g. a tiny REPRO_MMAP_THRESHOLD in CI)
-        # would auto-select the file backing.
-        with mock.patch.dict(os.environ, {"REPRO_MMAP": "off"}):
-            mirror = catalog.packed_mirror()
-        assert mirror.backing == "ram"
-    return database
+def _row(mirror, gid):
+    return unpack_to_int(mirror.consistent[gid, : mirror.width])
 
 
-@pytest.mark.parametrize("backing", MIRROR_BACKINGS)
-@pytest.mark.parametrize("name", WORKLOAD_IDS)
-def test_mirror_matches_catalog_bigints(name, backing, tmp_path):
-    database = _backed_database(name, backing, tmp_path)
-    catalog = database.catalog()
-    mirror = catalog.packed_mirror()
-    assert mirror.backing == backing
+def _assert_mirror_matches(mirror, catalog):
+    """Every section of ``mirror`` against ``catalog``'s big ints."""
     assert mirror.n == catalog.tuple_count
     for gid in range(catalog.tuple_count):
-        assert mirror.row_as_int(gid) == catalog.consistent_mask(gid)
+        assert _row(mirror, gid) == catalog.consistent_mask(gid)
         assert int(mirror.tuple_relation[gid]) == catalog.relation_of_tuple(gid)
     for rid in range(catalog.relation_count):
         assert unpack_to_int(mirror.relation_tuples[rid]) == catalog.relation_tuples_mask(rid)
         assert unpack_to_int(mirror.adjacency[rid]) == catalog.adjacency_mask(rid)
-    assert unpack_to_int(mirror.dead_words()) == catalog.dead_mask
+    assert unpack_to_int(mirror.dead[: mirror.width]) == catalog.dead_mask
+
+
+@pytest.mark.parametrize("arm", MIRROR_ARMS)
+@pytest.mark.parametrize("name", WORKLOAD_IDS)
+def test_mirror_matches_catalog_bigints(name, arm, tmp_path):
+    database = WORKLOAD_FACTORIES[name]()
+    catalog = database.catalog()
+    path = str(tmp_path / f"{name}.rpmc")
+    database.save_mirror(path)
+    mirror = catalog.packed_mirror()
+    if arm == "attached":
+        mirror = load_database(path).catalog().packed_mirror()
+        assert mirror.readonly
+    _assert_mirror_matches(mirror, catalog)
 
 
 def _mutate_40_steps(database, catalog):
@@ -112,89 +106,51 @@ def _mutate_40_steps(database, catalog):
             database.add_tuple(relation.name, values, label=f"g{step}")
 
 
-@pytest.mark.parametrize("backing", MIRROR_BACKINGS)
-def test_mirror_tracks_appends_and_tombstones(backing, tmp_path):
-    database = chain_database(
+def _chain():
+    return chain_database(
         relations=3, tuples_per_relation=4, domain_size=3, null_rate=0.2, seed=3
     )
-    catalog = database.catalog()
-    if backing == "mmap":
-        mirror = catalog.save_mirror(str(tmp_path / "tracked.rpmc"))
-    else:
-        with mock.patch.dict(os.environ, {"REPRO_MMAP": "off"}):
-            mirror = catalog.packed_mirror()  # built before the mutations below
-    assert mirror.backing == backing
-    _mutate_40_steps(database, catalog)
-    assert catalog.packed_mirror() is mirror  # maintained, not rebuilt
-    assert mirror.n == catalog.tuple_count
-    for gid in range(catalog.tuple_count):
-        assert mirror.row_as_int(gid) == catalog.consistent_mask(gid)
-    for rid in range(catalog.relation_count):
-        assert unpack_to_int(mirror.relation_tuples[rid]) == catalog.relation_tuples_mask(rid)
-    assert unpack_to_int(mirror.dead_words()) == catalog.dead_mask
 
 
-def test_mirror_backings_are_bit_identical_under_mutation(tmp_path):
-    """RAM and file word arrays, word for word, through the 40-step schedule.
-
-    Twin databases run the identical mutation sequence — one mirrored in
-    anonymous NumPy arrays, one maintained through a mapped file (including
-    its capacity-doubling growth) — and every section must come out
-    bit-for-bit equal.
-    """
-    import numpy as np
-
-    def build():
-        database = chain_database(
-            relations=3, tuples_per_relation=4, domain_size=3, null_rate=0.2, seed=3
-        )
-        return database, database.catalog()
-
-    ram_db, ram_catalog = build()
-    ram = ram_catalog.packed_mirror()
-    mmap_db, mmap_catalog = build()
-    mapped = mmap_catalog.save_mirror(str(tmp_path / "twin.rpmc"))
-    _mutate_40_steps(ram_db, ram_catalog)
-    _mutate_40_steps(mmap_db, mmap_catalog)
-
-    assert (ram.n, ram.width) == (mapped.n, mapped.width)
-    n, width = ram.n, ram.width
-    assert np.array_equal(ram.consistent[:n, :width], mapped.consistent[:n, :width])
-    assert np.array_equal(ram.tuple_relation[:n], mapped.tuple_relation[:n])
-    assert np.array_equal(
-        ram.relation_tuples[:, :width], mapped.relation_tuples[:, :width]
-    )
-    assert np.array_equal(ram.adjacency, mapped.adjacency)
-    assert np.array_equal(ram.dead_words(), mapped.dead_words())
+@pytest.mark.parametrize("arm", MIRROR_ARMS)
+def test_mirror_tracks_appends_and_tombstones(arm, tmp_path):
+    """The 40-step schedule through a mirror, against big ints that took the
+    same steps: the saving catalog's own (``mmap``), or a twin's without a
+    mirror while a writable attachment takes the steps (``attached``)."""
+    database = _chain()
+    path = str(tmp_path / "tracked.rpmc")
+    database.save_mirror(path)
+    reference = database
+    if arm == "attached":
+        database = load_database(path, writable=True)
+        reference = _chain()
+        _mutate_40_steps(reference, reference.catalog())
+    mirror = database.catalog().packed_mirror()
+    _mutate_40_steps(database, database.catalog())
+    assert database.catalog().packed_mirror() is mirror  # maintained, not rebuilt
+    _assert_mirror_matches(mirror, reference.catalog())
 
 
 def test_catalog_pickles_without_the_mirror():
-    """Regression: a RAM mirror is dropped on pickle and rebuilt lazily.
-
-    Without a durable file there is nothing to reattach to, so the
-    unpickled catalog pays an O(n x width) rebuild on first mirror use —
-    the documented cost that the file-backed path (`save_mirror` +
-    ``_mirror_path`` in the pickled state) exists to avoid; see
-    ``test_file_backed_catalog_reattaches_across_processes``.
-    """
+    """A catalog without a mirror pickles to a clone without one: nothing
+    is built on either side, and the big ints answer alone."""
     database = tourist_database()
     catalog = database.catalog()
-    mirror = catalog.packed_mirror()
-    assert mirror is not None
+    assert catalog.packed_mirror() is None
     clone = pickle.loads(pickle.dumps(catalog))
-    assert clone._packed_mirror is None  # workers rebuild lazily
-    assert clone.packed_mirror().n == mirror.n
+    assert clone.packed_mirror() is None
     assert clone.tuple_count == catalog.tuple_count
+    for gid in range(catalog.tuple_count):
+        assert clone.consistent_mask(gid) == catalog.consistent_mask(gid)
 
 
 _REATTACH_CHILD = """
 import pickle, sys
 with open(sys.argv[1], "rb") as handle:
     catalog = pickle.load(handle)
-mirror = catalog._packed_mirror
-assert mirror is not None, "child had to rebuild instead of reattaching"
-assert mirror.backing == "mmap"
-assert mirror.file.readonly
+mirror = catalog.packed_mirror()
+assert mirror is not None, "the child did not reattach"
+assert mirror.readonly
 print(mirror.path)
 print(",".join(str(catalog.consistent_mask(g)) for g in range(catalog.tuple_count)))
 """
@@ -232,17 +188,22 @@ def test_file_backed_catalog_reattaches_across_processes(tmp_path):
 
 @pytest.mark.parametrize("name", WORKLOAD_IDS)
 def test_driver_stream_is_identical_across_backings(name, tmp_path):
-    """The ordered result stream and the scan counters, with the catalog's
-    mirror in anonymous RAM arrays and in a mapped file."""
+    """The ordered result stream and the scan counters, from a catalog
+    without a mirror and from one attached to a mirror file."""
+    plain = WORKLOAD_FACTORIES[name]()
+    path = str(tmp_path / f"{name}.rpmc")
+    WORKLOAD_FACTORIES[name]().save_mirror(path)
+    attached = load_database(path)
+    assert plain.catalog().packed_mirror() is None
+    assert attached.catalog().packed_mirror() is not None
     streams = {}
     scans = {}
-    for backing in MIRROR_BACKINGS:
-        database = _backed_database(name, backing, tmp_path)
+    for arm, database in (("none", plain), ("attached", attached)):
         statistics = FDStatistics()
         results = full_disjunction(database, use_index=True, statistics=statistics)
-        streams[backing] = [
+        streams[arm] = [
             tuple(sorted((t.relation_name, t.label) for t in ts)) for ts in results
         ]
-        scans[backing] = statistics.extras.get("complete_sets_scanned", 0)
-    assert streams["ram"] == streams["mmap"]
-    assert scans["ram"] == scans["mmap"]
+        scans[arm] = statistics.extras.get("complete_sets_scanned", 0)
+    assert streams["none"] == streams["attached"]
+    assert scans["none"] == scans["attached"]

@@ -1,9 +1,9 @@
 """Queries, retraction, sessions and the durable server never import NumPy.
 
-NumPy serves mapped catalogs alone: only building or attaching a packed
-mirror (:mod:`repro.relational.packed_mirror`) loads it.  Each case runs in
-a fresh interpreter, because this test process may have imported NumPy
-already.
+NumPy serves mapped catalogs alone: only writing or attaching a mirror file
+(:mod:`repro.relational.catalog_file`) loads it, and without NumPy writing
+one fails cleanly while queries answer.  Each case runs in a fresh
+interpreter, because this test process may have imported NumPy already.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ print(json.dumps(report))
 """
 
 _MAPPED = r"""
-import json, os, sys
+import glob, json, os, sys, tempfile
 
 from repro.core.full_disjunction import full_disjunction
 from repro.workloads.generators import chain_database
@@ -85,30 +85,81 @@ from repro.workloads.generators import chain_database
 def answers(database):
     return [sorted(ts.labels()) for ts in full_disjunction(database, use_index=True)]
 
+def temp_mirrors():
+    return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-mirror-*")))
+
 database = chain_database(
     relations=3, tuples_per_relation=6, domain_size=3, null_rate=0.2, seed=7
 )
-expected = answers(database)
 report = {"before": "numpy" in sys.modules}
-from repro.relational.catalog_file import load_database
+temp_before = temp_mirrors()
+expected = answers(database)
+report["unsaved"] = database.catalog().packed_mirror() is None
+report["unsaved_numpy"] = "numpy" in sys.modules
+report["temp_files"] = sorted(temp_mirrors() - temp_before)
+from repro.relational.catalog_file import MirrorFile, load_database
 
-mirror = database.catalog().packed_mirror()
-report["backing"] = mirror.backing
 path = os.path.join(sys.argv[1], "chain.rpmc")
 database.save_mirror(path)
 mapped = load_database(path)
-report["attached"] = mapped.catalog().packed_mirror().backing
+report["attached"] = isinstance(mapped.catalog().packed_mirror(), MirrorFile)
 report["same"] = answers(mapped) == expected
 report["after"] = "numpy" in sys.modules
 print(json.dumps(report))
 """
 
+#: Installed as ``sitecustomize`` in a child: NumPy fails to import there.
+_NO_NUMPY = r"""
+import sys
+
+class _NoNumpy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" or name.startswith("numpy."):
+            raise ImportError("NumPy is blocked in this interpreter")
+        return None
+
+sys.meta_path.insert(0, _NoNumpy())
+"""
+
+_WITHOUT_NUMPY = r"""
+import json, os, sys
+
+from repro.core.full_disjunction import full_disjunction
+from repro.relational.catalog_file import MirrorFileError
+from repro.relational.packed_mirror import numpy_available
+from repro.workloads.generators import chain_database
+
+database = chain_database(
+    relations=3, tuples_per_relation=5, domain_size=3, null_rate=0.2, seed=7
+)
+path = os.path.join(sys.argv[1], "chain.rpmc")
+report = {"numpy_available": numpy_available()}
+try:
+    database.save_mirror(path)
+    report["refused"] = None
+except MirrorFileError as error:
+    report["refused"] = str(error)
+report["written"] = os.path.exists(path)
+report["mirror"] = database.catalog().packed_mirror() is not None
+report["answers"] = len(full_disjunction(database, use_index=True))
+print(json.dumps(report))
+"""
+
+
+def _environment(*paths, **environment):
+    env = dict(os.environ, **environment)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [*paths, os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")]
+    )
+    return env
+
 
 def _run(script, *arguments, **environment):
-    env = dict(os.environ, **environment)
-    env["PYTHONPATH"] = os.path.join(ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
     output = subprocess.check_output(
-        [sys.executable, "-c", script, *arguments], env=env, text=True, cwd=ROOT
+        [sys.executable, "-c", script, *arguments],
+        env=_environment(**environment),
+        text=True,
+        cwd=ROOT,
     )
     return json.loads(output.strip().splitlines()[-1])
 
@@ -127,8 +178,49 @@ def test_queries_retraction_and_the_durable_server_leave_numpy_unimported():
 
 @pytest.mark.skipif(not numpy_available(), reason="mapped catalogs need NumPy")
 def test_a_mapped_catalog_attaches_and_answers_the_same(tmp_path):
-    report = _run(_MAPPED, str(tmp_path), REPRO_MMAP="on")
+    """A catalog has no mirror until one is saved: with ``REPRO_MMAP=on`` and
+    ``REPRO_MMAP_THRESHOLD=1`` set, no code builds one, imports NumPy or
+    leaves a temporary mirror file."""
+    report = _run(_MAPPED, str(tmp_path), REPRO_MMAP="on", REPRO_MMAP_THRESHOLD="1")
     assert report["before"] is False
-    assert report["backing"] == "mmap" and report["attached"] == "mmap"
+    assert report["unsaved"] is True
+    assert report["unsaved_numpy"] is False
+    assert report["temp_files"] == []
+    assert report["attached"] is True
     assert report["same"] is True
     assert report["after"] is True
+
+
+def test_without_numpy_no_mirror_is_written_and_queries_answer(tmp_path):
+    """``Database.save_mirror`` and ``repro pack`` refuse cleanly without
+    NumPy and write nothing; the database keeps answering from its big ints."""
+    blocker = tmp_path / "blocker"
+    blocker.mkdir()
+    (blocker / "sitecustomize.py").write_text(_NO_NUMPY)
+    env = _environment(str(blocker))
+    output = subprocess.check_output(
+        [sys.executable, "-c", _WITHOUT_NUMPY, str(tmp_path)],
+        env=env,
+        text=True,
+        cwd=ROOT,
+    )
+    report = json.loads(output.strip().splitlines()[-1])
+    assert report["numpy_available"] is False
+    assert report["refused"] == "mirror files require NumPy"
+    assert report["written"] is False and report["mirror"] is False
+    assert report["answers"] > 0
+
+    out = tmp_path / "star.rpmc"
+    packed = subprocess.run(
+        [sys.executable, "-m", "repro", "pack", "--workload", "star", "--out", str(out)],
+        env=env,
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+    )
+    assert packed.returncode != 0
+    assert packed.stdout == ""
+    assert packed.stderr.splitlines() == [
+        "error: cannot pack mirror file: mirror files require NumPy"
+    ]
+    assert not out.exists()
