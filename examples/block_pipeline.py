@@ -1,9 +1,8 @@
 """Database-system execution features (Section 7) on a synthetic workload.
 
 Section 7 describes how ``IncrementalFD`` would be integrated into a real
-query processor: block-based execution, hash indexing of the
-``Complete``/``Incomplete`` lists, and initialization strategies that reuse
-the answers of earlier passes.  This script exercises all three on a chain
+query processor: block-based execution and hash indexing of the
+``Complete``/``Incomplete`` lists.  This script exercises both on a chain
 workload and reports the machine-independent work counters the library keeps.
 
 Run with::
@@ -17,7 +16,6 @@ import time
 
 from repro import compare_block_sizes, full_disjunction
 from repro.core.incremental import FDStatistics
-from repro.core.initialization import STRATEGIES
 from repro.workloads.generators import chain_database
 
 
@@ -45,22 +43,6 @@ def indexing(database) -> None:
         elapsed = time.perf_counter() - started
         label = "indexed" if use_index else "linear scan"
         print(f"{label:>15}  {elapsed:>14.4f}  {len(results):>8}")
-    print()
-
-
-def initialization_strategies(database) -> None:
-    print("Initialization strategies across the n passes (Section 7)")
-    print("==========================================================")
-    print(f"{'strategy':>20}  {'results':>8}  {'tuple reads':>12}  {'candidates':>11}")
-    for strategy in STRATEGIES:
-        statistics = FDStatistics()
-        results = full_disjunction(database, initialization=strategy, statistics=statistics)
-        print(
-            f"{strategy:>20}  {len(results):>8}  {statistics.tuple_reads:>12}  "
-            f"{statistics.candidates_generated:>11}"
-        )
-    print("All strategies produce the same full disjunction; the reuse strategies")
-    print("avoid re-deriving answers already produced by earlier passes.")
 
 
 def main() -> None:
@@ -73,7 +55,6 @@ def main() -> None:
     )
     block_based_execution(database)
     indexing(database)
-    initialization_strategies(database)
 
 
 if __name__ == "__main__":

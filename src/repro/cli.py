@@ -10,7 +10,7 @@ Examples
 ::
 
     python -m repro fd sources/*.csv --limit 20
-    python -m repro fd sources/*.csv --output fd.csv --initialization previous-results
+    python -m repro fd sources/*.csv --output fd.csv --use-index
     python -m repro topk sources/*.csv --k 5 --importance-attribute Stars
     python -m repro approx sources/*.csv --threshold 0.8 --similarity edit
     python -m repro trace sources/*.csv --anchor Climates
@@ -37,7 +37,6 @@ from typing import List, Optional, Sequence
 from repro.core.approx import ApproximateFullDisjunction
 from repro.core.approx_join import EditDistanceSimilarity, ExactMatchSimilarity, MinJoin
 from repro.core.full_disjunction import FullDisjunction
-from repro.core.initialization import STRATEGIES
 from repro.core.priority import priority_incremental_fd
 from repro.core.ranking import MaxRanking
 from repro.core.trace import format_trace, trace_incremental_fd
@@ -80,7 +79,6 @@ def _command_fd(arguments: argparse.Namespace) -> int:
     fd = FullDisjunction(
         database,
         use_index=arguments.use_index,
-        initialization=arguments.initialization,
         block_size=arguments.block_size,
     )
     if arguments.limit is not None:
@@ -550,8 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_arguments(fd_parser)
     fd_parser.add_argument("--limit", type=int, default=None,
                            help="stop after this many answers (incremental retrieval)")
-    fd_parser.add_argument("--initialization", choices=STRATEGIES, default="singletons",
-                           help="Incomplete initialization strategy (Section 7)")
     fd_parser.add_argument("--block-size", type=int, default=None,
                            help="block-based execution with this block size (Section 7)")
     fd_parser.add_argument("--output", default=None,

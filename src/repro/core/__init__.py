@@ -13,8 +13,7 @@ algorithm for computing ranked full disjunctions*:
   ``ApproxIncrementalFD`` and :func:`priority_incremental_fd` /
   :func:`top_k` into ranked retrieval of the approximate full disjunction;
 * the supporting data model (:class:`TupleSet`, JCC), ranking functions,
-  approximate-join functions, block-based execution and initialization
-  strategies of Section 7.
+  approximate-join functions and the block-based execution of Section 7.
 """
 
 from repro.core.tupleset import TupleSet
@@ -40,7 +39,6 @@ from repro.core.full_disjunction import (
     full_disjunction,
     full_disjunction_sets,
 )
-from repro.core.initialization import STRATEGIES, initial_sets
 from repro.core.trace import ExecutionTrace, TraceSnapshot, format_trace, trace_incremental_fd
 from repro.core.ranking import (
     CDeterminedRanking,
@@ -111,8 +109,6 @@ __all__ = [
     "full_disjunction_sets",
     "first_k",
     "FullDisjunction",
-    "STRATEGIES",
-    "initial_sets",
     # trace harness
     "ExecutionTrace",
     "TraceSnapshot",

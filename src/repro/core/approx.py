@@ -41,8 +41,7 @@ from repro.core.incremental import (
     anchored_candidates,
     incremental_fd,
 )
-from repro.core.initialization import earlier_relations
-from repro.core.scanner import require_current
+from repro.core.scanner import earlier_relations, require_current
 from repro.core.tupleset import TupleSet
 from repro.obs.tracing import trace_span
 

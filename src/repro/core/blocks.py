@@ -59,7 +59,6 @@ def block_based_full_disjunction(
     database: Database,
     block_size: Optional[int],
     use_index: bool = False,
-    initialization: str = "singletons",
 ) -> TupleType[List[TupleSet], BlockExecutionReport]:
     """Compute ``FD(R)`` with the given execution granularity.
 
@@ -71,7 +70,6 @@ def block_based_full_disjunction(
     results = full_disjunction(
         database,
         use_index=use_index,
-        initialization=initialization,
         block_size=block_size,
         statistics=statistics,
     )

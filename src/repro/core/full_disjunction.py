@@ -5,10 +5,11 @@ driver runs ``IncrementalFD`` once per relation.  A tuple set holding ``j``
 tuples belongs to ``j`` of the ``FD_i``; the driver emits it from the pass
 of its *first* relation only.
 
-With the default initialization every exact driver runs pass ``i`` through
-one generator, :func:`restricted_pass`.  Following Section 7, the pass scans
-``R_i, …, R_n`` only (written ``R_≥i``; ``R_<i`` is ``R_1, …, R_{i-1}``), and
-it drops a result that can absorb one live tuple of ``R_<i``.  This is exact:
+Every exact driver runs pass ``i`` through one generator,
+:func:`restricted_pass`, seeded with the singletons of ``R_i`` as in Fig. 1.
+Following Section 7, the pass scans ``R_i, …, R_n`` only (written ``R_≥i``;
+``R_<i`` is ``R_1, …, R_{i-1}``), and it drops a result that can absorb one
+live tuple of ``R_<i``.  This is exact:
 
 * an answer whose first relation is ``R_i`` lies in ``R_≥i`` and is maximal
   there, so pass ``i`` produces it, and it absorbs no tuple at all;
@@ -16,11 +17,13 @@ it drops a result that can absorb one live tuple of ``R_<i``.  This is exact:
   consistent and connected proper superset, so it can absorb a single tuple
   adjacent to it, and that tuple must belong to ``R_<i``.
 
-Each dropped set is the ``R_≥i`` part of an answer an earlier pass emitted,
-so the drops never exceed ``(n-1)`` times the answers emitted so far and the
-driver keeps its incremental polynomial time.  With the reuse strategies of
-Section 7 the passes share ``Complete`` and a result is emitted only when it
-is not contained in a previously emitted result.
+Each dropped set is the ``R_≥i`` component, holding its anchor, of one
+answer an earlier pass emitted.  So pass ``i`` drops no more sets than the
+answers emitted before it, the drops never exceed ``(n-1)`` times the
+answers emitted so far, and the driver keeps its incremental polynomial
+time.  The bound is why the passes take no other seeds: Section 7's reuse
+strategies ("minimizing repeated work") seed pass ``i`` from earlier
+answers instead, and lose to the singletons on every input E7 measures.
 
 Statistics of a full run (see :class:`~repro.core.incremental.FDStatistics`):
 ``results`` counts the sets the passes produced, dropped ones included;
@@ -45,13 +48,7 @@ from repro.relational.operators import combined_schema, pad_tuple_set
 from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.core.incremental import FDStatistics, incremental_fd
-from repro.core.initialization import (
-    STRATEGIES,
-    earlier_relations,
-    initial_sets,
-)
-from repro.core.scanner import make_scanner, require_current
-from repro.core.store import CompleteStore, record_store_statistics
+from repro.core.scanner import earlier_relations, make_scanner, require_current
 from repro.core.tupleset import TupleSet
 from repro.obs.tracing import trace_span
 
@@ -126,7 +123,6 @@ def restricted_pass(
 def full_disjunction_sets(
     database: Database,
     use_index: bool = False,
-    initialization: str = "singletons",
     block_size: Optional[int] = None,
     statistics: Optional[FDStatistics] = None,
 ) -> Iterator[TupleSet]:
@@ -138,8 +134,6 @@ def full_disjunction_sets(
         The relations ``R_1, …, R_n`` (in database order).
     use_index:
         Enable the Section 7 hash index on ``Complete``/``Incomplete``.
-    initialization:
-        One of :data:`repro.core.initialization.STRATEGIES`.
     block_size:
         When given, tuples are scanned block-at-a-time (Section 7
         "block-based execution"); results are identical.
@@ -150,19 +144,6 @@ def full_disjunction_sets(
     :mod:`repro.core.incremental`): a rebuild under it makes the next pass
     raise ``DatabaseError``.
     """
-    if initialization not in STRATEGIES:
-        raise ValueError(
-            f"unknown initialization strategy {initialization!r}; expected one of {STRATEGIES}"
-        )
-    if initialization != "singletons":
-        yield from _run_reusing_passes(
-            database,
-            use_index=use_index,
-            initialization=initialization,
-            block_size=block_size,
-            statistics=statistics,
-        )
-        return
     catalog = database.catalog()
     for relation in database.relations:
         require_current(database, catalog)
@@ -179,62 +160,9 @@ def full_disjunction_sets(
             )
 
 
-def _run_reusing_passes(
-    database: Database,
-    use_index: bool,
-    initialization: str,
-    block_size: Optional[int],
-    statistics: Optional[FDStatistics],
-) -> Iterator[TupleSet]:
-    """The Section 7 reuse strategies: pass ``i`` is ``IncrementalFD`` over
-    ``R_≥i``, seeded from the answers of the earlier passes.
-
-    All passes share one ``Complete`` store, so :func:`incremental_fd` yields
-    only the results no earlier answer covers (its shared-``Complete``
-    rule).  The passes depend on each other, so they run one after another.
-    """
-    produced: List[TupleSet] = []
-    catalog = database.catalog()
-    shared_complete = CompleteStore(anchor_relation=None, use_index=use_index)
-    try:
-        for relation in database.relations:
-            anchor_name = relation.name
-            require_current(database, catalog)
-            with trace_span("engine.pass", "engine", anchor=anchor_name):
-                scanner = make_scanner(
-                    database, block_size, earlier_relations(database, anchor_name)
-                )
-                pass_statistics = FDStatistics() if statistics is not None else None
-                results = incremental_fd(
-                    database,
-                    anchor_name,
-                    use_index=use_index,
-                    scanner=scanner,
-                    initial=initial_sets(
-                        initialization, database, anchor_name, produced, catalog
-                    ),
-                    statistics=pass_statistics,
-                    complete=shared_complete,
-                )
-                try:
-                    for result in results:
-                        produced.append(result)
-                        yield result
-                finally:
-                    # Close the pass first: its store counters land in pass_statistics.
-                    results.close()
-                    if pass_statistics is not None:
-                        pass_statistics.block_reads = getattr(scanner, "block_reads", 0)
-                        statistics.merge(pass_statistics)
-    finally:
-        # The shared Complete store is recorded once, on every exit.
-        record_store_statistics(statistics, ("complete", shared_complete))
-
-
 def full_disjunction(
     database: Database,
     use_index: bool = False,
-    initialization: str = "singletons",
     block_size: Optional[int] = None,
     statistics: Optional[FDStatistics] = None,
 ) -> List[TupleSet]:
@@ -243,7 +171,6 @@ def full_disjunction(
         full_disjunction_sets(
             database,
             use_index=use_index,
-            initialization=initialization,
             block_size=block_size,
             statistics=statistics,
         )
@@ -254,7 +181,6 @@ def first_k(
     database: Database,
     k: int,
     use_index: bool = False,
-    initialization: str = "singletons",
     block_size: Optional[int] = None,
     statistics: Optional[FDStatistics] = None,
 ) -> List[TupleSet]:
@@ -271,7 +197,6 @@ def first_k(
     for result in full_disjunction_sets(
         database,
         use_index=use_index,
-        initialization=initialization,
         block_size=block_size,
         statistics=statistics,
     ):
@@ -296,12 +221,10 @@ class FullDisjunction:
         self,
         database: Database,
         use_index: bool = False,
-        initialization: str = "singletons",
         block_size: Optional[int] = None,
     ):
         self._database = database
         self._use_index = use_index
-        self._initialization = initialization
         self._block_size = block_size
         self.statistics = FDStatistics()
         self._cached: Optional[List[TupleSet]] = None
@@ -315,7 +238,6 @@ class FullDisjunction:
         return full_disjunction_sets(
             self._database,
             use_index=self._use_index,
-            initialization=self._initialization,
             block_size=self._block_size,
         )
 
@@ -327,7 +249,6 @@ class FullDisjunction:
                 full_disjunction_sets(
                     self._database,
                     use_index=self._use_index,
-                    initialization=self._initialization,
                     block_size=self._block_size,
                     statistics=self.statistics,
                 )
@@ -340,7 +261,6 @@ class FullDisjunction:
             self._database,
             k,
             use_index=self._use_index,
-            initialization=self._initialization,
             block_size=self._block_size,
         )
 

@@ -129,10 +129,10 @@ loop.  Two rules let every driver run through it:
   (Fig. 6).  The approximate full disjunction runs one such pass per
   relation (:func:`repro.core.approx.approx_pass`).
 * a shared ``complete`` — a result the shared store already covers was
-  printed by another pass, so it is stored but not yielded.  The Section 7
-  reuse strategies (:mod:`repro.core.full_disjunction`) and the delta
+  printed by another pass, so it is stored but not yielded.  The delta
   passes of streaming ingest (:mod:`repro.service.delta`) are this loop
-  with other seeds and one ``Complete`` shared across their passes.
+  with explicit ``initial`` seeds and one ``Complete`` shared across their
+  passes.
 
 The ranked engines have one loop too, Fig. 3's
 :meth:`repro.core.priority.PriorityState.results`, which takes the same
@@ -725,8 +725,8 @@ def incremental_fd(
         scanner.  Pass a :class:`~repro.core.scanner.BlockScanner` for the
         block-based execution of Section 7.
     initial:
-        Alternative initialization of ``Incomplete`` (Section 7, "minimizing
-        repeated work").  Defaults to the singleton sets ``{t}`` for every
+        Explicit seeds of ``Incomplete``, as the delta passes of streaming
+        ingest use them.  Defaults to the singleton sets ``{t}`` for every
         ``t ∈ R_i`` that pass ``semantics``' seed test.  The caller is
         responsible for respecting the conditions of Remarks 4.3 and 4.5.
     statistics:
@@ -736,12 +736,11 @@ def incremental_fd(
         initialization and after each result is produced.
     complete:
         An externally managed ``Complete`` store, shared with other passes
-        (the Section 7 reuse strategies, the delta passes of streaming
-        ingest).  A result the shared store already covers was printed by
-        another pass — verbatim, or inside its maximal extension — so it is
-        stored but not yielded again, and counts in ``results`` but not in
-        ``results_emitted``.  Defaults to a fresh store, which covers no
-        result before the pass produces it.
+        (the delta passes of streaming ingest).  A result the shared store
+        already covers was printed by another pass — verbatim, or inside its
+        maximal extension — so it is stored but not yielded again, and
+        counts in ``results`` but not in ``results_emitted``.  Defaults to a
+        fresh store, which covers no result before the pass produces it.
     semantics:
         :data:`EXACT` for ``IncrementalFD``, or an
         :class:`~repro.core.approx.ApproxSemantics` for

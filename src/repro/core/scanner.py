@@ -35,7 +35,7 @@ the plan, and why that is exact, is in :mod:`repro.core.incremental`.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Tuple as TupleType
+from typing import Iterable, Iterator, List, Optional, Set, Tuple as TupleType
 
 from repro.relational.database import Database
 from repro.relational.errors import DatabaseError
@@ -188,3 +188,10 @@ def make_scanner(
     if block_size is None:
         return TupleScanner(database, skip_relations)
     return BlockScanner(database, block_size, skip_relations)
+
+
+def earlier_relations(database: Database, anchor_name: str) -> Set[str]:
+    """The names of the relations preceding ``anchor_name`` in database order:
+    ``R_<i``, the skip set of pass ``i``."""
+    anchor_index = database.index_of(anchor_name)
+    return {relation.name for relation in database.relations[:anchor_index]}

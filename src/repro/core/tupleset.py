@@ -315,13 +315,6 @@ class TupleSet:
         """Return ``T \\ S`` as a new tuple set."""
         return TupleSet(self._tuples - other._tuples, self._catalog)
 
-    def restrict_to_relations(self, relation_names: Iterable[str]) -> "TupleSet":
-        """Return the subset of member tuples belonging to the given relations."""
-        wanted = set(relation_names)
-        return TupleSet(
-            (t for t in self._tuples if t.relation_name in wanted), self._catalog
-        )
-
     # ------------------------------------------------------------------ #
     # inner-loop tests
     # ------------------------------------------------------------------ #

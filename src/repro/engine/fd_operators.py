@@ -75,19 +75,16 @@ class FullDisjunctionScan(_StreamingScan):
         self,
         database: Database,
         use_index: bool = True,
-        initialization: str = "singletons",
         block_size: Optional[int] = None,
     ):
         super().__init__(database)
         self._use_index = use_index
-        self._initialization = initialization
         self._block_size = block_size
 
     def _make_stream(self) -> Iterator:
         return full_disjunction_sets(
             self._database,
             use_index=self._use_index,
-            initialization=self._initialization,
             block_size=self._block_size,
         )
 

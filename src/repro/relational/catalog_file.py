@@ -205,7 +205,11 @@ class MirrorFile:
 
     @classmethod
     def open(cls, path: str, writable: bool = False) -> "MirrorFile":
-        """Map an existing mirror file, verifying header and payload CRCs."""
+        """Map an existing mirror file, verifying header and payload CRCs.
+
+        A refused file is closed, its map and its handle, before the error
+        propagates.
+        """
         if np is None:
             raise MirrorFileError("mirror files require NumPy")
         self = cls._blank()
@@ -215,6 +219,15 @@ class MirrorFile:
             self._handle = open(self.path, "r+b" if writable else "rb")
         except OSError as error:
             raise MirrorFileError(f"cannot open mirror file {path!r}: {error}") from None
+        try:
+            self._verify()
+        except BaseException:
+            self.close()
+            raise
+        return self
+
+    def _verify(self) -> None:
+        """Read the header, map the file, and check its metadata and payload."""
         raw = self._handle.read(HEADER_SIZE)
         for name, value in _read_header_fields(raw, self.path).items():
             setattr(self, name, value)
@@ -227,12 +240,12 @@ class MirrorFile:
             self._meta = json.loads(meta_blob.decode("utf-8")) if self.meta_len else {}
         except (ValueError, UnicodeDecodeError):
             raise MirrorFileError(f"{self.path}: mirror metadata is corrupt") from None
-        payload = memoryview(self._map)[
-            self.payload_off : self.payload_off + self.payload_used
-        ]
-        if zlib.crc32(payload) != self.payload_crc:
+        # No view of the map outlives the check, so close() can unmap it.
+        crc = zlib.crc32(
+            memoryview(self._map)[self.payload_off : self.payload_off + self.payload_used]
+        )
+        if crc != self.payload_crc:
             raise MirrorFileError(f"{self.path}: payload checksum mismatch")
-        return self
 
     # ------------------------------------------------------------------ #
     # mapping and section views

@@ -60,7 +60,6 @@ from repro.service.session import QuerySession, ResultLog, make_result_source
 #: session names) is per-client and must not fragment the cache.
 _KEY_OPTIONS = (
     "use_index",
-    "initialization",
     "block_size",
     "threshold",
     "rank_threshold",

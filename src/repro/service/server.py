@@ -24,8 +24,8 @@ Protocol (one JSON object per line, both directions)::
 ``next`` takes a positive integer ``k`` (default 1), served at most
 :data:`MAX_NEXT_K` results at a time.
 ``open`` accepts ``engine`` ∈ {"fd", "approx", "ranked", "stream"} plus
-engine options (``use_index``, ``initialization``, ``threshold``,
-``similarity``, ``importance``) and a ``format`` ∈ {"labels", "padded"};
+engine options (``use_index``, ``threshold``, ``similarity``,
+``importance``) and a ``format`` ∈ {"labels", "padded"};
 options a given engine does not understand are rejected with a clear error
 rather than silently ignored.  The ``stream`` engine serves the live log
 of the server's :class:`~repro.service.delta.StreamingFullDisjunction`
@@ -126,7 +126,6 @@ MAX_NEXT_K = 10_000
 _ROUTING_KEYS = (
     "engine",
     "use_index",
-    "initialization",
     "threshold",
     "similarity",
     "importance",
@@ -433,27 +432,33 @@ class QueryServer:
     #: rejects it like any other option it would silently ignore.
     _OPEN_BASE_KEYS = frozenset({"op", "engine", "format"})
     _OPEN_ENGINE_KEYS = {
-        "fd": frozenset({"use_index", "initialization"}),
+        "fd": frozenset({"use_index"}),
         "approx": frozenset({"use_index", "threshold", "similarity"}),
         "ranked": frozenset({"use_index", "importance", "default", "k"}),
         "stream": frozenset(),
     }
 
-    def _open(self, request: dict) -> dict:
+    def _option_error(self, request: dict) -> Optional[dict]:
+        """The client error for an ``open`` of an unknown engine, or one
+        naming options its engine never reads; ``None`` when there is none.
+        Dropping an option silently would serve another query than the
+        client asked for, so :meth:`_open` refuses it, and recovery skips a
+        persisted open that names one."""
         engine = request.get("engine", "fd")
         allowed = self._OPEN_ENGINE_KEYS.get(engine)
-        if allowed is not None:
-            unknown = sorted(set(request) - self._OPEN_BASE_KEYS - allowed)
-            if unknown:
-                # Silently dropping an option the engine never reads would
-                # hand the client a different query than it asked for.
-                return {
-                    "ok": False,
-                    "error": (
-                        f"unknown option(s) for engine {engine!r}: "
-                        f"{', '.join(unknown)}"
-                    ),
-                }
+        if allowed is None:
+            return {"ok": False, "error": f"unknown engine {engine!r}"}
+        unknown = sorted(set(request) - self._OPEN_BASE_KEYS - allowed)
+        if not unknown:
+            return None
+        names = ", ".join(unknown)
+        return {"ok": False, "error": f"unknown option(s) for engine {engine!r}: {names}"}
+
+    def _open(self, request: dict) -> dict:
+        engine = request.get("engine", "fd")
+        error = self._option_error(request)
+        if error is not None:
+            return error
         render_format = request.get("format", "labels")
         if render_format not in ("labels", "padded"):
             return {
@@ -469,7 +474,7 @@ class QueryServer:
         if engine == "stream":
             session = self.maintainer.session(name=name)
             cached = True  # the live log is always shared
-        elif engine in ("fd", "approx", "ranked"):
+        else:
             plan, error = self._query_plan(request)
             if plan is None:
                 return error
@@ -480,8 +485,6 @@ class QueryServer:
             )
             cached = self.cache.hits > hits_before
             self._remember_open(request)
-        else:
-            return {"ok": False, "error": f"unknown engine {engine!r}"}
         self._sessions[name] = session
         self._session_engines[name] = engine
         self._m_sessions.set(len(self._sessions))
@@ -512,10 +515,7 @@ class QueryServer:
         options = {"use_index": request.get("use_index", self.use_index)}
         cache_engine = engine
         ranked = False
-        if engine == "fd":
-            if request.get("initialization"):
-                options["initialization"] = request["initialization"]
-        elif engine == "approx":
+        if engine == "approx":
             similarity = (
                 EditDistanceSimilarity()
                 if request.get("similarity", "edit") == "edit"
@@ -524,7 +524,7 @@ class QueryServer:
             options["join_function"] = MinJoin(similarity)
             options["threshold"] = float(request.get("threshold", 0.8))
             options["cache_tag"] = f"minjoin-{request.get('similarity', 'edit')}"
-        else:
+        elif engine == "ranked":
             try:
                 options["ranking"] = self._wire_ranking(request)
                 if request.get("k") is not None:
@@ -854,8 +854,14 @@ class QueryServer:
         return prefixes
 
     def _install_cached_prefix(self, cached: dict) -> None:
-        """Re-install one persisted prefix into the cache (recovery path)."""
+        """Re-install one persisted prefix into the cache (recovery path).
+
+        An open that a live ``open`` refuses is skipped: its items (an older
+        ``fd``'s ``initialization`` order, say) are no answer to the query
+        without the option."""
         request = cached.get("request", {})
+        if self._option_error(request) is not None:
+            return
         plan, _ = self._query_plan(request)
         if plan is None:
             return

@@ -42,7 +42,6 @@ def _fd_source(database: Database, options: dict) -> Iterator[object]:
     return full_disjunction_sets(
         database,
         use_index=options.get("use_index", False),
-        initialization=options.get("initialization", "singletons"),
         block_size=options.get("block_size"),
         statistics=options.get("statistics"),
     )
@@ -493,10 +492,9 @@ def open_session(
     """Open an owning session over a fresh engine run.
 
     ``engine`` is one of :data:`ENGINES`; ``options`` are forwarded to the
-    engine (``use_index``, ``ranking``, ``join_function``,
-    ``threshold``, ``initialization``, ``block_size``, …).  The returned
-    session owns its log: closing it closes the generator and releases the
-    engine state.
+    engine (``use_index``, ``ranking``, ``join_function``, ``threshold``,
+    ``block_size``, …).  The returned session owns its log: closing it
+    closes the generator and releases the engine state.
     """
     if statistics is None:
         statistics = FDStatistics()

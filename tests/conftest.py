@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import os
 import random
 
 import pytest
@@ -90,3 +93,23 @@ def small_databases(
 def labels_of(tuple_sets) -> set:
     """Frozenset-of-labels view of a collection of tuple sets (order-insensitive)."""
     return {ts.labels() for ts in tuple_sets}
+
+
+#: The Section 7 reuse strategies live with the benchmarks that compare them.
+REUSE_INITIALIZATION_PATH = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "benchmarks",
+    "reuse_initialization.py",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def reuse_initialization():
+    """``benchmarks/reuse_initialization.py`` (E7's and E1's comparison arm),
+    loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location(
+        "reuse_initialization", REUSE_INITIALIZATION_PATH
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

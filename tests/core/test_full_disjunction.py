@@ -1,5 +1,10 @@
 """Tests for the ``FD(R)`` driver and the :class:`FullDisjunction` facade."""
 
+import importlib.util
+import os
+from contextlib import closing
+from itertools import islice
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -10,9 +15,9 @@ from repro.core.full_disjunction import (
     first_k,
     full_disjunction,
     full_disjunction_sets,
+    restricted_pass,
 )
 from repro.core.incremental import FDStatistics, incremental_fd
-from repro.core.initialization import STRATEGIES
 from repro.core.scanner import BlockScanner, TupleScanner
 from repro.core.tupleset import TupleSet
 from repro.relational.database import Database
@@ -26,8 +31,29 @@ from repro.workloads.generators import (
 from repro.workloads.tourist import TABLE2_TUPLE_SETS, table2_padded_rows, tourist_database
 from repro.baselines.naive import naive_full_disjunction
 
-from tests.conftest import labels_of
+from tests.conftest import labels_of, reuse_initialization, small_databases
 from tests.core.reference_tupleset import ReferenceTupleSet
+
+reuse = reuse_initialization()
+
+#: The library's singleton seeding, then the two Section 7 reuse strategies
+#: that E7 compares it with (``benchmarks/reuse_initialization.py``).
+STRATEGIES = ("singletons", *reuse.STRATEGIES)
+
+
+def _drained(database, initialization, **options):
+    """``FD(R)`` as a list, with the passes seeded by ``initialization``."""
+    if initialization == "singletons":
+        return full_disjunction(database, **options)
+    return list(reuse.reusing_full_disjunction(database, initialization, **options))
+
+
+def _first_k(database, k, initialization, **options):
+    """The first ``k`` answers, the stream closed after them."""
+    if initialization == "singletons":
+        return first_k(database, k, **options)
+    with closing(reuse.reusing_full_disjunction(database, initialization, **options)) as run:
+        return list(islice(run, k))
 
 
 def _mutated_star():
@@ -65,17 +91,15 @@ class TestFullDisjunctionDriver:
         assert len(results) == len(set(results)) == 6
 
     def test_unknown_strategy_raises(self, tourist_db):
-        with pytest.raises(ValueError):
-            full_disjunction(tourist_db, initialization="bogus")
+        """Seeding is not an option of the library: every pass starts from
+        the singletons of its relation."""
+        with pytest.raises(TypeError, match="initialization"):
+            full_disjunction(tourist_db, initialization="previous-results")
 
     @pytest.mark.parametrize("use_index", [False, True])
-    @pytest.mark.parametrize(
-        "initialization", ["singletons", "previous-results", "reduced-previous"]
-    )
+    @pytest.mark.parametrize("initialization", STRATEGIES)
     def test_all_configurations_agree(self, tourist_db, use_index, initialization):
-        results = full_disjunction(
-            tourist_db, use_index=use_index, initialization=initialization
-        )
+        results = _drained(tourist_db, initialization, use_index=use_index)
         assert labels_of(results) == set(TABLE2_TUPLE_SETS)
         assert len(results) == 6
 
@@ -212,6 +236,61 @@ def test_singleton_driver_matches_the_oracle(database, use_index):
     assert len(results) == len(expected)
 
 
+def _pass_counts(database, use_index):
+    """Per pass: the sets it dropped, and the answers it emitted."""
+    drops, emitted = [], []
+    for relation in database.relations:
+        statistics = FDStatistics()
+        list(
+            restricted_pass(
+                database, relation.name, use_index=use_index, statistics=statistics
+            )
+        )
+        drops.append(statistics.results - statistics.results_emitted)
+        emitted.append(statistics.results_emitted)
+    return drops, emitted
+
+
+@settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(database=small_databases(), use_index=st.booleans())
+def test_a_pass_drops_no_more_sets_than_the_answers_before_it(database, use_index):
+    """Each set pass i drops is the R_>=i component, holding its anchor, of
+    one earlier answer, so the drops are bounded by the earlier answers, and
+    ``results - results_emitted <= (n - 1) * results_emitted``."""
+    drops, emitted = _pass_counts(database, use_index)
+    for index, dropped in enumerate(drops):
+        assert dropped <= sum(emitted[:index])
+    assert sum(drops) <= (len(drops) - 1) * sum(emitted)
+
+
+def _star_full_input():
+    """``star-full``'s input, from ``perfbench/inputs.py`` (loaded by path and
+    only read)."""
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
+        "perfbench",
+        "inputs.py",
+    )
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    return inputs.balanced_star(1, **inputs.SCALES["full"]["star"])
+
+
+@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
+def test_the_drops_of_star_full(use_index):
+    """All 486 answers of the 5-spoke star come from the hub's pass; the
+    spoke passes drop 162, 54, 18 and 6 of their components (726 results)."""
+    drops, emitted = _pass_counts(_star_full_input(), use_index)
+    assert drops == [0, 162, 54, 18, 6]
+    assert [sum(emitted[:index]) for index in range(5)] == [0, 486, 486, 486, 486]
+    assert sum(drops) + sum(emitted) == 726
+
+
 class TestDriverStatistics:
     """Counters survive an abandoned stream and count what each pass did."""
 
@@ -221,17 +300,13 @@ class TestDriverStatistics:
             relations=4, tuples_per_relation=8, domain_size=4, null_rate=0.1, seed=1
         )
         statistics = FDStatistics()
-        prefix = first_k(
-            database, 5, initialization=initialization, statistics=statistics
-        )
+        prefix = _first_k(database, 5, initialization, statistics=statistics)
         assert len(prefix) == 5
         assert statistics.results_emitted == 5
         assert statistics.results >= 5
         assert statistics.candidates_generated > 0
         drained = FDStatistics()
-        answers = full_disjunction(
-            database, initialization=initialization, statistics=drained
-        )
+        answers = _drained(database, initialization, statistics=drained)
         assert drained.results_emitted == len(answers)
         assert drained.results >= len(answers)
 
@@ -274,10 +349,7 @@ class TestDriverStatistics:
         monkeypatch.setattr(BlockScanner, "scan_blocks", counting)
         database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=1)
         statistics = FDStatistics()
-        full_disjunction(
-            database, initialization=initialization, block_size=2,
-            statistics=statistics,
-        )
+        _drained(database, initialization, block_size=2, statistics=statistics)
         assert statistics.block_reads > 0
         assert statistics.block_reads == len(fetched)
         assert statistics.tuple_reads == sum(fetched)
@@ -292,16 +364,11 @@ class TestStreamingAndFirstK:
         database = WORKLOADS[name]()
         drained = FDStatistics()
         answers = [
-            ts.labels()
-            for ts in full_disjunction(
-                database, initialization=initialization, statistics=drained
-            )
+            ts.labels() for ts in _drained(database, initialization, statistics=drained)
         ]
         for k in sorted({1, len(answers) // 2, len(answers)}):
             statistics = FDStatistics()
-            prefix = first_k(
-                database, k, initialization=initialization, statistics=statistics
-            )
+            prefix = _first_k(database, k, initialization, statistics=statistics)
             assert [ts.labels() for ts in prefix] == answers[:k]
             assert statistics.results_emitted == k
             assert statistics.results <= drained.results

@@ -21,20 +21,21 @@ from repro.relational.errors import DatabaseError
 from repro.relational.relation import Relation
 from repro.workloads.tourist import tourist_database, tourist_importance
 
-from tests.conftest import labels_of
+from tests.conftest import labels_of, reuse_initialization
 
 APPROXIMATE = MinJoin(ExactMatchSimilarity())
+REUSE = reuse_initialization()
 
 #: Each driver as a function of the database, yielding tuple sets.
 DRIVERS = {
     "fd": lambda database: full_disjunction_sets(database),
     "fd indexed": lambda database: full_disjunction_sets(database, use_index=True),
     "blocks": lambda database: full_disjunction_sets(database, block_size=2),
-    "previous-results": lambda database: full_disjunction_sets(
-        database, initialization="previous-results"
+    "previous-results": lambda database: REUSE.reusing_full_disjunction(
+        database, "previous-results"
     ),
-    "reduced-previous": lambda database: full_disjunction_sets(
-        database, initialization="reduced-previous"
+    "reduced-previous": lambda database: REUSE.reusing_full_disjunction(
+        database, "reduced-previous"
     ),
     "approximate": lambda database: approx_full_disjunction_sets(database, APPROXIMATE, 1.0),
     "ranked": lambda database: (

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.scanner import BlockScanner, TupleScanner
+from repro.core.scanner import BlockScanner, TupleScanner, earlier_relations, make_scanner
 
 
 class TestTupleScanner:
@@ -63,3 +63,23 @@ class TestBlockScanner:
         labels = [t.label for t in scanner.scan()]
         assert labels == ["a1", "a2", "a3"]
         assert scanner.block_reads == 2
+
+
+class TestPassSkipSet:
+    def test_earlier_relations(self, tourist_db):
+        assert earlier_relations(tourist_db, "Climates") == set()
+        assert earlier_relations(tourist_db, "Sites") == {"Climates", "Accommodations"}
+
+    @pytest.mark.parametrize("block_size", [None, 2])
+    def test_scanner_skips_earlier_relations(self, tourist_db, block_size):
+        skip = earlier_relations(tourist_db, "Accommodations")
+        scanner = make_scanner(tourist_db, block_size, skip)
+        labels = [t.label for t in scanner.scan()]
+        assert "c1" not in labels and "a1" in labels
+        assert scanner.passes == 1
+        assert scanner.tuple_reads == 7
+        assert scanner.database is tourist_db
+        assert scanner.cost_summary()["passes"] == 1
+        if block_size is not None:
+            # Accommodations: 3 tuples -> 2 blocks; Sites: 4 -> 2.
+            assert scanner.block_reads == 4

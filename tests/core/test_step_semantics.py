@@ -33,6 +33,7 @@ from repro.relational.relation import Relation
 from repro.workloads.generators import chain_database, random_database, star_database
 from repro.workloads.tourist import tourist_database
 
+from tests.conftest import reuse_initialization
 from tests.core.reference_step import swapped_step
 
 class GradedSimilarity(SimilarityFunction):
@@ -194,7 +195,11 @@ RANKING = MaxRanking(lambda t: float(sum(ord(ch) for ch in t.label) % 7))
 DRIVERS = {
     "fd": (full_disjunction, EXACT),
     "fd-reuse": (
-        lambda db: full_disjunction(db, use_index=True, initialization="previous-results"),
+        lambda db: list(
+            reuse_initialization().reusing_full_disjunction(
+                db, "previous-results", use_index=True
+            )
+        ),
         EXACT,
     ),
     "first-k": (lambda db: first_k(db, 3), EXACT),

@@ -141,10 +141,6 @@ class TestDerivedSets:
         assert union.labels() == {"c1", "s2"}
         assert grown.difference(base).labels() == {"a1"}
 
-    def test_restrict_to_relations(self, db):
-        ts = by_label(db, "c1", "a2", "s1")
-        assert ts.restrict_to_relations({"Climates", "Sites"}).labels() == {"c1", "s1"}
-
 
 class TestCanAbsorb:
     def test_absorbs_consistent_connected_tuple(self, db):

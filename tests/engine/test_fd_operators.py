@@ -69,7 +69,6 @@ class TestFullDisjunctionScan:
             FullDisjunctionScan(
                 tourist_db,
                 use_index=False,
-                initialization="previous-results",
                 block_size=2,
             )
         )

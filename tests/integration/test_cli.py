@@ -28,7 +28,6 @@ class TestParser:
         arguments = build_parser().parse_args(["fd", *csv_paths])
         assert arguments.command == "fd"
         assert arguments.limit is None
-        assert arguments.initialization == "singletons"
 
     def test_topk_requires_k(self, csv_paths):
         with pytest.raises(SystemExit):
@@ -54,10 +53,16 @@ class TestFdCommand:
         assert len(csv_io.load_relation(target)) == 6
 
     def test_initialization_and_index_flags(self, csv_paths, capsys):
-        assert main(
-            ["fd", *csv_paths, "--use-index", "--initialization", "previous-results"]
-        ) == 0
+        """``--use-index`` is an option; ``--initialization`` is refused,
+        because every pass is seeded with the singletons of its relation."""
+        assert main(["fd", *csv_paths, "--use-index"]) == 0
         assert "(6 answers)" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as refused:
+            main(["fd", *csv_paths, "--initialization", "previous-results"])
+        assert refused.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments" in captured.err
 
     def test_block_size_flag(self, csv_paths, capsys):
         assert main(["fd", *csv_paths, "--block-size", "2"]) == 0

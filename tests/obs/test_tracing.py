@@ -22,6 +22,8 @@ from repro.obs import (
 from repro.workloads.generators import chain_database, star_database
 from repro.workloads.tourist import tourist_database
 
+from tests.conftest import reuse_initialization
+
 
 class TestSpans:
     def test_span_records_on_close_with_args(self):
@@ -135,11 +137,15 @@ ENGINE_WORKLOADS = {
 #: Every driver that runs one pass per relation, drained.
 ENGINE_DRIVERS = {
     "singletons": lambda database: full_disjunction(database, use_index=True),
-    "previous-results": lambda database: full_disjunction(
-        database, use_index=True, initialization="previous-results"
+    "previous-results": lambda database: list(
+        reuse_initialization().reusing_full_disjunction(
+            database, "previous-results", use_index=True
+        )
     ),
-    "reduced-previous": lambda database: full_disjunction(
-        database, use_index=True, initialization="reduced-previous"
+    "reduced-previous": lambda database: list(
+        reuse_initialization().reusing_full_disjunction(
+            database, "reduced-previous", use_index=True
+        )
     ),
     "approximate": lambda database: approx_full_disjunction(
         database, MinJoin(ExactMatchSimilarity()), 1.0, use_index=True

@@ -21,6 +21,7 @@ import pytest
 
 from repro.core.full_disjunction import full_disjunction
 from repro.core.incremental import FDStatistics
+from repro.relational import catalog_file
 from repro.relational.catalog_file import (
     MirrorFile,
     MirrorFileError,
@@ -322,6 +323,54 @@ class TestIntegrity:
             handle.truncate(64)
         with pytest.raises(MirrorFileError, match="truncated"):
             MirrorFile.open(path)
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ("header", "header checksum"),
+            ("half", "shorter than its header claims"),
+            ("metadata", "metadata is corrupt"),
+            ("payload", "payload checksum"),
+        ],
+    )
+    def test_a_refused_file_is_closed(self, tmp_path, monkeypatch, shape, message):
+        """Every refusal after the file is opened closes its handle and its
+        map before the error propagates, without waiting for the collector."""
+        path = self._saved(tmp_path)
+        handle = MirrorFile.open(path)
+        meta_off, payload_off = handle.meta_off, handle.payload_off
+        handle.close()
+        size = os.path.getsize(path)
+        with open(path, "r+b") as raw:
+            if shape == "half":
+                raw.truncate(size // 2)
+            else:
+                offset = {"header": 16, "metadata": meta_off, "payload": payload_off + 1}[
+                    shape
+                ]
+                raw.seek(offset)
+                byte = raw.read(1)
+                raw.seek(offset)
+                raw.write(bytes([byte[0] ^ 0xFF]))
+        files, maps = [], []
+
+        def recording_open(*args, **kwargs):
+            files.append(open(*args, **kwargs))
+            return files[-1]
+
+        def recording_mmap(*args, **kwargs):
+            maps.append(real_mmap(*args, **kwargs))
+            return maps[-1]
+
+        real_mmap = catalog_file.mmap.mmap
+        monkeypatch.setattr(catalog_file, "open", recording_open, raising=False)
+        monkeypatch.setattr(catalog_file.mmap, "mmap", recording_mmap)
+        with pytest.raises(MirrorFileError, match=message):
+            MirrorFile.open(path)
+        assert len(files) == 1
+        assert files[0].closed
+        assert len(maps) == (0 if shape in ("header", "half") else 1)
+        assert all(mapped.closed for mapped in maps)
 
     def test_missing_file_is_rejected(self, tmp_path):
         with pytest.raises(MirrorFileError, match="cannot open"):

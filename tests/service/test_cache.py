@@ -86,7 +86,7 @@ class TestPrefixCache:
         cache = PrefixCache()
         cache.open(database, "fd", use_index=True)
         cache.open(database, "fd", use_index=False)
-        cache.open(database, "fd", use_index=True, initialization="previous-results")
+        cache.open(database, "fd", use_index=True, block_size=2)
         assert cache.misses == 3 and cache.hits == 0
 
     def test_ingest_invalidates_via_the_generation_counter(self):
@@ -108,7 +108,7 @@ class TestPrefixCache:
         cache = PrefixCache(capacity=2)
         first = cache.open(database, "fd", use_index=True)
         cache.open(database, "fd", use_index=False)
-        cache.open(database, "fd", initialization="previous-results")
+        cache.open(database, "fd", block_size=2)
         assert cache.evictions == 1
         assert first.log.closed
 

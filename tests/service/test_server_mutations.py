@@ -7,6 +7,7 @@ import asyncio
 import pytest
 
 from repro.core.full_disjunction import full_disjunction_sets
+from repro.obs.metrics import MetricsRegistry
 from repro.relational.nulls import is_null
 from repro.relational.operators import combined_schema, pad_tuple_set
 from repro.service.server import (
@@ -255,10 +256,21 @@ class TestPaddedFormat:
 
 class TestOpenValidation:
     def test_unknown_options_are_rejected_per_engine(self):
+        """Each refusal names the option, counts as the client's error, and
+        opens and persists nothing."""
+        registry = MetricsRegistry()
+        database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=1)
+        server = QueryServer(database, use_index=True, registry=registry)
+
         async def scenario():
-            _, server = _server()
             cases = [
                 ({"op": "open", "engine": "fd", "threshold": 0.5}, "threshold"),
+                # Every fd pass is seeded with the singletons of its
+                # relation; the Section 7 reuse strategies are no option.
+                (
+                    {"op": "open", "engine": "fd", "initialization": "previous-results"},
+                    "initialization",
+                ),
                 ({"op": "open", "engine": "approx", "importance": {}}, "importance"),
                 ({"op": "open", "engine": "stream", "k": 3}, "k"),
                 # The live stream log is built with the *server's* index
@@ -268,11 +280,20 @@ class TestOpenValidation:
             ]
             for request, offending in cases:
                 reply = await server.handle_request(request)
-                assert not reply["ok"], request
-                assert offending in reply["error"]
-                assert "unknown option" in reply["error"]
+                assert reply == {
+                    "ok": False,
+                    "error": (
+                        f"unknown option(s) for engine {request['engine']!r}: {offending}"
+                    ),
+                }
+            return len(cases)
 
-        _run(scenario())
+        refused = _run(scenario())
+        errors = registry.family("repro_request_errors_total")
+        assert errors.labels(op="open", kind="client").value == refused
+        assert errors.labels(op="open", kind="server").value == 0
+        assert server.health()["sessions"] == 0
+        assert server.durable_state()["cached"] == []
 
     def test_unknown_format_and_engine_and_op(self):
         async def scenario():
@@ -294,12 +315,7 @@ class TestOpenValidation:
         async def scenario():
             _, server = _server()
             good = await server.handle_request(
-                {
-                    "op": "open",
-                    "engine": "fd",
-                    "use_index": True,
-                    "initialization": "singletons",
-                }
+                {"op": "open", "engine": "fd", "use_index": True}
             )
             assert good["ok"]
 

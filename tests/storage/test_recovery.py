@@ -131,6 +131,24 @@ class TestInProcessRecovery:
         assert recovered.cache.hits == hits_before + 1
         assert recovered_stream == stream
 
+    def test_a_persisted_open_a_live_open_refuses_is_not_restored(self):
+        """A snapshot can hold an ``fd`` open naming ``initialization``, an
+        option no live ``open`` accepts, with its items in the reuse
+        strategy's order.  Recovery skips that prefix: the plain ``fd`` open
+        misses the cache and streams what a fresh server streams."""
+        state = QueryServer(build_database())
+        _, stream = _run(_fd_stream(state))
+        snapshot = state.durable_state()
+        (cached,) = snapshot["cached"]
+        assert cached["request"] == {"engine": "fd"}
+        cached["request"]["initialization"] = "previous-results"
+        cached["items"].reverse()
+        restored = restore_server(snapshot)
+        assert restored.durable_state()["cached"] == []
+        opened, restored_stream = _run(_fd_stream(restored))
+        assert opened["cached"] is False
+        assert restored_stream == stream
+
     def test_recovered_stream_session_serves_the_live_log(self, tmp_path):
         state = open_durable_server(
             build_database(), str(tmp_path), snapshot_every=None,
