@@ -38,7 +38,7 @@ def _first_k_latency(database, clients: int, cache: PrefixCache, k: int = K) -> 
 
     async def one_wave():
         sessions = [
-            cache.open(database, "fd", use_index=True, name=f"c{i}")
+            cache.open(database, "fd", name=f"c{i}")
             for i in range(clients)
         ]
         try:
@@ -124,7 +124,6 @@ def test_e10b_streaming_delta_vs_full_recompute(report_table):
                 replay_workload.database,
                 replay_workload.arrivals,
                 batch_size=batch_size,
-                use_index=True,
                 summary=replay_summary,
             )
         )
@@ -134,7 +133,6 @@ def test_e10b_streaming_delta_vs_full_recompute(report_table):
                 delta_workload.database,
                 delta_workload.arrivals,
                 batch_size=batch_size,
-                use_index=True,
                 summary=delta_summary,
             )
         )

@@ -79,7 +79,6 @@ def test_e11a_ranked_delta_vs_full_ranked_recompute(benchmark, report_table):
                 replay_workload.database,
                 replay_workload.arrivals,
                 batch_size=batch_size,
-                use_index=True,
                 summary=replay_summary,
                 ranking=_ranking(),
             )
@@ -90,7 +89,6 @@ def test_e11a_ranked_delta_vs_full_ranked_recompute(benchmark, report_table):
                 delta_workload.database,
                 delta_workload.arrivals,
                 batch_size=batch_size,
-                use_index=True,
                 summary=delta_summary,
                 ranking=_ranking(),
             )
@@ -134,8 +132,7 @@ def test_e11a_ranked_delta_vs_full_ranked_recompute(benchmark, report_table):
         )
         list(
             incremental_replay_stream(
-                workload.database, workload.arrivals,
-                use_index=True, ranking=_ranking(),
+                workload.database, workload.arrivals, ranking=_ranking(),
             )
         )
 
@@ -150,7 +147,7 @@ def _ranked_first_k_latency(database, clients: int, cache: PrefixCache, k: int) 
     async def one_wave():
         sessions = [
             cache.open(
-                database, "priority", ranking=ranking, use_index=True,
+                database, "priority", ranking=ranking,
                 cache_tag="e11-ranking", name=f"c{i}",
             )
             for i in range(clients)

@@ -63,7 +63,6 @@ def test_e12a_delta_with_mutations_vs_full_recompute(report_table):
                 replay_workload.database,
                 replay_ops,
                 batch_size=batch_size,
-                use_index=True,
                 summary=replay_summary,
             )
         )
@@ -73,7 +72,6 @@ def test_e12a_delta_with_mutations_vs_full_recompute(report_table):
                 delta_workload.database,
                 delta_ops,
                 batch_size=batch_size,
-                use_index=True,
                 summary=delta_summary,
             )
         )
@@ -125,7 +123,7 @@ def test_e12b_revalidated_cached_first_k_vs_cold(benchmark, report_table):
 
     def cold_first_k():
         cache = PrefixCache()
-        session = cache.open(database, "fd", use_index=True)
+        session = cache.open(database, "fd")
         results = session.next(K)
         session.close()
         return cache, results
@@ -146,7 +144,7 @@ def test_e12b_revalidated_cached_first_k_vs_cold(benchmark, report_table):
         revalidations_before = cache.stats()["revalidations"]
         misses_before = cache.stats()["misses"]
         started = time.perf_counter()
-        session = cache.open(database, "fd", use_index=True)
+        session = cache.open(database, "fd")
         served = session.next(K)
         warm_seconds = time.perf_counter() - started
         assert [_key(ts) for ts in served] == [_key(ts) for ts in prefix]

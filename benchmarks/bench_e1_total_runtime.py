@@ -3,10 +3,11 @@
 Corollary 4.9 bounds the driver by ``O(s·n³·f²)``; the paper credits [3] with
 ``O(s²·n⁵·f²)`` and highlights that IncrementalFD also wins in practice.  The
 experiment sweeps a chain workload of growing size and reports the total wall
-time of the incremental driver (with and without the Section 7 index, and
-indexed with the reduced-previous reuse seeds of ``reuse_initialization.py``,
-a sibling of this module), of the batch stand-in baseline and — on the
-smallest instance — of the brute-force oracle.  The expected shape: the
+time of the incremental driver (with the Section 7 index, on the paper's
+linear lists of ``linear_lists.py``, and with the reduced-previous reuse
+seeds of ``reuse_initialization.py``, both siblings of this module), of the
+batch stand-in baseline (indexed) and — on the smallest instance — of the
+brute-force oracle.  The expected shape: the
 incremental driver is consistently the fastest complete method and the gap
 grows with the input.
 """
@@ -19,6 +20,7 @@ from repro.core.full_disjunction import full_disjunction
 from repro.core.incremental import FDStatistics
 from repro.workloads.generators import chain_database
 
+from linear_lists import linear_lists
 from reuse_initialization import reusing_full_disjunction
 
 SIZES = (6, 12, 18, 24)
@@ -48,21 +50,16 @@ def test_e1_total_runtime_vs_baselines(benchmark, report_table):
             seed=1,
         )
         plain_statistics = FDStatistics()
-        fd_size, incremental_seconds = _timed(
-            lambda: full_disjunction(
-                database, use_index=False, statistics=plain_statistics
+        with linear_lists():
+            fd_size, incremental_seconds = _timed(
+                lambda: full_disjunction(database, statistics=plain_statistics)
             )
-        )
         indexed_statistics = FDStatistics()
         _, indexed_seconds = _timed(
-            lambda: full_disjunction(
-                database, use_index=True, statistics=indexed_statistics
-            )
+            lambda: full_disjunction(database, statistics=indexed_statistics)
         )
         _, reuse_seconds = _timed(
-            lambda: list(
-                reusing_full_disjunction(database, "reduced-previous", use_index=True)
-            )
+            lambda: list(reusing_full_disjunction(database, "reduced-previous"))
         )
         best_seconds = min(incremental_seconds, indexed_seconds, reuse_seconds)
         batch_size, batch_seconds = _timed(lambda: batch_full_disjunction(database))
@@ -115,4 +112,4 @@ def test_e1_total_runtime_vs_baselines(benchmark, report_table):
     database = chain_database(
         relations=4, tuples_per_relation=12, domain_size=5, null_rate=0.1, seed=1
     )
-    benchmark(lambda: full_disjunction(database, use_index=True))
+    benchmark(lambda: full_disjunction(database))

@@ -24,11 +24,11 @@ def test_e2_time_to_first_k_answers(benchmark, report_table):
 
     total_statistics = FDStatistics()
     total_started = time.perf_counter()
-    full_result = full_disjunction(database, use_index=True, statistics=total_statistics)
+    full_result = full_disjunction(database, statistics=total_statistics)
     incremental_total = time.perf_counter() - total_started
 
     batch_started = time.perf_counter()
-    batch_result = batch_full_disjunction(database, use_index=True)
+    batch_result = batch_full_disjunction(database)
     batch_total = time.perf_counter() - batch_started
     assert {ts.labels() for ts in batch_result} == {ts.labels() for ts in full_result}
 
@@ -36,7 +36,7 @@ def test_e2_time_to_first_k_answers(benchmark, report_table):
     for k in K_VALUES:
         statistics = FDStatistics()
         started = time.perf_counter()
-        prefix = first_k(database, k, use_index=True, statistics=statistics)
+        prefix = first_k(database, k, statistics=statistics)
         elapsed = time.perf_counter() - started
         assert len(prefix) == min(k, len(full_result))
         bucket_probes, full_scans = probe_counters(statistics)
@@ -70,4 +70,4 @@ def test_e2_time_to_first_k_answers(benchmark, report_table):
         rows,
     )
 
-    benchmark(lambda: first_k(database, 10, use_index=True))
+    benchmark(lambda: first_k(database, 10))

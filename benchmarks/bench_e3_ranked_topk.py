@@ -42,7 +42,7 @@ def test_e3_ranked_topk(benchmark, report_table):
     }
 
     materialise_started = time.perf_counter()
-    everything = full_disjunction(database, use_index=True)
+    everything = full_disjunction(database)
     materialise_seconds = time.perf_counter() - materialise_started
 
     rows = []
@@ -50,7 +50,7 @@ def test_e3_ranked_topk(benchmark, report_table):
         for k in K_VALUES:
             statistics = FDStatistics()
             started = time.perf_counter()
-            ranked = top_k(database, ranking, k, use_index=True, statistics=statistics)
+            ranked = top_k(database, ranking, k, statistics=statistics)
             ranked_seconds = time.perf_counter() - started
 
             started = time.perf_counter()
@@ -91,4 +91,4 @@ def test_e3_ranked_topk(benchmark, report_table):
     )
 
     ranking = MaxRanking(_importance)
-    benchmark(lambda: top_k(database, ranking, 5, use_index=True))
+    benchmark(lambda: top_k(database, ranking, 5))

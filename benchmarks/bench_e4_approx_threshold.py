@@ -56,7 +56,7 @@ def test_e4_threshold_sweep(benchmark, report_table):
         statistics = FDStatistics()
         started = time.perf_counter()
         results = approx_full_disjunction(
-            database, amin, threshold, use_index=True, statistics=statistics
+            database, amin, threshold, statistics=statistics
         )
         elapsed = time.perf_counter() - started
         linked = sum(1 for ts in results if len(ts) > 1)
@@ -85,4 +85,4 @@ def test_e4_threshold_sweep(benchmark, report_table):
         rows,
     )
 
-    benchmark(lambda: approx_full_disjunction(database, amin, 0.8, use_index=True))
+    benchmark(lambda: approx_full_disjunction(database, amin, 0.8))

@@ -18,7 +18,7 @@ def test_e5_block_based_execution(benchmark, report_table):
         relations=4, tuples_per_relation=20, domain_size=6, null_rate=0.1, seed=5
     )
 
-    reports = compare_block_sizes(database, BLOCK_SIZES, use_index=True)
+    reports = compare_block_sizes(database, BLOCK_SIZES)
     baseline_io = reports[0].io_requests
     rows = []
     for report in reports:
@@ -48,4 +48,4 @@ def test_e5_block_based_execution(benchmark, report_table):
 
     from repro.core.blocks import block_based_full_disjunction
 
-    benchmark(lambda: block_based_full_disjunction(database, 32, use_index=True))
+    benchmark(lambda: block_based_full_disjunction(database, 32))

@@ -3,9 +3,10 @@
 Section 7 recommends hashing the two lists on their ``R_i`` tuple so the
 subsumption (Line 11) and merge (Line 14) probes only scan the relevant
 bucket.  The experiment measures wall time and the number of stored sets
-scanned, with and without the dual-indexed store of :mod:`repro.core.store`,
-on workloads whose output is large enough for the quadratic list management to
-matter.  A second table micro-benchmarks the paper's sorted-triple
+scanned by the library's dual-indexed store (:mod:`repro.core.store`) and
+by the paper's linear lists (``linear_lists.py``, a sibling of this
+module), on workloads whose output is large enough for the quadratic list
+management to matter.  A second table micro-benchmarks the paper's sorted-triple
 representation against the interned bitset ``TupleSet`` representation on the
 Line-14 consistency test.
 
@@ -22,16 +23,22 @@ from repro.core.triples import TripleList, merge_join_consistent
 from repro.core.tupleset import TupleSet
 from repro.workloads.generators import star_database
 
+from linear_lists import linear_lists
 
-def _run(database, use_index):
+
+def _run(database):
     statistics = FDStatistics()
     started = time.perf_counter()
     results = list(
-        incremental_fd(database, database.relation_names[0], use_index=use_index,
-                       statistics=statistics)
+        incremental_fd(database, database.relation_names[0], statistics=statistics)
     )
     elapsed = time.perf_counter() - started
     return results, elapsed, statistics
+
+
+def _run_on_lists(database):
+    with linear_lists():
+        return _run(database)
 
 
 def _sets_scanned(statistics):
@@ -47,8 +54,8 @@ def test_e6_indexing_complete_and_incomplete(benchmark, report_table):
         database = star_database(
             spokes=spokes, tuples_per_relation=per_relation, hub_domain=2, seed=4
         )
-        plain_results, plain_seconds, plain_statistics = _run(database, use_index=False)
-        indexed_results, indexed_seconds, indexed_statistics = _run(database, use_index=True)
+        plain_results, plain_seconds, plain_statistics = _run_on_lists(database)
+        indexed_results, indexed_seconds, indexed_statistics = _run(database)
         assert {ts.labels() for ts in plain_results} == {
             ts.labels() for ts in indexed_results
         }
@@ -87,7 +94,7 @@ def test_e6_indexing_complete_and_incomplete(benchmark, report_table):
 
     # Micro-benchmark of the two tuple-set representations on the Line-14 test.
     database = star_database(spokes=4, tuples_per_relation=6, hub_domain=2, seed=4)
-    results = full_disjunction(database, use_index=True)[:40]
+    results = full_disjunction(database)[:40]
     pairs = [(a, b) for a in results for b in results][:800]
 
     started = time.perf_counter()
@@ -111,4 +118,4 @@ def test_e6_indexing_complete_and_incomplete(benchmark, report_table):
         ],
     )
 
-    benchmark(lambda: _run(database, use_index=True))
+    benchmark(lambda: _run(database))

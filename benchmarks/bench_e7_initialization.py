@@ -37,9 +37,9 @@ REPEATS = 5
 
 def _run(strategy, database, statistics):
     if strategy == "singletons":
-        return full_disjunction(database, use_index=True, statistics=statistics)
+        return full_disjunction(database, statistics=statistics)
     return list(
-        reusing_full_disjunction(database, strategy, use_index=True, statistics=statistics)
+        reusing_full_disjunction(database, strategy, statistics=statistics)
     )
 
 

@@ -26,11 +26,11 @@ def test_e8_output_scaling_on_stars(benchmark, report_table):
         database = star_database(spokes=spokes, tuples_per_relation=6, hub_domain=2, seed=6)
         statistics = FDStatistics()
         started = time.perf_counter()
-        results = full_disjunction(database, use_index=True, statistics=statistics)
+        results = full_disjunction(database, statistics=statistics)
         total_seconds = time.perf_counter() - started
 
         started = time.perf_counter()
-        prefix = first_k(database, 10, use_index=True)
+        prefix = first_k(database, 10)
         first_10_seconds = time.perf_counter() - started
         assert len(prefix) == min(10, len(results))
 
@@ -64,4 +64,4 @@ def test_e8_output_scaling_on_stars(benchmark, report_table):
     )
 
     database = star_database(spokes=4, tuples_per_relation=6, hub_domain=2, seed=6)
-    benchmark(lambda: full_disjunction(database, use_index=True))
+    benchmark(lambda: full_disjunction(database))

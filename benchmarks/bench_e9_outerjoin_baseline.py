@@ -40,7 +40,7 @@ def test_e9_outerjoin_baseline(benchmark, report_table):
 
         statistics = FDStatistics()
         started = time.perf_counter()
-        reference = full_disjunction(database, use_index=True, statistics=statistics)
+        reference = full_disjunction(database, statistics=statistics)
         incremental_seconds = time.perf_counter() - started
 
         order = exists_correct_outerjoin_order(database, reference)

@@ -158,7 +158,6 @@ STRATEGIES = {
 def reusing_full_disjunction(
     database: Database,
     strategy: str,
-    use_index: bool = False,
     block_size: Optional[int] = None,
     statistics: Optional[FDStatistics] = None,
 ) -> Iterator[TupleSet]:
@@ -181,7 +180,7 @@ def reusing_full_disjunction(
     seed = STRATEGIES[strategy]
     produced: List[TupleSet] = []
     catalog = database.catalog()
-    shared_complete = CompleteStore(anchor_relation=None, use_index=use_index)
+    shared_complete = CompleteStore(anchor_relation=None)
     try:
         for relation in database.relations:
             anchor_name = relation.name
@@ -194,7 +193,6 @@ def reusing_full_disjunction(
                 results = incremental_fd(
                     database,
                     anchor_name,
-                    use_index=use_index,
                     scanner=scanner,
                     initial=seed(database, anchor_name, produced, catalog),
                     statistics=pass_statistics,

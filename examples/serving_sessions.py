@@ -39,7 +39,7 @@ def main() -> None:
     database = tourist_database()
 
     print("== 1. a pausable first-k session =========================")
-    session = open_session(database, "fd", use_index=True)
+    session = open_session(database, "fd")
     print("first 3:", [labels(ts) for ts in session.next(3)])
     print("  ... the session is paused here; nothing is being computed ...")
     print("next 3: ", [labels(ts) for ts in session.next(3)])
@@ -49,9 +49,9 @@ def main() -> None:
     print()
     print("== 2. two clients, one computation ========================")
     cache = PrefixCache()
-    alice = cache.open(database, "fd", use_index=True, name="alice")
+    alice = cache.open(database, "fd", name="alice")
     alice.drain()
-    bob = cache.open(database, "fd", use_index=True, name="bob")
+    bob = cache.open(database, "fd", name="bob")
     print("bob's answers (served from alice's log):",
           len(bob.drain()), "results")
     print("cache:", cache.stats())
@@ -60,7 +60,7 @@ def main() -> None:
     print()
     print("== 3. streaming ingest with delta maintenance =============")
     workload = hold_back_arrivals(tourist_database(), fraction=0.4)
-    maintainer = StreamingFullDisjunction(workload.database, use_index=True)
+    maintainer = StreamingFullDisjunction(workload.database)
     watcher = maintainer.session(name="watcher")
     maintainer.prime()
     print("base results:", len(watcher.drain()))
@@ -77,7 +77,7 @@ def main() -> None:
     print("== 4. fair multiplexing on one event loop =================")
     driver = SessionDriver()
     sessions = [
-        open_session(database, "fd", use_index=True, name=f"client-{i}")
+        open_session(database, "fd", name=f"client-{i}")
         for i in range(3)
     ]
 

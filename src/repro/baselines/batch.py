@@ -53,9 +53,8 @@ class BatchStatistics:
 class BatchFD:
     """Batch computation of ``FD(R)``: nothing is delivered before everything is done."""
 
-    def __init__(self, database: Database, use_index: bool = False):
+    def __init__(self, database: Database):
         self._database = database
-        self._use_index = use_index
         self.statistics = BatchStatistics()
 
     def compute(self) -> List[TupleSet]:
@@ -69,7 +68,6 @@ class BatchFD:
             for result in incremental_fd(
                 self._database,
                 relation.name,
-                use_index=self._use_index,
                 statistics=pass_statistics,
             ):
                 buffered.append(result)
@@ -97,11 +95,10 @@ class BatchFD:
 
 def batch_full_disjunction(
     database: Database,
-    use_index: bool = False,
     statistics: Optional[BatchStatistics] = None,
 ) -> List[TupleSet]:
     """Convenience wrapper around :class:`BatchFD`."""
-    algorithm = BatchFD(database, use_index=use_index)
+    algorithm = BatchFD(database)
     results = algorithm.compute()
     if statistics is not None:
         statistics.raw_results = algorithm.statistics.raw_results

@@ -10,7 +10,7 @@ Examples
 ::
 
     python -m repro fd sources/*.csv --limit 20
-    python -m repro fd sources/*.csv --output fd.csv --use-index
+    python -m repro fd sources/*.csv --output fd.csv
     python -m repro topk sources/*.csv --k 5 --importance-attribute Stars
     python -m repro approx sources/*.csv --threshold 0.8 --similarity edit
     python -m repro trace sources/*.csv --anchor Climates
@@ -67,20 +67,11 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
         default=csv_io.DEFAULT_NULL_TOKEN,
         help="cell value treated as null (default: ⊥; empty cells are always null)",
     )
-    parser.add_argument(
-        "--use-index",
-        action="store_true",
-        help="enable the Section 7 hash index on the Complete/Incomplete lists",
-    )
 
 
 def _command_fd(arguments: argparse.Namespace) -> int:
     database = _load_database(arguments.csv, arguments.null_token)
-    fd = FullDisjunction(
-        database,
-        use_index=arguments.use_index,
-        block_size=arguments.block_size,
-    )
+    fd = FullDisjunction(database, block_size=arguments.block_size)
     if arguments.limit is not None:
         results = fd.first(arguments.limit)
         for tuple_set in results:
@@ -115,9 +106,7 @@ def _attribute_importance(attribute: Optional[str]):
 def _command_topk(arguments: argparse.Namespace) -> int:
     database = _load_database(arguments.csv, arguments.null_token)
     ranking = MaxRanking(_attribute_importance(arguments.importance_attribute))
-    ranked = priority_incremental_fd(
-        database, ranking, k=arguments.k, use_index=arguments.use_index
-    )
+    ranked = priority_incremental_fd(database, ranking, k=arguments.k)
     for tuple_set, score in ranked:
         members = ", ".join(sorted(t.label for t in tuple_set))
         print(f"score {score:10.4f}   {{{members}}}")
@@ -134,7 +123,6 @@ def _command_approx(arguments: argparse.Namespace) -> int:
         database,
         MinJoin(similarity),
         threshold=arguments.threshold,
-        use_index=arguments.use_index,
     )
     print(afd.pretty())
     print(f"({len(afd.compute())} answers at threshold {arguments.threshold})")
@@ -175,7 +163,6 @@ def _command_stream(arguments: argparse.Namespace) -> int:
             workload.database,
             ops,
             batch_size=arguments.batch_size,
-            use_index=arguments.use_index,
             summary=summary,
             ranking=ranking,
         )
@@ -185,7 +172,6 @@ def _command_stream(arguments: argparse.Namespace) -> int:
             workload.database,
             ops,
             batch_size=arguments.batch_size,
-            use_index=arguments.use_index,
             summary=summary,
             ranking=ranking,
         )
@@ -308,9 +294,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
         from repro.service.server import open_durable_server
 
         database = _serve_database(arguments)
-        primary = open_durable_server(
-            database, arguments.follow, use_index=arguments.use_index
-        )
+        primary = open_durable_server(database, arguments.follow)
         try:
             outcome = run_follower_smoke(
                 primary,
@@ -368,7 +352,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             database,
             clients=arguments.smoke_clients,
             k=arguments.k,
-            use_index=arguments.use_index,
             engine=engine,
         )
         cache = outcome["cache"]
@@ -400,7 +383,6 @@ def _command_serve(arguments: argparse.Namespace) -> int:
             state = open_durable_server(
                 database,
                 arguments.data_dir,
-                use_index=arguments.use_index,
                 snapshot_every=(
                     arguments.snapshot_every
                     if arguments.snapshot_every is not None
@@ -413,8 +395,7 @@ def _command_serve(arguments: argparse.Namespace) -> int:
                 ),
             )
         server, state, port = await start_server(
-            database, host=arguments.host, port=arguments.port,
-            use_index=arguments.use_index, state=state,
+            database, host=arguments.host, port=arguments.port, state=state,
         )
         durable = ""
         if state.store is not None:
@@ -467,7 +448,7 @@ def _command_trace(arguments: argparse.Namespace) -> int:
     if arguments.out:
         return _trace_profile(arguments, database)
     anchor = arguments.anchor or database.relation_names[0]
-    trace = trace_incremental_fd(database, anchor, use_index=arguments.use_index)
+    trace = trace_incremental_fd(database, anchor)
     print(format_trace(trace))
     print(f"({trace.iterations} iterations, anchor relation {anchor!r})")
     return 0
@@ -479,7 +460,7 @@ def _trace_profile(arguments: argparse.Namespace, database: Database) -> int:
 
     tracer = PhaseTracer()
     with use_tracer(tracer):
-        fd = FullDisjunction(database, use_index=arguments.use_index)
+        fd = FullDisjunction(database)
         answers = fd.compute()
     path = tracer.dump(arguments.out)
     events = tracer.events()
@@ -634,8 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--null-token", default=csv_io.DEFAULT_NULL_TOKEN,
         help="cell value treated as null (default: ⊥; empty cells are always null)",
     )
-    serve_parser.add_argument("--use-index", action="store_true",
-                              help="enable the Section 7 hash index")
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=0,
                               help="TCP port (default: 0 = ephemeral)")
@@ -703,8 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--null-token", default=csv_io.DEFAULT_NULL_TOKEN,
         help="cell value treated as null (default: ⊥; empty cells are always null)",
     )
-    trace_parser.add_argument("--use-index", action="store_true",
-                              help="enable the Section 7 hash index")
     trace_parser.add_argument("--anchor", default=None,
                               help="anchor relation R_i (default: the first relation)")
     trace_parser.add_argument(

@@ -112,7 +112,6 @@ def approx_pass(
     database: Database,
     anchor_name: str,
     semantics: ApproxSemantics,
-    use_index: bool = False,
     statistics: Optional[FDStatistics] = None,
 ) -> Iterator[TupleSet]:
     """Pass ``i`` of the approximate driver: the ``AFD`` members whose first
@@ -134,7 +133,6 @@ def approx_pass(
     results = incremental_fd(
         database,
         anchor_name,
-        use_index=use_index,
         statistics=pass_statistics,
         semantics=semantics,
     )
@@ -155,7 +153,6 @@ def approx_full_disjunction_sets(
     database: Database,
     join_function: ApproximateJoinFunction,
     threshold: float,
-    use_index: bool = False,
     statistics: Optional[FDStatistics] = None,
 ) -> Iterator[TupleSet]:
     """Generate every member of ``AFD(R, A, τ)`` exactly once (Corollary 6.7).
@@ -171,16 +168,13 @@ def approx_full_disjunction_sets(
     for relation in database.relations:
         require_current(database, catalog)
         with trace_span("engine.pass", "engine", anchor=relation.name):
-            yield from approx_pass(
-                database, relation.name, semantics, use_index=use_index, statistics=statistics
-            )
+            yield from approx_pass(database, relation.name, semantics, statistics=statistics)
 
 
 def approx_full_disjunction(
     database: Database,
     join_function: ApproximateJoinFunction,
     threshold: float,
-    use_index: bool = False,
     statistics: Optional[FDStatistics] = None,
 ) -> List[TupleSet]:
     """Materialise ``AFD(R, A, τ)`` as a list of tuple sets."""
@@ -189,7 +183,6 @@ def approx_full_disjunction(
             database,
             join_function,
             threshold,
-            use_index=use_index,
             statistics=statistics,
         )
     )
@@ -203,12 +196,10 @@ class ApproximateFullDisjunction:
         database: Database,
         join_function: ApproximateJoinFunction,
         threshold: float,
-        use_index: bool = False,
     ):
         self._database = database
         self._join_function = join_function
         self._threshold = threshold
-        self._use_index = use_index
         self.statistics = FDStatistics()
         self._cached: Optional[List[TupleSet]] = None
 
@@ -221,7 +212,6 @@ class ApproximateFullDisjunction:
             self._database,
             self._join_function,
             self._threshold,
-            use_index=self._use_index,
         )
 
     def compute(self) -> List[TupleSet]:
@@ -232,7 +222,6 @@ class ApproximateFullDisjunction:
                 self._database,
                 self._join_function,
                 self._threshold,
-                use_index=self._use_index,
                 statistics=self.statistics,
             )
         return list(self._cached)

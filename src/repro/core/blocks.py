@@ -58,7 +58,6 @@ class BlockExecutionReport:
 def block_based_full_disjunction(
     database: Database,
     block_size: Optional[int],
-    use_index: bool = False,
 ) -> TupleType[List[TupleSet], BlockExecutionReport]:
     """Compute ``FD(R)`` with the given execution granularity.
 
@@ -69,7 +68,6 @@ def block_based_full_disjunction(
     statistics = FDStatistics()
     results = full_disjunction(
         database,
-        use_index=use_index,
         block_size=block_size,
         statistics=statistics,
     )
@@ -89,7 +87,6 @@ def block_based_full_disjunction(
 def compare_block_sizes(
     database: Database,
     block_sizes: Sequence[Optional[int]],
-    use_index: bool = False,
 ) -> List[BlockExecutionReport]:
     """Run the full disjunction once per block size and collect the reports.
 
@@ -102,7 +99,7 @@ def compare_block_sizes(
     reference = None
     for block_size in block_sizes:
         results, report = block_based_full_disjunction(
-            database, block_size, use_index=use_index
+            database, block_size
         )
         produced = frozenset(results)
         if reference is None:

@@ -49,6 +49,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Schema
 from repro.core.incremental import FDStatistics, incremental_fd
 from repro.core.scanner import earlier_relations, make_scanner, require_current
+from repro.core.store import require_index
 from repro.core.tupleset import TupleSet
 from repro.obs.tracing import trace_span
 
@@ -80,7 +81,6 @@ def absorbs_earlier_tuple(
 def restricted_pass(
     database: Database,
     anchor_name: str,
-    use_index: bool = False,
     block_size: Optional[int] = None,
     statistics: Optional[FDStatistics] = None,
 ) -> Iterator[TupleSet]:
@@ -97,11 +97,7 @@ def restricted_pass(
     pass_statistics = FDStatistics() if statistics is not None else None
     emitted = 0
     results = incremental_fd(
-        database,
-        anchor_name,
-        use_index=use_index,
-        scanner=scanner,
-        statistics=pass_statistics,
+        database, anchor_name, scanner=scanner, statistics=pass_statistics
     )
     try:
         for result in results:
@@ -122,9 +118,10 @@ def restricted_pass(
 
 def full_disjunction_sets(
     database: Database,
-    use_index: bool = False,
     block_size: Optional[int] = None,
     statistics: Optional[FDStatistics] = None,
+    *,
+    use_index: bool = True,
 ) -> Iterator[TupleSet]:
     """Generate every tuple set of ``FD(R)`` exactly once.
 
@@ -132,18 +129,22 @@ def full_disjunction_sets(
     ----------
     database:
         The relations ``R_1, …, R_n`` (in database order).
-    use_index:
-        Enable the Section 7 hash index on ``Complete``/``Incomplete``.
     block_size:
         When given, tuples are scanned block-at-a-time (Section 7
         "block-based execution"); results are identical.
     statistics:
         Optional counters accumulated across all passes.
+    use_index:
+        Only ``True`` (:func:`~repro.core.store.require_index`), checked
+        at the first pull.
 
     The run keeps the catalog it starts with (see
     :mod:`repro.core.incremental`): a rebuild under it makes the next pass
     raise ``DatabaseError``.
     """
+    # Kept for the E18 harness (perfbench/engine.py); ROADMAP item 1's
+    # benchmark-only change deletes it.
+    require_index(use_index)
     catalog = database.catalog()
     for relation in database.relations:
         require_current(database, catalog)
@@ -152,35 +153,26 @@ def full_disjunction_sets(
         # serving time actually went.
         with trace_span("engine.pass", "engine", anchor=relation.name):
             yield from restricted_pass(
-                database,
-                relation.name,
-                use_index=use_index,
-                block_size=block_size,
-                statistics=statistics,
+                database, relation.name, block_size=block_size, statistics=statistics
             )
 
 
 def full_disjunction(
     database: Database,
-    use_index: bool = False,
     block_size: Optional[int] = None,
     statistics: Optional[FDStatistics] = None,
+    *,
+    use_index: bool = True,
 ) -> List[TupleSet]:
     """Materialise ``FD(R)`` as a list of tuple sets (see :func:`full_disjunction_sets`)."""
-    return list(
-        full_disjunction_sets(
-            database,
-            use_index=use_index,
-            block_size=block_size,
-            statistics=statistics,
-        )
-    )
+    # ``use_index`` is kept for the E18 harness (perfbench/served.py);
+    # ROADMAP item 1's benchmark-only change deletes it.
+    return list(full_disjunction_sets(database, block_size, statistics, use_index=use_index))
 
 
 def first_k(
     database: Database,
     k: int,
-    use_index: bool = False,
     block_size: Optional[int] = None,
     statistics: Optional[FDStatistics] = None,
 ) -> List[TupleSet]:
@@ -194,12 +186,7 @@ def first_k(
     if k == 0:
         return []
     results: List[TupleSet] = []
-    for result in full_disjunction_sets(
-        database,
-        use_index=use_index,
-        block_size=block_size,
-        statistics=statistics,
-    ):
+    for result in full_disjunction_sets(database, block_size, statistics):
         results.append(result)
         if len(results) == k:
             break
@@ -217,14 +204,8 @@ class FullDisjunction:
     6
     """
 
-    def __init__(
-        self,
-        database: Database,
-        use_index: bool = False,
-        block_size: Optional[int] = None,
-    ):
+    def __init__(self, database: Database, block_size: Optional[int] = None):
         self._database = database
-        self._use_index = use_index
         self._block_size = block_size
         self.statistics = FDStatistics()
         self._cached: Optional[List[TupleSet]] = None
@@ -235,34 +216,20 @@ class FullDisjunction:
 
     def __iter__(self) -> Iterator[TupleSet]:
         """Stream the members of ``FD(R)`` (no caching)."""
-        return full_disjunction_sets(
-            self._database,
-            use_index=self._use_index,
-            block_size=self._block_size,
-        )
+        return full_disjunction_sets(self._database, self._block_size)
 
     def compute(self) -> List[TupleSet]:
         """Compute and cache the full result."""
         if self._cached is None:
             self.statistics = FDStatistics()
             self._cached = list(
-                full_disjunction_sets(
-                    self._database,
-                    use_index=self._use_index,
-                    block_size=self._block_size,
-                    statistics=self.statistics,
-                )
+                full_disjunction_sets(self._database, self._block_size, self.statistics)
             )
         return list(self._cached)
 
     def first(self, k: int) -> List[TupleSet]:
         """Return the first ``k`` results produced (incremental retrieval)."""
-        return first_k(
-            self._database,
-            k,
-            use_index=self._use_index,
-            block_size=self._block_size,
-        )
+        return first_k(self._database, k, self._block_size)
 
     def result_schema(self) -> Schema:
         """The union schema over which padded rows are rendered (as in Table 2)."""

@@ -30,6 +30,12 @@ The structure follows the paper's pseudocode line by line:
     16–18.      else: insert ``T'`` into ``Incomplete``
     19. return ``T``
 
+``Complete`` and ``Incomplete`` are the hash tables Section 7 recommends in
+place of the linked lists, keyed by the ``R_i`` tuple
+(:mod:`repro.core.store`), so the probes of Lines 11 and 14 read one
+bucket; the linear lists are the comparison arm of E1 and E6
+(``benchmarks/linear_lists.py``).
+
 **The step on masks.**  A pass over ``Tuples(R)`` does not visit tuples one
 by one.  The scanner's :meth:`~repro.core.scanner.TupleScanner.mask_pass`
 hands over the *plan*: the relations the pass reads, in scan order, each with
@@ -86,7 +92,7 @@ plus an append.
   singletons with an empty bucket stay in the per-survivor stream, at their
   plan position, with every other survivor.  The counters are added in bulk
   with the values the probes count.  A container that cannot answer on
-  masks — unindexed, the priority pool, or holding a tombstoned tuple (see
+  masks — the priority pool, or one holding a tombstoned tuple (see
   :mod:`repro.core.store`) — settles nothing, and then nothing is counted
   in bulk.
 * Lines 1–4 of Fig. 1 hand the pool its default seeds as one gid mask
@@ -637,9 +643,9 @@ def get_next_result(
     """One call of ``GetNextResult`` (Fig. 2): produce the next result of ``FD_i``.
 
     The ``incomplete`` pool decides the extraction order.  For plain
-    ``IncrementalFD`` the default ``"paper"`` order pops the head and puts
-    the candidates of this step at the head, in generation order;
-    ``PriorityIncrementalFD`` pops the highest rank first.
+    ``IncrementalFD`` the list pool pops the head and puts the candidates
+    of this step at the head, in generation order, as in the paper's worked
+    example; ``PriorityIncrementalFD`` pops the highest rank first.
 
     ``semantics`` supplies Lines 2–6, Lines 7–9 and the Line 14 test:
     :data:`EXACT` by default, or
@@ -699,7 +705,6 @@ IterationCallback = Callable[[int, TupleSet, IncompletePool, CompleteStore], Non
 def incremental_fd(
     database: Database,
     anchor: AnchorSpec,
-    use_index: bool = False,
     scanner: Optional[TupleScanner] = None,
     initial: Optional[Iterable[TupleSet]] = None,
     statistics: Optional[FDStatistics] = None,
@@ -717,9 +722,6 @@ def incremental_fd(
     anchor:
         The relation ``R_i``: its name or zero-based index.  Every generated
         tuple set contains exactly one tuple of this relation.
-    use_index:
-        Enable the Section 7 hash index on the ``Complete``/``Incomplete``
-        containers.
     scanner:
         How to read ``Tuples(R)``; defaults to a fresh tuple-at-a-time
         scanner.  Pass a :class:`~repro.core.scanner.BlockScanner` for the
@@ -759,10 +761,10 @@ def incremental_fd(
     if scanner is None:
         scanner = TupleScanner(database)
     catalog = database.catalog()
-    incomplete = ListIncompletePool(anchor_name, use_index=use_index)
+    incomplete = ListIncompletePool(anchor_name)
     shared_complete = complete is not None
     if not shared_complete:
-        complete = CompleteStore(anchor_name, use_index=use_index)
+        complete = CompleteStore(anchor_name)
 
     # Lines 1-4: initialization of the two lists.  Initial sets must be of
     # the run's catalog (the pool refuses others).  The default seeds go in

@@ -8,10 +8,10 @@ relation-set groups, over the interned bitset
 :class:`~repro.core.tupleset.TupleSet` representation); the paper's literal
 list ``Complete`` survives as the oracle ``tests/core/reference_store.py``.
 
-This module keeps the ``Incomplete`` containers, backed by lists and
-single-level hash buckets (the ``Incomplete`` list keeps its members in
-slots so a replace is O(1); the literal searched list survives as the
-oracle in ``tests/core/test_pools.py``):
+This module keeps the ``Incomplete`` containers, backed by lists and the
+Section 7 hash index, one bucket per anchor tuple (the ``Incomplete`` list
+keeps its members in slots so a replace is O(1); the literal searched list
+survives as the oracle in ``tests/core/test_pools.py``):
 
 * :class:`ListIncompletePool` — the ``Incomplete`` list of ``IncrementalFD``;
   positional list semantics matching the paper's linked list.
@@ -21,12 +21,16 @@ oracle in ``tests/core/test_pools.py``):
 The two pools are the engine's own (:mod:`repro.core.store` re-exports
 them).  Both answer the Line 14 probe for a tuple set (``candidates``) and
 for a bare anchor tuple (``waiting``, the form the mask step of
-:mod:`repro.core.incremental` uses), and apply ``replace(S, S)`` given its
-anchor (``requeue``), which moves ``S`` to the end of its bucket (and of the
-priority pool's member order) without re-ranking it.  The indexed list pool
-also settles the step's anchor singletons in bulk: gid masks of the anchors
-with one and with two or more waiting sets (``waiting_anchors``, read off
-each set's own mask), and ``requeue_singletons``.
+:mod:`repro.core.incremental` uses) from the bucket of the anchor tuple
+alone, since a set with another ``R_i`` tuple can never merge with the
+probe; and both apply ``replace(S, S)`` given its anchor (``requeue``),
+which moves ``S`` to the end of its bucket (and of the priority pool's
+member order) without re-ranking it.  The list pool also settles the
+step's anchor singletons in bulk: gid masks of the anchors with one and
+with two or more waiting sets (``waiting_anchors``, read off each set's own
+mask), and ``requeue_singletons``.  The paper's linear lists, whose probes
+walk every member, are the comparison arm of E1 and E6
+(``benchmarks/linear_lists.py``).
 
 **One catalog.**  Every container holds the sets of one catalog, the one its
 first set (or seed block) is interned in, and ``add`` refuses a set of
@@ -35,21 +39,20 @@ another catalog with ``ValueError``: a query runs in one catalog (see
 
 **The seed block.**  :meth:`ListIncompletePool.seed` takes Line 1's
 singletons ``{t}``, ``t ∈ R_i``, as one gid mask and keeps them, in gid
-(scan) order, after every set added later: where a ``"paper"`` list that
-added each seed puts them once it has popped, and ``IncrementalFD`` pops
-before it adds.  A seed's tuple set is built in place only when ``pop`` or
-a full scan reaches it or a probe or ``add`` names its anchor; views list
-it as a copy.  This is exact: a waiting seed ``{a}`` is the only waiting
-set with anchor ``a``, a bucket of one in ``waiting_anchors``, and is built
-before anything joins its bucket, so ``replace`` and ``requeue`` only ever
-see built members.  Every counter reads as if each seed had been added:
+(scan) order, after every set added later: where a list that added each
+seed puts them once it has popped, and ``IncrementalFD`` pops before it
+adds.  A seed's tuple set is built in place only when ``pop`` or a probe
+without an anchor reaches it or a probe or ``add`` names its anchor; views
+list it as a copy.  This is exact: a waiting seed ``{a}`` is the only
+waiting set with anchor ``a``, a bucket of one in ``waiting_anchors``, and
+is built before anything joins its bucket, so ``replace`` and ``requeue``
+only ever see built members.  Every counter reads as if each seed had been added:
 ``additions`` counts the seeds at seeding, and ``len``, ``peak_size`` and
 the full scan's ``sets_scanned`` count unbuilt ones.
 
 **The eviction sweep.**  Streaming deletion drops every member holding a
-dead tuple: both pools' ``discard_containing``, and
-``CompleteStore.retract_containing`` on an unindexed store told no
-catalog, run :func:`holding_dead`, one Python loop over the members.
+dead tuple: both pools' ``discard_containing`` run :func:`holding_dead`,
+one Python loop over the members.
 
 All containers count the tuple sets they scan in a :class:`PoolStatistics`
 (shared with :mod:`repro.core.store`), which the benchmarks use as a
@@ -156,9 +159,11 @@ class PoolStatistics:
 class ListIncompletePool:
     """The ``Incomplete`` list of ``IncrementalFD``, with positional semantics.
 
-    The list behaves like the paper's linked list: ``pop`` removes the head,
-    ``replace`` keeps the replaced set's position, and newly inserted sets go
-    where the ``extraction`` policy dictates.
+    The list behaves like the paper's linked list, traversed as in its
+    worked example (Table 3): ``pop`` removes the head, the candidates
+    generated while processing it are inserted at the head, in generation
+    order, so they are processed before older entries, and ``replace``
+    keeps the replaced set's position.
 
     Each member sits in a one-element *slot* (a list) and a dict maps every
     member to its slot, so the Line 15 ``replace`` rewrites the slot in place
@@ -170,44 +175,22 @@ class ListIncompletePool:
     ----------
     anchor_relation:
         Name of ``R_i``; every member set contains exactly one tuple of this
-        relation, which keys the optional hash index.
-    use_index:
-        Enable the Section 7 hash index for the merge probe of Line 14.
-    extraction:
-        ``"paper"`` (default) reproduces the traversal of the paper's worked
-        example (Table 3): the head is removed and the candidates generated
-        while processing it are inserted at the head, in generation order, so
-        they are processed before older entries.  ``"fifo"`` appends new
-        candidates at the tail; ``"lifo"`` removes from the tail.  The choice
-        does not affect which tuple sets are produced, only their order.
+        relation, which keys the hash index.
     """
 
-    EXTRACTION_ORDERS = ("paper", "fifo", "lifo")
-
-    def __init__(
-        self,
-        anchor_relation: str,
-        use_index: bool = False,
-        extraction: str = "paper",
-    ):
-        if extraction not in self.EXTRACTION_ORDERS:
-            raise ValueError(
-                f"unknown extraction order {extraction!r}; expected one of {self.EXTRACTION_ORDERS}"
-            )
+    def __init__(self, anchor_relation: str):
         self._anchor_relation = anchor_relation
-        self._use_index = use_index
-        self._extraction = extraction
         # Slots in list order; a slot holds its member, or None once emptied.
         self._items: Deque[list] = deque()
         self._slots: Dict[TupleSet, list] = {}
-        # Slot position where "paper" extraction inserts the next candidate.
+        # Slot position where the next candidate is inserted.
         self._insert_cursor = 0
         # Anchor tuple -> its members, in insertion order (dict as ordered set).
         self._buckets: Dict[Tuple, Dict[TupleSet, None]] = {}
         # The catalog of every member (see the module docstring).
         self._catalog = None
-        # With the index, gid masks: the anchors with at least one and at
-        # least two waiting sets, and every anchor seen.
+        # Gid masks: the anchors with at least one and at least two waiting
+        # sets, and every anchor seen.
         self._waiting_once = self._waiting_twice = self._anchors_seen = 0
         # The seed block (see seed): gids of its seeds and of the unbuilt
         # ones, and the slots of the built ones.
@@ -235,20 +218,19 @@ class ListIncompletePool:
 
     def seed(self, seeds: int, catalog) -> None:
         """Add ``{t}`` for each anchor tuple ``t`` of ``catalog``'s gid mask
-        ``seeds`` to an empty ``"paper"`` pool, as a seed block (see the
-        module docstring)."""
-        if self or self._extraction != "paper":
-            raise ValueError('seeds go into an empty "paper" Incomplete pool')
+        ``seeds`` to an empty pool, as a seed block (see the module
+        docstring)."""
+        if self:
+            raise ValueError("seeds go into an empty Incomplete pool")
         self._catalog = one_catalog(self._catalog, catalog)
         self._seed_slots.clear()
         self._seeds = self._unbuilt = seeds
         statistics = self.statistics
         statistics.additions += popcount(seeds)
         statistics.peak_size = max(statistics.peak_size, len(self))
-        if self._use_index:
-            # Each pending seed is a bucket of one.
-            self._anchors_seen |= seeds
-            self._waiting_once |= seeds
+        # Each pending seed is a bucket of one.
+        self._anchors_seen |= seeds
+        self._waiting_once |= seeds
 
     def _pending_gid(self, anchor: Optional[Tuple]) -> Optional[int]:
         """The gid of the unbuilt seed whose tuple equals ``anchor``, if any."""
@@ -268,8 +250,7 @@ class ListIncompletePool:
         slot = self._seed_slots[gid] = [seed]
         self._slots[seed] = slot
         self._unbuilt ^= 1 << gid
-        if self._use_index:
-            self._buckets.setdefault(self._catalog.tuple_at(gid), {})[seed] = None
+        self._buckets.setdefault(self._catalog.tuple_at(gid), {})[seed] = None
         return seed
 
     def _build_pending(self, anchor: Optional[Tuple]) -> None:
@@ -301,28 +282,26 @@ class ListIncompletePool:
         return bit
 
     def _index_add(self, tuple_set: TupleSet) -> None:
-        if self._use_index:
-            anchor = self._anchor_of(tuple_set)
-            if anchor is not None:
-                bucket = self._buckets.setdefault(anchor, {})
-                bucket[tuple_set] = None
-                bit = self._anchor_bit(tuple_set)
-                if len(bucket) == 1:
-                    self._waiting_once |= bit
-                elif len(bucket) == 2:
-                    self._waiting_twice |= bit
+        anchor = self._anchor_of(tuple_set)
+        if anchor is not None:
+            bucket = self._buckets.setdefault(anchor, {})
+            bucket[tuple_set] = None
+            bit = self._anchor_bit(tuple_set)
+            if len(bucket) == 1:
+                self._waiting_once |= bit
+            elif len(bucket) == 2:
+                self._waiting_twice |= bit
 
     def _index_discard(self, tuple_set: TupleSet) -> None:
-        if self._use_index:
-            anchor = self._anchor_of(tuple_set)
-            if anchor is not None:
-                bucket = self._buckets.get(anchor)
-                if bucket is not None and tuple_set in bucket:
-                    del bucket[tuple_set]
-                    if not bucket:
-                        self._waiting_once &= ~self._anchor_bit(tuple_set)
-                    elif len(bucket) == 1:
-                        self._waiting_twice &= ~self._anchor_bit(tuple_set)
+        anchor = self._anchor_of(tuple_set)
+        if anchor is not None:
+            bucket = self._buckets.get(anchor)
+            if bucket is not None and tuple_set in bucket:
+                del bucket[tuple_set]
+                if not bucket:
+                    self._waiting_once &= ~self._anchor_bit(tuple_set)
+                elif len(bucket) == 1:
+                    self._waiting_twice &= ~self._anchor_bit(tuple_set)
 
     def add(self, tuple_set: TupleSet) -> None:
         """Insert a tuple set (Line 18 of ``GetNextResult`` / initialization)."""
@@ -336,11 +315,8 @@ class ListIncompletePool:
         if tuple_set in self._slots:
             return
         slot = [tuple_set]
-        if self._extraction == "paper":
-            self._items.insert(self._insert_cursor, slot)
-            self._insert_cursor += 1
-        else:
-            self._items.append(slot)
+        self._items.insert(self._insert_cursor, slot)
+        self._insert_cursor += 1
         self._slots[tuple_set] = slot
         self.statistics.additions += 1
         self.statistics.peak_size = max(self.statistics.peak_size, len(self._slots) + pending)
@@ -350,22 +326,16 @@ class ListIncompletePool:
         """Remove and return the next tuple set to extend (Line 1)."""
         if not (self._slots or self._unbuilt):
             raise IndexError("pop from an empty Incomplete pool")
-        if self._seeds:
-            tuple_set = self._take_seeded()
-        else:
-            take = self._items.pop if self._extraction == "lifo" else self._items.popleft
-            tuple_set = take()[0]
-            while tuple_set is None:
-                tuple_set = take()[0]
+        tuple_set = self._take()
         del self._slots[tuple_set]
         self._index_discard(tuple_set)
         self._insert_cursor = 0
         self.statistics.removals += 1
         return tuple_set
 
-    def _take_seeded(self) -> TupleSet:
-        """Take the next member out of a list with a seed block, which comes
-        after the other slots."""
+    def _take(self) -> TupleSet:
+        """Take the head out of a non-empty list: the first live slot, else
+        the first seed of the seed block, which comes after the other slots."""
         while self._items:
             tuple_set = self._items.popleft()[0]
             if tuple_set is not None:
@@ -381,12 +351,10 @@ class ListIncompletePool:
                 return tuple_set
 
     def candidates(self, probe: TupleSet) -> List[TupleSet]:
-        """Member sets that might merge with ``probe`` (Line 14 probe).
-
-        With the index enabled only the bucket of ``probe``'s anchor tuple is
-        returned; a set with a different ``R_i`` tuple can never merge with
-        ``probe`` because their union would hold two tuples of ``R_i``.
-        """
+        """Member sets that might merge with ``probe`` (Line 14 probe): the
+        bucket of ``probe``'s anchor tuple, since a set with a different
+        ``R_i`` tuple can never merge with ``probe`` (their union would hold
+        two tuples of ``R_i``)."""
         return list(self.waiting(self._anchor_of(probe)))
 
     def waiting(self, anchor: Optional[Tuple]) -> Iterable[TupleSet]:
@@ -394,18 +362,23 @@ class ListIncompletePool:
 
         Counts and returns what :meth:`candidates` returns, as a live view
         instead of a copy: a caller that changes the pool must stop
-        iterating.
+        iterating.  A probe without an anchor walks the whole list.
         """
-        statistics = self.statistics
-        if self._use_index and anchor is not None:
+        if anchor is None:
+            return self._scan_all()
+        bucket = self._buckets.get(anchor, ())
+        if not bucket and self._unbuilt:
+            # A waiting seed is alone in its bucket: build it now.
+            self._build_pending(anchor)
             bucket = self._buckets.get(anchor, ())
-            if not bucket and self._unbuilt:
-                # A waiting seed is alone in its bucket: build it now.
-                self._build_pending(anchor)
-                bucket = self._buckets.get(anchor, ())
-            statistics.bucket_probes += 1
-            statistics.sets_scanned += len(bucket)
-            return bucket
+        statistics = self.statistics
+        statistics.bucket_probes += 1
+        statistics.sets_scanned += len(bucket)
+        return bucket
+
+    def _scan_all(self) -> Iterable[TupleSet]:
+        """Every member in list order, counted as one full scan."""
+        statistics = self.statistics
         statistics.full_scans += 1
         statistics.sets_scanned += len(self)
         return self._walk(build=True)
@@ -436,7 +409,7 @@ class ListIncompletePool:
         slot[0] = new
         self._slots[new] = slot
         anchor = self._anchor_of(old)
-        bucket = self._buckets.get(anchor) if self._use_index else None
+        bucket = self._buckets.get(anchor)
         if bucket is not None and self._anchor_of(new) is anchor:
             del bucket[old]
             bucket[new] = None
@@ -449,16 +422,16 @@ class ListIncompletePool:
         ``anchor``: the member keeps its slot and moves to the end of its
         anchor bucket."""
         self.statistics.replacements += 1
-        if self._use_index and anchor is not None:
+        if anchor is not None:
             bucket = self._buckets[anchor]
             del bucket[member]
             bucket[member] = None
 
     def waiting_anchors(self, catalog) -> Optional[TupleType[int, int]]:
         """The gid masks, in ``catalog``, of the anchors with at least one
-        and with at least two waiting sets; ``None`` when the masks cannot
-        answer (see the module docstring)."""
-        if not self._use_index or self._anchors_seen & catalog.dead_mask:
+        and with at least two waiting sets; ``None`` when the pool holds a
+        set whose anchor is now tombstoned (see :mod:`repro.core.store`)."""
+        if self._anchors_seen & catalog.dead_mask:
             return None
         return self._waiting_once, self._waiting_twice
 
@@ -511,11 +484,11 @@ class ListIncompletePool:
         return list(self._walk(build=False))
 
     def anchor_buckets(self) -> Dict[Tuple, List[TupleSet]]:
-        """The indexed pool's non-empty anchor buckets, each in bucket order,
-        a seed not built yet as a bucket of its own copy."""
+        """The non-empty anchor buckets, each in bucket order, a seed not
+        built yet as a bucket of its own copy."""
         buckets = {anchor: list(bucket) for anchor, bucket in self._buckets.items() if bucket}
         catalog = self._catalog
-        for gid in _gids(self._unbuilt if self._use_index else 0):
+        for gid in _gids(self._unbuilt):
             buckets[catalog.tuple_at(gid)] = [TupleSet.singleton_at(gid, catalog)]
         return buckets
 
@@ -528,18 +501,12 @@ class PriorityIncompletePool:
     keeps runs deterministic.
     """
 
-    def __init__(
-        self,
-        anchor_relation: str,
-        ranking: Callable[[TupleSet], float],
-        use_index: bool = False,
-    ):
+    def __init__(self, anchor_relation: str, ranking: Callable[[TupleSet], float]):
         self._anchor_relation = anchor_relation
         self._ranking = ranking
-        self._use_index = use_index
         self._heap: List = []
-        # Members in insertion order (dict as ordered set): the unindexed
-        # probe and iteration visit them in an order no hash decides.
+        # Members in insertion order (dict as ordered set): a probe without
+        # an anchor and iteration visit them in an order no hash decides.
         self._members: Dict[TupleSet, None] = {}
         self._counter = itertools.count()
         # Anchor tuple -> its members, in insertion order (dict as ordered set).
@@ -573,10 +540,12 @@ class PriorityIncompletePool:
         self._members[tuple_set] = None
         self.statistics.additions += 1
         self.statistics.peak_size = max(self.statistics.peak_size, len(self._members))
-        if self._use_index:
-            anchor = self._anchor_of(tuple_set)
-            if anchor is not None:
-                self._buckets.setdefault(anchor, {})[tuple_set] = None
+        self._index_add(tuple_set)
+
+    def _index_add(self, tuple_set: TupleSet) -> None:
+        anchor = self._anchor_of(tuple_set)
+        if anchor is not None:
+            self._buckets.setdefault(anchor, {})[tuple_set] = None
 
     def _prune(self) -> None:
         while self._heap and self._heap[0][2] not in self._members:
@@ -608,12 +577,9 @@ class PriorityIncompletePool:
 
     def _discard(self, tuple_set: TupleSet) -> None:
         self._members.pop(tuple_set, None)
-        if self._use_index:
-            anchor = self._anchor_of(tuple_set)
-            if anchor is not None:
-                bucket = self._buckets.get(anchor)
-                if bucket is not None:
-                    bucket.pop(tuple_set, None)
+        bucket = self._buckets.get(self._anchor_of(tuple_set))
+        if bucket is not None:
+            bucket.pop(tuple_set, None)
 
     def candidates(self, probe: TupleSet) -> List[TupleSet]:
         """Member sets that might merge with ``probe`` (see :class:`ListIncompletePool`)."""
@@ -622,14 +588,14 @@ class PriorityIncompletePool:
     def waiting(self, anchor: Optional[Tuple]) -> Iterable[TupleSet]:
         """The counted Line 14 probe as a live view (see :meth:`ListIncompletePool.waiting`)."""
         statistics = self.statistics
-        if self._use_index and anchor is not None:
-            bucket = self._buckets.get(anchor, ())
-            statistics.bucket_probes += 1
-            statistics.sets_scanned += len(bucket)
-            return bucket
-        statistics.full_scans += 1
-        statistics.sets_scanned += len(self._members)
-        return self._members
+        if anchor is None:
+            statistics.full_scans += 1
+            statistics.sets_scanned += len(self._members)
+            return self._members
+        bucket = self._buckets.get(anchor, ())
+        statistics.bucket_probes += 1
+        statistics.sets_scanned += len(bucket)
+        return bucket
 
     def replace(self, old: TupleSet, new: TupleSet) -> None:
         """Replace ``old`` by ``new``; the new set is re-ranked.
@@ -648,10 +614,7 @@ class PriorityIncompletePool:
             score = self._ranking(new)
             heapq.heappush(self._heap, (-score, next(self._counter), new))
             self._members[new] = None
-            if self._use_index:
-                anchor = self._anchor_of(new)
-                if anchor is not None:
-                    self._buckets.setdefault(anchor, {})[new] = None
+            self._index_add(new)
 
     def requeue(self, member: TupleSet, anchor: Optional[Tuple]) -> None:
         """``replace(member, member)``: the member moves to the end of the
@@ -660,7 +623,7 @@ class PriorityIncompletePool:
         self.statistics.replacements += 1
         del self._members[member]
         self._members[member] = None
-        if self._use_index and anchor is not None:
+        if anchor is not None:
             bucket = self._buckets[anchor]
             del bucket[member]
             bucket[member] = None

@@ -99,7 +99,6 @@ def _merge_queue_members(pool: PriorityIncompletePool, semantics=EXACT) -> None:
 def build_priority_pools(
     database: Database,
     ranking: RankingFunction,
-    use_index: bool = False,
     semantics=EXACT,
 ) -> List[PriorityIncompletePool]:
     """Initialization of Fig. 3: one merged priority queue per relation.
@@ -112,7 +111,7 @@ def build_priority_pools(
     catalog = database.catalog()
     pools: List[PriorityIncompletePool] = []
     for relation in database.relations:
-        pool = PriorityIncompletePool(relation.name, ranking, use_index=use_index)
+        pool = PriorityIncompletePool(relation.name, ranking)
         for tuple_set in enumerate_connected_subsets(
             database, relation.name, ranking.c, catalog=catalog, semantics=semantics
         ):
@@ -146,7 +145,6 @@ class PriorityState:
         self,
         database: Database,
         ranking: RankingFunction,
-        use_index: bool = False,
         statistics: Optional[FDStatistics] = None,
         semantics=EXACT,
     ):
@@ -154,17 +152,14 @@ class PriorityState:
         self.semantics = semantics
         self.database = database
         self.ranking = ranking
-        self.use_index = use_index
         self.statistics = statistics
-        self.pools = build_priority_pools(
-            database, ranking, use_index=use_index, semantics=semantics
-        )
+        self.pools = build_priority_pools(database, ranking, semantics=semantics)
         self.anchors = [relation.name for relation in database.relations]
         #: Every distinct result produced so far (Line 17's printed test).
-        self.complete = CompleteStore(anchor_relation=None, use_index=use_index)
+        self.complete = CompleteStore(anchor_relation=None)
         #: ``Complete_i`` of each queue: the results produced on it.
         self.completes = [
-            CompleteStore(anchor_relation=None, use_index=use_index) for _ in self.pools
+            CompleteStore(anchor_relation=None) for _ in self.pools
         ]
         self.scanner = TupleScanner(database)
         #: Results emitted by :meth:`results` so far (across all pulls).
@@ -302,10 +297,9 @@ class PriorityState:
         """
         for pool in self.pools:
             pool.discard_containing(dead_tuples)
-        catalog = self.database.catalog()
         for complete in self.completes:
-            complete.retract_containing(dead_tuples, catalog=catalog)
-        return self.complete.retract_containing(dead_tuples, catalog=catalog)
+            complete.retract_containing(dead_tuples)
+        return self.complete.retract_containing(dead_tuples)
 
     def store(self, result: TupleSet) -> None:
         """Record a result derived outside the queues (the streaming
@@ -366,7 +360,6 @@ def priority_incremental_fd(
     ranking: RankingFunction,
     k: Optional[int] = None,
     threshold: Optional[float] = None,
-    use_index: bool = False,
     statistics: Optional[FDStatistics] = None,
     semantics=EXACT,
 ) -> Iterator[RankedResult]:
@@ -386,8 +379,6 @@ def priority_incremental_fd(
     threshold:
         Stop as soon as no remaining result can rank at least ``threshold``
         (the ``(τ, f)``-threshold problem of Remark 5.6).
-    use_index:
-        Enable the Section 7 hash index on the queues and on ``Complete``.
     statistics:
         Optional counters to fill in.
     semantics:
@@ -411,10 +402,7 @@ def priority_incremental_fd(
     if k == 0:
         return
 
-    state = PriorityState(
-        database, ranking, use_index=use_index, statistics=statistics,
-        semantics=semantics,
-    )
+    state = PriorityState(database, ranking, statistics=statistics, semantics=semantics)
     try:
         yield from state.results(k=k, threshold=threshold)
     finally:
@@ -427,7 +415,6 @@ def top_k(
     database: Database,
     ranking: RankingFunction,
     k: int,
-    use_index: bool = False,
     statistics: Optional[FDStatistics] = None,
     semantics=EXACT,
 ) -> List[RankedResult]:
@@ -435,8 +422,7 @@ def top_k(
     approximate counterpart under an approximate ``semantics``."""
     return list(
         priority_incremental_fd(
-            database, ranking, k=k, use_index=use_index,
-            statistics=statistics, semantics=semantics,
+            database, ranking, k=k, statistics=statistics, semantics=semantics
         )
     )
 
@@ -445,13 +431,9 @@ def above_threshold(
     database: Database,
     ranking: RankingFunction,
     threshold: float,
-    use_index: bool = False,
     statistics: Optional[FDStatistics] = None,
 ) -> List[RankedResult]:
     """The ``(τ, f)``-threshold full-disjunction problem (Remark 5.6)."""
     return list(
-        priority_incremental_fd(
-            database, ranking, threshold=threshold, use_index=use_index,
-            statistics=statistics,
-        )
+        priority_incremental_fd(database, ranking, threshold=threshold, statistics=statistics)
     )

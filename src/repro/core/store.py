@@ -19,15 +19,17 @@ subsystem implementing that recommendation on top of the interned
   paper's positional and heap semantics and the anchor-bucket merge probe),
   re-exported so the engine imports every container from here.
 
-Each container exists once in ``src/``.  The paper's literal ``Complete``
-list — one bucket level, an ``issubset`` per stored set — is kept only as
-the test oracle ``tests/core/reference_store.py``, which the randomized
-equivalence tests run beside :class:`CompleteStore`.  All containers fill in a
+Each container exists once in ``src/``, and always indexed.  The paper's
+literal ``Complete`` list — one bucket level, an ``issubset`` per stored
+set — is kept only as the test oracle ``tests/core/reference_store.py``,
+which the randomized equivalence tests run beside :class:`CompleteStore`;
+the linear lists whose probes walk every stored set are the comparison arm
+of E1 and E6 (``benchmarks/linear_lists.py``).  All containers fill in a
 :class:`~repro.core.pools.PoolStatistics`, the machine-independent work
 measure the benchmarks (E1, E6) report: ``sets_scanned`` counts subset/merge
 tests actually performed, ``bucket_probes`` counts index buckets and
 relation-set groups inspected, and ``full_scans`` counts probes that had to
-fall back to a full traversal.
+fall back to a full traversal, for want of an anchor tuple.
 
 **Masks.**  When ``GetNextResult`` runs Lines 7–9 on masks (see
 :mod:`repro.core.incremental`), each Line 9 survivor reaches Lines 10–18 as
@@ -48,17 +50,17 @@ the Line 14 probe tests, counted as ``candidates`` counts them, without a
 copy; and ``requeue`` applies ``replace(S, S)`` for a survivor already
 inside ``S``.  Every counter reads what the tuple-set probes would have
 counted.  The anchor singletons ``{t_b}`` are settled as one gid mask: the
-indexed store keeps the gids of every tuple its sets hold
-(:meth:`CompleteStore.covered_singletons`), and the indexed list pool the
+store keeps the gids of every tuple its sets hold
+(:meth:`CompleteStore.covered_singletons`), and the list pool the
 gids of the anchors with at least one and at least two waiting sets, read
 off each set's own mask (``waiting_anchors``, ``requeue_singletons``).
 Each keeps its masks current in its own add, discard, replace and retract
 paths.  Every container holds the sets of one catalog and refuses a set
 of another on ``add`` (see :mod:`repro.core.pools`), so the masks are of
-one catalog.  They answer ``None`` on unindexed containers, the priority
-pool, and a container holding a set whose tuple (the anchor, in the pool)
-is now tombstoned, since an update back to old values gives that tuple a
-live namesake in the same bucket.
+one catalog.  They answer ``None`` on the priority pool and on a container
+holding a set whose tuple (the anchor, in the pool) is now tombstoned,
+since an update back to old values gives that tuple a live namesake in the
+same bucket.
 """
 
 from __future__ import annotations
@@ -70,7 +72,6 @@ from repro.core.pools import (
     ListIncompletePool,
     PoolStatistics,
     PriorityIncompletePool,
-    holding_dead,
     one_catalog,
     popcount,
 )
@@ -84,7 +85,28 @@ __all__ = [
     "PriorityIncompletePool",
     "record_store_statistics",
     "probe_counters",
+    "require_index",
 ]
+
+
+def require_index(use_index) -> None:
+    """Refuse a ``use_index`` other than ``True``, with ``ValueError``.
+
+    ``Complete`` and ``Incomplete`` are always indexed, and the library
+    takes no ``use_index`` option.  The E18 benchmark harness
+    (``perfbench/``) still passes ``use_index=True`` to four entry points:
+    :func:`~repro.core.full_disjunction.full_disjunction_sets`,
+    :func:`~repro.core.full_disjunction.full_disjunction`,
+    :func:`~repro.service.server.open_durable_server` and the wire ``open``
+    (a client error there).  This is their one check; ROADMAP item 1's
+    benchmark-only change deletes them, with
+    :meth:`CompleteStore.contains_superset_batch`.
+    """
+    if use_index is not True:
+        raise ValueError(
+            f"use_index={use_index!r} is not supported: the Section 7 index "
+            "is always on; leave the option out"
+        )
 
 
 class _Group(list):
@@ -118,29 +140,27 @@ def _first_positions(group: _Group, relation_count: int):
 class CompleteStore:
     """The ``Complete`` list: results already printed, dual-indexed.
 
+    Stored sets are hashed by *every* member tuple (Section 7) and grouped
+    by relation set within each bucket; superset probes are restricted to
+    the bucket of the probe's anchor tuple and to the groups whose relation
+    set contains the probe's.
+
     Parameters
     ----------
     anchor_relation:
-        Name of the relation ``R_i`` whose member tuple keys the hash index.
-        Only used when ``use_index`` is true.  In the priority algorithm the
-        store is shared by all indexes; the superset probe then passes the
-        anchor tuple explicitly.
-    use_index:
-        When true, stored sets are hashed by *every* member tuple (Section 7)
-        and grouped by relation set within each bucket; superset probes are
-        restricted to the bucket of the probe's anchor tuple and to the
-        groups whose relation set contains the probe's.
+        Name of the relation ``R_i`` whose member tuple keys the probe.  In
+        the priority algorithm the store is shared by all indexes; the
+        superset probe then passes the anchor tuple explicitly.
     """
 
-    def __init__(self, anchor_relation: Optional[str] = None, use_index: bool = False):
+    def __init__(self, anchor_relation: Optional[str] = None):
         self._anchor_relation = anchor_relation
-        self._use_index = use_index
         self._sets: List[TupleSet] = []
         self._members = set()
         # tuple -> relation set -> stored sets holding that tuple.
         self._buckets: Dict[Tuple, Dict[FrozenSet[str], _Group]] = {}
-        # The catalog of every stored set (see repro.core.pools) and, with
-        # the index, the gids of every tuple a stored set holds.
+        # The catalog of every stored set (see repro.core.pools) and the
+        # gids of every tuple a stored set holds.
         self._catalog = None
         self._held = 0
         self.statistics = PoolStatistics()
@@ -161,52 +181,57 @@ class CompleteStore:
         self._members.add(tuple_set)
         self.statistics.additions += 1
         self.statistics.peak_size = max(self.statistics.peak_size, len(self._sets))
-        if self._use_index:
-            relations = tuple_set.relations
-            id_mask = tuple_set.id_mask
-            for t in tuple_set:
-                groups = self._buckets.setdefault(t, {})
-                group = groups.get(relations)
-                if group is None:
-                    group = groups[relations] = _Group()
-                group.append(tuple_set)
-                if group.positions:  # a built map: never empty
-                    if popcount(id_mask) != len(relations):
-                        group.positions = False
-                    else:
-                        group.positions.setdefault(id_mask, len(group) - 1)
-            self._held |= id_mask
+        relations = tuple_set.relations
+        id_mask = tuple_set.id_mask
+        for t in tuple_set:
+            groups = self._buckets.setdefault(t, {})
+            group = groups.get(relations)
+            if group is None:
+                group = groups[relations] = _Group()
+            group.append(tuple_set)
+            if group.positions:  # a built map: never empty
+                if popcount(id_mask) != len(relations):
+                    group.positions = False
+                else:
+                    group.positions.setdefault(id_mask, len(group) - 1)
+        self._held |= id_mask
 
     def contains_superset(self, probe: TupleSet, anchor: Optional[Tuple] = None) -> bool:
-        """Line 11 of ``GetNextResult``: is ``probe`` contained in a stored set?"""
-        if self._use_index:
-            key = anchor
-            if key is None and self._anchor_relation is not None:
-                key = probe.tuple_from(self._anchor_relation)
-            if key is not None:
-                groups = self._buckets.get(key)
-                if not groups:
-                    return False
-                probe_relations = probe.relations
-                lookup = probe._catalog is self._catalog
-                for relations, group in groups.items():
-                    self.statistics.bucket_probes += 1
-                    # A stored set can only contain the probe when its
-                    # relation set contains the probe's.
-                    if not probe_relations <= relations:
-                        continue
-                    if lookup and relations == probe_relations:
-                        found = self._look_up(group, probe._id_mask, len(relations))
-                        if found is not None:
-                            if found:
-                                return True
-                            continue
-                    for stored in group:
-                        self.statistics.sets_scanned += 1
-                        if probe.issubset(stored):
-                            return True
-                return False
-            # Fall back to a full scan when no anchor tuple is available.
+        """Line 11 of ``GetNextResult``: is ``probe`` contained in a stored set?
+
+        A probe whose anchor tuple is neither given nor readable scans every
+        stored set.
+        """
+        key = anchor
+        if key is None and self._anchor_relation is not None:
+            key = probe.tuple_from(self._anchor_relation)
+        if key is None:
+            return self._scan_all(probe)
+        groups = self._buckets.get(key)
+        if not groups:
+            return False
+        probe_relations = probe.relations
+        lookup = probe._catalog is self._catalog
+        for relations, group in groups.items():
+            self.statistics.bucket_probes += 1
+            # A stored set can only contain the probe when its relation set
+            # contains the probe's.
+            if not probe_relations <= relations:
+                continue
+            if lookup and relations == probe_relations:
+                found = self._look_up(group, probe._id_mask, len(relations))
+                if found is not None:
+                    if found:
+                        return True
+                    continue
+            for stored in group:
+                self.statistics.sets_scanned += 1
+                if probe.issubset(stored):
+                    return True
+        return False
+
+    def _scan_all(self, probe: TupleSet) -> bool:
+        """:meth:`contains_superset` by one full scan of the stored sets."""
         self.statistics.full_scans += 1
         for stored in self._sets:
             self.statistics.sets_scanned += 1
@@ -224,9 +249,6 @@ class CompleteStore:
         sets are visited, and counted, in the same order.
         """
         statistics = self.statistics
-        if not self._use_index:
-            statistics.full_scans += 1
-            return self._holds_mask(self._sets, id_mask, catalog)
         groups = self._buckets.get(anchor)
         if not groups:
             return False
@@ -282,7 +304,7 @@ class CompleteStore:
         ``None``, counting nothing, when the mask cannot answer (see the
         module docstring)."""
         held = self._held
-        if not self._use_index or held & catalog.dead_mask:
+        if held & catalog.dead_mask:
             return None
         covered = singletons & held
         count = popcount(covered)
@@ -304,38 +326,26 @@ class CompleteStore:
         """The stored sets in insertion (printing) order."""
         return list(self._sets)
 
-    def retract_containing(self, dead_tuples, catalog=None) -> List[TupleSet]:
+    def retract_containing(self, dead_tuples) -> List[TupleSet]:
         """Drop every stored set holding a dead tuple; return them in order.
 
         The non-monotone counterpart of :meth:`add`: after a deletion, every
         stored result containing a tombstoned tuple is no longer an answer
         and must stop subsuming new candidates.  Victims are found through
-        the anchor-tuple buckets when the index is on (one lookup per dead
-        tuple) and by a liveness sweep otherwise — when a ``catalog`` is
-        given, the dead tuples are tombstoned in it and the per-set test is
-        one ``AND`` of the member bitmask against the tombstone set
-        (:meth:`~repro.core.tupleset.TupleSet.contains_tombstoned`), and
-        without one it is the pools' eviction sweep
-        (:func:`~repro.core.pools.holding_dead`); surviving sets keep their
-        ids.  Returned in
-        insertion (emission) order, deduplicated, which is the order the
-        serving layer retracts them in.
+        the tuple buckets, one lookup per dead tuple; surviving sets keep
+        their ids.  Returned in insertion (emission) order, deduplicated,
+        which is the order the serving layer retracts them in.
         """
         dead = set(dead_tuples)
         if not dead or not self._sets:
             return []
         span = trace_span("store.retract", "store", dead=len(dead))
         victims = set()
-        if self._use_index:
-            for t in dead:
-                groups = self._buckets.pop(t, None)
-                if groups:
-                    for group in groups.values():
-                        victims.update(group)
-        elif catalog is not None:
-            victims = {s for s in self._members if s.contains_tombstoned()}
-        else:
-            victims = set(holding_dead(self._members, dead))
+        for t in dead:
+            groups = self._buckets.pop(t, None)
+            if groups:
+                for group in groups.values():
+                    victims.update(group)
         if not victims:
             span.close()
             return []
@@ -346,28 +356,26 @@ class CompleteStore:
                 retracted.append(stored)
                 seen.add(stored)
         self._sets = [stored for stored in self._sets if stored not in victims]
-        if self._use_index:
-            self._held = 0
-            for stored in self._sets:
-                self._held |= stored.id_mask
+        self._held = 0
+        for stored in self._sets:
+            self._held |= stored.id_mask
         touched = set()
         for stored in victims:
             self._members.discard(stored)
             self.statistics.removals += 1
             touched.update(stored.tuples)
-        if self._use_index:
-            for t in touched - dead:
-                groups = self._buckets.get(t)
-                if not groups:
-                    continue
-                for relations in list(groups):
-                    kept = _Group(s for s in groups[relations] if s not in victims)
-                    if kept:
-                        groups[relations] = kept
-                    else:
-                        del groups[relations]
-                if not groups:
-                    del self._buckets[t]
+        for t in touched - dead:
+            groups = self._buckets.get(t)
+            if not groups:
+                continue
+            for relations in list(groups):
+                kept = _Group(s for s in groups[relations] if s not in victims)
+                if kept:
+                    groups[relations] = kept
+                else:
+                    del groups[relations]
+            if not groups:
+                del self._buckets[t]
         span.annotate(retracted=len(retracted))
         span.close()
         return retracted

@@ -58,7 +58,6 @@ class ExecutionTrace:
 def trace_incremental_fd(
     database: Database,
     anchor: AnchorSpec,
-    use_index: bool = False,
 ) -> ExecutionTrace:
     """Run ``IncrementalFD(R, i)`` and record the lists after each iteration."""
     anchor_name = resolve_anchor(database, anchor)
@@ -85,7 +84,6 @@ def trace_incremental_fd(
     for result in incremental_fd(
         database,
         anchor_name,
-        use_index=use_index,
         on_initialized=on_initialized,
         on_iteration=on_iteration,
     ):

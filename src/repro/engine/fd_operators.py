@@ -74,17 +74,14 @@ class FullDisjunctionScan(_StreamingScan):
     def __init__(
         self,
         database: Database,
-        use_index: bool = True,
         block_size: Optional[int] = None,
     ):
         super().__init__(database)
-        self._use_index = use_index
         self._block_size = block_size
 
     def _make_stream(self) -> Iterator:
         return full_disjunction_sets(
             self._database,
-            use_index=self._use_index,
             block_size=self._block_size,
         )
 
@@ -105,20 +102,17 @@ class RankedFullDisjunctionScan(_StreamingScan):
         database: Database,
         ranking: RankingFunction,
         threshold: Optional[float] = None,
-        use_index: bool = True,
     ):
         super().__init__(database)
         ranking.require_monotonically_c_determined()
         self._ranking = ranking
         self._threshold = threshold
-        self._use_index = use_index
 
     def _make_stream(self) -> Iterator:
         return priority_incremental_fd(
             self._database,
             self._ranking,
             threshold=self._threshold,
-            use_index=self._use_index,
         )
 
     def _produce(self) -> Optional[Row]:
@@ -139,13 +133,11 @@ class ApproximateFullDisjunctionScan(_StreamingScan):
         join_function: ApproximateJoinFunction,
         threshold: float,
         ranking: Optional[RankingFunction] = None,
-        use_index: bool = True,
     ):
         super().__init__(database)
         self._join_function = join_function
         self._threshold = threshold
         self._ranking = ranking
-        self._use_index = use_index
 
     def _make_stream(self) -> Iterator:
         if self._ranking is None:
@@ -153,12 +145,10 @@ class ApproximateFullDisjunctionScan(_StreamingScan):
                 self._database,
                 self._join_function,
                 self._threshold,
-                use_index=self._use_index,
             )
         return priority_incremental_fd(
             self._database,
             self._ranking,
-            use_index=self._use_index,
             semantics=ApproxSemantics(self._join_function, self._threshold),
         )
 

@@ -127,7 +127,9 @@ class MirrorFile:
     and are rebound by every remap (:meth:`grow`, a payload extension), so
     read them through the file, not a saved reference.  ``version`` counts
     :meth:`append_row` and :meth:`tombstone` calls, so a reader caching
-    unpacked rows knows when to drop them.
+    unpacked rows knows when to drop them.  A mirror that is collected
+    closes its map and its file (:meth:`close`): a catalog's mirror goes
+    when the catalog does, unless a caller keeps it.
     """
 
     def __init__(self):
@@ -510,6 +512,9 @@ class MirrorFile:
             if not self.readonly:
                 self._map.flush()
             madvise(dontneed)
+
+    def __del__(self) -> None:
+        self.close()
 
     def close(self) -> None:
         """Drop the mapping and close the file."""

@@ -54,12 +54,11 @@ from repro.core.incremental import FDStatistics
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracing import trace_span
 from repro.relational.database import Database
-from repro.service.session import QuerySession, ResultLog, make_result_source
+from repro.service.session import QuerySession, ResultLog, check_options, make_result_source
 
 #: Option keys that identify a query; anything else (statistics objects,
 #: session names) is per-client and must not fragment the cache.
 _KEY_OPTIONS = (
-    "use_index",
     "block_size",
     "threshold",
     "rank_threshold",
@@ -209,8 +208,11 @@ class PrefixCache:
         The returned session never owns the log (the cache does), so clients
         may close their sessions freely.  ``cache_tag`` names an otherwise
         unhashable option set (a ranking callable, say) so separate clients
-        can share it deliberately.
+        can share it deliberately.  An option ``engine`` never reads is
+        refused with ``ValueError``, hit or miss (see
+        :func:`~repro.service.session.check_options`).
         """
+        check_options(engine, options)
         span = trace_span("cache.open", "cache", engine=engine)
         key = _query_key(database, engine, options, cache_tag)
         entry = self._entries.get(key)

@@ -179,12 +179,10 @@ class StreamingFullDisjunction:
     def __init__(
         self,
         database: Database,
-        use_index: bool = True,
         statistics: Optional[FDStatistics] = None,
         ranking=None,
     ):
         self.database = database
-        self.use_index = use_index
         self.ranking = ranking
         self.statistics = statistics if statistics is not None else FDStatistics()
         if ranking is not None:
@@ -193,13 +191,12 @@ class StreamingFullDisjunction:
             self._state = PriorityState(
                 database,
                 ranking,
-                use_index=use_index,
                 statistics=self.statistics,
             )
             self._store = self._state.complete
         else:
             self._state = None
-            self._store = CompleteStore(anchor_relation=None, use_index=use_index)
+            self._store = CompleteStore(anchor_relation=None)
         self._log = ResultLog(source=self._base_results(), live=True)
         self._primed = False
         self.arrivals_applied = 0
@@ -230,7 +227,6 @@ class StreamingFullDisjunction:
             return
         for result in full_disjunction_sets(
             self.database,
-            use_index=self.use_index,
             statistics=self.statistics,
         ):
             self._store.add(result)
@@ -626,7 +622,6 @@ class StreamingFullDisjunction:
             for result in incremental.incremental_fd(
                 self.database,
                 relation_name,
-                use_index=self.use_index,
                 initial=[TupleSet.singleton(t, catalog=catalog) for t in fresh_tuples],
                 statistics=pass_statistics,
                 complete=self._store,
@@ -654,7 +649,7 @@ class StreamingFullDisjunction:
         if self._state is not None:
             retracted = self._state.retract(dead_tuples)
         else:
-            retracted = self._store.retract_containing(dead, catalog=catalog)
+            retracted = self._store.retract_containing(dead)
         for result in retracted:
             if self._state is not None:
                 score = self._scores.pop(result, None)
@@ -697,7 +692,6 @@ def incremental_replay_stream(
     database: Database,
     arrivals: Sequence[StreamOp],
     batch_size: int = 1,
-    use_index: bool = True,
     summary: Optional[DeltaSummary] = None,
     ranking=None,
 ) -> Iterator[StreamEvent]:
@@ -728,7 +722,6 @@ def incremental_replay_stream(
     rebuilds_before = database.catalog_rebuilds
     maintainer = StreamingFullDisjunction(
         database,
-        use_index=use_index,
         statistics=summary.statistics,
         ranking=ranking,
     )

@@ -246,9 +246,7 @@ def run_follower_smoke(
     from repro.core.full_disjunction import full_disjunction_sets
 
     serial = []
-    for tuple_set in full_disjunction_sets(
-        primary.database, use_index=primary.use_index
-    ):
+    for tuple_set in full_disjunction_sets(primary.database):
         if k is not None and len(serial) >= k:
             break
         serial.append(sorted(t.label for t in tuple_set))

@@ -8,7 +8,7 @@ and identical queries from different clients share prefixes through a
 
 Protocol (one JSON object per line, both directions)::
 
-    → {"op": "open", "engine": "fd", "use_index": true}
+    → {"op": "open", "engine": "fd"}
     ← {"ok": true, "session": "s1", "cached": false}
     → {"op": "next", "session": "s1", "k": 5}
     ← {"ok": true, "results": [["c1","f1","l1"], ...], "exhausted": false}
@@ -24,10 +24,12 @@ Protocol (one JSON object per line, both directions)::
 ``next`` takes a positive integer ``k`` (default 1), served at most
 :data:`MAX_NEXT_K` results at a time.
 ``open`` accepts ``engine`` ∈ {"fd", "approx", "ranked", "stream"} plus
-engine options (``use_index``, ``threshold``, ``similarity``,
-``importance``) and a ``format`` ∈ {"labels", "padded"};
-options a given engine does not understand are rejected with a clear error
-rather than silently ignored.  The ``stream`` engine serves the live log
+engine options (``threshold``, ``similarity``, ``importance``) and a
+``format`` ∈ {"labels", "padded"}; options a given engine does not
+understand are rejected with a clear error rather than silently ignored.
+``use_index`` is accepted only as ``true``, on the cache-backed engines,
+and dropped before the cache sees it: the E18 harness
+(``perfbench/served.py``) still sends it.  The ``stream`` engine serves the live log
 of the server's :class:`~repro.service.delta.StreamingFullDisjunction`
 maintainer, so an open stream session observes ``ingest``-ed tuples without
 restarting — and ``retract``/``update`` mutations too: a deleted result
@@ -71,6 +73,7 @@ from repro.core.approx_join import (
     MinJoin,
 )
 from repro.core.ranking import MaxRanking, validate_importance_spec
+from repro.core.store import require_index
 from repro.core.tupleset import TupleSet
 from repro.relational.database import Database
 from repro.relational.errors import (
@@ -85,7 +88,13 @@ from repro.relational.nulls import is_null
 from repro.relational.operators import combined_schema, pad_tuple_set
 from repro.service.cache import PrefixCache, database_generation
 from repro.service.delta import StreamingFullDisjunction
-from repro.service.session import QuerySession, Retraction, StaleResultLog
+from repro.service.session import (
+    ENGINE_OPTIONS,
+    QuerySession,
+    Retraction,
+    StaleResultLog,
+    unknown_options_error,
+)
 from repro.storage.codec import (
     CodecError,
     arrival_from_wire,
@@ -125,7 +134,6 @@ MAX_NEXT_K = 10_000
 #: snapshot persists.
 _ROUTING_KEYS = (
     "engine",
-    "use_index",
     "threshold",
     "similarity",
     "importance",
@@ -235,14 +243,12 @@ class QueryServer:
     def __init__(
         self,
         database: Database,
-        use_index: bool = True,
         cache: Optional[PrefixCache] = None,
         registry: Optional[MetricsRegistry] = None,
         store: Optional[DurableStore] = None,
         read_only: bool = False,
     ):
         self.database = database
-        self.use_index = use_index
         self.registry = registry if registry is not None else get_registry()
         self.cache = (
             cache if cache is not None else PrefixCache(registry=self.registry)
@@ -255,7 +261,7 @@ class QueryServer:
         #: through the maintainer instead.
         self.read_only = read_only
         self.driver = SessionDriver()
-        self.maintainer = StreamingFullDisjunction(database, use_index=use_index)
+        self.maintainer = StreamingFullDisjunction(database)
         #: Wire requests of cache-backed opens, keyed by routing key — the
         #: requests whose cached prefixes a snapshot can persist and a
         #: recovered server can re-install.  JSON-typed by construction.
@@ -349,7 +355,7 @@ class QueryServer:
 
     async def _op_open(self, request: dict, connection_sessions) -> dict:
         engine = str(request.get("engine", "fd"))
-        if engine not in self._OPEN_ENGINE_KEYS:
+        if engine not in self._WIRE_ENGINES:
             engine = "other"  # a bounded label; the reply names the engine
         started = time.perf_counter()
         response = self._open(request)
@@ -426,16 +432,21 @@ class QueryServer:
             "uptime_seconds": time.monotonic() - self.started_at,
         }
 
-    #: Request keys every ``open`` understands, plus the per-engine extras.
-    #: ``use_index`` is per-query, so the ``stream`` engine — which serves
-    #: the maintainer's live log, built with the *server's* index setting —
-    #: rejects it like any other option it would silently ignore.
+    #: Request keys every ``open`` understands.
     _OPEN_BASE_KEYS = frozenset({"op", "engine", "format"})
-    _OPEN_ENGINE_KEYS = {
-        "fd": frozenset({"use_index"}),
-        "approx": frozenset({"use_index", "threshold", "similarity"}),
-        "ranked": frozenset({"use_index", "importance", "default", "k"}),
-        "stream": frozenset(),
+    #: The engine run behind each cache-backed wire engine.  ``stream``
+    #: serves the maintainer's live log and takes no option.
+    _CACHE_ENGINES = {"fd": "fd", "approx": "approx", "ranked": "priority"}
+    _WIRE_ENGINES = frozenset(_CACHE_ENGINES) | {"stream"}
+    #: Each wire option and the engine option it sets: a cache-backed
+    #: engine takes the wire options whose engine option its run reads
+    #: (:data:`~repro.service.session.ENGINE_OPTIONS`).
+    _WIRE_OPTIONS = {
+        "threshold": "threshold",
+        "similarity": "join_function",
+        "importance": "ranking",
+        "default": "ranking",
+        "k": "k",
     }
 
     def _option_error(self, request: dict) -> Optional[dict]:
@@ -445,14 +456,22 @@ class QueryServer:
         client asked for, so :meth:`_open` refuses it, and recovery skips a
         persisted open that names one."""
         engine = request.get("engine", "fd")
-        allowed = self._OPEN_ENGINE_KEYS.get(engine)
-        if allowed is None:
+        allowed = set()
+        if engine in self._CACHE_ENGINES:
+            reads = ENGINE_OPTIONS[self._CACHE_ENGINES[engine]]
+            allowed = {key for key, option in self._WIRE_OPTIONS.items() if option in reads}
+            # Kept for the E18 harness (perfbench/served.py); ROADMAP item
+            # 1's benchmark-only change deletes it.
+            allowed.add("use_index")
+        elif engine not in self._WIRE_ENGINES:
             return {"ok": False, "error": f"unknown engine {engine!r}"}
-        unknown = sorted(set(request) - self._OPEN_BASE_KEYS - allowed)
-        if not unknown:
-            return None
-        names = ", ".join(unknown)
-        return {"ok": False, "error": f"unknown option(s) for engine {engine!r}: {names}"}
+        error = unknown_options_error(engine, set(request) - self._OPEN_BASE_KEYS - allowed)
+        if error is None and "use_index" in request:
+            try:
+                require_index(request["use_index"])
+            except ValueError as refusal:
+                error = str(refusal)
+        return None if error is None else {"ok": False, "error": error}
 
     def _open(self, request: dict) -> dict:
         engine = request.get("engine", "fd")
@@ -512,9 +531,9 @@ class QueryServer:
         the two can never key the cache differently.
         """
         engine = request.get("engine", "fd")
-        options = {"use_index": request.get("use_index", self.use_index)}
-        cache_engine = engine
-        ranked = False
+        options = {}
+        cache_engine = self._CACHE_ENGINES.get(engine, engine)
+        ranked = engine == "ranked"
         if engine == "approx":
             similarity = (
                 EditDistanceSimilarity()
@@ -538,8 +557,6 @@ class QueryServer:
                 # A bad importance spec is the *client's* error — refuse
                 # the open instead of serving a wrong ranking order.
                 return None, {"ok": False, "error": str(error)}
-            cache_engine = "priority"
-            ranked = True
         return (
             {"cache_engine": cache_engine, "options": options, "ranked": ranked},
             None,
@@ -554,7 +571,7 @@ class QueryServer:
         simply not persisted.
         """
         payload = {
-            key: value for key, value in request.items() if key != "op"
+            key: value for key, value in request.items() if key not in ("op", "use_index")
         }
         try:
             key = open_routing_key(request)
@@ -814,7 +831,6 @@ class QueryServer:
         byte-identical to this one's.
         """
         return {
-            "use_index": self.use_index,
             "database": self.database.snapshot_state(),
             "maintainer": self.maintainer.durable_log(),
             "cached": self._cached_prefixes(),
@@ -1037,13 +1053,10 @@ def restore_server(
     *before* any WAL-tail replay, so the cache keys carry the snapshot's
     generation and replay maintains them exactly as live mutations would.
     """
+    # A snapshot from before the Section 7 index was always on also names
+    # the index setting it was served with; nothing reads it.
     database = Database.restore_state(snapshot["database"])
-    state = QueryServer(
-        database,
-        use_index=bool(snapshot.get("use_index", True)),
-        registry=registry,
-        read_only=read_only,
-    )
+    state = QueryServer(database, registry=registry, read_only=read_only)
     state.maintainer.restore_durable_log(snapshot.get("maintainer"))
     for cached in snapshot.get("cached", []):
         state._install_cached_prefix(cached)
@@ -1053,10 +1066,11 @@ def restore_server(
 def open_durable_server(
     database: Optional[Database],
     data_dir: str,
-    use_index: bool = True,
     registry: Optional[MetricsRegistry] = None,
     snapshot_every: Optional[int] = DEFAULT_SNAPSHOT_EVERY,
     fsync_every: int = DEFAULT_FSYNC_EVERY,
+    *,
+    use_index: bool = True,
 ) -> QueryServer:
     """Open a durable server on ``data_dir``, recovering if state exists.
 
@@ -1067,8 +1081,12 @@ def open_durable_server(
     and replay every record past the snapshot's ``wal_offset`` through
     :func:`apply_wal_record`.  The recovered server is then attached to a
     fresh appender on the same WAL and serves exactly as if it had never
-    crashed.
+    crashed.  ``use_index`` takes only ``True``
+    (:func:`~repro.core.store.require_index`).
     """
+    # Kept for the E18 harness (perfbench/server_child.py); ROADMAP item 1's
+    # benchmark-only change deletes it.
+    require_index(use_index)
     loaded = load_latest_snapshot(data_dir)
     wal_path = os.path.join(data_dir, WAL_NAME)
     if loaded is None:
@@ -1089,9 +1107,7 @@ def open_durable_server(
             snapshot_every=snapshot_every,
             registry=registry,
         )
-        state = QueryServer(
-            database, use_index=use_index, registry=registry, store=store
-        )
+        state = QueryServer(database, registry=registry, store=store)
         # Bootstrap snapshot: the base state every later WAL record builds
         # on.  Without it, a crash before the first cadence snapshot would
         # leave a WAL whose starting point exists nowhere on disk.
@@ -1133,7 +1149,6 @@ async def start_server(
     database: Database,
     host: str = "127.0.0.1",
     port: int = 0,
-    use_index: bool = True,
     state: Optional[QueryServer] = None,
 ) -> TupleType[asyncio.AbstractServer, QueryServer, int]:
     """Start serving; returns ``(asyncio server, state, bound port)``.
@@ -1144,7 +1159,7 @@ async def start_server(
     follower — instead of a fresh in-memory ``QueryServer``.
     """
     if state is None:
-        state = QueryServer(database, use_index=use_index)
+        state = QueryServer(database)
     server = await asyncio.start_server(
         state.handle_connection, host, port, limit=MAX_LINE_BYTES
     )
@@ -1218,10 +1233,8 @@ def smoke_importance_map(database: Database) -> Dict[str, float]:
     }
 
 
-async def _smoke(
-    database: Database, clients: int, k: Optional[int], use_index: bool, **opts
-) -> dict:
-    server, state, port = await start_server(database, use_index=use_index)
+async def _smoke(database: Database, clients: int, k: Optional[int], **opts) -> dict:
+    server, state, port = await start_server(database)
     try:
         per_client = await asyncio.gather(
             *(
@@ -1239,7 +1252,6 @@ def run_smoke(
     database: Database,
     clients: int = 4,
     k: Optional[int] = None,
-    use_index: bool = True,
     engine: str = "fd",
 ) -> dict:
     """Start a server, run concurrent clients, assert parity with serial.
@@ -1258,9 +1270,7 @@ def run_smoke(
         importance = smoke_importance_map(database)
         opts["importance"] = importance
         serial: List[object] = []
-        for tuple_set, score in priority_incremental_fd(
-            database, MaxRanking(importance), use_index=use_index
-        ):
+        for tuple_set, score in priority_incremental_fd(database, MaxRanking(importance)):
             if k is not None and len(serial) >= k:
                 break
             serial.append(
@@ -1270,14 +1280,14 @@ def run_smoke(
         from repro.core.full_disjunction import full_disjunction_sets
 
         serial = []
-        for tuple_set in full_disjunction_sets(database, use_index=use_index):
+        for tuple_set in full_disjunction_sets(database):
             if k is not None and len(serial) >= k:
                 break
             serial.append(sorted(t.label for t in tuple_set))
     else:
         raise ValueError(f"run_smoke supports engines 'fd' and 'ranked', not {engine!r}")
 
-    outcome = asyncio.run(_smoke(database, clients, k, use_index, **opts))
+    outcome = asyncio.run(_smoke(database, clients, k, **opts))
     for index, received in enumerate(outcome["per_client"]):
         assert received == serial, (
             f"client {index} diverged from the serial run: "

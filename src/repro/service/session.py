@@ -41,7 +41,6 @@ def _fd_source(database: Database, options: dict) -> Iterator[object]:
 
     return full_disjunction_sets(
         database,
-        use_index=options.get("use_index", False),
         block_size=options.get("block_size"),
         statistics=options.get("statistics"),
     )
@@ -60,7 +59,6 @@ def _priority_source(
         ranking,
         k=options.get("k"),
         threshold=options.get("rank_threshold"),
-        use_index=options.get("use_index", False),
         statistics=options.get("statistics"),
         semantics=semantics,
     )
@@ -76,7 +74,6 @@ def _approx_source(database: Database, options: dict) -> Iterator[object]:
         database,
         join_function,
         options.get("threshold", 1.0),
-        use_index=options.get("use_index", False),
         statistics=options.get("statistics"),
     )
 
@@ -134,18 +131,45 @@ _SOURCES: Dict[str, Callable[[Database, dict], Iterator[object]]] = {
     "ranked_approx": _ranked_approx_source,
 }
 
+#: The options each engine's run reads, besides ``statistics``.  An open
+#: naming another is refused: serving the query without it would serve
+#: another query than the one asked for.  The wire's ``open``
+#: (:class:`~repro.service.server.QueryServer`) checks its keys against
+#: the same table.
+ENGINE_OPTIONS: Dict[str, frozenset] = {
+    "fd": frozenset({"block_size"}),
+    "priority": frozenset({"ranking", "k", "rank_threshold"}),
+    "approx": frozenset({"join_function", "threshold"}),
+    "ranked_approx": frozenset({"join_function", "ranking", "threshold", "k", "rank_threshold"}),
+}
+
+
+def unknown_options_error(engine: str, names: Iterable[str]) -> Optional[str]:
+    """The refusal of an open of ``engine`` naming the options ``names``,
+    which its run never reads, or ``None`` when there are none."""
+    unknown = sorted(set(names))
+    if not unknown:
+        return None
+    return f"unknown option(s) for engine {engine!r}: {', '.join(unknown)}"
+
+
+def check_options(engine: str, options: dict) -> None:
+    """Refuse, with ``ValueError``, an unknown ``engine`` or an option its
+    run never reads (see :data:`ENGINE_OPTIONS`)."""
+    if engine not in ENGINE_OPTIONS:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    error = unknown_options_error(engine, set(options) - ENGINE_OPTIONS[engine] - {"statistics"})
+    if error is not None:
+        raise ValueError(error)
+
 
 def make_result_source(
     database: Database, engine: str = "fd", **options
 ) -> Iterator[object]:
-    """The lazy result generator of one engine run (see :data:`ENGINES`)."""
-    try:
-        builder = _SOURCES[engine]
-    except KeyError:
-        raise ValueError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        ) from None
-    return builder(database, options)
+    """The lazy result generator of one engine run (see :data:`ENGINES`);
+    ``options`` are checked by :func:`check_options`."""
+    check_options(engine, options)
+    return _SOURCES[engine](database, options)
 
 
 class ResultLog:
@@ -492,9 +516,10 @@ def open_session(
     """Open an owning session over a fresh engine run.
 
     ``engine`` is one of :data:`ENGINES`; ``options`` are forwarded to the
-    engine (``use_index``, ``ranking``, ``join_function``, ``threshold``,
-    ``block_size``, …).  The returned session owns its log: closing it
-    closes the generator and releases the engine state.
+    engine (``ranking``, ``join_function``, ``threshold``, ``block_size``,
+    …), and one the engine never reads is refused with ``ValueError``
+    (:data:`ENGINE_OPTIONS`).  The returned session owns its log: closing
+    it closes the generator and releases the engine state.
     """
     if statistics is None:
         statistics = FDStatistics()

@@ -336,7 +336,6 @@ def replay_stream(
     database: Database,
     arrivals: Sequence[StreamOp],
     batch_size: int = 1,
-    use_index: bool = False,
     summary: Optional[StreamSummary] = None,
     ranking=None,
 ) -> Iterator[StreamEvent]:
@@ -390,7 +389,6 @@ def replay_stream(
                 priority_incremental_fd(
                     database,
                     ranking,
-                    use_index=use_index,
                     statistics=summary.statistics,
                 )
             )
@@ -398,7 +396,6 @@ def replay_stream(
             (tuple_set, None)
             for tuple_set in full_disjunction_sets(
                 database,
-                use_index=use_index,
                 statistics=summary.statistics,
             )
         ]

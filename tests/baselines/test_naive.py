@@ -106,7 +106,7 @@ def engine_predicates_refused():
 
 
 def _oracle_matches_the_engine(database):
-    engine = labels_of(full_disjunction(database, use_index=True))
+    engine = labels_of(full_disjunction(database))
     with engine_predicates_refused():
         oracle = labels_of(naive_full_disjunction(database))
     assert oracle == engine

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.util
 import os
@@ -95,21 +96,40 @@ def labels_of(tuple_sets) -> set:
     return {ts.labels() for ts in tuple_sets}
 
 
-#: The Section 7 reuse strategies live with the benchmarks that compare them.
-REUSE_INITIALIZATION_PATH = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "benchmarks",
-    "reuse_initialization.py",
+#: The benchmarks' directory: the Section 7 comparison arms live there, with
+#: the experiments that compare them.
+BENCHMARKS_DIR = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "benchmarks"
 )
 
 
 @functools.lru_cache(maxsize=None)
-def reuse_initialization():
-    """``benchmarks/reuse_initialization.py`` (E7's and E1's comparison arm),
-    loaded by path and only read."""
-    spec = importlib.util.spec_from_file_location(
-        "reuse_initialization", REUSE_INITIALIZATION_PATH
-    )
+def _benchmark_module(name):
+    """``benchmarks/<name>.py``, loaded by path and only read."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(BENCHMARKS_DIR, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def reuse_initialization():
+    """``benchmarks/reuse_initialization.py``: the reuse seedings, E7's and
+    E1's comparison arm."""
+    return _benchmark_module("reuse_initialization")
+
+
+def linear_lists():
+    """``benchmarks/linear_lists.py``: the paper's linear ``Complete`` and
+    ``Incomplete`` lists, E1's and E6's comparison arm."""
+    return _benchmark_module("linear_lists")
+
+
+#: The two stores a pass can run on: ``plain``, the paper's linear lists
+#: (:func:`linear_lists`), and ``indexed``, the Section 7 index the library
+#: always uses.
+STORES = ("plain", "indexed")
+
+
+def on_store(store):
+    """A context in which every ``incremental_fd`` pass runs on ``store``."""
+    return linear_lists().linear_lists() if store == "plain" else contextlib.nullcontext()

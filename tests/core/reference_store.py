@@ -202,13 +202,12 @@ class WalkedCompleteStore:
 
 class IncompleteList:
     """The paper's ``Incomplete`` linked list, literally: a Python list
-    searched by value, with ``"paper"``, ``"fifo"`` or ``"lifo"``
-    extraction as :class:`repro.core.pools.ListIncompletePool` has them, and
-    the sets of each anchor tuple in insertion order."""
+    searched by value, in the order of the paper's worked example (Table 3)
+    as :class:`repro.core.pools.ListIncompletePool` keeps it, and the sets
+    of each anchor tuple in insertion order."""
 
-    def __init__(self, anchor_relation, extraction="paper"):
+    def __init__(self, anchor_relation):
         self.anchor_relation = anchor_relation
-        self.extraction = extraction
         self.items = []
         self.cursor = 0
         self.buckets = {}
@@ -226,15 +225,12 @@ class IncompleteList:
     def add(self, tuple_set):
         if tuple_set in self.items:
             return
-        if self.extraction == "paper":
-            self.items.insert(self.cursor, tuple_set)
-            self.cursor += 1
-        else:
-            self.items.append(tuple_set)
+        self.items.insert(self.cursor, tuple_set)
+        self.cursor += 1
         self.buckets.setdefault(self._anchor(tuple_set), []).append(tuple_set)
 
     def pop(self):
-        tuple_set = self.items.pop() if self.extraction == "lifo" else self.items.pop(0)
+        tuple_set = self.items.pop(0)
         self.buckets[self._anchor(tuple_set)].remove(tuple_set)
         self.cursor = 0
         return tuple_set

@@ -29,7 +29,7 @@ from repro.workloads.tourist import (
     tourist_database,
 )
 
-from tests.conftest import labels_of
+from tests.conftest import STORES, labels_of, on_store
 from tests.core.reference_step import swapped_step
 
 
@@ -117,9 +117,10 @@ class TestApproxFullDisjunction:
         for result in strict:
             assert any(result.issubset(other) for other in loose)
 
-    def test_use_index_does_not_change_results(self, noisy_db, amin):
-        plain = labels_of(approx_full_disjunction(noisy_db, amin, 0.4, use_index=False))
-        indexed = labels_of(approx_full_disjunction(noisy_db, amin, 0.4, use_index=True))
+    def test_the_linear_lists_do_not_change_results(self, noisy_db, amin):
+        with on_store("plain"):
+            plain = labels_of(approx_full_disjunction(noisy_db, amin, 0.4))
+        indexed = labels_of(approx_full_disjunction(noisy_db, amin, 0.4))
         assert plain == indexed
 
     def test_reconnects_misspelled_entities_on_dirty_workload(self):
@@ -178,28 +179,29 @@ DRIVER_CASES = {
 
 
 class TestApproxDriver:
-    @pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
+    @pytest.mark.parametrize("store", STORES)
     @pytest.mark.parametrize("case", sorted(DRIVER_CASES))
-    def test_a_drained_run_counts_the_work_of_its_passes(self, case, use_index):
+    def test_a_drained_run_counts_the_work_of_its_passes(self, case, store):
         """Each approximate pass is ``ApproxIncrementalFD`` over the whole
         database: every counter of the driver but ``results_emitted`` is
         the sum of those runs' counters, and ``results_emitted`` counts the
         answers."""
         database, join_function, threshold = DRIVER_CASES[case]()
         drained = FDStatistics()
-        answers = approx_full_disjunction(
-            database, join_function, threshold, use_index=use_index, statistics=drained
-        )
         summed = FDStatistics()
-        for anchor in database.relation_names:
-            statistics = FDStatistics()
-            list(
-                incremental_fd(
-                    database, anchor, use_index=use_index, statistics=statistics,
-                    semantics=ApproxSemantics(join_function, threshold),
-                )
+        with on_store(store):
+            answers = approx_full_disjunction(
+                database, join_function, threshold, statistics=drained
             )
-            summed.merge(statistics)
+            for anchor in database.relation_names:
+                statistics = FDStatistics()
+                list(
+                    incremental_fd(
+                        database, anchor, statistics=statistics,
+                        semantics=ApproxSemantics(join_function, threshold),
+                    )
+                )
+                summed.merge(statistics)
         expected = summed.as_dict()
         expected["results_emitted"] = len(answers)
         assert drained.as_dict() == expected

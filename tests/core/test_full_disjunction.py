@@ -31,7 +31,7 @@ from repro.workloads.generators import (
 from repro.workloads.tourist import TABLE2_TUPLE_SETS, table2_padded_rows, tourist_database
 from repro.baselines.naive import naive_full_disjunction
 
-from tests.conftest import labels_of, reuse_initialization, small_databases
+from tests.conftest import STORES, labels_of, on_store, reuse_initialization, small_databases
 from tests.core.reference_tupleset import ReferenceTupleSet
 
 reuse = reuse_initialization()
@@ -96,10 +96,9 @@ class TestFullDisjunctionDriver:
         with pytest.raises(TypeError, match="initialization"):
             full_disjunction(tourist_db, initialization="previous-results")
 
-    @pytest.mark.parametrize("use_index", [False, True])
     @pytest.mark.parametrize("initialization", STRATEGIES)
-    def test_all_configurations_agree(self, tourist_db, use_index, initialization):
-        results = _drained(tourist_db, initialization, use_index=use_index)
+    def test_all_configurations_agree(self, tourist_db, initialization):
+        results = _drained(tourist_db, initialization)
         assert labels_of(results) == set(TABLE2_TUPLE_SETS)
         assert len(results) == 6
 
@@ -141,7 +140,7 @@ class TestRestrictedPasses:
         database.catalog()
         database.remove_tuple("R1", "r1")
         # {s1} could absorb r1 before the removal; afterwards it is an answer.
-        results = full_disjunction(database, use_index=True)
+        results = full_disjunction(database)
         assert labels_of(results) == {frozenset({"r2"}), frozenset({"s1"})}
         assert len(results) == 2
 
@@ -227,25 +226,21 @@ def shaped_databases(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(database=shaped_databases(), use_index=st.booleans())
-def test_singleton_driver_matches_the_oracle(database, use_index):
+@given(database=shaped_databases())
+def test_singleton_driver_matches_the_oracle(database):
     """Restricted passes are exact: the naive oracle's answer set, once each."""
     expected = {ts.labels() for ts in naive_full_disjunction(database)}
-    results = full_disjunction(database, use_index=use_index)
+    results = full_disjunction(database)
     assert {ts.labels() for ts in results} == expected
     assert len(results) == len(expected)
 
 
-def _pass_counts(database, use_index):
+def _pass_counts(database):
     """Per pass: the sets it dropped, and the answers it emitted."""
     drops, emitted = [], []
     for relation in database.relations:
         statistics = FDStatistics()
-        list(
-            restricted_pass(
-                database, relation.name, use_index=use_index, statistics=statistics
-            )
-        )
+        list(restricted_pass(database, relation.name, statistics=statistics))
         drops.append(statistics.results - statistics.results_emitted)
         emitted.append(statistics.results_emitted)
     return drops, emitted
@@ -256,12 +251,12 @@ def _pass_counts(database, use_index):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-@given(database=small_databases(), use_index=st.booleans())
-def test_a_pass_drops_no_more_sets_than_the_answers_before_it(database, use_index):
+@given(database=small_databases())
+def test_a_pass_drops_no_more_sets_than_the_answers_before_it(database):
     """Each set pass i drops is the R_>=i component, holding its anchor, of
     one earlier answer, so the drops are bounded by the earlier answers, and
     ``results - results_emitted <= (n - 1) * results_emitted``."""
-    drops, emitted = _pass_counts(database, use_index)
+    drops, emitted = _pass_counts(database)
     for index, dropped in enumerate(drops):
         assert dropped <= sum(emitted[:index])
     assert sum(drops) <= (len(drops) - 1) * sum(emitted)
@@ -281,11 +276,10 @@ def _star_full_input():
     return inputs.balanced_star(1, **inputs.SCALES["full"]["star"])
 
 
-@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
-def test_the_drops_of_star_full(use_index):
+def test_the_drops_of_star_full():
     """All 486 answers of the 5-spoke star come from the hub's pass; the
     spoke passes drop 162, 54, 18 and 6 of their components (726 results)."""
-    drops, emitted = _pass_counts(_star_full_input(), use_index)
+    drops, emitted = _pass_counts(_star_full_input())
     assert drops == [0, 162, 54, 18, 6]
     assert [sum(emitted[:index]) for index in range(5)] == [0, 486, 486, 486, 486]
     assert sum(drops) + sum(emitted) == 726
@@ -310,27 +304,25 @@ class TestDriverStatistics:
         assert drained.results_emitted == len(answers)
         assert drained.results >= len(answers)
 
-    @pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
+    @pytest.mark.parametrize("store", STORES)
     @with_workloads
-    def test_a_drained_run_counts_the_work_of_its_passes(self, name, use_index):
+    def test_a_drained_run_counts_the_work_of_its_passes(self, name, store):
         """Pass i is ``IncrementalFD`` for R_i over R_i..R_n (Section 7):
         every counter of the drained driver but ``results_emitted`` is the
         sum of those runs' counters, and ``results_emitted`` counts the
         answers."""
         database = WORKLOADS[name]()
         drained = FDStatistics()
-        answers = full_disjunction(database, use_index=use_index, statistics=drained)
         summed = FDStatistics()
-        for index, relation in enumerate(database.relations):
-            statistics = FDStatistics()
-            scanner = TupleScanner(database, database.relation_names[:index])
-            list(
-                incremental_fd(
-                    database, relation.name, use_index=use_index, scanner=scanner,
-                    statistics=statistics,
+        with on_store(store):
+            answers = full_disjunction(database, statistics=drained)
+            for index, relation in enumerate(database.relations):
+                statistics = FDStatistics()
+                scanner = TupleScanner(database, database.relation_names[:index])
+                list(
+                    incremental_fd(database, relation.name, scanner=scanner, statistics=statistics)
                 )
-            )
-            summed.merge(statistics)
+                summed.merge(statistics)
         expected = summed.as_dict()
         expected["results_emitted"] = len(answers)
         assert drained.as_dict() == expected

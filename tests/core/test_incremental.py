@@ -15,6 +15,7 @@ from repro.core.tupleset import TupleSet
 from repro.relational.errors import DatabaseError
 from repro.workloads.tourist import TABLE2_TUPLE_SETS
 
+from tests.conftest import on_store
 from tests.core.reference_store import CompleteStore
 
 
@@ -127,9 +128,10 @@ class TestIncrementalFD:
         assert first.labels() == frozenset({"c1", "a1"})
         generator.close()  # abandoning the generator is fine
 
-    def test_use_index_does_not_change_results(self, tourist_db):
-        plain = labels(incremental_fd(tourist_db, "Climates", use_index=False))
-        indexed = labels(incremental_fd(tourist_db, "Climates", use_index=True))
+    def test_the_linear_lists_do_not_change_results(self, tourist_db):
+        with on_store("plain"):
+            plain = labels(incremental_fd(tourist_db, "Climates"))
+        indexed = labels(incremental_fd(tourist_db, "Climates"))
         assert plain == indexed
 
     def test_custom_initialization(self, tourist_db):

@@ -128,7 +128,7 @@ def _buckets(incomplete):
 
 
 def _run(
-    database, anchor, use_index, restricted,
+    database, anchor, restricted,
     initial=None, complete=None, limit=None, reference=False,
 ):
     """Results (the first ``limit``, when given), the Incomplete list and
@@ -147,7 +147,6 @@ def _run(
         results = incremental_fd(
             database,
             anchor,
-            use_index=use_index,
             scanner=TupleScanner(database, skip),
             statistics=statistics,
             on_iteration=after_step,
@@ -167,36 +166,35 @@ def _run(
 COMPLETES = ("own", "shared", "reference")
 
 
-def _complete_factory(kind, database, anchor, use_index, choice):
+def _complete_factory(kind, database, anchor, choice):
     """A function building a fresh ``Complete`` for one run, or ``None``."""
     if kind == "own":
         return lambda: None
     if kind == "shared":
-        return lambda: CompleteStore(anchor, use_index=use_index)
-    return lambda: ReferenceCompleteStore(anchor, use_index=use_index)
+        return lambda: CompleteStore(anchor)
+    return lambda: ReferenceCompleteStore(anchor, use_index=True)
 
 
 @settings(PROPERTY, max_examples=200)
 @given(
     database=mutated_databases(),
     choice=st.randoms(use_true_random=False),
-    use_index=st.booleans(),
     restricted=st.booleans(),
     seeding=st.sampled_from(["all", "some"]),
     complete_kind=st.sampled_from(COMPLETES),
 )
 def test_mask_step_matches_the_reference_step(
-    database, choice, use_index, restricted, seeding, complete_kind
+    database, choice, restricted, seeding, complete_kind
 ):
     """Seeding only some ``R_i`` singletons leaves anchors whose singleton
     finds no waiting set (a Line 18 insert); the reference ``Complete``
     makes the bulk settle run through the oracle's naive loop."""
-    _compare_with_reference(database, choice, use_index, restricted, seeding, complete_kind)
+    _compare_with_reference(database, choice, restricted, seeding, complete_kind)
 
 
-def _compare_with_reference(database, choice, use_index, restricted, seeding, complete_kind):
+def _compare_with_reference(database, choice, restricted, seeding, complete_kind):
     anchor = choice.choice(database.relation_names)
-    make_complete = _complete_factory(complete_kind, database, anchor, use_index, choice)
+    make_complete = _complete_factory(complete_kind, database, anchor, choice)
     initial = None
     if seeding == "some":
         catalog = database.catalog()
@@ -205,9 +203,9 @@ def _compare_with_reference(database, choice, use_index, restricted, seeding, co
             TupleSet.singleton(t, catalog=catalog)
             for t in choice.sample(members, choice.randint(1, len(members)))
         ]
-    shipped = _run(database, anchor, use_index, restricted, initial, make_complete())
+    shipped = _run(database, anchor, restricted, initial, make_complete())
     reference = _run(
-        database, anchor, use_index, restricted, initial, make_complete(), reference=True
+        database, anchor, restricted, initial, make_complete(), reference=True
     )
     assert shipped[0] == reference[0]
     assert shipped[1] == reference[1]
@@ -219,13 +217,12 @@ def _compare_with_reference(database, choice, use_index, restricted, seeding, co
 @given(
     database=mutated_databases(),
     choice=st.randoms(use_true_random=False),
-    use_index=st.booleans(),
     restricted=st.booleans(),
     namesake=st.booleans(),
     limit=st.sampled_from([None, 1, 3]),
 )
 def test_seeding_by_mask_matches_seeding_set_by_set(
-    database, choice, use_index, restricted, namesake, limit
+    database, choice, restricted, namesake, limit
 ):
     """The default seeds, handed to the pool as one gid mask and built
     lazily, against the same singletons passed as ``initial``, which the
@@ -243,8 +240,8 @@ def test_seeding_by_mask_matches_seeding_set_by_set(
     anchor = choice.choice(database.relation_names)
     catalog = database.catalog()
     seeds = [TupleSet.singleton(t, catalog=catalog) for t in database.relation(anchor)]
-    by_mask = _run(database, anchor, use_index, restricted, limit=limit)
-    by_sets = _run(database, anchor, use_index, restricted, initial=seeds, limit=limit)
+    by_mask = _run(database, anchor, restricted, limit=limit)
+    by_sets = _run(database, anchor, restricted, initial=seeds, limit=limit)
     assert by_mask[0] == by_sets[0]
     assert by_mask[1] == by_sets[1]
     assert by_mask[2] == by_sets[2]
@@ -290,12 +287,12 @@ def test_the_drawn_cases_reach_every_branch_of_the_bulk_settle(monkeypatch):
             reached.add("inserted")
         return survivor_set(catalog, mask, gid)
 
-    def compared_run(database, anchor, use_index, restricted, *rest, reference=False):
+    def compared_run(database, anchor, restricted, *rest, reference=False):
         """Record reach only in the shipped run of a comparison."""
         case["later anchor"] = not restricted and database.index_of(anchor) > 0
         case["compared"] = not reference
         try:
-            return run(database, anchor, use_index, restricted, *rest, reference=reference)
+            return run(database, anchor, restricted, *rest, reference=reference)
         finally:
             case["compared"] = False
 
@@ -312,8 +309,7 @@ def test_the_drawn_cases_reach_every_branch_of_the_bulk_settle(monkeypatch):
         mutate(database, rng, rng.choices(["remove", "append", "update"], k=seed % 4))
         case["complete"] = COMPLETES[seed // 3 % len(COMPLETES)]
         _compare_with_reference(
-            database, rng, True, seed % 2 == 0,
-            ["all", "some"][seed // 12 % 2], case["complete"],
+            database, rng, seed % 2 == 0, ["all", "some"][seed // 12 % 2], case["complete"]
         )
     assert reached == {
         "covered",
@@ -341,9 +337,7 @@ def test_mask_step_on_a_mapped_catalog(seed, tmp_path):
     try:
         assert mapped.catalog().packed_mirror().readonly
         for anchor in mapped.relation_names:
-            assert _run(mapped, anchor, True, True) == _run(
-                mapped, anchor, True, True, reference=True
-            )
+            assert _run(mapped, anchor, True) == _run(mapped, anchor, True, reference=True)
     finally:
         _close_mirror(mapped)
         _close_mirror(database)
@@ -399,10 +393,10 @@ def _drain_both(database, anchor, seeds, scanner_factory):
     """Step a shipped and a reference pool to exhaustion, side by side."""
     runs = []
     for step in (get_next_result, reference_get_next_result):
-        incomplete = ListIncompletePool(anchor, use_index=True)
+        incomplete = ListIncompletePool(anchor)
         for seed in seeds:
             incomplete.add(seed)
-        complete = CompleteStore(anchor, use_index=True)
+        complete = CompleteStore(anchor)
         scanner = scanner_factory()
         statistics = FDStatistics()
         trace = []
@@ -481,23 +475,21 @@ def test_union_with_a_subset_is_self():
     assert grown == whole and grown is not whole
 
 
-@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
-def test_replace_with_itself_moves_the_set_to_the_end_of_its_bucket(use_index):
+def test_replace_with_itself_moves_the_set_to_the_end_of_its_bucket():
     database = tourist_database()
     catalog = database.catalog()
     c1 = database.tuple_by_label("c1")
     first = TupleSet.singleton(c1, catalog=catalog)
     second = TupleSet.of(c1, database.tuple_by_label("a1"), catalog=catalog)
     other = TupleSet.singleton(database.tuple_by_label("c2"), catalog=catalog)
-    pool = ListIncompletePool("Climates", use_index=use_index, extraction="fifo")
+    pool = ListIncompletePool("Climates")
     for tuple_set in (first, other, second):
         pool.add(tuple_set)
     pool.replace(first, first)
     assert pool.as_list() == [first, other, second]
     assert len(pool) == 3
     assert pool.statistics.replacements == 1
-    if use_index:
-        assert pool.candidates(first) == [second, first]
+    assert pool.candidates(first) == [second, first]
     missing = TupleSet.singleton(database.tuple_by_label("c3"), catalog=catalog)
     with pytest.raises(KeyError):
         pool.replace(missing, missing)
@@ -538,7 +530,8 @@ def test_the_closure_test_is_the_merge_test(database):
     """Line 14 decides a waiting set ``S`` of the survivor's catalog by
     ``S ⊆ C(T')`` and a shared member or relation adjacency; on every JCC
     pair, the empty ``S`` included, it merges exactly when
-    ``union_is_jcc_mask`` holds."""
+    ``union_is_jcc_mask`` holds.  The survivors are placed without an
+    anchor tuple, so the pool's probe walks every waiting set."""
     catalog = database.catalog()
     masks = list(_jcc_masks(catalog, 3))
     waiting_sets = [TupleSet.empty(catalog=catalog)]
@@ -557,7 +550,7 @@ def test_the_closure_test_is_the_merge_test(database):
             statistics = FDStatistics()
             incremental_module._place_survivors(
                 catalog,
-                [(mask, relation_mask, gid, catalog.tuple_at(gid))],
+                [(mask, relation_mask, gid, None)],
                 pool,
                 complete,
                 statistics,
@@ -569,13 +562,13 @@ def test_the_closure_test_is_the_merge_test(database):
 # --------------------------------------------------------------------- #
 # the ranked engine: priority pools through the same step
 # --------------------------------------------------------------------- #
-def _ranked(database, ranking, use_index, reference=False):
+def _ranked(database, ranking, reference=False):
     """The ranked stream, every queue's members in order after each answer,
     and the statistics; on the reference step when ``reference``."""
     statistics = FDStatistics()
     stream, queues = [], []
     with reference_step() if reference else nullcontext() as steps:
-        state = PriorityState(database, ranking, use_index=use_index, statistics=statistics)
+        state = PriorityState(database, ranking, statistics=statistics)
         for result, rank in state.results():
             stream.append((_labels(result), rank))
             queues.append([[_labels(s) for s in pool] for pool in state.pools])
@@ -589,16 +582,15 @@ def _ranked(database, ranking, use_index, reference=False):
 @given(
     database=mutated_databases(),
     importance_seed=st.integers(0, 10_000),
-    use_index=st.booleans(),
 )
-def test_ranked_mask_step_matches_the_reference_step(database, importance_seed, use_index):
+def test_ranked_mask_step_matches_the_reference_step(database, importance_seed):
     """Few importance values make many rank ties, so the order in which a
     merge re-pushes a waiting set decides which of the tied sets pops first;
     the queues' member order after each answer shows every re-push."""
     rng = random.Random(importance_seed)
     ranking = MaxRanking({t.label: rng.randrange(3) for t in database.tuples()})
-    shipped = _ranked(database, ranking, use_index)
-    reference = _ranked(database, ranking, use_index, reference=True)
+    shipped = _ranked(database, ranking)
+    reference = _ranked(database, ranking, reference=True)
     assert shipped[0] == reference[0]
     assert shipped[1] == reference[1]
     assert shipped[2] == reference[2]
@@ -620,7 +612,7 @@ def _step_both(database, make_pool, waiting, complete_sets):
         pool = make_pool()
         for tuple_set in waiting:
             pool.add(tuple_set)
-        complete = CompleteStore("Climates", use_index=True)
+        complete = CompleteStore("Climates")
         for tuple_set in complete_sets:
             complete.add(tuple_set)
         statistics = FDStatistics()
@@ -640,18 +632,17 @@ def _step_both(database, make_pool, waiting, complete_sets):
     return runs[0][:-1]
 
 
-def _pools(use_index):
+def _pools():
     importance = {"a1": 9.0}  # the popped set {c1, a1} outranks the rest
     ranking = MaxRanking(importance, default=1.0)
     return {
-        "list": lambda: ListIncompletePool("Climates", use_index=use_index, extraction="fifo"),
-        "priority": lambda: PriorityIncompletePool("Climates", ranking, use_index=use_index),
+        "list": lambda: ListIncompletePool("Climates"),
+        "priority": lambda: PriorityIncompletePool("Climates", ranking),
     }
 
 
 @pytest.mark.parametrize("kind", ["list", "priority"])
-@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
-def test_growing_merge_into_a_union_that_is_already_waiting(kind, use_index):
+def test_growing_merge_into_a_union_that_is_already_waiting(kind):
     """The step pops {c1, a1}; its survivor {c1, a2} merges with the first
     waiting set {c1, s1}, and their union {c1, a2, s1} is already waiting:
     the list pool empties {c1, s1}'s slot, the priority pool drops it."""
@@ -664,7 +655,7 @@ def test_growing_merge_into_a_union_that_is_already_waiting(kind, use_index):
     popped, first, union = ts("c1", "a1"), ts("c1", "s1"), ts("c1", "a2", "s1")
     assert TupleScanner(database).mask_pass(popped) is not None
     result, listed, members, statistics, pool_counters, _ = _step_both(
-        database, _pools(use_index)[kind], [popped, first, union], []
+        database, _pools()[kind], [popped, first, union], []
     )
     assert result == ["a1", "c1"]
     assert ["c1", "s1"] not in members and ["a2", "c1", "s1"] in members
@@ -673,7 +664,8 @@ def test_growing_merge_into_a_union_that_is_already_waiting(kind, use_index):
     assert statistics.candidates_merged == 2
     assert pool_counters["replacements"] == 2
     if kind == "list":
-        assert listed == [["a2", "c1", "s1"], ["c2"], ["c3"], ["c1", "s2"]]
+        # The step's inserts go to the head, in generation order.
+        assert listed == [["c2"], ["c3"], ["c1", "s2"], ["a2", "c1", "s1"]]
 
 
 @pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
@@ -697,7 +689,6 @@ def test_reference_complete_store_as_complete(use_index):
                 for r in incremental_fd(
                     database,
                     "Climates",
-                    use_index=use_index,
                     initial=[TupleSet.singleton(c2, catalog), TupleSet.singleton(c3, catalog)],
                     statistics=statistics,
                     complete=complete,
@@ -724,8 +715,8 @@ def test_a_covered_singleton_is_counted_once_whichever_pool(kind):
     c2, c3 = (database.tuple_by_label(label) for label in ("c2", "c3"))
     ranking = MaxRanking({"c2": 9.0}, default=1.0)
     pools = {
-        "list": lambda: ListIncompletePool("Climates", use_index=True, extraction="fifo"),
-        "priority": lambda: PriorityIncompletePool("Climates", ranking, use_index=True),
+        "list": lambda: ListIncompletePool("Climates"),
+        "priority": lambda: PriorityIncompletePool("Climates", ranking),
     }
     popped = TupleSet.singleton(c2, catalog=catalog)
     stored = TupleSet.of(c3, database.tuple_by_label("a3"), catalog=catalog)
@@ -756,13 +747,13 @@ def test_a_complete_holding_a_tombstoned_namesake_declines():
     live = _namesake(database, "c1")
     assert database.catalog() is catalog and live == stale.tuple_from("Climates")
     fresh = TupleSet.of(live, database.tuple_by_label("a2"), catalog=catalog)
-    complete = CompleteStore("Climates", use_index=True)
+    complete = CompleteStore("Climates")
     complete.add(stale)
     complete.add(fresh)
     assert complete.covered_singletons(1 << catalog.id_of(live), catalog) is None
     popped = TupleSet.singleton(database.tuple_by_label("c2"), catalog=catalog)
     _, _, _, statistics, _, complete_counters = _step_both(
-        database, _pools(True)["list"], [popped], [stale, fresh]
+        database, _pools()["list"], [popped], [stale, fresh]
     )
     assert statistics.candidates_subsumed == 1
     assert complete_counters["sets_scanned"] == 2
@@ -781,7 +772,7 @@ def test_a_pool_holding_a_tombstoned_namesake_declines():
     live = _namesake(database, "c1")
     fresh = TupleSet.singleton(live, catalog=catalog)
     popped = TupleSet.singleton(database.tuple_by_label("c2"), catalog=catalog)
-    make_pool = _pools(True)["list"]
+    make_pool = _pools()["list"]
     pool = make_pool()
     for tuple_set in (popped, fresh, stale):
         pool.add(tuple_set)
@@ -789,26 +780,22 @@ def test_a_pool_holding_a_tombstoned_namesake_declines():
     _, listed, _, _, pool_counters, _ = _step_both(
         database, make_pool, [popped, fresh, stale], []
     )
-    assert listed[:2] == [["c1"], ["c1", "s1"]]
+    # The step's inserts go to the head; the two waiting sets keep their slots.
+    assert listed == [["c3"], ["c2", "s4"], ["c1"], ["c1", "s1"]]
     assert pool_counters["sets_scanned"] == 2
 
 
-@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
-def test_only_indexed_containers_answer_on_masks(use_index):
+def test_the_containers_answer_on_masks():
     database = tourist_database()
     catalog = database.catalog()
-    pool = ListIncompletePool("Climates", use_index=use_index)
-    complete = CompleteStore("Climates", use_index=use_index)
+    pool = ListIncompletePool("Climates")
+    complete = CompleteStore("Climates")
     c1 = TupleSet.singleton(database.tuple_by_label("c1"), catalog=catalog)
     pool.add(c1)
     complete.add(c1)
-    if use_index:
-        bit = 1 << catalog.id_of(database.tuple_by_label("c1"))
-        assert pool.waiting_anchors(catalog) == (bit, 0)
-        assert complete.covered_singletons(bit, catalog) == bit
-    else:
-        assert pool.waiting_anchors(catalog) is None
-        assert complete.covered_singletons(1, catalog) is None
+    bit = 1 << catalog.id_of(database.tuple_by_label("c1"))
+    assert pool.waiting_anchors(catalog) == (bit, 0)
+    assert complete.covered_singletons(bit, catalog) == bit
 
 
 def test_probes_run_once_per_survivor_that_is_not_an_anchor_singleton(monkeypatch):
@@ -822,7 +809,7 @@ def test_probes_run_once_per_survivor_that_is_not_an_anchor_singleton(monkeypatc
     anchor = database.relation_names[0]
 
     def first_ten():
-        results = incremental_fd(database, anchor, use_index=True)
+        results = incremental_fd(database, anchor)
         return [_labels(r) for r in itertools.islice(results, 10)]
 
     def record(patch, owner, name):

@@ -89,7 +89,7 @@ class TestListIncompletePool:
 
     def test_paper_extraction_order(self, tourist_db):
         """New candidates are processed before older entries, as in Table 3."""
-        pool = ListIncompletePool("Climates", extraction="paper")
+        pool = ListIncompletePool("Climates")
         a = by_label(tourist_db, "c1")
         b = by_label(tourist_db, "c2")
         pool.add(a)
@@ -101,27 +101,6 @@ class TestListIncompletePool:
         pool.add(fresh2)
         assert pool.as_list() == [fresh1, fresh2, b]
         assert pool.pop() == fresh1
-
-    def test_fifo_extraction_order(self, tourist_db):
-        pool = ListIncompletePool("Climates", extraction="fifo")
-        a, b = by_label(tourist_db, "c1"), by_label(tourist_db, "c2")
-        pool.add(a)
-        pool.add(b)
-        assert pool.pop() == a
-        c = by_label(tourist_db, "c1", "a2")
-        pool.add(c)
-        assert pool.as_list() == [b, c]
-
-    def test_lifo_extraction_order(self, tourist_db):
-        pool = ListIncompletePool("Climates", extraction="lifo")
-        a, b = by_label(tourist_db, "c1"), by_label(tourist_db, "c2")
-        pool.add(a)
-        pool.add(b)
-        assert pool.pop() == b
-
-    def test_invalid_extraction_order(self):
-        with pytest.raises(ValueError):
-            ListIncompletePool("Climates", extraction="random")
 
     def test_replace_keeps_position(self, tourist_db):
         pool = ListIncompletePool("Climates")
@@ -148,7 +127,7 @@ class TestListIncompletePool:
             pool.replace(by_label(tourist_db, "c1"), by_label(tourist_db, "c2"))
 
     def test_candidates_with_index_filters_by_anchor_tuple(self, tourist_db):
-        pool = ListIncompletePool("Climates", use_index=True)
+        pool = ListIncompletePool("Climates")
         a = by_label(tourist_db, "c1", "a2")
         b = by_label(tourist_db, "c2", "s3")
         pool.add(a)
@@ -158,13 +137,14 @@ class TestListIncompletePool:
         probe2 = by_label(tourist_db, "c3")
         assert pool.candidates(probe2) == []
 
-    def test_candidates_without_index_returns_all(self, tourist_db):
-        pool = ListIncompletePool("Climates", use_index=False)
+    def test_candidates_without_an_anchor_returns_all(self, tourist_db):
+        pool = ListIncompletePool("Climates")
         a = by_label(tourist_db, "c1", "a2")
         b = by_label(tourist_db, "c2", "s3")
         pool.add(a)
         pool.add(b)
-        assert set(pool.candidates(by_label(tourist_db, "c3"))) == {a, b}
+        assert pool.candidates(by_label(tourist_db, "a1")) == [a, b]
+        assert pool.statistics.full_scans == 1 and pool.statistics.sets_scanned == 2
 
     def test_statistics_are_tracked(self, tourist_db):
         pool = ListIncompletePool("Climates")
@@ -221,27 +201,21 @@ def _observed(pool, universe):
 @given(
     seeded=st.lists(st.booleans(), min_size=3, max_size=3),
     operations=POOL_OPERATIONS,
-    extraction=st.sampled_from(ListIncompletePool.EXTRACTION_ORDERS),
-    use_index=st.booleans(),
 )
-def test_slot_pool_keeps_the_literal_list_order(seeded, operations, extraction, use_index):
+def test_slot_pool_keeps_the_literal_list_order(seeded, operations):
     """O(1) slots reproduce the searched list position for position, and a
-    "paper" pool seeded by mask shows, after every operation, what a pool
-    seeded by adding each singleton in gid order shows: list, size,
-    membership, buckets, anchor masks and counters."""
+    pool seeded by mask shows, after every operation, what a pool seeded by
+    adding each singleton in gid order shows: list, size, membership,
+    buckets, anchor masks and counters."""
     universe = POOL_UNIVERSE
     climates = POOL_TUPLES[:3]
-    pool = store.ListIncompletePool("Climates", use_index=use_index, extraction=extraction)
-    eager = ListIncompletePool("Climates", use_index=use_index, extraction=extraction)
-    model = IncompleteList("Climates", extraction)
-    # The first operation: seed by mask ("paper" only; the other orders add
-    # each seed), then pop, as IncrementalFD does.
+    pool = store.ListIncompletePool("Climates")
+    eager = ListIncompletePool("Climates")
+    model = IncompleteList("Climates")
+    # The first operation: seed by mask, then pop, as IncrementalFD does.
     seeds = [t for t, chosen in zip(climates, seeded) if chosen]
-    if extraction == "paper":
-        pool.seed(POOL_CATALOG.mask_of(seeds), POOL_CATALOG)
+    pool.seed(POOL_CATALOG.mask_of(seeds), POOL_CATALOG)
     for t in seeds:
-        if extraction != "paper":
-            pool.add(TupleSet.singleton(t, catalog=POOL_CATALOG))
         eager.add(TupleSet.singleton(t, catalog=POOL_CATALOG))
         model.add(TupleSet.singleton(t, catalog=POOL_CATALOG))
     if seeds:
@@ -256,7 +230,7 @@ def test_slot_pool_keeps_the_literal_list_order(seeded, operations, extraction, 
         elif operation in ("replace", "requeue") and model.items:
             old = model.items[first % len(model.items)]
             # The step replaces what its Line 14 probe handed it.
-            expected = model.buckets[model._anchor(old)] if use_index else model.items
+            expected = model.buckets[model._anchor(old)]
             assert pool.candidates(old) == expected == eager.candidates(old)
             new = old
             if operation == "replace":
@@ -271,9 +245,7 @@ def test_slot_pool_keeps_the_literal_list_order(seeded, operations, extraction, 
             model.replace(old, new)
         elif operation == "probe":
             probe = universe[first]
-            expected = (
-                model.buckets.get(model._anchor(probe), []) if use_index else model.items
-            )
+            expected = model.buckets.get(model._anchor(probe), [])
             assert pool.candidates(probe) == expected == eager.candidates(probe)
         elif operation == "settle" and eager.waiting_anchors(POOL_CATALOG) is not None:
             once, twice = eager.waiting_anchors(POOL_CATALOG)
@@ -293,23 +265,22 @@ def test_slot_pool_keeps_the_literal_list_order(seeded, operations, extraction, 
         assert _observed(pool, universe) == _observed(eager, universe)
 
 
-def _seeded_pair(database, use_index=True):
+def _seeded_pair(database):
     """A pool seeded by mask with every Climates tuple, and its eager twin."""
     catalog = database.catalog()
     climates = list(database.relation("Climates"))
-    pool = ListIncompletePool("Climates", use_index=use_index)
+    pool = ListIncompletePool("Climates")
     pool.seed(catalog.mask_of(climates), catalog)
-    eager = ListIncompletePool("Climates", use_index=use_index)
+    eager = ListIncompletePool("Climates")
     for t in climates:
         eager.add(TupleSet.singleton(t, catalog=catalog))
     return catalog, pool, eager
 
 
-@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
-def test_the_seed_block_sits_after_every_later_insert(use_index):
-    """Where a "paper" list that added each seed puts them once it popped."""
+def test_the_seed_block_sits_after_every_later_insert():
+    """Where a list that added each seed puts them once it popped."""
     database = tourist_database()
-    catalog, pool, eager = _seeded_pair(database, use_index)
+    catalog, pool, eager = _seeded_pair(database)
     first, second = (
         TupleSet.of(database.tuple_by_label(c), database.tuple_by_label(a), catalog=catalog)
         for c, a in (("c2", "a2"), ("c3", "a3"))
@@ -326,22 +297,18 @@ def test_the_seed_block_sits_after_every_later_insert(use_index):
     assert popped[2::2] == [first, second]
 
 
-@pytest.mark.parametrize("extraction", ["fifo", "lifo"])
-def test_only_an_empty_paper_pool_takes_a_seed_block(extraction, tourist_db):
+def test_only_an_empty_pool_takes_a_seed_block(tourist_db):
     catalog = tourist_db.catalog()
     seeds = catalog.mask_of(tourist_db.relation("Climates"))
-    with pytest.raises(ValueError):
-        ListIncompletePool("Climates", extraction=extraction).seed(seeds, catalog)
     pool = ListIncompletePool("Climates")
     pool.add(TupleSet.of(tourist_db.tuple_by_label("c1"), catalog=catalog))
     with pytest.raises(ValueError):
         pool.seed(seeds, catalog)
 
 
-@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
-def test_a_dead_pending_seed_trips_the_tombstone_check_and_is_evicted(use_index):
+def test_a_dead_pending_seed_trips_the_tombstone_check_and_is_evicted():
     database = tourist_database()
-    catalog, pool, eager = _seeded_pair(database, use_index)
+    catalog, pool, eager = _seeded_pair(database)
     victim = database.tuple_by_label("c2")
     database.remove_tuple("Climates", "c2")
     assert database.catalog() is catalog and catalog.is_tombstoned(victim)
@@ -402,13 +369,12 @@ MASK_CATALOG, MASK_UNIVERSE = _interned_universe()
         ),
         max_size=60,
     ),
-    extraction=st.sampled_from(ListIncompletePool.EXTRACTION_ORDERS),
 )
-def test_anchor_masks_follow_the_buckets(operations, extraction):
+def test_anchor_masks_follow_the_buckets(operations):
     """``waiting_anchors`` names the anchors with one and with two or more
     waiting sets after every add, pop, growing replace and requeue."""
-    pool = ListIncompletePool("Climates", use_index=True, extraction=extraction)
-    model = IncompleteList("Climates", extraction)
+    pool = ListIncompletePool("Climates")
+    model = IncompleteList("Climates")
     for operation, first, second in operations:
         if operation == "add":
             pool.add(MASK_UNIVERSE[first])
@@ -475,7 +441,7 @@ class TestPriorityIncompletePool:
         assert len(pool) == 1
 
     def test_candidates_with_index(self, tourist_db, ranking):
-        pool = PriorityIncompletePool("Climates", ranking, use_index=True)
+        pool = PriorityIncompletePool("Climates", ranking)
         a = by_label(tourist_db, "c1", "a2")
         b = by_label(tourist_db, "c2", "s3")
         pool.add(a)
@@ -494,8 +460,7 @@ class TestPriorityIncompletePool:
         with pytest.raises(KeyError):
             pool.replace(by_label(tourist_db, "c1"), by_label(tourist_db, "c2"))
 
-    @pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
-    def test_requeue_calls_no_ranking_and_pushes_nothing(self, tourist_db, use_index):
+    def test_requeue_calls_no_ranking_and_pushes_nothing(self, tourist_db):
         """``replace(S, S)`` moves S to the end of the member order and of
         its bucket; a re-push would only leave a dead heap entry behind,
         since S's older entry has the same rank and pops first."""
@@ -505,7 +470,7 @@ class TestPriorityIncompletePool:
             calls.append(tuple_set)
             return 1.0
 
-        pool = PriorityIncompletePool("Climates", ranking, use_index=use_index)
+        pool = PriorityIncompletePool("Climates", ranking)
         first, second, other = (
             by_label(tourist_db, *labels) for labels in (["c1"], ["c1", "a1"], ["c2"])
         )
@@ -519,8 +484,7 @@ class TestPriorityIncompletePool:
         assert len(pool._heap) == heap
         assert list(pool) == [other, first, second]
         assert pool.statistics.replacements == 2
-        if use_index:
-            assert pool.candidates(first) == [first, second]
+        assert pool.candidates(first) == [first, second]
         assert [pool.pop() for _ in range(3)] == [first, second, other]
         with pytest.raises(KeyError):
             pool.replace(first, first)

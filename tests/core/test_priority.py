@@ -91,15 +91,6 @@ class TestRankedOrder:
         assert scores == sorted(scores, reverse=True)
         assert labels_of(ts for ts, _ in ranked) == labels_of(full_disjunction(database))
 
-    def test_use_index_does_not_change_the_output(self, tourist_db, ranking):
-        plain = [(ts.labels(), score) for ts, score in priority_incremental_fd(tourist_db, ranking)]
-        indexed = [
-            (ts.labels(), score)
-            for ts, score in priority_incremental_fd(tourist_db, ranking, use_index=True)
-        ]
-        assert {p[0] for p in plain} == {p[0] for p in indexed}
-        assert [p[1] for p in plain] == [p[1] for p in indexed]
-
     def test_statistics_are_populated(self, tourist_db, ranking):
         statistics = FDStatistics()
         list(priority_incremental_fd(tourist_db, ranking, statistics=statistics))
@@ -170,7 +161,7 @@ class TestPriorityState:
     def test_record_statistics_is_delta_safe(self, tourist_db, ranking):
         """Recording at every pause never double-counts store work."""
         statistics = FDStatistics()
-        state = PriorityState(tourist_db, ranking, use_index=True,
+        state = PriorityState(tourist_db, ranking,
                               statistics=statistics)
         list(state.results(k=2))
         state.record_statistics()
@@ -183,7 +174,7 @@ class TestPriorityState:
         reference_statistics = FDStatistics()
         list(
             priority_incremental_fd(
-                tourist_db, ranking, use_index=True,
+                tourist_db, ranking,
                 statistics=reference_statistics,
             )
         )
@@ -295,7 +286,7 @@ statistics = FDStatistics()
 stream = [
     [sorted(t.label for t in result), rank]
     for result, rank in priority_incremental_fd(
-        database, MaxRanking(importance), use_index=False, statistics=statistics
+        database, MaxRanking(importance), statistics=statistics
     )
 ]
 print(json.dumps([stream, statistics.as_dict()]))
@@ -317,8 +308,8 @@ def _ranked_run(hash_seed):
     return json.loads(child.stdout)
 
 
-def test_unindexed_ranked_run_does_not_depend_on_the_hash_seed():
-    """The unindexed Line 14 probe, Fig. 3's Lines 5–8 merge and the
+def test_a_ranked_run_does_not_depend_on_the_hash_seed():
+    """The Line 14 bucket probe, Fig. 3's Lines 5–8 merge and the
     tombstone sweep walk a queue's members; they must meet them in an order
     no string hash (nor ``Null``'s address-based hash) decides, so the
     same query gives the same stream and counters in every process."""

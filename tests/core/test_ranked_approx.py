@@ -141,21 +141,6 @@ class TestRankedApproxFullDisjunction:
         assert {entry[0] for entry in via_exact} == {entry[0] for entry in via_approx}
         assert [entry[1] for entry in via_exact] == [entry[1] for entry in via_approx]
 
-    def test_use_index_does_not_change_results(self, noisy, amin, ranking):
-        plain = labels_of(
-            ts
-            for ts, _ in priority_incremental_fd(
-                noisy, ranking, semantics=ApproxSemantics(amin, 0.4)
-            )
-        )
-        indexed = labels_of(
-            ts
-            for ts, _ in priority_incremental_fd(
-                noisy, ranking, use_index=True, semantics=ApproxSemantics(amin, 0.4)
-            )
-        )
-        assert plain == indexed
-
     def test_on_dirty_workload(self):
         database = dirty_sources_database(
             entities=8, sources=2, coverage=1.0, typo_rate=0.4, null_rate=0.0, seed=9,

@@ -29,7 +29,7 @@ REUSE = reuse_initialization()
 #: Each driver as a function of the database, yielding tuple sets.
 DRIVERS = {
     "fd": lambda database: full_disjunction_sets(database),
-    "fd indexed": lambda database: full_disjunction_sets(database, use_index=True),
+    "fd indexed": lambda database: full_disjunction_sets(database),
     "blocks": lambda database: full_disjunction_sets(database, block_size=2),
     "previous-results": lambda database: REUSE.reusing_full_disjunction(
         database, "previous-results"

@@ -33,7 +33,7 @@ from repro.relational.relation import Relation
 from repro.workloads.generators import chain_database, random_database, star_database
 from repro.workloads.tourist import tourist_database
 
-from tests.conftest import reuse_initialization
+from tests.conftest import STORES, on_store, reuse_initialization
 from tests.core.reference_step import swapped_step
 
 class GradedSimilarity(SimilarityFunction):
@@ -78,9 +78,7 @@ WORKLOADS = list(_workloads())
 WORKLOAD_IDS = [name for name, _ in WORKLOADS]
 
 with_workloads = pytest.mark.parametrize("name,database", WORKLOADS, ids=WORKLOAD_IDS)
-with_index = pytest.mark.parametrize(
-    "use_index", [False, True], ids=["plain", "indexed"]
-)
+with_stores = pytest.mark.parametrize("store", STORES)
 
 
 def _under(semantics):
@@ -98,7 +96,7 @@ def _labelled(results):
     return [ts.labels() for ts in results]
 
 
-def _steps(database, anchor, use_index):
+def _steps(database, anchor):
     """Results, the ``Incomplete`` list after every step, and the counters."""
     statistics = FDStatistics()
     pools = []
@@ -109,67 +107,63 @@ def _steps(database, anchor, use_index):
     results = incremental_fd(
         database,
         anchor,
-        use_index=use_index,
         statistics=statistics,
         on_iteration=after_step,
     )
     return _labelled(results), pools, statistics.as_dict()
 
 
-@with_index
+@with_stores
 @with_workloads
-def test_approx_semantics_matches_the_oracle(name, database, use_index):
+def test_approx_semantics_matches_the_oracle(name, database, store):
     for threshold in (0.5, 0.6, 0.8):
         expected = {
             ts.labels() for ts in naive_approx_full_disjunction(database, AMIN, threshold)
         }
-        produced = approx_full_disjunction(database, AMIN, threshold, use_index=use_index)
+        with on_store(store):
+            produced = approx_full_disjunction(database, AMIN, threshold)
         assert {ts.labels() for ts in produced} == expected, threshold
         assert len(produced) == len(expected), threshold
 
 
-@with_index
+@with_stores
 @with_workloads
-def test_exact_join_replays_the_exact_step(name, database, use_index):
+def test_exact_join_replays_the_exact_step(name, database, store):
     """Step by step: the starred Lines 2–9 and 14 make the exact decisions."""
     for anchor in database.relation_names:
-        with swapped_step(_under(EXACT_JOIN)) as steps:
-            starred = _steps(database, anchor, use_index)
-        assert len(steps) == len(starred[0]), anchor
-        assert starred == _steps(database, anchor, use_index), anchor
+        with on_store(store):
+            with swapped_step(_under(EXACT_JOIN)) as steps:
+                starred = _steps(database, anchor)
+            assert len(steps) == len(starred[0]), anchor
+            assert starred == _steps(database, anchor), anchor
 
 
-@with_index
+@with_stores
 @with_workloads
-def test_exact_join_approx_driver_is_the_exact_driver(name, database, use_index):
+def test_exact_join_approx_driver_is_the_exact_driver(name, database, store):
     """Every ``ApproxIncrementalFD`` pass, and the whole ``AFD``, in order,
     with every ``FDStatistics`` field."""
-    for anchor in database.relation_names:
-        exact, starred = FDStatistics(), FDStatistics()
-        expected = _labelled(
-            incremental_fd(database, anchor, use_index=use_index, statistics=exact)
-        )
-        produced = _labelled(
-            incremental_fd(
-                database, anchor, use_index=use_index, statistics=starred,
-                semantics=EXACT_JOIN,
+    with on_store(store):
+        for anchor in database.relation_names:
+            exact, starred = FDStatistics(), FDStatistics()
+            expected = _labelled(incremental_fd(database, anchor, statistics=exact))
+            produced = _labelled(
+                incremental_fd(database, anchor, statistics=starred, semantics=EXACT_JOIN)
             )
-        )
-        assert produced == expected, anchor
-        assert starred.as_dict() == exact.as_dict(), anchor
-    assert _labelled(
-        approx_full_disjunction(database, ExactJoin(), 1.0, use_index=use_index)
-    ) == _labelled(full_disjunction(database, use_index=use_index))
+            assert produced == expected, anchor
+            assert starred.as_dict() == exact.as_dict(), anchor
+        assert _labelled(
+            approx_full_disjunction(database, ExactJoin(), 1.0)
+        ) == _labelled(full_disjunction(database))
 
 
 RANKED_WORKLOADS = [(name, database) for name, database in WORKLOADS if name in ("tourist", "star")]
 
 
-@with_index
 @pytest.mark.parametrize(
     "name,database", RANKED_WORKLOADS, ids=[name for name, _ in RANKED_WORKLOADS]
 )
-def test_exact_join_ranked_driver_is_the_exact_ranked_driver(name, database, use_index):
+def test_exact_join_ranked_driver_is_the_exact_ranked_driver(name, database):
     """The Fig. 3 loop under ``ExactJoin`` at τ = 1: the exact ranked stream,
     scores and order included, with every ``FDStatistics`` field."""
     ranking = MaxRanking(lambda t: float(sum(ord(ch) for ch in t.label) % 7))
@@ -180,7 +174,7 @@ def test_exact_join_ranked_driver_is_the_exact_ranked_driver(name, database, use
         stream = [
             (ts.labels(), score)
             for ts, score in priority_incremental_fd(
-                database, ranking, use_index=use_index, statistics=statistics, **options
+                database, ranking, statistics=statistics, **options
             )
         ]
         runs.append((stream, statistics.as_dict()))
@@ -197,27 +191,27 @@ DRIVERS = {
     "fd-reuse": (
         lambda db: list(
             reuse_initialization().reusing_full_disjunction(
-                db, "previous-results", use_index=True
+                db, "previous-results"
             )
         ),
         EXACT,
     ),
     "first-k": (lambda db: first_k(db, 3), EXACT),
-    "pass": (lambda db: list(incremental_fd(db, db.relation_names[-1], use_index=True)), EXACT),
-    "priority": (lambda db: list(priority_incremental_fd(db, RANKING, use_index=True)), EXACT),
+    "pass": (lambda db: list(incremental_fd(db, db.relation_names[-1])), EXACT),
+    "priority": (lambda db: list(priority_incremental_fd(db, RANKING)), EXACT),
     "approx": (
         lambda db: approx_full_disjunction(db, APPROX.join_function, APPROX.threshold),
         APPROX,
     ),
     "approx-pass": (
         lambda db: list(
-            incremental_fd(db, db.relation_names[-1], use_index=True, semantics=APPROX)
+            incremental_fd(db, db.relation_names[-1], semantics=APPROX)
         ),
         APPROX,
     ),
     "ranked-approx": (
         lambda db: list(
-            priority_incremental_fd(db, RANKING, use_index=True, semantics=APPROX)
+            priority_incremental_fd(db, RANKING, semantics=APPROX)
         ),
         APPROX,
     ),

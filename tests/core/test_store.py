@@ -9,7 +9,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.full_disjunction import full_disjunction_sets
-from repro.core.pools import ListIncompletePool as ReferenceIncompletePool
 from repro.core.store import (
     CompleteStore,
     ListIncompletePool,
@@ -22,7 +21,9 @@ from repro.core.tupleset import TupleSet
 from repro.workloads.generators import star_database
 from repro.workloads.tourist import tourist_database
 
+from tests.conftest import on_store
 from tests.core.reference_store import CompleteStore as ReferenceCompleteStore
+from tests.core.reference_store import IncompleteList
 from tests.core.reference_store import WalkedCompleteStore
 
 
@@ -32,19 +33,18 @@ def _jcc_sets(database):
 
 
 class TestCompleteStoreDualIndex:
-    def _populated(self, use_index):
+    def _populated(self):
         database = tourist_database()
         catalog = database.catalog()
         results = _jcc_sets(database)
-        store = CompleteStore("Climates", use_index=use_index)
+        store = CompleteStore("Climates")
         for result in results:
             store.add(result)
         return database, catalog, results, store
 
-    @pytest.mark.parametrize("use_index", [False, True])
-    def test_contains_superset_matches_reference(self, use_index):
-        database, catalog, results, store = self._populated(use_index)
-        reference = ReferenceCompleteStore("Climates", use_index=False)
+    def test_contains_superset_matches_reference(self):
+        database, catalog, results, store = self._populated()
+        reference = ReferenceCompleteStore("Climates")
         for result in results:
             reference.add(result)
         probes = [TupleSet.singleton(t, catalog=catalog) for t in database.tuples()]
@@ -60,20 +60,21 @@ class TestCompleteStoreDualIndex:
             ), f"diverges on {probe!r}"
 
     def test_indexed_probe_scans_fewer_sets(self):
-        _, _, results, indexed = self._populated(use_index=True)
-        _, _, _, plain = self._populated(use_index=False)
+        _, _, results, indexed = self._populated()
+        plain = ReferenceCompleteStore("Climates")
+        for result in results:
+            plain.add(result)
         for store in (indexed, plain):
             for result in results:
                 store.contains_superset(result, anchor=result.tuple_from("Climates"))
         assert indexed.statistics.sets_scanned < plain.statistics.sets_scanned
-        assert plain.statistics.full_scans > 0
         assert indexed.statistics.full_scans == 0
         assert indexed.statistics.bucket_probes > 0
 
     def test_relation_group_prefilter_skips_non_supersets(self):
         database = tourist_database()
         catalog = database.catalog()
-        store = CompleteStore("Climates", use_index=True)
+        store = CompleteStore("Climates")
         c1 = database.tuple_by_label("c1")
         a1 = database.tuple_by_label("a1")
         s2 = database.tuple_by_label("s2")
@@ -146,7 +147,7 @@ def test_lookups_answer_and_count_as_the_walk_does(seed, stored, operations):
     sets = _stored_candidates(database, catalog)
     tuples = list(database.tuples())
     anchor_relation = database.relation_names[0]
-    store = CompleteStore(anchor_relation, use_index=True)
+    store = CompleteStore(anchor_relation)
     walked = WalkedCompleteStore(anchor_relation)
     for index in stored:
         store.add(sets[index % len(sets)])
@@ -185,9 +186,7 @@ def _containers():
     ranking = lambda ts: float(len(ts))  # noqa: E731
     return {
         "complete": CompleteStore("Climates"),
-        "indexed complete": CompleteStore("Climates", use_index=True),
         "list": ListIncompletePool("Climates"),
-        "indexed list": ListIncompletePool("Climates", use_index=True),
         "priority": PriorityIncompletePool("Climates", ranking),
     }
 
@@ -226,12 +225,11 @@ class TestIncompletePoolSemantics:
         catalog = database.catalog()
         return [TupleSet.singleton(database.tuple_by_label(label), catalog) for label in labels]
 
-    @pytest.mark.parametrize("extraction", ["paper", "fifo", "lifo"])
-    def test_extraction_orders_match_reference(self, extraction):
+    def test_extraction_orders_match_reference(self):
         database = tourist_database()
         sets = self._singletons(database, ["c1", "c2", "c3"])
-        new = ListIncompletePool("Climates", extraction=extraction)
-        reference = ReferenceIncompletePool("Climates", extraction=extraction)
+        new = ListIncompletePool("Climates")
+        reference = IncompleteList("Climates")
         for tuple_set in sets:
             new.add(tuple_set)
             reference.add(tuple_set)
@@ -246,7 +244,7 @@ class TestIncompletePoolSemantics:
         database = tourist_database()
         catalog = database.catalog()
         c1, c2, c3 = self._singletons(database, ["c1", "c2", "c3"])
-        pool = ListIncompletePool("Climates", use_index=True)
+        pool = ListIncompletePool("Climates")
         for tuple_set in (c1, c2, c3):
             pool.add(tuple_set)
         grown = c2.with_tuple(database.tuple_by_label("s3"))
@@ -259,7 +257,7 @@ class TestIncompletePoolSemantics:
         database = tourist_database()
         catalog = database.catalog()
         c1, c2 = self._singletons(database, ["c1", "c2"])
-        pool = ListIncompletePool("Climates", use_index=True)
+        pool = ListIncompletePool("Climates")
         pool.add(c1)
         pool.add(c2)
         bucket = pool.candidates(c1)
@@ -273,7 +271,7 @@ class TestPriorityPool:
     def test_extraction_by_rank_with_insertion_tiebreak(self):
         database = tourist_database()
         ranking = lambda ts: float(len(ts))  # noqa: E731
-        pool = PriorityIncompletePool("Climates", ranking, use_index=True)
+        pool = PriorityIncompletePool("Climates", ranking)
         catalog = database.catalog()
         c1 = TupleSet.singleton(database.tuple_by_label("c1"), catalog)
         pair = c1.with_tuple(database.tuple_by_label("a1"))
@@ -306,16 +304,10 @@ class TestStatisticsPlumbing:
     def test_incremental_fd_reports_store_counters(self):
         database = star_database(spokes=3, tuples_per_relation=3, hub_domain=2, seed=4)
         plain = FDStatistics()
-        list(incremental_fd(database, database.relation_names[0], statistics=plain))
+        with on_store("plain"):
+            list(incremental_fd(database, database.relation_names[0], statistics=plain))
         indexed = FDStatistics()
-        list(
-            incremental_fd(
-                database,
-                database.relation_names[0],
-                use_index=True,
-                statistics=indexed,
-            )
-        )
+        list(incremental_fd(database, database.relation_names[0], statistics=indexed))
         for statistics in (plain, indexed):
             assert "incomplete_sets_scanned" in statistics.extras
             assert "complete_sets_scanned" in statistics.extras

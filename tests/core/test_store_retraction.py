@@ -1,9 +1,9 @@
 """Live-mask retraction: stores and pools forget dead tuples without rebuilds.
 
-Both pools' ``discard_containing`` and the catalog-less, unindexed
-``CompleteStore.retract_containing`` run one eviction sweep,
-:func:`repro.core.pools.holding_dead`; the sweep tests below drive it
-through all three, on batches either side of 64 sets.
+Both pools' ``discard_containing`` run one eviction sweep,
+:func:`repro.core.pools.holding_dead`, and ``CompleteStore.retract_containing``
+looks its victims up in the tuple buckets; the sweep tests below drive all
+three, on batches either side of 64 sets.
 """
 
 from __future__ import annotations
@@ -44,55 +44,54 @@ def _pairs(database):
     return catalog, sets
 
 
-@pytest.mark.parametrize("use_index", [False, True])
 class TestCompleteStoreRetraction:
-    def test_retracts_exactly_the_sets_containing_a_dead_tuple(self, use_index):
+    def test_retracts_exactly_the_sets_containing_a_dead_tuple(self):
         database = _database()
         catalog, sets = _pairs(database)
-        store = CompleteStore(anchor_relation=None, use_index=use_index)
+        store = CompleteStore(anchor_relation=None)
         for tuple_set in sets:
             store.add(tuple_set)
         victim = database.relation("R1").tuple_by_label("r2")
         database.remove_tuple("R1", "r2")
-        retracted = store.retract_containing({victim}, catalog=catalog)
+        retracted = store.retract_containing({victim})
         assert retracted == [sets[1]]
         assert len(store) == 2
         assert sets[1] not in store
         assert sets[0] in store and sets[2] in store
 
-    def test_retracted_sets_stop_subsuming(self, use_index):
+    def test_retracted_sets_stop_subsuming(self):
         database = _database()
         catalog, sets = _pairs(database)
-        store = CompleteStore(anchor_relation=None, use_index=use_index)
+        store = CompleteStore(anchor_relation=None)
         store.add(sets[0])
         member = sorted(sets[0])[0]
         probe = TupleSet.singleton(member, catalog=catalog)
         assert store.contains_superset(probe, anchor=member)
         dead = next(t for t in sets[0] if t is not member)
         database.remove_tuple(dead.relation_name, dead.label)
-        store.retract_containing({dead}, catalog=catalog)
+        store.retract_containing({dead})
         assert not store.contains_superset(probe, anchor=member)
         answers = store.contains_superset_batch([probe], anchor=member)
         assert answers == [False]
 
-    def test_surviving_buckets_are_cleaned(self, use_index):
+    def test_surviving_buckets_are_cleaned(self):
         database = _database()
         catalog, sets = _pairs(database)
-        store = CompleteStore(anchor_relation=None, use_index=use_index)
+        store = CompleteStore(anchor_relation=None)
         for tuple_set in sets:
             store.add(tuple_set)
         dead = database.relation("R2").tuple_by_label("r1")
         survivor = database.relation("R1").tuple_by_label("r1")
         database.remove_tuple("R2", "r1")
-        store.retract_containing({dead}, catalog=catalog)
+        store.retract_containing({dead})
         # The surviving member tuple's bucket no longer serves the dead set.
         probe = TupleSet.singleton(survivor, catalog=catalog)
         assert not store.contains_superset(probe, anchor=survivor)
 
-    def test_emission_order_and_dedup(self, use_index):
+    def test_emission_order_and_dedup(self):
         database = _database()
         catalog, sets = _pairs(database)
-        store = CompleteStore(anchor_relation=None, use_index=use_index)
+        store = CompleteStore(anchor_relation=None)
         store.add(sets[1])
         store.add(sets[0])
         store.add(sets[1])  # a covered re-add, as the delta pass performs
@@ -102,7 +101,7 @@ class TestCompleteStoreRetraction:
         }
         for t in dead:
             database.remove_tuple(t.relation_name, t.label)
-        retracted = store.retract_containing(dead, catalog=catalog)
+        retracted = store.retract_containing(dead)
         assert retracted == [sets[1], sets[0]]  # insertion order, deduplicated
         assert len(store) == 0
 
@@ -111,7 +110,7 @@ class TestPoolEviction:
     def test_list_pool_discards_members_containing_dead_tuples(self):
         database = _database()
         catalog, sets = _pairs(database)
-        pool = ListIncompletePool("R1", use_index=True)
+        pool = ListIncompletePool("R1")
         for tuple_set in sets:
             pool.add(tuple_set)
         victim = database.relation("R2").tuple_by_label("r2")
@@ -127,7 +126,7 @@ class TestPoolEviction:
         database = _database()
         catalog, sets = _pairs(database)
         ranking = MaxRanking(lambda t: float(ord(t.label[-1])))
-        pool = PriorityIncompletePool("R1", ranking, use_index=True)
+        pool = PriorityIncompletePool("R1", ranking)
         for tuple_set in sets:
             pool.add(tuple_set)
         top = pool.peek()
@@ -142,7 +141,7 @@ class TestPriorityStateRetract:
         database = _database()
         database.catalog()
         ranking = MaxRanking(lambda t: 1.0)
-        state = PriorityState(database, ranking, use_index=True)
+        state = PriorityState(database, ranking)
         results = list(state.results())
         assert results
         victim = database.relation("R1").tuple_by_label("r1")
@@ -157,7 +156,7 @@ class TestPriorityStateRetract:
         database = _database()
         database.catalog()
         ranking = MaxRanking(lambda t: float(ord(t.label[-1])))
-        state = PriorityState(database, ranking, use_index=True)
+        state = PriorityState(database, ranking)
         list(state.results())
         victim = database.relation("R2").tuple_by_label("r3")
         database.remove_tuple("R2", "r3")
@@ -165,7 +164,7 @@ class TestPriorityStateRetract:
         surviving = {ts.labels() for ts in state.complete}
         fresh = {
             ts.labels()
-            for ts, _ in priority_incremental_fd(database, ranking, use_index=True)
+            for ts, _ in priority_incremental_fd(database, ranking)
         }
         # Survivors are exactly the fresh results that are not newly unblocked
         # (re-derivation is the maintainer's job, not the state's).
@@ -189,7 +188,7 @@ def _sweep(kind, sets, dead):
     survivors, each in the container's own order, after checking both
     against a per-member scan of that order."""
     if kind == "store":
-        container = CompleteStore(anchor_relation=None, use_index=False)
+        container = CompleteStore(anchor_relation=None)
     elif kind == "list pool":
         container = ListIncompletePool("R1")
     else:

@@ -24,6 +24,7 @@ from repro.relational.catalog import Catalog
 from repro.workloads.generators import chain_database, random_database, star_database
 from repro.workloads.tourist import tourist_database
 
+from tests.conftest import STORES, on_store
 from tests.core.reference_step import reference_get_next_result
 from tests.core.reference_store import CompleteStore as ReferenceCompleteStore
 from tests.core.reference_store import IncompleteList as ReferenceIncompleteList
@@ -150,10 +151,11 @@ def _reference_full_disjunction(database):
 
 
 @pytest.mark.parametrize("name,database", WORKLOADS, ids=WORKLOAD_IDS)
-@pytest.mark.parametrize("use_index", [False, True], ids=["plain", "indexed"])
-def test_engine_output_matches_reference_run(name, database, use_index):
+@pytest.mark.parametrize("store", STORES)
+def test_engine_output_matches_reference_run(name, database, store):
     reference = {ts.tuples for ts in _reference_full_disjunction(database)}
-    engine = {ts.tuples for ts in full_disjunction(database, use_index=use_index)}
+    with on_store(store):
+        engine = {ts.tuples for ts in full_disjunction(database)}
     assert engine == reference
 
 
@@ -255,7 +257,7 @@ def test_contains_superset_batch_matches_reference_on_every_backing(name, backin
     all_tuples = list(database.tuples())
     rng = random.Random(137)
     reference_store = ReferenceCompleteStore(None)
-    store = CompleteStore(anchor_relation=None, use_index=True)
+    store = CompleteStore(anchor_relation=None)
     stored = [
         TupleSet(_random_jcc_set(rng, all_tuples).tuples, catalog=catalog)
         for _ in range(10)
@@ -335,6 +337,7 @@ def test_tourist_table2_output_is_unchanged():
         frozenset({"c2", "s4"}),
         frozenset({"c3", "a3"}),
     }
-    for use_index in (False, True):
-        produced = {ts.labels() for ts in full_disjunction(database, use_index=use_index)}
+    for store in STORES:
+        with on_store(store):
+            produced = {ts.labels() for ts in full_disjunction(database)}
         assert produced == expected

@@ -68,7 +68,6 @@ class TestFullDisjunctionScan:
         rows = collect(
             FullDisjunctionScan(
                 tourist_db,
-                use_index=False,
                 block_size=2,
             )
         )

@@ -53,16 +53,15 @@ class TestFdCommand:
         assert len(csv_io.load_relation(target)) == 6
 
     def test_initialization_and_index_flags(self, csv_paths, capsys):
-        """``--use-index`` is an option; ``--initialization`` is refused,
-        because every pass is seeded with the singletons of its relation."""
-        assert main(["fd", *csv_paths, "--use-index"]) == 0
-        assert "(6 answers)" in capsys.readouterr().out
-        with pytest.raises(SystemExit) as refused:
-            main(["fd", *csv_paths, "--initialization", "previous-results"])
-        assert refused.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "unrecognized arguments" in captured.err
+        """Both flags are gone (exit 2): the Section 7 index is always on,
+        and every pass is seeded with the singletons of its relation."""
+        for flag in (["--use-index"], ["--initialization", "previous-results"]):
+            with pytest.raises(SystemExit) as refused:
+                main(["fd", *csv_paths, *flag])
+            assert refused.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "unrecognized arguments" in captured.err
 
     def test_block_size_flag(self, csv_paths, capsys):
         assert main(["fd", *csv_paths, "--block-size", "2"]) == 0
@@ -71,6 +70,11 @@ class TestFdCommand:
     def test_no_csv_files_is_an_error(self):
         with pytest.raises(SystemExit):
             main(["fd"])
+
+    def test_serve_knows_no_use_index(self):
+        with pytest.raises(SystemExit) as refused:
+            build_parser().parse_args(["serve", "--workload", "star", "--use-index"])
+        assert refused.value.code == 2
 
     def test_the_sharded_router_is_gone(self):
         with pytest.raises(SystemExit) as refused:
@@ -89,12 +93,13 @@ ENGINE_COMMANDS = {
 
 
 class TestNoBackendOptions:
-    """There is one schedule: no command knows ``--backend`` or ``--workers``."""
+    """There is one schedule and one store: no command knows ``--backend``,
+    ``--workers`` or ``--use-index``."""
 
     @pytest.mark.parametrize(
         "options",
-        [["--backend", "serial"], ["--backend", "sharded"], ["--workers", "2"]],
-        ids=["backend-serial", "backend-sharded", "workers"],
+        [["--backend", "serial"], ["--backend", "sharded"], ["--workers", "2"], ["--use-index"]],
+        ids=["backend-serial", "backend-sharded", "workers", "use-index"],
     )
     @pytest.mark.parametrize("command", sorted(ENGINE_COMMANDS))
     def test_argparse_refuses_the_option_before_any_work(
@@ -335,7 +340,7 @@ class TestTraceCommand:
         """``--out`` runs the whole driver under the tracer: one
         ``engine.pass`` span per relation, in database order."""
         out = tmp_path / "t.json"
-        assert main(["trace", *csv_paths, "--use-index", "--out", str(out)]) == 0
+        assert main(["trace", *csv_paths, "--out", str(out)]) == 0
         output = capsys.readouterr().out
         assert f"trace written to {out}" in output
         assert "(6 answers over 3 relations)" in output
@@ -399,7 +404,7 @@ class TestErrorPaths:
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
         child = subprocess.Popen(
-            [sys.executable, "-m", "repro", "fd", *paths, "--use-index"],
+            [sys.executable, "-m", "repro", "fd", *paths],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env=env,

@@ -76,14 +76,14 @@ class TestApproximateIntegrationScenario:
 class TestScalabilitySmoke:
     def test_medium_chain_workload_completes(self):
         database = chain_database(relations=5, tuples_per_relation=15, domain_size=6, seed=0)
-        results = full_disjunction(database, use_index=True)
+        results = full_disjunction(database)
         assert results
         for result in results[:20]:
             assert result.is_jcc
 
     def test_streaming_prefix_of_a_large_star(self):
         database = star_database(spokes=6, tuples_per_relation=6, hub_domain=2, seed=0)
-        fd = FullDisjunction(database, use_index=True)
+        fd = FullDisjunction(database)
         prefix = fd.first(10)
         assert len(prefix) == 10
         assert all(ts.is_jcc for ts in prefix)

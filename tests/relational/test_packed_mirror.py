@@ -200,7 +200,7 @@ def test_driver_stream_is_identical_across_backings(name, tmp_path):
     scans = {}
     for arm, database in (("none", plain), ("attached", attached)):
         statistics = FDStatistics()
-        results = full_disjunction(database, use_index=True, statistics=statistics)
+        results = full_disjunction(database, statistics=statistics)
         streams[arm] = [
             tuple(sorted((t.relation_name, t.label) for t in ts)) for ts in results
         ]

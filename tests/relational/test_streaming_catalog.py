@@ -108,7 +108,7 @@ def test_randomized_streaming_ingest_matches_rebuild(factory, seed):
         # ...and is equivalent to a from-scratch rebuild after every arrival.
         assert_catalogs_equivalent(appended, Catalog(database), database)
         # The engines see identical result sets through either catalog.
-        streamed = {ts.labels() for ts in full_disjunction(database, use_index=True)}
+        streamed = {ts.labels() for ts in full_disjunction(database)}
         rebuilt = {ts.labels() for ts in full_disjunction(_fresh_copy(database))}
         assert streamed == rebuilt
 
@@ -157,7 +157,7 @@ def test_hash_grouped_build_matches_pairwise_appends(seed):
         database.add_tuple(name, values)
         assert database.catalog() is appended
         assert_catalogs_equivalent(appended, Catalog(database), database)
-    streamed = {ts.labels() for ts in full_disjunction(database, use_index=True)}
+    streamed = {ts.labels() for ts in full_disjunction(database)}
     rebuilt = {ts.labels() for ts in full_disjunction(_fresh_copy(database))}
     assert streamed == rebuilt
 
@@ -165,7 +165,7 @@ def test_hash_grouped_build_matches_pairwise_appends(seed):
 def test_interned_sets_survive_appends():
     database = chain_database(relations=3, tuples_per_relation=3, domain_size=2, seed=4)
     catalog = database.catalog()
-    before = full_disjunction(database, use_index=True)
+    before = full_disjunction(database)
     masks = [(ts.id_mask, ts.relation_mask) for ts in before]
     database.add_tuple("R2", ["v0", "v1", "p_new"])
     # Appending never renumbers: masks taken before the arrival are unchanged

@@ -60,8 +60,8 @@ class TestPrefixCache:
     def test_identical_queries_share_one_log(self):
         database = tourist_database()
         cache = PrefixCache()
-        first = cache.open(database, "fd", use_index=True)
-        second = cache.open(database, "fd", use_index=True)
+        first = cache.open(database, "fd")
+        second = cache.open(database, "fd")
         assert cache.hits == 1 and cache.misses == 1
         assert first.log is second.log
         # The first client materializes; the second replays for free.
@@ -74,40 +74,51 @@ class TestPrefixCache:
         database = chain_database(
             relations=3, tuples_per_relation=5, domain_size=3, null_rate=0.2, seed=7
         )
-        serial = _labels(full_disjunction(database, use_index=True))
+        serial = _labels(full_disjunction(database))
         cache = PrefixCache()
-        cache.open(database, "fd", use_index=True).drain()
-        warm = cache.open(database, "fd", use_index=True)
+        cache.open(database, "fd").drain()
+        warm = cache.open(database, "fd")
         assert _labels(warm.drain()) == serial
         assert cache.hits == 1
 
     def test_distinct_options_do_not_share(self):
         database = tourist_database()
         cache = PrefixCache()
-        cache.open(database, "fd", use_index=True)
-        cache.open(database, "fd", use_index=False)
-        cache.open(database, "fd", use_index=True, block_size=2)
+        cache.open(database, "fd")
+        cache.open(database, "fd", block_size=3)
+        cache.open(database, "fd", block_size=2)
         assert cache.misses == 3 and cache.hits == 0
 
     def test_ingest_invalidates_via_the_generation_counter(self):
         database = tourist_database()
         database.catalog()
         cache = PrefixCache()
-        stale = cache.open(database, "fd", use_index=True)
+        stale = cache.open(database, "fd")
         stale.drain()
         database.add_tuple("Climates", ["x", "cold"])
-        fresh = cache.open(database, "fd", use_index=True)
+        fresh = cache.open(database, "fd")
         assert cache.misses == 2  # the old prefix was not reused
         assert cache.invalidations == 1
         assert fresh.log is not stale.log
         # The fresh log serves the post-ingest answer stream.
-        assert _labels(fresh.drain()) == _labels(full_disjunction(database, use_index=True))
+        assert _labels(fresh.drain()) == _labels(full_disjunction(database))
+
+    def test_an_option_the_engine_never_reads_is_refused_hit_or_miss(self):
+        database = tourist_database()
+        cache = PrefixCache()
+        with pytest.raises(ValueError, match="for engine 'fd': use_index$"):
+            cache.open(database, "fd", use_index=True)
+        cache.open(database, "fd").next(2)
+        # The refused option names no key of its own, so this would be a hit.
+        with pytest.raises(ValueError, match="for engine 'fd': initialization$"):
+            cache.open(database, "fd", initialization="bogus")
+        assert cache.hits == 0 and cache.misses == 1 and len(cache) == 1
 
     def test_lru_eviction_closes_the_oldest_log(self):
         database = tourist_database()
         cache = PrefixCache(capacity=2)
-        first = cache.open(database, "fd", use_index=True)
-        cache.open(database, "fd", use_index=False)
+        first = cache.open(database, "fd")
+        cache.open(database, "fd", block_size=3)
         cache.open(database, "fd", block_size=2)
         assert cache.evictions == 1
         assert first.log.closed
@@ -116,9 +127,9 @@ class TestPrefixCache:
         """A client must never mistake an evicted stream for a finished one."""
         database = tourist_database()
         cache = PrefixCache(capacity=1)
-        reader = cache.open(database, "fd", use_index=True)
+        reader = cache.open(database, "fd")
         assert len(reader.next(2)) == 2
-        cache.open(database, "fd", use_index=False)  # evicts the reader's log
+        cache.open(database, "fd", block_size=2)  # evicts the reader's log
         with pytest.raises(StaleResultLog, match="evicted"):
             reader.next(10)
         assert not reader.exhausted
@@ -127,24 +138,24 @@ class TestPrefixCache:
         """The serving ingest path: stale readers fail fast, reopens recompute."""
         database = tourist_database()
         cache = PrefixCache()
-        reader = cache.open(database, "fd", use_index=True)
+        reader = cache.open(database, "fd")
         reader.next(2)
         database.add_tuple("Climates", ["Iceland", "arctic"])
         assert cache.invalidate(database) == 1
         with pytest.raises(StaleResultLog, match="generation"):
             reader.next(10)
-        reopened = cache.open(database, "fd", use_index=True)
+        reopened = cache.open(database, "fd")
         assert _labels(reopened.drain()) == _labels(
-            full_disjunction(database, use_index=True)
+            full_disjunction(database)
         )
 
     def test_client_close_never_tears_down_the_shared_log(self):
         database = tourist_database()
         cache = PrefixCache()
-        first = cache.open(database, "fd", use_index=True)
+        first = cache.open(database, "fd")
         first.next(2)
         first.close()
-        second = cache.open(database, "fd", use_index=True)
+        second = cache.open(database, "fd")
         assert cache.hits == 1
         assert len(second.drain()) == 6
 

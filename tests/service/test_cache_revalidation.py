@@ -32,13 +32,13 @@ class TestEpochRevalidation:
     def test_untouched_prefix_rides_through_a_deletion(self):
         database = star_database(spokes=3, tuples_per_relation=5, hub_domain=2, seed=0)
         cache = PrefixCache()
-        first = cache.open(database, "fd", use_index=True)
+        first = cache.open(database, "fd")
         prefix = first.next(4)
         pulled = first.log.pulled
         victim = _tuple_outside(database, prefix)
         assert victim is not None
         database.remove_tuple(victim.relation_name, victim.label)
-        second = cache.open(database, "fd", use_index=True)
+        second = cache.open(database, "fd")
         stats = cache.stats()
         assert stats["revalidations"] == 1
         assert stats["misses"] == 1  # no recomputation started
@@ -50,21 +50,21 @@ class TestEpochRevalidation:
     def test_revalidated_log_extends_with_a_fresh_tail_on_demand(self):
         database = star_database(spokes=3, tuples_per_relation=5, hub_domain=2, seed=0)
         cache = PrefixCache()
-        prefix = cache.open(database, "fd", use_index=True).next(4)
+        prefix = cache.open(database, "fd").next(4)
         victim = _tuple_outside(database, prefix)
         database.remove_tuple(victim.relation_name, victim.label)
-        session = cache.open(database, "fd", use_index=True)
+        session = cache.open(database, "fd")
         everything = {_key(ts) for ts in session.drain()}
-        fresh = {_key(ts) for ts in full_disjunction_sets(database, use_index=True)}
+        fresh = {_key(ts) for ts in full_disjunction_sets(database)}
         assert everything == fresh
 
     def test_touched_prefix_is_invalidated(self):
         database = star_database(spokes=3, tuples_per_relation=5, hub_domain=2, seed=0)
         cache = PrefixCache()
-        prefix = cache.open(database, "fd", use_index=True).next(4)
+        prefix = cache.open(database, "fd").next(4)
         victim = next(iter(prefix[0]))
         database.remove_tuple(victim.relation_name, victim.label)
-        cache.open(database, "fd", use_index=True)
+        cache.open(database, "fd")
         stats = cache.stats()
         assert stats["revalidations"] == 0
         assert stats["invalidations"] == 1
@@ -73,9 +73,9 @@ class TestEpochRevalidation:
     def test_appends_still_invalidate(self):
         database = tourist_database()
         cache = PrefixCache()
-        cache.open(database, "fd", use_index=True).next(3)
+        cache.open(database, "fd").next(3)
         database.add_tuple("Climates", ["x", "cold"])
-        cache.open(database, "fd", use_index=True)
+        cache.open(database, "fd")
         assert cache.stats()["revalidations"] == 0
         assert cache.stats()["misses"] == 2
 
@@ -84,20 +84,20 @@ class TestEpochRevalidation:
         # the deletions-only precondition (no ids issued) rightly fails.
         database = star_database(spokes=3, tuples_per_relation=5, hub_domain=2, seed=0)
         cache = PrefixCache()
-        prefix = cache.open(database, "fd", use_index=True).next(3)
+        prefix = cache.open(database, "fd").next(3)
         victim = _tuple_outside(database, prefix)
         database.update_tuple(
             victim.relation_name, victim.label,
             tuple(f"{v}*" for v in victim.values),
         )
-        cache.open(database, "fd", use_index=True)
+        cache.open(database, "fd")
         assert cache.stats()["revalidations"] == 0
         assert cache.stats()["misses"] == 2
 
     def test_eager_revalidate_keeps_straddling_sessions_on_the_prefix(self):
         database = star_database(spokes=3, tuples_per_relation=5, hub_domain=2, seed=0)
         cache = PrefixCache()
-        session = cache.open(database, "fd", use_index=True)
+        session = cache.open(database, "fd")
         prefix = session.next(4)
         victim = _tuple_outside(database, prefix)
         database.remove_tuple(victim.relation_name, victim.label)
@@ -109,9 +109,9 @@ class TestEpochRevalidation:
         assert fork.next(len(prefix)) == prefix
         with pytest.raises(StaleResultLog, match="revalidated"):
             fork.next(1000)
-        reopened = cache.open(database, "fd", use_index=True)
+        reopened = cache.open(database, "fd")
         drained = {_key(ts) for ts in reopened.drain()}
-        fresh = {_key(ts) for ts in full_disjunction_sets(database, use_index=True)}
+        fresh = {_key(ts) for ts in full_disjunction_sets(database)}
         assert drained == fresh
         # ... and the once-stale fork now reads through the same log too.
         assert {_key(ts) for ts in fork.log.results} == fresh
@@ -119,14 +119,14 @@ class TestEpochRevalidation:
     def test_second_deletion_revalidates_again(self):
         database = star_database(spokes=4, tuples_per_relation=5, hub_domain=2, seed=3)
         cache = PrefixCache()
-        prefix = cache.open(database, "fd", use_index=True).next(3)
+        prefix = cache.open(database, "fd").next(3)
         first_victim = _tuple_outside(database, prefix)
         database.remove_tuple(first_victim.relation_name, first_victim.label)
-        assert cache.open(database, "fd", use_index=True).next(3) == prefix
+        assert cache.open(database, "fd").next(3) == prefix
         second_victim = _tuple_outside(database, prefix)
         assert second_victim is not None
         database.remove_tuple(second_victim.relation_name, second_victim.label)
-        session = cache.open(database, "fd", use_index=True)
+        session = cache.open(database, "fd")
         assert session.next(3) == prefix
         assert cache.stats()["revalidations"] == 2
         assert cache.stats()["misses"] == 1
@@ -147,7 +147,7 @@ def test_randomized_revalidation_serves_only_fresh_serial_results(seed):
     )
     cache = PrefixCache()
     k = rng.randint(2, 6)
-    session = cache.open(database, "fd", use_index=True)
+    session = cache.open(database, "fd")
     prefix = session.next(k)
     reopened = session
     for _ in range(3):
@@ -158,9 +158,9 @@ def test_randomized_revalidation_serves_only_fresh_serial_results(seed):
         if victim is None:
             break
         database.remove_tuple(victim.relation_name, victim.label)
-        reopened = cache.open(database, "fd", use_index=True)
+        reopened = cache.open(database, "fd")
         served = reopened.next(k)
-        fresh = {_key(ts) for ts in full_disjunction_sets(database, use_index=True)}
+        fresh = {_key(ts) for ts in full_disjunction_sets(database)}
         # A deletion never invalidates a surviving result: everything the
         # revalidated prefix serves is a member of the fresh serial answer
         # set.
@@ -171,7 +171,7 @@ def test_randomized_revalidation_serves_only_fresh_serial_results(seed):
     final = {_key(ts) for ts in reopened.log.results} | {
         _key(ts) for ts in reopened.drain()
     }
-    fresh = {_key(ts) for ts in full_disjunction_sets(database, use_index=True)}
+    fresh = {_key(ts) for ts in full_disjunction_sets(database)}
     assert final == fresh
 
 
@@ -180,11 +180,11 @@ class TestCacheUnderMemoryPressure:
         """The regression: eviction must not silently truncate shared logs."""
         database = tourist_database()
         cache = PrefixCache(capacity=1)
-        first = cache.open(database, "fd", use_index=True)
+        first = cache.open(database, "fd")
         first.next(2)
         fork = first.fork()
         # A different query evicts the shared log (capacity 1).
-        cache.open(database, "fd", use_index=False).next(1)
+        cache.open(database, "fd", block_size=2).next(1)
         assert cache.stats()["evictions"] == 1
         # The materialized prefix stays readable on every cursor...
         assert len(fork.next(2)) == 2
@@ -197,11 +197,11 @@ class TestCacheUnderMemoryPressure:
     def test_evicted_entries_do_not_revalidate(self):
         database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=2)
         cache = PrefixCache(capacity=1)
-        prefix = cache.open(database, "fd", use_index=True).next(2)
-        cache.open(database, "fd", use_index=False).next(1)  # evicts
+        prefix = cache.open(database, "fd").next(2)
+        cache.open(database, "fd", block_size=2).next(1)  # evicts
         victim = _tuple_outside(database, prefix)
         database.remove_tuple(victim.relation_name, victim.label)
-        cache.open(database, "fd", use_index=True)
+        cache.open(database, "fd")
         # The evicted (closed) log is gone for good: a fresh run starts.
         assert cache.stats()["revalidations"] == 0
         assert cache.stats()["misses"] == 3

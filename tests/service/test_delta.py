@@ -86,7 +86,6 @@ def test_delta_stream_equals_full_recompute_arrival_by_arrival(
             replay_workload.database,
             replay_workload.arrivals,
             batch_size=batch_size,
-            use_index=True,
             summary=replay_summary,
         )
     )
@@ -95,7 +94,6 @@ def test_delta_stream_equals_full_recompute_arrival_by_arrival(
             delta_workload.database,
             delta_workload.arrivals,
             batch_size=batch_size,
-            use_index=True,
             summary=delta_summary,
         )
     )
@@ -124,14 +122,12 @@ def test_per_arrival_work_shrinks_versus_recompute(name, factory):
     replay_summary, delta_summary = StreamSummary(), DeltaSummary()
     list(
         replay_stream(
-            replay_workload.database, replay_workload.arrivals,
-            use_index=True, summary=replay_summary,
+            replay_workload.database, replay_workload.arrivals, summary=replay_summary,
         )
     )
     list(
         incremental_replay_stream(
-            delta_workload.database, delta_workload.arrivals,
-            use_index=True, summary=delta_summary,
+            delta_workload.database, delta_workload.arrivals, summary=delta_summary,
         )
     )
     replay_work = replay_summary.statistics.candidates_generated
@@ -147,10 +143,10 @@ def test_per_arrival_work_shrinks_versus_recompute(name, factory):
 def test_final_state_matches_a_fresh_run_on_the_ingested_database():
     workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=6, seed=3)
     events = list(
-        incremental_replay_stream(workload.database, workload.arrivals, use_index=True)
+        incremental_replay_stream(workload.database, workload.arrivals)
     )
     emitted = {_keys(e.tuple_set) for e in events if isinstance(e, ResultEvent)}
-    final = {_keys(ts) for ts in full_disjunction(workload.database, use_index=True)}
+    final = {_keys(ts) for ts in full_disjunction(workload.database)}
     # Monotone emission: the final FD is contained in what was emitted (old
     # results may have become non-maximal but are never retracted).
     assert final <= emitted
@@ -172,7 +168,7 @@ def test_exactly_one_catalog_build():
 def test_open_sessions_observe_arrivals_without_restarting():
     """The tentpole behaviour: a paused session resumes into the new results."""
     workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=4, seed=3)
-    maintainer = StreamingFullDisjunction(workload.database, use_index=True)
+    maintainer = StreamingFullDisjunction(workload.database)
     session = maintainer.session(name="client")
     prefix = session.next(3)
     assert len(prefix) == 3
@@ -194,30 +190,10 @@ def test_open_sessions_observe_arrivals_without_restarting():
 
 def test_ingest_before_prime_primes_first():
     workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=2, seed=3)
-    maintainer = StreamingFullDisjunction(workload.database, use_index=True)
+    maintainer = StreamingFullDisjunction(workload.database)
     maintainer.ingest(workload.arrivals[:1])  # must not mis-classify base results
-    expected = {_keys(ts) for ts in full_disjunction(workload.database, use_index=True)}
+    expected = {_keys(ts) for ts in full_disjunction(workload.database)}
     assert expected <= {_keys(ts) for ts in maintainer.results}
-
-
-def test_delta_works_without_the_section7_index():
-    workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=4, seed=3)
-    reference_workload = streaming_chain_workload(
-        relations=3, base_tuples=4, arrivals=4, seed=3
-    )
-    plain = list(
-        incremental_replay_stream(
-            workload.database, workload.arrivals, use_index=False
-        )
-    )
-    indexed = list(
-        incremental_replay_stream(
-            reference_workload.database, reference_workload.arrivals, use_index=True
-        )
-    )
-    plain_set = {_keys(e.tuple_set) for e in plain if isinstance(e, ResultEvent)}
-    indexed_set = {_keys(e.tuple_set) for e in indexed if isinstance(e, ResultEvent)}
-    assert plain_set == indexed_set
 
 
 def test_ingest_is_atomic_on_a_bad_arrival():
@@ -226,7 +202,7 @@ def test_ingest_is_atomic_on_a_bad_arrival():
     from repro.workloads.streaming import Arrival
 
     workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=2, seed=3)
-    maintainer = StreamingFullDisjunction(workload.database, use_index=True)
+    maintainer = StreamingFullDisjunction(workload.database)
     maintainer.prime()
     tuples_before = workload.database.tuple_count()
     good = workload.arrivals[0]
@@ -249,10 +225,10 @@ def test_the_base_run_counts_every_step_it_takes():
     from tests.core.reference_step import swapped_step
 
     workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=2, seed=3)
-    maintainer = StreamingFullDisjunction(workload.database, use_index=True)
+    maintainer = StreamingFullDisjunction(workload.database)
     with swapped_step(get_next_result) as steps:
         maintainer.prime()
-    expected = full_disjunction(workload.database, use_index=True)
+    expected = full_disjunction(workload.database)
     assert [_keys(ts) for ts in maintainer.results] == [_keys(ts) for ts in expected]
     # The base run is the full driver: one step per result it produced.
     assert len(steps) == maintainer.statistics.results > 0

@@ -107,7 +107,6 @@ def test_mutated_delta_stream_equals_recompute_reference(name, factory, batch_si
             replay_workload.database,
             ops,
             batch_size=batch_size,
-            use_index=True,
             summary=replay_summary,
         )
     )
@@ -116,7 +115,6 @@ def test_mutated_delta_stream_equals_recompute_reference(name, factory, batch_si
             delta_workload.database,
             delta_ops,
             batch_size=batch_size,
-            use_index=True,
             summary=delta_summary,
         )
     )
@@ -151,7 +149,7 @@ def test_mutated_delta_stream_equals_recompute_reference(name, factory, batch_si
     # standing result is a valid JCC set of live tuples.
     final = {
         _key(ts)
-        for ts in full_disjunction_sets(delta_workload.database, use_index=True)
+        for ts in full_disjunction_sets(delta_workload.database)
     }
     assert final <= delta_standing
     live = {
@@ -181,7 +179,7 @@ def test_deletion_only_stream_equals_full_recompute_exactly(seed):
         null_rate=0.2,
         seed=seed,
     )
-    maintainer = StreamingFullDisjunction(database, use_index=True)
+    maintainer = StreamingFullDisjunction(database)
     maintainer.prime()
     targets = [(r.name, t.label) for r in database.relations for t in r if len(r) > 1]
     rng.shuffle(targets)
@@ -191,7 +189,7 @@ def test_deletion_only_stream_equals_full_recompute_exactly(seed):
         maintainer.remove([Removal(relation_name, label)])
         net = {_key(ts) for ts in maintainer.results}
         fresh = {
-            _key(ts) for ts in full_disjunction_sets(database, use_index=True)
+            _key(ts) for ts in full_disjunction_sets(database)
         }
         assert net == fresh, f"divergence after deleting {label}"
 
@@ -216,7 +214,6 @@ def test_ranked_mutated_stream_parity(name, factory, batch_size):
             replay_workload.database,
             ops,
             batch_size=batch_size,
-            use_index=True,
             ranking=_ranking(),
         )
     )
@@ -225,7 +222,6 @@ def test_ranked_mutated_stream_parity(name, factory, batch_size):
             delta_workload.database,
             delta_ops,
             batch_size=batch_size,
-            use_index=True,
             ranking=_ranking(),
         )
     )
@@ -275,7 +271,7 @@ class TestMaintainerMutationApi:
         workload = streaming_star_workload(
             spokes=3, base_tuples=4, arrivals=4, seed=2
         )
-        maintainer = StreamingFullDisjunction(workload.database, use_index=True)
+        maintainer = StreamingFullDisjunction(workload.database)
         maintainer.prime()
         return workload, maintainer
 
@@ -342,6 +338,6 @@ class TestMaintainerMutationApi:
         net = {_key(ts) for ts in maintainer.results}
         fresh = {
             _key(ts)
-            for ts in full_disjunction_sets(workload.database, use_index=True)
+            for ts in full_disjunction_sets(workload.database)
         }
         assert fresh <= net

@@ -91,7 +91,6 @@ def test_ranked_delta_stream_equals_ranked_recompute(name, factory, batch_size):
             replay_workload.database,
             replay_workload.arrivals,
             batch_size=batch_size,
-            use_index=True,
             summary=replay_summary,
             ranking=_ranking(),
         )
@@ -101,7 +100,6 @@ def test_ranked_delta_stream_equals_ranked_recompute(name, factory, batch_size):
             delta_workload.database,
             delta_workload.arrivals,
             batch_size=batch_size,
-            use_index=True,
             summary=delta_summary,
             ranking=_ranking(),
         )
@@ -128,14 +126,12 @@ def test_ranked_per_arrival_work_shrinks_versus_recompute(name, factory):
     replay_summary, delta_summary = StreamSummary(), DeltaSummary()
     list(
         replay_stream(
-            replay_workload.database, replay_workload.arrivals,
-            use_index=True, summary=replay_summary, ranking=_ranking(),
+            replay_workload.database, replay_workload.arrivals, summary=replay_summary, ranking=_ranking(),
         )
     )
     list(
         incremental_replay_stream(
-            delta_workload.database, delta_workload.arrivals,
-            use_index=True, summary=delta_summary, ranking=_ranking(),
+            delta_workload.database, delta_workload.arrivals, summary=delta_summary, ranking=_ranking(),
         )
     )
     replay_work = replay_summary.statistics.candidates_generated
@@ -164,14 +160,12 @@ def test_ranked_delta_with_higher_determination_bounds(c):
     replay_workload, delta_workload = factory(), factory()
     replay_events = list(
         replay_stream(
-            replay_workload.database, replay_workload.arrivals,
-            use_index=True, ranking=make_ranking(),
+            replay_workload.database, replay_workload.arrivals, ranking=make_ranking(),
         )
     )
     delta_events = list(
         incremental_replay_stream(
-            delta_workload.database, delta_workload.arrivals,
-            use_index=True, ranking=make_ranking(),
+            delta_workload.database, delta_workload.arrivals, ranking=make_ranking(),
         )
     )
     assert _ranked_events(delta_events) == _ranked_events(replay_events)
@@ -182,11 +176,11 @@ def test_first_k_cutoff_matches_top_k_then_resumes_into_arrivals():
     workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=3, seed=3)
     reference = streaming_chain_workload(relations=3, base_tuples=4, arrivals=3, seed=3)
     maintainer = StreamingFullDisjunction(
-        workload.database, use_index=True, ranking=_ranking()
+        workload.database, ranking=_ranking()
     )
     session = maintainer.session(name="client")
     prefix = session.next(3)
-    expected = top_k(reference.database, _ranking(), 3, use_index=True)
+    expected = top_k(reference.database, _ranking(), 3)
     # Scores agree position by position; the sets agree up to score ties
     # (the maintainer canonicalises tie order, the engine uses queue order).
     assert [score for _, score in prefix] == [score for _, score in expected]
@@ -195,7 +189,7 @@ def test_first_k_cutoff_matches_top_k_then_resumes_into_arrivals():
     } <= {
         (_keys(ts), ranking_score)
         for ts, ranking_score in top_k(
-            reference.database, _ranking(), 10_000, use_index=True
+            reference.database, _ranking(), 10_000
         )
     }
 
@@ -215,14 +209,14 @@ def test_first_k_cutoff_matches_top_k_then_resumes_into_arrivals():
 def test_ranked_maintainer_results_match_fresh_top_k_on_ingested_database():
     workload = streaming_star_workload(spokes=3, base_tuples=3, arrivals=5, seed=2)
     maintainer = StreamingFullDisjunction(
-        workload.database, use_index=True, ranking=_ranking()
+        workload.database, ranking=_ranking()
     )
     maintainer.prime()
     maintainer.ingest(workload.arrivals)
     emitted = {(_keys(ts), score) for ts, score in maintainer.results}
     final = {
         (_keys(ts), score)
-        for ts, score in top_k(workload.database, _ranking(), 10_000, use_index=True)
+        for ts, score in top_k(workload.database, _ranking(), 10_000)
     }
     # Monotone emission: the ranked FD of the fully ingested database is
     # contained in what was emitted (old results are never retracted).
@@ -232,12 +226,12 @@ def test_ranked_maintainer_results_match_fresh_top_k_on_ingested_database():
 def test_ranked_ingest_before_prime_primes_first():
     workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=2, seed=3)
     maintainer = StreamingFullDisjunction(
-        workload.database, use_index=True, ranking=_ranking()
+        workload.database, ranking=_ranking()
     )
     maintainer.ingest(workload.arrivals[:1])
     expected = {
         _keys(ts)
-        for ts, _ in top_k(workload.database, _ranking(), 10_000, use_index=True)
+        for ts, _ in top_k(workload.database, _ranking(), 10_000)
     }
     assert expected <= {_keys(ts) for ts, _ in maintainer.results}
 
@@ -245,7 +239,7 @@ def test_ranked_ingest_before_prime_primes_first():
 def test_priority_state_seeds_only_subsets_containing_the_arrival():
     """The delta work bound: seeded queue members all contain the arrival."""
     workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=2, seed=3)
-    state = PriorityState(workload.database, _ranking(), use_index=True)
+    state = PriorityState(workload.database, _ranking())
     list(state.results())  # drain the base run; queues are now empty
     assert all(len(pool) == 0 for pool in state.pools)
 
@@ -267,7 +261,7 @@ def test_stale_ranked_cached_prefix_fails_fast_after_ingest():
     workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=2, seed=3)
     database = workload.database
     cache = PrefixCache()
-    session = cache.open(database, "priority", ranking=_ranking(), use_index=True)
+    session = cache.open(database, "priority", ranking=_ranking())
     prefix = session.next(2)
     assert len(prefix) == 2
 
@@ -282,7 +276,7 @@ def test_stale_ranked_cached_prefix_fails_fast_after_ingest():
     with pytest.raises(StaleResultLog, match="generation"):
         session.next(10_000)
     # A reopened ranked query serves the post-ingest stream cleanly.
-    fresh = cache.open(database, "priority", ranking=_ranking(), use_index=True)
+    fresh = cache.open(database, "priority", ranking=_ranking())
     scores = [score for _, score in fresh.drain()]
     assert scores == sorted(scores, reverse=True)
 
@@ -311,13 +305,12 @@ def test_ranked_and_unranked_delta_agree_on_the_result_sets():
     )
     ranked_events = list(
         incremental_replay_stream(
-            ranked_workload.database, ranked_workload.arrivals,
-            use_index=True, ranking=_ranking(),
+            ranked_workload.database, ranked_workload.arrivals, ranking=_ranking(),
         )
     )
     plain_events = list(
         incremental_replay_stream(
-            plain_workload.database, plain_workload.arrivals, use_index=True
+            plain_workload.database, plain_workload.arrivals
         )
     )
     ranked_sets = {
@@ -335,8 +328,7 @@ def test_ranked_delta_stream_records_store_counters():
     summary = DeltaSummary()
     list(
         incremental_replay_stream(
-            workload.database, workload.arrivals,
-            use_index=True, summary=summary, ranking=_ranking(),
+            workload.database, workload.arrivals, summary=summary, ranking=_ranking(),
         )
     )
     extras = summary.statistics.extras
@@ -349,7 +341,7 @@ def test_ranked_ingest_is_atomic_on_a_bad_arrival():
 
     workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=2, seed=3)
     maintainer = StreamingFullDisjunction(
-        workload.database, use_index=True, ranking=_ranking()
+        workload.database, ranking=_ranking()
     )
     maintainer.prime()
     tuples_before = workload.database.tuple_count()

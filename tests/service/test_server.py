@@ -25,9 +25,9 @@ from repro.workloads.streaming import streaming_chain_workload
 from repro.workloads.tourist import tourist_database
 
 
-def _serial_labels(database, use_index=True, k=None):
+def _serial_labels(database, k=None):
     out = []
-    for tuple_set in full_disjunction_sets(database, use_index=use_index):
+    for tuple_set in full_disjunction_sets(database):
         out.append(sorted(t.label for t in tuple_set))
         if k is not None and len(out) == k:
             break
@@ -85,7 +85,7 @@ class TestServer:
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             try:
                 opened = await client_call(
-                    reader, writer, {"op": "open", "engine": "fd", "use_index": True}
+                    reader, writer, {"op": "open", "engine": "fd"}
                 )
                 session = opened["session"]
                 first = await client_call(
@@ -185,7 +185,7 @@ class TestServer:
             reader, writer = await asyncio.open_connection("127.0.0.1", port)
             try:
                 opened = await client_call(
-                    reader, writer, {"op": "open", "engine": "fd", "use_index": True}
+                    reader, writer, {"op": "open", "engine": "fd"}
                 )
                 session = opened["session"]
                 prefix = await client_call(
@@ -204,7 +204,7 @@ class TestServer:
                     reader, writer, {"op": "next", "session": session, "k": 1000}
                 )
                 reopened = await client_call(
-                    reader, writer, {"op": "open", "engine": "fd", "use_index": True}
+                    reader, writer, {"op": "open", "engine": "fd"}
                 )
                 fresh = await client_call(
                     reader, writer,
@@ -330,7 +330,7 @@ class TestRankedServing:
         expected = [
             {"labels": sorted(t.label for t in ts), "score": score}
             for ts, score in top_k(
-                database, MaxRanking(importance), 5, use_index=True
+                database, MaxRanking(importance), 5
             )
         ]
 
@@ -529,7 +529,7 @@ class TestSessionDriverFairness:
         database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=1)
         driver = SessionDriver()
         sessions = [
-            open_session(database, "fd", use_index=True, name=f"s{i}")
+            open_session(database, "fd", name=f"s{i}")
             for i in range(3)
         ]
         progress = []
@@ -581,7 +581,7 @@ class TestSessionDriverFairness:
 
         async def scenario():
             sessions = [
-                open_session(database, "fd", use_index=True, name=f"t{i}")
+                open_session(database, "fd", name=f"t{i}")
                 for i in range(2)
             ]
             try:
@@ -599,13 +599,37 @@ class TestSessionDriverFairness:
         assert {"a", "b"} <= set(order[:4])
 
 
+#: The wire options each engine's ``open`` takes (besides ``format``, and
+#: the E18 harness's ``use_index``, which every cache-backed engine takes).
+WIRE_OPTIONS = {
+    "fd": set(),
+    "approx": {"threshold", "similarity"},
+    "ranked": {"importance", "default", "k"},
+    "stream": set(),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(WIRE_OPTIONS))
+def test_each_wire_engine_takes_the_options_its_run_reads(engine):
+    """The wire check reads the in-process table of the options each
+    engine's run reads: the two refuse the same options."""
+    server = QueryServer(tourist_database())
+    candidates = set().union(*WIRE_OPTIONS.values()) | {"block_size", "initialization", "ranking"}
+    taken = {
+        key
+        for key in candidates
+        if server._option_error({"op": "open", "engine": engine, key: None}) is None
+    }
+    assert taken == WIRE_OPTIONS[engine]
+
+
 class TestOpenRoutingKey:
     """``open_routing_key`` names the computation an ``open`` asks for: the
     durable store keeps one persisted open per key."""
 
     def test_identical_opens_share_a_routing_key(self):
-        first = {"op": "open", "engine": "fd", "use_index": True}
-        second = {"use_index": True, "engine": "fd", "op": "open"}
+        first = {"op": "open", "engine": "fd"}
+        second = {"engine": "fd", "op": "open"}
         assert open_routing_key(first) == open_routing_key(second)
 
     def test_different_queries_produce_different_keys(self):
@@ -615,17 +639,20 @@ class TestOpenRoutingKey:
 
     def test_the_rendering_and_unset_options_stay_out_of_the_key(self):
         bare = {"op": "open"}
-        dressed = {"op": "open", "engine": "fd", "format": "padded", "use_index": None}
+        dressed = {"op": "open", "engine": "fd", "format": "padded", "threshold": None}
         assert open_routing_key(bare) == open_routing_key(dressed)
-        assert open_routing_key(bare) != open_routing_key(
-            {"op": "open", "use_index": False}
-        )
+        assert open_routing_key(bare) != open_routing_key({"op": "open", "threshold": 0.5})
+
+    def test_use_index_stays_out_of_the_key(self):
+        """The E18 harness's ``use_index: true`` names no other query."""
+        bare = {"op": "open", "engine": "fd"}
+        assert open_routing_key(bare) == open_routing_key({**bare, "use_index": True})
 
     def test_a_server_persists_one_open_per_key(self):
-        state = QueryServer(tourist_database(), use_index=True)
+        state = QueryServer(tourist_database())
         requests = [
-            {"op": "open", "engine": "fd", "use_index": True},
-            {"use_index": True, "engine": "fd", "op": "open", "format": "padded"},
+            {"op": "open", "engine": "fd"},
+            {"engine": "fd", "op": "open", "format": "padded"},
             {"op": "open", "engine": "approx", "threshold": 0.9},
         ]
 

@@ -26,7 +26,7 @@ def _run(coroutine):
 
 def _server(seed=1):
     database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=seed)
-    return database, QueryServer(database, use_index=True)
+    return database, QueryServer(database)
 
 
 class TestRetractOp:
@@ -57,7 +57,7 @@ class TestRetractOp:
                 emitted.remove(r["retract"])
             fresh = sorted(
                 sorted(t.label for t in ts)
-                for ts in full_disjunction_sets(database, use_index=True)
+                for ts in full_disjunction_sets(database)
             )
             assert sorted(emitted) == fresh
             stats = await server.handle_request({"op": "stats"})
@@ -69,7 +69,7 @@ class TestRetractOp:
         async def scenario():
             database, server = _server()
             opened = await server.handle_request(
-                {"op": "open", "engine": "fd", "use_index": True}
+                {"op": "open", "engine": "fd"}
             )
             first = await server.handle_request(
                 {"op": "next", "session": opened["session"], "k": 2}
@@ -83,7 +83,7 @@ class TestRetractOp:
             assert outcome["invalidated_queries"] == 0
             # A fresh identical open serves the same prefix without recompute.
             reopened = await server.handle_request(
-                {"op": "open", "engine": "fd", "use_index": True}
+                {"op": "open", "engine": "fd"}
             )
             assert reopened["cached"] is True
             again = await server.handle_request(
@@ -169,9 +169,9 @@ class TestPaddedFormat:
     def test_padded_rows_render_nulls_and_match_table2(self):
         async def scenario():
             database = tourist_database()
-            server = QueryServer(database, use_index=True)
+            server = QueryServer(database)
             opened = await server.handle_request(
-                {"op": "open", "engine": "fd", "use_index": True, "format": "padded"}
+                {"op": "open", "engine": "fd", "format": "padded"}
             )
             assert opened["format"] == "padded"
             reply = await server.handle_request(
@@ -179,7 +179,7 @@ class TestPaddedFormat:
             )
             schema = combined_schema(database.relations)
             by_labels = {}
-            for ts in full_disjunction_sets(database, use_index=True):
+            for ts in full_disjunction_sets(database):
                 padded = pad_tuple_set(ts, schema)
                 by_labels[tuple(sorted(t.label for t in ts))] = {
                     attribute: (None if is_null(value) else value)
@@ -260,7 +260,7 @@ class TestOpenValidation:
         opens and persists nothing."""
         registry = MetricsRegistry()
         database = star_database(spokes=3, tuples_per_relation=4, hub_domain=2, seed=1)
-        server = QueryServer(database, use_index=True, registry=registry)
+        server = QueryServer(database, registry=registry)
 
         async def scenario():
             cases = [
@@ -273,8 +273,8 @@ class TestOpenValidation:
                 ),
                 ({"op": "open", "engine": "approx", "importance": {}}, "importance"),
                 ({"op": "open", "engine": "stream", "k": 3}, "k"),
-                # The live stream log is built with the *server's* index
-                # setting; a per-query use_index would be silently ignored.
+                # The stream engine serves the maintainer's live log and
+                # takes no option, not even the E18 harness's use_index.
                 ({"op": "open", "engine": "stream", "use_index": True}, "use_index"),
                 ({"op": "open", "engine": "ranked", "similarity": "edit"}, "similarity"),
             ]
@@ -315,11 +315,37 @@ class TestOpenValidation:
         async def scenario():
             _, server = _server()
             good = await server.handle_request(
-                {"op": "open", "engine": "fd", "use_index": True}
+                {"op": "open", "engine": "fd"}
             )
             assert good["ok"]
 
         _run(scenario())
+
+
+    @pytest.mark.parametrize("engine", ["fd", "approx", "ranked"])
+    def test_the_harness_use_index_is_served_only_as_true(self, engine):
+        """The E18 harness still sends ``use_index: true``: it opens the
+        query the open without it opens, and persists without the key;
+        ``false`` is the client's error, with nothing opened."""
+        registry = MetricsRegistry()
+        server = QueryServer(tourist_database(), registry=registry)
+
+        async def scenario():
+            bare = {"op": "open", "engine": engine}
+            refused = await server.handle_request({**bare, "use_index": False})
+            served = await server.handle_request({**bare, "use_index": True})
+            again = await server.handle_request(dict(bare))
+            return refused, served, again
+
+        refused, served, again = _run(scenario())
+        assert refused["ok"] is False and "use_index=False" in refused["error"]
+        assert served["ok"] and not served["cached"]
+        assert again["ok"] and again["cached"]
+        errors = registry.family("repro_request_errors_total")
+        assert errors.labels(op="open", kind="client").value == 1
+        assert errors.labels(op="open", kind="server").value == 0
+        persisted = [entry["request"] for entry in server.durable_state()["cached"]]
+        assert persisted == [{"engine": engine}]
 
 
 #: Mutation batches whose second entry is bad: an unknown target, or an
@@ -339,7 +365,7 @@ class TestRefusedBatches:
         server = open_durable_server(
             tourist_database(), str(tmp_path), snapshot_every=None
         )
-        fd = {"op": "open", "engine": "fd", "use_index": True}
+        fd = {"op": "open", "engine": "fd"}
 
         async def scenario():
             opened = await server.handle_request(dict(fd))

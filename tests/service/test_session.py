@@ -62,22 +62,22 @@ WORKLOAD_IDS = [name for name, _ in WORKLOADS]
 def _serial_reference(engine, database):
     """The fresh serial run the paused/resumed session must reproduce."""
     if engine == "fd":
-        return list(full_disjunction_sets(database, use_index=True))
+        return list(full_disjunction_sets(database))
     if engine == "priority":
-        return list(priority_incremental_fd(database, _ranking(), use_index=True))
+        return list(priority_incremental_fd(database, _ranking()))
     if engine == "approx":
         return list(
-            approx_full_disjunction_sets(database, _join(), 0.6, use_index=True)
+            approx_full_disjunction_sets(database, _join(), 0.6)
         )
     return list(
         priority_incremental_fd(
-            database, _ranking(), use_index=True, semantics=ApproxSemantics(_join(), 0.6)
+            database, _ranking(), semantics=ApproxSemantics(_join(), 0.6)
         )
     )
 
 
 def _open(engine, database):
-    options = {"use_index": True}
+    options = {}
     if engine in ("priority", "ranked_approx"):
         options["ranking"] = _ranking()
     if engine in ("approx", "ranked_approx"):
@@ -125,10 +125,29 @@ def test_peek_does_not_consume(engine):
     session.close()
 
 
+@pytest.mark.parametrize(
+    "engine,options,named",
+    [
+        ("fd", {"initialization": "previous-results", "threshold": 0.3}, "initialization, threshold"),
+        ("fd", {"use_index": "yes please"}, "use_index"),
+        ("priority", {"ranking": _ranking(), "use_index": True}, "use_index"),
+        ("approx", {"join_function": _join(), "block_size": 2}, "block_size"),
+        ("ranked_approx", {"ranking": _ranking(), "join_function": _join(), "k": 2, "format": "padded"}, "format"),
+    ],
+    ids=["fd-two", "fd-use_index", "priority-use_index", "approx-block_size", "ranked_approx-format"],
+)
+def test_an_option_the_engine_never_reads_is_refused(engine, options, named):
+    """Serving the run without the option would serve another query than
+    the one asked for: the open fails, naming every such option."""
+    with pytest.raises(ValueError) as refused:
+        open_session(tourist_database(), engine, **options)
+    assert str(refused.value) == f"unknown option(s) for engine {engine!r}: {named}"
+
+
 def test_session_next_is_incremental_not_recompute():
     """Pulling k answers must not run the engine to completion."""
     database = star_database(spokes=4, tuples_per_relation=5, hub_domain=2, seed=0)
-    session = open_session(database, "fd", use_index=True)
+    session = open_session(database, "fd")
     session.next(3)
     assert session.log.pulled == 3
     assert not session.log.complete
@@ -137,7 +156,7 @@ def test_session_next_is_incremental_not_recompute():
 
 def test_fork_replays_the_shared_prefix_without_recompute():
     database = tourist_database()
-    session = open_session(database, "fd", use_index=True)
+    session = open_session(database, "fd")
     first_four = session.next(4)
     fork = session.fork()
     pulled_before = session.log.pulled
@@ -191,7 +210,7 @@ def test_negative_k_is_rejected():
 
 def test_statistics_accumulate_on_the_shared_log():
     database = tourist_database()
-    session = open_session(database, "fd", use_index=True)
+    session = open_session(database, "fd")
     session.drain()
     assert session.statistics is not None
     assert session.statistics.results > 0

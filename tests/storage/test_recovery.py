@@ -14,6 +14,7 @@ Two layers of coverage:
 from __future__ import annotations
 
 import asyncio
+import copy
 import os
 import random
 import signal
@@ -22,6 +23,8 @@ import sys
 
 import pytest
 
+from repro.baselines.naive import naive_approx_full_disjunction, naive_full_disjunction
+from repro.core.approx_join import EditDistanceSimilarity, MinJoin
 from repro.obs.metrics import MetricsRegistry
 from repro.relational.database import Database
 from repro.service.cache import database_generation
@@ -148,6 +151,72 @@ class TestInProcessRecovery:
         opened, restored_stream = _run(_fd_stream(restored))
         assert opened["cached"] is False
         assert restored_stream == stream
+
+    def test_a_snapshot_naming_use_index_restores(self):
+        """A server from before the index was always on wrote
+        ``"use_index": false`` into its snapshots, and each open its clients
+        sent, ``use_index`` included.  Such a snapshot restores: the field
+        is read by nothing, a prefix whose open names ``use_index: false``
+        is skipped as a refused ``initialization`` open is, and every
+        restored session serves the naive oracle's answer set."""
+        state = QueryServer(build_database())
+        requests = [{"engine": "fd"}, {"engine": "approx", "threshold": 0.6}, {"engine": "ranked"}]
+
+        async def prefixes():
+            served = []
+            for request in requests:
+                opened = await state.handle_request({"op": "open", **request})
+                pulled = await state.handle_request(
+                    {"op": "next", "session": opened["session"], "k": 4}
+                )
+                served.append(pulled["results"])
+            return served
+
+        served_before = _run(prefixes())
+        snapshot = state.durable_state()
+        assert "use_index" not in snapshot
+        kept = [entry["request"] for entry in snapshot["cached"]]
+        assert kept == requests
+        snapshot["use_index"] = False
+        for entry in list(snapshot["cached"]):
+            refused = copy.deepcopy(entry)
+            refused["request"]["use_index"] = False
+            refused["items"].reverse()
+            snapshot["cached"].insert(0, refused)
+        restored = restore_server(snapshot)
+        assert [entry["request"] for entry in restored.durable_state()["cached"]] == kept
+
+        database = restored.database
+        fd = {ts.labels() for ts in naive_full_disjunction(database)}
+        expected = {
+            "fd": fd,
+            "approx": {
+                ts.labels()
+                for ts in naive_approx_full_disjunction(
+                    database, MinJoin(EditDistanceSimilarity()), 0.6
+                )
+            },
+            "ranked": fd,
+            "stream": fd,
+        }
+
+        async def drained(engine):
+            opened = await restored.handle_request({"op": "open", "engine": engine, **(
+                {"threshold": 0.6} if engine == "approx" else {}
+            )})
+            pulled = await restored.handle_request(
+                {"op": "next", "session": opened["session"], "k": 100_000}
+            )
+            return opened["cached"], pulled["results"]
+
+        for engine, answers in expected.items():
+            cached, results = _run(drained(engine))
+            served = [frozenset(item["labels"] if engine == "ranked" else item) for item in results]
+            assert cached, engine
+            assert set(served) == answers and len(served) == len(answers), engine
+        for request, prefix in zip(requests, served_before):
+            _, results = _run(drained(request["engine"]))
+            assert results[: len(prefix)] == prefix, request
 
     def test_recovered_stream_session_serves_the_live_log(self, tmp_path):
         state = open_durable_server(

@@ -70,7 +70,7 @@ def test_the_drained_star_walks_no_bucket(monkeypatch):
     monkeypatch.setattr(CompleteStore, "_holds_mask", counted_walk)
     monkeypatch.setattr(TupleScanner, "mask_pass", kept_plan)
     database = inputs.balanced_star(1, **inputs.SCALES["full"]["star"])
-    answers = sum(1 for _ in full_disjunction_sets(database, use_index=True))
+    answers = sum(1 for _ in full_disjunction_sets(database))
 
     assert answers == 486
     assert counts == {"merge tests": 0, "equal-relation walks": 0}

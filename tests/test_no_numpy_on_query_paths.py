@@ -37,14 +37,14 @@ from repro.service.server import open_durable_server
 report = {}
 star = inputs.balanced_star(1, **inputs.SCALES["full"]["star"])
 statistics = FDStatistics()
-report["star"] = len(list(full_disjunction_sets(star, use_index=True, statistics=statistics)))
+report["star"] = len(list(full_disjunction_sets(star, statistics=statistics)))
 report["statistics"] = sorted(statistics.as_dict())
 chain = inputs.chain(1, null_rate=0.05, **inputs.SCALES["full"]["chain"])
-report["first_k"] = len(first_k(chain, inputs.FIRST_K, use_index=True))
+report["first_k"] = len(first_k(chain, inputs.FIRST_K))
 ranking = MaxRanking({t.label: len(t.label) for t in star.tuples()})
-report["top_k"] = len(top_k(star, ranking, 5, use_index=True))
+report["top_k"] = len(top_k(star, ranking, 5))
 
-maintainer = StreamingFullDisjunction(star, use_index=False, ranking=ranking)
+maintainer = StreamingFullDisjunction(star, ranking=ranking)
 report["primed"] = maintainer.prime()
 victim = next(iter(star.relations[0]))
 report["retracted"] = maintainer.remove([(victim.relation_name, victim.label)])["results_retracted"]
@@ -55,7 +55,7 @@ results = [result for result, _ in maintainer.results]
 dead = {next(iter(results[0]))}
 anchor = star.relations[0].name
 pools = [ListIncompletePool(anchor), PriorityIncompletePool(anchor, ranking)]
-store = CompleteStore(anchor_relation=None, use_index=False)
+store = CompleteStore(anchor_relation=None)
 for result in results:
     for pool in pools:
         pool.add(result)
@@ -66,7 +66,7 @@ report["evicted"].append(len(store.retract_containing(dead)))
 
 served = inputs.chain(1, null_rate=0.1, **inputs.SCALES["smoke"]["served"])
 with tempfile.TemporaryDirectory() as data_dir:
-    state = open_durable_server(served, data_dir, use_index=True)
+    state = open_durable_server(served, data_dir)
     state.maintainer.prime()
     stats = asyncio.run(state.handle_request({"op": "stats"}))
     report["stats"] = sorted(stats)
@@ -83,7 +83,7 @@ from repro.core.full_disjunction import full_disjunction
 from repro.workloads.generators import chain_database
 
 def answers(database):
-    return [sorted(ts.labels()) for ts in full_disjunction(database, use_index=True)]
+    return [sorted(ts.labels()) for ts in full_disjunction(database)]
 
 def temp_mirrors():
     return set(glob.glob(os.path.join(tempfile.gettempdir(), "repro-mirror-*")))
@@ -141,7 +141,7 @@ except MirrorFileError as error:
     report["refused"] = str(error)
 report["written"] = os.path.exists(path)
 report["mirror"] = database.catalog().packed_mirror() is not None
-report["answers"] = len(full_disjunction(database, use_index=True))
+report["answers"] = len(full_disjunction(database))
 print(json.dumps(report))
 """
 

@@ -173,7 +173,7 @@ def test_e7_counters_are_pinned():
     answers = {}
     for strategy, expected in E7_COUNTERS.items():
         statistics = FDStatistics()
-        results = _run(strategy, database, use_index=True, statistics=statistics)
+        results = _run(strategy, database, statistics=statistics)
         answers[strategy] = labels_of(results)
         assert len(results) == 316
         bucket_probes, full_scans = probe_counters(statistics)

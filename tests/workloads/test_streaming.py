@@ -17,6 +17,8 @@ from repro.workloads.streaming import (
 from repro.workloads.generators import chain_database
 from repro.workloads.tourist import tourist_database
 
+from tests.conftest import STORES, on_store
+
 
 def _keys(tuple_set):
     return frozenset((t.relation_name, t.label) for t in tuple_set)
@@ -106,7 +108,6 @@ def test_streaming_ingest_builds_the_catalog_exactly_once(batch_size):
             workload.database,
             workload.arrivals,
             batch_size=batch_size,
-            use_index=True,
             summary=summary,
         )
     )
@@ -121,7 +122,7 @@ def test_replay_emits_every_final_result_and_never_retracts():
     workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=6, seed=3)
     summary = StreamSummary()
     events = list(
-        replay_stream(workload.database, workload.arrivals, use_index=True,
+        replay_stream(workload.database, workload.arrivals,
                       summary=summary)
     )
     emitted = [_keys(e.tuple_set) for e in events if isinstance(e, ResultEvent)]
@@ -133,16 +134,14 @@ def test_replay_emits_every_final_result_and_never_retracts():
 
 def test_replay_is_the_same_with_and_without_the_index():
     reference = None
-    for use_index in (False, True):
+    for store in STORES:
         workload = streaming_chain_workload(
             relations=3, base_tuples=4, arrivals=5, seed=8
         )
-        events = list(
-            replay_stream(
-                workload.database, workload.arrivals, batch_size=2,
-                use_index=use_index,
+        with on_store(store):
+            events = list(
+                replay_stream(workload.database, workload.arrivals, batch_size=2)
             )
-        )
         trace = {
             (_keys(e.tuple_set), e.after_arrivals)
             for e in events

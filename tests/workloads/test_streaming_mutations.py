@@ -66,7 +66,7 @@ class TestReplayReferenceWithMutations:
         ops = inject_mutations(workload, 3, seed=4)
         summary = StreamSummary()
         events = list(
-            replay_stream(workload.database, ops, use_index=True, summary=summary)
+            replay_stream(workload.database, ops, summary=summary)
         )
         retracts = [
             e for e in events if isinstance(e, ResultEvent) and e.kind == "retract"
@@ -84,14 +84,14 @@ class TestReplayReferenceWithMutations:
         assert standing == net
         fresh = {
             _key(ts)
-            for ts in full_disjunction_sets(workload.database, use_index=True)
+            for ts in full_disjunction_sets(workload.database)
         }
         assert fresh <= net
 
     def test_arrival_only_streams_never_retract(self):
         workload = streaming_chain_workload(relations=3, base_tuples=4, arrivals=6, seed=3)
         events = list(
-            replay_stream(workload.database, workload.arrivals, use_index=True)
+            replay_stream(workload.database, workload.arrivals)
         )
         assert all(
             event.kind == "emit"
@@ -120,7 +120,7 @@ class TestReplayReferenceWithMutations:
             ]
             events = list(
                 stream_fn(
-                    workload.database, ops, use_index=True,
+                    workload.database, ops,
                     ranking=MaxRanking(None),
                 )
             )
@@ -150,7 +150,6 @@ class TestReplayReferenceWithMutations:
             replay_stream(
                 workload.database,
                 [Update(target.relation_name, target.label, new_values)],
-                use_index=True,
             )
         )
         retracted = [
